@@ -259,7 +259,8 @@ def _gradcheck_suite(rng: np.random.Generator,
             probs = tape.softmax(apply_mlp(params["m"], Xb))
             q_node = tape.sigmoid(
                 tape.reshape(apply_mlp(params["q"], Xb), (-1,)))
-            return _mixture_nodes(q_node, probs, oh_h, oh_y, w_y, team, 1.0)
+            return _mixture_nodes(q_node, probs, oh_h, oh_y, w_y,
+                                  team.query_cost)
 
         worst = max(worst, finite_diff_check(
             {"m": m, "q": q}, (X, eye[h], eye[y], w[y]), joint_fn))

@@ -14,15 +14,15 @@ time the discrete query rule fires iff (1 - q) * max(m(x)) < q.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tape
-from .errors import InputError, NumericError, QueryError, TrainingError
+from .errors import InputError, QueryError
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                       TrainConfig, apply_mlp, forward_batch, init_mlp,
-                       loss_and_grad, sample_dropout_masks, sgd_step)
+                       TrainConfig, apply_mlp, fit, forward_batch, init_mlp,
+                       sample_dropout_masks, stack_models, unstack_models)
 
 # Deterministic rng stream ids; stage-1/solo training of m must share the
 # m streams with joint training so the q-frozen trajectories coincide.
@@ -163,7 +163,7 @@ def _batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 def _solo_ce_loss(params_m, batch):
     X, onehot_y, w_y, masks = batch
     probs = tape.softmax(apply_mlp(params_m, X, masks))
-    p_true = tape.sum_(probs * tape.constant(onehot_y), axis=1)
+    p_true = tape.sum_(probs * tape.constant(onehot_y), axis=-1)
     return tape.constant(w_y) * -tape.log(tape.clamp_min(p_true, PROB_CLAMP))
 
 
@@ -189,44 +189,42 @@ def train_solo_model(dataset, team: TeamConfig, cfg: TrainConfig,
     rng_drop = derive_rng(cfg.seed, streams[2])
     model = init_mlp(dims, SOFTMAX_HEAD, rng_init, cfg.dropout_rate)
     eye = np.eye(K)
-    for it in range(cfg.iterations):
+
+    def make_batch(it):
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
         masks = sample_dropout_masks(model, len(idx), rng_drop)
-        batch = (X[idx], eye[t[idx]], w[t[idx]], masks)
-        try:
-            _, grads = loss_and_grad({"m": model}, batch,
-                                     lambda p, b: _solo_ce_loss(p["m"], b))
-        except NumericError as e:
-            raise TrainingError(f"solo training diverged at iteration {it}",
-                                iteration=it) from e
-        model = sgd_step(model, grads["m"], cfg.learning_rate)
-    return model
+        return (X[idx], eye[t[idx]], w[t[idx]], masks)
+
+    fitted = fit({"m": stack_models([model])},
+                 lambda p, b: _solo_ce_loss(p["m"], b), make_batch, cfg,
+                 "solo training")
+    return unstack_models(fitted["m"])[0]
 
 
-def _mixture_nodes(q_node, m_probs, onehot_h, onehot_y, w_y, team, lam):
-    q_col = tape.reshape(q_node, (-1, 1))
+def _mixture_nodes(q_node, m_probs, onehot_h, onehot_y, w_y, cost_term):
+    """Per-instance mixture loss; `cost_term` is lambda * c, a float or an
+    (R, 1) column with one value per replica."""
+    q_col = tape.reshape(q_node, q_node.shape + (1,))
     mix = q_col * tape.constant(onehot_h) + (1.0 - q_col) * m_probs
-    p_true = tape.sum_(mix * tape.constant(onehot_y), axis=1)
+    p_true = tape.sum_(mix * tape.constant(onehot_y), axis=-1)
     ce = tape.constant(w_y) * -tape.log(tape.clamp_min(p_true, PROB_CLAMP))
-    return ce + (lam * team.query_cost) * q_node
+    return ce + cost_term * q_node
 
 
-def _direct_relaxation_nodes(q_node, m_probs, onehot_h, onehot_y, w_y,
-                             team, lam):
-    # Less stable alternative kept for ablation only:
-    # q * loss(query) + (1 - q) * loss(no query) + lambda * c * q.
-    w_node = tape.constant(w_y)
-    p_h = np.maximum((onehot_h * onehot_y).sum(axis=1), PROB_CLAMP)
-    ce_query = tape.constant(w_y * -np.log(p_h))
-    p_m = tape.sum_(m_probs * tape.constant(onehot_y), axis=1)
-    ce_machine = w_node * -tape.log(tape.clamp_min(p_m, PROB_CLAMP))
-    return (q_node * ce_query + (1.0 - q_node) * ce_machine
-            + (lam * team.query_cost) * q_node)
+def _query_node(params_q, X, masks):
+    logits = apply_mlp(params_q, X, masks)
+    return tape.sigmoid(tape.reshape(logits, logits.shape[:-1]))
 
 
-def train_query_policy(m: MlpModel, dataset, team: TeamConfig,
-                       cfg: TrainConfig) -> MlpModel:
-    """Stage 2 of the fixed approach: fit q against a frozen predictor."""
+def train_query_policy_grid(m: MlpModel, dataset, team: TeamConfig,
+                            cfg: TrainConfig, costs) -> list[MlpModel]:
+    """Stage 2 of the fixed approach at several query costs in one run.
+
+    One q-policy per cost, each fit against the frozen predictor; `team`
+    supplies the utility and `costs` replace its query cost. They step
+    in lockstep on shared minibatches and dropout masks, and each equals
+    what `train_query_policy` gives at that cost alone.
+    """
     X, y, h = dataset.X, dataset.y, dataset.h
     K = dataset.num_classes
     w = utility_loss_weights(team)
@@ -237,27 +235,30 @@ def train_query_policy(m: MlpModel, dataset, team: TeamConfig,
     rng_drop = derive_rng(cfg.seed, STREAM_DROP_Q)
     q = init_mlp((X.shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD, rng_init,
                  cfg.dropout_rate)
-    lam = cfg.cost_weight
+    cost_term = cfg.cost_weight * np.asarray(costs, dtype=np.float64)[:, None]
 
     def loss_fn(params, batch):
         Xb, m_pb, oh_h, oh_y, w_y, masks = batch
-        q_node = tape.sigmoid(tape.reshape(apply_mlp(params["q"], Xb, masks),
-                                           (-1,)))
-        return _mixture_nodes(q_node, tape.constant(m_pb), oh_h, oh_y, w_y,
-                              team, lam)
+        return _mixture_nodes(_query_node(params["q"], Xb, masks),
+                              tape.constant(m_pb), oh_h, oh_y, w_y, cost_term)
 
-    for it in range(cfg.iterations):
+    def make_batch(it):
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
         masks = sample_dropout_masks(q, len(idx), rng_drop)
-        batch = (X[idx], m_probs_all[idx], eye[h[idx]], eye[y[idx]],
-                 w[y[idx]], masks)
-        try:
-            _, grads = loss_and_grad({"q": q}, batch, loss_fn)
-        except NumericError as e:
-            raise TrainingError(f"query-policy training diverged at"
-                                f" iteration {it}", iteration=it) from e
-        q = sgd_step(q, grads["q"], cfg.learning_rate)
-    return q
+        return (X[idx], m_probs_all[idx], eye[h[idx]], eye[y[idx]],
+                w[y[idx]], masks)
+
+    fitted = fit({"q": stack_models([q] * len(costs))}, loss_fn, make_batch,
+                 cfg, "query-policy training",
+                 [f"query_cost={c!r}" for c in costs])
+    return unstack_models(fitted["q"])
+
+
+def train_query_policy(m: MlpModel, dataset, team: TeamConfig,
+                       cfg: TrainConfig) -> MlpModel:
+    """Stage 2 of the fixed approach: fit q against a frozen predictor."""
+    return train_query_policy_grid(m, dataset, team, cfg,
+                                   (team.query_cost,))[0]
 
 
 def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig,
@@ -273,19 +274,17 @@ def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig,
     return DiscriminativeSystem(m, q, team, cfg)
 
 
-def train_joint(dataset, team: TeamConfig, cfg: TrainConfig,
-                q_override: float | None = None,
-                relaxation: str = "mixture") -> DiscriminativeSystem:
-    """End-to-end SGD of m and q on the mixture loss.
+def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
+                     cost_weights, q_override: float | None = None
+                     ) -> list[DiscriminativeSystem]:
+    """End-to-end SGD of m and q on the mixture loss, once per cost weight.
 
-    `q_override` pins the query probability to a constant (no gradient to
-    q), which reduces training to weighted CE on m; `relaxation="direct"`
-    switches to the unstable per-branch relaxation for ablations.
+    The variants step in lockstep on shared minibatches and dropout
+    masks; each system equals what `train_joint` gives with that
+    `cost_weight` alone. `q_override` pins the query probability to a
+    constant (no gradient to q), which reduces training to weighted CE
+    on m.
     """
-    if relaxation not in ("mixture", "direct"):
-        raise InputError(f"unknown relaxation {relaxation!r}")
-    loss_nodes = (_mixture_nodes if relaxation == "mixture"
-                  else _direct_relaxation_nodes)
     X, y, h = dataset.X, dataset.y, dataset.h
     K = dataset.num_classes
     w = utility_loss_weights(team)
@@ -297,31 +296,47 @@ def train_joint(dataset, team: TeamConfig, cfg: TrainConfig,
                  derive_rng(cfg.seed, STREAM_INIT_M), cfg.dropout_rate)
     q = init_mlp((X.shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD,
                  derive_rng(cfg.seed, STREAM_INIT_Q), cfg.dropout_rate)
-    lam = cfg.cost_weight
+    R = len(cost_weights)
+    cost_term = np.asarray(cost_weights, dtype=np.float64)[:, None] \
+        * team.query_cost
+    models = {"m": stack_models([m] * R)}
+    if q_override is None:
+        models["q"] = stack_models([q] * R)
 
     def loss_fn(params, batch):
         Xb, oh_h, oh_y, w_y, masks_m, masks_q = batch
         m_probs = tape.softmax(apply_mlp(params["m"], Xb, masks_m))
         if q_override is None:
-            q_node = tape.sigmoid(tape.reshape(
-                apply_mlp(params["q"], Xb, masks_q), (-1,)))
+            q_node = _query_node(params["q"], Xb, masks_q)
         else:
-            q_node = tape.constant(np.full(len(Xb), q_override))
-        return loss_nodes(q_node, m_probs, oh_h, oh_y, w_y, team, lam)
+            q_node = tape.constant(np.full(m_probs.shape[:-1], q_override))
+        return _mixture_nodes(q_node, m_probs, oh_h, oh_y, w_y, cost_term)
 
-    for it in range(cfg.iterations):
+    def make_batch(it):
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
         masks_m = sample_dropout_masks(m, len(idx), rng_drop_m)
         masks_q = None
         if q_override is None:
             masks_q = sample_dropout_masks(q, len(idx), rng_drop_q)
-        batch = (X[idx], eye[h[idx]], eye[y[idx]], w[y[idx]], masks_m, masks_q)
-        try:
-            _, grads = loss_and_grad({"m": m, "q": q}, batch, loss_fn)
-        except NumericError as e:
-            raise TrainingError(f"joint training diverged at iteration {it}",
-                                iteration=it) from e
-        m = sgd_step(m, grads["m"], cfg.learning_rate)
-        if q_override is None:
-            q = sgd_step(q, grads["q"], cfg.learning_rate)
-    return DiscriminativeSystem(m, q, team, cfg)
+        return (X[idx], eye[h[idx]], eye[y[idx]], w[y[idx]], masks_m, masks_q)
+
+    fitted = fit(models, loss_fn, make_batch, cfg, "joint training",
+                 [f"cost_weight={lam!r}" for lam in cost_weights])
+    ms = unstack_models(fitted["m"])
+    qs = unstack_models(fitted["q"]) if q_override is None else [q] * R
+    return [DiscriminativeSystem(m_r, q_r, team, replace(cfg, cost_weight=lam))
+            for m_r, q_r, lam in zip(ms, qs, cost_weights)]
+
+
+def train_joint(dataset, team: TeamConfig, cfg: TrainConfig,
+                q_override: float | None = None,
+                relaxation: str = "mixture") -> DiscriminativeSystem:
+    """End-to-end SGD of m and q on the mixture loss at `cfg.cost_weight`.
+
+    See `train_joint_grid` for `q_override`. The mixture is the only
+    relaxation; any other `relaxation` is rejected.
+    """
+    if relaxation != "mixture":
+        raise InputError(f"unknown relaxation {relaxation!r}")
+    return train_joint_grid(dataset, team, cfg, (cfg.cost_weight,),
+                            q_override)[0]

@@ -20,12 +20,15 @@ class ConfigError(TeamoptError):
 class NumericError(TeamoptError):
     """Non-finite value produced during computation.
 
-    ``index`` identifies the offending minibatch instance when known.
+    ``index`` identifies the offending minibatch instance when known, and
+    ``replica`` its position in a stack of replicas trained together.
     """
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int | None = None,
+                 replica: int | None = None):
         super().__init__(message)
         self.index = index
+        self.replica = replica
 
 
 class ParseError(TeamoptError):

@@ -25,10 +25,11 @@ from scipy import stats
 
 from .data import Dataset, split
 from .discriminative import (DiscriminativeSystem, TeamConfig,
-                             train_fixed, train_joint, train_solo_model)
+                             train_joint_grid, train_query_policy_grid,
+                             train_solo_model)
 from .errors import ConfigError, InputError, TeamoptError
 from .numerics import TrainConfig, forward_batch
-from .voi import (VoiSystem, train_fixed_voi, train_joint_voi,
+from .voi import (VoiSystem, train_fixed_voi, train_joint_voi_grid,
                   voi_decision_parts)
 
 logger = logging.getLogger(__name__)
@@ -153,9 +154,10 @@ def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg):
     tr, _, te = split(dataset, SPLIT_FRACTIONS, seed)
     cfg_s = replace(cfg, seed=seed)
     solo = train_solo_model(tr, team, cfg_s)
+    policies = train_query_policy_grid(solo, tr, team, cfg_s, costs)
     rows = []
-    for c in costs:
-        system = train_fixed(tr, team.with_cost(c), cfg_s, solo_model=solo)
+    for c, q in zip(costs, policies):
+        system = DiscriminativeSystem(solo, q, team.with_cost(c), cfg_s)
         err, qrate = _disc_rates(system, te)
         rows.append((c, err + c * qrate, err, qrate, cfg_s.cost_weight))
     return rows
@@ -164,11 +166,10 @@ def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg):
 def _cell_joint_disc(dataset, seed, costs, lam_grid, team, cfg):
     tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
     c_ref = float(np.median(costs))
-    variants = []
-    for lam in lam_grid:
-        cfg_l = replace(cfg, seed=seed, cost_weight=lam)
-        system = train_joint(tr, team.with_cost(c_ref), cfg_l)
-        variants.append((lam, _disc_rates(system, va), _disc_rates(system, te)))
+    systems = train_joint_grid(tr, team.with_cost(c_ref),
+                               replace(cfg, seed=seed), lam_grid)
+    variants = [(lam, _disc_rates(system, va), _disc_rates(system, te))
+                for lam, system in zip(lam_grid, systems)]
     rows = []
     for c in costs:
         lam, _, (err, qrate) = min(
@@ -193,13 +194,10 @@ def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg):
     cfg_s = replace(cfg, seed=seed)
     warm = train_fixed_voi(tr, team, cfg_s)
     c_ref = float(np.median(costs))
-    variants = []
-    for lam in lam_grid:
-        cfg_l = replace(cfg_s, cost_weight=lam)
-        system = train_joint_voi(tr, team.with_cost(c_ref), cfg_l,
-                                 warm_start=warm)
-        variants.append((lam, _voi_rates_fn(system, va),
-                         _voi_rates_fn(system, te)))
+    systems = train_joint_voi_grid(tr, team.with_cost(c_ref), cfg_s,
+                                   lam_grid, warm_start=warm)
+    variants = [(lam, _voi_rates_fn(system, va), _voi_rates_fn(system, te))
+                for lam, system in zip(lam_grid, systems)]
     rows = []
     for c in costs:
         scored = [(lam, va_fn(c), te_fn(c)) for lam, va_fn, te_fn in variants]
@@ -242,7 +240,11 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     Fixed approaches rebuild their query mechanism per cost; joint
     approaches train once per cost weight in `lambda_grid` at the median
     cost and each cost point keeps the variant with the lowest validation
-    total loss. Per-seed failures are logged and skipped in the averages.
+    total loss. The λ variants of a joint approach, and fixed-disc's
+    per-cost query policies, train in lockstep as one replica stack on
+    shared minibatches and dropout masks; each result is identical to
+    training that variant on its own. A variant that diverges fails its
+    whole cell. Per-seed failures are logged and skipped in the averages.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in _CELL_RUNNERS]

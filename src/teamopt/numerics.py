@@ -4,7 +4,9 @@ Models are plain dataclasses of float64 arrays and are treated as immutable
 values: `sgd_step` returns a new model. Training losses are built on the
 reverse-mode tape in `teamopt.tape`; the contract for every loss in this
 package is agreement with central finite differences (see
-`finite_diff_check`).
+`finite_diff_check`). Every trainer runs through `fit`, the one SGD loop,
+which steps a stack of R same-shaped replicas (`stack_models`) on shared
+minibatches; a single training is the R=1 stack.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tape
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .errors import (ConfigError, InputError, NumericError, ShapeError,
+                     TrainingError)
 
 SOFTMAX_HEAD = "softmax"
 SIGMOID_HEAD = "sigmoid"
@@ -219,7 +222,9 @@ def apply_mlp(nodes, X: np.ndarray, masks=None) -> tape.Node:
     """Run an MLP on the tape; returns the logits node.
 
     `nodes` are (W, b) pairs from `param_nodes`; `masks` are pre-sampled
-    dropout masks (constants on the tape) or None for eval behaviour.
+    dropout masks (constants on the tape) or None for eval behaviour. For a
+    replica stack the (n, d) input and the (n, dim) masks are shared by
+    every replica and the logits are (R, n, K).
     """
     h = tape.constant(X)
     last = len(nodes) - 1
@@ -246,29 +251,41 @@ def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn
     """Minibatch-mean loss and exact reverse-mode gradients.
 
     `loss_fn(params, batch)` receives {name: [(W, b) nodes]} for each model
-    and must return the per-instance loss as a tape node of shape (n,);
-    the mean is taken here. Models absent from `models` (e.g. frozen
-    calibrators, which never become tape nodes) receive no gradient.
+    and must return the per-instance loss as a tape node of shape (n,), or
+    (R, n) for replica stacks. Each replica's loss is its own mean over the
+    n instances (scaled by 1/n, not 1/(R*n)), so its gradient is the one it
+    would get alone; the returned loss is the sum of those means. Models
+    absent from `models` (e.g. frozen calibrators, which never become tape
+    nodes) receive no gradient.
     """
     params = {name: param_nodes(m) for name, m in models.items()}
     per_instance = loss_fn(params, batch)
     vec = np.atleast_1d(per_instance.data)
     if not np.isfinite(vec).all():
-        idx = int(np.flatnonzero(~np.isfinite(vec))[0])
-        raise NumericError(f"non-finite loss at instance {idx}", index=idx)
-    loss = tape.sum_(per_instance) * (1.0 / vec.size)
+        where = [int(i) for i in np.argwhere(~np.isfinite(vec))[0]]
+        if len(where) == 1:
+            raise NumericError(f"non-finite loss at instance {where[0]}",
+                               index=where[0])
+        raise NumericError(f"non-finite loss at replica {where[0]},"
+                           f" instance {where[1]}", index=where[1],
+                           replica=where[0])
+    loss = tape.sum_(per_instance) * (1.0 / vec.shape[-1])
     tape.backward(loss)
     return float(loss.data), {name: grads_of(nodes)
                               for name, nodes in params.items()}
 
 
 def loss_value(models: dict[str, MlpModel], batch, loss_fn) -> float:
-    """Mean loss only, no gradients (used by the finite-difference oracle)."""
+    """Loss only, no gradients (used by the finite-difference oracle).
+
+    The same objective as `loss_and_grad`: the minibatch mean, summed over
+    replicas when the loss is stacked.
+    """
     params = {name: [(tape.constant(w), tape.constant(b))
                      for w, b in zip(m.weights, m.biases)]
               for name, m in models.items()}
     per_instance = loss_fn(params, batch)
-    return float(np.atleast_1d(per_instance.data).mean())
+    return float(np.atleast_1d(per_instance.data).mean(axis=-1).sum())
 
 
 def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float) -> MlpModel:
@@ -281,6 +298,59 @@ def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float) -> MlpMo
     new_w = [w - learning_rate * g for w, g in zip(model.weights, grads.weights)]
     new_b = [b - learning_rate * g for b, g in zip(model.biases, grads.biases)]
     return replace(model, weights=new_w, biases=new_b)
+
+
+def stack_models(models) -> MlpModel:
+    """R models of one architecture as a single replica stack.
+
+    Weights become (R, fan_in, fan_out) and biases (R, 1, fan_out), so one
+    (n, d) batch flows through every replica as one batched matmul.
+    """
+    first = models[0]
+    for m in models[1:]:
+        if (m.layer_dims, m.output_head, m.dropout_rate) != \
+                (first.layer_dims, first.output_head, first.dropout_rate):
+            raise ShapeError("stacked models must share one architecture")
+    weights = [np.stack(ws) for ws in zip(*(m.weights for m in models))]
+    biases = [np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in models))]
+    return replace(first, weights=weights, biases=biases)
+
+
+def unstack_models(stacked: MlpModel) -> list[MlpModel]:
+    """The per-replica models of a stack, as independent copies."""
+    return [replace(stacked, weights=[w[r].copy() for w in stacked.weights],
+                    biases=[b[r, 0].copy() for b in stacked.biases])
+            for r in range(len(stacked.weights[0]))]
+
+
+def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
+        what: str, replica_labels=None, on_step=None) -> dict[str, MlpModel]:
+    """The package's SGD loop: `cfg.iterations` plain steps on replica stacks.
+
+    `models` maps names to stacks from `stack_models`; all stacks hold the
+    same number R of replicas. `make_batch(it)` draws everything a step
+    shares across replicas once (batch indices, dropout masks, constant
+    arrays) and `loss_fn(params, batch)` returns the (R, n) per-instance
+    losses, so each replica trains exactly as it would alone.
+    `on_step(it, models)` runs after every update. A non-finite loss
+    raises TrainingError carrying the iteration and, when
+    `replica_labels` is given, naming the replica that failed first.
+    """
+    for it in range(cfg.iterations):
+        batch = make_batch(it)
+        try:
+            _, grads = loss_and_grad(models, batch, loss_fn)
+        except NumericError as e:
+            where = ""
+            if replica_labels is not None and e.replica is not None:
+                where = f" ({replica_labels[e.replica]})"
+            raise TrainingError(f"{what} diverged at iteration {it}{where}",
+                                iteration=it) from e
+        models = {name: sgd_step(m, grads[name], cfg.learning_rate)
+                  for name, m in models.items()}
+        if on_step is not None:
+            on_step(it, models)
+    return models
 
 
 def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn,

@@ -2,8 +2,12 @@
 
 A minimal tape: just enough primitives for MLP forward passes, calibrated
 probability pipelines and the team-utility surrogate losses. Every node
-carries a value and a vector-Jacobian closure; `backward` walks the graph
-once in reverse topological order. Not a general-purpose autograd.
+carries a value and one vector-Jacobian closure per parent; `backward`
+walks the graph once in reverse topological order and skips the closures
+of parents that need no gradient. Values may carry a leading replica axis
+(R stacked trainings of the same shapes); the primitives broadcast over
+it and reduce gradients back to each operand's shape. Not a
+general-purpose autograd.
 """
 
 from __future__ import annotations
@@ -12,13 +16,15 @@ import numpy as np
 
 
 class Node:
-    __slots__ = ("data", "grad", "parents", "vjp", "needs_grad")
+    __slots__ = ("data", "grad", "parents", "vjps", "needs_grad")
+    # numpy operators defer to Node, so `array * node` builds a tape node.
+    __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), vjp=None, needs_grad=False):
+    def __init__(self, data, parents=(), vjps=None, needs_grad=False):
         self.data = data
         self.grad = None
         self.parents = parents
-        self.vjp = vjp
+        self.vjps = vjps
         self.needs_grad = needs_grad
 
     @property
@@ -64,6 +70,8 @@ def wrap(x) -> Node:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     # Sum gradient back down to the broadcast source's shape.
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -72,48 +80,55 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _binary(a: Node, b: Node, data, vjp) -> Node:
+def _binary(a: Node, b: Node, data, da, db) -> Node:
+    # One vjp per parent; `backward` calls only those of parents that
+    # need a gradient, so constant inputs cost nothing on the way back.
     ng = a.needs_grad or b.needs_grad
-    return Node(data, (a, b), vjp if ng else None, ng)
+    return Node(data, (a, b), (da, db) if ng else None, ng)
 
 
-def _unary(a: Node, data, vjp) -> Node:
-    return Node(data, (a,), vjp if a.needs_grad else None, a.needs_grad)
+def _unary(a: Node, data, da) -> Node:
+    return Node(data, (a,), (da,) if a.needs_grad else None, a.needs_grad)
 
 
 def add(a: Node, b: Node) -> Node:
     return _binary(a, b, a.data + b.data,
-                   lambda g: (_unbroadcast(g, a.data.shape),
-                              _unbroadcast(g, b.data.shape)))
+                   lambda g: _unbroadcast(g, a.data.shape),
+                   lambda g: _unbroadcast(g, b.data.shape))
 
 
 def sub(a: Node, b: Node) -> Node:
     return _binary(a, b, a.data - b.data,
-                   lambda g: (_unbroadcast(g, a.data.shape),
-                              _unbroadcast(-g, b.data.shape)))
+                   lambda g: _unbroadcast(g, a.data.shape),
+                   lambda g: _unbroadcast(-g, b.data.shape))
 
 
 def mul(a: Node, b: Node) -> Node:
     return _binary(a, b, a.data * b.data,
-                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                              _unbroadcast(g * a.data, b.data.shape)))
+                   lambda g: _unbroadcast(g * b.data, a.data.shape),
+                   lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
 def div(a: Node, b: Node) -> Node:
     out = a.data / b.data
     return _binary(a, b, out,
-                   lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                              _unbroadcast(-g * out / b.data, b.data.shape)))
+                   lambda g: _unbroadcast(g / b.data, a.data.shape),
+                   lambda g: _unbroadcast(-g * out / b.data, b.data.shape))
 
 
 def matmul(a: Node, b: Node) -> Node:
+    # Batched over leading axes: a stack of R replicas is one call, and a
+    # 2D operand broadcasts against the stack.
     return _binary(a, b, a.data @ b.data,
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+                   lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2),
+                                          a.data.shape),
+                   lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
+                                          b.data.shape))
 
 
 def relu(a: Node) -> Node:
     mask = a.data > 0.0
-    return _unary(a, a.data * mask, lambda g: (g * mask,))
+    return _unary(a, a.data * mask, lambda g: g * mask)
 
 
 def sigmoid(a: Node) -> Node:
@@ -124,22 +139,22 @@ def sigmoid(a: Node) -> Node:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return _unary(a, out, lambda g: (g * out * (1.0 - out),))
+    return _unary(a, out, lambda g: g * out * (1.0 - out))
 
 
 def exp(a: Node) -> Node:
     out = np.exp(a.data)
-    return _unary(a, out, lambda g: (g * out,))
+    return _unary(a, out, lambda g: g * out)
 
 
 def log(a: Node) -> Node:
-    return _unary(a, np.log(a.data), lambda g: (g / a.data,))
+    return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
 def clamp_min(a: Node, lo: float) -> Node:
     # Gradient passes only where the clamp is inactive.
     mask = a.data > lo
-    return _unary(a, np.maximum(a.data, lo), lambda g: (g * mask,))
+    return _unary(a, np.maximum(a.data, lo), lambda g: g * mask)
 
 
 def softmax(a: Node, axis: int = -1, tau: float = 1.0) -> Node:
@@ -150,7 +165,7 @@ def softmax(a: Node, axis: int = -1, tau: float = 1.0) -> Node:
 
     def vjp(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot) / tau,)
+        return out * (g - dot) / tau
 
     return _unary(a, out, vjp)
 
@@ -161,14 +176,14 @@ def sum_(a: Node, axis=None, keepdims: bool = False) -> Node:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return np.broadcast_to(g, a.data.shape).copy()
 
     return _unary(a, out, vjp)
 
 
 def reshape(a: Node, shape) -> Node:
     orig = a.data.shape
-    return _unary(a, a.data.reshape(shape), lambda g: (g.reshape(orig),))
+    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(orig))
 
 
 def backward(root: Node) -> None:
@@ -190,8 +205,9 @@ def backward(root: Node) -> None:
 
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node.vjp is None:
+        if node.vjps is None:
             continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
+        for parent, vjp in zip(node.parents, node.vjps):
             if parent.needs_grad:
+                g = vjp(node.grad)
                 parent.grad = g if parent.grad is None else parent.grad + g

@@ -13,7 +13,7 @@ probability, refreshing the frozen Platt calibrators every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,11 +21,10 @@ from . import tape
 from .calibration import PlattCalibrator, calibrate_batch
 from .discriminative import (TeamConfig, TeamPrediction, derive_rng,
                              train_solo_model, utility_loss_weights)
-from .errors import (InputError, NumericError, QueryError, StateError,
-                     TrainingError)
-from .numerics import (PROB_CLAMP, MlpModel, TrainConfig, apply_mlp,
-                       loss_and_grad, loss_value, logits_batch,
-                       sample_dropout_masks, sgd_step, stable_softmax)
+from .errors import InputError, QueryError, StateError
+from .numerics import (PROB_CLAMP, MlpModel, TrainConfig, apply_mlp, fit,
+                       loss_value, logits_batch, sample_dropout_masks,
+                       stable_softmax, stack_models, unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -244,8 +243,8 @@ class _JointBatch:
     onehot_h3: np.ndarray     # (B, K, 1) selects p_gamma rows at observed h
     onehot_y: np.ndarray      # (B, K)
     w_y: np.ndarray           # (B,)
-    cal_a: PlattCalibrator
-    cal_b: PlattCalibrator
+    cal_a: PlattCalibrator    # a replica stack uses (R, 1, K) parameters,
+    cal_b: PlattCalibrator    # see _stack_calibrators
     cal_g: PlattCalibrator
     masks_a: list | None = None
     masks_b: list | None = None
@@ -256,6 +255,14 @@ def _calibrated_node(logits: tape.Node, cal: PlattCalibrator) -> tape.Node:
     # calibrator parameters enter as constants: frozen during backprop
     s = tape.sigmoid(logits * tape.constant(cal.a) + tape.constant(cal.b))
     return s / tape.sum_(s, axis=-1, keepdims=True)
+
+
+def _stack_calibrators(cals) -> PlattCalibrator:
+    """One calibrator per replica as (R, 1, K) parameters that broadcast
+    over the (R, n, K) logits of a replica stack."""
+    return PlattCalibrator(np.stack([c.a for c in cals])[:, None, :],
+                           np.stack([c.b for c in cals])[:, None, :],
+                           np.stack([c.degenerate for c in cals])[:, None, :])
 
 
 def joint_voi_batch(system: VoiSystem, X: np.ndarray, h: np.ndarray,
@@ -273,16 +280,21 @@ def joint_voi_batch(system: VoiSystem, X: np.ndarray, h: np.ndarray,
                        masks_a, masks_b, masks_g)
 
 
-def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig):
+def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
     """Per-instance loss builder for loss_and_grad / finite_diff_check.
 
     Expects models {"alpha", "beta", "gamma"} and a _JointBatch. Follows
     the soft pipeline: softened maxima, two-way soft query probability,
     cross-entropy of the q-mixture of p_gamma(.|x,h) and p_alpha(.|x),
-    plus cost_weight * q * c.
+    plus cost_weight * q * c. With `cost_weights` (one per replica) the
+    models and calibrators are replica stacks and the loss is (R, B).
     """
     tau = cfg.softmax_temperature
-    lam_c = cfg.cost_weight * team.query_cost
+    if cost_weights is None:
+        lam_c = cfg.cost_weight * team.query_cost
+    else:
+        lam_c = np.asarray(cost_weights, dtype=np.float64)[:, None] \
+            * team.query_cost
     Ut = team.utility.T.copy()
 
     def loss_fn(params, batch: _JointBatch):
@@ -293,18 +305,18 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig):
                                         batch.masks_b), batch.cal_b)
         pg = _calibrated_node(apply_mlp(params["gamma"], batch.X_gamma_all,
                                         batch.masks_g), batch.cal_g)
-        eu_nq = tape.matmul(pa, tape.constant(Ut))  # (B, K) actions
+        eu_nq = tape.matmul(pa, tape.constant(Ut))  # (..., B, K) actions
         u_nq = tape.sum_(eu_nq * tape.softmax(eu_nq, tau=tau), axis=-1)
-        eu_q = tape.matmul(pg, tape.constant(Ut))  # (B*K, K)
-        inner = tape.reshape(
-            tape.sum_(eu_q * tape.softmax(eu_q, tau=tau), axis=-1), (B, K))
+        eu_q = tape.matmul(pg, tape.constant(Ut))  # (..., B*K, K)
+        inner = tape.sum_(eu_q * tape.softmax(eu_q, tau=tau), axis=-1)
+        inner = tape.reshape(inner, inner.shape[:-1] + (B, K))
         u_q = tape.sum_(pb * inner, axis=-1)
         q = tape.sigmoid((u_q - u_nq) * (1.0 / tau))
-        pg3 = tape.reshape(pg, (B, K, K))
-        p_gamma_h = tape.sum_(pg3 * tape.constant(batch.onehot_h3), axis=1)
-        q_col = tape.reshape(q, (B, 1))
+        pg3 = tape.reshape(pg, pg.shape[:-2] + (B, K, K))
+        p_gamma_h = tape.sum_(pg3 * tape.constant(batch.onehot_h3), axis=-2)
+        q_col = tape.reshape(q, q.shape + (1,))
         mix = q_col * p_gamma_h + (1.0 - q_col) * pa
-        p_true = tape.sum_(mix * tape.constant(batch.onehot_y), axis=1)
+        p_true = tape.sum_(mix * tape.constant(batch.onehot_y), axis=-1)
         ce = tape.constant(batch.w_y) * -tape.log(
             tape.clamp_min(p_true, PROB_CLAMP))
         return ce + lam_c * q
@@ -363,53 +375,75 @@ def train_fixed_voi(dataset, team: TeamConfig, cfg: TrainConfig) -> VoiSystem:
                      CalibratedModel(g_m, cal_g), team, cfg)
 
 
-def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
-                    warm_start: VoiSystem | None = None) -> VoiSystem:
-    """Fine-tune all three networks end-to-end through the soft rule.
+_PARTS = ("alpha", "beta", "gamma")
 
-    Starts from a fixed-VOI solution (trained here when not supplied),
-    runs T SGD iterations on the soft joint loss with calibrators frozen,
-    refits the calibrators on the held-out slice every
-    `calibration_interval` iterations, and always refits once at the end.
+
+def train_joint_voi_grid(dataset, team: TeamConfig, cfg: TrainConfig,
+                         cost_weights, warm_start: VoiSystem | None = None
+                         ) -> list[VoiSystem]:
+    """Fine-tune all three networks end-to-end, once per cost weight.
+
+    Starts every variant from one fixed-VOI solution (trained here when
+    not supplied) and runs T SGD iterations on the soft joint loss with
+    calibrators frozen. Each variant refits its own calibrators on the
+    held-out slice every `calibration_interval` iterations and once at
+    the end. The variants step in lockstep on shared minibatches and
+    dropout masks; each system equals what `train_joint_voi` gives with
+    that `cost_weight` alone.
     """
     fit_ds, calib_ds = _calibration_split(dataset, cfg.seed)
     start = warm_start or train_fixed_voi(dataset, team, cfg)
     start.require_calibrated()
-    a_m, b_m, g_m = (start.p_alpha.model, start.p_beta.model,
-                     start.p_gamma.model)
-    cals = (start.p_alpha.calibrator, start.p_beta.calibrator,
-            start.p_gamma.calibrator)
+    parts = (start.p_alpha, start.p_beta, start.p_gamma)
+    R = len(cost_weights)
+    models = {name: stack_models([p.model] * R)
+              for name, p in zip(_PARTS, parts)}
+    stacked_cals = [_stack_calibrators([p.calibrator] * R) for p in parts]
     X, y, h = fit_ds.X, fit_ds.y, fit_ds.h
     n = len(fit_ds)
     rng_batch = derive_rng(cfg.seed, STREAM_JOINT_BATCH)
     rng_da = derive_rng(cfg.seed, STREAM_JOINT_DROP_A)
     rng_db = derive_rng(cfg.seed, STREAM_JOINT_DROP_B)
     rng_dg = derive_rng(cfg.seed, STREAM_JOINT_DROP_G)
-    loss_fn = joint_voi_loss_fn(team, cfg)
     K = dataset.num_classes
     eye = np.eye(K)
     w = utility_loss_weights(team)
-    for it in range(cfg.iterations):
+
+    def make_batch(it):
         idx = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False)
         B = len(idx)
         Xb, hb, yb = X[idx], h[idx], y[idx]
-        batch = _JointBatch(Xb, gamma_all_input(Xb, K), eye[hb][:, :, None],
-                            eye[yb], w[yb], *cals,
-                            sample_dropout_masks(a_m, B, rng_da),
-                            sample_dropout_masks(b_m, B, rng_db),
-                            sample_dropout_masks(g_m, B * K, rng_dg))
-        models = {"alpha": a_m, "beta": b_m, "gamma": g_m}
-        try:
-            _, grads = loss_and_grad(models, batch, loss_fn)
-        except NumericError as e:
-            raise TrainingError(f"joint training diverged at iteration {it}",
-                                iteration=it) from e
-        a_m = sgd_step(a_m, grads["alpha"], cfg.learning_rate)
-        b_m = sgd_step(b_m, grads["beta"], cfg.learning_rate)
-        g_m = sgd_step(g_m, grads["gamma"], cfg.learning_rate)
+        return _JointBatch(Xb, gamma_all_input(Xb, K), eye[hb][:, :, None],
+                           eye[yb], w[yb], *stacked_cals,
+                           sample_dropout_masks(parts[0].model, B, rng_da),
+                           sample_dropout_masks(parts[1].model, B, rng_db),
+                           sample_dropout_masks(parts[2].model, B * K, rng_dg))
+
+    def refit(models):
+        # each replica refits its own (cal_a, cal_b, cal_g) on its networks
+        nonlocal stacked_cals
+        replicas = list(zip(*(unstack_models(models[name])
+                              for name in _PARTS)))
+        cals = [_refit_calibrators(*r, calib_ds) for r in replicas]
+        stacked_cals = [_stack_calibrators(c) for c in zip(*cals)]
+        return replicas, cals
+
+    def on_step(it, models):
         if (it + 1) % cfg.calibration_interval == 0 and it + 1 < cfg.iterations:
-            cals = _refit_calibrators(a_m, b_m, g_m, calib_ds)
-    cals = _refit_calibrators(a_m, b_m, g_m, calib_ds)
-    return VoiSystem(CalibratedModel(a_m, cals[0]),
-                     CalibratedModel(b_m, cals[1]),
-                     CalibratedModel(g_m, cals[2]), team, cfg)
+            refit(models)
+
+    fitted = fit(models, joint_voi_loss_fn(team, cfg, cost_weights),
+                 make_batch, cfg, "joint training",
+                 [f"cost_weight={lam!r}" for lam in cost_weights], on_step)
+    replicas, cals = refit(fitted)
+    return [VoiSystem(*(CalibratedModel(m, c) for m, c in zip(r, cal)), team,
+                      replace(cfg, cost_weight=lam))
+            for r, cal, lam in zip(replicas, cals, cost_weights)]
+
+
+def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
+                    warm_start: VoiSystem | None = None) -> VoiSystem:
+    """Fine-tune all three networks end-to-end through the soft rule, at
+    `cfg.cost_weight`; see `train_joint_voi_grid`."""
+    return train_joint_voi_grid(dataset, team, cfg, (cfg.cost_weight,),
+                                warm_start)[0]

@@ -136,7 +136,8 @@ def test_criterion_01_training_gradients_match_finite_differences():
             probs = tape.softmax(apply_mlp(params["m"], Xb))
             q_node = tape.sigmoid(
                 tape.reshape(apply_mlp(params["q"], Xb), (-1,)))
-            return _mixture_nodes(q_node, probs, oh_h, oh_y, w_y, team, lam)
+            return _mixture_nodes(q_node, probs, oh_h, oh_y, w_y,
+                                  lam * team.query_cost)
 
         worst = max(worst, finite_diff_check(
             {"m": m, "q": q}, (X, eye[h], eye[y], w[y]), joint_fn))

@@ -265,15 +265,6 @@ def test_unknown_relaxation_rejected():
                     relaxation="hard")
 
 
-def test_direct_relaxation_trains_and_differs_from_mixture():
-    ds = noise_dataset(n=200)
-    cfg = TrainConfig(iterations=50, hidden_dims=(8,), seed=4)
-    mix = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg)
-    direct = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg,
-                         relaxation="direct")
-    assert not models_equal(mix.m, direct.m)
-
-
 def test_divergence_raises_training_error_with_iteration():
     ds = noise_dataset(n=100)
     cfg = TrainConfig(iterations=20, hidden_dims=(8,), learning_rate=1e200,

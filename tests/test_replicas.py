@@ -1,0 +1,256 @@
+"""Replica stacks: several trainings of one shape stepped together by `fit`.
+
+A stack must reproduce one-at-a-time training bit for bit, keep the
+finite-difference contract per replica, and report divergence as the
+failing replica would alone.
+"""
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from teamopt import tape
+from teamopt.calibration import PlattCalibrator
+from teamopt.data import Dataset
+from teamopt.discriminative import (TeamConfig, _mixture_nodes, _query_node,
+                                    train_joint, train_joint_grid,
+                                    train_query_policy,
+                                    train_query_policy_grid,
+                                    train_solo_model, utility_loss_weights)
+from teamopt.errors import NumericError, ShapeError, TrainingError
+from teamopt.evaluation import cost_sweep
+from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
+                              apply_mlp, finite_diff_check, init_mlp,
+                              loss_and_grad, stack_models, unstack_models)
+from teamopt.voi import (CalibratedModel, VoiSystem, _stack_calibrators,
+                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
+                         train_joint_voi, train_joint_voi_grid)
+
+LAMBDAS = (0.5, 2.0, 8.0)
+
+
+def toy_dataset(n=200, seed=5):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 4))
+    y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0)
+    h = y.copy()
+    flip = rng.random(n) < 0.3
+    h[flip] = rng.integers(0, 3, flip.sum())
+    return Dataset(X, y, h, 3, "toy")
+
+
+def assert_models_identical(a, b):
+    assert a.layer_dims == b.layer_dims
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def assert_calibrators_identical(a, b):
+    for field in ("a", "b", "degenerate"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def quiet():
+    warnings.simplefilter("ignore")
+    return np.errstate(all="ignore")
+
+
+# --- stacking ---------------------------------------------------------------
+
+def test_stack_round_trip_and_shapes():
+    rng = np.random.default_rng(0)
+    models = [init_mlp((4, 6, 3), SOFTMAX_HEAD, rng) for _ in range(3)]
+    stacked = stack_models(models)
+    assert stacked.weights[0].shape == (3, 4, 6)
+    assert stacked.biases[1].shape == (3, 1, 3)
+    for a, b in zip(models, unstack_models(stacked)):
+        assert_models_identical(a, b)
+    with pytest.raises(ShapeError):
+        stack_models([models[0], init_mlp((4, 5, 3), SOFTMAX_HEAD, rng)])
+
+
+def test_nonfinite_stacked_loss_names_replica_and_instance():
+    m = stack_models([init_mlp((2, 2), SOFTMAX_HEAD,
+                               np.random.default_rng(1))] * 2)
+    vec = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]])
+    with pytest.raises(NumericError) as info:
+        loss_and_grad({"m": m}, None, lambda p, b: tape.constant(vec))
+    assert (info.value.replica, info.value.index) == (1, 2)
+
+
+# --- stacked training equals one-at-a-time training --------------------------
+
+def test_joint_voi_grid_equals_single_runs():
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3, 0.2)
+    cfg = TrainConfig(iterations=25, hidden_dims=(6,), seed=9,
+                      calibration_interval=10)  # refits at 10 and 20
+    warm = train_fixed_voi(ds, team, cfg)
+    grid = train_joint_voi_grid(ds, team, cfg, LAMBDAS, warm_start=warm)
+    assert len(grid) == len(LAMBDAS)
+    for lam, stacked in zip(LAMBDAS, grid):
+        alone = train_joint_voi(ds, team, replace(cfg, cost_weight=lam),
+                                warm_start=warm)
+        assert stacked.train_cfg == alone.train_cfg
+        for part in ("p_alpha", "p_beta", "p_gamma"):
+            assert_models_identical(getattr(stacked, part).model,
+                                    getattr(alone, part).model)
+            assert_calibrators_identical(getattr(stacked, part).calibrator,
+                                         getattr(alone, part).calibrator)
+    # the cost weight mattered, so the replicas did not train alike
+    assert not np.array_equal(grid[0].p_alpha.model.weights[0],
+                              grid[-1].p_alpha.model.weights[0])
+
+
+def test_joint_disc_grid_equals_single_runs():
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3, 0.2)
+    cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4)
+    grid = train_joint_grid(ds, team, cfg, LAMBDAS)
+    for lam, stacked in zip(LAMBDAS, grid):
+        alone = train_joint(ds, team, replace(cfg, cost_weight=lam))
+        assert stacked.train_cfg == alone.train_cfg
+        assert_models_identical(stacked.m, alone.m)
+        assert_models_identical(stacked.q, alone.q)
+    assert not np.array_equal(grid[0].q.weights[0], grid[-1].q.weights[0])
+
+
+def test_query_policy_grid_equals_single_runs():
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3)
+    cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4)
+    m = train_solo_model(ds, team, cfg)
+    costs = (0.0, 0.1, 0.3)
+    grid = train_query_policy_grid(m, ds, team, cfg, costs)
+    for c, stacked in zip(costs, grid):
+        assert_models_identical(
+            stacked, train_query_policy(m, ds, team.with_cost(c), cfg))
+    assert not np.array_equal(grid[0].weights[0], grid[-1].weights[0])
+
+
+# --- the finite-difference contract holds per replica -----------------------
+
+def replica_case(seed):
+    rng = np.random.default_rng(seed)
+    K, d, hid, B, R = 3, 4, 5, 6, 3
+    team = TeamConfig(np.eye(K) + 0.2 * rng.random((K, K)), 0.3)
+    X = rng.standard_normal((B, d))
+    y = rng.integers(0, K, B)
+    h = rng.integers(0, K, B)
+    lams = (0.5, 1.5, 4.0)
+    return rng, team, X, y, h, lams, (K, d, hid, R)
+
+
+def stacked_mlps(rng, dims, head, R):
+    return stack_models([init_mlp(dims, head, rng, 0.0) for _ in range(R)])
+
+
+def check_replica_independence(models, batch, loss_fn):
+    _, before = loss_and_grad(models, batch, loss_fn)
+    for m in models.values():
+        for arr in m.weights + m.biases:
+            arr[0] += 0.25
+    _, after = loss_and_grad(models, batch, loss_fn)
+    moved = False
+    for name in models:
+        for g0, g1 in zip(before[name].weights + before[name].biases,
+                          after[name].weights + after[name].biases):
+            assert np.array_equal(g0[1:], g1[1:])
+            moved |= not np.array_equal(g0[0], g1[0])
+    assert moved
+
+
+def test_joint_disc_replicas_match_finite_differences():
+    rng, team, X, y, h, lams, (K, d, hid, R) = replica_case(31)
+    w = utility_loss_weights(team)
+    eye = np.eye(K)
+    cost_term = np.asarray(lams)[:, None] * team.query_cost
+
+    def loss_fn(params, batch):
+        Xb, oh_h, oh_y, w_y = batch
+        probs = tape.softmax(apply_mlp(params["m"], Xb))
+        return _mixture_nodes(_query_node(params["q"], Xb, None), probs,
+                              oh_h, oh_y, w_y, cost_term)
+
+    models = {"m": stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R),
+              "q": stacked_mlps(rng, (d, hid, 1), SIGMOID_HEAD, R)}
+    batch = (X, eye[h], eye[y], w[y])
+    assert finite_diff_check(models, batch, loss_fn) < 1e-4
+    check_replica_independence(models, batch, loss_fn)
+
+
+def test_joint_voi_replicas_match_finite_differences():
+    rng, team, X, y, h, lams, (K, d, hid, R) = replica_case(32)
+    cfg = TrainConfig(softmax_temperature=0.7, dropout_rate=0.0)
+    models = {"alpha": stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R),
+              "beta": stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R),
+              "gamma": stacked_mlps(rng, (d + K, hid, K), SOFTMAX_HEAD, R)}
+
+    def calibrators():
+        return _stack_calibrators([
+            PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
+                            np.zeros(K, dtype=bool)) for _ in range(R)])
+
+    system = VoiSystem(*(CalibratedModel(models[n], calibrators())
+                         for n in ("alpha", "beta", "gamma")), team, cfg)
+    batch = joint_voi_batch(system, X, h, y, team)
+    loss_fn = joint_voi_loss_fn(team, cfg, lams)
+    assert finite_diff_check(models, batch, loss_fn) < 1e-4
+    check_replica_independence(models, batch, loss_fn)
+
+
+# --- divergence in a stacked run ----------------------------------------------
+
+def test_joint_disc_grid_divergence_names_lambda_and_solo_iteration():
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3, 10.0)
+    cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0)
+    with warnings.catch_warnings(), quiet():
+        with pytest.raises(TrainingError) as stacked:
+            train_joint_grid(ds, team, cfg, (1.0, 1e308))
+        with pytest.raises(TrainingError) as alone:
+            train_joint(ds, team, replace(cfg, cost_weight=1e308))
+    assert "cost_weight=1e+308" in str(stacked.value)
+    assert stacked.value.iteration == alone.value.iteration == 0
+    train_joint(ds, team, replace(cfg, cost_weight=1.0))  # fine on its own
+
+
+def test_joint_voi_grid_divergence_names_lambda_and_solo_iteration():
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3, 10.0)
+    cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0)
+    warm = train_fixed_voi(ds, team, cfg)
+    with warnings.catch_warnings(), quiet():
+        with pytest.raises(TrainingError) as stacked:
+            train_joint_voi_grid(ds, team, cfg, (1.0, 1e308), warm_start=warm)
+        with pytest.raises(TrainingError) as alone:
+            train_joint_voi(ds, team, replace(cfg, cost_weight=1e308),
+                            warm_start=warm)
+    assert "cost_weight=1e+308" in str(stacked.value)
+    assert stacked.value.iteration == alone.value.iteration == 0
+
+
+def test_query_policy_grid_divergence_names_cost():
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3)
+    cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0,
+                      cost_weight=1e308)
+    m = train_solo_model(ds, team, cfg)
+    with warnings.catch_warnings(), quiet():
+        with pytest.raises(TrainingError) as stacked:
+            train_query_policy_grid(m, ds, team, cfg, (0.0, 10.0))
+    assert "query_cost=10.0" in str(stacked.value)
+    assert stacked.value.iteration == 0
+
+
+def test_diverging_lambda_fails_the_whole_sweep_cell():
+    ds = toy_dataset(n=300)
+    cfg = TrainConfig(iterations=5, hidden_dims=(6,))
+    with warnings.catch_warnings(), quiet():
+        results = cost_sweep(ds, ["joint-disc"], [10.0], [1.0, 1e308], [0],
+                             train_cfg=cfg)
+    cell = results[0].cells[0]
+    assert cell.rows == [] and results[0].records == []
+    assert "TrainingError" in cell.error and "1e+308" in cell.error
