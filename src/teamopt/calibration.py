@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
+from .tape import stable_sigmoid
 
 _P_EPS = 1e-12
 _GRAD_TOL = 1e-8
@@ -26,18 +27,8 @@ class PlattFit(NamedTuple):
     degenerate: bool  # single-class labels; (a, b) is the smoothed base rate
 
 
-def _sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _nll(scores, targets, a, b):
-    p = np.clip(_sigmoid(a * scores + b), _P_EPS, 1.0 - _P_EPS)
+    p = np.clip(stable_sigmoid(a * scores + b), _P_EPS, 1.0 - _P_EPS)
     return float(-(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)).sum())
 
 
@@ -69,7 +60,7 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
     obj = _nll(s, targets, a, b)
     damping = 1e-6
     for _ in range(_MAX_NEWTON):
-        p = _sigmoid(a * s + b)
+        p = stable_sigmoid(a * s + b)
         diff = p - targets
         grad = np.array([float(diff @ s), float(diff.sum())])
         if np.hypot(*grad) < _GRAD_TOL:
@@ -138,7 +129,7 @@ def calibrate_batch(logits: np.ndarray, cal: PlattCalibrator) -> np.ndarray:
     if logits.shape[-1] != cal.num_classes:
         raise ShapeError(f"logits last dim {logits.shape[-1]} !="
                          f" K={cal.num_classes}")
-    s = _sigmoid(logits * cal.a + cal.b)
+    s = stable_sigmoid(logits * cal.a + cal.b)
     return s / s.sum(axis=-1, keepdims=True)
 
 

@@ -21,22 +21,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tape
 from .calibration import (PlattCalibrator, expected_calibration_error,
                           fit_platt)
 from .data import (Dataset, SynthConfig, generate_synthetic, load_csv,
                    save_csv, split)
-from .discriminative import (TeamConfig, _mixture_nodes, _solo_ce_loss,
-                             train_fixed, train_joint, utility_loss_weights)
+from .discriminative import (TeamConfig, joint_disc_loss_fn, solo_ce_loss,
+                             utility_loss_weights)
 from .errors import ConfigError, ParseError, TeamoptError
 from .evaluation import (APPROACHES, SPLIT_FRACTIONS, _dump_json, cost_sweep,
                          emit_report, human_error_tree, per_class_analysis,
                          tree_to_dict)
-from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig, apply_mlp,
+from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
                        finite_diff_check, init_mlp)
 from .voi import (VoiSystem, CalibratedModel, expected_utility_no_query,
-                  expected_utility_query, gamma_all_input, joint_voi_batch,
-                  joint_voi_loss_fn, train_fixed_voi, train_joint_voi)
+                  expected_utility_query, joint_voi_batch, joint_voi_loss_fn)
 
 logger = logging.getLogger("teamopt")
 
@@ -55,7 +53,7 @@ class RunConfig:
     utility: np.ndarray | None = None  # None: identity (accuracy)
     query_cost: float = 0.1
     train: TrainConfig = None
-    approaches: tuple = APPROACHES
+    approaches: tuple = tuple(APPROACHES)
     costs: tuple = DEFAULT_COSTS
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     seeds: tuple = (0,)
@@ -205,7 +203,8 @@ def cmd_sweep(config: RunConfig, jobs: int = 1) -> int:
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    trainable = [a for a in config.approaches if a != "human-only"]
+    trainable = [a for a in config.approaches
+                 if APPROACHES[a].train is not None]
     if not trainable:
         raise ConfigError("analyze needs at least one trainable approach")
     dataset = build_dataset(config)
@@ -215,14 +214,7 @@ def cmd_analyze(config: RunConfig) -> int:
     systems = {}
     for approach in trainable:
         logger.info("training %s for analysis", approach)
-        if approach == "fixed-disc":
-            systems[approach] = train_fixed(tr, team, cfg)
-        elif approach == "joint-disc":
-            systems[approach] = train_joint(tr, team, cfg)
-        elif approach == "fixed-voi":
-            systems[approach] = train_fixed_voi(tr, team, cfg)
-        elif approach == "joint-voi":
-            systems[approach] = train_joint_voi(tr, team, cfg)
+        systems[approach] = APPROACHES[approach].train(tr, team, cfg)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     table = per_class_analysis(systems, te)
@@ -236,46 +228,43 @@ def cmd_analyze(config: RunConfig) -> int:
 
 # --- verification suites ----------------------------------------------------
 
+def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
+                     cost_weight: float, tau: float, batch_size: int
+                     ) -> float:
+    """Max FD relative error of the three training losses at one random
+    point: solo CE, the joint-disc mixture and the joint-VOI loss, each
+    built by the function its trainer uses. Networks are d=4, 5 hidden."""
+    K, d, hid = team.num_classes, 4, 5
+    w = utility_loss_weights(team)
+    eye = np.eye(K)
+    X = rng.standard_normal((batch_size, d))
+    y = rng.integers(0, K, batch_size)
+    h = rng.integers(0, K, batch_size)
+    m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
+    q = init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)
+    cfg = TrainConfig(cost_weight=cost_weight, softmax_temperature=tau,
+                      dropout_rate=0.0)
+    worst = finite_diff_check({"m": m}, (X, eye[y], w[y], None),
+                              solo_ce_loss)
+    worst = max(worst, finite_diff_check(
+        {"m": m, "q": q}, (X, eye[h], eye[y], w[y], None, None),
+        joint_disc_loss_fn(team, cfg)))
+    a_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
+    b_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
+    g_m = init_mlp((d + K, hid, K), SOFTMAX_HEAD, rng, 0.0)
+    cal = PlattCalibrator.identity(K)
+    system = VoiSystem(CalibratedModel(a_m, cal), CalibratedModel(b_m, cal),
+                       CalibratedModel(g_m, cal), team, cfg)
+    return max(worst, finite_diff_check(
+        {"alpha": a_m, "beta": b_m, "gamma": g_m},
+        joint_voi_batch(system, X, h, y, team), joint_voi_loss_fn(team, cfg)))
+
+
 def _gradcheck_suite(rng: np.random.Generator,
                      inject_fault: bool = False) -> float:
-    """Max FD relative error across the three training losses."""
-    K, d, hid, B = 3, 4, 5, 6
-    team = TeamConfig(np.eye(K) + 0.1 * rng.random((K, K)), 0.07)
-    w = utility_loss_weights(team)
-    worst = 0.0
-    for _ in range(3):
-        X = rng.standard_normal((B, d))
-        y = rng.integers(0, K, B)
-        h = rng.integers(0, K, B)
-        eye = np.eye(K)
-        m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        q = init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)
-        batch_ce = (X, eye[y], w[y], None)
-        worst = max(worst, finite_diff_check(
-            {"m": m}, batch_ce, lambda p, b: _solo_ce_loss(p["m"], b)))
-
-        def joint_fn(params, batch):
-            Xb, oh_h, oh_y, w_y = batch
-            probs = tape.softmax(apply_mlp(params["m"], Xb))
-            q_node = tape.sigmoid(
-                tape.reshape(apply_mlp(params["q"], Xb), (-1,)))
-            return _mixture_nodes(q_node, probs, oh_h, oh_y, w_y,
-                                  team.query_cost)
-
-        worst = max(worst, finite_diff_check(
-            {"m": m, "q": q}, (X, eye[h], eye[y], w[y]), joint_fn))
-
-        a_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        b_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        g_m = init_mlp((d + K, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        cal = PlattCalibrator.identity(K)
-        cfg = TrainConfig(softmax_temperature=0.8, dropout_rate=0.0)
-        system = VoiSystem(CalibratedModel(a_m, cal), CalibratedModel(b_m, cal),
-                           CalibratedModel(g_m, cal), team, cfg)
-        vbatch = joint_voi_batch(system, X, h, y, team)
-        worst = max(worst, finite_diff_check(
-            {"alpha": a_m, "beta": b_m, "gamma": g_m}, vbatch,
-            joint_voi_loss_fn(team, cfg)))
+    """Max FD relative error of the training losses at three points."""
+    team = TeamConfig(np.eye(3) + 0.1 * rng.random((3, 3)), 0.07)
+    worst = max(gradcheck_losses(rng, team, 1.0, 0.8, 6) for _ in range(3))
     if inject_fault:
         logger.warning("gradcheck fault injection active")
         worst = max(worst, 1.0)

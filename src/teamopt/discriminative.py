@@ -109,6 +109,73 @@ def runtime_query_decision(q_val: float, m_dist: np.ndarray) -> bool:
     return (1.0 - q_val) * float(np.max(m_dist)) < q_val
 
 
+# --- decisions, shared by both system families ---------------------------
+
+@dataclass
+class DecisionParts:
+    """Cost-free per-instance quantities behind a team's decision rule.
+
+    Instance i is queried iff query_score[i] - c > alone_score[i], where c
+    is the query cost if `cost_applies` and 0 otherwise; ties do not
+    query. A queried instance takes by_response[i, h] for the human
+    response h, any other machine[i]. One pass over a batch thus serves
+    a whole grid of query costs.
+    """
+
+    machine: np.ndarray       # (n,) int, the label when deciding alone
+    by_response: np.ndarray   # (n, K) int, the label after each response
+    query_score: np.ndarray   # (n,)
+    alone_score: np.ndarray   # (n,)
+    cost_applies: bool
+    machine_dist: np.ndarray  # (n, K) the machine's class distribution
+    q_soft: np.ndarray | None = None  # (n,) soft query score, if any
+
+    def queried(self, cost: float) -> np.ndarray:
+        c = cost if self.cost_applies else 0.0
+        return self.query_score - c > self.alone_score
+
+
+def decide(parts: DecisionParts, h: np.ndarray, cost: float
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(team labels, query flags) given every instance's human response.
+
+    Raises QueryError on a response outside [0, K).
+    """
+    h = np.asarray(h)
+    if h.shape != parts.machine.shape:
+        raise InputError("need one human response per instance")
+    K = parts.by_response.shape[1]
+    if ((h < 0) | (h >= K)).any():
+        raise QueryError(f"human response outside class range [0, {K})")
+    queried = parts.queried(cost)
+    post = parts.by_response[np.arange(len(h)), h]
+    return np.where(queried, post, parts.machine), queried
+
+
+def team_predict(system, x: np.ndarray, human_response_provider
+                 ) -> TeamPrediction:
+    """Decide one instance at the system's query cost, calling the human
+    response provider only when the rule fires.
+
+    q_soft is the rule's soft query score, or the hard decision (1.0 when
+    queried) for a rule that has none.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    parts = system.parts(x[None, :])
+    cost = system.team.query_cost
+    queried = bool(parts.queried(cost)[0])
+    q_soft = float(queried if parts.q_soft is None else parts.q_soft[0])
+    dist = parts.machine_dist[0]
+    if not queried:
+        return TeamPrediction(int(parts.machine[0]), False, q_soft, dist)
+    try:
+        h = int(human_response_provider(x))
+    except Exception as e:
+        raise QueryError(f"human response provider failed: {e}") from e
+    labels, _ = decide(parts, np.array([h]), cost)
+    return TeamPrediction(int(labels[0]), True, q_soft, dist)
+
+
 @dataclass
 class DiscriminativeSystem:
     m: MlpModel
@@ -116,42 +183,16 @@ class DiscriminativeSystem:
     team: TeamConfig
     train_cfg: TrainConfig
 
-    def machine_batch(self, X: np.ndarray) -> np.ndarray:
-        return forward_batch(self.m, X)
-
-    def machine_label(self, x: np.ndarray) -> int:
-        return int(np.argmax(forward_batch(self.m, x[None, :])[0]))
-
-    def decide_batch(self, X: np.ndarray, h: np.ndarray, cost: float | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized team decisions: (labels, queried, q_vals).
-
-        The runtime rule is cost-free, so `cost` is accepted only for
-        interface parity with the VOI system.
-        """
+    def parts(self, X: np.ndarray) -> DecisionParts:
+        """The run-time rule, query iff (1 - q) * max(m) < q, ignores the
+        query cost; a queried instance takes the human response."""
         m_probs = forward_batch(self.m, X)
         q_vals = forward_batch(self.q, X)
-        queried = (1.0 - q_vals) * m_probs.max(axis=1) < q_vals
-        labels = np.where(queried, h, m_probs.argmax(axis=1))
-        return labels.astype(np.int64), queried, q_vals
-
-    def predict(self, x: np.ndarray, human_response_provider) -> TeamPrediction:
-        return team_predict(self, x, human_response_provider)
-
-
-def team_predict(system: DiscriminativeSystem, x: np.ndarray,
-                 human_response_provider) -> TeamPrediction:
-    """Evaluate the runtime rule on one instance, querying when it fires."""
-    x = np.asarray(x, dtype=np.float64)
-    m_dist = forward_batch(system.m, x[None, :])[0]
-    q_val = float(forward_batch(system.q, x[None, :])[0])
-    if runtime_query_decision(q_val, m_dist):
-        try:
-            label = int(human_response_provider(x))
-        except Exception as e:
-            raise QueryError(f"human response provider failed: {e}") from e
-        return TeamPrediction(label, True, q_val, m_dist)
-    return TeamPrediction(int(np.argmax(m_dist)), False, q_val, m_dist)
+        n, K = m_probs.shape
+        return DecisionParts(m_probs.argmax(axis=1),
+                             np.broadcast_to(np.arange(K), (n, K)), q_vals,
+                             (1.0 - q_vals) * m_probs.max(axis=1), False,
+                             m_probs, q_vals)
 
 
 # --- training ----------------------------------------------------------
@@ -160,9 +201,11 @@ def _batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return rng.choice(n, size=min(size, n), replace=False)
 
 
-def _solo_ce_loss(params_m, batch):
+def solo_ce_loss(params, batch):
+    """Per-instance weighted CE of model "m" on batches
+    (X, onehot(targets), w[targets], dropout masks)."""
     X, onehot_y, w_y, masks = batch
-    probs = tape.softmax(apply_mlp(params_m, X, masks))
+    probs = tape.softmax(apply_mlp(params["m"], X, masks))
     p_true = tape.sum_(probs * tape.constant(onehot_y), axis=-1)
     return tape.constant(w_y) * -tape.log(tape.clamp_min(p_true, PROB_CLAMP))
 
@@ -195,8 +238,7 @@ def train_solo_model(dataset, team: TeamConfig, cfg: TrainConfig,
         masks = sample_dropout_masks(model, len(idx), rng_drop)
         return (X[idx], eye[t[idx]], w[t[idx]], masks)
 
-    fitted = fit({"m": stack_models([model])},
-                 lambda p, b: _solo_ce_loss(p["m"], b), make_batch, cfg,
+    fitted = fit({"m": stack_models([model])}, solo_ce_loss, make_batch, cfg,
                  "solo training")
     return unstack_models(fitted["m"])[0]
 
@@ -229,7 +271,7 @@ def train_query_policy_grid(m: MlpModel, dataset, team: TeamConfig,
     K = dataset.num_classes
     w = utility_loss_weights(team)
     eye = np.eye(K)
-    m_probs_all = forward_batch(m, X)  # frozen, eval mode: plain constants
+    m_probs_all = forward_batch(m, X)  # frozen, no dropout: plain constants
     rng_init = derive_rng(cfg.seed, STREAM_INIT_Q)
     rng_batch = derive_rng(cfg.seed, STREAM_BATCH_Q)
     rng_drop = derive_rng(cfg.seed, STREAM_DROP_Q)
@@ -274,6 +316,34 @@ def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig,
     return DiscriminativeSystem(m, q, team, cfg)
 
 
+def joint_disc_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None,
+                       q_override: float | None = None):
+    """Per-instance mixture-loss builder for fit / finite_diff_check.
+
+    Expects models {"m", "q"} and batches (X, onehot(h), onehot(y), w[y],
+    masks_m, masks_q); the cost term is cfg.cost_weight * c. With
+    `cost_weights` (one per replica) the models are replica stacks and
+    the loss is (R, B). `q_override` pins the query probability to a
+    constant and leaves "q" out of the models.
+    """
+    if cost_weights is None:
+        cost_term = cfg.cost_weight * team.query_cost
+    else:
+        cost_term = np.asarray(cost_weights, dtype=np.float64)[:, None] \
+            * team.query_cost
+
+    def loss_fn(params, batch):
+        Xb, oh_h, oh_y, w_y, masks_m, masks_q = batch
+        m_probs = tape.softmax(apply_mlp(params["m"], Xb, masks_m))
+        if q_override is None:
+            q_node = _query_node(params["q"], Xb, masks_q)
+        else:
+            q_node = tape.constant(np.full(m_probs.shape[:-1], q_override))
+        return _mixture_nodes(q_node, m_probs, oh_h, oh_y, w_y, cost_term)
+
+    return loss_fn
+
+
 def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
                      cost_weights, q_override: float | None = None
                      ) -> list[DiscriminativeSystem]:
@@ -297,20 +367,9 @@ def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
     q = init_mlp((X.shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD,
                  derive_rng(cfg.seed, STREAM_INIT_Q), cfg.dropout_rate)
     R = len(cost_weights)
-    cost_term = np.asarray(cost_weights, dtype=np.float64)[:, None] \
-        * team.query_cost
     models = {"m": stack_models([m] * R)}
     if q_override is None:
         models["q"] = stack_models([q] * R)
-
-    def loss_fn(params, batch):
-        Xb, oh_h, oh_y, w_y, masks_m, masks_q = batch
-        m_probs = tape.softmax(apply_mlp(params["m"], Xb, masks_m))
-        if q_override is None:
-            q_node = _query_node(params["q"], Xb, masks_q)
-        else:
-            q_node = tape.constant(np.full(m_probs.shape[:-1], q_override))
-        return _mixture_nodes(q_node, m_probs, oh_h, oh_y, w_y, cost_term)
 
     def make_batch(it):
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
@@ -320,7 +379,9 @@ def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
             masks_q = sample_dropout_masks(q, len(idx), rng_drop_q)
         return (X[idx], eye[h[idx]], eye[y[idx]], w[y[idx]], masks_m, masks_q)
 
-    fitted = fit(models, loss_fn, make_batch, cfg, "joint training",
+    fitted = fit(models, joint_disc_loss_fn(team, cfg, cost_weights,
+                                            q_override),
+                 make_batch, cfg, "joint training",
                  [f"cost_weight={lam!r}" for lam in cost_weights])
     ms = unstack_models(fitted["m"])
     qs = unstack_models(fitted["q"]) if q_override is None else [q] * R
@@ -329,14 +390,8 @@ def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
 
 
 def train_joint(dataset, team: TeamConfig, cfg: TrainConfig,
-                q_override: float | None = None,
-                relaxation: str = "mixture") -> DiscriminativeSystem:
-    """End-to-end SGD of m and q on the mixture loss at `cfg.cost_weight`.
-
-    See `train_joint_grid` for `q_override`. The mixture is the only
-    relaxation; any other `relaxation` is rejected.
-    """
-    if relaxation != "mixture":
-        raise InputError(f"unknown relaxation {relaxation!r}")
+                q_override: float | None = None) -> DiscriminativeSystem:
+    """End-to-end SGD of m and q on the mixture loss at `cfg.cost_weight`;
+    see `train_joint_grid` for `q_override`."""
     return train_joint_grid(dataset, team, cfg, (cfg.cost_weight,),
                             q_override)[0]

@@ -18,26 +18,23 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 from xml.sax.saxutils import escape
 
 import numpy as np
 from scipy import stats
 
 from .data import Dataset, split
-from .discriminative import (DiscriminativeSystem, TeamConfig,
-                             train_joint_grid, train_query_policy_grid,
-                             train_solo_model)
+from .discriminative import (DiscriminativeSystem, TeamConfig, decide,
+                             train_fixed, train_joint, train_joint_grid,
+                             train_query_policy_grid, train_solo_model)
 from .errors import ConfigError, InputError, TeamoptError
-from .numerics import TrainConfig, forward_batch
-from .voi import (VoiSystem, train_fixed_voi, train_joint_voi_grid,
-                  voi_decision_parts)
+from .numerics import TrainConfig
+from .voi import train_fixed_voi, train_joint_voi, train_joint_voi_grid
 
 logger = logging.getLogger(__name__)
 
 SPLIT_FRACTIONS = (0.7, 0.15, 0.15)
-
-APPROACHES = ("fixed-disc", "joint-disc", "fixed-voi", "joint-voi",
-              "human-only")
 
 
 # --- metrics -------------------------------------------------------------
@@ -83,21 +80,6 @@ def human_only_baseline(dataset: Dataset, team: TeamConfig) -> dict:
                                dataset.y, team)
 
 
-def system_decisions(system, dataset: Dataset, cost: float | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(machine_labels, team_labels, queried) for either system kind."""
-    if isinstance(system, DiscriminativeSystem):
-        team_labels, queried, _ = system.decide_batch(dataset.X, dataset.h)
-        machine = forward_batch(system.m, dataset.X).argmax(axis=1)
-        return machine.astype(np.int64), team_labels, queried
-    if isinstance(system, VoiSystem):
-        c = system.team.query_cost if cost is None else cost
-        best_nq, query, best_by_h = system.decide_batch(dataset.X, c)
-        post = best_by_h[np.arange(len(dataset)), dataset.h]
-        return best_nq, np.where(query, post, best_nq), query
-    raise InputError(f"unsupported system type {type(system).__name__}")
-
-
 # --- cost sweep ----------------------------------------------------------
 
 @dataclass
@@ -123,31 +105,35 @@ class SweepResult:
                 "seeds": list(self.seeds), "dataset": self.dataset}
 
 
-def _disc_rates(system: DiscriminativeSystem, ds: Dataset
-                ) -> tuple[float, float]:
-    labels, queried, _ = system.decide_batch(ds.X, ds.h)
-    return (weighted_error(labels, ds.y, system.team.utility),
-            float(queried.mean()))
+def _row(c: float, metrics: dict, lam: float | None) -> tuple:
+    return (c, metrics["total_loss"], metrics["classification_error"],
+            metrics["query_rate"], lam)
 
 
-def _voi_rates_fn(system: VoiSystem, ds: Dataset):
-    """Closure over precomputed decision parts; cheap at every cost."""
-    parts = voi_decision_parts(system, ds.X)
-    post = parts.best_by_h[np.arange(len(ds)), ds.h]
-    U = system.team.utility
+def _score(parts, ds: Dataset, team: TeamConfig, c: float) -> dict:
+    """Team metrics on `ds` of the decisions behind `parts` at cost c."""
+    labels, queried = decide(parts, ds.h, c)
+    return team_metrics_arrays(labels, queried, ds.y, team.with_cost(c))
 
-    def at_cost(c: float) -> tuple[float, float]:
-        query = parts.u_q_base - c > parts.u_nq
-        labels = np.where(query, post, parts.best_no_query)
-        return weighted_error(labels, ds.y, U), float(query.mean())
 
-    return at_cost
+def _select_lambda(systems, lam_grid, va: Dataset, te: Dataset, costs,
+                   team: TeamConfig) -> list:
+    """Per cost, test metrics of the λ variant with the lowest validation
+    total loss (ties: the smaller λ)."""
+    variants = [(lam, s.parts(va.X), s.parts(te.X))
+                for lam, s in zip(lam_grid, systems)]
+    rows = []
+    for c in costs:
+        lam, _, te_parts = min(
+            variants, key=lambda v: _score(v[1], va, team, c)["total_loss"])
+        rows.append(_row(c, _score(te_parts, te, team, c), lam))
+    return rows
 
 
 def _cell_human_only(dataset, seed, costs, lam_grid, team, cfg):
     _, _, te = split(dataset, SPLIT_FRACTIONS, seed)
-    err = weighted_error(te.h, te.y, team.utility)
-    return [(c, err + c, err, 1.0, None) for c in costs]
+    return [_row(c, human_only_baseline(te, team.with_cost(c)), None)
+            for c in costs]
 
 
 def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg):
@@ -158,8 +144,8 @@ def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg):
     rows = []
     for c, q in zip(costs, policies):
         system = DiscriminativeSystem(solo, q, team.with_cost(c), cfg_s)
-        err, qrate = _disc_rates(system, te)
-        rows.append((c, err + c * qrate, err, qrate, cfg_s.cost_weight))
+        rows.append(_row(c, _score(system.parts(te.X), te, team, c),
+                         cfg_s.cost_weight))
     return rows
 
 
@@ -168,25 +154,13 @@ def _cell_joint_disc(dataset, seed, costs, lam_grid, team, cfg):
     c_ref = float(np.median(costs))
     systems = train_joint_grid(tr, team.with_cost(c_ref),
                                replace(cfg, seed=seed), lam_grid)
-    variants = [(lam, _disc_rates(system, va), _disc_rates(system, te))
-                for lam, system in zip(lam_grid, systems)]
-    rows = []
-    for c in costs:
-        lam, _, (err, qrate) = min(
-            variants, key=lambda v: v[1][0] + c * v[1][1])
-        rows.append((c, err + c * qrate, err, qrate, lam))
-    return rows
+    return _select_lambda(systems, lam_grid, va, te, costs, team)
 
 
 def _cell_fixed_voi(dataset, seed, costs, lam_grid, team, cfg):
     tr, _, te = split(dataset, SPLIT_FRACTIONS, seed)
-    system = train_fixed_voi(tr, team, replace(cfg, seed=seed))
-    at_cost = _voi_rates_fn(system, te)
-    rows = []
-    for c in costs:
-        err, qrate = at_cost(c)
-        rows.append((c, err + c * qrate, err, qrate, None))
-    return rows
+    parts = train_fixed_voi(tr, team, replace(cfg, seed=seed)).parts(te.X)
+    return [_row(c, _score(parts, te, team, c), None) for c in costs]
 
 
 def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg):
@@ -196,28 +170,41 @@ def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg):
     c_ref = float(np.median(costs))
     systems = train_joint_voi_grid(tr, team.with_cost(c_ref), cfg_s,
                                    lam_grid, warm_start=warm)
-    variants = [(lam, _voi_rates_fn(system, va), _voi_rates_fn(system, te))
-                for lam, system in zip(lam_grid, systems)]
-    rows = []
-    for c in costs:
-        scored = [(lam, va_fn(c), te_fn(c)) for lam, va_fn, te_fn in variants]
-        lam, _, (err, qrate) = min(scored, key=lambda v: v[1][0] + c * v[1][1])
-        rows.append((c, err + c * qrate, err, qrate, lam))
-    return rows
+    return _select_lambda(systems, lam_grid, va, te, costs, team)
 
 
-_CELL_RUNNERS = {"human-only": _cell_human_only,
-                 "fixed-disc": _cell_fixed_disc,
-                 "joint-disc": _cell_joint_disc,
-                 "fixed-voi": _cell_fixed_voi,
-                 "joint-voi": _cell_joint_voi}
+class Approach(NamedTuple):
+    """How the sweep and the analyses run one approach.
+
+    `run_cell(dataset, seed, costs, lam_grid, team, cfg)` returns the rows
+    of one sweep cell. `train(train_split, team, cfg)` returns the system
+    the analyses score; it is None when there is nothing to train.
+    """
+
+    run_cell: Callable
+    train: Callable | None
+
+
+# The approach registry. Trainers are looked up when called, so wrappers
+# put on the module-level functions (e.g. tracing spans) see every call.
+APPROACHES = {
+    "fixed-disc": Approach(_cell_fixed_disc,
+                           lambda tr, team, cfg: train_fixed(tr, team, cfg)),
+    "joint-disc": Approach(_cell_joint_disc,
+                           lambda tr, team, cfg: train_joint(tr, team, cfg)),
+    "fixed-voi": Approach(_cell_fixed_voi,
+                          lambda tr, t, cfg: train_fixed_voi(tr, t, cfg)),
+    "joint-voi": Approach(_cell_joint_voi,
+                          lambda tr, t, cfg: train_joint_voi(tr, t, cfg)),
+    "human-only": Approach(_cell_human_only, None),
+}
 
 
 def _run_cell(args) -> SweepCell:
     dataset, approach, seed, costs, lam_grid, team, cfg = args
     try:
-        rows = _CELL_RUNNERS[approach](dataset, seed, costs, lam_grid,
-                                       team, cfg)
+        rows = APPROACHES[approach].run_cell(dataset, seed, costs, lam_grid,
+                                             team, cfg)
         return SweepCell(approach, seed, rows)
     except Exception as e:  # failures recorded per cell, sweep continues
         return SweepCell(approach, seed, [], f"{type(e).__name__}: {e}")
@@ -247,7 +234,7 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     whole cell. Per-seed failures are logged and skipped in the averages.
     """
     names = sorted(set(approaches))
-    unknown = [a for a in names if a not in _CELL_RUNNERS]
+    unknown = [a for a in names if a not in APPROACHES]
     if unknown:
         raise ConfigError(f"unknown approaches: {unknown}")
     costs = sorted(set(float(c) for c in costs))
@@ -294,8 +281,11 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
 
 def per_class_analysis(systems: dict, dataset: Dataset) -> list:
     """Per-class machine error, team error and query fraction per system."""
-    outputs = {name: system_decisions(s, dataset)
-               for name, s in sorted(systems.items())}
+    outputs = {}
+    for name, system in sorted(systems.items()):
+        parts = system.parts(dataset.X)
+        outputs[name] = (parts.machine,
+                         *decide(parts, dataset.h, system.team.query_cost))
     rows = []
     for k in range(dataset.num_classes):
         mask = dataset.y == k
@@ -391,7 +381,7 @@ def human_error_tree(dataset: Dataset, systems: dict | None = None,
     systems = systems or {}
     n = len(dataset)
     target = dataset.h != dataset.y
-    machine = {name: system_decisions(s, dataset)[0]
+    machine = {name: s.parts(dataset.X).machine
                for name, s in sorted(systems.items())}
     min_count = max(1, int(np.floor(min_leaf_fraction * n)))
 
@@ -476,13 +466,12 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_loss_svg(results, width: int = 640, height: int = 420) -> str:
+def render_loss_svg(results: list[SweepResult], width: int = 640,
+                    height: int = 420) -> str:
     """Hand-rolled line plot of mean total loss vs query cost."""
     ml, mr, mt, mb = 62, 20, 34, 48
-    series = [(r.approach if hasattr(r, "approach") else r["approach"],
-               [(rec["c"], rec["total_loss"])
-                for rec in (r.records if hasattr(r, "records")
-                            else r["records"])])
+    series = [(r.approach, [(rec["c"], rec["total_loss"])
+                            for rec in r.records])
               for r in results]
     series = [(name, pts) for name, pts in series if pts]
     xs = [p[0] for _, pts in series for p in pts]
@@ -557,13 +546,12 @@ def _write(path: Path, text: str) -> str:
     return str(path)
 
 
-def sweep_csv_text(results) -> str:
+def sweep_csv_text(results: list[SweepResult]) -> str:
     header = ("approach,cost,total_loss,classification_error,query_rate,"
               "selected_lambda,seed")
     lines = [header]
     for r in results:
-        cells = getattr(r, "cells", None) or []
-        for cell in cells:
+        for cell in r.cells:
             if cell.error is not None:
                 continue
             for cost, total, err, qrate, lam in cell.rows:
@@ -573,12 +561,13 @@ def sweep_csv_text(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(results, out_dir, formats=("json", "csv", "svg")) -> list[str]:
+def emit_report(results: list[SweepResult], out_dir,
+                formats=("json", "csv", "svg")) -> list[str]:
     """Write sweep.json / sweep.csv / loss_vs_cost.svg; returns paths.
 
-    JSON holds the seed-averaged records (and survives a load/re-emit
-    round trip byte-identically); the CSV carries per-seed rows and so
-    needs in-memory results, not reloaded JSON.
+    JSON holds the seed-averaged records: results rebuilt from it with
+    `SweepResult(**d)` re-emit it byte-identically. The CSV carries the
+    per-seed rows of `cells`, which the JSON leaves out.
     """
     out = Path(out_dir)
     try:
@@ -587,8 +576,7 @@ def emit_report(results, out_dir, formats=("json", "csv", "svg")) -> list[str]:
         raise TeamoptError(f"cannot create output dir {out}: {e}") from e
     written = []
     if "json" in formats:
-        payload = [r.as_json_dict() if hasattr(r, "as_json_dict") else r
-                   for r in results]
+        payload = [r.as_json_dict() for r in results]
         written.append(_write(out / "sweep.json", _dump_json(payload)))
     if "csv" in formats:
         written.append(_write(out / "sweep.csv", sweep_csv_text(results)))

@@ -66,8 +66,8 @@ class MlpModel:
     """Fully-connected ReLU network with a softmax or scalar-sigmoid head.
 
     Weights are stored (fan_in, fan_out) so a batch X of shape (n, d)
-    flows as X @ W + b. Dropout (inverted) applies to hidden activations
-    in train mode only.
+    flows as X @ W + b. Inverted dropout applies to hidden activations
+    during training only, through masks from `sample_dropout_masks`.
     """
 
     layer_dims: tuple[int, ...]
@@ -159,51 +159,29 @@ def _check_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def logits_batch(model: MlpModel, X: np.ndarray, mode: str = "eval",
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Pre-head activations for a batch; dropout only in train mode."""
-    X = _check_input(model, X)
-    masks = None
-    if mode == "train":
-        if rng is None:
-            raise ConfigError("train mode requires an rng for dropout")
-        masks = sample_dropout_masks(model, X.shape[0], rng)
-    elif mode != "eval":
-        raise ConfigError(f"unknown mode {mode!r}")
-    h = X
+def logits_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Pre-head activations for a batch, without dropout."""
+    h = _check_input(model, X)
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         h = h @ w + b
         if i < last:
             h = np.maximum(h, 0.0)
-            if masks is not None:
-                h = h * masks[i]
     return h
 
 
-def forward_batch(model: MlpModel, X: np.ndarray, mode: str = "eval",
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Head outputs for a batch: (n, K) distributions or (n,) sigmoids."""
-    z = logits_batch(model, X, mode, rng)
+    z = logits_batch(model, X)
     if model.output_head == SOFTMAX_HEAD:
         return stable_softmax(z)
-    return _sigmoid(z[:, 0])
+    return tape.stable_sigmoid(z[:, 0])
 
 
-def forward(model: MlpModel, x: np.ndarray, mode: str = "eval",
-            rng: np.random.Generator | None = None):
+def forward(model: MlpModel, x: np.ndarray):
     """Single-instance forward: a distribution over K classes, or a scalar."""
-    out = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :], mode, rng)
+    out = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
     return out[0] if model.output_head == SOFTMAX_HEAD else float(out[0])
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def is_distribution(p: np.ndarray, atol: float = 1e-9) -> bool:

@@ -131,14 +131,20 @@ def relu(a: Node) -> Node:
     return _unary(a, a.data * mask, lambda g: g * mask)
 
 
-def sigmoid(a: Node) -> Node:
-    # Stable in both tails.
-    x = a.data
+def stable_sigmoid(x) -> np.ndarray:
+    """1 / (1 + exp(-x)) on float64 values, stable in both tails; the
+    package's one sigmoid, also used off the tape."""
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Node) -> Node:
+    out = stable_sigmoid(a.data)
     return _unary(a, out, lambda g: g * out * (1.0 - out))
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import tape
 from .calibration import PlattCalibrator, calibrate_batch
-from .discriminative import (TeamConfig, TeamPrediction, derive_rng,
+from .discriminative import (DecisionParts, TeamConfig, derive_rng,
                              train_solo_model, utility_loss_weights)
-from .errors import InputError, QueryError, StateError
+from .errors import InputError, StateError
 from .numerics import (PROB_CLAMP, MlpModel, TrainConfig, apply_mlp, fit,
                        loss_value, logits_batch, sample_dropout_masks,
                        stable_softmax, stack_models, unstack_models)
@@ -72,35 +72,9 @@ class VoiSystem:
             if not part.calibrated:
                 raise StateError(f"{name} is not calibrated")
 
-    def decide_batch(self, X: np.ndarray, cost: float | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(no-query labels, query flags, per-h post-query labels)."""
-        parts = voi_decision_parts(self, X)
-        c = self.team.query_cost if cost is None else cost
-        query = parts.u_q_base - c > parts.u_nq
-        return parts.best_no_query, query, parts.best_by_h
-
-
-@dataclass
-class VoiDecision:
-    u_nq: float
-    u_q: float
-    query: bool
-    best_label_no_query: int
-
-
-@dataclass
-class VoiDecisionParts:
-    """Cost-independent per-instance quantities behind the VOI rule.
-
-    u_q equals u_q_base - c, so one pass over a dataset serves a whole
-    grid of query costs.
-    """
-
-    u_nq: np.ndarray        # (n,)
-    u_q_base: np.ndarray    # (n,) expectation term of u_q before cost
-    best_no_query: np.ndarray  # (n,) int
-    best_by_h: np.ndarray   # (n, K) int, utility-best action per response
+    def parts(self, X: np.ndarray) -> DecisionParts:
+        """See `voi_decision_parts`."""
+        return voi_decision_parts(self, X)
 
 
 def gamma_input(X: np.ndarray, h: np.ndarray, num_classes: int) -> np.ndarray:
@@ -136,8 +110,14 @@ def expected_utility_query(dist_beta: np.ndarray, gamma_fn, utility: np.ndarray,
     return total - cost
 
 
-def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> VoiDecisionParts:
-    """Vectorized exact quantities for a batch; cost applied by the caller."""
+def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
+    """The exact rule's quantities for a batch: query iff u_q - c > u_nq.
+
+    alone_score is u_nq and query_score the expectation term of u_q
+    before the cost, which `decide` subtracts. Either way the team takes
+    the utility-best action under the calibrated label model it has:
+    p_alpha alone, or p_gamma given the response.
+    """
     system.require_calibrated()
     X = np.asarray(X, dtype=np.float64)
     n, K = X.shape[0], system.num_classes
@@ -152,51 +132,11 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> VoiDecisionParts:
     best_by_h = eu_q.argmax(axis=2)
     inner = eu_q.max(axis=2)  # (n, K)
     u_q_base = (pb * inner).sum(axis=1)
-    return VoiDecisionParts(u_nq, u_q_base, best_no_query.astype(np.int64),
-                            best_by_h.astype(np.int64))
-
-
-def voi_decide(system: VoiSystem, x: np.ndarray) -> VoiDecision:
-    """Exact rule on one instance: query iff u_q > u_nq (tie: no query)."""
-    parts = voi_decision_parts(system, np.asarray(x, dtype=np.float64)[None, :])
-    u_nq = float(parts.u_nq[0])
-    u_q = float(parts.u_q_base[0]) - system.team.query_cost
-    return VoiDecision(u_nq, u_q, u_q > u_nq, int(parts.best_no_query[0]))
-
-
-def voi_team_predict(system: VoiSystem, x: np.ndarray,
-                     human_response_provider) -> TeamPrediction:
-    """Query per the exact rule; predict the utility-best action either way.
-
-    q_soft reports the hard decision (1.0 when queried) since the exact
-    rule has no soft score; machine_dist is the calibrated label model.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    decision = voi_decide(system, x)
-    pa = system.p_alpha.predict_batch(x[None, :])[0]
-    if not decision.query:
-        return TeamPrediction(decision.best_label_no_query, False, 0.0, pa)
-    try:
-        h = int(human_response_provider(x))
-    except Exception as e:
-        raise QueryError(f"human response provider failed: {e}") from e
-    K = system.num_classes
-    if not 0 <= h < K:
-        raise QueryError(f"human response {h} outside class range")
-    pg = system.p_gamma.predict_batch(gamma_input(x[None, :],
-                                                  np.array([h]), K))[0]
-    label, _ = expected_utility_no_query(pg, system.team.utility)
-    return TeamPrediction(label, True, 1.0, pa)
+    return DecisionParts(best_no_query.astype(np.int64),
+                         best_by_h.astype(np.int64), u_q_base, u_nq, True, pa)
 
 
 # --- soft (differentiable) quantities ------------------------------------
-
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
-
 
 def soft_expected_utilities(pa: np.ndarray, pb: np.ndarray, pg_rows: np.ndarray,
                             utility: np.ndarray, tau: float
@@ -214,7 +154,7 @@ def soft_expected_utilities(pa: np.ndarray, pb: np.ndarray, pg_rows: np.ndarray,
     eu_q = np.asarray(pg_rows) @ U.T  # (K, K): [h, action]
     inner = (eu_q * stable_softmax(eu_q, tau)).sum(axis=1)
     u_q = float(np.asarray(pb) @ inner)
-    q = float(_sigmoid_scalar((u_q - u_nq) / tau))
+    q = float(tape.stable_sigmoid((u_q - u_nq) / tau))
     return u_nq, u_q, q
 
 
@@ -222,7 +162,8 @@ def soft_team_quantities(system: VoiSystem, x: np.ndarray,
                          utility: np.ndarray | None = None,
                          tau: float | None = None
                          ) -> tuple[float, float, float]:
-    """(u_nq_soft, u_q_soft, q_soft) for one instance, eval-mode networks."""
+    """(u_nq_soft, u_q_soft, q_soft) for one instance, networks without
+    dropout."""
     system.require_calibrated()
     x = np.asarray(x, dtype=np.float64)[None, :]
     U = system.team.utility if utility is None else utility
@@ -326,7 +267,7 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
 
 def joint_voi_loss(system: VoiSystem, instance, team: TeamConfig,
                    cfg: TrainConfig) -> float:
-    """Reference single-instance loss value (eval mode, no dropout)."""
+    """Reference single-instance loss value (no dropout)."""
     system.require_calibrated()
     batch = joint_voi_batch(system, instance.x[None, :],
                             np.array([instance.h]), np.array([instance.y]),

@@ -18,22 +18,18 @@ import pytest
 
 from conftest import record_verdict
 
-from teamopt import tape
 from teamopt.calibration import (PlattCalibrator, calibrate_batch,
                                  expected_calibration_error)
 from teamopt.data import (SynthConfig, generate_synthetic,
                           planted_boundaries, split)
-from teamopt.discriminative import (TeamConfig, _mixture_nodes,
-                                    _solo_ce_loss, runtime_query_decision,
-                                    train_solo_model, utility_loss_weights)
+from teamopt.cli import gradcheck_losses
+from teamopt.discriminative import (TeamConfig, decide,
+                                    runtime_query_decision, train_solo_model)
 from teamopt.evaluation import (SPLIT_FRACTIONS, cost_sweep,
                                 human_error_tree, paired_significance,
                                 weighted_error)
-from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                              TrainConfig, apply_mlp, finite_diff_check,
-                              forward_batch, init_mlp)
+from teamopt.numerics import MlpModel, TrainConfig, forward_batch
 from teamopt.voi import (CalibratedModel, VoiSystem, gamma_input,
-                         joint_voi_batch, joint_voi_loss_fn,
                          soft_team_quantities, train_fixed_voi,
                          voi_decision_parts)
 
@@ -112,48 +108,17 @@ def bench(bench_dataset):
 
 
 def test_criterion_01_training_gradients_match_finite_differences():
+    # the check `teamopt verify` runs, here at 10 points with varying
+    # utility, cost weight lambda and temperature tau
     rng = np.random.default_rng(20260818)
-    K, d, hid, B = 3, 4, 5, 8
-    eye = np.eye(K)
+    K = 3
     t0 = time.monotonic()
     worst = 0.0
     for point in range(10):
         team = TeamConfig(np.eye(K) + 0.2 * rng.random((K, K)), 0.07)
-        w = utility_loss_weights(team)
-        X = rng.standard_normal((B, d))
-        y = rng.integers(0, K, B)
-        h = rng.integers(0, K, B)
-        m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        q = init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)
-        worst = max(worst, finite_diff_check(
-            {"m": m}, (X, eye[y], w[y], None),
-            lambda p, b: _solo_ce_loss(p["m"], b)))
-
-        lam = 0.5 + point / 10.0
-
-        def joint_fn(params, batch):
-            Xb, oh_h, oh_y, w_y = batch
-            probs = tape.softmax(apply_mlp(params["m"], Xb))
-            q_node = tape.sigmoid(
-                tape.reshape(apply_mlp(params["q"], Xb), (-1,)))
-            return _mixture_nodes(q_node, probs, oh_h, oh_y, w_y,
-                                  lam * team.query_cost)
-
-        worst = max(worst, finite_diff_check(
-            {"m": m, "q": q}, (X, eye[h], eye[y], w[y]), joint_fn))
-
-        cfg = TrainConfig(softmax_temperature=0.6 + 0.1 * point,
-                          dropout_rate=0.0)
-        cal = PlattCalibrator.identity(K)
-        a_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        b_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        g_m = init_mlp((d + K, hid, K), SOFTMAX_HEAD, rng, 0.0)
-        system = VoiSystem(CalibratedModel(a_m, cal), CalibratedModel(b_m, cal),
-                           CalibratedModel(g_m, cal), team, cfg)
-        vbatch = joint_voi_batch(system, X, h, y, team)
-        worst = max(worst, finite_diff_check(
-            {"alpha": a_m, "beta": b_m, "gamma": g_m}, vbatch,
-            joint_voi_loss_fn(team, cfg)))
+        worst = max(worst, gradcheck_losses(
+            rng, team, cost_weight=0.5 + point / 10.0,
+            tau=0.6 + 0.1 * point, batch_size=8))
     elapsed = time.monotonic() - t0
     _verdict(1, worst < 1e-4 and elapsed < 30.0,
              f"max rel err {worst:.3e} over 10 points x 3 losses, "
@@ -177,10 +142,10 @@ def test_criterion_02_voi_rule_matches_enumeration():
         best, u_nq, u_q = brute_force_voi(system, x, team.query_cost)
         parts = voi_decision_parts(system, x[None, :])
         worst = max(worst,
-                    abs(float(parts.u_nq[0]) - u_nq),
-                    abs(float(parts.u_q_base[0]) - team.query_cost - u_q))
-        _, queried, _ = system.decide_batch(x[None, :])
-        decisions_ok &= int(parts.best_no_query[0]) == best
+                    abs(float(parts.alone_score[0]) - u_nq),
+                    abs(float(parts.query_score[0]) - team.query_cost - u_q))
+        _, queried = decide(parts, np.zeros(1, dtype=int), team.query_cost)
+        decisions_ok &= int(parts.machine[0]) == best
         decisions_ok &= bool(queried[0]) == (u_q > u_nq)
         n_query += int(queried[0])
     elapsed = time.monotonic() - t0
@@ -209,8 +174,8 @@ def test_criterion_03_soft_quantities_match_exact_at_small_tau():
         u_nq_s, u_q_s, _ = soft_team_quantities(system, x, tau=1e-3)
         parts = voi_decision_parts(system, x[None, :])
         worst = max(worst,
-                    abs(u_nq_s - float(parts.u_nq[0])),
-                    abs(u_q_s - float(parts.u_q_base[0])))
+                    abs(u_nq_s - float(parts.alone_score[0])),
+                    abs(u_q_s - float(parts.query_score[0])))
     _verdict(3, worst < 1e-6,
              f"max |soft - exact| {worst:.3e} over 100 systems at tau=1e-3")
 
@@ -246,9 +211,10 @@ def test_criterion_05_query_rate_never_rises_with_cost():
     system = train_fixed_voi(tr, TeamConfig.accuracy(3),
                              TrainConfig(iterations=300, hidden_dims=(8,),
                                          seed=0))
+    parts = system.parts(te.X)
     rates = []
     for c in np.linspace(0.0, 0.5, 26):
-        _, queried, _ = system.decide_batch(te.X, cost=float(c))
+        _, queried = decide(parts, te.h, float(c))
         rates.append(float(queried.mean()))
     mono = all(b <= a for a, b in zip(rates, rates[1:]))
     _verdict(5, mono, f"rates {rates[0]:.2f} -> {rates[-1]:.2f} "

@@ -12,6 +12,7 @@ from teamopt.cli import (DEFAULT_COSTS, DEFAULT_LAMBDA_GRID, RunConfig,
                          load_config, main)
 from teamopt.data import load_csv
 from teamopt.errors import ConfigError
+from teamopt.evaluation import APPROACHES
 
 
 def tiny_config(out, **overrides):
@@ -188,21 +189,21 @@ def test_cli_seed_override_changes_output(tmp_path):
 
 def test_analyze_writes_tables_and_tree(tmp_path):
     out = tmp_path / "an"
-    cfg = tiny_config(out, approaches=["fixed-voi", "joint-disc",
-                                       "human-only"])
+    cfg = tiny_config(out, approaches=list(APPROACHES))
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path]) == 0
+    trainable = {"fixed-disc", "joint-disc", "fixed-voi", "joint-voi"}
+    assert {a for a, ap in APPROACHES.items() if ap.train} == trainable
     per_class = json.loads((out / "per_class.json").read_text())
     assert [row["class"] for row in per_class] == [0, 1, 2]
-    assert set(per_class[0]["systems"]) == {"fixed-voi", "joint-disc"}
+    assert set(per_class[0]["systems"]) == trainable
     tree = json.loads((out / "error_tree.json").read_text())
     assert set(tree) == {"feature_index", "threshold", "left", "right",
                          "leaf_stats"}
     node = tree
     while node["leaf_stats"] is None:
         node = node["left"]
-    assert set(node["leaf_stats"]["machine_error"]) == {"fixed-voi",
-                                                        "joint-disc"}
+    assert set(node["leaf_stats"]["machine_error"]) == trainable
 
 
 def test_analyze_needs_trainable_approach(tmp_path):

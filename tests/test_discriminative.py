@@ -7,7 +7,7 @@ import pytest
 
 from teamopt.data import Dataset
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig,
-                                    derive_rng, joint_loss,
+                                    decide, derive_rng, joint_loss,
                                     runtime_query_decision, team_predict,
                                     train_fixed, train_joint,
                                     train_query_policy, train_solo_model,
@@ -139,13 +139,17 @@ def build_system(ds, team=None, iterations=50, **kw):
 def test_decide_batch_matches_single_predictions():
     ds = noise_dataset()
     system = build_system(ds)
-    labels, queried, q_vals = system.decide_batch(ds.X, ds.h)
+    parts = system.parts(ds.X)
+    labels, queried = decide(parts, ds.h, system.team.query_cost)
     assert labels.dtype == np.int64 and queried.dtype == np.bool_
+    assert np.array_equal(labels, np.where(queried, ds.h, parts.machine))
+    # the run-time rule ignores the query cost
+    assert np.array_equal(decide(parts, ds.h, 10.0)[1], queried)
     for i in range(0, len(ds.X), 37):
         pred = team_predict(system, ds.X[i], lambda x, i=i: ds.h[i])
         assert pred.queried == queried[i]
         assert pred.predicted_label == labels[i]
-        assert abs(pred.q_soft - q_vals[i]) < 1e-12
+        assert abs(pred.q_soft - parts.q_soft[i]) < 1e-12
 
 
 def test_team_predict_skips_provider_when_not_querying():
@@ -186,8 +190,8 @@ def test_joint_query_rate_responds_to_cost():
     costly = train_joint(ds, TeamConfig.accuracy(3, 2.0),
                          TrainConfig(iterations=400, hidden_dims=(8,), seed=3,
                                      cost_weight=4.0))
-    _, q_free, _ = free.decide_batch(ds.X, ds.h)
-    _, q_costly, _ = costly.decide_batch(ds.X, ds.h)
+    _, q_free = decide(free.parts(ds.X), ds.h, 0.0)
+    _, q_costly = decide(costly.parts(ds.X), ds.h, 2.0)
     assert q_free.mean() > 0.9
     assert q_costly.mean() < 0.1
 
@@ -252,17 +256,9 @@ def test_fixed_policy_learns_to_query_hard_region():
     cfg = TrainConfig(iterations=1500, learning_rate=0.3, hidden_dims=(8,),
                       seed=2)
     system = train_fixed(ds, TeamConfig.accuracy(3, 0.2), cfg)
-    _, queried, _ = system.decide_batch(ds.X, ds.h)
+    _, queried = decide(system.parts(ds.X), ds.h, 0.2)
     assert queried[hard].mean() > 0.9
     assert queried[~hard].mean() < 0.1
-
-
-def test_unknown_relaxation_rejected():
-    ds = noise_dataset(n=50)
-    with pytest.raises(InputError):
-        train_joint(ds, TeamConfig.accuracy(3),
-                    TrainConfig(iterations=1, hidden_dims=(8,)),
-                    relaxation="hard")
 
 
 def test_divergence_raises_training_error_with_iteration():

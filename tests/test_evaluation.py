@@ -4,22 +4,24 @@ import json
 import logging
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from teamopt.data import Dataset, generate_synthetic, SynthConfig
-from teamopt.discriminative import (TeamConfig, TeamPrediction, train_joint)
-from teamopt.errors import ConfigError, InputError
-from teamopt.evaluation import (SweepCell, SweepResult, _best_split,
-                                _lambda_mode, cost_sweep, emit_report,
-                                human_error_tree, human_only_baseline,
-                                paired_significance, per_class_analysis,
-                                render_loss_svg, sweep_csv_text,
-                                system_decisions, team_metrics,
+from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
+from teamopt.discriminative import (TeamConfig, TeamPrediction, decide,
+                                    train_joint)
+from teamopt.errors import ConfigError, InputError, QueryError
+from teamopt.evaluation import (SPLIT_FRACTIONS, SweepCell, SweepResult,
+                                _best_split, _lambda_mode, cost_sweep,
+                                emit_report, human_error_tree,
+                                human_only_baseline, paired_significance,
+                                per_class_analysis, render_loss_svg,
+                                sweep_csv_text, team_metrics,
                                 team_metrics_arrays, weighted_error)
-from teamopt.numerics import TrainConfig
+from teamopt.numerics import TrainConfig, forward_batch
 from teamopt.voi import train_fixed_voi
 
 
@@ -95,17 +97,22 @@ def test_system_decisions_both_kinds_and_rejection():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3, 0.05)
     disc = train_joint(ds, team, small_cfg())
-    machine, team_lbl, queried = system_decisions(disc, ds)
-    lbl2, q2, _ = disc.decide_batch(ds.X, ds.h)
-    assert np.array_equal(team_lbl, lbl2) and np.array_equal(queried, q2)
     voi = train_fixed_voi(ds, team, small_cfg())
-    machine_v, team_v, queried_v = system_decisions(voi, ds)
-    best_nq, query, by_h = voi.decide_batch(ds.X)
-    assert np.array_equal(machine_v, best_nq)
-    post = by_h[np.arange(len(ds)), ds.h]
-    assert np.array_equal(team_v, np.where(query, post, best_nq))
-    with pytest.raises(InputError):
-        system_decisions(object(), ds)
+    for system in (disc, voi):
+        parts = system.parts(ds.X)
+        labels, queried = decide(parts, ds.h, team.query_cost)
+        assert labels.shape == queried.shape == parts.machine.shape
+        post = parts.by_response[np.arange(len(ds)), ds.h]
+        assert np.array_equal(labels, np.where(queried, post, parts.machine))
+        with pytest.raises(QueryError):
+            decide(parts, np.full(len(ds), 3), team.query_cost)
+        with pytest.raises(InputError):
+            decide(parts, ds.h[1:], team.query_cost)
+    # the discriminative team outputs the response itself when it queries
+    parts = disc.parts(ds.X)
+    assert np.array_equal(parts.by_response[np.arange(len(ds)), ds.h], ds.h)
+    assert np.array_equal(parts.machine,
+                          forward_batch(disc.m, ds.X).argmax(axis=1))
 
 
 # --- cost sweep ----------------------------------------------------------
@@ -147,6 +154,24 @@ def test_cost_sweep_selects_lambda_per_cost():
                          train_cfg=small_cfg())
     for rec in results[0].records:
         assert rec["selected_lambda"] in (0.5, 2.0)
+
+
+def test_fixed_voi_cell_scores_decide_on_the_test_split():
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3)
+    costs = (0.0, 0.05, 0.2)
+    cfg = small_cfg()
+    cell = cost_sweep(ds, ("fixed-voi",), costs, (1.0,), (4,), team=team,
+                      train_cfg=cfg)[0].cells[0]
+    tr, _, te = split(ds, SPLIT_FRACTIONS, 4)
+    system = train_fixed_voi(tr, team, replace(cfg, seed=4))
+    expected = []
+    for c in costs:
+        labels, queried = decide(system.parts(te.X), te.h, c)
+        m = team_metrics_arrays(labels, queried, te.y, team.with_cost(c))
+        expected.append((c, m["total_loss"], m["classification_error"],
+                         m["query_rate"], None))
+    assert cell.error is None and cell.rows == expected
 
 
 def test_cost_sweep_records_cell_failures(caplog):
@@ -195,7 +220,9 @@ def test_per_class_analysis_counts_and_absent_class():
     assert sum(row["count"] for row in rows) == len(ds)
     assert rows[3]["count"] == 0
     assert rows[3]["systems"]["disc"]["machine_error"] is None
-    machine, team_lbl, queried = system_decisions(disc, ds)
+    parts = disc.parts(ds.X)
+    machine = parts.machine
+    team_lbl, queried = decide(parts, ds.h, team.query_cost)
     mask = ds.y == 1
     got = rows[1]["systems"]["disc"]
     assert got["machine_error"] == (machine[mask] != 1).mean()
@@ -241,7 +268,7 @@ def test_error_tree_attaches_system_error_rates():
     team = TeamConfig.accuracy(2, 0.05)
     disc = train_joint(ds, team, small_cfg())
     tree = human_error_tree(ds, systems={"disc": disc}, max_depth=1)
-    machine = system_decisions(disc, ds)[0]
+    machine = disc.parts(ds.X).machine
     for leaf in tree.leaves():
         assert set(leaf.leaf_stats["machine_error"]) == {"disc"}
         assert 0.0 <= leaf.leaf_stats["machine_error"]["disc"] <= 1.0
@@ -378,7 +405,8 @@ def test_emit_report_files_and_json_round_trip(tmp_path):
     reloaded = json.loads(first.decode())
     assert reloaded[0]["approach"] == "human-only"
     assert "cells" not in reloaded[0]
-    emit_report(reloaded, tmp_path, formats=("json",))
+    emit_report([SweepResult(**d) for d in reloaded], tmp_path,
+                formats=("json",))
     assert (tmp_path / "sweep.json").read_bytes() == first
 
 

@@ -11,7 +11,7 @@ from teamopt import tape
 from teamopt.errors import ConfigError, InputError, NumericError, ShapeError
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
                               TrainConfig, apply_mlp, finite_diff_check,
-                              forward, forward_batch, init_mlp,
+                              forward, init_mlp,
                               is_distribution, loss_and_grad, loss_value,
                               sample_dropout_masks, sgd_step, stable_softmax)
 
@@ -97,33 +97,12 @@ def test_forward_eval_is_bitwise_pure():
     assert forward(m, x).tobytes() == forward(m, x).tobytes()
 
 
-def test_dropout_rate_zero_train_equals_eval():
-    m = init_mlp((4, 6, 3), SOFTMAX_HEAD, np.random.default_rng(7),
-                 dropout_rate=0.0)
-    x = np.ones(4)
-    rng = np.random.default_rng(1)
-    assert np.array_equal(forward(m, x, "train", rng), forward(m, x))
-
-
-def test_dropout_train_mode_needs_rng_and_perturbs():
-    m = init_mlp((4, 6, 3), SOFTMAX_HEAD, np.random.default_rng(7),
-                 dropout_rate=0.5)
-    x = np.ones(4)
-    with pytest.raises(ConfigError):
-        forward(m, x, "train")
-    out_a = forward(m, x, "train", np.random.default_rng(3))
-    out_b = forward(m, x, "train", np.random.default_rng(3))
-    assert np.array_equal(out_a, out_b)  # same rng, same masks
-
-
 def test_forward_input_validation():
     m = zero_model(3, 2)
     with pytest.raises(ShapeError):
         forward(m, np.zeros(4))
     with pytest.raises(InputError):
         forward(m, np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(ConfigError):
-        forward_batch(m, np.zeros((1, 3)), mode="unknown")
 
 
 def test_init_mlp_bounds_and_zero_biases():

@@ -14,7 +14,7 @@ import pytest
 from teamopt import tape
 from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset
-from teamopt.discriminative import (TeamConfig, _mixture_nodes, _query_node,
+from teamopt.discriminative import (TeamConfig, joint_disc_loss_fn,
                                     train_joint, train_joint_grid,
                                     train_query_policy,
                                     train_query_policy_grid,
@@ -22,8 +22,8 @@ from teamopt.discriminative import (TeamConfig, _mixture_nodes, _query_node,
 from teamopt.errors import NumericError, ShapeError, TrainingError
 from teamopt.evaluation import cost_sweep
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
-                              apply_mlp, finite_diff_check, init_mlp,
-                              loss_and_grad, stack_models, unstack_models)
+                              finite_diff_check, init_mlp, loss_and_grad,
+                              stack_models, unstack_models)
 from teamopt.voi import (CalibratedModel, VoiSystem, _stack_calibrators,
                          joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
                          train_joint_voi, train_joint_voi_grid)
@@ -166,17 +166,10 @@ def test_joint_disc_replicas_match_finite_differences():
     rng, team, X, y, h, lams, (K, d, hid, R) = replica_case(31)
     w = utility_loss_weights(team)
     eye = np.eye(K)
-    cost_term = np.asarray(lams)[:, None] * team.query_cost
-
-    def loss_fn(params, batch):
-        Xb, oh_h, oh_y, w_y = batch
-        probs = tape.softmax(apply_mlp(params["m"], Xb))
-        return _mixture_nodes(_query_node(params["q"], Xb, None), probs,
-                              oh_h, oh_y, w_y, cost_term)
-
+    loss_fn = joint_disc_loss_fn(team, TrainConfig(), lams)
     models = {"m": stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R),
               "q": stacked_mlps(rng, (d, hid, 1), SIGMOID_HEAD, R)}
-    batch = (X, eye[h], eye[y], w[y])
+    batch = (X, eye[h], eye[y], w[y], None, None)
     assert finite_diff_check(models, batch, loss_fn) < 1e-4
     check_replica_independence(models, batch, loss_fn)
 

@@ -8,17 +8,18 @@ import pytest
 import teamopt.voi as voi_mod
 from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset
-from teamopt.discriminative import TeamConfig
+from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
+                                    team_predict)
 from teamopt.errors import InputError, QueryError, StateError, TrainingError
-from teamopt.numerics import (MlpModel, TrainConfig, finite_diff_check,
-                              init_mlp)
+from teamopt.numerics import (SIGMOID_HEAD, MlpModel, TrainConfig,
+                              finite_diff_check, init_mlp)
 from teamopt.voi import (CalibratedModel, VoiSystem, _calibration_split,
                          expected_utility_no_query, expected_utility_query,
                          gamma_all_input, gamma_input, joint_voi_batch,
                          joint_voi_loss, joint_voi_loss_fn,
                          soft_expected_utilities, soft_team_quantities,
-                         train_fixed_voi, train_joint_voi, voi_decide,
-                         voi_decision_parts, voi_team_predict)
+                         train_fixed_voi, train_joint_voi,
+                         voi_decision_parts)
 
 # frozen: 0.9*sigmoid(0.8) + 0.1*(1 - sigmoid(0.8))
 SOFT_U_NQ_EXAMPLE = 0.6519795849020901
@@ -137,26 +138,34 @@ def test_query_utility_uninformative_human_ties_exactly():
 def test_voi_decide_hand_system():
     system = dist_system([0.6, 0.4], [0.7, 0.3], [[0.8, 0.2], [0.4, 0.6]],
                          TeamConfig.accuracy(2, 0.1))
-    d = voi_decide(system, np.array([0.3, -0.8]))
-    assert abs(d.u_nq - 0.6) < 1e-12
-    assert abs(d.u_q - 0.64) < 1e-12
-    assert d.query and d.best_label_no_query == 0
+    x = np.array([[0.3, -0.8]])
+    parts = system.parts(x)
+    assert abs(parts.alone_score[0] - 0.6) < 1e-12  # u_nq
+    assert abs(parts.query_score[0] - 0.1 - 0.64) < 1e-12  # u_q = 0.74 - c
+    labels, queried = decide(parts, np.array([1]), 0.1)
+    assert queried[0] and parts.machine[0] == 0 and labels[0] == 1
     costly = dist_system([0.6, 0.4], [0.7, 0.3], [[0.8, 0.2], [0.4, 0.6]],
                          TeamConfig.accuracy(2, 0.2))
-    assert not voi_decide(costly, np.array([0.3, -0.8])).query
+    labels, queried = decide(costly.parts(x), np.array([1]), 0.2)
+    assert not queried[0] and labels[0] == 0
 
 
 def test_decide_batch_matches_single_rule_and_cost_override():
     system = dist_system([0.6, 0.4], [0.7, 0.3], [[0.8, 0.2], [0.4, 0.6]],
                          TeamConfig.accuracy(2, 0.1))
     X = np.random.default_rng(0).standard_normal((8, 2))
-    labels, query, by_h = system.decide_batch(X)
-    assert labels.shape == (8,) and by_h.shape == (8, 2)
+    h = np.arange(8) % 2
+    parts = system.parts(X)
+    labels, query = decide(parts, h, 0.1)
+    assert labels.shape == (8,) and parts.by_response.shape == (8, 2)
     assert query.all()  # 0.74 - 0.1 > 0.6
-    _, query_hi, _ = system.decide_batch(X, cost=0.2)
+    assert np.array_equal(labels, parts.by_response[np.arange(8), h])
+    labels_hi, query_hi = decide(parts, h, 0.2)
     assert not query_hi.any()
-    d = voi_decide(system, X[0])
-    assert labels[0] == d.best_label_no_query
+    assert np.array_equal(labels_hi, parts.machine)
+    for i in (0, 1):
+        pred = team_predict(system, X[i], lambda x, i=i: h[i])
+        assert pred.queried and pred.predicted_label == labels[i]
 
 
 def test_query_set_shrinks_as_cost_grows():
@@ -170,9 +179,10 @@ def test_query_set_shrinks_as_cost_grows():
         systems.append(dist_system(pa, pb, pg, TeamConfig.accuracy(3, 0.0),
                                    d=3))
     for system in systems:
+        parts = system.parts(X)
         prev = None
         for c in (0.0, 0.05, 0.1, 0.2, 0.4):
-            _, query, _ = system.decide_batch(X, cost=c)
+            _, query = decide(parts, np.zeros(len(X), dtype=int), c)
             if prev is not None:
                 assert not (query & ~prev).any()  # nested downward
             prev = query
@@ -188,12 +198,13 @@ def test_random_systems_match_brute_force():
                              TeamConfig(rng.uniform(-1, 1, (K, K)),
                                         rng.uniform(0, 0.5)), d=3)
         x = rng.standard_normal(3)
-        d = voi_decide(system, x)
-        best, u_nq, u_q = brute_force_voi(system, x, system.team.query_cost)
-        assert abs(d.u_nq - u_nq) < 1e-12
-        assert abs(d.u_q - u_q) < 1e-12
-        assert d.best_label_no_query == best
-        assert d.query == (u_q > u_nq)
+        c = system.team.query_cost
+        parts = system.parts(x[None, :])
+        best, u_nq, u_q = brute_force_voi(system, x, c)
+        assert abs(parts.alone_score[0] - u_nq) < 1e-12
+        assert abs(parts.query_score[0] - c - u_q) < 1e-12
+        assert parts.machine[0] == best
+        assert bool(parts.queried(c)[0]) == (u_q > u_nq)
 
 
 def test_uncalibrated_system_is_rejected():
@@ -202,7 +213,7 @@ def test_uncalibrated_system_is_rejected():
     system.p_beta.calibrator = None
     assert not system.p_beta.calibrated
     with pytest.raises(StateError, match="p_beta"):
-        system.decide_batch(np.zeros((1, 2)))
+        system.parts(np.zeros((1, 2)))
     with pytest.raises(StateError):
         system.p_beta.predict_batch(np.zeros((1, 2)))
 
@@ -213,7 +224,7 @@ def test_team_predict_no_query_path_skips_provider():
     system = dist_system([0.9, 0.1], [0.5, 0.5], [[0.9, 0.1], [0.9, 0.1]],
                          TeamConfig.accuracy(2, 0.3))
     calls = []
-    pred = voi_team_predict(system, np.zeros(2), lambda x: calls.append(1))
+    pred = team_predict(system, np.zeros(2), lambda x: calls.append(1))
     assert not pred.queried and pred.q_soft == 0.0 and calls == []
     assert pred.predicted_label == 0
     assert abs(pred.machine_dist[0] - 0.9) < 1e-12
@@ -225,7 +236,7 @@ def test_team_predict_query_path_uses_post_query_utility():
     U = np.array([[1.0, -1.0], [0.0, 1.0]])
     system = dist_system([0.5, 0.5], [0.6, 0.4], [[0.6, 0.4], [0.05, 0.95]],
                          TeamConfig(U, 0.0))
-    pred = voi_team_predict(system, np.zeros(2), lambda x: 0)
+    pred = team_predict(system, np.zeros(2), lambda x: 0)
     assert pred.queried and pred.q_soft == 1.0
     assert pred.predicted_label == 1
 
@@ -233,15 +244,37 @@ def test_team_predict_query_path_uses_post_query_utility():
 def test_team_predict_provider_errors():
     system = dist_system([0.5, 0.5], [0.5, 0.5], [[0.99, 0.01], [0.01, 0.99]],
                          TeamConfig.accuracy(2, 0.0))
-    assert voi_decide(system, np.zeros(2)).query
+    assert system.parts(np.zeros((1, 2))).queried(0.0)[0]
 
     def broken(x):
         raise RuntimeError("offline")
 
     with pytest.raises(QueryError):
-        voi_team_predict(system, np.zeros(2), broken)
+        team_predict(system, np.zeros(2), broken)
     with pytest.raises(QueryError, match="range"):
-        voi_team_predict(system, np.zeros(2), lambda x: 5)
+        team_predict(system, np.zeros(2), lambda x: 5)
+
+
+def always_querying_disc_system(K=2, d=2):
+    """Uniform machine, q = sigmoid(20): the run-time rule always fires."""
+    m = MlpModel((d, K), [np.zeros((d, K))], [np.zeros(K)])
+    q = MlpModel((d, 1), [np.zeros((d, 1))], [np.array([20.0])],
+                 SIGMOID_HEAD)
+    return DiscriminativeSystem(m, q, TeamConfig.accuracy(K), TrainConfig())
+
+
+@pytest.mark.parametrize("family", ["disc", "voi"])
+@pytest.mark.parametrize("response", [-1, 2, 7])
+def test_team_predict_rejects_response_outside_class_range(family, response):
+    if family == "disc":
+        system = always_querying_disc_system()
+    else:
+        system = dist_system([0.5, 0.5], [0.5, 0.5],
+                             [[0.99, 0.01], [0.01, 0.99]],
+                             TeamConfig.accuracy(2, 0.0))
+    assert team_predict(system, np.zeros(2), lambda x: 1).queried
+    with pytest.raises(QueryError, match="range"):
+        team_predict(system, np.zeros(2), lambda x: response)
 
 
 # --- soft quantities -------------------------------------------------------------
@@ -290,8 +323,8 @@ def test_soft_quantities_approach_exact_at_low_temperature():
         x = rng.standard_normal(2)
         u_nq_s, u_q_s, _ = soft_team_quantities(system, x, tau=1e-3)
         parts = voi_decision_parts(system, x[None, :])
-        assert abs(u_nq_s - parts.u_nq[0]) < 1e-6
-        assert abs(u_q_s - parts.u_q_base[0]) < 1e-6
+        assert abs(u_nq_s - parts.alone_score[0]) < 1e-6
+        assert abs(u_q_s - parts.query_score[0]) < 1e-6
 
 
 def test_soft_team_quantities_wires_system_distributions():
@@ -349,10 +382,12 @@ def test_fixed_voi_trains_calibrated_system():
     system = train_fixed_voi(ds, team, cfg)
     system.require_calibrated()
     assert system.num_classes == 3
-    labels, query, by_h = system.decide_batch(ds.X)
-    assert labels.shape == (len(ds),) and by_h.shape == (len(ds), 3)
+    parts = system.parts(ds.X)
+    labels, query = decide(parts, ds.h, team.query_cost)
+    assert labels.shape == (len(ds),)
+    assert parts.by_response.shape == (len(ds), 3)
     # identity utility bounds: u_q <= 1 - c < 1/K <= u_nq at c=1
-    _, query_expensive, _ = system.decide_batch(ds.X, cost=1.0)
+    _, query_expensive = decide(parts, ds.h, 1.0)
     assert not query_expensive.any()
 
 
