@@ -28,8 +28,11 @@ class PlattFit(NamedTuple):
 
 
 def _nll(scores, targets, a, b):
-    p = np.clip(stable_sigmoid(a * scores + b), _P_EPS, 1.0 - _P_EPS)
-    return float(-(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)).sum())
+    """Platt objective at (a, b), and the unclipped sigmoid behind it."""
+    p = stable_sigmoid(a * scores + b)
+    q = np.clip(p, _P_EPS, 1.0 - _P_EPS)
+    nll = -(targets * np.log(q) + (1.0 - targets) * np.log(1.0 - q)).sum()
+    return float(nll), p
 
 
 def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
@@ -37,7 +40,9 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
 
     Damped Newton: steps that do not decrease the objective are retried
     with more damping, so the objective decreases monotonically. Stops at
-    gradient norm < 1e-8 or 200 iterations. Single-class labels yield a
+    gradient norm < 1e-8, after 200 iterations, or as soon as the
+    iterations can only cycle without moving (a, b) (see below), which
+    returns what running on to the cap would. Single-class labels yield a
     degenerate flat calibrator at the smoothed base rate.
     """
     s = np.asarray(scores, dtype=np.float64)
@@ -55,19 +60,27 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
     t_hi = (n_pos + 1.0) / (n_pos + 2.0)
     t_lo = 1.0 / (n_neg + 2.0)
     targets = np.where(pos, t_hi, t_lo)
+    ss = s * s
 
     a, b = 0.0, float(np.log((n_pos + 1.0) / (n_neg + 1.0)))
-    obj = _nll(s, targets, a, b)
+    obj, p = _nll(s, targets, a, b)  # p is always sigma(a*s + b)
     damping = 1e-6
+    # An iteration is a function of (a, b, damping) alone. Under rounding
+    # noise, accepted steps can leave (a, b) bit-unchanged while damping
+    # wanders; once an iteration starts at a damping already seen since
+    # (a, b) last moved, the rest is a cycle that never moves (a, b).
+    seen = set()
     for _ in range(_MAX_NEWTON):
-        p = stable_sigmoid(a * s + b)
+        if damping in seen:
+            break
+        seen.add(damping)
         diff = p - targets
         grad = np.array([float(diff @ s), float(diff.sum())])
         if np.hypot(*grad) < _GRAD_TOL:
             break
         w = p * (1.0 - p)
-        hess = np.array([[float(w @ (s * s)), float(w @ s)],
-                         [float(w @ s), float(w.sum())]])
+        ws = float(w @ s)
+        hess = np.array([[float(w @ ss), ws], [ws, float(w.sum())]])
         # Retry with stronger damping until the step actually improves.
         accepted = False
         while damping < 1e12:
@@ -76,10 +89,14 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            new_obj = _nll(s, targets, a - step[0], b - step[1])
+            new_a, new_b = a - float(step[0]), b - float(step[1])
+            new_obj, new_p = _nll(s, targets, new_a, new_b)
             if new_obj <= obj:
-                a, b = a - float(step[0]), b - float(step[1])
-                obj = new_obj
+                # a and b start at +0.0 or nonzero and x - x is +0.0, so
+                # they never hold -0.0 and == compares their bits.
+                if new_a != a or new_b != b:
+                    seen.clear()
+                a, b, obj, p = new_a, new_b, new_obj, new_p
                 damping = max(damping * 0.1, 1e-12)
                 accepted = True
                 break

@@ -211,14 +211,15 @@ def cmd_analyze(config: RunConfig) -> int:
     team = build_team(config, dataset.num_classes)
     cfg = replace(config.train, seed=config.seeds[0])
     tr, _, te = split(dataset, SPLIT_FRACTIONS, cfg.seed)
-    systems = {}
+    systems, shared = {}, {}
     for approach in trainable:
         logger.info("training %s for analysis", approach)
-        systems[approach] = APPROACHES[approach].train(tr, team, cfg)
+        systems[approach] = APPROACHES[approach].train(tr, team, cfg, shared)
+    parts = {name: s.parts(te.X) for name, s in systems.items()}
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = per_class_analysis(systems, te)
-    tree = human_error_tree(te, systems)
+    table = per_class_analysis(systems, te, parts)
+    tree = human_error_tree(te, systems, parts=parts)
     (out / "per_class.json").write_text(_dump_json(table))
     (out / "error_tree.json").write_text(_dump_json(tree_to_dict(tree)))
     logger.info("wrote %s and %s", out / "per_class.json",

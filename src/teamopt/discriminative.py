@@ -53,8 +53,8 @@ class TeamConfig:
             raise InputError("utility must be a square matrix")
         if not np.isfinite(self.utility).all():
             raise InputError("utility must be finite")
-        if self.query_cost < 0:
-            raise InputError("query_cost must be non-negative")
+        if not (np.isfinite(self.query_cost) and self.query_cost >= 0):
+            raise InputError("query_cost must be finite and non-negative")
 
     @property
     def num_classes(self) -> int:

@@ -130,13 +130,26 @@ def _select_lambda(systems, lam_grid, va: Dataset, te: Dataset, costs,
     return rows
 
 
-def _cell_human_only(dataset, seed, costs, lam_grid, team, cfg):
+def _shared_fixed_voi(tr: Dataset, team: TeamConfig, cfg: TrainConfig,
+                      shared: dict):
+    """The fixed-VOI system on `tr`, trained once per `shared` dict.
+
+    fixed-voi scores this system and joint-voi warm-starts from it, so
+    when one work unit runs both they share one training. A dict lives
+    for one work unit: one seed, one split, one team and config.
+    """
+    if "fixed-voi" not in shared:
+        shared["fixed-voi"] = train_fixed_voi(tr, team, cfg)
+    return shared["fixed-voi"]
+
+
+def _cell_human_only(dataset, seed, costs, lam_grid, team, cfg, shared):
     _, _, te = split(dataset, SPLIT_FRACTIONS, seed)
     return [_row(c, human_only_baseline(te, team.with_cost(c)), None)
             for c in costs]
 
 
-def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg):
+def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg, shared):
     tr, _, te = split(dataset, SPLIT_FRACTIONS, seed)
     cfg_s = replace(cfg, seed=seed)
     solo = train_solo_model(tr, team, cfg_s)
@@ -149,7 +162,7 @@ def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg):
     return rows
 
 
-def _cell_joint_disc(dataset, seed, costs, lam_grid, team, cfg):
+def _cell_joint_disc(dataset, seed, costs, lam_grid, team, cfg, shared):
     tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
     c_ref = float(np.median(costs))
     systems = train_joint_grid(tr, team.with_cost(c_ref),
@@ -157,16 +170,17 @@ def _cell_joint_disc(dataset, seed, costs, lam_grid, team, cfg):
     return _select_lambda(systems, lam_grid, va, te, costs, team)
 
 
-def _cell_fixed_voi(dataset, seed, costs, lam_grid, team, cfg):
+def _cell_fixed_voi(dataset, seed, costs, lam_grid, team, cfg, shared):
     tr, _, te = split(dataset, SPLIT_FRACTIONS, seed)
-    parts = train_fixed_voi(tr, team, replace(cfg, seed=seed)).parts(te.X)
+    system = _shared_fixed_voi(tr, team, replace(cfg, seed=seed), shared)
+    parts = system.parts(te.X)
     return [_row(c, _score(parts, te, team, c), None) for c in costs]
 
 
-def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg):
+def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg, shared):
     tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
     cfg_s = replace(cfg, seed=seed)
-    warm = train_fixed_voi(tr, team, cfg_s)
+    warm = _shared_fixed_voi(tr, team, cfg_s, shared)
     c_ref = float(np.median(costs))
     systems = train_joint_voi_grid(tr, team.with_cost(c_ref), cfg_s,
                                    lam_grid, warm_start=warm)
@@ -176,9 +190,11 @@ def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg):
 class Approach(NamedTuple):
     """How the sweep and the analyses run one approach.
 
-    `run_cell(dataset, seed, costs, lam_grid, team, cfg)` returns the rows
-    of one sweep cell. `train(train_split, team, cfg)` returns the system
-    the analyses score; it is None when there is nothing to train.
+    `run_cell(dataset, seed, costs, lam_grid, team, cfg, shared)` returns
+    the rows of one sweep cell. `train(train_split, team, cfg, shared)`
+    returns the system the analyses score; it is None when there is
+    nothing to train. `shared` is a dict that lives for one work unit and
+    lets the approaches in it share a training (`_shared_fixed_voi`).
     """
 
     run_cell: Callable
@@ -188,26 +204,51 @@ class Approach(NamedTuple):
 # The approach registry. Trainers are looked up when called, so wrappers
 # put on the module-level functions (e.g. tracing spans) see every call.
 APPROACHES = {
-    "fixed-disc": Approach(_cell_fixed_disc,
-                           lambda tr, team, cfg: train_fixed(tr, team, cfg)),
-    "joint-disc": Approach(_cell_joint_disc,
-                           lambda tr, team, cfg: train_joint(tr, team, cfg)),
-    "fixed-voi": Approach(_cell_fixed_voi,
-                          lambda tr, t, cfg: train_fixed_voi(tr, t, cfg)),
-    "joint-voi": Approach(_cell_joint_voi,
-                          lambda tr, t, cfg: train_joint_voi(tr, t, cfg)),
+    "fixed-disc": Approach(
+        _cell_fixed_disc,
+        lambda tr, team, cfg, shared: train_fixed(tr, team, cfg)),
+    "joint-disc": Approach(
+        _cell_joint_disc,
+        lambda tr, team, cfg, shared: train_joint(tr, team, cfg)),
+    "fixed-voi": Approach(_cell_fixed_voi, _shared_fixed_voi),
+    "joint-voi": Approach(
+        _cell_joint_voi,
+        lambda tr, team, cfg, shared: train_joint_voi(
+            tr, team, cfg, _shared_fixed_voi(tr, team, cfg, shared))),
     "human-only": Approach(_cell_human_only, None),
 }
 
+# Approaches that run as one work unit per seed when both are requested,
+# so that one fixed-VOI training serves both cells.
+_SHARED_UNIT = ("fixed-voi", "joint-voi")
 
-def _run_cell(args) -> SweepCell:
-    dataset, approach, seed, costs, lam_grid, team, cfg = args
-    try:
-        rows = APPROACHES[approach].run_cell(dataset, seed, costs, lam_grid,
-                                             team, cfg)
-        return SweepCell(approach, seed, rows)
-    except Exception as e:  # failures recorded per cell, sweep continues
-        return SweepCell(approach, seed, [], f"{type(e).__name__}: {e}")
+
+def _work_units(names) -> list[tuple[str, ...]]:
+    """The sweep's per-seed work units for sorted approach names:
+    `_SHARED_UNIT` when all of its approaches are requested, and every
+    other approach on its own."""
+    if not set(_SHARED_UNIT) <= set(names):
+        return [(a,) for a in names]
+    return [_SHARED_UNIT] + [(a,) for a in names if a not in _SHARED_UNIT]
+
+
+def _run_cell(args) -> list[SweepCell]:
+    """Run one work unit's approaches for one seed; one cell each.
+
+    A failing approach fails only its own cell, also within a unit.
+    """
+    dataset, approaches, seed, costs, lam_grid, team, cfg = args
+    shared = {}
+    cells = []
+    for approach in approaches:
+        try:
+            rows = APPROACHES[approach].run_cell(dataset, seed, costs,
+                                                 lam_grid, team, cfg, shared)
+            cells.append(SweepCell(approach, seed, rows))
+        except Exception as e:  # failures recorded per cell, sweep continues
+            cells.append(SweepCell(approach, seed, [],
+                                   f"{type(e).__name__}: {e}"))
+    return cells
 
 
 def _lambda_mode(values) -> float | None:
@@ -231,27 +272,35 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     per-cost query policies, train in lockstep as one replica stack on
     shared minibatches and dropout masks; each result is identical to
     training that variant on its own. A variant that diverges fails its
-    whole cell. Per-seed failures are logged and skipped in the averages.
+    whole cell. When both VOI approaches run, each seed's fixed-voi and
+    joint-voi cells are one work unit: one fixed-VOI training is scored
+    as fixed-voi and warm-starts joint-voi. A failing approach fails only
+    its own cell; failed cells are logged and skipped in the averages.
+    Non-finite costs or λ values raise ConfigError.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in APPROACHES]
     if unknown:
         raise ConfigError(f"unknown approaches: {unknown}")
-    costs = sorted(set(float(c) for c in costs))
-    lam_grid = sorted(set(float(v) for v in lambda_grid))
+    costs = [float(c) for c in costs]
+    lam_grid = [float(v) for v in lambda_grid]
+    if not np.isfinite(costs + lam_grid).all():
+        raise ConfigError("costs and lambda grid must be finite")
+    costs, lam_grid = sorted(set(costs)), sorted(set(lam_grid))
     seeds = [int(s) for s in seeds]
     if not (names and costs and lam_grid and seeds):
         raise ConfigError("approaches, costs, lambda grid and seeds must be"
                           " nonempty")
     team = team or TeamConfig.accuracy(dataset.num_classes)
     cfg = train_cfg or TrainConfig()
-    work = [(dataset, a, s, costs, lam_grid, team, cfg)
-            for a in names for s in seeds]
+    work = [(dataset, unit, s, costs, lam_grid, team, cfg)
+            for unit in _work_units(names) for s in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell, work))
+            units = list(pool.map(_run_cell, work))
     else:
-        cells = [_run_cell(item) for item in work]
+        units = [_run_cell(item) for item in work]
+    cells = [cell for unit in units for cell in unit]
 
     results = []
     by_approach = {a: [c for c in cells if c.approach == a] for a in names}
@@ -279,13 +328,24 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
 
 # --- analyses ------------------------------------------------------------
 
-def per_class_analysis(systems: dict, dataset: Dataset) -> list:
-    """Per-class machine error, team error and query fraction per system."""
+def _parts_on(systems: dict, X: np.ndarray, parts: dict | None) -> dict:
+    return parts if parts is not None else {
+        name: s.parts(X) for name, s in systems.items()}
+
+
+def per_class_analysis(systems: dict, dataset: Dataset,
+                       parts: dict | None = None) -> list:
+    """Per-class machine error, team error and query fraction per system.
+
+    `parts` maps each name to `systems[name].parts(dataset.X)` when the
+    caller already has them; by default they are computed here.
+    """
+    parts = _parts_on(systems, dataset.X, parts)
     outputs = {}
     for name, system in sorted(systems.items()):
-        parts = system.parts(dataset.X)
-        outputs[name] = (parts.machine,
-                         *decide(parts, dataset.h, system.team.query_cost))
+        outputs[name] = (parts[name].machine,
+                         *decide(parts[name], dataset.h,
+                                 system.team.query_cost))
     rows = []
     for k in range(dataset.num_classes):
         mask = dataset.y == k
@@ -371,9 +431,13 @@ def _best_split(X: np.ndarray, target: np.ndarray, idx: np.ndarray,
 
 
 def human_error_tree(dataset: Dataset, systems: dict | None = None,
-                     max_depth: int = 2, min_leaf_fraction: float = 0.05
-                     ) -> ErrorRegionTree:
-    """Greedy CART-style tree predicting where the human errs."""
+                     max_depth: int = 2, min_leaf_fraction: float = 0.05,
+                     parts: dict | None = None) -> ErrorRegionTree:
+    """Greedy CART-style tree predicting where the human errs.
+
+    Leaves carry each system's machine error; `parts` works as in
+    `per_class_analysis`.
+    """
     if max_depth < 1:
         raise ConfigError("max_depth must be >= 1")
     if not 0.0 <= min_leaf_fraction < 1.0:
@@ -381,8 +445,8 @@ def human_error_tree(dataset: Dataset, systems: dict | None = None,
     systems = systems or {}
     n = len(dataset)
     target = dataset.h != dataset.y
-    machine = {name: s.parts(dataset.X).machine
-               for name, s in sorted(systems.items())}
+    parts = _parts_on(systems, dataset.X, parts)
+    machine = {name: parts[name].machine for name in sorted(systems)}
     min_count = max(1, int(np.floor(min_leaf_fraction * n)))
 
     def leaf(idx: np.ndarray) -> ErrorRegionTree:

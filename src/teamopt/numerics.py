@@ -53,8 +53,8 @@ class TrainConfig:
             raise ConfigError("calibration_interval must be >= 1")
         if self.softmax_temperature <= 0:
             raise ConfigError("softmax_temperature must be positive")
-        if self.cost_weight < 0:
-            raise ConfigError("cost_weight must be non-negative")
+        if not (np.isfinite(self.cost_weight) and self.cost_weight >= 0):
+            raise ConfigError("cost_weight must be finite and non-negative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.seed < 0:

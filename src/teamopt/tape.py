@@ -135,12 +135,11 @@ def stable_sigmoid(x) -> np.ndarray:
     """1 / (1 + exp(-x)) on float64 values, stable in both tails; the
     package's one sigmoid, also used off the tape."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
+    # branch sees the bits a per-sign masked evaluation would. minimum
+    # rather than -abs: it passes a NaN through with its sign unchanged.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Node) -> Node:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from teamopt import calibration, tape
 from teamopt.calibration import (PlattCalibrator, calibrate, calibrate_batch,
                                  expected_calibration_error, fit_platt)
 from teamopt.errors import ConfigError, InputError, ShapeError
@@ -86,6 +87,102 @@ def test_fit_never_exceeds_initial_objective():
         n_neg = len(labels) - n_pos
         init = [0.0, np.log((n_pos + 1.0) / (n_neg + 1.0))]
         assert nll([fit.a, fit.b]) <= nll(init) + 1e-9
+
+
+def capped_newton_fit(scores, binary_labels, objective):
+    """Reference: the damped Newton loop run to its 200-iteration cap (or
+    the gradient tolerance), with no early stop. `objective(s, t, a, b)`
+    is the smoothed NLL; it is passed in so tests can count calls."""
+    s = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(binary_labels) == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    targets = np.where(pos, (n_pos + 1.0) / (n_pos + 2.0),
+                       1.0 / (n_neg + 2.0))
+    a, b = 0.0, float(np.log((n_pos + 1.0) / (n_neg + 1.0)))
+    obj = objective(s, targets, a, b)
+    damping = 1e-6
+    for _ in range(200):
+        p = tape.stable_sigmoid(a * s + b)
+        diff = p - targets
+        grad = np.array([float(diff @ s), float(diff.sum())])
+        if np.hypot(*grad) < 1e-8:
+            break
+        w = p * (1.0 - p)
+        hess = np.array([[float(w @ (s * s)), float(w @ s)],
+                         [float(w @ s), float(w.sum())]])
+        accepted = False
+        while damping < 1e12:
+            try:
+                step = np.linalg.solve(hess + damping * np.eye(2), grad)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            new_obj = objective(s, targets, a - step[0], b - step[1])
+            if new_obj <= obj:
+                a, b = a - float(step[0]), b - float(step[1])
+                obj = new_obj
+                damping = max(damping * 0.1, 1e-12)
+                accepted = True
+                break
+            damping *= 10.0
+        if not accepted:
+            break
+    return a, b
+
+
+def platt_objective(s, targets, a, b):
+    p = np.clip(tape.stable_sigmoid(a * s + b), 1e-12, 1.0 - 1e-12)
+    nll = -(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
+    return float(nll.sum())
+
+
+def counting(fn):
+    def counted(*args):
+        counted.calls += 1
+        return fn(*args)
+    counted.calls = 0
+    return counted
+
+
+def test_fit_stops_at_a_stall_with_the_capped_loop_result(monkeypatch):
+    # Accepted steps leave (a, b) bit-unchanged from about iteration 15
+    # while the damping cycles; the capped loop spends 200 iterations.
+    rng = np.random.default_rng(0)
+    s = 2.0 * rng.standard_normal(2000)
+    labels = (rng.random(2000) < tape.stable_sigmoid(1.5 * s - 0.3))
+    labels = labels.astype(np.int64)
+    oracle_objective = counting(platt_objective)
+    want = capped_newton_fit(s, labels, oracle_objective)
+    assert oracle_objective.calls > 400  # the reference does run to its cap
+    nll = counting(calibration._nll)
+    monkeypatch.setattr(calibration, "_nll", nll)
+    fit = fit_platt(s, labels)
+    assert (fit.a, fit.b) == want and not fit.degenerate
+    assert nll.calls <= 50
+
+
+def test_fit_equals_capped_loop_on_random_problems(monkeypatch):
+    nll = counting(calibration._nll)
+    monkeypatch.setattr(calibration, "_nll", nll)
+    rng = np.random.default_rng(20261018)
+    stopped_early = 0
+    for trial in range(240):
+        n = int(rng.choice([2, 10, 60, 500, 1000, 2000]))
+        scores = rng.standard_normal(n) * rng.uniform(0.01, 4.0)
+        if trial % 5 == 0:
+            scores = np.round(scores)  # ties and exact zeros
+        logits = rng.uniform(0.2, 3.0) * scores + rng.normal()
+        labels = (rng.random(n) < tape.stable_sigmoid(logits)).astype(int)
+        nll.calls = 0
+        fit = fit_platt(scores, labels)
+        if labels.min() == labels.max():
+            assert fit.degenerate
+            continue
+        reference = counting(platt_objective)
+        assert (fit.a, fit.b) == capped_newton_fit(scores, labels,
+                                                   reference), trial
+        stopped_early += nll.calls < reference.calls
+    assert stopped_early >= 3  # the early stop runs, not only the cap
 
 
 def test_fit_input_validation():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from teamopt import evaluation, voi
 from teamopt.cli import (DEFAULT_COSTS, DEFAULT_LAMBDA_GRID, RunConfig,
                          apply_overrides, build_parser, config_from_dict,
                          load_config, main)
@@ -204,6 +205,50 @@ def test_analyze_writes_tables_and_tree(tmp_path):
     while node["leaf_stats"] is None:
         node = node["left"]
     assert set(node["leaf_stats"]["machine_error"]) == trainable
+
+
+def analyze_outputs(tmp_path, approaches):
+    out = tmp_path / "-".join(approaches)
+    path = write_config(tmp_path, tiny_config(out, approaches=approaches),
+                        f"{out.name}.json")
+    assert main(["analyze", "--config", path]) == 0
+    table = json.loads((out / "per_class.json").read_text())
+    tree = json.loads((out / "error_tree.json").read_text())
+    leaves, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node["leaf_stats"] is None:
+            stack += [node["left"], node["right"]]
+        else:
+            leaves.append(node["leaf_stats"])
+    return table, leaves
+
+
+def test_analyze_trains_fixed_voi_once_and_scores_each_system_once(
+        tmp_path, monkeypatch):
+    approaches = ["joint-voi", "fixed-disc", "fixed-voi"]
+    alone = {a: analyze_outputs(tmp_path, [a]) for a in approaches}
+    calls = {"train": 0, "parts": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evaluation, "train_fixed_voi",
+                        counted("train", evaluation.train_fixed_voi))
+    monkeypatch.setattr(voi, "voi_decision_parts",
+                        counted("parts", voi.voi_decision_parts))
+    table, leaves = analyze_outputs(tmp_path, approaches)
+    # joint-voi warm-starts from the fixed-voi system, and each VOI
+    # system's decision parts serve both the table and the tree
+    assert calls == {"train": 1, "parts": 2}
+    for a, (table_a, leaves_a) in alone.items():
+        assert [row["systems"][a] for row in table] == \
+            [row["systems"][a] for row in table_a]
+        assert [leaf["machine_error"][a] for leaf in leaves] == \
+            [leaf["machine_error"][a] for leaf in leaves_a]
 
 
 def test_analyze_needs_trainable_approach(tmp_path):

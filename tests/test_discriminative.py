@@ -51,6 +51,11 @@ def test_team_config_validation():
         TeamConfig(np.array([[1.0, np.inf], [0.0, 1.0]]))
     with pytest.raises(InputError):
         TeamConfig(np.eye(2), query_cost=-0.1)
+    for cost in (np.nan, np.inf, -np.inf):  # NaN would mean "never query"
+        with pytest.raises(InputError):
+            TeamConfig(np.eye(2), query_cost=cost)
+        with pytest.raises(InputError):
+            TeamConfig.accuracy(2).with_cost(cost)
     team = TeamConfig.accuracy(4, 0.3)
     assert team.num_classes == 4
     assert np.array_equal(team.utility, np.eye(4))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
 from teamopt.discriminative import (TeamConfig, TeamPrediction, decide,
                                     train_joint)
@@ -174,6 +175,53 @@ def test_fixed_voi_cell_scores_decide_on_the_test_split():
     assert cell.error is None and cell.rows == expected
 
 
+def count_fixed_voi_trainings(monkeypatch, log_path):
+    """Log the seed of every `evaluation.train_fixed_voi` call to a file,
+    so that calls made in forked pool workers are counted too."""
+    real = evaluation.train_fixed_voi
+
+    def counted(tr, team, cfg):
+        with open(log_path, "a") as fh:
+            fh.write(f"{cfg.seed}\n")
+        return real(tr, team, cfg)
+
+    monkeypatch.setattr(evaluation, "train_fixed_voi", counted)
+    return lambda: sorted(int(s) for s in log_path.read_text().split())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_voi_approaches_train_fixed_voi_once_per_seed(monkeypatch, tmp_path,
+                                                      jobs):
+    ds = toy_dataset()
+    args = ((0.0, 0.1), (0.5, 2.0), (0, 1))
+    cfg = small_cfg()
+    alone = {a: cost_sweep(ds, (a,), *args, train_cfg=cfg)[0]
+             for a in ("fixed-voi", "joint-voi")}
+    calls = count_fixed_voi_trainings(monkeypatch, tmp_path / "calls")
+    results = cost_sweep(ds, ("joint-voi", "human-only", "fixed-voi"), *args,
+                         train_cfg=cfg, jobs=jobs)
+    assert calls() == [0, 1]
+    shared = {r.approach: r for r in results}
+    for approach, ref in alone.items():
+        assert shared[approach].cells == ref.cells
+        assert shared[approach].records == ref.records
+        assert all(cell.error is None for cell in ref.cells)
+
+
+def test_joint_voi_failure_fails_only_its_cell():
+    ds = toy_dataset()
+    args = ((10.0,), (1.0, 1e308), (0,))  # λ·c overflows in joint-voi
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        fixed, joint = cost_sweep(ds, ("fixed-voi", "joint-voi"), *args,
+                                  train_cfg=small_cfg())
+    assert joint.records == [] and "1e+308" in joint.cells[0].error
+    assert "TrainingError" in joint.cells[0].error
+    alone = cost_sweep(ds, ("fixed-voi",), *args, train_cfg=small_cfg())[0]
+    assert fixed.cells == alone.cells and fixed.cells[0].error is None
+    assert fixed.records == alone.records and len(fixed.records) == 1
+
+
 def test_cost_sweep_records_cell_failures(caplog):
     ds = toy_dataset()
     diverging = TrainConfig(iterations=5, hidden_dims=(4,),
@@ -200,6 +248,11 @@ def test_cost_sweep_input_validation():
         cost_sweep(ds, ("human-only",), (), (1.0,), (0,))
     with pytest.raises(ConfigError):
         cost_sweep(ds, ("human-only",), (0.0,), (1.0,), ())
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            cost_sweep(ds, ("human-only",), (0.0, bad), (1.0,), (0,))
+        with pytest.raises(ConfigError):
+            cost_sweep(ds, ("human-only",), (0.0,), (1.0, bad), (0,))
 
 
 def test_lambda_mode_prefers_count_then_smallest():

@@ -120,6 +120,32 @@ def test_is_distribution():
     assert not is_distribution(np.array([-0.1, 1.1]))
 
 
+def masked_sigmoid(x):
+    """Reference: the per-sign masked form of the stable sigmoid."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_matches_masked_form_bit_for_bit():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
+                        -745.0, 800.0, -800.0, 5e-324, -5e-324, 36.7, -36.7])
+    cases = [special, rng.standard_normal(10_000),
+             rng.standard_normal((5, 320, 5)) * 40.0,
+             rng.uniform(-800.0, 800.0, 10_000),
+             np.asfortranarray(rng.standard_normal((7, 9)) * 5.0).T]
+    for x in cases:
+        got, want = tape.stable_sigmoid(x), masked_sigmoid(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # NaN sign bits included
+    assert tape.stable_sigmoid(0.5).shape == ()
+
+
 # --- tape gradients vs hand-rolled finite differences --------------------
 
 def manual_fd(f, arr, step=1e-6):
@@ -315,6 +341,8 @@ def test_sgd_returns_new_model():
     {"cost_weight": -1.0},
     {"dropout_rate": 1.0},
     {"seed": -1},
+    {"cost_weight": float("nan")},
+    {"cost_weight": float("inf")},
 ])
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
