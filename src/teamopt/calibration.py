@@ -43,7 +43,8 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
     gradient norm < 1e-8, after 200 iterations, or as soon as the
     iterations can only cycle without moving (a, b) (see below), which
     returns what running on to the cap would. Single-class labels yield a
-    degenerate flat calibrator at the smoothed base rate.
+    degenerate flat calibrator at the smoothed base rate. Empty or
+    non-finite scores raise InputError.
     """
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(binary_labels)
@@ -51,6 +52,8 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
         raise ShapeError("scores and labels must be equal-length vectors")
     if len(s) == 0:
         raise InputError("cannot fit calibrator on empty data")
+    if not np.isfinite(s).all():
+        raise InputError("cannot fit calibrator on non-finite scores")
     pos = lab == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
@@ -148,12 +151,6 @@ def calibrate_batch(logits: np.ndarray, cal: PlattCalibrator) -> np.ndarray:
                          f" K={cal.num_classes}")
     s = stable_sigmoid(logits * cal.a + cal.b)
     return s / s.sum(axis=-1, keepdims=True)
-
-
-def calibrate(raw_logits: np.ndarray, cal: PlattCalibrator) -> np.ndarray:
-    """Calibrated class distribution for one instance's logit vector."""
-    return calibrate_batch(np.asarray(raw_logits, dtype=np.float64)[None, :],
-                           cal)[0]
 
 
 def expected_calibration_error(predictions, labels, bins: int = 10) -> float:

@@ -21,20 +21,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (PlattCalibrator, expected_calibration_error,
-                          fit_platt)
+from .calibration import (PlattCalibrator, calibrate_batch,
+                          expected_calibration_error)
 from .data import (Dataset, SynthConfig, generate_synthetic, load_csv,
                    save_csv, split)
-from .discriminative import (TeamConfig, joint_disc_loss_fn, solo_ce_loss,
-                             utility_loss_weights)
+from .discriminative import (TeamConfig, decide, joint_disc_loss_fn,
+                             solo_ce_loss, utility_loss_weights)
 from .errors import ConfigError, ParseError, TeamoptError
 from .evaluation import (APPROACHES, SPLIT_FRACTIONS, _dump_json, cost_sweep,
                          emit_report, human_error_tree, per_class_analysis,
                          tree_to_dict)
-from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
+from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
                        finite_diff_check, init_mlp)
-from .voi import (VoiSystem, CalibratedModel, expected_utility_no_query,
-                  expected_utility_query, joint_voi_batch, joint_voi_loss_fn)
+from .tape import stable_sigmoid
+from .voi import (CalibratedModel, VoiSystem, joint_voi_batch,
+                  joint_voi_loss_fn)
 
 logger = logging.getLogger("teamopt")
 
@@ -218,8 +219,8 @@ def cmd_analyze(config: RunConfig) -> int:
     parts = {name: s.parts(te.X) for name, s in systems.items()}
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = per_class_analysis(systems, te, parts)
-    tree = human_error_tree(te, systems, parts=parts)
+    table = per_class_analysis(parts, te, team.query_cost)
+    tree = human_error_tree(te, parts)
     (out / "per_class.json").write_text(_dump_json(table))
     (out / "error_tree.json").write_text(_dump_json(tree_to_dict(tree)))
     logger.info("wrote %s and %s", out / "per_class.json",
@@ -272,52 +273,87 @@ def _gradcheck_suite(rng: np.random.Generator,
     return worst
 
 
-def _voi_oracle_suite(rng: np.random.Generator) -> float:
-    """Max deviation of the VOI quantities from brute-force enumeration."""
+def to_logit(p):
+    """Logits whose sigmoid stack renormalizes to exactly p."""
+    p = np.asarray(p, dtype=np.float64) / 2.0
+    return np.log(p / (1.0 - p))
+
+
+def dist_system(pa, pb, pg, team: TeamConfig) -> VoiSystem:
+    """A VOI system on two features whose calibrated outputs ignore x and
+    equal the given distributions: p_alpha = pa, p_beta = pb and
+    p_gamma(.|x, h) = pg[h]. Its calibrators are the identity."""
+    K, d = len(pa), 2
+    a = MlpModel((d, K), [np.zeros((d, K))], [to_logit(pa)])
+    b = MlpModel((d, K), [np.zeros((d, K))], [to_logit(pb)])
+    Wg = np.zeros((d + K, K))
+    Wg[d:, :] = to_logit(pg)
+    g = MlpModel((d + K, K), [Wg], [np.zeros(K)])
+    ident = PlattCalibrator.identity(K)
+    return VoiSystem(CalibratedModel(a, ident), CalibratedModel(b, ident),
+                     CalibratedModel(g, ident), team, TrainConfig())
+
+
+def voi_rule_deviation(rng: np.random.Generator, n_systems: int) -> float:
+    """Max deviation of the exact VOI rule from brute-force enumeration.
+
+    Each random system (K cycling through 2, 3, 5; random utility, cost
+    and distributions) goes through `dist_system`, `VoiSystem.parts` and
+    `decide` for every human response, and is compared with a loop over
+    all actions and responses on the distributions it was built from.
+    Returns the max |difference| of u_nq and u_q, or inf when a best
+    action, a query flag or a post-query label differs.
+    """
     worst = 0.0
-    for _ in range(300):
-        K = int(rng.choice([2, 3, 5]))
-        U = rng.uniform(-1.0, 1.0, (K, K))
-        c = float(rng.uniform(0.0, 0.5))
+    for i in range(n_systems):
+        K = (2, 3, 5)[i % 3]
+        U = rng.normal(0.0, 1.0, (K, K)) + 2.0 * np.eye(K)
+        c = float(rng.uniform(0.0, 0.3))
         pa = rng.dirichlet(np.ones(K))
         pb = rng.dirichlet(np.ones(K))
         pg = rng.dirichlet(np.ones(K), size=K)
-        best, u_nq = expected_utility_no_query(pa, U)
-        u_q = expected_utility_query(pb, lambda hh: pg[hh], U, c)
-        # independent enumeration over all actions and responses
-        ref_nq = max(sum(U[a, yy] * pa[yy] for yy in range(K))
-                     for a in range(K))
-        ref_q = sum(pb[hh] * max(sum(U[a, yy] * pg[hh, yy]
-                                     for yy in range(K)) for a in range(K))
-                    for hh in range(K)) - c
-        worst = max(worst, abs(u_nq - ref_nq), abs(u_q - ref_q))
-        if (u_q > u_nq) != (ref_q > ref_nq):
-            return 1.0
-        ref_best = int(np.argmax([sum(U[a, yy] * pa[yy] for yy in range(K))
-                                  for a in range(K)]))
-        if best != ref_best:
-            return 1.0
-    return worst
+        eu = [sum(U[a, y] * pa[y] for y in range(K)) for a in range(K)]
+        post = [[sum(U[a, y] * pg[h, y] for y in range(K))
+                 for a in range(K)] for h in range(K)]
+        u_nq = max(eu)
+        u_q = sum(pb[h] * max(post[h]) for h in range(K)) - c
+        want = [post[h].index(max(post[h])) if u_q > u_nq
+                else eu.index(u_nq) for h in range(K)]
+        # one copy of a random x per response, so `decide` sees every h
+        x = np.repeat(rng.standard_normal((1, 2)), K, axis=0)
+        parts = dist_system(pa, pb, pg, TeamConfig(U, c)).parts(x)
+        labels, queried = decide(parts, np.arange(K), c)
+        if (labels.tolist() != want or (queried != (u_q > u_nq)).any()
+                or (parts.machine != eu.index(u_nq)).any()):
+            return float("inf")
+        worst = max(worst, np.abs(parts.alone_score - u_nq).max(),
+                    np.abs(parts.query_score - c - u_q).max())
+    return float(worst)
 
 
-def _calibration_suite(rng: np.random.Generator) -> float:
-    """ECE of a Platt fit on a synthetic logistic task (2000 samples)."""
+def platt_ece(rng: np.random.Generator) -> float:
+    """ECE (10 bins) of a two-class Platt fit to 2000 logistic samples.
+
+    The raw scores are miscaled logits (z, -z); they go through
+    `PlattCalibrator.fit` and `calibrate_batch`, as a component model's
+    logits do.
+    """
     n = 2000
-    scores = rng.standard_normal(n) * 2.0
-    p_true = 1.0 / (1.0 + np.exp(-(1.5 * scores - 0.3)))
-    labels = (rng.random(n) < p_true).astype(np.int64)
-    fit = fit_platt(scores, labels)
-    p1 = 1.0 / (1.0 + np.exp(-(fit.a * scores + fit.b)))
-    preds = np.column_stack([1.0 - p1, p1])
-    return expected_calibration_error(preds, labels, bins=10)
+    z = rng.normal(0.0, 2.0, n)
+    labels = (rng.random(n) < stable_sigmoid(0.7 * z - 0.4)).astype(np.int64)
+    scores = np.column_stack([-z, z])
+    cal = PlattCalibrator.fit(scores, labels, 2)
+    return expected_calibration_error(calibrate_batch(scores, cal), labels,
+                                      bins=10)
 
 
 def cmd_verify(inject_gradient_fault: bool = False) -> int:
     suites = (
         ("gradcheck", lambda r: _gradcheck_suite(r, inject_gradient_fault),
          1e-4, "max relative error"),
-        ("voi-oracle", _voi_oracle_suite, 1e-12, "max abs deviation"),
-        ("calibration", _calibration_suite, 0.05, "expected calibration error"),
+        ("voi-rule", lambda r: voi_rule_deviation(r, 300), 1e-12,
+         "max abs deviation"),
+        ("calibration", platt_ece, 0.05, "expected calibration error"),
     )
     failed = []
     for name, fn, threshold, label in suites:

@@ -11,7 +11,6 @@ accurate.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,6 @@ import numpy as np
 from .errors import ConfigError, InputError, ParseError
 
 SIMPLEX_SCALE = 2.0  # distance of class means from the origin, in sigmas
-
-
-@dataclass
-class Instance:
-    x: np.ndarray
-    y: int
-    h: int
 
 
 @dataclass
@@ -37,6 +29,8 @@ class Dataset:
     h: np.ndarray  # (n,) int human responses in [0, K)
     num_classes: int
     name: str = "dataset"
+    # planted (hard_hi, hard_lo) x[0] thresholds of a synthetic dataset
+    planted: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -61,12 +55,9 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.X.shape[1]
 
-    def instance(self, i: int) -> Instance:
-        return Instance(self.X[i], int(self.y[i]), int(self.h[i]))
-
     def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.h[idx],
-                       self.num_classes, name or self.name)
+                       self.num_classes, name or self.name, self.planted)
 
     def human_error_rate(self) -> float:
         return float((self.h != self.y).mean())
@@ -137,8 +128,8 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     flips with probability `human_easy_error`. Instances below the
     `hard_region_fraction` quantile form the machine-hard region, where
     features 1..ceil(d/2) are corrupted with Gaussian noise of scale
-    `machine_noise_scale`. The planted x[0] boundaries are recorded in the
-    dataset name.
+    `machine_noise_scale`. The planted x[0] boundaries are the dataset's
+    `planted` field, and are also recorded in its name.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -171,18 +162,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
 
     name = (f"synth[k={K},d={d},n={n},seed={cfg.seed},"
             f"hard_hi={hard_hi!r},hard_lo={hard_lo!r}]")
-    return Dataset(X, y, h, K, name)
-
-
-_BOUNDARY_RE = re.compile(r"hard_hi=([^,]+),hard_lo=([^\]]+)\]")
-
-
-def planted_boundaries(dataset: Dataset) -> tuple[float, float] | None:
-    """Recover (hard_hi, hard_lo) x[0] thresholds from a synthetic name."""
-    m = _BOUNDARY_RE.search(dataset.name)
-    if not m:
-        return None
-    return float(m.group(1)), float(m.group(2))
+    return Dataset(X, y, h, K, name, (hard_hi, hard_lo))
 
 
 def split(dataset: Dataset, fractions: tuple[float, float, float],

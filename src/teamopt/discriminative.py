@@ -94,21 +94,6 @@ def utility_loss_weights(team: TeamConfig) -> np.ndarray:
     return spread * (len(spread) / total)
 
 
-def joint_loss(m_dist: np.ndarray, q_val: float, h: int, y: int,
-               team: TeamConfig, cost_weight: float) -> float:
-    """Mixture-loss value for one instance (reference scalar form)."""
-    w = utility_loss_weights(team)
-    mix = np.asarray(m_dist, dtype=np.float64) * (1.0 - q_val)
-    mix[h] += q_val
-    p_true = max(mix[y], PROB_CLAMP)
-    return float(w[y] * -np.log(p_true) + cost_weight * team.query_cost * q_val)
-
-
-def runtime_query_decision(q_val: float, m_dist: np.ndarray) -> bool:
-    """Query iff (1 - q) * max(m) < q; ties resolve to no query."""
-    return (1.0 - q_val) * float(np.max(m_dist)) < q_val
-
-
 # --- decisions, shared by both system families ---------------------------
 
 @dataclass
@@ -303,28 +288,21 @@ def train_query_policy(m: MlpModel, dataset, team: TeamConfig,
                                    (team.query_cost,))[0]
 
 
-def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig,
-                solo_model: MlpModel | None = None) -> DiscriminativeSystem:
-    """Train m in isolation, then fit the query policy with m frozen.
-
-    `solo_model` short-circuits stage 1 with an already-trained predictor
-    (it must come from `train_solo_model` with the same seed for the run
-    to stay reproducible).
-    """
-    m = solo_model or train_solo_model(dataset, team, cfg)
+def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig
+                ) -> DiscriminativeSystem:
+    """Train m in isolation, then fit the query policy with m frozen."""
+    m = train_solo_model(dataset, team, cfg)
     q = train_query_policy(m, dataset, team, cfg)
     return DiscriminativeSystem(m, q, team, cfg)
 
 
-def joint_disc_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None,
-                       q_override: float | None = None):
+def joint_disc_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
     """Per-instance mixture-loss builder for fit / finite_diff_check.
 
     Expects models {"m", "q"} and batches (X, onehot(h), onehot(y), w[y],
     masks_m, masks_q); the cost term is cfg.cost_weight * c. With
     `cost_weights` (one per replica) the models are replica stacks and
-    the loss is (R, B). `q_override` pins the query probability to a
-    constant and leaves "q" out of the models.
+    the loss is (R, B).
     """
     if cost_weights is None:
         cost_term = cfg.cost_weight * team.query_cost
@@ -335,25 +313,19 @@ def joint_disc_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None,
     def loss_fn(params, batch):
         Xb, oh_h, oh_y, w_y, masks_m, masks_q = batch
         m_probs = tape.softmax(apply_mlp(params["m"], Xb, masks_m))
-        if q_override is None:
-            q_node = _query_node(params["q"], Xb, masks_q)
-        else:
-            q_node = tape.constant(np.full(m_probs.shape[:-1], q_override))
-        return _mixture_nodes(q_node, m_probs, oh_h, oh_y, w_y, cost_term)
+        return _mixture_nodes(_query_node(params["q"], Xb, masks_q), m_probs,
+                              oh_h, oh_y, w_y, cost_term)
 
     return loss_fn
 
 
 def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
-                     cost_weights, q_override: float | None = None
-                     ) -> list[DiscriminativeSystem]:
+                     cost_weights) -> list[DiscriminativeSystem]:
     """End-to-end SGD of m and q on the mixture loss, once per cost weight.
 
     The variants step in lockstep on shared minibatches and dropout
     masks; each system equals what `train_joint` gives with that
-    `cost_weight` alone. `q_override` pins the query probability to a
-    constant (no gradient to q), which reduces training to weighted CE
-    on m.
+    `cost_weight` alone.
     """
     X, y, h = dataset.X, dataset.y, dataset.h
     K = dataset.num_classes
@@ -367,31 +339,24 @@ def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
     q = init_mlp((X.shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD,
                  derive_rng(cfg.seed, STREAM_INIT_Q), cfg.dropout_rate)
     R = len(cost_weights)
-    models = {"m": stack_models([m] * R)}
-    if q_override is None:
-        models["q"] = stack_models([q] * R)
+    models = {"m": stack_models([m] * R), "q": stack_models([q] * R)}
 
     def make_batch(it):
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
         masks_m = sample_dropout_masks(m, len(idx), rng_drop_m)
-        masks_q = None
-        if q_override is None:
-            masks_q = sample_dropout_masks(q, len(idx), rng_drop_q)
+        masks_q = sample_dropout_masks(q, len(idx), rng_drop_q)
         return (X[idx], eye[h[idx]], eye[y[idx]], w[y[idx]], masks_m, masks_q)
 
-    fitted = fit(models, joint_disc_loss_fn(team, cfg, cost_weights,
-                                            q_override),
+    fitted = fit(models, joint_disc_loss_fn(team, cfg, cost_weights),
                  make_batch, cfg, "joint training",
                  [f"cost_weight={lam!r}" for lam in cost_weights])
-    ms = unstack_models(fitted["m"])
-    qs = unstack_models(fitted["q"]) if q_override is None else [q] * R
     return [DiscriminativeSystem(m_r, q_r, team, replace(cfg, cost_weight=lam))
-            for m_r, q_r, lam in zip(ms, qs, cost_weights)]
+            for m_r, q_r, lam in zip(unstack_models(fitted["m"]),
+                                     unstack_models(fitted["q"]),
+                                     cost_weights)]
 
 
-def train_joint(dataset, team: TeamConfig, cfg: TrainConfig,
-                q_override: float | None = None) -> DiscriminativeSystem:
-    """End-to-end SGD of m and q on the mixture loss at `cfg.cost_weight`;
-    see `train_joint_grid` for `q_override`."""
-    return train_joint_grid(dataset, team, cfg, (cfg.cost_weight,),
-                            q_override)[0]
+def train_joint(dataset, team: TeamConfig, cfg: TrainConfig
+                ) -> DiscriminativeSystem:
+    """End-to-end SGD of m and q on the mixture loss at `cfg.cost_weight`."""
+    return train_joint_grid(dataset, team, cfg, (cfg.cost_weight,))[0]

@@ -276,7 +276,8 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     joint-voi cells are one work unit: one fixed-VOI training is scored
     as fixed-voi and warm-starts joint-voi. A failing approach fails only
     its own cell; failed cells are logged and skipped in the averages.
-    Non-finite costs or λ values raise ConfigError.
+    Negative or non-finite costs or λ values raise ConfigError before any
+    cell starts.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in APPROACHES]
@@ -284,8 +285,10 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
         raise ConfigError(f"unknown approaches: {unknown}")
     costs = [float(c) for c in costs]
     lam_grid = [float(v) for v in lambda_grid]
-    if not np.isfinite(costs + lam_grid).all():
-        raise ConfigError("costs and lambda grid must be finite")
+    values = np.array(costs + lam_grid)
+    if not (np.isfinite(values) & (values >= 0)).all():
+        raise ConfigError("costs and lambda grid must be finite and"
+                          " non-negative")
     costs, lam_grid = sorted(set(costs)), sorted(set(lam_grid))
     seeds = [int(s) for s in seeds]
     if not (names and costs and lam_grid and seeds):
@@ -328,24 +331,15 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
 
 # --- analyses ------------------------------------------------------------
 
-def _parts_on(systems: dict, X: np.ndarray, parts: dict | None) -> dict:
-    return parts if parts is not None else {
-        name: s.parts(X) for name, s in systems.items()}
-
-
-def per_class_analysis(systems: dict, dataset: Dataset,
-                       parts: dict | None = None) -> list:
+def per_class_analysis(parts: dict, dataset: Dataset, cost: float) -> list:
     """Per-class machine error, team error and query fraction per system.
 
-    `parts` maps each name to `systems[name].parts(dataset.X)` when the
-    caller already has them; by default they are computed here.
+    `parts` maps each system's name to its `DecisionParts` on
+    `dataset.X`; the team decides at query cost `cost`.
     """
-    parts = _parts_on(systems, dataset.X, parts)
     outputs = {}
-    for name, system in sorted(systems.items()):
-        outputs[name] = (parts[name].machine,
-                         *decide(parts[name], dataset.h,
-                                 system.team.query_cost))
+    for name, p in sorted(parts.items()):
+        outputs[name] = (p.machine, *decide(p, dataset.h, cost))
     rows = []
     for k in range(dataset.num_classes):
         mask = dataset.y == k
@@ -430,23 +424,21 @@ def _best_split(X: np.ndarray, target: np.ndarray, idx: np.ndarray,
     return best[1], float(best[2])
 
 
-def human_error_tree(dataset: Dataset, systems: dict | None = None,
-                     max_depth: int = 2, min_leaf_fraction: float = 0.05,
-                     parts: dict | None = None) -> ErrorRegionTree:
+def human_error_tree(dataset: Dataset, parts: dict | None = None,
+                     max_depth: int = 2, min_leaf_fraction: float = 0.05
+                     ) -> ErrorRegionTree:
     """Greedy CART-style tree predicting where the human errs.
 
-    Leaves carry each system's machine error; `parts` works as in
-    `per_class_analysis`.
+    Leaves carry the machine error of each system in `parts`, which maps
+    a name to that system's `DecisionParts` on `dataset.X`.
     """
     if max_depth < 1:
         raise ConfigError("max_depth must be >= 1")
     if not 0.0 <= min_leaf_fraction < 1.0:
         raise ConfigError("min_leaf_fraction must be in [0, 1)")
-    systems = systems or {}
     n = len(dataset)
     target = dataset.h != dataset.y
-    parts = _parts_on(systems, dataset.X, parts)
-    machine = {name: parts[name].machine for name in sorted(systems)}
+    machine = {name: p.machine for name, p in sorted((parts or {}).items())}
     min_count = max(1, int(np.floor(min_leaf_fraction * n)))
 
     def leaf(idx: np.ndarray) -> ErrorRegionTree:

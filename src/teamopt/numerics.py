@@ -109,10 +109,6 @@ class GradientSet:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def max_abs(self) -> float:
-        parts = [np.abs(g).max(initial=0.0) for g in self.weights + self.biases]
-        return max(parts, default=0.0)
-
 
 def init_mlp(layer_dims, output_head: str, rng: np.random.Generator,
              dropout_rate: float = 0.2) -> MlpModel:
@@ -176,16 +172,6 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     if model.output_head == SOFTMAX_HEAD:
         return stable_softmax(z)
     return tape.stable_sigmoid(z[:, 0])
-
-
-def forward(model: MlpModel, x: np.ndarray):
-    """Single-instance forward: a distribution over K classes, or a scalar."""
-    out = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    return out[0] if model.output_head == SOFTMAX_HEAD else float(out[0])
-
-
-def is_distribution(p: np.ndarray, atol: float = 1e-9) -> bool:
-    return bool((p >= -atol).all() and abs(p.sum() - 1.0) <= atol)
 
 
 # --- tape-side helpers -------------------------------------------------

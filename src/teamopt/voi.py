@@ -23,8 +23,8 @@ from .discriminative import (DecisionParts, TeamConfig, derive_rng,
                              train_solo_model, utility_loss_weights)
 from .errors import InputError, StateError
 from .numerics import (PROB_CLAMP, MlpModel, TrainConfig, apply_mlp, fit,
-                       loss_value, logits_batch, sample_dropout_masks,
-                       stable_softmax, stack_models, unstack_models)
+                       logits_batch, sample_dropout_masks, stack_models,
+                       unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -91,25 +91,6 @@ def gamma_all_input(X: np.ndarray, num_classes: int) -> np.ndarray:
 
 # --- exact decision-time quantities -------------------------------------
 
-def expected_utility_no_query(dist_alpha: np.ndarray, utility: np.ndarray
-                              ) -> tuple[int, float]:
-    """Best action and its expected utility under the label model alone."""
-    eu = np.asarray(utility, dtype=np.float64) @ np.asarray(dist_alpha)
-    best = int(np.argmax(eu))
-    return best, float(eu[best])
-
-
-def expected_utility_query(dist_beta: np.ndarray, gamma_fn, utility: np.ndarray,
-                           cost: float) -> float:
-    """E over responses of the best post-query expected utility, minus cost."""
-    U = np.asarray(utility, dtype=np.float64)
-    total = 0.0
-    for h, p_h in enumerate(np.asarray(dist_beta)):
-        eu = U @ np.asarray(gamma_fn(h), dtype=np.float64)
-        total += p_h * float(eu.max())
-    return total - cost
-
-
 def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
     """The exact rule's quantities for a batch: query iff u_q - c > u_nq.
 
@@ -134,45 +115,6 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
     u_q_base = (pb * inner).sum(axis=1)
     return DecisionParts(best_no_query.astype(np.int64),
                          best_by_h.astype(np.int64), u_q_base, u_nq, True, pa)
-
-
-# --- soft (differentiable) quantities ------------------------------------
-
-def soft_expected_utilities(pa: np.ndarray, pb: np.ndarray, pg_rows: np.ndarray,
-                            utility: np.ndarray, tau: float
-                            ) -> tuple[float, float, float]:
-    """Soft u_nq, u_q and query probability from explicit distributions.
-
-    pg_rows[h] is the label distribution after observing response h. Each
-    hard max over actions becomes a softmax_tau-weighted average, and the
-    query probability is the two-way softmax of (u_q, u_nq). Costs stay
-    out of u_q here; they re-enter through the q*c loss term.
-    """
-    U = np.asarray(utility, dtype=np.float64)
-    eu_nq = U @ np.asarray(pa)
-    u_nq = float(eu_nq @ stable_softmax(eu_nq, tau))
-    eu_q = np.asarray(pg_rows) @ U.T  # (K, K): [h, action]
-    inner = (eu_q * stable_softmax(eu_q, tau)).sum(axis=1)
-    u_q = float(np.asarray(pb) @ inner)
-    q = float(tape.stable_sigmoid((u_q - u_nq) / tau))
-    return u_nq, u_q, q
-
-
-def soft_team_quantities(system: VoiSystem, x: np.ndarray,
-                         utility: np.ndarray | None = None,
-                         tau: float | None = None
-                         ) -> tuple[float, float, float]:
-    """(u_nq_soft, u_q_soft, q_soft) for one instance, networks without
-    dropout."""
-    system.require_calibrated()
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    U = system.team.utility if utility is None else utility
-    t = system.train_cfg.softmax_temperature if tau is None else tau
-    K = system.num_classes
-    pa = system.p_alpha.predict_batch(x)[0]
-    pb = system.p_beta.predict_batch(x)[0]
-    pg = system.p_gamma.predict_batch(gamma_all_input(x, K))
-    return soft_expected_utilities(pa, pb, pg, U, t)
 
 
 # --- joint training ------------------------------------------------------
@@ -263,18 +205,6 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
         return ce + lam_c * q
 
     return loss_fn
-
-
-def joint_voi_loss(system: VoiSystem, instance, team: TeamConfig,
-                   cfg: TrainConfig) -> float:
-    """Reference single-instance loss value (no dropout)."""
-    system.require_calibrated()
-    batch = joint_voi_batch(system, instance.x[None, :],
-                            np.array([instance.h]), np.array([instance.y]),
-                            team)
-    models = {"alpha": system.p_alpha.model, "beta": system.p_beta.model,
-              "gamma": system.p_gamma.model}
-    return loss_value(models, batch, joint_voi_loss_fn(team, cfg))
 
 
 def _calibration_split(dataset, seed: int):

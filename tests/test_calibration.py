@@ -5,13 +5,19 @@ import pytest
 from scipy import optimize
 
 from teamopt import calibration, tape
-from teamopt.calibration import (PlattCalibrator, calibrate, calibrate_batch,
+from teamopt.calibration import (PlattCalibrator, calibrate_batch,
                                  expected_calibration_error, fit_platt)
 from teamopt.errors import ConfigError, InputError, ShapeError
 
 # frozen: sigmoid(2) / (sigmoid(2) + sigmoid(0)) and its complement
 CAL_20_HI = 0.6378903113466692
 CAL_20_LO = 0.36210968865333093
+
+
+def calibrate(raw_logits, cal):
+    """Calibrated class distribution for one instance's logit vector."""
+    return calibrate_batch(np.asarray(raw_logits, dtype=np.float64)[None, :],
+                           cal)[0]
 
 
 def smoothed_nll(scores, labels):
@@ -190,6 +196,12 @@ def test_fit_input_validation():
         fit_platt(np.zeros(3), np.zeros(4))
     with pytest.raises(InputError):
         fit_platt(np.zeros(0), np.zeros(0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="non-finite"):
+            fit_platt(np.array([bad, 1.0, 2.0, -1.0]), np.array([1, 0, 1, 0]))
+        with pytest.raises(InputError, match="non-finite"):
+            PlattCalibrator.fit(np.array([[0.0, bad], [1.0, 0.0]]),
+                                np.array([0, 1]), 2)
 
 
 # --- calibrate -------------------------------------------------------------

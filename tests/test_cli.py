@@ -3,14 +3,15 @@
 import json
 import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from teamopt import evaluation, voi
+from teamopt import cli, evaluation, voi
 from teamopt.cli import (DEFAULT_COSTS, DEFAULT_LAMBDA_GRID, RunConfig,
-                         apply_overrides, build_parser, config_from_dict,
-                         load_config, main)
+                         apply_overrides, build_parser, cmd_verify,
+                         config_from_dict, load_config, main)
 from teamopt.data import load_csv
 from teamopt.errors import ConfigError
 from teamopt.evaluation import APPROACHES
@@ -179,6 +180,14 @@ def test_sweep_missing_config_exits_two(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_sweep_negative_cost_or_lambda_exits_two_before_training(tmp_path):
+    out = tmp_path / "neg"
+    cfg = tiny_config(out, approaches=["human-only", "joint-disc"],
+                      costs=[-0.1, 0.1], lambda_grid=[-1.0, 1.0])
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert not out.exists()  # rejected before any cell ran or report was due
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(out))
@@ -259,3 +268,31 @@ def test_analyze_needs_trainable_approach(tmp_path):
 def test_verify_passes_and_detects_injected_fault():
     assert main(["verify"]) == 0
     assert main(["verify", "--inject-gradient-fault"]) == 1
+
+
+def _shift_query_score(monkeypatch):
+    real = voi.voi_decision_parts
+
+    def shifted(system, X):
+        parts = real(system, X)
+        return replace(parts, query_score=parts.query_score + 0.05)
+
+    monkeypatch.setattr(voi, "voi_decision_parts", shifted)
+
+
+def _double_calibration_logits(monkeypatch):
+    real = cli.calibrate_batch
+    monkeypatch.setattr(cli, "calibrate_batch",
+                        lambda logits, cal: real(2.0 * logits, cal))
+
+
+@pytest.mark.parametrize("mutate, suite", [
+    (_shift_query_score, "voi-rule"),
+    (_double_calibration_logits, "calibration"),
+])
+def test_verify_fails_when_the_checked_code_is_broken(monkeypatch, caplog,
+                                                      mutate, suite):
+    mutate(monkeypatch)
+    with caplog.at_level(logging.ERROR, logger="teamopt"):
+        assert cmd_verify() == 1
+    assert f"verification failed: {suite}" in caplog.text

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from teamopt.data import (Dataset, SynthConfig, generate_synthetic, load_csv,
-                          planted_boundaries, save_csv, split)
+                          save_csv, split)
 from teamopt.errors import ConfigError, InputError, ParseError
 
 
@@ -30,7 +30,7 @@ def test_human_errors_concentrate_in_planted_region():
                       class_priors=(0.5, 0.3, 0.2), human_easy_error=0.02,
                       human_hard_error=0.8, hard_region_fraction=0.1, seed=3)
     ds = generate_synthetic(cfg)
-    hard_hi, _ = planted_boundaries(ds)
+    hard_hi, _ = ds.planted
     errors = ds.h != ds.y
     inside = float((errors & (ds.X[:, 0] > hard_hi)).sum() / errors.sum())
     assert abs(inside - 0.8163) < 0.05
@@ -57,7 +57,7 @@ def test_class_priors_are_respected():
 def test_machine_hard_region_has_corrupted_features():
     cfg = small_cfg(n=4000, machine_noise_scale=2.0, seed=2)
     ds = generate_synthetic(cfg)
-    _, hard_lo = planted_boundaries(ds)
+    _, hard_lo = ds.planted
     low = ds.X[:, 0] < hard_lo
     # scale-2 corruption adds ~4 to the variance of feature 1 inside
     assert ds.X[low, 1].var() > ds.X[~low, 1].var() + 2.0
@@ -72,11 +72,13 @@ def test_human_hard_flips_go_to_a_wrong_class():
 
 def test_planted_boundaries_recoverable():
     ds = generate_synthetic(small_cfg())
-    hi, lo = planted_boundaries(ds)
+    hi, lo = ds.planted
     assert lo < hi
     assert abs((ds.X[:, 0] > hi).mean() - 0.1) < 0.02
-    assert planted_boundaries(Dataset(np.zeros((2, 1)), [0, 1], [0, 1],
-                                      2, "plain")) is None
+    assert f"hard_hi={hi!r},hard_lo={lo!r}]" in ds.name
+    assert ds.subset(np.arange(5), "head").planted == (hi, lo)
+    assert Dataset(np.zeros((2, 1)), [0, 1], [0, 1], 2, "plain").planted \
+        is None
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -161,6 +163,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.h, ds.h)
     assert back.num_classes == ds.num_classes
+    assert back.planted is None
 
 
 def test_load_csv_small_hand_file(tmp_path):
@@ -213,5 +216,4 @@ def test_subset_and_instance_access():
     sub = ds.subset(np.array([4, 1]), "picked")
     assert sub.name == "picked" and len(sub) == 2
     assert sub.X[0, 0] == 4.0
-    inst = ds.instance(3)
-    assert inst.y == ds.y[3] and inst.x[0] == 3.0
+    assert ds.X[3, 0] == 3.0 and sub.y[1] == ds.y[1]

@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import runtime_query_decision
+from teamopt import tape
 from teamopt.data import Dataset
-from teamopt.discriminative import (DiscriminativeSystem, TeamConfig,
-                                    decide, derive_rng, joint_loss,
-                                    runtime_query_decision, team_predict,
-                                    train_fixed, train_joint,
-                                    train_query_policy, train_solo_model,
+from teamopt.discriminative import (TeamConfig, _mixture_nodes, decide,
+                                    derive_rng, team_predict, train_fixed,
+                                    train_joint, train_solo_model,
                                     utility_loss_weights)
 from teamopt.errors import InputError, QueryError, TrainingError
 from teamopt.numerics import PROB_CLAMP, TrainConfig, forward_batch
@@ -19,6 +19,17 @@ from teamopt.numerics import PROB_CLAMP, TrainConfig, forward_batch
 JOINT_LOSS_MIX = 0.3376820724517809
 # frozen: (2/3) * -ln(0.1)
 JOINT_LOSS_WRONG = 1.5350567286626973
+
+
+def joint_loss(m_dist, q_val, h, y, team, cost_weight):
+    """One instance's mixture loss, built by the trainers' loss nodes."""
+    eye = np.eye(len(m_dist))
+    w = utility_loss_weights(team)
+    loss = _mixture_nodes(tape.constant(np.array([q_val])),
+                          tape.constant(np.array([m_dist], dtype=np.float64)),
+                          eye[[h]], eye[[y]], w[[y]],
+                          cost_weight * team.query_cost)
+    return float(loss.data[0])
 
 
 def noise_dataset(n=300, k=3, d=4, seed=11):
@@ -201,14 +212,6 @@ def test_joint_query_rate_responds_to_cost():
     assert q_costly.mean() < 0.1
 
 
-def test_pinned_query_probability_reduces_to_solo_training():
-    ds = noise_dataset()
-    cfg = TrainConfig(iterations=60, hidden_dims=(8,), seed=7)
-    solo = train_solo_model(ds, TeamConfig.accuracy(3), cfg)
-    joint = train_joint(ds, TeamConfig.accuracy(3), cfg, q_override=0.0)
-    assert models_equal(solo, joint.m)
-
-
 def test_cost_weight_and_query_cost_enter_as_product():
     ds = noise_dataset()
     a = train_joint(ds, TeamConfig.accuracy(3, 0.1),
@@ -218,15 +221,6 @@ def test_cost_weight_and_query_cost_enter_as_product():
                     TrainConfig(iterations=60, hidden_dims=(8,), seed=7,
                                 cost_weight=1.0))
     assert models_equal(a.m, b.m) and models_equal(a.q, b.q)
-
-
-def test_fixed_short_circuit_reuses_solo_model():
-    ds = noise_dataset()
-    cfg = TrainConfig(iterations=60, hidden_dims=(8,), seed=7)
-    solo = train_solo_model(ds, TeamConfig.accuracy(3), cfg)
-    f1 = train_fixed(ds, TeamConfig.accuracy(3), cfg)
-    f2 = train_fixed(ds, TeamConfig.accuracy(3), cfg, solo_model=solo)
-    assert models_equal(f1.m, f2.m) and models_equal(f1.q, f2.q)
 
 
 def test_training_is_seed_deterministic():

@@ -248,7 +248,7 @@ def test_cost_sweep_input_validation():
         cost_sweep(ds, ("human-only",), (), (1.0,), (0,))
     with pytest.raises(ConfigError):
         cost_sweep(ds, ("human-only",), (0.0,), (1.0,), ())
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, -0.1, -1.0):
         with pytest.raises(ConfigError):
             cost_sweep(ds, ("human-only",), (0.0, bad), (1.0,), (0,))
         with pytest.raises(ConfigError):
@@ -268,12 +268,12 @@ def test_per_class_analysis_counts_and_absent_class():
     ds = toy_dataset(k=4)  # labels only ever reach 2: class 3 stays empty
     team = TeamConfig.accuracy(4, 0.05)
     disc = train_joint(ds, team, small_cfg())
-    rows = per_class_analysis({"disc": disc}, ds)
+    parts = disc.parts(ds.X)
+    rows = per_class_analysis({"disc": parts}, ds, team.query_cost)
     assert [row["class"] for row in rows] == [0, 1, 2, 3]
     assert sum(row["count"] for row in rows) == len(ds)
     assert rows[3]["count"] == 0
     assert rows[3]["systems"]["disc"]["machine_error"] is None
-    parts = disc.parts(ds.X)
     machine = parts.machine
     team_lbl, queried = decide(parts, ds.h, team.query_cost)
     mask = ds.y == 1
@@ -320,8 +320,9 @@ def test_error_tree_attaches_system_error_rates():
     ds, _ = planted_error_dataset()
     team = TeamConfig.accuracy(2, 0.05)
     disc = train_joint(ds, team, small_cfg())
-    tree = human_error_tree(ds, systems={"disc": disc}, max_depth=1)
-    machine = disc.parts(ds.X).machine
+    parts = disc.parts(ds.X)
+    tree = human_error_tree(ds, {"disc": parts}, max_depth=1)
+    machine = parts.machine
     for leaf in tree.leaves():
         assert set(leaf.leaf_stats["machine_error"]) == {"disc"}
         assert 0.0 <= leaf.leaf_stats["machine_error"]["disc"] <= 1.0

@@ -6,60 +6,28 @@ import numpy as np
 import pytest
 
 import teamopt.voi as voi_mod
+from oracles import soft_expected_utilities, soft_team_quantities
 from teamopt.calibration import PlattCalibrator
+from teamopt.cli import dist_system, voi_rule_deviation
 from teamopt.data import Dataset
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     team_predict)
 from teamopt.errors import InputError, QueryError, StateError, TrainingError
 from teamopt.numerics import (SIGMOID_HEAD, MlpModel, TrainConfig,
-                              finite_diff_check, init_mlp)
+                              finite_diff_check, init_mlp, loss_value)
 from teamopt.voi import (CalibratedModel, VoiSystem, _calibration_split,
-                         expected_utility_no_query, expected_utility_query,
                          gamma_all_input, gamma_input, joint_voi_batch,
-                         joint_voi_loss, joint_voi_loss_fn,
-                         soft_expected_utilities, soft_team_quantities,
-                         train_fixed_voi, train_joint_voi,
+                         joint_voi_loss_fn, train_fixed_voi, train_joint_voi,
                          voi_decision_parts)
 
 # frozen: 0.9*sigmoid(0.8) + 0.1*(1 - sigmoid(0.8))
 SOFT_U_NQ_EXAMPLE = 0.6519795849020901
 
 
-def to_logit(p):
-    """Logits whose sigmoid stack renormalizes to exactly p."""
-    p = np.asarray(p, dtype=np.float64) / 2.0
-    return np.log(p / (1.0 - p))
-
-
-def dist_system(pa, pb, pg, team, d=2, cfg=None):
-    """System whose calibrated outputs ignore x and equal the given dists."""
-    K = len(pa)
-    cfg = cfg or TrainConfig()
-    a = MlpModel((d, K), [np.zeros((d, K))], [to_logit(pa)])
-    b = MlpModel((d, K), [np.zeros((d, K))], [to_logit(pb)])
-    Wg = np.zeros((d + K, K))
-    Wg[d:, :] = to_logit(pg)
-    g = MlpModel((d + K, K), [Wg], [np.zeros(K)])
-    ident = PlattCalibrator.identity(K)
-    return VoiSystem(CalibratedModel(a, ident), CalibratedModel(b, ident),
-                     CalibratedModel(g, ident), team, cfg)
-
-
-def brute_force_voi(system, x, cost):
-    """Pure-python enumeration of u_nq, u_q and the best action."""
-    K = system.num_classes
-    U = system.team.utility
-    pa = system.p_alpha.predict_batch(x[None, :])[0]
-    pb = system.p_beta.predict_batch(x[None, :])[0]
-    eu = [sum(pa[y] * U[a, y] for y in range(K)) for a in range(K)]
-    u_nq = max(eu)
-    u_q = -cost
-    for h in range(K):
-        pg = system.p_gamma.predict_batch(
-            gamma_input(x[None, :], np.array([h]), K))[0]
-        u_q += pb[h] * max(sum(pg[y] * U[a, y] for y in range(K))
-                           for a in range(K))
-    return eu.index(u_nq), u_nq, u_q
+def parts_of(pa, pb, pg, U):
+    """Decision parts of the system whose calibrated outputs are pa, pb and
+    pg[h], on one instance."""
+    return dist_system(pa, pb, pg, TeamConfig(U)).parts(np.zeros((1, 2)))
 
 
 def toy_dataset(n=150, seed=5):
@@ -101,36 +69,37 @@ def test_gamma_all_input_is_response_major():
 # --- exact expected utilities --------------------------------------------------
 
 def test_no_query_utility_examples():
-    assert expected_utility_no_query(np.array([0.5, 0.5]), np.eye(2)) == (0, 0.5)
-    assert expected_utility_no_query(np.array([0.9, 0.1]), np.eye(2)) == (0, 0.9)
+    uniform = [[0.5, 0.5], [0.5, 0.5]]
     U = np.array([[1.0, -1.0], [0.0, 1.0]])
-    best, u = expected_utility_no_query(np.array([0.6, 0.4]), U)
-    assert best == 1 and abs(u - 0.4) < 1e-15
+    for pa, util, best, u_nq in (([0.5, 0.5], np.eye(2), 0, 0.5),
+                                 ([0.9, 0.1], np.eye(2), 0, 0.9),
+                                 ([0.6, 0.4], U, 1, 0.4)):
+        parts = parts_of(pa, [0.5, 0.5], uniform, util)
+        assert parts.machine[0] == best
+        assert abs(parts.alone_score[0] - u_nq) < 1e-15
 
 
 def test_query_utility_example():
-    gamma = {0: np.array([0.8, 0.2]), 1: np.array([0.4, 0.6])}
-    u_q = expected_utility_query(np.array([0.7, 0.3]), lambda h: gamma[h],
-                                 np.eye(2), cost=0.1)
-    assert abs(u_q - 0.64) < 1e-15
+    parts = parts_of([0.5, 0.5], [0.7, 0.3], [[0.8, 0.2], [0.4, 0.6]],
+                     np.eye(2))
+    assert abs(parts.query_score[0] - 0.1 - 0.64) < 1e-15  # u_q at c=0.1
 
 
 def test_query_utility_perfect_human_is_one_minus_cost():
-    eye = np.eye(3)
-    u_q = expected_utility_query(np.array([0.2, 0.5, 0.3]), lambda h: eye[h],
-                                 np.eye(3), cost=0.25)
-    assert abs(u_q - 0.75) < 1e-12
+    # dist_system needs positive probabilities: the human errs with 2e-12
+    eye = np.eye(3) * (1.0 - 3e-12) + 1e-12
+    parts = parts_of([0.2, 0.5, 0.3], [0.2, 0.5, 0.3], eye, np.eye(3))
+    assert abs(parts.query_score[0] - 0.25 - 0.75) < 1e-11
+    assert parts.by_response[0].tolist() == [0, 1, 2]
 
 
 def test_query_utility_uninformative_human_ties_exactly():
     # p_gamma(.|x,h) == p_alpha for every h and c=0: querying adds nothing,
     # and the strict rule therefore declines the tie
-    pa = np.array([0.5, 0.5])
-    _, u_nq = expected_utility_no_query(pa, np.eye(2))
-    u_q = expected_utility_query(np.array([0.5, 0.5]), lambda h: pa,
-                                 np.eye(2), cost=0.0)
-    assert u_q == u_nq
-    assert not u_q > u_nq
+    pa = [0.5, 0.5]
+    parts = parts_of(pa, [0.5, 0.5], [pa, pa], np.eye(2))
+    assert parts.query_score[0] == parts.alone_score[0]
+    assert not parts.queried(0.0)[0]
 
 
 # --- system-level decisions -----------------------------------------------------
@@ -170,14 +139,13 @@ def test_decide_batch_matches_single_rule_and_cost_override():
 
 def test_query_set_shrinks_as_cost_grows():
     rng = np.random.default_rng(14)
-    X = rng.standard_normal((40, 3))
+    X = rng.standard_normal((40, 2))
     systems = []
     for i in range(4):
         pa = rng.dirichlet(np.ones(3))
         pb = rng.dirichlet(np.ones(3))
         pg = rng.dirichlet(np.ones(3), size=3)
-        systems.append(dist_system(pa, pb, pg, TeamConfig.accuracy(3, 0.0),
-                                   d=3))
+        systems.append(dist_system(pa, pb, pg, TeamConfig.accuracy(3, 0.0)))
     for system in systems:
         parts = system.parts(X)
         prev = None
@@ -189,22 +157,7 @@ def test_query_set_shrinks_as_cost_grows():
 
 
 def test_random_systems_match_brute_force():
-    rng = np.random.default_rng(20)
-    for _ in range(100):
-        K = int(rng.choice([2, 3, 5]))
-        system = dist_system(rng.dirichlet(np.ones(K)),
-                             rng.dirichlet(np.ones(K)),
-                             rng.dirichlet(np.ones(K), size=K),
-                             TeamConfig(rng.uniform(-1, 1, (K, K)),
-                                        rng.uniform(0, 0.5)), d=3)
-        x = rng.standard_normal(3)
-        c = system.team.query_cost
-        parts = system.parts(x[None, :])
-        best, u_nq, u_q = brute_force_voi(system, x, c)
-        assert abs(parts.alone_score[0] - u_nq) < 1e-12
-        assert abs(parts.query_score[0] - c - u_q) < 1e-12
-        assert parts.machine[0] == best
-        assert bool(parts.queried(c)[0]) == (u_q > u_nq)
+    assert voi_rule_deviation(np.random.default_rng(20), 100) < 1e-12
 
 
 def test_uncalibrated_system_is_rejected():
@@ -302,8 +255,7 @@ def test_soft_u_nq_never_exceeds_exact_maximum():
         u_soft, _, _ = soft_expected_utilities(
             pa, rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K), size=K),
             U, tau=rng.uniform(0.05, 2.0))
-        _, u_exact = expected_utility_no_query(pa, U)
-        assert u_soft <= u_exact + 1e-12
+        assert u_soft <= (U @ pa).max() + 1e-12
 
 
 def test_soft_quantities_approach_exact_at_low_temperature():
@@ -319,7 +271,7 @@ def test_soft_quantities_approach_exact_at_low_temperature():
             gaps += [np.diff(np.sort(r)).min() for r in pg @ U.T]
             if min(gaps) > 0.02:
                 break
-        system = dist_system(pa, pb, pg, TeamConfig(U, 0.0), d=2)
+        system = dist_system(pa, pb, pg, TeamConfig(U, 0.0))
         x = rng.standard_normal(2)
         u_nq_s, u_q_s, _ = soft_team_quantities(system, x, tau=1e-3)
         parts = voi_decision_parts(system, x[None, :])
@@ -346,14 +298,18 @@ def test_joint_loss_matches_numpy_reference():
     team = TeamConfig.accuracy(3, 0.05)
     cfg = TrainConfig(iterations=30, hidden_dims=(6,), seed=9)
     system = train_fixed_voi(ds, team, cfg)
-    inst = ds.instance(7)
-    loss = joint_voi_loss(system, inst, team, cfg)
-    _, _, q = soft_team_quantities(system, inst.x)
-    pa = system.p_alpha.predict_batch(inst.x[None, :])[0]
+    x, y, h = ds.X[7], int(ds.y[7]), int(ds.h[7])
+    batch = joint_voi_batch(system, x[None, :], np.array([h]), np.array([y]),
+                            team)
+    models = {"alpha": system.p_alpha.model, "beta": system.p_beta.model,
+              "gamma": system.p_gamma.model}
+    loss = loss_value(models, batch, joint_voi_loss_fn(team, cfg))
+    _, _, q = soft_team_quantities(system, x)
+    pa = system.p_alpha.predict_batch(x[None, :])[0]
     pg_h = system.p_gamma.predict_batch(
-        gamma_input(inst.x[None, :], np.array([inst.h]), 3))[0]
+        gamma_input(x[None, :], np.array([h]), 3))[0]
     mix = q * pg_h + (1.0 - q) * pa
-    ref = -np.log(mix[inst.y]) + cfg.cost_weight * team.query_cost * q
+    ref = -np.log(mix[y]) + cfg.cost_weight * team.query_cost * q
     assert abs(loss - ref) < 1e-9
 
 
