@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
-from .tape import stable_sigmoid
+from .numerics import stable_sigmoid
 
 _P_EPS = 1e-12
 _GRAD_TOL = 1e-8

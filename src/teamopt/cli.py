@@ -28,12 +28,12 @@ from .data import (Dataset, SynthConfig, generate_synthetic, load_csv,
 from .discriminative import (TeamConfig, decide, joint_disc_loss_fn,
                              solo_ce_loss, utility_loss_weights)
 from .errors import ConfigError, ParseError, TeamoptError
-from .evaluation import (APPROACHES, SPLIT_FRACTIONS, _dump_json, cost_sweep,
-                         emit_report, human_error_tree, per_class_analysis,
-                         tree_to_dict)
+from .evaluation import (APPROACHES, SPLIT_FRACTIONS, _dump_json, _write,
+                         cost_sweep, emit_report, human_error_tree,
+                         per_class_analysis, tree_to_dict)
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
-                       finite_diff_check, init_mlp)
-from .tape import stable_sigmoid
+                       finite_diff_check, init_mlp, stable_sigmoid,
+                       stack_models)
 from .voi import (CalibratedModel, VoiSystem, joint_voi_batch,
                   joint_voi_loss_fn)
 
@@ -221,8 +221,8 @@ def cmd_analyze(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table = per_class_analysis(parts, te, team.query_cost)
     tree = human_error_tree(te, parts)
-    (out / "per_class.json").write_text(_dump_json(table))
-    (out / "error_tree.json").write_text(_dump_json(tree_to_dict(tree)))
+    _write(out / "per_class.json", _dump_json(table))
+    _write(out / "error_tree.json", _dump_json(tree_to_dict(tree)))
     logger.info("wrote %s and %s", out / "per_class.json",
                 out / "error_tree.json")
     return 0
@@ -235,21 +235,21 @@ def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
                      ) -> float:
     """Max FD relative error of the three training losses at one random
     point: solo CE, the joint-disc mixture and the joint-VOI loss, each
-    built by the function its trainer uses. Networks are d=4, 5 hidden."""
+    built by the function its trainer uses and run on R=1 stacks.
+    Networks are d=4, 5 hidden."""
     K, d, hid = team.num_classes, 4, 5
     w = utility_loss_weights(team)
-    eye = np.eye(K)
     X = rng.standard_normal((batch_size, d))
     y = rng.integers(0, K, batch_size)
     h = rng.integers(0, K, batch_size)
-    m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-    q = init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)
+    m = stack_models([init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)])
+    q = stack_models([init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)])
     cfg = TrainConfig(cost_weight=cost_weight, softmax_temperature=tau,
                       dropout_rate=0.0)
-    worst = finite_diff_check({"m": m}, (X, eye[y], w[y], None),
-                              solo_ce_loss)
+    worst = finite_diff_check({"m": m}, (X, y, w[y], None), solo_ce_loss)
+    hit = (h == y).astype(np.float64)
     worst = max(worst, finite_diff_check(
-        {"m": m, "q": q}, (X, eye[h], eye[y], w[y], None, None),
+        {"m": m, "q": q}, (X, y, hit, w[y], None, None),
         joint_disc_loss_fn(team, cfg)))
     a_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
     b_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
@@ -257,9 +257,11 @@ def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
     cal = PlattCalibrator.identity(K)
     system = VoiSystem(CalibratedModel(a_m, cal), CalibratedModel(b_m, cal),
                        CalibratedModel(g_m, cal), team, cfg)
+    models = {"alpha": stack_models([a_m]), "beta": stack_models([b_m]),
+              "gamma": stack_models([g_m])}
     return max(worst, finite_diff_check(
-        {"alpha": a_m, "beta": b_m, "gamma": g_m},
-        joint_voi_batch(system, X, h, y, team), joint_voi_loss_fn(team, cfg)))
+        models, joint_voi_batch(system, X, h, y, team),
+        joint_voi_loss_fn(team, cfg)))
 
 
 def _gradcheck_suite(rng: np.random.Generator,

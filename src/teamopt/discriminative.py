@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tape
-from .errors import InputError, QueryError
+from .errors import InputError, NumericError, QueryError
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                       TrainConfig, apply_mlp, fit, forward_batch, init_mlp,
-                       sample_dropout_masks, stack_models, unstack_models)
+                       TrainConfig, fit, forward_batch, init_mlp,
+                       mlp_backward, mlp_forward, sample_dropout_masks,
+                       stable_sigmoid, stable_softmax, stack_models,
+                       unstack_models)
 
 # Deterministic rng stream ids; stage-1/solo training of m must share the
 # m streams with joint training so the q-frozen trajectories coincide.
@@ -102,7 +103,8 @@ class DecisionParts:
 
     Instance i is queried iff query_score[i] - c > alone_score[i], where c
     is the query cost if `cost_applies` and 0 otherwise; ties do not
-    query. A queried instance takes by_response[i, h] for the human
+    query, and a NaN or infinite score raises NumericError rather than
+    deciding. A queried instance takes by_response[i, h] for the human
     response h, any other machine[i]. One pass over a batch thus serves
     a whole grid of query costs.
     """
@@ -116,6 +118,12 @@ class DecisionParts:
     q_soft: np.ndarray | None = None  # (n,) soft query score, if any
 
     def queried(self, cost: float) -> np.ndarray:
+        for name in ("query_score", "alone_score"):
+            bad = ~np.isfinite(getattr(self, name))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NumericError(f"non-finite {name} at instance {i}",
+                                   index=i)
         c = cost if self.cost_applies else 0.0
         return self.query_score - c > self.alone_score
 
@@ -124,7 +132,8 @@ def decide(parts: DecisionParts, h: np.ndarray, cost: float
            ) -> tuple[np.ndarray, np.ndarray]:
     """(team labels, query flags) given every instance's human response.
 
-    Raises QueryError on a response outside [0, K).
+    Raises QueryError on a response outside [0, K), NumericError on a
+    non-finite score.
     """
     h = np.asarray(h)
     if h.shape != parts.machine.shape:
@@ -186,13 +195,25 @@ def _batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return rng.choice(n, size=min(size, n), replace=False)
 
 
-def solo_ce_loss(params, batch):
-    """Per-instance weighted CE of model "m" on batches
-    (X, onehot(targets), w[targets], dropout masks)."""
-    X, onehot_y, w_y, masks = batch
-    probs = tape.softmax(apply_mlp(params["m"], X, masks))
-    p_true = tape.sum_(probs * tape.constant(onehot_y), axis=-1)
-    return tape.constant(w_y) * -tape.log(tape.clamp_min(p_true, PROB_CLAMP))
+def solo_ce_loss(models, batch):
+    """Per-instance weighted CE of the replica stack "m" and its backward
+    (the `loss_and_grad` contract), on batches (X, targets, w[targets],
+    dropout masks)."""
+    X, t, w_t, masks = batch
+    z, cache = mlp_forward(models["m"], X, masks)
+    p = stable_softmax(z)
+    rows = np.arange(len(t))
+    p_t = p[:, rows, t]
+    per = w_t * -np.log(np.maximum(p_t, PROB_CLAMP))
+
+    def backward(g):
+        # d(-log softmax(z)[t])/dz = p - onehot(t); nothing past the clamp
+        coef = g * w_t * (p_t > PROB_CLAMP)
+        d = p * coef[..., None]
+        d[:, rows, t] -= coef
+        return {"m": mlp_backward(cache, d)}
+
+    return per, backward
 
 
 def train_solo_model(dataset, team: TeamConfig, cfg: TrainConfig,
@@ -216,31 +237,66 @@ def train_solo_model(dataset, team: TeamConfig, cfg: TrainConfig,
     rng_batch = derive_rng(cfg.seed, streams[1])
     rng_drop = derive_rng(cfg.seed, streams[2])
     model = init_mlp(dims, SOFTMAX_HEAD, rng_init, cfg.dropout_rate)
-    eye = np.eye(K)
 
     def make_batch(it):
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
         masks = sample_dropout_masks(model, len(idx), rng_drop)
-        return (X[idx], eye[t[idx]], w[t[idx]], masks)
+        return (X[idx], t[idx], w[t[idx]], masks)
 
     fitted = fit({"m": stack_models([model])}, solo_ce_loss, make_batch, cfg,
                  "solo training")
     return unstack_models(fitted["m"])[0]
 
 
-def _mixture_nodes(q_node, m_probs, onehot_h, onehot_y, w_y, cost_term):
-    """Per-instance mixture loss; `cost_term` is lambda * c, a float or an
-    (R, 1) column with one value per replica."""
-    q_col = tape.reshape(q_node, q_node.shape + (1,))
-    mix = q_col * tape.constant(onehot_h) + (1.0 - q_col) * m_probs
-    p_true = tape.sum_(mix * tape.constant(onehot_y), axis=-1)
-    ce = tape.constant(w_y) * -tape.log(tape.clamp_min(p_true, PROB_CLAMP))
-    return ce + cost_term * q_node
+def mixture_loss(q, p_human, p_machine, w_y, cost_term):
+    """Per-instance mixture loss and its backward.
+
+    The loss is w[y] * -log(q * p_human + (1 - q) * p_machine) + cost_term
+    * q, the mixture probability floored at PROB_CLAMP; p_human and
+    p_machine are the probabilities the human and the machine branch give
+    the true label ([h == y] and m(x)[y] here, p_gamma(y|x,h) and
+    p_alpha(y|x) for the VOI family). `cost_term` is lambda * c, a float
+    or an (R, 1) column with one value per replica. The backward maps
+    dL/d(loss) to (dL/dq, dL/dp_human, dL/dp_machine).
+    """
+    p_true = q * p_human + (1.0 - q) * p_machine
+    per = w_y * -np.log(np.maximum(p_true, PROB_CLAMP)) + cost_term * q
+
+    def backward(g):
+        # nothing flows past the clamp
+        dp = -g * w_y / np.maximum(p_true, PROB_CLAMP) * (p_true > PROB_CLAMP)
+        return dp * (p_human - p_machine) + g * cost_term, dp * q, \
+            dp * (1.0 - q)
+
+    return per, backward
 
 
-def _query_node(params_q, X, masks):
-    logits = apply_mlp(params_q, X, masks)
-    return tape.sigmoid(tape.reshape(logits, logits.shape[:-1]))
+def _query_forward(q_model: MlpModel, X: np.ndarray, masks):
+    """Soft query probabilities (R, n) of a sigmoid-head stack, and the
+    map from dL/dq to its GradientSet."""
+    z, cache = mlp_forward(q_model, X, masks)
+    q = stable_sigmoid(z[..., 0])
+
+    def backward(dq):
+        return mlp_backward(cache, (dq * q * (1.0 - q))[..., None])
+
+    return q, backward
+
+
+def query_policy_loss_fn(cfg: TrainConfig, costs):
+    """Per-instance mixture loss of the q stack against a frozen predictor
+    (the `loss_and_grad` contract): one query cost per replica, cost term
+    cfg.cost_weight * c. Batches are (X, m(x)[y], [h == y], w[y], masks).
+    """
+    cost_term = cfg.cost_weight * np.asarray(costs, dtype=np.float64)[:, None]
+
+    def loss_fn(models, batch):
+        Xb, m_y, hit, w_y, masks = batch
+        q, query_backward = _query_forward(models["q"], Xb, masks)
+        per, mix_backward = mixture_loss(q, hit, m_y, w_y, cost_term)
+        return per, lambda g: {"q": query_backward(mix_backward(g)[0])}
+
+    return loss_fn
 
 
 def train_query_policy_grid(m: MlpModel, dataset, team: TeamConfig,
@@ -253,29 +309,23 @@ def train_query_policy_grid(m: MlpModel, dataset, team: TeamConfig,
     what `train_query_policy` gives at that cost alone.
     """
     X, y, h = dataset.X, dataset.y, dataset.h
-    K = dataset.num_classes
     w = utility_loss_weights(team)
-    eye = np.eye(K)
-    m_probs_all = forward_batch(m, X)  # frozen, no dropout: plain constants
+    # frozen, no dropout: plain constants
+    m_y_all = forward_batch(m, X)[np.arange(len(y)), y]
+    hit_all = (h == y).astype(np.float64)
     rng_init = derive_rng(cfg.seed, STREAM_INIT_Q)
     rng_batch = derive_rng(cfg.seed, STREAM_BATCH_Q)
     rng_drop = derive_rng(cfg.seed, STREAM_DROP_Q)
     q = init_mlp((X.shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD, rng_init,
                  cfg.dropout_rate)
-    cost_term = cfg.cost_weight * np.asarray(costs, dtype=np.float64)[:, None]
-
-    def loss_fn(params, batch):
-        Xb, m_pb, oh_h, oh_y, w_y, masks = batch
-        return _mixture_nodes(_query_node(params["q"], Xb, masks),
-                              tape.constant(m_pb), oh_h, oh_y, w_y, cost_term)
 
     def make_batch(it):
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
         masks = sample_dropout_masks(q, len(idx), rng_drop)
-        return (X[idx], m_probs_all[idx], eye[h[idx]], eye[y[idx]],
-                w[y[idx]], masks)
+        return (X[idx], m_y_all[idx], hit_all[idx], w[y[idx]], masks)
 
-    fitted = fit({"q": stack_models([q] * len(costs))}, loss_fn, make_batch,
+    fitted = fit({"q": stack_models([q] * len(costs))},
+                 query_policy_loss_fn(cfg, costs), make_batch,
                  cfg, "query-policy training",
                  [f"query_cost={c!r}" for c in costs])
     return unstack_models(fitted["q"])
@@ -297,24 +347,34 @@ def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig
 
 
 def joint_disc_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
-    """Per-instance mixture-loss builder for fit / finite_diff_check.
+    """Per-instance mixture loss of m and q for fit / finite_diff_check.
 
-    Expects models {"m", "q"} and batches (X, onehot(h), onehot(y), w[y],
-    masks_m, masks_q); the cost term is cfg.cost_weight * c. With
-    `cost_weights` (one per replica) the models are replica stacks and
-    the loss is (R, B).
+    Follows the `loss_and_grad` contract on replica stacks {"m", "q"} and
+    batches (X, y, [h == y], w[y], masks_m, masks_q). `cost_weights` holds
+    one lambda per replica (default: the single cfg.cost_weight); the
+    cost term is lambda * c.
     """
-    if cost_weights is None:
-        cost_term = cfg.cost_weight * team.query_cost
-    else:
-        cost_term = np.asarray(cost_weights, dtype=np.float64)[:, None] \
-            * team.query_cost
+    lams = (cfg.cost_weight,) if cost_weights is None else cost_weights
+    cost_term = np.asarray(lams, dtype=np.float64)[:, None] * team.query_cost
 
-    def loss_fn(params, batch):
-        Xb, oh_h, oh_y, w_y, masks_m, masks_q = batch
-        m_probs = tape.softmax(apply_mlp(params["m"], Xb, masks_m))
-        return _mixture_nodes(_query_node(params["q"], Xb, masks_q), m_probs,
-                              oh_h, oh_y, w_y, cost_term)
+    def loss_fn(models, batch):
+        Xb, y, hit, w_y, masks_m, masks_q = batch
+        z, cache_m = mlp_forward(models["m"], Xb, masks_m)
+        m = stable_softmax(z)
+        rows = np.arange(len(y))
+        m_y = m[:, rows, y]
+        q, query_backward = _query_forward(models["q"], Xb, masks_q)
+        per, mix_backward = mixture_loss(q, hit, m_y, w_y, cost_term)
+
+        def backward(g):
+            dq, _, dm_y = mix_backward(g)
+            # d softmax(z)[y]/dz = m_y * (onehot(y) - m)
+            c = dm_y * m_y
+            d = m * -c[..., None]
+            d[:, rows, y] += c
+            return {"m": mlp_backward(cache_m, d), "q": query_backward(dq)}
+
+        return per, backward
 
     return loss_fn
 
@@ -330,7 +390,7 @@ def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
     X, y, h = dataset.X, dataset.y, dataset.h
     K = dataset.num_classes
     w = utility_loss_weights(team)
-    eye = np.eye(K)
+    hit_all = (h == y).astype(np.float64)
     rng_batch = derive_rng(cfg.seed, STREAM_BATCH)
     rng_drop_m = derive_rng(cfg.seed, STREAM_DROP_M)
     rng_drop_q = derive_rng(cfg.seed, STREAM_DROP_Q)
@@ -345,7 +405,7 @@ def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
         idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
         masks_m = sample_dropout_masks(m, len(idx), rng_drop_m)
         masks_q = sample_dropout_masks(q, len(idx), rng_drop_q)
-        return (X[idx], eye[h[idx]], eye[y[idx]], w[y[idx]], masks_m, masks_q)
+        return (X[idx], y[idx], hit_all[idx], w[y[idx]], masks_m, masks_q)
 
     fitted = fit(models, joint_disc_loss_fn(team, cfg, cost_weights),
                  make_batch, cfg, "joint training",

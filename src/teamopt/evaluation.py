@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -595,9 +596,19 @@ def _dump_json(payload) -> str:
 
 
 def _write(path: Path, text: str) -> str:
+    """Replace `path` with `text` atomically: the text goes to a temporary
+    file in the same directory, which `os.replace` then moves over the
+    target. A failed write leaves the previous file intact and removes
+    the temporary one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        path.write_text(text)
+        tmp.write_text(text)
+        os.replace(tmp, path)
     except OSError as e:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
         raise TeamoptError(f"failed writing {path}: {e}") from e
     return str(path)
 

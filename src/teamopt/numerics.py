@@ -1,12 +1,14 @@
 """Differentiable MLP core: forward passes, loss gradients, SGD, checks.
 
 Models are plain dataclasses of float64 arrays and are treated as immutable
-values: `sgd_step` returns a new model. Training losses are built on the
-reverse-mode tape in `teamopt.tape`; the contract for every loss in this
-package is agreement with central finite differences (see
-`finite_diff_check`). Every trainer runs through `fit`, the one SGD loop,
-which steps a stack of R same-shaped replicas (`stack_models`) on shared
-minibatches; a single training is the R=1 stack.
+values: `sgd_step` returns a new model. Every trainer runs through `fit`,
+the one SGD loop, which steps a stack of R same-shaped replicas
+(`stack_models`) on shared minibatches; a single training is the R=1
+stack. Training losses are closed-form: each returns its per-instance
+values and a backward function (see `loss_and_grad`) written by hand on
+top of the one `mlp_forward`/`mlp_backward` pair. The contract for every
+loss in this package is agreement with central finite differences (see
+`finite_diff_check`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tape
 from .errors import (ConfigError, InputError, NumericError, ShapeError,
                      TrainingError)
 
@@ -124,14 +125,50 @@ def init_mlp(layer_dims, output_head: str, rng: np.random.Generator,
     return model
 
 
+def max_last(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1) as a chain of np.maximum over the columns.
+
+    The same bits, and several times faster than numpy's reduction over a
+    short trailing axis such as the classes of a training batch.
+    """
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., k])
+    return out
+
+
+def sum_last(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) as left-to-right column additions.
+
+    Bit-identical to numpy's sum below 8 columns, where numpy adds in the
+    same order; several times faster over a short trailing axis.
+    """
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k]
+    return out
+
+
 def stable_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """softmax(logits / tau) with max-subtraction; safe for huge logits."""
     if tau <= 0:
         raise ConfigError("softmax temperature must be positive")
     z = np.asarray(logits, dtype=np.float64) / tau
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - max_last(z)[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / sum_last(e)[..., None]
+
+
+def stable_sigmoid(x) -> np.ndarray:
+    """1 / (1 + exp(-x)) on float64 values, stable in both tails; the
+    package's one sigmoid."""
+    x = np.asarray(x, dtype=np.float64)
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
+    # branch sees the bits a per-sign masked evaluation would. minimum
+    # rather than -abs: it passes a NaN through with its sign unchanged.
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sample_dropout_masks(model: MlpModel, n: int,
@@ -171,85 +208,87 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     z = logits_batch(model, X)
     if model.output_head == SOFTMAX_HEAD:
         return stable_softmax(z)
-    return tape.stable_sigmoid(z[:, 0])
+    return stable_sigmoid(z[:, 0])
 
 
-# --- tape-side helpers -------------------------------------------------
+# --- training-path forward and backward ----------------------------------
 
-def param_nodes(model: MlpModel) -> list[tuple[tape.Node, tape.Node]]:
-    """Wrap a model's parameters as gradient-tracked tape nodes."""
-    return [(tape.param(w), tape.param(b))
-            for w, b in zip(model.weights, model.biases)]
+def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
+    """Training forward pass of a replica stack: (logits, cache).
 
-
-def apply_mlp(nodes, X: np.ndarray, masks=None) -> tape.Node:
-    """Run an MLP on the tape; returns the logits node.
-
-    `nodes` are (W, b) pairs from `param_nodes`; `masks` are pre-sampled
-    dropout masks (constants on the tape) or None for eval behaviour. For a
-    replica stack the (n, d) input and the (n, dim) masks are shared by
-    every replica and the logits are (R, n, K).
+    The (n, d) input and the (n, dim) dropout masks (None for eval
+    behaviour) are shared by every replica; the logits are (R, n, K).
+    `cache` holds what `mlp_backward` needs.
     """
-    h = tape.constant(X)
-    last = len(nodes) - 1
-    for i, (w, b) in enumerate(nodes):
-        h = tape.matmul(h, w) + b
+    if model.weights[0].ndim != 3:
+        raise ShapeError("training losses take replica stacks"
+                         " (see stack_models)")
+    h = X
+    inputs, gates = [], []
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(h)
+        h = h @ w + b
         if i < last:
-            h = tape.relu(h)
+            # ReLU and inverted dropout as one multiplier per activation
+            gate = h > 0.0
             if masks is not None:
-                h = h * tape.constant(masks[i])
-    return h
+                gate = gate * masks[i]
+            h = h * gate
+            gates.append(gate)
+    return h, (model.weights, inputs, gates)
 
 
-def grads_of(nodes) -> GradientSet:
-    """Collect accumulated gradients from (W, b) node pairs."""
-    weights = [w.grad if w.grad is not None else np.zeros_like(w.data)
-               for w, _ in nodes]
-    biases = [b.grad if b.grad is not None else np.zeros_like(b.data)
-              for _, b in nodes]
-    return GradientSet(weights, biases)
+def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
+    """Parameter gradients of a replica stack given dL/d(logits)."""
+    weights, inputs, gates = cache
+    n = len(weights)
+    gw, gb = [None] * n, [None] * n
+    g = d_logits
+    for i in reversed(range(n)):
+        gw[i] = np.swapaxes(inputs[i], -1, -2) @ g
+        gb[i] = g.sum(axis=-2, keepdims=True)
+        if i:
+            g = (g @ np.swapaxes(weights[i], -1, -2)) * gates[i - 1]
+    return GradientSet(gw, gb)
+
+
+def _objective(per_instance: np.ndarray) -> float:
+    # each replica's minibatch mean, summed over the replicas
+    return float(per_instance.sum() * (1.0 / per_instance.shape[-1]))
 
 
 def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn
                   ) -> tuple[float, dict[str, GradientSet]]:
-    """Minibatch-mean loss and exact reverse-mode gradients.
+    """Minibatch-mean loss and its exact gradients.
 
-    `loss_fn(params, batch)` receives {name: [(W, b) nodes]} for each model
-    and must return the per-instance loss as a tape node of shape (n,), or
-    (R, n) for replica stacks. Each replica's loss is its own mean over the
-    n instances (scaled by 1/n, not 1/(R*n)), so its gradient is the one it
-    would get alone; the returned loss is the sum of those means. Models
-    absent from `models` (e.g. frozen calibrators, which never become tape
-    nodes) receive no gradient.
+    `loss_fn(models, batch)` receives {name: replica stack} and returns
+    `(per_instance, backward)`: the (R, n) per-instance losses and a
+    function mapping dL/d(per_instance) to {name: GradientSet}. Each
+    replica's loss is its own mean over the n instances (scaled by 1/n,
+    not 1/(R*n)), so its gradient is the one it would get alone; the
+    returned loss is the sum of those means. Models absent from `models`
+    (e.g. frozen calibrators, which enter the loss as constants) receive
+    no gradient. A non-finite per-instance loss raises NumericError
+    naming the first failing replica and instance.
     """
-    params = {name: param_nodes(m) for name, m in models.items()}
-    per_instance = loss_fn(params, batch)
-    vec = np.atleast_1d(per_instance.data)
-    if not np.isfinite(vec).all():
-        where = [int(i) for i in np.argwhere(~np.isfinite(vec))[0]]
-        if len(where) == 1:
-            raise NumericError(f"non-finite loss at instance {where[0]}",
-                               index=where[0])
-        raise NumericError(f"non-finite loss at replica {where[0]},"
-                           f" instance {where[1]}", index=where[1],
-                           replica=where[0])
-    loss = tape.sum_(per_instance) * (1.0 / vec.shape[-1])
-    tape.backward(loss)
-    return float(loss.data), {name: grads_of(nodes)
-                              for name, nodes in params.items()}
+    per_instance, backward = loss_fn(models, batch)
+    if not np.isfinite(per_instance).all():
+        r, i = (int(v) for v in np.argwhere(~np.isfinite(per_instance))[0])
+        raise NumericError(f"non-finite loss at replica {r}, instance {i}",
+                           index=i, replica=r)
+    n = per_instance.shape[-1]
+    return _objective(per_instance), backward(
+        np.full(per_instance.shape, 1.0 / n))
 
 
 def loss_value(models: dict[str, MlpModel], batch, loss_fn) -> float:
     """Loss only, no gradients (used by the finite-difference oracle).
 
     The same objective as `loss_and_grad`: the minibatch mean, summed over
-    replicas when the loss is stacked.
+    replicas.
     """
-    params = {name: [(tape.constant(w), tape.constant(b))
-                     for w, b in zip(m.weights, m.biases)]
-              for name, m in models.items()}
-    per_instance = loss_fn(params, batch)
-    return float(np.atleast_1d(per_instance.data).mean(axis=-1).sum())
+    return _objective(loss_fn(models, batch)[0])
 
 
 def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float) -> MlpModel:
@@ -294,8 +333,9 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
     `models` maps names to stacks from `stack_models`; all stacks hold the
     same number R of replicas. `make_batch(it)` draws everything a step
     shares across replicas once (batch indices, dropout masks, constant
-    arrays) and `loss_fn(params, batch)` returns the (R, n) per-instance
-    losses, so each replica trains exactly as it would alone.
+    arrays) and `loss_fn(models, batch)` follows the `loss_and_grad`
+    contract with (R, n) per-instance losses, so each replica trains
+    exactly as it would alone.
     `on_step(it, models)` runs after every update. A non-finite loss
     raises TrainingError carrying the iteration and, when
     `replica_labels` is given, naming the replica that failed first.

@@ -1,18 +1,21 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-A minimal tape: just enough primitives for MLP forward passes, calibrated
-probability pipelines and the team-utility surrogate losses. Every node
-carries a value and one vector-Jacobian closure per parent; `backward`
-walks the graph once in reverse topological order and skips the closures
-of parents that need no gradient. Values may carry a leading replica axis
-(R stacked trainings of the same shapes); the primitives broadcast over
-it and reduce gradients back to each operand's shape. Not a
-general-purpose autograd.
+The reference the closed-form training gradients are tested against; no
+training path uses it. A minimal tape: just enough primitives for MLP
+forward passes, calibrated probability pipelines and the team-utility
+surrogate losses. Every node carries a value and one vector-Jacobian
+closure per parent; `backward` walks the graph once in reverse
+topological order and skips the closures of parents that need no
+gradient. Values may carry a leading replica axis (R stacked trainings of
+the same shapes); the primitives broadcast over it and reduce gradients
+back to each operand's shape. Not a general-purpose autograd.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .numerics import stable_sigmoid
 
 
 class Node:
@@ -129,17 +132,6 @@ def matmul(a: Node, b: Node) -> Node:
 def relu(a: Node) -> Node:
     mask = a.data > 0.0
     return _unary(a, a.data * mask, lambda g: g * mask)
-
-
-def stable_sigmoid(x) -> np.ndarray:
-    """1 / (1 + exp(-x)) on float64 values, stable in both tails; the
-    package's one sigmoid, also used off the tape."""
-    x = np.asarray(x, dtype=np.float64)
-    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
-    # branch sees the bits a per-sign masked evaluation would. minimum
-    # rather than -abs: it passes a NaN through with its sign unchanged.
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Node) -> Node:

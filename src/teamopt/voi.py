@@ -17,14 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tape
 from .calibration import PlattCalibrator, calibrate_batch
 from .discriminative import (DecisionParts, TeamConfig, derive_rng,
-                             train_solo_model, utility_loss_weights)
+                             mixture_loss, train_solo_model,
+                             utility_loss_weights)
 from .errors import InputError, StateError
-from .numerics import (PROB_CLAMP, MlpModel, TrainConfig, apply_mlp, fit,
-                       logits_batch, sample_dropout_masks, stack_models,
-                       unstack_models)
+from .numerics import (MlpModel, TrainConfig, fit, logits_batch,
+                       mlp_backward, mlp_forward, sample_dropout_masks,
+                       stable_sigmoid, stable_softmax, stack_models,
+                       sum_last, unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -123,8 +124,8 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
 class _JointBatch:
     X: np.ndarray
     X_gamma_all: np.ndarray   # (B*K, d+K)
-    onehot_h3: np.ndarray     # (B, K, 1) selects p_gamma rows at observed h
-    onehot_y: np.ndarray      # (B, K)
+    h: np.ndarray             # (B,) int, the observed responses
+    y: np.ndarray             # (B,) int
     w_y: np.ndarray           # (B,)
     cal_a: PlattCalibrator    # a replica stack uses (R, 1, K) parameters,
     cal_b: PlattCalibrator    # see _stack_calibrators
@@ -134,10 +135,32 @@ class _JointBatch:
     masks_g: list | None = None
 
 
-def _calibrated_node(logits: tape.Node, cal: PlattCalibrator) -> tape.Node:
-    # calibrator parameters enter as constants: frozen during backprop
-    s = tape.sigmoid(logits * tape.constant(cal.a) + tape.constant(cal.b))
-    return s / tape.sum_(s, axis=-1, keepdims=True)
+def _calibrated(logits: np.ndarray, cal: PlattCalibrator):
+    """`calibrate_batch`'s s / sum(s) on training logits, with the backward
+    map from dL/dp to dL/d(logits). The calibrator parameters are
+    constants: frozen during backprop."""
+    s = stable_sigmoid(logits * cal.a + cal.b)
+    total = sum_last(s)[..., None]
+    p = s / total
+
+    def backward(dp):
+        dot = sum_last(dp * p)[..., None]
+        return (dp - dot) / total * (s * (1.0 - s) * cal.a)
+
+    return p, backward
+
+
+def _soft_max(eu: np.ndarray, tau: float):
+    """The softened maximum sum_a eu[a] * softmax_tau(eu)[a] over the last
+    axis, with the backward map from its gradient to dL/d(eu)."""
+    sm = stable_softmax(eu, tau)
+    u = sum_last(eu * sm)
+
+    def backward(du):
+        # d u / d eu[k] = sm[k] * (1 + (eu[k] - u) / tau)
+        return du[..., None] * sm * (1.0 + (eu - u[..., None]) / tau)
+
+    return u, backward
 
 
 def _stack_calibrators(cals) -> PlattCalibrator:
@@ -153,56 +176,68 @@ def joint_voi_batch(system: VoiSystem, X: np.ndarray, h: np.ndarray,
                     masks: tuple | None = None) -> _JointBatch:
     """Assemble the constant side of one training batch."""
     K = system.num_classes
-    eye = np.eye(K)
     w = utility_loss_weights(team)
     masks_a, masks_b, masks_g = masks if masks is not None else (None,) * 3
     return _JointBatch(np.asarray(X, dtype=np.float64),
-                       gamma_all_input(X, K), eye[h][:, :, None], eye[y],
+                       gamma_all_input(X, K), np.asarray(h), np.asarray(y),
                        w[y], system.p_alpha.calibrator,
                        system.p_beta.calibrator, system.p_gamma.calibrator,
                        masks_a, masks_b, masks_g)
 
 
 def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
-    """Per-instance loss builder for loss_and_grad / finite_diff_check.
+    """Per-instance joint soft-VOI loss for fit / finite_diff_check.
 
-    Expects models {"alpha", "beta", "gamma"} and a _JointBatch. Follows
-    the soft pipeline: softened maxima, two-way soft query probability,
-    cross-entropy of the q-mixture of p_gamma(.|x,h) and p_alpha(.|x),
-    plus cost_weight * q * c. With `cost_weights` (one per replica) the
-    models and calibrators are replica stacks and the loss is (R, B).
+    Follows the `loss_and_grad` contract on replica stacks {"alpha",
+    "beta", "gamma"} and a _JointBatch, through the soft pipeline:
+    calibrated distributions, softened maxima, the two-way soft query
+    probability, cross-entropy of the q-mixture of p_gamma(.|x,h) and
+    p_alpha(.|x), plus cost_weight * q * c. `cost_weights` holds one
+    lambda per replica (default: the single cfg.cost_weight); the
+    batch's calibrators broadcast over the replicas, one per replica
+    when stacked by `_stack_calibrators`.
     """
     tau = cfg.softmax_temperature
-    if cost_weights is None:
-        lam_c = cfg.cost_weight * team.query_cost
-    else:
-        lam_c = np.asarray(cost_weights, dtype=np.float64)[:, None] \
-            * team.query_cost
-    Ut = team.utility.T.copy()
+    lams = (cfg.cost_weight,) if cost_weights is None else cost_weights
+    lam_c = np.asarray(lams, dtype=np.float64)[:, None] * team.query_cost
+    U = team.utility
+    Ut = U.T.copy()
 
-    def loss_fn(params, batch: _JointBatch):
-        B, K = batch.onehot_y.shape
-        pa = _calibrated_node(apply_mlp(params["alpha"], batch.X,
-                                        batch.masks_a), batch.cal_a)
-        pb = _calibrated_node(apply_mlp(params["beta"], batch.X,
-                                        batch.masks_b), batch.cal_b)
-        pg = _calibrated_node(apply_mlp(params["gamma"], batch.X_gamma_all,
-                                        batch.masks_g), batch.cal_g)
-        eu_nq = tape.matmul(pa, tape.constant(Ut))  # (..., B, K) actions
-        u_nq = tape.sum_(eu_nq * tape.softmax(eu_nq, tau=tau), axis=-1)
-        eu_q = tape.matmul(pg, tape.constant(Ut))  # (..., B*K, K)
-        inner = tape.sum_(eu_q * tape.softmax(eu_q, tau=tau), axis=-1)
-        inner = tape.reshape(inner, inner.shape[:-1] + (B, K))
-        u_q = tape.sum_(pb * inner, axis=-1)
-        q = tape.sigmoid((u_q - u_nq) * (1.0 / tau))
-        pg3 = tape.reshape(pg, pg.shape[:-2] + (B, K, K))
-        p_gamma_h = tape.sum_(pg3 * tape.constant(batch.onehot_h3), axis=-2)
-        q_col = tape.reshape(q, q.shape + (1,))
-        mix = q_col * p_gamma_h + (1.0 - q_col) * pa
-        p_true = tape.sum_(mix * tape.constant(batch.onehot_y), axis=-1)
-        ce = tape.constant(batch.w_y) * -tape.log(
-            tape.clamp_min(p_true, PROB_CLAMP))
-        return ce + lam_c * q
+    def loss_fn(models, batch: _JointBatch):
+        B, K = len(batch.y), Ut.shape[0]
+        rows = np.arange(B)
+        h_rows = rows * K + batch.h  # p_gamma rows at the observed responses
+        za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a)
+        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b)
+        zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
+                                  batch.masks_g)
+        pa, back_a = _calibrated(za, batch.cal_a)  # (R, B, K)
+        pb, back_b = _calibrated(zb, batch.cal_b)
+        pg, back_g = _calibrated(zg, batch.cal_g)  # (R, B*K, K), h-major
+        u_nq, back_nq = _soft_max(pa @ Ut, tau)  # over actions
+        inner, back_inner = _soft_max(pg @ Ut, tau)  # (R, B*K)
+        inner = inner.reshape(inner.shape[:-1] + (B, K))
+        u_q = sum_last(pb * inner)
+        q = stable_sigmoid((u_q - u_nq) * (1.0 / tau))
+        per, mix_backward = mixture_loss(q, pg[:, h_rows, batch.y],
+                                         pa[:, rows, batch.y], batch.w_y,
+                                         lam_c)
+
+        def backward(g):
+            dq, d_pg_hy, d_pa_y = mix_backward(g)
+            d_gap = dq * q * (1.0 - q) * (1.0 / tau)  # d(u_q - u_nq)
+            d_pa = back_nq(-d_gap) @ U
+            d_pa[:, rows, batch.y] += d_pa_y
+            d_inner = d_gap[..., None] * pb
+            d_pg = back_inner(d_inner.reshape(d_inner.shape[:-2] + (B * K,))
+                              ) @ U
+            d_pg[:, h_rows, batch.y] += d_pg_hy
+            return {"alpha": mlp_backward(cache_a, back_a(d_pa)),
+                    "beta": mlp_backward(cache_b,
+                                         back_b(d_gap[..., None] * inner)),
+                    "gamma": mlp_backward(cache_g, back_g(d_pg))}
+
+        return per, backward
 
     return loss_fn
 
@@ -277,15 +312,14 @@ def train_joint_voi_grid(dataset, team: TeamConfig, cfg: TrainConfig,
     rng_db = derive_rng(cfg.seed, STREAM_JOINT_DROP_B)
     rng_dg = derive_rng(cfg.seed, STREAM_JOINT_DROP_G)
     K = dataset.num_classes
-    eye = np.eye(K)
     w = utility_loss_weights(team)
 
     def make_batch(it):
         idx = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False)
         B = len(idx)
         Xb, hb, yb = X[idx], h[idx], y[idx]
-        return _JointBatch(Xb, gamma_all_input(Xb, K), eye[hb][:, :, None],
-                           eye[yb], w[yb], *stacked_cals,
+        return _JointBatch(Xb, gamma_all_input(Xb, K), hb, yb, w[yb],
+                           *stacked_cals,
                            sample_dropout_masks(parts[0].model, B, rng_da),
                            sample_dropout_masks(parts[1].model, B, rng_db),
                            sample_dropout_masks(parts[2].model, B * K, rng_dg))

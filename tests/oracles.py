@@ -1,11 +1,15 @@
-"""Scalar reference forms of package quantities, shared by several test
-modules. Each restates one rule per instance so the vectorized or tape
-version in the package can be compared against it."""
+"""Reference forms of package quantities, shared by several test modules.
+
+Scalar forms restate one rule per instance so the vectorized version in
+the package can be compared against it; the tape forms restate each
+training loss on the reverse-mode tape so its closed-form gradient can be.
+"""
 
 import numpy as np
 
-from teamopt.numerics import stable_softmax
-from teamopt.tape import stable_sigmoid
+from teamopt import tape
+from teamopt.numerics import (PROB_CLAMP, GradientSet, stable_sigmoid,
+                              stable_softmax)
 from teamopt.voi import gamma_all_input
 
 
@@ -42,3 +46,160 @@ def soft_team_quantities(system, x, tau=None):
     pb = system.p_beta.predict_batch(x)[0]
     pg = system.p_gamma.predict_batch(gamma_all_input(x, system.num_classes))
     return soft_expected_utilities(pa, pb, pg, system.team.utility, t)
+
+
+# --- tape references for the closed-form training losses ----------------
+#
+# The `*_tape` functions restate each training loss on the reverse-mode
+# tape, on the same replica stacks and batches as the package's
+# closed-form loss, and `tape_loss_and_grad` differentiates them the way
+# the package's `loss_and_grad` does: each replica's mean over its
+# instances.
+
+def param_nodes(model):
+    """Wrap a model's parameters as gradient-tracked tape nodes."""
+    return [(tape.param(w), tape.param(b))
+            for w, b in zip(model.weights, model.biases)]
+
+
+def apply_mlp(nodes, X, masks=None):
+    """Run an MLP on the tape; returns the logits node.
+
+    `nodes` are (W, b) pairs from `param_nodes`; `masks` are pre-sampled
+    dropout masks (constants on the tape) or None for eval behaviour. The
+    (n, d) input and the (n, dim) masks are shared by every replica of a
+    stack and the logits are (R, n, K).
+    """
+    h = tape.constant(X)
+    last = len(nodes) - 1
+    for i, (w, b) in enumerate(nodes):
+        h = tape.matmul(h, w) + b
+        if i < last:
+            h = tape.relu(h)
+            if masks is not None:
+                h = h * tape.constant(masks[i])
+    return h
+
+
+def grads_of(nodes):
+    """Collect accumulated gradients from (W, b) node pairs."""
+    weights = [w.grad if w.grad is not None else np.zeros_like(w.data)
+               for w, _ in nodes]
+    biases = [b.grad if b.grad is not None else np.zeros_like(b.data)
+              for _, b in nodes]
+    return GradientSet(weights, biases)
+
+
+def tape_loss_and_grad(models, batch, loss_fn):
+    """(per-instance losses, {name: GradientSet}) of a tape loss
+    `loss_fn(params, batch)` returning an (R, n) node."""
+    params = {name: param_nodes(m) for name, m in models.items()}
+    per_instance = loss_fn(params, batch)
+    loss = tape.sum_(per_instance) * (1.0 / per_instance.shape[-1])
+    tape.backward(loss)
+    return per_instance.data, {name: grads_of(nodes)
+                               for name, nodes in params.items()}
+
+
+def calibrated_node(logits, cal):
+    # calibrator parameters enter as constants: frozen during backprop
+    s = tape.sigmoid(logits * tape.constant(cal.a) + tape.constant(cal.b))
+    return s / tape.sum_(s, axis=-1, keepdims=True)
+
+
+def mixture_nodes(q_node, m_probs, onehot_h, onehot_y, w_y, cost_term):
+    """Per-instance mixture loss; `cost_term` is lambda * c, a float or an
+    (R, 1) column with one value per replica."""
+    q_col = tape.reshape(q_node, q_node.shape + (1,))
+    mix = q_col * tape.constant(onehot_h) + (1.0 - q_col) * m_probs
+    p_true = tape.sum_(mix * tape.constant(onehot_y), axis=-1)
+    ce = tape.constant(w_y) * -tape.log(tape.clamp_min(p_true, PROB_CLAMP))
+    return ce + cost_term * q_node
+
+
+def query_node(params_q, X, masks):
+    logits = apply_mlp(params_q, X, masks)
+    return tape.sigmoid(tape.reshape(logits, logits.shape[:-1]))
+
+
+def solo_ce_tape(K):
+    """Tape form of `solo_ce_loss` on batches (X, t, w[t], masks)."""
+    eye = np.eye(K)
+
+    def loss_fn(params, batch):
+        X, t, w_t, masks = batch
+        probs = tape.softmax(apply_mlp(params["m"], X, masks))
+        p_true = tape.sum_(probs * tape.constant(eye[t]), axis=-1)
+        return tape.constant(w_t) * -tape.log(
+            tape.clamp_min(p_true, PROB_CLAMP))
+
+    return loss_fn
+
+
+def query_policy_tape(cfg, costs, m_probs, h, y):
+    """Tape form of `query_policy_loss_fn` on batches (X, m(x)[y],
+    [h == y], w[y], masks), with the full frozen predictor outputs
+    `m_probs` and the responses and labels of the batch rows."""
+    K = m_probs.shape[-1]
+    eye = np.eye(K)
+    cost_term = cfg.cost_weight * np.asarray(costs, dtype=np.float64)[:, None]
+
+    def loss_fn(params, batch):
+        Xb, _, _, w_y, masks = batch
+        return mixture_nodes(query_node(params["q"], Xb, masks),
+                             tape.constant(m_probs), eye[h], eye[y], w_y,
+                             cost_term)
+
+    return loss_fn
+
+
+def joint_disc_tape(team, cfg, cost_weights, h):
+    """Tape form of `joint_disc_loss_fn` on batches (X, y, [h == y], w[y],
+    masks_m, masks_q), given the batch's responses h."""
+    eye = np.eye(team.num_classes)
+    cost_term = np.asarray(cost_weights, dtype=np.float64)[:, None] \
+        * team.query_cost
+
+    def loss_fn(params, batch):
+        Xb, y, _, w_y, masks_m, masks_q = batch
+        m_probs = tape.softmax(apply_mlp(params["m"], Xb, masks_m))
+        return mixture_nodes(query_node(params["q"], Xb, masks_q), m_probs,
+                             eye[h], eye[y], w_y, cost_term)
+
+    return loss_fn
+
+
+def joint_voi_tape(team, cfg, cost_weights):
+    """Tape form of `joint_voi_loss_fn` on a `joint_voi_batch`."""
+    tau = cfg.softmax_temperature
+    lam_c = np.asarray(cost_weights, dtype=np.float64)[:, None] \
+        * team.query_cost
+    Ut = team.utility.T.copy()
+    eye = np.eye(team.num_classes)
+
+    def loss_fn(params, batch):
+        B, K = len(batch.y), Ut.shape[0]
+        pa = calibrated_node(apply_mlp(params["alpha"], batch.X,
+                                       batch.masks_a), batch.cal_a)
+        pb = calibrated_node(apply_mlp(params["beta"], batch.X,
+                                       batch.masks_b), batch.cal_b)
+        pg = calibrated_node(apply_mlp(params["gamma"], batch.X_gamma_all,
+                                       batch.masks_g), batch.cal_g)
+        eu_nq = tape.matmul(pa, tape.constant(Ut))  # (..., B, K) actions
+        u_nq = tape.sum_(eu_nq * tape.softmax(eu_nq, tau=tau), axis=-1)
+        eu_q = tape.matmul(pg, tape.constant(Ut))  # (..., B*K, K)
+        inner = tape.sum_(eu_q * tape.softmax(eu_q, tau=tau), axis=-1)
+        inner = tape.reshape(inner, inner.shape[:-1] + (B, K))
+        u_q = tape.sum_(pb * inner, axis=-1)
+        q = tape.sigmoid((u_q - u_nq) * (1.0 / tau))
+        pg3 = tape.reshape(pg, pg.shape[:-2] + (B, K, K))
+        onehot_h3 = eye[batch.h][:, :, None]
+        p_gamma_h = tape.sum_(pg3 * tape.constant(onehot_h3), axis=-2)
+        q_col = tape.reshape(q, q.shape + (1,))
+        mix = q_col * p_gamma_h + (1.0 - q_col) * pa
+        p_true = tape.sum_(mix * tape.constant(eye[batch.y]), axis=-1)
+        ce = tape.constant(batch.w_y) * -tape.log(
+            tape.clamp_min(p_true, PROB_CLAMP))
+        return ce + lam_c * q
+
+    return loss_fn

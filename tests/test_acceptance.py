@@ -22,11 +22,13 @@ from oracles import runtime_query_decision, soft_team_quantities
 from teamopt.cli import (dist_system, gradcheck_losses, platt_ece,
                          voi_rule_deviation)
 from teamopt.data import SynthConfig, generate_synthetic, split
-from teamopt.discriminative import TeamConfig, decide, train_solo_model
+from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
+                                    train_solo_model)
 from teamopt.evaluation import (SPLIT_FRACTIONS, cost_sweep,
                                 human_error_tree, paired_significance,
                                 weighted_error)
-from teamopt.numerics import TrainConfig, forward_batch
+from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
+                              TrainConfig, forward_batch)
 from teamopt.voi import train_fixed_voi, voi_decision_parts
 
 BENCH_COSTS = (0.0, 0.05, 0.1, 0.15, 0.2)
@@ -121,6 +123,15 @@ def test_criterion_03_soft_quantities_match_exact_at_small_tau():
              f"max |soft - exact| {worst:.3e} over 100 systems at tau=1e-3")
 
 
+def identity_disc_system(K):
+    """A discriminative system on features [log m, logit q] whose networks
+    output m and q: one-layer identity read-outs of those columns."""
+    eye = np.eye(K + 1)
+    m = MlpModel((K + 1, K), [eye[:, :K]], [np.zeros(K)], SOFTMAX_HEAD, 0.0)
+    q = MlpModel((K + 1, 1), [eye[:, K:]], [np.zeros(1)], SIGMOID_HEAD, 0.0)
+    return DiscriminativeSystem(m, q, TeamConfig.accuracy(K), TrainConfig())
+
+
 def test_criterion_04_query_rule_fires_only_when_response_wins():
     rng = np.random.default_rng(20260821)
     aligned = True
@@ -131,18 +142,27 @@ def test_criterion_04_query_rule_fires_only_when_response_wins():
         q = rng.random(n)
         m = rng.dirichlet(np.ones(K), size=n)
         h = rng.integers(0, K, n)
-        fired = (1.0 - q) * m.max(axis=1) < q
-        combined = (1.0 - q)[:, None] * m
-        combined[np.arange(n), h] += q
+        # the production rule, scored on what the networks output
+        parts = identity_disc_system(K).parts(
+            np.column_stack([np.log(m), np.log(q) - np.log1p(-q)]))
+        labels, fired = decide(parts, h, 0.0)
+        q_s, m_s = parts.q_soft, parts.machine_dist
+        aligned &= bool(np.allclose(q_s, q, atol=1e-9)
+                        and np.allclose(m_s, m, atol=1e-9))
+        combined = (1.0 - q_s)[:, None] * m_s
+        combined[np.arange(n), h] += q_s
         aligned &= bool((combined[fired].argmax(axis=1) == h[fired]).all())
-        # wire the vectorized mask to the scalar rule on a sample
-        for i in range(0, n, 2500):
-            aligned &= runtime_query_decision(float(q[i]), m[i]) == bool(fired[i])
+        aligned &= bool((labels == np.where(fired, h, m_s.argmax(axis=1)))
+                        .all())
+        aligned &= all(runtime_query_decision(float(q_s[i]), m_s[i])
+                       == bool(fired[i]) for i in range(n))
         total += n
         fired_total += int(fired.sum())
     _verdict(4, aligned and total == 100000,
-             f"{fired_total} of {total} triples fired, all matched the "
-             f"response class")
+             f"{fired_total} of {total} triples fired through "
+             f"DiscriminativeSystem.parts and decide; every decision agrees "
+             f"with the scalar rule and every firing picks the response "
+             f"class: {aligned}")
 
 
 def test_criterion_05_query_rate_never_rises_with_cost():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from teamopt import calibration, tape
+from teamopt import calibration
 from teamopt.calibration import (PlattCalibrator, calibrate_batch,
                                  expected_calibration_error, fit_platt)
 from teamopt.errors import ConfigError, InputError, ShapeError
+from teamopt.numerics import stable_sigmoid
 
 # frozen: sigmoid(2) / (sigmoid(2) + sigmoid(0)) and its complement
 CAL_20_HI = 0.6378903113466692
@@ -108,7 +109,7 @@ def capped_newton_fit(scores, binary_labels, objective):
     obj = objective(s, targets, a, b)
     damping = 1e-6
     for _ in range(200):
-        p = tape.stable_sigmoid(a * s + b)
+        p = stable_sigmoid(a * s + b)
         diff = p - targets
         grad = np.array([float(diff @ s), float(diff.sum())])
         if np.hypot(*grad) < 1e-8:
@@ -137,7 +138,7 @@ def capped_newton_fit(scores, binary_labels, objective):
 
 
 def platt_objective(s, targets, a, b):
-    p = np.clip(tape.stable_sigmoid(a * s + b), 1e-12, 1.0 - 1e-12)
+    p = np.clip(stable_sigmoid(a * s + b), 1e-12, 1.0 - 1e-12)
     nll = -(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
     return float(nll.sum())
 
@@ -155,7 +156,7 @@ def test_fit_stops_at_a_stall_with_the_capped_loop_result(monkeypatch):
     # while the damping cycles; the capped loop spends 200 iterations.
     rng = np.random.default_rng(0)
     s = 2.0 * rng.standard_normal(2000)
-    labels = (rng.random(2000) < tape.stable_sigmoid(1.5 * s - 0.3))
+    labels = (rng.random(2000) < stable_sigmoid(1.5 * s - 0.3))
     labels = labels.astype(np.int64)
     oracle_objective = counting(platt_objective)
     want = capped_newton_fit(s, labels, oracle_objective)
@@ -178,7 +179,7 @@ def test_fit_equals_capped_loop_on_random_problems(monkeypatch):
         if trial % 5 == 0:
             scores = np.round(scores)  # ties and exact zeros
         logits = rng.uniform(0.2, 3.0) * scores + rng.normal()
-        labels = (rng.random(n) < tape.stable_sigmoid(logits)).astype(int)
+        labels = (rng.random(n) < stable_sigmoid(logits)).astype(int)
         nll.calls = 0
         fit = fit_platt(scores, labels)
         if labels.min() == labels.max():

@@ -1,4 +1,4 @@
-"""Discriminative team training: loss geometry, runtime rule, and trainers."""
+"""Discriminative team training: loss geometry, decisions, and trainers."""
 
 import warnings
 
@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from oracles import runtime_query_decision
-from teamopt import tape
 from teamopt.data import Dataset
-from teamopt.discriminative import (TeamConfig, _mixture_nodes, decide,
-                                    derive_rng, team_predict, train_fixed,
-                                    train_joint, train_solo_model,
-                                    utility_loss_weights)
+from teamopt.discriminative import (TeamConfig, decide, derive_rng,
+                                    joint_disc_loss_fn, team_predict,
+                                    train_fixed, train_joint,
+                                    train_solo_model, utility_loss_weights)
 from teamopt.errors import InputError, QueryError, TrainingError
-from teamopt.numerics import PROB_CLAMP, TrainConfig, forward_batch
+from teamopt.numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD,
+                              MlpModel, TrainConfig, forward_batch,
+                              loss_value, stack_models)
 
 # frozen: -ln(0.75) + 1.0 * 0.1 * 0.5
 JOINT_LOSS_MIX = 0.3376820724517809
@@ -22,14 +23,22 @@ JOINT_LOSS_WRONG = 1.5350567286626973
 
 
 def joint_loss(m_dist, q_val, h, y, team, cost_weight):
-    """One instance's mixture loss, built by the trainers' loss nodes."""
-    eye = np.eye(len(m_dist))
+    """One instance's mixture loss under the joint trainer's loss, for
+    networks that output m_dist and q_val: one-layer stacks with zero
+    weights whose biases are log(m_dist) and logit(q_val)."""
+    K = len(m_dist)
+    with np.errstate(divide="ignore"):  # log 0 and logit 0/1 are exact
+        m_bias = np.log(np.asarray(m_dist, dtype=np.float64))
+        q_bias = np.log(q_val) - np.log1p(-q_val)
+    m = MlpModel((1, K), [np.zeros((1, K))], [m_bias], SOFTMAX_HEAD, 0.0)
+    q = MlpModel((1, 1), [np.zeros((1, 1))], [np.array([q_bias])],
+                 SIGMOID_HEAD, 0.0)
     w = utility_loss_weights(team)
-    loss = _mixture_nodes(tape.constant(np.array([q_val])),
-                          tape.constant(np.array([m_dist], dtype=np.float64)),
-                          eye[[h]], eye[[y]], w[[y]],
-                          cost_weight * team.query_cost)
-    return float(loss.data[0])
+    batch = (np.ones((1, 1)), np.array([y]), np.array([float(h == y)]),
+             w[[y]], None, None)
+    return loss_value({"m": stack_models([m]), "q": stack_models([q])},
+                      batch, joint_disc_loss_fn(
+                          team, TrainConfig(cost_weight=cost_weight)))
 
 
 def noise_dataset(n=300, k=3, d=4, seed=11):
@@ -103,7 +112,7 @@ def test_loss_weights_zero_spread_warns():
     assert np.array_equal(w, np.array([2.0, 0.0]))
 
 
-# --- scalar loss and runtime rule --------------------------------------------
+# --- the mixture loss on hand-set outputs ----------------------------------
 
 def test_joint_loss_hand_example():
     team = TeamConfig.accuracy(2, query_cost=0.1)

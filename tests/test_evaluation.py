@@ -5,6 +5,7 @@ import logging
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
 from teamopt.discriminative import (TeamConfig, TeamPrediction, decide,
                                     train_joint)
-from teamopt.errors import ConfigError, InputError, QueryError
+from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
 from teamopt.evaluation import (SPLIT_FRACTIONS, SweepCell, SweepResult,
                                 _best_split, _lambda_mode, cost_sweep,
                                 emit_report, human_error_tree,
@@ -462,6 +463,28 @@ def test_emit_report_files_and_json_round_trip(tmp_path):
     emit_report([SweepResult(**d) for d in reloaded], tmp_path,
                 formats=("json",))
     assert (tmp_path / "sweep.json").read_bytes() == first
+
+
+def test_failed_report_write_keeps_previous_file(tmp_path, monkeypatch):
+    results = fake_results()
+    emit_report(results, tmp_path, formats=("json",))
+    before = (tmp_path / "sweep.json").read_bytes()
+    real_write_text = Path.write_text
+
+    def half_then_fail(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    results[0].records[0]["total_loss"] = 0.123  # new content to write
+    with pytest.raises(TeamoptError, match="disk full"):
+        emit_report(results, tmp_path, formats=("json",))
+    monkeypatch.undo()
+    assert (tmp_path / "sweep.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+    emit_report(results, tmp_path, formats=("json",))  # and it recovers
+    assert b"0.123" in (tmp_path / "sweep.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
 
 def test_emit_report_respects_format_selection(tmp_path):

@@ -1,4 +1,5 @@
-"""MLP core tests: forward passes, tape gradients, SGD, the FD checker.
+"""MLP core tests: forward passes, closed-form and tape gradients, SGD,
+the FD checker.
 
 Derived constants below were frozen from independent hand computation
 (scalar sigmoid/softmax arithmetic), not from running the package.
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 from teamopt import tape
+from teamopt.discriminative import solo_ce_loss
 from teamopt.errors import ConfigError, InputError, NumericError, ShapeError
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                              TrainConfig, apply_mlp, finite_diff_check,
-                              forward_batch, init_mlp, loss_and_grad,
-                              loss_value, sample_dropout_masks, sgd_step,
-                              stable_softmax)
+                              TrainConfig, finite_diff_check, forward_batch,
+                              init_mlp, loss_and_grad, loss_value,
+                              max_last, mlp_backward, mlp_forward,
+                              sample_dropout_masks, sgd_step, stable_sigmoid,
+                              stable_softmax, stack_models, sum_last)
 
 # sigma(0.3) and sigma(1); frozen from 1/(1+exp(-z))
 SIGMA_03 = 0.574442516811659
@@ -35,12 +38,22 @@ def zero_model(d, k, head=SOFTMAX_HEAD, p=0.0):
     return MlpModel((d, out), [np.zeros((d, out))], [np.zeros(out)], head, p)
 
 
-def ce_loss_fn(params, batch):
-    # Weighted cross-entropy written directly against the tape primitives.
-    X, onehot_y, w_y = batch
-    probs = tape.softmax(apply_mlp(params["m"], X))
-    p_true = tape.sum_(probs * tape.constant(onehot_y), axis=1)
-    return tape.constant(w_y) * -tape.log(tape.clamp_min(p_true, 1e-12))
+def linear_loss(scale, X):
+    """Per-instance scale * (sum of the logits) on inputs X, closed form."""
+    def loss_fn(models, batch):
+        z, cache = mlp_forward(models["m"], X)
+        return scale * sum_last(z), lambda g: {"m": mlp_backward(
+            cache, np.broadcast_to((g * scale)[..., None], z.shape))}
+    return loss_fn
+
+
+def constant_loss(values, X):
+    """A loss whose per-instance values ignore the parameters."""
+    def loss_fn(models, batch):
+        z, cache = mlp_forward(models["m"], X)
+        return np.asarray(values, dtype=np.float64)[None, :], \
+            lambda g: {"m": mlp_backward(cache, np.zeros_like(z))}
+    return loss_fn
 
 
 # --- stable_softmax ------------------------------------------------------
@@ -151,10 +164,20 @@ def test_stable_sigmoid_matches_masked_form_bit_for_bit():
              rng.uniform(-800.0, 800.0, 10_000),
              np.asfortranarray(rng.standard_normal((7, 9)) * 5.0).T]
     for x in cases:
-        got, want = tape.stable_sigmoid(x), masked_sigmoid(x)
+        got, want = stable_sigmoid(x), masked_sigmoid(x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # NaN sign bits included
-    assert tape.stable_sigmoid(0.5).shape == ()
+    assert stable_sigmoid(0.5).shape == ()
+    assert tape.stable_sigmoid is stable_sigmoid  # the tape reuses it
+
+
+def test_last_axis_reductions_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for K in range(1, 8):  # numpy adds pairwise from 8 columns on
+        a = rng.standard_normal((5, 64, K)) * 30.0
+        a[0, 0, 0] = np.nan
+        assert max_last(a).tobytes() == a.max(axis=-1).tobytes()
+        assert sum_last(a).tobytes() == a.sum(axis=-1).tobytes()
 
 
 # --- tape gradients vs hand-rolled finite differences --------------------
@@ -222,123 +245,218 @@ def test_tape_broadcast_bias_gradient():
     assert np.array_equal(bn.grad, np.full(3, 5.0))  # summed over the batch
 
 
-# --- loss_and_grad / finite_diff_check -----------------------------------
+# --- closed-form MLP backward, loss_and_grad, finite_diff_check ----------
+
+def ce_case(rng, n, K=3, d=4, hidden=(8,)):
+    m = stack_models([init_mlp((d, *hidden, K), SOFTMAX_HEAD, rng,
+                               dropout_rate=0.0)])
+    X = rng.standard_normal((n, d))
+    return m, (X, rng.integers(0, K, n), np.ones(n), None)
+
 
 def test_ce_of_exact_onehot_is_zero_with_zero_grads():
-    m = zero_model(3, 2)
-    onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-
-    def loss_fn(params, batch):
-        # prediction pinned to the target itself: CE is exactly zero
-        p_true = tape.sum_(tape.constant(onehot) * tape.constant(onehot),
-                           axis=1)
-        return -tape.log(p_true)
-
-    loss, grads = loss_and_grad({"m": m}, None, loss_fn)
+    # logits (0, -1000) on target 0 and (-1000, 0) on target 1: softmax
+    # puts exactly 1 on each target, so CE and its gradient vanish
+    m = stack_models([MlpModel((2, 2), [np.array([[0.0, -1000.0],
+                                                  [-1000.0, 0.0]])],
+                               [np.zeros(2)], SOFTMAX_HEAD, 0.0)])
+    batch = (np.eye(2), np.array([0, 1]), np.ones(2), None)
+    loss, grads = loss_and_grad({"m": m}, batch, solo_ce_loss)
     assert loss == 0.0
     assert not any(g.any() for g in grads["m"].weights + grads["m"].biases)
 
 
 def test_constant_loss_has_zero_gradient():
-    m = init_mlp((3, 4, 2), SOFTMAX_HEAD, np.random.default_rng(5))
-    loss, grads = loss_and_grad(
-        {"m": m}, None, lambda p, b: tape.constant(np.array([1.0, 2.0, 3.0])))
+    m = stack_models([init_mlp((3, 4, 2), SOFTMAX_HEAD,
+                               np.random.default_rng(5))])
+    loss, grads = loss_and_grad({"m": m}, None,
+                                constant_loss([1.0, 2.0, 3.0], np.ones((3, 3))))
     assert loss == 2.0  # minibatch mean
     assert not any(g.any() for g in grads["m"].weights + grads["m"].biases)
 
 
 def test_nonfinite_loss_reports_instance_index():
-    m = zero_model(2, 2)
+    m = stack_models([zero_model(2, 2)])
     vec = np.array([1.0, 1.0, 0.0, 1.0])
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError) as info:
             loss_and_grad({"m": m}, None,
-                          lambda p, b: tape.log(tape.constant(vec)))
-    assert info.value.index == 2
+                          constant_loss(np.log(vec), np.ones((4, 2))))
+    assert info.value.index == 2 and info.value.replica == 0
 
 
 def test_ce_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     for _ in range(3):
-        m = init_mlp((4, 8, 3), SOFTMAX_HEAD, rng, dropout_rate=0.0)
-        X = rng.standard_normal((5, 4))
-        y = rng.integers(0, 3, 5)
-        batch = (X, np.eye(3)[y], np.ones(5))
-        assert finite_diff_check({"m": m}, batch, ce_loss_fn) < 1e-4
+        m, batch = ce_case(rng, 5)
+        assert finite_diff_check({"m": m}, batch, solo_ce_loss) < 1e-4
 
 
 def test_fd_check_linear_squared_error_near_machine_precision():
     rng = np.random.default_rng(9)
-    m = init_mlp((3, 2), SOFTMAX_HEAD, rng)  # single affine layer
+    m = stack_models([init_mlp((3, 2), SOFTMAX_HEAD, rng)])  # one layer
     X = rng.standard_normal((4, 3))
     T = rng.standard_normal((4, 2))
 
-    def sq_loss(params, batch):
-        diff = apply_mlp(params["m"], X) - tape.constant(T)
-        return tape.sum_(diff * diff, axis=1)
+    def sq_loss(models, batch):
+        z, cache = mlp_forward(models["m"], X)
+        diff = z - T
+        return sum_last(diff * diff), lambda g: {"m": mlp_backward(
+            cache, 2.0 * diff * g[..., None])}
 
     assert finite_diff_check({"m": m}, None, sq_loss) < 1e-9
 
 
+def test_mlp_backward_matches_finite_differences_with_dropout():
+    # two hidden layers, dropout masks and R=2 replicas with distinct
+    # parameters: a linear read-out of the logits checks the whole stack
+    rng = np.random.default_rng(15)
+    m = stack_models([init_mlp((3, 6, 5, 2), SOFTMAX_HEAD, rng, 0.3)
+                      for _ in range(2)])
+    for b in m.biases:  # keep every unit off the ReLU kink at 0
+        b += rng.uniform(0.1, 0.5, b.shape)
+    X = rng.standard_normal((7, 3))
+    C = rng.standard_normal((2, 7, 2))
+    masks = sample_dropout_masks(m, 7, rng)
+
+    def read_out(models, batch):
+        z, cache = mlp_forward(models["m"], X, masks)
+        return sum_last(z * C), lambda g: {"m": mlp_backward(
+            cache, C * g[..., None])}
+
+    assert finite_diff_check({"m": m}, None, read_out) < 1e-9
+
+
+def test_training_losses_take_replica_stacks_only():
+    m, batch = ce_case(np.random.default_rng(3), 4)
+    with pytest.raises(ShapeError, match="stack"):
+        loss_and_grad({"m": init_mlp((4, 8, 3), SOFTMAX_HEAD,
+                                     np.random.default_rng(3))},
+                      batch, solo_ce_loss)
+
+
 def test_loss_value_matches_loss_and_grad():
-    rng = np.random.default_rng(10)
-    m = init_mlp((4, 6, 3), SOFTMAX_HEAD, rng, dropout_rate=0.0)
-    X = rng.standard_normal((6, 4))
-    y = rng.integers(0, 3, 6)
-    batch = (X, np.eye(3)[y], np.ones(6))
-    loss, _ = loss_and_grad({"m": m}, batch, ce_loss_fn)
-    assert abs(loss - loss_value({"m": m}, batch, ce_loss_fn)) < 1e-15
+    m, batch = ce_case(np.random.default_rng(10), 6, hidden=(6,))
+    loss, _ = loss_and_grad({"m": m}, batch, solo_ce_loss)
+    assert abs(loss - loss_value({"m": m}, batch, solo_ce_loss)) < 1e-15
 
 
 def test_frozen_models_receive_no_gradient_entry():
-    rng = np.random.default_rng(13)
-    m = init_mlp((4, 6, 3), SOFTMAX_HEAD, rng, dropout_rate=0.0)
-    X = rng.standard_normal((5, 4))
-    y = rng.integers(0, 3, 5)
-    batch = (X, np.eye(3)[y], np.ones(5))
-    _, grads = loss_and_grad({"m": m}, batch, ce_loss_fn)
+    m, batch = ce_case(np.random.default_rng(13), 5, hidden=(6,))
+    _, grads = loss_and_grad({"m": m}, batch, solo_ce_loss)
     assert set(grads) == {"m"}
+
+
+# --- the reference tape vs hand-rolled finite differences ----------------
+
+def manual_fd(f, arr, step=1e-6):
+    """Central differences of scalar f with respect to every entry of arr."""
+    g = np.zeros_like(arr)
+    flat, gflat = arr.ravel(), g.ravel()
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + step
+        hi = f()
+        flat[j] = orig - step
+        lo = f()
+        flat[j] = orig
+        gflat[j] = (hi - lo) / (2.0 * step)
+    return g
+
+
+def test_tape_composite_softmax_pipeline_gradient():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((4, 3))
+    W = rng.standard_normal((3, 5))
+    C = rng.standard_normal((4, 5))
+
+    def value():
+        z = np.maximum(X @ W, 0.0)
+        zs = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(zs / 0.7)
+        p = e / e.sum(axis=-1, keepdims=True)
+        return float((p * C).sum())
+
+    w_node = tape.param(W)
+    out = tape.sum_(tape.softmax(tape.relu(tape.matmul(tape.constant(X),
+                                                       w_node)), tau=0.7)
+                    * tape.constant(C))
+    tape.backward(out)
+    assert np.allclose(w_node.grad, manual_fd(value, W), atol=1e-7)
+
+
+def test_tape_log_div_clamp_reshape_gradient():
+    rng = np.random.default_rng(12)
+    a = rng.uniform(0.5, 2.0, size=(2, 3))
+    b = rng.uniform(0.5, 2.0, size=(2, 3))
+
+    def value():
+        r = np.log(np.maximum(a / b, 0.8)) + 1.0 / (1.0 + np.exp(-a))
+        return float(r.reshape(6).sum())
+
+    an, bn = tape.param(a), tape.param(b)
+    node = tape.reshape(tape.log(tape.clamp_min(an / bn, 0.8))
+                        + tape.sigmoid(an), (6,))
+    tape.backward(tape.sum_(node))
+    assert np.allclose(an.grad, manual_fd(value, a), atol=1e-7)
+    assert np.allclose(bn.grad, manual_fd(value, b), atol=1e-7)
+
+
+def test_tape_broadcast_bias_gradient():
+    X = np.ones((5, 2))
+    b = np.zeros(3)
+    W = np.zeros((2, 3))
+    bn = tape.param(b)
+    out = tape.sum_(tape.matmul(tape.constant(X), tape.constant(W)) + bn)
+    tape.backward(out)
+    assert np.array_equal(bn.grad, np.full(3, 5.0))  # summed over the batch
 
 
 # --- sgd_step -------------------------------------------------------------
 
 def test_sgd_zero_gradient_is_identity():
-    m = init_mlp((3, 4, 2), SOFTMAX_HEAD, np.random.default_rng(1))
-    _, grads = loss_and_grad(
-        {"m": m}, None, lambda p, b: tape.constant(np.zeros(2)))
+    m = stack_models([init_mlp((3, 4, 2), SOFTMAX_HEAD,
+                               np.random.default_rng(1))])
+    _, grads = loss_and_grad({"m": m}, None,
+                             constant_loss([0.0, 0.0], np.ones((2, 3))))
     out = sgd_step(m, grads["m"], 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(out.weights, m.weights))
 
 
+def one_weight_model(value, K=1):
+    return stack_models([MlpModel((1, K), [np.full((1, K), value)],
+                                  [np.zeros(K)], SOFTMAX_HEAD)])
+
+
 def test_sgd_single_weight_arithmetic():
-    m = MlpModel((1, 1), [np.array([[1.0]])], [np.zeros(1)], SOFTMAX_HEAD)
+    m = one_weight_model(1.0)
     grads = loss_and_grad({"m": m}, None,
-                          lambda p, b: tape.sum_(p["m"][0][0] * 0.5))[1]["m"]
-    assert sgd_step(m, grads, 0.1).weights[0][0, 0] == 0.95
+                          linear_loss(0.5, np.ones((1, 1))))[1]["m"]
+    assert sgd_step(m, grads, 0.1).weights[0][0, 0, 0] == 0.95
 
 
 def test_sgd_two_steps_accumulate_linearly():
-    m = MlpModel((1, 2), [np.full((1, 2), 3.0)], [np.zeros(2)], SOFTMAX_HEAD)
+    m = one_weight_model(3.0, K=2)
     grads = loss_and_grad({"m": m}, None,
-                          lambda p, b: tape.sum_(p["m"][0][0] * 2.0))[1]["m"]
+                          linear_loss(2.0, np.ones((1, 1))))[1]["m"]
     stepped = sgd_step(sgd_step(m, grads, 0.1), grads, 0.1)
     assert np.allclose(stepped.weights[0], 3.0 - 2 * 0.1 * 2.0)
 
 
 def test_sgd_shape_mismatch_rejected():
-    m = zero_model(2, 2)
-    bad = loss_and_grad({"m": zero_model(3, 2)}, None,
-                        lambda p, b: tape.sum_(p["m"][0][0]))[1]["m"]
+    m = stack_models([zero_model(2, 2)])
+    bad = loss_and_grad({"m": stack_models([zero_model(3, 2)])}, None,
+                        linear_loss(1.0, np.ones((1, 3))))[1]["m"]
     with pytest.raises(ShapeError):
         sgd_step(m, bad, 0.1)
 
 
 def test_sgd_returns_new_model():
-    m = MlpModel((1, 1), [np.array([[1.0]])], [np.zeros(1)], SOFTMAX_HEAD)
+    m = one_weight_model(1.0)
     grads = loss_and_grad({"m": m}, None,
-                          lambda p, b: tape.sum_(p["m"][0][0]))[1]["m"]
+                          linear_loss(1.0, np.ones((1, 1))))[1]["m"]
     sgd_step(m, grads, 0.1)
-    assert m.weights[0][0, 0] == 1.0  # input untouched
+    assert m.weights[0][0, 0, 0] == 1.0  # input untouched
 
 
 # --- TrainConfig / MlpModel validation -------------------------------------

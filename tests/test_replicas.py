@@ -11,10 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from teamopt import tape
+import oracles
 from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset
 from teamopt.discriminative import (TeamConfig, joint_disc_loss_fn,
+                                    query_policy_loss_fn, solo_ce_loss,
                                     train_joint, train_joint_grid,
                                     train_query_policy,
                                     train_query_policy_grid,
@@ -23,6 +24,7 @@ from teamopt.errors import NumericError, ShapeError, TrainingError
 from teamopt.evaluation import cost_sweep
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
                               finite_diff_check, init_mlp, loss_and_grad,
+                              sample_dropout_masks, stable_softmax,
                               stack_models, unstack_models)
 from teamopt.voi import (CalibratedModel, VoiSystem, _stack_calibrators,
                          joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
@@ -76,7 +78,7 @@ def test_nonfinite_stacked_loss_names_replica_and_instance():
                                np.random.default_rng(1))] * 2)
     vec = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]])
     with pytest.raises(NumericError) as info:
-        loss_and_grad({"m": m}, None, lambda p, b: tape.constant(vec))
+        loss_and_grad({"m": m}, None, lambda models, b: (vec, None))
     assert (info.value.replica, info.value.index) == (1, 2)
 
 
@@ -165,11 +167,10 @@ def check_replica_independence(models, batch, loss_fn):
 def test_joint_disc_replicas_match_finite_differences():
     rng, team, X, y, h, lams, (K, d, hid, R) = replica_case(31)
     w = utility_loss_weights(team)
-    eye = np.eye(K)
     loss_fn = joint_disc_loss_fn(team, TrainConfig(), lams)
     models = {"m": stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R),
               "q": stacked_mlps(rng, (d, hid, 1), SIGMOID_HEAD, R)}
-    batch = (X, eye[h], eye[y], w[y], None, None)
+    batch = (X, y, (h == y).astype(float), w[y], None, None)
     assert finite_diff_check(models, batch, loss_fn) < 1e-4
     check_replica_independence(models, batch, loss_fn)
 
@@ -192,6 +193,113 @@ def test_joint_voi_replicas_match_finite_differences():
     loss_fn = joint_voi_loss_fn(team, cfg, lams)
     assert finite_diff_check(models, batch, loss_fn) < 1e-4
     check_replica_independence(models, batch, loss_fn)
+
+
+def test_query_policy_replicas_match_finite_differences():
+    rng, team, X, y, h, costs, (K, d, hid, R) = replica_case(33)
+    m_y = rng.dirichlet(np.ones(K), size=len(y))[np.arange(len(y)), y]
+    models = {"q": stacked_mlps(rng, (d, hid, 1), SIGMOID_HEAD, R)}
+    batch = (X, m_y, (h == y).astype(float), utility_loss_weights(team)[y],
+             None)
+    loss_fn = query_policy_loss_fn(TrainConfig(cost_weight=0.7), costs)
+    assert finite_diff_check(models, batch, loss_fn) < 1e-4
+    check_replica_independence(models, batch, loss_fn)
+
+
+# --- the closed forms agree with the reference tape --------------------------
+
+ORACLE_RTOL = 1e-12
+
+
+def oracle_case(seed, dropout=0.3):
+    """R=3 stacks with distinct parameters (nonzero biases), dropout masks,
+    a non-identity utility and distinct per-replica cost weights."""
+    rng = np.random.default_rng(seed)
+    K, d, hid, B, R = 3, 4, 5, 9, 3
+    team = TeamConfig(np.eye(K) + 0.3 * rng.random((K, K)), 0.2)
+    X = rng.standard_normal((B, d))
+    y = rng.integers(0, K, B)
+    h = rng.integers(0, K, B)
+
+    def stack(dims, head):
+        models = [init_mlp(dims, head, rng, dropout) for _ in range(R)]
+        for m in models:
+            for b in m.biases:
+                b += rng.normal(0.0, 0.3, b.shape)
+        return stack_models(models)
+
+    return rng, team, X, y, h, (0.5, 1.5, 4.0), stack, (K, d, hid, B)
+
+
+def assert_matches_oracle(models, batch, loss_fn, tape_fn):
+    per, backward = loss_fn(models, batch)
+    per_ref, grads_ref = oracles.tape_loss_and_grad(models, batch, tape_fn)
+    assert per.shape == per_ref.shape
+    assert np.abs(per - per_ref).max() <= ORACLE_RTOL * np.abs(per_ref).max()
+    grads = backward(np.full(per.shape, 1.0 / per.shape[-1]))
+    assert set(grads) == set(grads_ref) == set(models)
+    for name in models:
+        for got, want in zip(grads[name].weights + grads[name].biases,
+                             grads_ref[name].weights + grads_ref[name].biases):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= \
+                ORACLE_RTOL * np.abs(want).max()
+            assert np.abs(want).max() > 0.0
+
+
+def test_solo_ce_matches_tape_oracle():
+    rng, team, X, y, h, _, stack, (K, d, hid, B) = oracle_case(41)
+    models = {"m": stack((d, hid, hid, K), SOFTMAX_HEAD)}
+    w = utility_loss_weights(team)
+    batch = (X, y, w[y], sample_dropout_masks(models["m"], B, rng))
+    assert_matches_oracle(models, batch, solo_ce_loss, oracles.solo_ce_tape(K))
+
+
+def test_query_policy_loss_matches_tape_oracle():
+    rng, team, X, y, h, costs, stack, (K, d, hid, B) = oracle_case(42)
+    models = {"q": stack((d, hid, 1), SIGMOID_HEAD)}
+    m_probs = stable_softmax(rng.standard_normal((B, K)))
+    w = utility_loss_weights(team)
+    batch = (X, m_probs[np.arange(B), y], (h == y).astype(float), w[y],
+             sample_dropout_masks(models["q"], B, rng))
+    cfg = TrainConfig(cost_weight=0.8)
+    assert_matches_oracle(models, batch, query_policy_loss_fn(cfg, costs),
+                          oracles.query_policy_tape(cfg, costs, m_probs, h, y))
+
+
+def test_joint_disc_loss_matches_tape_oracle():
+    rng, team, X, y, h, lams, stack, (K, d, hid, B) = oracle_case(43)
+    models = {"m": stack((d, hid, K), SOFTMAX_HEAD),
+              "q": stack((d, hid, 1), SIGMOID_HEAD)}
+    w = utility_loss_weights(team)
+    batch = (X, y, (h == y).astype(float), w[y],
+             sample_dropout_masks(models["m"], B, rng),
+             sample_dropout_masks(models["q"], B, rng))
+    cfg = TrainConfig()
+    assert_matches_oracle(models, batch, joint_disc_loss_fn(team, cfg, lams),
+                          oracles.joint_disc_tape(team, cfg, lams, h))
+
+
+def test_joint_voi_loss_matches_tape_oracle():
+    rng, team, X, y, h, lams, stack, (K, d, hid, B) = oracle_case(44)
+    cfg = TrainConfig(softmax_temperature=0.6)
+    models = {"alpha": stack((d, hid, K), SOFTMAX_HEAD),
+              "beta": stack((d, hid, K), SOFTMAX_HEAD),
+              "gamma": stack((d + K, hid, K), SOFTMAX_HEAD)}
+
+    def calibrators():
+        return _stack_calibrators([
+            PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
+                            np.zeros(K, dtype=bool)) for _ in range(3)])
+
+    system = VoiSystem(*(CalibratedModel(models[n], calibrators())
+                         for n in ("alpha", "beta", "gamma")), team, cfg)
+    masks = (sample_dropout_masks(models["alpha"], B, rng),
+             sample_dropout_masks(models["beta"], B, rng),
+             sample_dropout_masks(models["gamma"], B * K, rng))
+    batch = joint_voi_batch(system, X, h, y, team, masks)
+    assert_matches_oracle(models, batch, joint_voi_loss_fn(team, cfg, lams),
+                          oracles.joint_voi_tape(team, cfg, lams))
 
 
 # --- divergence in a stacked run ----------------------------------------------

@@ -12,9 +12,11 @@ from teamopt.cli import dist_system, voi_rule_deviation
 from teamopt.data import Dataset
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     team_predict)
-from teamopt.errors import InputError, QueryError, StateError, TrainingError
+from teamopt.errors import (InputError, NumericError, QueryError, StateError,
+                            TrainingError)
 from teamopt.numerics import (SIGMOID_HEAD, MlpModel, TrainConfig,
-                              finite_diff_check, init_mlp, loss_value)
+                              finite_diff_check, init_mlp, loss_value,
+                              stack_models)
 from teamopt.voi import (CalibratedModel, VoiSystem, _calibration_split,
                          gamma_all_input, gamma_input, joint_voi_batch,
                          joint_voi_loss_fn, train_fixed_voi, train_joint_voi,
@@ -230,6 +232,44 @@ def test_team_predict_rejects_response_outside_class_range(family, response):
         team_predict(system, np.zeros(2), lambda x: response)
 
 
+def nonfinite_system(family, score):
+    """A system of either family whose query_score or alone_score is NaN
+    on every instance."""
+    if family == "disc":
+        system = always_querying_disc_system()
+        if score == "query_score":  # q = sigmoid(nan)
+            system.q.biases[0][0] = np.nan
+        else:  # m = softmax(inf, inf) is NaN, and so is (1 - q) * max(m)
+            system.m.biases[0][:] = np.inf
+        return system
+    system = dist_system([0.5, 0.5], [0.5, 0.5], [[0.99, 0.01], [0.01, 0.99]],
+                         TeamConfig.accuracy(2, 0.0))
+    # every per-class sigmoid underflows to 0, so s / sum(s) is 0 / 0
+    part = system.p_beta if score == "query_score" else system.p_alpha
+    part.model.biases[0][:] = [-800.0, -900.0]
+    return system
+
+
+@pytest.mark.parametrize("family", ["disc", "voi"])
+@pytest.mark.parametrize("score", ["query_score", "alone_score"])
+def test_nonfinite_scores_raise_instead_of_deciding(family, score):
+    system = nonfinite_system(family, score)
+    with np.errstate(invalid="ignore"):
+        parts = system.parts(np.zeros((3, 2)))
+    assert np.isnan(getattr(parts, score)).all()
+    with pytest.raises(NumericError, match=score) as info:
+        decide(parts, np.zeros(3, dtype=int), 0.0)
+    assert info.value.index == 0
+    calls = []
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match=score):
+            team_predict(system, np.zeros(2), lambda x: calls.append(1))
+    assert calls == []
+    setattr(parts, score, np.array([0.5, np.inf, 0.5]))
+    with pytest.raises(NumericError, match="instance 1"):
+        parts.queried(0.0)
+
+
 # --- soft quantities -------------------------------------------------------------
 
 def test_soft_u_nq_hand_example():
@@ -301,8 +341,9 @@ def test_joint_loss_matches_numpy_reference():
     x, y, h = ds.X[7], int(ds.y[7]), int(ds.h[7])
     batch = joint_voi_batch(system, x[None, :], np.array([h]), np.array([y]),
                             team)
-    models = {"alpha": system.p_alpha.model, "beta": system.p_beta.model,
-              "gamma": system.p_gamma.model}
+    models = {"alpha": stack_models([system.p_alpha.model]),
+              "beta": stack_models([system.p_beta.model]),
+              "gamma": stack_models([system.p_gamma.model])}
     loss = loss_value(models, batch, joint_voi_loss_fn(team, cfg))
     _, _, q = soft_team_quantities(system, x)
     pa = system.p_alpha.predict_batch(x[None, :])[0]
@@ -327,7 +368,8 @@ def test_joint_pipeline_gradients_match_finite_differences():
                        CalibratedModel(models["gamma"], ident), team, cfg)
     ds = toy_dataset(n=3)
     batch = joint_voi_batch(system, ds.X, ds.h, ds.y, team)
-    assert finite_diff_check(models, batch,
+    stacks = {name: stack_models([m]) for name, m in models.items()}
+    assert finite_diff_check(stacks, batch,
                              joint_voi_loss_fn(team, cfg)) < 1e-4
 
 
