@@ -23,8 +23,7 @@ from .errors import (ConfigError, InputError, NumericError, ParseError,
                      TrainingError)
 from .evaluation import (ErrorRegionTree, SweepResult, cost_sweep,
                          emit_report, human_error_tree, human_only_baseline,
-                         paired_significance, per_class_analysis,
-                         team_metrics)
+                         per_class_analysis)
 from .numerics import MlpModel, TrainConfig, finite_diff_check
 from .voi import CalibratedModel, VoiSystem, train_fixed_voi, train_joint_voi
 
@@ -39,8 +38,7 @@ __all__ = [
     "TrainingError", "VoiSystem", "calibrate_batch", "cost_sweep", "decide",
     "emit_report", "expected_calibration_error", "finite_diff_check",
     "fit_platt", "generate_synthetic", "human_error_tree",
-    "human_only_baseline", "load_csv", "paired_significance",
-    "per_class_analysis", "save_csv", "split", "team_metrics",
-    "team_predict", "train_fixed", "train_fixed_voi", "train_joint",
+    "human_only_baseline", "load_csv", "per_class_analysis", "save_csv",
+    "split", "team_predict", "train_fixed", "train_fixed_voi", "train_joint",
     "train_joint_voi", "utility_loss_weights",
 ]

@@ -14,9 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
-from .numerics import stable_sigmoid
+from .numerics import stable_sigmoid, stable_softmax
 
 _P_EPS = 1e-12
+_TINY = np.finfo(np.float64).tiny
 _GRAD_TOL = 1e-8
 _MAX_NEWTON = 200
 
@@ -149,8 +150,27 @@ def calibrate_batch(logits: np.ndarray, cal: PlattCalibrator) -> np.ndarray:
     if logits.shape[-1] != cal.num_classes:
         raise ShapeError(f"logits last dim {logits.shape[-1]} !="
                          f" K={cal.num_classes}")
-    s = stable_sigmoid(logits * cal.a + cal.b)
-    return s / s.sum(axis=-1, keepdims=True)
+    z = logits * cal.a + cal.b
+    s = stable_sigmoid(z)
+    return sigmoid_shares(z, s, s.sum(axis=-1, keepdims=True))[0]
+
+
+def sigmoid_shares(z: np.ndarray, s: np.ndarray, total: np.ndarray):
+    """s / total for s = sigmoid(z) and total its (..., 1) sum over the last
+    axis; also the mask of rows normalised in log space (None if none).
+
+    A row whose total is below the smallest normal float has every sigmoid
+    underflowed, and s / total would be 0/0 or a ratio of subnormals. Such
+    rows take the same ratio in log space, softmax(log sigmoid(z)). Every
+    other row keeps the plain division, bit for bit.
+    """
+    low = total[..., 0] < _TINY
+    if not low.any():
+        return s / total, None
+    p = s / np.where(low[..., None], 1.0, total)
+    zl = z[low]
+    p[low] = stable_softmax(np.minimum(zl, 0.0) - np.log1p(np.exp(-abs(zl))))
+    return p, low
 
 
 def expected_calibration_error(predictions, labels, bins: int = 10) -> float:

@@ -4,10 +4,9 @@ The headline metric is total loss: utility-weighted classification error
 plus query cost times query rate. `cost_sweep` trains the four approaches
 over seeds, selects the joint variants' cost weight per cost point on the
 validation split, and reports test metrics. Analyses mirror the usual
-diagnostics for a human-machine team: per-class error and query tables, a
-shallow Gini tree over the human-error event, and a paired t-test between
-approaches. Reports are written deterministically so identical inputs
-give byte-identical files.
+diagnostics for a human-machine team: per-class error and query tables
+and a shallow Gini tree over the human-error event. Reports are written
+deterministically so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Callable, NamedTuple
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset, split
 from .discriminative import (DiscriminativeSystem, TeamConfig, decide,
@@ -64,15 +62,6 @@ def team_metrics_arrays(pred_labels: np.ndarray, queried: np.ndarray,
             "classification_error": err,
             "mean_utility": mean_utility,
             "query_rate": query_rate}
-
-
-def team_metrics(predictions, labels, team: TeamConfig) -> dict:
-    """Score a list of TeamPrediction against ground truth."""
-    if len(predictions) != len(labels):
-        raise InputError("predictions and labels must have equal length")
-    pred = np.array([p.predicted_label for p in predictions], dtype=np.int64)
-    queried = np.array([p.queried for p in predictions], dtype=bool)
-    return team_metrics_arrays(pred, queried, labels, team)
 
 
 def human_only_baseline(dataset: Dataset, team: TeamConfig) -> dict:
@@ -474,44 +463,6 @@ def tree_to_dict(tree: ErrorRegionTree) -> dict:
     return {"feature_index": tree.feature_index, "threshold": tree.threshold,
             "left": tree_to_dict(tree.left), "right": tree_to_dict(tree.right),
             "leaf_stats": None}
-
-
-class SignificanceResult(float):
-    """p-value that also carries the t statistic and a degeneracy flag."""
-
-    t_statistic: float
-    degenerate: bool
-
-    def __new__(cls, p: float, t_statistic: float, degenerate: bool):
-        obj = super().__new__(cls, p)
-        obj.t_statistic = t_statistic
-        obj.degenerate = degenerate
-        return obj
-
-    @property
-    def p_value(self) -> float:
-        return float(self)
-
-
-def paired_significance(losses_a, losses_b) -> SignificanceResult:
-    """Two-sided paired Student t-test on loss samples.
-
-    Zero-variance differences (e.g. identical samples) return p=1 with the
-    degenerate flag set rather than erroring.
-    """
-    a = np.asarray(losses_a, dtype=np.float64)
-    b = np.asarray(losses_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InputError("paired samples must be equal-length vectors")
-    if len(a) < 2:
-        raise InputError("need at least two pairs")
-    d = a - b
-    sd = d.std(ddof=1)
-    if sd == 0.0:
-        return SignificanceResult(1.0, 0.0, True)
-    t = d.mean() / (sd / np.sqrt(len(d)))
-    p = 2.0 * stats.t.sf(abs(t), len(d) - 1)
-    return SignificanceResult(float(p), float(t), False)
 
 
 # --- report emission -------------------------------------------------------

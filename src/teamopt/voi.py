@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import PlattCalibrator, calibrate_batch
+from .calibration import PlattCalibrator, calibrate_batch, sigmoid_shares
 from .discriminative import (DecisionParts, TeamConfig, derive_rng,
                              mixture_loss, train_solo_model,
                              utility_loss_weights)
@@ -83,11 +83,17 @@ def gamma_input(X: np.ndarray, h: np.ndarray, num_classes: int) -> np.ndarray:
     return np.concatenate([X, np.eye(num_classes)[h]], axis=1)
 
 
-def gamma_all_input(X: np.ndarray, num_classes: int) -> np.ndarray:
-    """Every (x, onehot(h)) pair, h-major within each instance: (n*K, d+K)."""
-    n = X.shape[0]
-    return np.concatenate([np.repeat(X, num_classes, axis=0),
-                           np.tile(np.eye(num_classes), (n, 1))], axis=1)
+def gamma_all_input(X: np.ndarray, num_classes: int,
+                    onehots: np.ndarray | None = None) -> np.ndarray:
+    """Every (x, onehot(h)) pair, h-major within each instance: (n*K, d+K).
+
+    `onehots` is the (n*K, K) right-hand block, which depends on n alone;
+    a caller with a fixed n builds it once and passes it in.
+    """
+    if onehots is None:
+        onehots = np.tile(np.eye(num_classes), (X.shape[0], 1))
+    return np.concatenate([np.repeat(X, num_classes, axis=0), onehots],
+                          axis=1)
 
 
 # --- exact decision-time quantities -------------------------------------
@@ -139,13 +145,20 @@ def _calibrated(logits: np.ndarray, cal: PlattCalibrator):
     """`calibrate_batch`'s s / sum(s) on training logits, with the backward
     map from dL/dp to dL/d(logits). The calibrator parameters are
     constants: frozen during backprop."""
-    s = stable_sigmoid(logits * cal.a + cal.b)
+    z = logits * cal.a + cal.b
+    s = stable_sigmoid(z)
     total = sum_last(s)[..., None]
-    p = s / total
+    p, low = sigmoid_shares(z, s, total)
+    if low is not None:
+        total = np.where(low[..., None], 1.0, total)  # rows replaced below
 
     def backward(dp):
         dot = sum_last(dp * p)[..., None]
-        return (dp - dot) / total * (s * (1.0 - s) * cal.a)
+        d = (dp - dot) / total * (s * (1.0 - s) * cal.a)
+        if low is not None:
+            # s / total is p, which stays finite where the total underflowed
+            d[low] = ((dp - dot) * p * ((1.0 - s) * cal.a))[low]
+        return d
 
     return p, backward
 
@@ -313,12 +326,13 @@ def train_joint_voi_grid(dataset, team: TeamConfig, cfg: TrainConfig,
     rng_dg = derive_rng(cfg.seed, STREAM_JOINT_DROP_G)
     K = dataset.num_classes
     w = utility_loss_weights(team)
+    B = min(cfg.batch_size, n)
+    onehots = np.tile(np.eye(K), (B, 1))  # every batch's gamma one-hots
 
     def make_batch(it):
-        idx = rng_batch.choice(n, size=min(cfg.batch_size, n), replace=False)
-        B = len(idx)
+        idx = rng_batch.choice(n, size=B, replace=False)
         Xb, hb, yb = X[idx], h[idx], y[idx]
-        return _JointBatch(Xb, gamma_all_input(Xb, K), hb, yb, w[yb],
+        return _JointBatch(Xb, gamma_all_input(Xb, K, onehots), hb, yb, w[yb],
                            *stacked_cals,
                            sample_dropout_masks(parts[0].model, B, rng_da),
                            sample_dropout_masks(parts[1].model, B, rng_db),

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import record_verdict
 
@@ -25,8 +26,7 @@ from teamopt.data import SynthConfig, generate_synthetic, split
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     train_solo_model)
 from teamopt.evaluation import (SPLIT_FRACTIONS, cost_sweep,
-                                human_error_tree, paired_significance,
-                                weighted_error)
+                                human_error_tree, weighted_error)
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
                               TrainConfig, forward_batch)
 from teamopt.voi import train_fixed_voi, voi_decision_parts
@@ -194,7 +194,9 @@ def test_criterion_07_joint_training_beats_fixed_on_benchmark(bench):
     fv = _totals(bench["by"]["fixed-voi"])
     jv = _totals(bench["by"]["joint-voi"])
     disc_everywhere = bool((jd.mean(axis=0) <= fd.mean(axis=0)).all())
-    p = paired_significance(fd.ravel(), jd.ravel())
+    # two-sided paired t-test; zero-variance differences give a NaN p,
+    # which fails p < 0.05
+    p = stats.ttest_rel(fd.ravel(), jd.ravel()).pvalue
     disc_gain = float((fd - jd).mean())
     voi_everywhere = bool((jv.mean(axis=0) <= fv.mean(axis=0) + 0.005).all())
     voi_gain = float((fv - jv).mean())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from teamopt import calibration
@@ -228,6 +230,35 @@ def test_calibrate_outputs_are_distributions():
         out = calibrate(rng.normal(scale=4.0, size=k), cal)
         assert (out >= 0).all()
         assert abs(out.sum() - 1.0) <= 1e-9
+
+
+def test_calibrate_underflowed_sigmoids_give_a_distribution():
+    # every sigmoid underflows to 0, so the plain ratio would be 0/0
+    out = calibrate_batch(np.array([[-800.0, -900.0, -1000.0]]),
+                          PlattCalibrator.identity(3))
+    want = np.exp([0.0, -100.0, -200.0])
+    assert np.allclose(out[0], want / want.sum(), rtol=1e-12, atol=0.0)
+    # a row beside it keeps the bits it has alone
+    normal = np.array([[0.3, -2.0, 1.5]])
+    mixed = calibrate_batch(np.array([[-800.0, -900.0, -1000.0], normal[0]]),
+                            PlattCalibrator.identity(3))
+    assert np.array_equal(mixed[1:],
+                          calibrate_batch(normal, PlattCalibrator.identity(3)))
+
+
+# bounded so that a * logit + b stays a finite float64
+_FINITE = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda k: st.tuples(*(st.lists(_FINITE, min_size=k, max_size=k),) * 3)))
+def test_calibrated_outputs_are_distributions_for_any_finite_inputs(abz):
+    a, b, logits = (np.array(v) for v in abz)
+    cal = PlattCalibrator(a, b, np.zeros(len(a), dtype=bool))
+    out = calibrate_batch(logits[None, :], cal)[0]
+    assert np.isfinite(out).all() and (out >= 0).all()
+    assert abs(out.sum() - 1.0) <= 1e-9
 
 
 def test_calibrate_monotone_in_own_score():

@@ -9,19 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
-from teamopt.discriminative import (TeamConfig, TeamPrediction, decide,
-                                    train_joint)
+from teamopt.discriminative import TeamConfig, decide, train_joint
 from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
 from teamopt.evaluation import (SPLIT_FRACTIONS, SweepCell, SweepResult,
                                 _best_split, _lambda_mode, cost_sweep,
                                 emit_report, human_error_tree,
-                                human_only_baseline, paired_significance,
-                                per_class_analysis, render_loss_svg,
-                                sweep_csv_text, team_metrics,
+                                human_only_baseline, per_class_analysis,
+                                render_loss_svg, sweep_csv_text,
                                 team_metrics_arrays, weighted_error)
 from teamopt.numerics import TrainConfig, forward_batch
 from teamopt.voi import train_fixed_voi
@@ -71,16 +68,8 @@ def test_team_metrics_hand_example():
     assert m["classification_error"] == 0.2
     assert m["query_rate"] == 0.3
     assert abs(m["mean_utility"] - 0.74) < 1e-15
-
-
-def test_team_metrics_accepts_prediction_objects():
-    preds = [TeamPrediction(1, True, 0.9, np.array([0.2, 0.8])),
-             TeamPrediction(0, False, 0.1, np.array([0.7, 0.3]))]
-    m = team_metrics(preds, np.array([1, 1]), TeamConfig.accuracy(2, 0.1))
-    assert m["classification_error"] == 0.5
-    assert m["query_rate"] == 0.5
     with pytest.raises(InputError):
-        team_metrics(preds, np.array([1]), TeamConfig.accuracy(2))
+        team_metrics_arrays(preds, queried, labels[:9], TeamConfig.accuracy(2))
     with pytest.raises(InputError):
         team_metrics_arrays(np.zeros(0, int), np.zeros(0, bool),
                             np.zeros(0, int), TeamConfig.accuracy(2))
@@ -392,29 +381,6 @@ def test_best_split_matches_exhaustive_reference():
             assert best_score is not None
             got_score = ref_split_score(X, target, idx, *got)
             assert abs(got_score - best_score) < 1e-9  # ties may differ
-
-
-def test_paired_significance_matches_scipy():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(12)
-    b = a + 0.3 + rng.standard_normal(12) * 0.5
-    res = paired_significance(a, b)
-    t_ref, p_ref = stats.ttest_rel(a, b)
-    assert abs(res.p_value - p_ref) < 1e-12
-    assert abs(res.t_statistic - t_ref) < 1e-12
-    assert not res.degenerate
-    assert isinstance(res, float) and float(res) == res.p_value
-
-
-def test_paired_significance_degenerate_and_validation():
-    res = paired_significance([0.3, 0.4, 0.5], [0.3, 0.4, 0.5])
-    assert res.degenerate and res.p_value == 1.0 and res.t_statistic == 0.0
-    shifted = paired_significance([1.5, 2.5, 3.5], [1.0, 2.0, 3.0])
-    assert shifted.degenerate  # constant nonzero difference: sd is 0
-    with pytest.raises(InputError):
-        paired_significance([1.0, 2.0], [1.0])
-    with pytest.raises(InputError):
-        paired_significance([1.0], [2.0])
 
 
 # --- report emission --------------------------------------------------------

@@ -2,11 +2,15 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import teamopt
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -31,3 +35,14 @@ def test_every_traced_function_resolves():
     missing = [f"{mod}.{attr}" for mod, attr in spanned
                if not hasattr(importlib.import_module(f"teamopt.{mod}"), attr)]
     assert missing == []
+
+
+def test_run_path_imports_no_scipy():
+    # importing scipy.stats would add about 1 s to every command's start-up
+    code = ("import sys, teamopt.cli, teamopt; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -244,9 +244,9 @@ def nonfinite_system(family, score):
         return system
     system = dist_system([0.5, 0.5], [0.5, 0.5], [[0.99, 0.01], [0.01, 0.99]],
                          TeamConfig.accuracy(2, 0.0))
-    # every per-class sigmoid underflows to 0, so s / sum(s) is 0 / 0
+    # a NaN logit gives a NaN calibrated distribution
     part = system.p_beta if score == "query_score" else system.p_alpha
-    part.model.biases[0][:] = [-800.0, -900.0]
+    part.model.biases[0][:] = np.nan
     return system
 
 
@@ -352,6 +352,30 @@ def test_joint_loss_matches_numpy_reference():
     mix = q * pg_h + (1.0 - q) * pa
     ref = -np.log(mix[y]) + cfg.cost_weight * team.query_cost * q
     assert abs(loss - ref) < 1e-9
+
+
+def test_calibrated_head_is_finite_where_every_sigmoid_underflows():
+    cal = PlattCalibrator(np.array([1.0, 0.5, 2.0]), np.zeros(3),
+                          np.zeros(3, dtype=bool))
+    normal = np.array([0.3, -0.2, 0.1])
+    logits = np.array([[-800.0, -1500.0, -420.0], normal])
+    dp = np.random.default_rng(4).normal(size=logits.shape)
+    p, backward = voi_mod._calibrated(logits, cal)
+    grad = backward(dp)
+    assert np.isfinite(p).all() and np.isfinite(grad).all()
+    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    # the ordinary row keeps the bits it has alone
+    p1, back1 = voi_mod._calibrated(normal[None, :], cal)
+    assert np.array_equal(p[1:], p1)
+    assert np.array_equal(grad[1:], back1(dp[1:]))
+    eps = 1e-5
+    for k in range(3):
+        hi, lo = logits.copy(), logits.copy()
+        hi[0, k] += eps
+        lo[0, k] -= eps
+        fd = ((dp * voi_mod._calibrated(hi, cal)[0]).sum()
+              - (dp * voi_mod._calibrated(lo, cal)[0]).sum()) / (2 * eps)
+        assert abs(grad[0, k] - fd) < 1e-8
 
 
 def test_joint_pipeline_gradients_match_finite_differences():
