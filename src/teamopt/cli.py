@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the cost sweep and emit reports")
     _add_common(p)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sweep cells (default 1, fully serial)")
+                   help="worker processes, at most one per work unit"
+                        " (default 1, fully serial)")
     p = sub.add_parser("analyze", help="per-class table and human-error tree")
     _add_common(p)
     p = sub.add_parser("verify", help="run embedded property suites")

@@ -15,11 +15,9 @@ import json
 import logging
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -241,6 +239,29 @@ def _run_cell(args) -> list[SweepCell]:
     return cells
 
 
+def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
+    """`_run_cell` over `work` in a pool of `workers` processes.
+
+    A unit whose worker died fails one cell per approach in the unit;
+    units that completed keep their rows.
+    """
+    # Imported here: the pool's modules cost a serial run ~20 ms start-up.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    units = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_cell, item) for item in work]
+        for (_, approaches, seed, *_), future in zip(work, futures):
+            try:
+                units.append(future.result())
+            except BrokenProcessPool as e:
+                error = f"{type(e).__name__}: {e}"
+                units.append([SweepCell(a, seed, [], error)
+                              for a in approaches])
+    return units
+
+
 def _lambda_mode(values) -> float | None:
     present = [v for v in values if v is not None]
     if not present:
@@ -266,8 +287,11 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     joint-voi cells are one work unit: one fixed-VOI training is scored
     as fixed-voi and warm-starts joint-voi. A failing approach fails only
     its own cell; failed cells are logged and skipped in the averages.
-    Negative or non-finite costs or λ values raise ConfigError before any
-    cell starts.
+    With `jobs` > 1 the work units run in a process pool of at most
+    `jobs` workers, and no more workers than units; a unit whose worker
+    dies fails its cells and the other units keep theirs. Negative or
+    non-finite costs or λ values, and `jobs` < 1, raise ConfigError
+    before any cell starts.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in APPROACHES]
@@ -284,13 +308,14 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     if not (names and costs and lam_grid and seeds):
         raise ConfigError("approaches, costs, lambda grid and seeds must be"
                           " nonempty")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     team = team or TeamConfig.accuracy(dataset.num_classes)
     cfg = train_cfg or TrainConfig()
     work = [(dataset, unit, s, costs, lam_grid, team, cfg)
             for unit in _work_units(names) for s in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            units = list(pool.map(_run_cell, work))
+        units = _run_pool(work, min(jobs, len(work)))
     else:
         units = [_run_cell(item) for item in work]
     cells = [cell for unit in units for cell in unit]
@@ -474,6 +499,13 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _escape(text: str) -> str:
+    """XML character data: `&`, `<` and `>` escaped, as in
+    `xml.sax.saxutils.escape`, whose import chain costs ~35 ms start-up."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;"))
+
+
 def render_loss_svg(results: list[SweepResult], width: int = 640,
                     height: int = 420) -> str:
     """Hand-rolled line plot of mean total loss vs query cost."""
@@ -536,7 +568,8 @@ def render_loss_svg(results: list[SweepResult], width: int = 640,
         lx = width - mr - 150
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}"'
                      f' stroke="{color}" stroke-width="1.8"{dash}/>')
-        parts.append(f'<text x="{lx + 30}" y="{ly + 4}">{escape(name)}</text>')
+        parts.append(f'<text x="{lx + 30}" y="{ly + 4}">'
+                     f'{_escape(name)}</text>')
     parts.append('</g>')
     parts.append('</svg>')
     return "\n".join(parts) + "\n"

@@ -176,6 +176,26 @@ def test_sweep_partial_failure_exits_three(tmp_path):
     assert len(by_name["human-only"]["records"]) == 2
 
 
+def test_sweep_with_a_dead_pool_worker_exits_three(tmp_path,
+                                                  kill_worker_on_seed):
+    out = tmp_path / "out"
+    cfg = tiny_config(out, approaches=["human-only"], seeds=[0, 1, 2])
+    path = write_config(tmp_path, cfg)
+    kill_worker_on_seed(1)
+    assert main(["sweep", "--config", path, "--jobs", "2"]) == 3
+    payload = json.loads((out / "sweep.json").read_text())
+    assert [r["approach"] for r in payload] == ["human-only"]
+    assert (out / "sweep.csv").exists() and (out / "loss_vs_cost.svg").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_two(tmp_path, jobs):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out, approaches=["human-only"]))
+    assert main(["sweep", "--config", path, "--jobs", jobs]) == 2
+    assert not out.exists()
+
+
 def test_sweep_missing_config_exits_two(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from teamopt.data import (Dataset, SynthConfig, generate_synthetic, load_csv,
                           save_csv, split)
@@ -200,6 +203,70 @@ def test_load_csv_parse_errors_carry_line_numbers(tmp_path, text, line):
     with pytest.raises(ParseError) as info:
         load_csv(path, 3)
     assert info.value.line == line
+
+
+@st.composite
+def datasets(draw):
+    """Any dataset: n >= 1 rows, d >= 1 finite float64 features (zeros of
+    either sign and subnormals included), K >= 2 classes."""
+    n, d, k = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(
+        st.integers(2, 6))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    labels = arrays(np.int64, n, elements=st.integers(0, k - 1))
+    return Dataset(X, draw(labels), draw(labels), k)
+
+
+# The CSV file is rewritten by every example, so sharing tmp_path is safe.
+csv_settings = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@csv_settings
+@given(datasets())
+def test_csv_round_trip_is_bitwise_for_any_dataset(tmp_path, ds):
+    path = tmp_path / "ds.csv"
+    save_csv(ds, path)
+    back = load_csv(path, ds.num_classes)
+    assert back.X.tobytes() == ds.X.tobytes()
+    assert back.y.tobytes() == ds.y.tobytes()
+    assert back.h.tobytes() == ds.h.tobytes()
+
+
+@st.composite
+def corruptions(draw, d: int, k: int):
+    """(kind, row fields -> corrupted fields) for a row of d features."""
+    kind = draw(st.sampled_from(["columns", "non-numeric", "non-finite",
+                                 "label-range"]))
+    if kind == "columns":
+        extra = draw(st.sampled_from([-1, 1]))
+        return kind, lambda f: f[:-1] if extra < 0 else f + ["0"]
+    if kind == "non-numeric":
+        col = draw(st.integers(0, d + 1))
+        text = draw(st.sampled_from(["abc", "", " ", "1.2.3", "--1"]))
+    elif kind == "non-finite":
+        col = draw(st.integers(0, d - 1))
+        text = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+    else:
+        col = draw(st.sampled_from([d, d + 1]))
+        text = str(draw(st.integers(-2, -1) | st.integers(k, k + 1)))
+    return kind, lambda f: f[:col] + [text] + f[col + 1:]
+
+
+@csv_settings
+@given(st.data())
+def test_corrupted_row_error_names_its_line(tmp_path, data):
+    ds = data.draw(datasets())
+    row = data.draw(st.integers(0, len(ds) - 1))
+    kind, corrupt = data.draw(corruptions(ds.feature_dim, ds.num_classes))
+    path = tmp_path / "bad.csv"
+    save_csv(ds, path)
+    lines = path.read_text().splitlines()
+    lines[row + 1] = ",".join(corrupt(lines[row + 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path, ds.num_classes)
+    assert info.value.line == row + 2, kind
 
 
 def test_csv_header_format(tmp_path):

@@ -1,14 +1,18 @@
 """Metrics, cost sweeps, analyses, and deterministic report files."""
 
+import concurrent.futures
 import json
 import logging
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
@@ -243,6 +247,73 @@ def test_cost_sweep_input_validation():
             cost_sweep(ds, ("human-only",), (0.0, bad), (1.0,), (0,))
         with pytest.raises(ConfigError):
             cost_sweep(ds, ("human-only",), (0.0,), (1.0, bad), (0,))
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match="jobs"):
+            cost_sweep(ds, ("human-only",), (0.0,), (1.0,), (0,), jobs=jobs)
+
+
+def inline_pool(monkeypatch) -> list:
+    """Swap the process pool for one that runs each unit in this process;
+    returns the list of `max_workers` it is opened with. No worker starts."""
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers=None, **kwargs):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool,
+                        raising=False)
+    return widths
+
+
+@pytest.mark.parametrize("jobs,workers", [(3, 3), (64, 4)])
+def test_pool_opens_at_most_one_worker_per_work_unit(monkeypatch, jobs,
+                                                     workers):
+    # a fork pool starts all of its workers at the first submit
+    ds = toy_dataset()
+    args = (ds, ("fixed-disc", "human-only"), (0.0, 0.1), (1.0,), (0, 1))
+    serial = cost_sweep(*args, train_cfg=small_cfg())
+    widths = inline_pool(monkeypatch)
+    pooled = cost_sweep(*args, train_cfg=small_cfg(), jobs=jobs)
+    assert widths == [workers]  # 2 approaches x 2 seeds = 4 work units
+    assert [r.cells for r in pooled] == [r.cells for r in serial]
+
+
+def test_dead_worker_fails_its_cells_and_the_rest_complete(
+        kill_worker_on_seed):
+    ds = toy_dataset()
+    args = (ds, ("human-only",), (0.0, 0.1), (1.0,), (0, 1, 2, 3))
+    serial = {c.seed: c for c in cost_sweep(*args)[0].cells}
+    kill_worker_on_seed(1)
+    result = cost_sweep(*args, jobs=2)[0]
+    cells = {c.seed: c for c in result.cells}
+    assert sorted(cells) == [0, 1, 2, 3]
+    assert cells[1].rows == []
+    assert cells[1].error.startswith("BrokenProcessPool: ")
+    for seed, cell in cells.items():
+        assert cell == serial[seed] or (
+            cell.rows == [] and cell.error.startswith("BrokenProcessPool"))
+    good = [serial[c.seed] for c in result.cells if c.error is None]
+    if good:  # the averages cover exactly the seeds that completed
+        expected = np.mean([c.rows[0][1] for c in good])
+        assert result.records[0]["total_loss"] == expected
+    else:
+        assert result.records == []
 
 
 def test_lambda_mode_prefers_count_then_smallest():
@@ -483,3 +554,10 @@ def test_loss_svg_handles_degenerate_inputs():
     svg = render_loss_svg(single)
     assert "a&lt;b" in svg
     ET.fromstring(svg)
+
+
+@given(st.text())
+def test_svg_escape_matches_saxutils(text):
+    # the legend's escape stands in for xml.sax.saxutils.escape, byte for
+    # byte, without its import chain on every command's start-up
+    assert evaluation._escape(text) == sax_escape(text)

@@ -37,12 +37,32 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
-def test_run_path_imports_no_scipy():
-    # importing scipy.stats would add about 1 s to every command's start-up
-    code = ("import sys, teamopt.cli, teamopt; print(sorted(m for m in "
-            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+def modules_loaded_by_run_path() -> set[str]:
+    """Every module a fresh interpreter holds after importing the CLI."""
+    code = ("import sys, teamopt.cli, teamopt; "
+            "print('\\n'.join(sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def loaded_under(modules: set[str], roots) -> list[str]:
+    return sorted(m for m in modules
+                  if any(m == r or m.startswith(r + ".") for r in roots))
+
+
+def test_run_path_imports_no_scipy():
+    # importing scipy.stats would add about 1 s to every command's start-up
+    assert loaded_under(modules_loaded_by_run_path(), ["scipy"]) == []
+
+
+def test_run_path_imports_no_network_or_process_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email
+    # (~35 ms), and concurrent.futures.process pulls in multiprocessing,
+    # socket and subprocess (~20 ms); a serial sweep calls none of them
+    unused = ["xml", "ssl", "_ssl", "http", "email", "urllib.request",
+              "socket", "multiprocessing", "concurrent", "subprocess",
+              "hashlib"]
+    assert loaded_under(modules_loaded_by_run_path(), unused) == []
