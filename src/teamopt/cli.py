@@ -193,12 +193,8 @@ def cmd_sweep(config: RunConfig, jobs: int = 1) -> int:
     files = emit_report(results, config.out, config.formats)
     for f in files:
         logger.info("wrote %s", f)
-    failures = [cell for r in results for cell in r.cells
-                if cell.error is not None]
-    if failures:
-        for cell in failures:
-            logger.error("failed cell approach=%s seed=%d: %s",
-                         cell.approach, cell.seed, cell.error)
+    # cost_sweep has logged each failed cell
+    if any(cell.error is not None for r in results for cell in r.cells):
         return 3
     return 0
 
@@ -244,13 +240,12 @@ def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
     h = rng.integers(0, K, batch_size)
     m = stack_models([init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)])
     q = stack_models([init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)])
-    cfg = TrainConfig(cost_weight=cost_weight, softmax_temperature=tau,
-                      dropout_rate=0.0)
+    cfg = TrainConfig(softmax_temperature=tau, dropout_rate=0.0)
     worst = finite_diff_check({"m": m}, (X, y, w[y], None), solo_ce_loss)
     hit = (h == y).astype(np.float64)
     worst = max(worst, finite_diff_check(
         {"m": m, "q": q}, (X, y, hit, w[y], None, None),
-        joint_disc_loss_fn(team, cfg)))
+        joint_disc_loss_fn(team, (cost_weight,))))
     a_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
     b_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
     g_m = init_mlp((d + K, hid, K), SOFTMAX_HEAD, rng, 0.0)
@@ -261,18 +256,13 @@ def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
               "gamma": stack_models([g_m])}
     return max(worst, finite_diff_check(
         models, joint_voi_batch(system, X, h, y, team),
-        joint_voi_loss_fn(team, cfg)))
+        joint_voi_loss_fn(team, cfg, (cost_weight,))))
 
 
-def _gradcheck_suite(rng: np.random.Generator,
-                     inject_fault: bool = False) -> float:
+def _gradcheck_suite(rng: np.random.Generator) -> float:
     """Max FD relative error of the training losses at three points."""
     team = TeamConfig(np.eye(3) + 0.1 * rng.random((3, 3)), 0.07)
-    worst = max(gradcheck_losses(rng, team, 1.0, 0.8, 6) for _ in range(3))
-    if inject_fault:
-        logger.warning("gradcheck fault injection active")
-        worst = max(worst, 1.0)
-    return worst
+    return max(gradcheck_losses(rng, team, 1.0, 0.8, 6) for _ in range(3))
 
 
 def to_logit(p):
@@ -349,10 +339,9 @@ def platt_ece(rng: np.random.Generator) -> float:
                                       bins=10)
 
 
-def cmd_verify(inject_gradient_fault: bool = False) -> int:
+def cmd_verify() -> int:
     suites = (
-        ("gradcheck", lambda r: _gradcheck_suite(r, inject_gradient_fault),
-         1e-4, "max relative error"),
+        ("gradcheck", _gradcheck_suite, 1e-4, "max relative error"),
         ("voi-rule", lambda r: voi_rule_deviation(r, 300), 1e-12,
          "max abs deviation"),
         ("calibration", platt_ece, 0.05, "expected calibration error"),
@@ -395,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " (default 1, fully serial)")
     p = sub.add_parser("analyze", help="per-class table and human-error tree")
     _add_common(p)
-    p = sub.add_parser("verify", help="run embedded property suites")
-    p.add_argument("--inject-gradient-fault", action="store_true",
-                   help="force a gradcheck failure (harness self-test)")
+    sub.add_parser("verify", help="run embedded property suites")
     return parser
 
 
@@ -407,7 +394,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.inject_gradient_fault)
+            return cmd_verify()
         config = apply_overrides(load_config(args.config), args)
         if args.command == "generate":
             return cmd_generate(config)

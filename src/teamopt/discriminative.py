@@ -299,14 +299,14 @@ def query_policy_loss_fn(cfg: TrainConfig, costs):
     return loss_fn
 
 
-def train_query_policy_grid(m: MlpModel, dataset, team: TeamConfig,
-                            cfg: TrainConfig, costs) -> list[MlpModel]:
-    """Stage 2 of the fixed approach at several query costs in one run.
+def train_query_policy(m: MlpModel, dataset, team: TeamConfig,
+                       cfg: TrainConfig, costs) -> list[MlpModel]:
+    """Stage 2 of the fixed approach: one q-policy per query cost.
 
-    One q-policy per cost, each fit against the frozen predictor; `team`
-    supplies the utility and `costs` replace its query cost. They step
-    in lockstep on shared minibatches and dropout masks, and each equals
-    what `train_query_policy` gives at that cost alone.
+    Each policy is fit against the frozen predictor m; `team` supplies
+    the utility and `costs` replace its query cost. The policies step in
+    lockstep on shared minibatches and dropout masks, and each equals
+    what a one-cost grid gives.
     """
     X, y, h = dataset.X, dataset.y, dataset.h
     w = utility_loss_weights(team)
@@ -331,31 +331,27 @@ def train_query_policy_grid(m: MlpModel, dataset, team: TeamConfig,
     return unstack_models(fitted["q"])
 
 
-def train_query_policy(m: MlpModel, dataset, team: TeamConfig,
-                       cfg: TrainConfig) -> MlpModel:
-    """Stage 2 of the fixed approach: fit q against a frozen predictor."""
-    return train_query_policy_grid(m, dataset, team, cfg,
-                                   (team.query_cost,))[0]
+def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig, costs
+                ) -> list[DiscriminativeSystem]:
+    """Train m in isolation, then one query policy per cost with m frozen.
 
-
-def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig
-                ) -> DiscriminativeSystem:
-    """Train m in isolation, then fit the query policy with m frozen."""
+    The system for cost c shares m and carries `team.with_cost(c)`.
+    """
     m = train_solo_model(dataset, team, cfg)
-    q = train_query_policy(m, dataset, team, cfg)
-    return DiscriminativeSystem(m, q, team, cfg)
+    policies = train_query_policy(m, dataset, team, cfg, costs)
+    return [DiscriminativeSystem(m, q, team.with_cost(c), cfg)
+            for c, q in zip(costs, policies)]
 
 
-def joint_disc_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
+def joint_disc_loss_fn(team: TeamConfig, cost_weights):
     """Per-instance mixture loss of m and q for fit / finite_diff_check.
 
     Follows the `loss_and_grad` contract on replica stacks {"m", "q"} and
     batches (X, y, [h == y], w[y], masks_m, masks_q). `cost_weights` holds
-    one lambda per replica (default: the single cfg.cost_weight); the
-    cost term is lambda * c.
+    one lambda per replica; the cost term is lambda * c.
     """
-    lams = (cfg.cost_weight,) if cost_weights is None else cost_weights
-    cost_term = np.asarray(lams, dtype=np.float64)[:, None] * team.query_cost
+    cost_term = (np.asarray(cost_weights, dtype=np.float64)[:, None]
+                 * team.query_cost)
 
     def loss_fn(models, batch):
         Xb, y, hit, w_y, masks_m, masks_q = batch
@@ -379,13 +375,13 @@ def joint_disc_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
     return loss_fn
 
 
-def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
-                     cost_weights) -> list[DiscriminativeSystem]:
+def train_joint(dataset, team: TeamConfig, cfg: TrainConfig, cost_weights
+                ) -> list[DiscriminativeSystem]:
     """End-to-end SGD of m and q on the mixture loss, once per cost weight.
 
     The variants step in lockstep on shared minibatches and dropout
-    masks; each system equals what `train_joint` gives with that
-    `cost_weight` alone.
+    masks; each system equals what a one-value grid gives, and its
+    `train_cfg` carries its `cost_weight`.
     """
     X, y, h = dataset.X, dataset.y, dataset.h
     K = dataset.num_classes
@@ -407,16 +403,10 @@ def train_joint_grid(dataset, team: TeamConfig, cfg: TrainConfig,
         masks_q = sample_dropout_masks(q, len(idx), rng_drop_q)
         return (X[idx], y[idx], hit_all[idx], w[y[idx]], masks_m, masks_q)
 
-    fitted = fit(models, joint_disc_loss_fn(team, cfg, cost_weights),
+    fitted = fit(models, joint_disc_loss_fn(team, cost_weights),
                  make_batch, cfg, "joint training",
                  [f"cost_weight={lam!r}" for lam in cost_weights])
     return [DiscriminativeSystem(m_r, q_r, team, replace(cfg, cost_weight=lam))
             for m_r, q_r, lam in zip(unstack_models(fitted["m"]),
                                      unstack_models(fitted["q"]),
                                      cost_weights)]
-
-
-def train_joint(dataset, team: TeamConfig, cfg: TrainConfig
-                ) -> DiscriminativeSystem:
-    """End-to-end SGD of m and q on the mixture loss at `cfg.cost_weight`."""
-    return train_joint_grid(dataset, team, cfg, (cfg.cost_weight,))[0]

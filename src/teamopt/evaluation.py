@@ -22,12 +22,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import Dataset, split
-from .discriminative import (DiscriminativeSystem, TeamConfig, decide,
-                             train_fixed, train_joint, train_joint_grid,
-                             train_query_policy_grid, train_solo_model)
+from .discriminative import TeamConfig, decide, train_fixed, train_joint
 from .errors import ConfigError, InputError, TeamoptError
 from .numerics import TrainConfig
-from .voi import train_fixed_voi, train_joint_voi, train_joint_voi_grid
+from .voi import train_fixed_voi, train_joint_voi
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +82,7 @@ class SweepCell:
 class SweepResult:
     approach: str
     records: list  # per-cost dicts, seed-averaged
-    seeds: list
+    seeds: list  # the seeds of the cells `records` averages
     dataset: str
     cells: list = field(default_factory=list)
 
@@ -140,21 +138,16 @@ def _cell_human_only(dataset, seed, costs, lam_grid, team, cfg, shared):
 def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg, shared):
     tr, _, te = split(dataset, SPLIT_FRACTIONS, seed)
     cfg_s = replace(cfg, seed=seed)
-    solo = train_solo_model(tr, team, cfg_s)
-    policies = train_query_policy_grid(solo, tr, team, cfg_s, costs)
-    rows = []
-    for c, q in zip(costs, policies):
-        system = DiscriminativeSystem(solo, q, team.with_cost(c), cfg_s)
-        rows.append(_row(c, _score(system.parts(te.X), te, team, c),
-                         cfg_s.cost_weight))
-    return rows
+    systems = train_fixed(tr, team, cfg_s, costs)
+    return [_row(c, _score(s.parts(te.X), te, team, c), cfg_s.cost_weight)
+            for c, s in zip(costs, systems)]
 
 
 def _cell_joint_disc(dataset, seed, costs, lam_grid, team, cfg, shared):
     tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
     c_ref = float(np.median(costs))
-    systems = train_joint_grid(tr, team.with_cost(c_ref),
-                               replace(cfg, seed=seed), lam_grid)
+    systems = train_joint(tr, team.with_cost(c_ref), replace(cfg, seed=seed),
+                          lam_grid)
     return _select_lambda(systems, lam_grid, va, te, costs, team)
 
 
@@ -168,10 +161,10 @@ def _cell_fixed_voi(dataset, seed, costs, lam_grid, team, cfg, shared):
 def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg, shared):
     tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
     cfg_s = replace(cfg, seed=seed)
-    warm = _shared_fixed_voi(tr, team, cfg_s, shared)
+    start = _shared_fixed_voi(tr, team, cfg_s, shared)
     c_ref = float(np.median(costs))
-    systems = train_joint_voi_grid(tr, team.with_cost(c_ref), cfg_s,
-                                   lam_grid, warm_start=warm)
+    systems = train_joint_voi(tr, team.with_cost(c_ref), cfg_s, lam_grid,
+                              start)
     return _select_lambda(systems, lam_grid, va, te, costs, team)
 
 
@@ -180,9 +173,11 @@ class Approach(NamedTuple):
 
     `run_cell(dataset, seed, costs, lam_grid, team, cfg, shared)` returns
     the rows of one sweep cell. `train(train_split, team, cfg, shared)`
-    returns the system the analyses score; it is None when there is
-    nothing to train. `shared` is a dict that lives for one work unit and
-    lets the approaches in it share a training (`_shared_fixed_voi`).
+    returns the system the analyses score, trained on a one-value grid
+    (the team's query cost, or the config's cost weight); it is None when
+    there is nothing to train. `shared` is a dict that lives for one work
+    unit and lets the approaches in it share a training
+    (`_shared_fixed_voi`).
     """
 
     run_cell: Callable
@@ -194,15 +189,18 @@ class Approach(NamedTuple):
 APPROACHES = {
     "fixed-disc": Approach(
         _cell_fixed_disc,
-        lambda tr, team, cfg, shared: train_fixed(tr, team, cfg)),
+        lambda tr, team, cfg, shared: train_fixed(
+            tr, team, cfg, (team.query_cost,))[0]),
     "joint-disc": Approach(
         _cell_joint_disc,
-        lambda tr, team, cfg, shared: train_joint(tr, team, cfg)),
+        lambda tr, team, cfg, shared: train_joint(
+            tr, team, cfg, (cfg.cost_weight,))[0]),
     "fixed-voi": Approach(_cell_fixed_voi, _shared_fixed_voi),
     "joint-voi": Approach(
         _cell_joint_voi,
         lambda tr, team, cfg, shared: train_joint_voi(
-            tr, team, cfg, _shared_fixed_voi(tr, team, cfg, shared))),
+            tr, team, cfg, (cfg.cost_weight,),
+            _shared_fixed_voi(tr, team, cfg, shared))[0]),
     "human-only": Approach(_cell_human_only, None),
 }
 
@@ -286,7 +284,8 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     whole cell. When both VOI approaches run, each seed's fixed-voi and
     joint-voi cells are one work unit: one fixed-VOI training is scored
     as fixed-voi and warm-starts joint-voi. A failing approach fails only
-    its own cell; failed cells are logged and skipped in the averages.
+    its own cell; failed cells are logged and skipped in the averages,
+    and each result's `seeds` lists the seeds its averages cover.
     With `jobs` > 1 the work units run in a process pool of at most
     `jobs` workers, and no more workers than units; a unit whose worker
     dies fails its cells and the other units keep theirs. Negative or
@@ -339,8 +338,9 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
                         float(np.mean([r[2] for r in rows])),
                     "query_rate": float(np.mean([r[3] for r in rows])),
                     "selected_lambda": _lambda_mode([r[4] for r in rows])})
-        results.append(SweepResult(approach, records, seeds, dataset.name,
-                                   by_approach[approach]))
+        results.append(SweepResult(approach, records,
+                                   [cell.seed for cell in good],
+                                   dataset.name, by_approach[approach]))
     return results
 
 

@@ -198,7 +198,7 @@ def joint_voi_batch(system: VoiSystem, X: np.ndarray, h: np.ndarray,
                        masks_a, masks_b, masks_g)
 
 
-def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
+def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
     """Per-instance joint soft-VOI loss for fit / finite_diff_check.
 
     Follows the `loss_and_grad` contract on replica stacks {"alpha",
@@ -206,13 +206,12 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights=None):
     calibrated distributions, softened maxima, the two-way soft query
     probability, cross-entropy of the q-mixture of p_gamma(.|x,h) and
     p_alpha(.|x), plus cost_weight * q * c. `cost_weights` holds one
-    lambda per replica (default: the single cfg.cost_weight); the
-    batch's calibrators broadcast over the replicas, one per replica
-    when stacked by `_stack_calibrators`.
+    lambda per replica; the batch's calibrators broadcast over the
+    replicas, one per replica when stacked by `_stack_calibrators`.
     """
     tau = cfg.softmax_temperature
-    lams = (cfg.cost_weight,) if cost_weights is None else cost_weights
-    lam_c = np.asarray(lams, dtype=np.float64)[:, None] * team.query_cost
+    lam_c = (np.asarray(cost_weights, dtype=np.float64)[:, None]
+             * team.query_cost)
     U = team.utility
     Ut = U.T.copy()
 
@@ -297,21 +296,20 @@ def train_fixed_voi(dataset, team: TeamConfig, cfg: TrainConfig) -> VoiSystem:
 _PARTS = ("alpha", "beta", "gamma")
 
 
-def train_joint_voi_grid(dataset, team: TeamConfig, cfg: TrainConfig,
-                         cost_weights, warm_start: VoiSystem | None = None
-                         ) -> list[VoiSystem]:
+def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
+                    cost_weights, start: VoiSystem) -> list[VoiSystem]:
     """Fine-tune all three networks end-to-end, once per cost weight.
 
-    Starts every variant from one fixed-VOI solution (trained here when
-    not supplied) and runs T SGD iterations on the soft joint loss with
-    calibrators frozen. Each variant refits its own calibrators on the
-    held-out slice every `calibration_interval` iterations and once at
-    the end. The variants step in lockstep on shared minibatches and
-    dropout masks; each system equals what `train_joint_voi` gives with
-    that `cost_weight` alone.
+    Starts every variant from `start`, the fixed-VOI system of the same
+    dataset and config, which is left unchanged, and runs T SGD
+    iterations on the soft joint loss with calibrators frozen. Each
+    variant refits its own calibrators on the held-out slice every
+    `calibration_interval` iterations and once at the end. The variants
+    step in lockstep on shared minibatches and dropout masks; each system
+    equals what a one-value grid gives, and its `train_cfg` carries its
+    `cost_weight`.
     """
     fit_ds, calib_ds = _calibration_split(dataset, cfg.seed)
-    start = warm_start or train_fixed_voi(dataset, team, cfg)
     start.require_calibrated()
     parts = (start.p_alpha, start.p_beta, start.p_gamma)
     R = len(cost_weights)
@@ -358,11 +356,3 @@ def train_joint_voi_grid(dataset, team: TeamConfig, cfg: TrainConfig,
     return [VoiSystem(*(CalibratedModel(m, c) for m, c in zip(r, cal)), team,
                       replace(cfg, cost_weight=lam))
             for r, cal, lam in zip(replicas, cals, cost_weights)]
-
-
-def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
-                    warm_start: VoiSystem | None = None) -> VoiSystem:
-    """Fine-tune all three networks end-to-end through the soft rule, at
-    `cfg.cost_weight`; see `train_joint_voi_grid`."""
-    return train_joint_voi_grid(dataset, team, cfg, (cfg.cost_weight,),
-                                warm_start)[0]

@@ -153,7 +153,7 @@ def query_policy_tape(cfg, costs, m_probs, h, y):
     return loss_fn
 
 
-def joint_disc_tape(team, cfg, cost_weights, h):
+def joint_disc_tape(team, cost_weights, h):
     """Tape form of `joint_disc_loss_fn` on batches (X, y, [h == y], w[y],
     masks_m, masks_q), given the batch's responses h."""
     eye = np.eye(team.num_classes)

@@ -8,13 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from teamopt import cli, evaluation, voi
+from teamopt import cli, discriminative, evaluation, voi
 from teamopt.cli import (DEFAULT_COSTS, DEFAULT_LAMBDA_GRID, RunConfig,
                          apply_overrides, build_parser, cmd_verify,
                          config_from_dict, load_config, main)
 from teamopt.data import load_csv
 from teamopt.errors import ConfigError
 from teamopt.evaluation import APPROACHES
+from teamopt.numerics import GradientSet
 
 
 def tiny_config(out, **overrides):
@@ -176,6 +177,22 @@ def test_sweep_partial_failure_exits_three(tmp_path):
     assert len(by_name["human-only"]["records"]) == 2
 
 
+def test_sweep_logs_each_failed_cell_once(tmp_path, caplog):
+    cfg = tiny_config(tmp_path / "bad", approaches=["fixed-disc",
+                                                    "human-only"],
+                      seeds=[0, 1])
+    cfg["train"] = {"iterations": 5, "hidden_dims": [4],
+                    "learning_rate": 1e200}
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        with caplog.at_level(logging.ERROR, logger="teamopt"):
+            assert main(["sweep", "--config", path]) == 3
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 2  # fixed-disc fails at seeds 0 and 1
+    assert all("fixed-disc" in r.getMessage() for r in errors)
+
+
 def test_sweep_with_a_dead_pool_worker_exits_three(tmp_path,
                                                   kill_worker_on_seed):
     out = tmp_path / "out"
@@ -286,8 +303,18 @@ def test_analyze_needs_trainable_approach(tmp_path):
 
 
 def test_verify_passes_and_detects_injected_fault():
+    # faults are injected in test_verify_fails_when_the_checked_code_is_broken
     assert main(["verify"]) == 0
-    assert main(["verify", "--inject-gradient-fault"]) == 1
+
+
+def _scale_disc_bias_gradients(monkeypatch):
+    real = discriminative.mlp_backward
+
+    def scaled(cache, d_logits):
+        grads = real(cache, d_logits)
+        return GradientSet(grads.weights, [1.01 * b for b in grads.biases])
+
+    monkeypatch.setattr(discriminative, "mlp_backward", scaled)
 
 
 def _shift_query_score(monkeypatch):
@@ -307,6 +334,7 @@ def _double_calibration_logits(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate, suite", [
+    (_scale_disc_bias_gradients, "gradcheck"),
     (_shift_query_score, "voi-rule"),
     (_double_calibration_logits, "calibration"),
 ])

@@ -37,8 +37,7 @@ def joint_loss(m_dist, q_val, h, y, team, cost_weight):
     batch = (np.ones((1, 1)), np.array([y]), np.array([float(h == y)]),
              w[[y]], None, None)
     return loss_value({"m": stack_models([m]), "q": stack_models([q])},
-                      batch, joint_disc_loss_fn(
-                          team, TrainConfig(cost_weight=cost_weight)))
+                      batch, joint_disc_loss_fn(team, (cost_weight,)))
 
 
 def noise_dataset(n=300, k=3, d=4, seed=11):
@@ -158,7 +157,7 @@ def test_runtime_rule_examples():
 def build_system(ds, team=None, iterations=50, **kw):
     team = team or TeamConfig.accuracy(ds.num_classes)
     cfg = TrainConfig(iterations=iterations, hidden_dims=(8,), seed=7, **kw)
-    return train_joint(ds, team, cfg)
+    return train_joint(ds, team, cfg, (cfg.cost_weight,))[0]
 
 
 def test_decide_batch_matches_single_predictions():
@@ -210,11 +209,9 @@ def test_team_predict_wraps_provider_failure():
 
 def test_joint_query_rate_responds_to_cost():
     ds = noise_dataset()
-    free = train_joint(ds, TeamConfig.accuracy(3, 0.0),
-                       TrainConfig(iterations=400, hidden_dims=(8,), seed=3))
-    costly = train_joint(ds, TeamConfig.accuracy(3, 2.0),
-                         TrainConfig(iterations=400, hidden_dims=(8,), seed=3,
-                                     cost_weight=4.0))
+    cfg = TrainConfig(iterations=400, hidden_dims=(8,), seed=3)
+    [free] = train_joint(ds, TeamConfig.accuracy(3, 0.0), cfg, (1.0,))
+    [costly] = train_joint(ds, TeamConfig.accuracy(3, 2.0), cfg, (4.0,))
     _, q_free = decide(free.parts(ds.X), ds.h, 0.0)
     _, q_costly = decide(costly.parts(ds.X), ds.h, 2.0)
     assert q_free.mean() > 0.9
@@ -223,23 +220,21 @@ def test_joint_query_rate_responds_to_cost():
 
 def test_cost_weight_and_query_cost_enter_as_product():
     ds = noise_dataset()
-    a = train_joint(ds, TeamConfig.accuracy(3, 0.1),
-                    TrainConfig(iterations=60, hidden_dims=(8,), seed=7,
-                                cost_weight=2.0))
-    b = train_joint(ds, TeamConfig.accuracy(3, 0.2),
-                    TrainConfig(iterations=60, hidden_dims=(8,), seed=7,
-                                cost_weight=1.0))
+    cfg = TrainConfig(iterations=60, hidden_dims=(8,), seed=7)
+    [a] = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg, (2.0,))
+    [b] = train_joint(ds, TeamConfig.accuracy(3, 0.2), cfg, (1.0,))
     assert models_equal(a.m, b.m) and models_equal(a.q, b.q)
 
 
 def test_training_is_seed_deterministic():
     ds = noise_dataset()
     cfg = TrainConfig(iterations=40, hidden_dims=(8,), seed=5)
-    a = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg)
-    b = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg)
+    [a] = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg, (1.0,))
+    [b] = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg, (1.0,))
     assert models_equal(a.m, b.m) and models_equal(a.q, b.q)
-    c = train_joint(ds, TeamConfig.accuracy(3, 0.1),
-                    TrainConfig(iterations=40, hidden_dims=(8,), seed=6))
+    [c] = train_joint(ds, TeamConfig.accuracy(3, 0.1),
+                      TrainConfig(iterations=40, hidden_dims=(8,), seed=6),
+                      (1.0,))
     assert not models_equal(a.m, c.m)
 
 
@@ -263,7 +258,7 @@ def test_fixed_policy_learns_to_query_hard_region():
     ds = Dataset(X, y, y.copy(), 3, "regional")
     cfg = TrainConfig(iterations=1500, learning_rate=0.3, hidden_dims=(8,),
                       seed=2)
-    system = train_fixed(ds, TeamConfig.accuracy(3, 0.2), cfg)
+    [system] = train_fixed(ds, TeamConfig.accuracy(3), cfg, (0.2,))
     _, queried = decide(system.parts(ds.X), ds.h, 0.2)
     assert queried[hard].mean() > 0.9
     assert queried[~hard].mean() < 0.1

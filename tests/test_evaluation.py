@@ -91,7 +91,7 @@ def test_human_only_baseline_always_queries():
 def test_system_decisions_both_kinds_and_rejection():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3, 0.05)
-    disc = train_joint(ds, team, small_cfg())
+    [disc] = train_joint(ds, team, small_cfg(), (1.0,))
     voi = train_fixed_voi(ds, team, small_cfg())
     for system in (disc, voi):
         parts = system.parts(ds.X)
@@ -234,6 +234,27 @@ def test_cost_sweep_records_cell_failures(caplog):
     assert any("sweep cell failed" in rec.message for rec in caplog.records)
 
 
+def test_sweep_json_lists_only_the_seeds_it_averaged(monkeypatch, tmp_path):
+    real = evaluation.APPROACHES["human-only"]
+
+    def run_cell(dataset, seed, *args):
+        if seed == 1:
+            raise RuntimeError("cell failed")
+        return real.run_cell(dataset, seed, *args)
+
+    monkeypatch.setitem(evaluation.APPROACHES, "human-only",
+                        real._replace(run_cell=run_cell))
+    [result] = cost_sweep(toy_dataset(), ("human-only",), (0.0,), (1.0,),
+                          (3, 1, 0, 2))
+    good = [c for c in result.cells if c.error is None]
+    assert result.seeds == [3, 0, 2] == [c.seed for c in good]
+    assert result.records[0]["total_loss"] == \
+        np.mean([c.rows[0][1] for c in good])
+    emit_report([result], tmp_path, ("json",))
+    payload = json.loads((tmp_path / "sweep.json").read_text())
+    assert payload[0]["seeds"] == [3, 0, 2]
+
+
 def test_cost_sweep_input_validation():
     ds = toy_dataset()
     with pytest.raises(ConfigError):
@@ -328,7 +349,7 @@ def test_lambda_mode_prefers_count_then_smallest():
 def test_per_class_analysis_counts_and_absent_class():
     ds = toy_dataset(k=4)  # labels only ever reach 2: class 3 stays empty
     team = TeamConfig.accuracy(4, 0.05)
-    disc = train_joint(ds, team, small_cfg())
+    [disc] = train_joint(ds, team, small_cfg(), (1.0,))
     parts = disc.parts(ds.X)
     rows = per_class_analysis({"disc": parts}, ds, team.query_cost)
     assert [row["class"] for row in rows] == [0, 1, 2, 3]
@@ -380,7 +401,7 @@ def test_error_tree_routing_matches_leaf_stats():
 def test_error_tree_attaches_system_error_rates():
     ds, _ = planted_error_dataset()
     team = TeamConfig.accuracy(2, 0.05)
-    disc = train_joint(ds, team, small_cfg())
+    [disc] = train_joint(ds, team, small_cfg(), (1.0,))
     parts = disc.parts(ds.X)
     tree = human_error_tree(ds, {"disc": parts}, max_depth=1)
     machine = parts.machine

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -37,15 +38,52 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of `code` run in a fresh interpreter on this
+    checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_tracer_spans_every_trainer_a_sweep_runs(tmp_path):
+    # the tracer wraps functions by name, and it patches modules for good,
+    # hence the fresh interpreter; a trainer the sweep reaches under
+    # another name would read 0 in the benchmark's per-layer metrics
+    config = {
+        "dataset": {"synthetic": {"num_classes": 3, "feature_dim": 4,
+                                  "n": 300, "class_priors": [0.5, 0.3, 0.2],
+                                  "seed": 1}},
+        "train": {"iterations": 5, "hidden_dims": [4],
+                  "calibration_interval": 5},
+        "approaches": ["human-only", "fixed-disc", "joint-disc",
+                       "fixed-voi", "joint-voi"],
+        "costs": [0.0, 0.1], "lambda_grid": [1.0], "seeds": [0],
+        "out": str(tmp_path / "out")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code = ("import collections, json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import tracer\n"
+            "spans = tracer.install(sys.argv[2]).spans\n"
+            "from teamopt import cli\n"
+            "assert cli.main(['sweep', '--config', sys.argv[3]]) == 0\n"
+            "print(json.dumps(collections.Counter(s[0] for s in spans)))\n")
+    counts = json.loads(fresh_python(code, str(TRACER.parent),
+                                     str(tmp_path), str(path)))
+    trainers = ["discriminative.train_fixed",
+                "discriminative.train_query_policy",
+                "discriminative.train_joint", "voi.train_fixed_voi",
+                "voi.train_joint_voi"]
+    assert [t for t in trainers if not counts.get(t)] == []
+
+
 def modules_loaded_by_run_path() -> set[str]:
     """Every module a fresh interpreter holds after importing the CLI."""
     code = ("import sys, teamopt.cli, teamopt; "
             "print('\\n'.join(sys.modules))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return set(out.split())
+    return set(fresh_python(code).split())
 
 
 def loaded_under(modules: set[str], roots) -> list[str]:

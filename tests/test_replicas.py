@@ -6,7 +6,6 @@ failing replica would alone.
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +15,7 @@ from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset
 from teamopt.discriminative import (TeamConfig, joint_disc_loss_fn,
                                     query_policy_loss_fn, solo_ce_loss,
-                                    train_joint, train_joint_grid,
-                                    train_query_policy,
-                                    train_query_policy_grid,
+                                    train_joint, train_query_policy,
                                     train_solo_model, utility_loss_weights)
 from teamopt.errors import NumericError, ShapeError, TrainingError
 from teamopt.evaluation import cost_sweep
@@ -28,7 +25,7 @@ from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
                               stack_models, unstack_models)
 from teamopt.voi import (CalibratedModel, VoiSystem, _stack_calibrators,
                          joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
-                         train_joint_voi, train_joint_voi_grid)
+                         train_joint_voi)
 
 LAMBDAS = (0.5, 2.0, 8.0)
 
@@ -90,11 +87,10 @@ def test_joint_voi_grid_equals_single_runs():
     cfg = TrainConfig(iterations=25, hidden_dims=(6,), seed=9,
                       calibration_interval=10)  # refits at 10 and 20
     warm = train_fixed_voi(ds, team, cfg)
-    grid = train_joint_voi_grid(ds, team, cfg, LAMBDAS, warm_start=warm)
+    grid = train_joint_voi(ds, team, cfg, LAMBDAS, warm)
     assert len(grid) == len(LAMBDAS)
     for lam, stacked in zip(LAMBDAS, grid):
-        alone = train_joint_voi(ds, team, replace(cfg, cost_weight=lam),
-                                warm_start=warm)
+        [alone] = train_joint_voi(ds, team, cfg, (lam,), warm)
         assert stacked.train_cfg == alone.train_cfg
         for part in ("p_alpha", "p_beta", "p_gamma"):
             assert_models_identical(getattr(stacked, part).model,
@@ -110,9 +106,9 @@ def test_joint_disc_grid_equals_single_runs():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3, 0.2)
     cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4)
-    grid = train_joint_grid(ds, team, cfg, LAMBDAS)
+    grid = train_joint(ds, team, cfg, LAMBDAS)
     for lam, stacked in zip(LAMBDAS, grid):
-        alone = train_joint(ds, team, replace(cfg, cost_weight=lam))
+        [alone] = train_joint(ds, team, cfg, (lam,))
         assert stacked.train_cfg == alone.train_cfg
         assert_models_identical(stacked.m, alone.m)
         assert_models_identical(stacked.q, alone.q)
@@ -125,10 +121,10 @@ def test_query_policy_grid_equals_single_runs():
     cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4)
     m = train_solo_model(ds, team, cfg)
     costs = (0.0, 0.1, 0.3)
-    grid = train_query_policy_grid(m, ds, team, cfg, costs)
+    grid = train_query_policy(m, ds, team, cfg, costs)
     for c, stacked in zip(costs, grid):
         assert_models_identical(
-            stacked, train_query_policy(m, ds, team.with_cost(c), cfg))
+            stacked, train_query_policy(m, ds, team, cfg, (c,))[0])
     assert not np.array_equal(grid[0].weights[0], grid[-1].weights[0])
 
 
@@ -167,7 +163,7 @@ def check_replica_independence(models, batch, loss_fn):
 def test_joint_disc_replicas_match_finite_differences():
     rng, team, X, y, h, lams, (K, d, hid, R) = replica_case(31)
     w = utility_loss_weights(team)
-    loss_fn = joint_disc_loss_fn(team, TrainConfig(), lams)
+    loss_fn = joint_disc_loss_fn(team, lams)
     models = {"m": stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R),
               "q": stacked_mlps(rng, (d, hid, 1), SIGMOID_HEAD, R)}
     batch = (X, y, (h == y).astype(float), w[y], None, None)
@@ -275,9 +271,8 @@ def test_joint_disc_loss_matches_tape_oracle():
     batch = (X, y, (h == y).astype(float), w[y],
              sample_dropout_masks(models["m"], B, rng),
              sample_dropout_masks(models["q"], B, rng))
-    cfg = TrainConfig()
-    assert_matches_oracle(models, batch, joint_disc_loss_fn(team, cfg, lams),
-                          oracles.joint_disc_tape(team, cfg, lams, h))
+    assert_matches_oracle(models, batch, joint_disc_loss_fn(team, lams),
+                          oracles.joint_disc_tape(team, lams, h))
 
 
 def test_joint_voi_loss_matches_tape_oracle():
@@ -310,12 +305,12 @@ def test_joint_disc_grid_divergence_names_lambda_and_solo_iteration():
     cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0)
     with warnings.catch_warnings(), quiet():
         with pytest.raises(TrainingError) as stacked:
-            train_joint_grid(ds, team, cfg, (1.0, 1e308))
+            train_joint(ds, team, cfg, (1.0, 1e308))
         with pytest.raises(TrainingError) as alone:
-            train_joint(ds, team, replace(cfg, cost_weight=1e308))
+            train_joint(ds, team, cfg, (1e308,))
     assert "cost_weight=1e+308" in str(stacked.value)
     assert stacked.value.iteration == alone.value.iteration == 0
-    train_joint(ds, team, replace(cfg, cost_weight=1.0))  # fine on its own
+    train_joint(ds, team, cfg, (1.0,))  # fine on its own
 
 
 def test_joint_voi_grid_divergence_names_lambda_and_solo_iteration():
@@ -325,10 +320,9 @@ def test_joint_voi_grid_divergence_names_lambda_and_solo_iteration():
     warm = train_fixed_voi(ds, team, cfg)
     with warnings.catch_warnings(), quiet():
         with pytest.raises(TrainingError) as stacked:
-            train_joint_voi_grid(ds, team, cfg, (1.0, 1e308), warm_start=warm)
+            train_joint_voi(ds, team, cfg, (1.0, 1e308), warm)
         with pytest.raises(TrainingError) as alone:
-            train_joint_voi(ds, team, replace(cfg, cost_weight=1e308),
-                            warm_start=warm)
+            train_joint_voi(ds, team, cfg, (1e308,), warm)
     assert "cost_weight=1e+308" in str(stacked.value)
     assert stacked.value.iteration == alone.value.iteration == 0
 
@@ -341,7 +335,7 @@ def test_query_policy_grid_divergence_names_cost():
     m = train_solo_model(ds, team, cfg)
     with warnings.catch_warnings(), quiet():
         with pytest.raises(TrainingError) as stacked:
-            train_query_policy_grid(m, ds, team, cfg, (0.0, 10.0))
+            train_query_policy(m, ds, team, cfg, (0.0, 10.0))
     assert "query_cost=10.0" in str(stacked.value)
     assert stacked.value.iteration == 0
 

@@ -1,9 +1,12 @@
 """Value-of-information decision rule, soft relaxation, and joint training."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teamopt.voi as voi_mod
 from oracles import soft_expected_utilities, soft_team_quantities
@@ -139,23 +142,59 @@ def test_decide_batch_matches_single_rule_and_cost_override():
         assert pred.queried and pred.predicted_label == labels[i]
 
 
-def test_query_set_shrinks_as_cost_grows():
-    rng = np.random.default_rng(14)
-    X = rng.standard_normal((40, 2))
-    systems = []
-    for i in range(4):
-        pa = rng.dirichlet(np.ones(3))
-        pb = rng.dirichlet(np.ones(3))
-        pg = rng.dirichlet(np.ones(3), size=3)
-        systems.append(dist_system(pa, pb, pg, TeamConfig.accuracy(3, 0.0)))
-    for system in systems:
-        parts = system.parts(X)
-        prev = None
-        for c in (0.0, 0.05, 0.1, 0.2, 0.4):
-            _, query = decide(parts, np.zeros(len(X), dtype=int), c)
-            if prev is not None:
-                assert not (query & ~prev).any()  # nested downward
-            prev = query
+def distributions(k, rows=None):
+    """A strategy for one distribution over k classes (or `rows` of them),
+    every class weighted in [0.05, 1] before normalizing."""
+    weights = st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)
+    if rows is not None:
+        weights = st.lists(weights, min_size=rows, max_size=rows)
+    return weights.map(lambda w: np.array(w) / np.sum(w, axis=-1,
+                                                      keepdims=True))
+
+
+# Utilities and costs are multiples of 1/64 and 1/256: exact in binary,
+# and never so small that a product with a probability is subnormal.
+_UTILITY = st.integers(-256, 256).map(lambda v: v / 64.0)
+_COST = st.integers(0, 128).map(lambda v: v / 256.0)
+
+
+@st.composite
+def voi_cases(draw):
+    """(K, U, pa, pb, pg) with K in {2, 3, 5} and a random utility."""
+    K = draw(st.sampled_from((2, 3, 5)))
+    U = np.array(draw(st.lists(_UTILITY, min_size=K * K, max_size=K * K))
+                 ).reshape(K, K)
+    return (K, U, draw(distributions(K)), draw(distributions(K)),
+            draw(distributions(K, rows=K)))
+
+
+def decide_every_response(case, utility_scale, cost):
+    """(labels, query flags) of the case's system on one instance per
+    human response, with the utility scaled by `utility_scale`."""
+    K, U, pa, pb, pg = case
+    system = dist_system(pa, pb, pg, TeamConfig(U * utility_scale))
+    return decide(system.parts(np.zeros((K, 2))), np.arange(K), cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(voi_cases(), st.lists(_COST, min_size=2, max_size=6))
+def test_query_set_shrinks_as_cost_grows(case, costs):
+    prev = None
+    for c in sorted(costs):
+        _, query = decide_every_response(case, 1.0, c)
+        if prev is not None:
+            assert not (query & ~prev).any()  # nested downward
+        prev = query
+
+
+@settings(max_examples=200, deadline=None)
+@given(voi_cases(), _COST, st.integers(-4, 4))
+def test_decisions_ignore_a_common_scale_of_utility_and_cost(case, cost, k):
+    # a power of two scales every product and sum exactly
+    labels, query = decide_every_response(case, 1.0, cost)
+    labels_s, query_s = decide_every_response(case, 2.0 ** k, cost * 2.0 ** k)
+    assert np.array_equal(labels, labels_s)
+    assert np.array_equal(query, query_s)
 
 
 def test_random_systems_match_brute_force():
@@ -344,7 +383,8 @@ def test_joint_loss_matches_numpy_reference():
     models = {"alpha": stack_models([system.p_alpha.model]),
               "beta": stack_models([system.p_beta.model]),
               "gamma": stack_models([system.p_gamma.model])}
-    loss = loss_value(models, batch, joint_voi_loss_fn(team, cfg))
+    loss = loss_value(models, batch,
+                      joint_voi_loss_fn(team, cfg, (cfg.cost_weight,)))
     _, _, q = soft_team_quantities(system, x)
     pa = system.p_alpha.predict_batch(x[None, :])[0]
     pg_h = system.p_gamma.predict_batch(
@@ -393,8 +433,8 @@ def test_joint_pipeline_gradients_match_finite_differences():
     ds = toy_dataset(n=3)
     batch = joint_voi_batch(system, ds.X, ds.h, ds.y, team)
     stacks = {name: stack_models([m]) for name, m in models.items()}
-    assert finite_diff_check(stacks, batch,
-                             joint_voi_loss_fn(team, cfg)) < 1e-4
+    assert finite_diff_check(stacks, batch, joint_voi_loss_fn(
+        team, cfg, (cfg.cost_weight,))) < 1e-4
 
 
 def test_fixed_voi_trains_calibrated_system():
@@ -431,8 +471,10 @@ def test_joint_voi_warm_start_is_equivalent_and_fresh():
                       calibration_interval=10)
     fixed = train_fixed_voi(ds, team, cfg)
     cal_before = fixed.p_alpha.calibrator.a.copy()
-    j1 = train_joint_voi(ds, team, cfg)
-    j2 = train_joint_voi(ds, team, cfg, warm_start=fixed)
+    # a used start gives what a freshly trained one does
+    [j1] = train_joint_voi(ds, team, cfg, (cfg.cost_weight,), fixed)
+    [j2] = train_joint_voi(ds, team, cfg, (cfg.cost_weight,),
+                           train_fixed_voi(ds, team, cfg))
     for part in ("p_alpha", "p_beta", "p_gamma"):
         assert models_equal(getattr(j1, part).model, getattr(j2, part).model)
         assert np.array_equal(getattr(j1, part).calibrator.a,
@@ -458,7 +500,7 @@ def test_recalibration_schedule(monkeypatch):
                           calibration_interval=interval)
         warm = train_fixed_voi(ds, team, cfg)
         monkeypatch.setattr(voi_mod, "_refit_calibrators", counting)
-        train_joint_voi(ds, team, cfg, warm_start=warm)
+        train_joint_voi(ds, team, cfg, (cfg.cost_weight,), warm)
         monkeypatch.setattr(voi_mod, "_refit_calibrators", real)
         return len(counts)
 
@@ -483,11 +525,15 @@ def test_calibration_split_shapes_and_determinism():
 
 def test_joint_voi_divergence_reports_iteration():
     ds = toy_dataset()
-    cfg = TrainConfig(iterations=6, hidden_dims=(6,), learning_rate=1e200,
-                      seed=0, calibration_interval=100)
+    team = TeamConfig.accuracy(3, 0.05)
+    cfg = TrainConfig(iterations=6, hidden_dims=(6,), seed=0,
+                      calibration_interval=100)
+    start = train_fixed_voi(ds, team, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError) as exc:
-                train_joint_voi(ds, TeamConfig.accuracy(3, 0.05), cfg)
+                train_joint_voi(ds, team, replace(cfg, learning_rate=1e200),
+                                (cfg.cost_weight,), start)
+    assert "joint training" in str(exc.value)
     assert exc.value.iteration is not None
