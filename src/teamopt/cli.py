@@ -23,12 +23,11 @@ import numpy as np
 
 from .calibration import (PlattCalibrator, calibrate_batch,
                           expected_calibration_error)
-from .data import (Dataset, SynthConfig, generate_synthetic, load_csv,
-                   save_csv, split)
+from .data import Dataset, SynthConfig, generate_synthetic, load_csv, save_csv
 from .discriminative import (TeamConfig, decide, joint_disc_loss_fn,
                              solo_ce_loss, utility_loss_weights)
-from .errors import ConfigError, ParseError, TeamoptError
-from .evaluation import (APPROACHES, SPLIT_FRACTIONS, _dump_json, _write,
+from .errors import ConfigError, TeamoptError
+from .evaluation import (APPROACHES, _dump_json, _write, approach_parts,
                          cost_sweep, emit_report, human_error_tree,
                          per_class_analysis, tree_to_dict)
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
@@ -81,50 +80,74 @@ class RunConfig:
             raise ConfigError("csv datasets need num_classes")
 
 
-def _pick(d: dict, allowed: set, where: str) -> None:
+def _pick(d, allowed: set, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    return d
+
+
+def _cast(value, like, key: str):
+    """`value` in the shape of the example `like`: a tuple takes an array
+    of values like its first item, a dict or str its own JSON type, and
+    an int or float a number or a string holding one (whole for an int)."""
+    if isinstance(like, tuple):
+        if isinstance(value, list):
+            return tuple(_cast(v, like[0], key) for v in value)
+    elif isinstance(like, (dict, str)):
+        if isinstance(value, type(like)):
+            return value
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(like, float):
+                return number
+            if number.is_integer():
+                return value if isinstance(value, int) else int(number)
+    kind = {tuple: "an array", dict: "an object", str: "a string",
+            int: "an integer", float: "a number"}[type(like)]
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
+def _typed(raw, likes: dict, where: str) -> dict:
+    """The JSON object `raw`, each value cast like its entry in `likes`."""
+    return {k: _cast(v, likes[k], f"{where}.{k}")
+            for k, v in _pick(raw, set(likes), where).items()}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    _pick(raw, {"dataset", "team", "train", "approaches", "costs",
-                "lambda_grid", "seeds", "out", "formats"}, "config")
-    kwargs = {}
-    ds = raw.get("dataset", {})
-    _pick(ds, {"synthetic", "csv", "num_classes"}, "dataset")
+    """The run config of a JSON document; ConfigError if it is malformed."""
+    run = vars(RunConfig())
+    kwargs = _typed(raw, {
+        "dataset": {}, "team": {}, "train": {},
+        **{k: run[k] for k in ("approaches", "costs", "lambda_grid", "seeds",
+                               "out", "formats")}}, "config")
+    ds = _typed(kwargs.pop("dataset", {}),
+                {"synthetic": {}, "csv": "", "num_classes": 0}, "dataset")
     if "synthetic" in ds and "csv" in ds:
         raise ConfigError("dataset source must be synthetic or csv, not both")
     if "synthetic" in ds:
-        try:
-            kwargs["synth"] = SynthConfig(**{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in ds["synthetic"].items()})
-        except TypeError as e:
-            raise ConfigError(f"bad synthetic config: {e}") from e
+        kwargs["synth"] = SynthConfig(**_typed(
+            ds["synthetic"], vars(SynthConfig()), "dataset.synthetic"))
+        kwargs["synth"].validate()
     if "csv" in ds:
-        kwargs["csv_path"] = str(ds["csv"])
+        kwargs["csv_path"] = ds["csv"]
         kwargs["csv_num_classes"] = ds.get("num_classes")
-    team = raw.get("team", {})
-    _pick(team, {"utility", "query_cost"}, "team")
-    if "utility" in team:
-        kwargs["utility"] = np.asarray(team["utility"], dtype=np.float64)
-    if "query_cost" in team:
-        kwargs["query_cost"] = float(team["query_cost"])
-    if "train" in raw:
-        try:
-            kwargs["train"] = TrainConfig(**{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in raw["train"].items()})
-        except TypeError as e:
-            raise ConfigError(f"bad train config: {e}") from e
-    for key, cast in (("approaches", str), ("costs", float),
-                      ("lambda_grid", float), ("seeds", int),
-                      ("formats", str)):
-        if key in raw:
-            kwargs[key] = tuple(cast(v) for v in raw[key])
-    if "out" in raw:
-        kwargs["out"] = str(raw["out"])
+    kwargs.update(_typed(kwargs.pop("team", {}),
+                         {"utility": ((0.0,),), "query_cost": 0.0}, "team"))
+    if "utility" in kwargs:
+        U = kwargs["utility"]
+        if not U or any(len(row) != len(U) for row in U):
+            raise ConfigError("team.utility must be a square matrix")
+        kwargs["utility"] = np.array(U)
+    if "train" in kwargs:
+        kwargs["train"] = TrainConfig(**_typed(
+            kwargs["train"], vars(TrainConfig()), "train"))
     return RunConfig(**kwargs)
 
 
@@ -137,8 +160,6 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return config_from_dict(raw)
 
 
@@ -148,10 +169,7 @@ def apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out", None) is not None:
         config = replace(config, out=args.out)
     if getattr(args, "costs", None) is not None:
-        try:
-            costs = tuple(float(v) for v in args.costs.split(","))
-        except ValueError as e:
-            raise ConfigError(f"bad --costs value: {e}") from e
+        costs = _cast(args.costs.split(","), (0.0,), "--costs")
         config = replace(config, costs=costs)
     return config
 
@@ -200,19 +218,17 @@ def cmd_sweep(config: RunConfig, jobs: int = 1) -> int:
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    trainable = [a for a in config.approaches
-                 if APPROACHES[a].train is not None]
+    trainable = [a for a in config.approaches if APPROACHES[a] is not None]
     if not trainable:
         raise ConfigError("analyze needs at least one trainable approach")
     dataset = build_dataset(config)
     team = build_team(config, dataset.num_classes)
-    cfg = replace(config.train, seed=config.seeds[0])
-    tr, _, te = split(dataset, SPLIT_FRACTIONS, cfg.seed)
-    systems, shared = {}, {}
+    parts, shared = {}, {}
     for approach in trainable:
         logger.info("training %s for analysis", approach)
-        systems[approach] = APPROACHES[approach].train(tr, team, cfg, shared)
-    parts = {name: s.parts(te.X) for name, s in systems.items()}
+        te, [(parts[approach], _)] = approach_parts(
+            approach, dataset, config.seeds[0], (team.query_cost,),
+            (config.train.cost_weight,), team, config.train, shared)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     table = per_class_analysis(parts, te, team.query_cost)
@@ -403,9 +419,6 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(config)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ParseError) as e:
-        logger.error("%s", e)
-        return 2
     except OSError as e:
         logger.error("IO failure: %s", e)
         return 2

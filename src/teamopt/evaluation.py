@@ -17,7 +17,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,16 +103,18 @@ def _score(parts, ds: Dataset, team: TeamConfig, c: float) -> dict:
 
 def _select_lambda(systems, lam_grid, va: Dataset, te: Dataset, costs,
                    team: TeamConfig) -> list:
-    """Per cost, test metrics of the λ variant with the lowest validation
-    total loss (ties: the smaller λ)."""
+    """Per cost, the test parts and λ of the variant with the lowest
+    validation total loss (ties: smaller λ); one variant skips validation."""
+    if len(systems) == 1:
+        return [(systems[0].parts(te.X), lam_grid[0])] * len(costs)
     variants = [(lam, s.parts(va.X), s.parts(te.X))
                 for lam, s in zip(lam_grid, systems)]
-    rows = []
+    pairs = []
     for c in costs:
         lam, _, te_parts = min(
             variants, key=lambda v: _score(v[1], va, team, c)["total_loss"])
-        rows.append(_row(c, _score(te_parts, te, team, c), lam))
-    return rows
+        pairs.append((te_parts, lam))
+    return pairs
 
 
 def _shared_fixed_voi(tr: Dataset, team: TeamConfig, cfg: TrainConfig,
@@ -129,80 +130,55 @@ def _shared_fixed_voi(tr: Dataset, team: TeamConfig, cfg: TrainConfig,
     return shared["fixed-voi"]
 
 
-def _cell_human_only(dataset, seed, costs, lam_grid, team, cfg, shared):
-    _, _, te = split(dataset, SPLIT_FRACTIONS, seed)
-    return [_row(c, human_only_baseline(te, team.with_cost(c)), None)
-            for c in costs]
+def _fixed_disc(tr, va, te, costs, lam_grid, team, cfg, shared):
+    return [(s.parts(te.X), cfg.cost_weight)
+            for s in train_fixed(tr, team, cfg, costs)]
 
 
-def _cell_fixed_disc(dataset, seed, costs, lam_grid, team, cfg, shared):
-    tr, _, te = split(dataset, SPLIT_FRACTIONS, seed)
-    cfg_s = replace(cfg, seed=seed)
-    systems = train_fixed(tr, team, cfg_s, costs)
-    return [_row(c, _score(s.parts(te.X), te, team, c), cfg_s.cost_weight)
-            for c, s in zip(costs, systems)]
-
-
-def _cell_joint_disc(dataset, seed, costs, lam_grid, team, cfg, shared):
-    tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
+def _joint_disc(tr, va, te, costs, lam_grid, team, cfg, shared):
     c_ref = float(np.median(costs))
-    systems = train_joint(tr, team.with_cost(c_ref), replace(cfg, seed=seed),
-                          lam_grid)
+    systems = train_joint(tr, team.with_cost(c_ref), cfg, lam_grid)
     return _select_lambda(systems, lam_grid, va, te, costs, team)
 
 
-def _cell_fixed_voi(dataset, seed, costs, lam_grid, team, cfg, shared):
-    tr, _, te = split(dataset, SPLIT_FRACTIONS, seed)
-    system = _shared_fixed_voi(tr, team, replace(cfg, seed=seed), shared)
-    parts = system.parts(te.X)
-    return [_row(c, _score(parts, te, team, c), None) for c in costs]
+def _fixed_voi(tr, va, te, costs, lam_grid, team, cfg, shared):
+    parts = _shared_fixed_voi(tr, team, cfg, shared).parts(te.X)
+    return [(parts, None)] * len(costs)
 
 
-def _cell_joint_voi(dataset, seed, costs, lam_grid, team, cfg, shared):
-    tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
-    cfg_s = replace(cfg, seed=seed)
-    start = _shared_fixed_voi(tr, team, cfg_s, shared)
+def _joint_voi(tr, va, te, costs, lam_grid, team, cfg, shared):
     c_ref = float(np.median(costs))
-    systems = train_joint_voi(tr, team.with_cost(c_ref), cfg_s, lam_grid,
-                              start)
+    systems = train_joint_voi(tr, team.with_cost(c_ref), cfg, lam_grid,
+                              _shared_fixed_voi(tr, team, cfg, shared))
     return _select_lambda(systems, lam_grid, va, te, costs, team)
 
 
-class Approach(NamedTuple):
-    """How the sweep and the analyses run one approach.
-
-    `run_cell(dataset, seed, costs, lam_grid, team, cfg, shared)` returns
-    the rows of one sweep cell. `train(train_split, team, cfg, shared)`
-    returns the system the analyses score, trained on a one-value grid
-    (the team's query cost, or the config's cost weight); it is None when
-    there is nothing to train. `shared` is a dict that lives for one work
-    unit and lets the approaches in it share a training
-    (`_shared_fixed_voi`).
-    """
-
-    run_cell: Callable
-    train: Callable | None
-
-
-# The approach registry. Trainers are looked up when called, so wrappers
-# put on the module-level functions (e.g. tracing spans) see every call.
+# The approach registry: `fn(tr, va, te, costs, lam_grid, team, cfg,
+# shared)` trains on `tr` and returns, per cost, the `DecisionParts` on
+# `te` and the λ used; human-only trains nothing. `shared` lives for one
+# work unit (`_shared_fixed_voi`). Trainers are looked up when called, so
+# wrappers put on the module-level functions (e.g. tracing spans) see them.
 APPROACHES = {
-    "fixed-disc": Approach(
-        _cell_fixed_disc,
-        lambda tr, team, cfg, shared: train_fixed(
-            tr, team, cfg, (team.query_cost,))[0]),
-    "joint-disc": Approach(
-        _cell_joint_disc,
-        lambda tr, team, cfg, shared: train_joint(
-            tr, team, cfg, (cfg.cost_weight,))[0]),
-    "fixed-voi": Approach(_cell_fixed_voi, _shared_fixed_voi),
-    "joint-voi": Approach(
-        _cell_joint_voi,
-        lambda tr, team, cfg, shared: train_joint_voi(
-            tr, team, cfg, (cfg.cost_weight,),
-            _shared_fixed_voi(tr, team, cfg, shared))[0]),
-    "human-only": Approach(_cell_human_only, None),
+    "fixed-disc": _fixed_disc,
+    "joint-disc": _joint_disc,
+    "fixed-voi": _fixed_voi,
+    "joint-voi": _joint_voi,
+    "human-only": None,
 }
+
+
+def approach_parts(approach: str, dataset: Dataset, seed: int, costs,
+                   lam_grid, team: TeamConfig, cfg: TrainConfig,
+                   shared: dict) -> tuple[Dataset, list | None]:
+    """The test split of `dataset` at `seed`, and what `approach`'s registry
+    function returns on that split with `cfg` seeded to `seed` (or None)."""
+    cfg = replace(cfg, seed=seed)  # rejects a bad seed before the split
+    tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
+    fn = APPROACHES[approach]
+    if fn is None:
+        return te, None
+    return te, fn(tr, va, te, costs, lam_grid, team, cfg, shared)
+
 
 # Approaches that run as one work unit per seed when both are requested,
 # so that one fixed-VOI training serves both cells.
@@ -228,9 +204,16 @@ def _run_cell(args) -> list[SweepCell]:
     cells = []
     for approach in approaches:
         try:
-            rows = APPROACHES[approach].run_cell(dataset, seed, costs,
-                                                 lam_grid, team, cfg, shared)
+            te, pairs = approach_parts(approach, dataset, seed, costs,
+                                       lam_grid, team, cfg, shared)
+            if pairs is None:
+                rows = [_row(c, human_only_baseline(te, team.with_cost(c)),
+                             None) for c in costs]
+            else:
+                rows = [_row(c, _score(parts, te, team, c), lam)
+                        for c, (parts, lam) in zip(costs, pairs)]
             cells.append(SweepCell(approach, seed, rows))
+            del te, pairs  # freed before the unit's next approach trains
         except Exception as e:  # failures recorded per cell, sweep continues
             cells.append(SweepCell(approach, seed, [],
                                    f"{type(e).__name__}: {e}"))
@@ -261,11 +244,8 @@ def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
 
 
 def _lambda_mode(values) -> float | None:
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    counts = Counter(present)
-    return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    counts = Counter(v for v in values if v is not None)
+    return max(counts, key=lambda v: (counts[v], -v), default=None)
 
 
 def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
@@ -289,8 +269,8 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     With `jobs` > 1 the work units run in a process pool of at most
     `jobs` workers, and no more workers than units; a unit whose worker
     dies fails its cells and the other units keep theirs. Negative or
-    non-finite costs or λ values, and `jobs` < 1, raise ConfigError
-    before any cell starts.
+    non-finite costs or λ values, a seed that is not a non-negative
+    integer, and `jobs` < 1 raise ConfigError before any cell starts.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in APPROACHES]
@@ -303,6 +283,8 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
         raise ConfigError("costs and lambda grid must be finite and"
                           " non-negative")
     costs, lam_grid = sorted(set(costs)), sorted(set(lam_grid))
+    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
+        raise ConfigError(f"seeds must be non-negative integers: {seeds}")
     seeds = [int(s) for s in seeds]
     if not (names and costs and lam_grid and seeds):
         raise ConfigError("approaches, costs, lambda grid and seeds must be"

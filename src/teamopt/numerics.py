@@ -60,6 +60,10 @@ class TrainConfig:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if not (isinstance(self.hidden_dims, (tuple, list)) and all(
+                isinstance(h, (int, np.integer)) and h >= 1
+                for h in self.hidden_dims)):
+            raise ConfigError("hidden_dims must be a list of positive ints")
 
 
 @dataclass

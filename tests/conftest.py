@@ -29,19 +29,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def kill_worker_on_seed(monkeypatch):
-    """`kill_worker_on_seed(seed)` makes human-only's sweep cell SIGKILL
-    the pool worker that runs `seed`. Forked workers inherit the patch;
-    in this process the cell runs as usual."""
+    """`kill_worker_on_seed(seed)` makes a sweep cell SIGKILL the pool
+    worker that runs `seed`, when the cell splits the dataset. Forked
+    workers inherit the patch; in this process the cell runs as usual."""
     this_process = os.getpid()
-    real = evaluation.APPROACHES["human-only"]
+    real = evaluation.split
 
     def patch(seed):
-        def run_cell(dataset, cell_seed, *args):
+        def split(dataset, fractions, cell_seed):
             if cell_seed == seed and os.getpid() != this_process:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real.run_cell(dataset, cell_seed, *args)
+            return real(dataset, fractions, cell_seed)
 
-        monkeypatch.setitem(evaluation.APPROACHES, "human-only",
-                            real._replace(run_cell=run_cell))
+        monkeypatch.setattr(evaluation, "split", split)
 
     return patch

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamopt import cli, discriminative, evaluation, voi
 from teamopt.cli import (DEFAULT_COSTS, DEFAULT_LAMBDA_GRID, RunConfig,
@@ -63,6 +65,18 @@ def test_config_coerces_lists_and_casts():
     assert cfg.query_cost == 0.2
 
 
+# Malformed values that crashed with a traceback, or ran a sweep that
+# could not succeed, instead of exiting 2.
+MALFORMED = [
+    {"costs": ["abc"]},
+    {"team": {"utility": "x"}},
+    {"costs": 5},
+    {"dataset": {"synthetic": {"n": "x"}}},
+    {"train": {"hidden_dims": 8}},
+    {"dataset": []},
+]
+
+
 @pytest.mark.parametrize("raw", [
     {"surprise": 1},
     {"dataset": {"synthetic": {}, "csv": "x.csv", "num_classes": 2}},
@@ -74,10 +88,169 @@ def test_config_coerces_lists_and_casts():
     {"costs": []},
     {"formats": ["pdf"]},
     {"team": {"bribe": 1}},
+    *MALFORMED,
+    {"seeds": [1.5]},
+    {"seeds": [True]},
+    {"out": 5},
+    {"train": []},
+    {"train": {"hidden_dims": [0]}},
+    {"train": {"iterations": "many"}},
+    {"dataset": {"synthetic": {"n": 0}}},  # SynthConfig.validate at parse
+    {"dataset": {"csv": 3, "num_classes": 2}},
+    {"team": {"utility": [[1, 0], [0]]}},
+    {"team": {"utility": []}},
+    {"approaches": "human-only"},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", MALFORMED)
+def test_malformed_config_exits_two(tmp_path, raw):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out, **raw))
+    assert main(["sweep", "--config", path]) == 2
+    assert not out.exists()
+
+
+def _unit(lo=0.0, hi=1.0):
+    return st.floats(lo, hi)
+
+
+def _synthetic_section(K):
+    return st.fixed_dictionaries(
+        {"num_classes": st.just(K), "class_priors": st.just([1.0 / K] * K)},
+        optional={"feature_dim": st.integers(1, 16),
+                  "n": st.integers(1, 10**6),
+                  "human_easy_error": _unit(0.0, 0.5),
+                  "human_hard_error": _unit(0.5, 1.0),
+                  "hard_region_fraction": _unit(0.01, 0.99),
+                  "machine_noise_scale": _unit(0.0, 5.0),
+                  "seed": st.integers(0, 2**32)})
+
+
+def _utility(K):
+    return st.lists(st.lists(_unit(-5.0, 5.0), min_size=K, max_size=K),
+                    min_size=K, max_size=K)
+
+
+VALID_CONFIGS = st.fixed_dictionaries({}, optional={
+    "dataset": st.integers(2, 6).flatmap(lambda K: st.fixed_dictionaries(
+        {"synthetic": _synthetic_section(K)})) | st.fixed_dictionaries(
+        {"csv": st.text(min_size=1, max_size=8),
+         "num_classes": st.integers(2, 9)}),
+    "team": st.fixed_dictionaries({}, optional={
+        "utility": st.integers(2, 4).flatmap(_utility),
+        "query_cost": _unit(0.0, 2.0)}),
+    "train": st.fixed_dictionaries({}, optional={
+        "learning_rate": _unit(1e-4, 1.0),
+        "batch_size": st.integers(1, 512),
+        "iterations": st.integers(1, 10**5),
+        "calibration_interval": st.integers(1, 1000),
+        "softmax_temperature": _unit(0.05, 10.0),
+        "cost_weight": _unit(0.0, 10.0),
+        "seed": st.integers(0, 2**32),
+        "dropout_rate": _unit(0.0, 0.9),
+        "hidden_dims": st.lists(st.integers(1, 64), max_size=3)}),
+    "approaches": st.lists(st.sampled_from(list(APPROACHES)), min_size=1,
+                           max_size=5),
+    "costs": st.lists(_unit(), min_size=1, max_size=5),
+    "lambda_grid": st.lists(_unit(0.0, 8.0), min_size=1, max_size=5),
+    "seeds": st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    "out": st.text(max_size=12),
+    "formats": st.lists(st.sampled_from(["json", "csv", "svg"]),
+                        max_size=3),
+})
+
+
+def _tuples(value):
+    """A JSON value as the config holds it: arrays become tuples."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALID_CONFIGS)
+def test_valid_configs_parse_to_the_given_values(raw):
+    cfg = config_from_dict(raw)
+    for key in ("approaches", "costs", "lambda_grid", "seeds", "out",
+                "formats"):
+        if key in raw:
+            assert getattr(cfg, key) == _tuples(raw[key])
+    for key, value in raw.get("train", {}).items():
+        assert getattr(cfg.train, key) == _tuples(value)
+    dataset = raw.get("dataset", {})
+    for key, value in dataset.get("synthetic", {}).items():
+        assert getattr(cfg.synth, key) == _tuples(value)
+    if "csv" in dataset:
+        assert (cfg.csv_path, cfg.csv_num_classes) == \
+            (dataset["csv"], dataset["num_classes"])
+    team = raw.get("team", {})
+    if "utility" in team:
+        assert cfg.utility.dtype == np.float64
+        assert cfg.utility.tolist() == team["utility"]
+    assert cfg.query_cost == team.get("query_cost", 0.1)
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _json_type(value):
+    for kind, types in (("null", type(None)), ("bool", bool),
+                        ("number", (int, float)), ("string", str),
+                        ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+
+
+# One strategy per JSON type. Strings never hold a number: a numeric
+# field also takes a string holding one.
+OTHER_JSON = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers(-3, 3) | _unit(-3.0, 3.0),
+    "string": st.text(alphabet="xyz", max_size=4),
+    "array": st.lists(st.integers(0, 3), max_size=2),
+    "object": st.dictionaries(st.text(alphabet="xyz", max_size=3),
+                              st.integers(0, 3), max_size=2),
+}
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    doc[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALID_CONFIGS, st.data())
+def test_a_mistyped_value_or_unknown_key_raises_config_error(raw, data):
+    nodes = list(_nodes(raw))
+    if data.draw(st.booleans(), "add an unknown key"):
+        path, node = data.draw(st.sampled_from(
+            [(p, n) for p, n in nodes if isinstance(n, dict)]))
+        key = data.draw(st.text(alphabet="xyz", max_size=4).map(
+            lambda t: f"unknown_{t}"))
+        bad = _replaced(raw, path, {**node, key: 1})
+    elif len(nodes) > 1:
+        path, node = data.draw(st.sampled_from(nodes[1:]))
+        kind = data.draw(st.sampled_from(
+            [k for k in OTHER_JSON if k != _json_type(node)]))
+        bad = _replaced(raw, path, data.draw(OTHER_JSON[kind]))
+    else:
+        return
+    with pytest.raises(ConfigError):
+        config_from_dict(bad)
 
 
 def test_load_config_errors(tmp_path):
@@ -225,6 +398,20 @@ def test_sweep_negative_cost_or_lambda_exits_two_before_training(tmp_path):
     assert not out.exists()  # rejected before any cell ran or report was due
 
 
+def test_sweep_negative_seed_exits_two_before_training(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out))
+    assert main(["sweep", "--config", path, "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
+def test_analyze_negative_seed_exits_two(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out))
+    assert main(["analyze", "--config", path, "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(out))
@@ -240,7 +427,7 @@ def test_analyze_writes_tables_and_tree(tmp_path):
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path]) == 0
     trainable = {"fixed-disc", "joint-disc", "fixed-voi", "joint-voi"}
-    assert {a for a, ap in APPROACHES.items() if ap.train} == trainable
+    assert {a for a, fn in APPROACHES.items() if fn} == trainable
     per_class = json.loads((out / "per_class.json").read_text())
     assert [row["class"] for row in per_class] == [0, 1, 2]
     assert set(per_class[0]["systems"]) == trainable

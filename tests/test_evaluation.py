@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
-from teamopt.discriminative import TeamConfig, decide, train_joint
+from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
+                                    train_joint)
 from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
 from teamopt.evaluation import (SPLIT_FRACTIONS, SweepCell, SweepResult,
                                 _best_split, _lambda_mode, cost_sweep,
@@ -25,7 +26,7 @@ from teamopt.evaluation import (SPLIT_FRACTIONS, SweepCell, SweepResult,
                                 render_loss_svg, sweep_csv_text,
                                 team_metrics_arrays, weighted_error)
 from teamopt.numerics import TrainConfig, forward_batch
-from teamopt.voi import train_fixed_voi
+from teamopt.voi import VoiSystem, train_fixed_voi, train_joint_voi
 
 
 def toy_dataset(n=120, seed=5, k=3, name="toy"):
@@ -235,15 +236,14 @@ def test_cost_sweep_records_cell_failures(caplog):
 
 
 def test_sweep_json_lists_only_the_seeds_it_averaged(monkeypatch, tmp_path):
-    real = evaluation.APPROACHES["human-only"]
+    real = evaluation.split
 
-    def run_cell(dataset, seed, *args):
+    def split(dataset, fractions, seed):
         if seed == 1:
             raise RuntimeError("cell failed")
-        return real.run_cell(dataset, seed, *args)
+        return real(dataset, fractions, seed)
 
-    monkeypatch.setitem(evaluation.APPROACHES, "human-only",
-                        real._replace(run_cell=run_cell))
+    monkeypatch.setattr(evaluation, "split", split)
     [result] = cost_sweep(toy_dataset(), ("human-only",), (0.0,), (1.0,),
                           (3, 1, 0, 2))
     good = [c for c in result.cells if c.error is None]
@@ -271,6 +271,54 @@ def test_cost_sweep_input_validation():
     for jobs in (0, -3):
         with pytest.raises(ConfigError, match="jobs"):
             cost_sweep(ds, ("human-only",), (0.0,), (1.0,), (0,), jobs=jobs)
+
+
+@pytest.mark.parametrize("seeds", [(-1,), (1.5,), (0, -2), ("1",)])
+def test_cost_sweep_rejects_bad_seeds_before_any_cell(monkeypatch, seeds):
+    split_seeds = []
+    real = evaluation.split
+
+    def split(dataset, fractions, seed):
+        split_seeds.append(seed)
+        return real(dataset, fractions, seed)
+
+    monkeypatch.setattr(evaluation, "split", split)
+    with pytest.raises(ConfigError, match="seeds"):
+        cost_sweep(toy_dataset(), ("human-only",), (0.0,), (1.0,), seeds)
+    assert split_seeds == []  # no cell started
+
+
+@pytest.mark.parametrize("approach", ["joint-disc", "joint-voi"])
+def test_one_value_lambda_grid_scores_only_the_test_split(monkeypatch,
+                                                          approach):
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3)
+    costs, seed, cfg = (0.0, 0.05, 0.2), 4, small_cfg()
+    tr, _, te = split(ds, SPLIT_FRACTIONS, seed)
+    cfg_s = replace(cfg, seed=seed)
+    c_ref = team.with_cost(0.05)  # the median cost
+    if approach == "joint-disc":
+        system = train_joint(tr, c_ref, cfg_s, (1.0,))[0]
+    else:
+        system = train_joint_voi(tr, c_ref, cfg_s, (1.0,),
+                                 train_fixed_voi(tr, team, cfg_s))[0]
+    expected = []
+    for c in costs:
+        labels, queried = decide(system.parts(te.X), te.h, c)
+        m = team_metrics_arrays(labels, queried, te.y, team.with_cost(c))
+        expected.append((c, m["total_loss"], m["classification_error"],
+                         m["query_rate"], 1.0))
+    scored = []  # rows of every batch a system is scored on
+    for cls in (DiscriminativeSystem, VoiSystem):
+        def parts(self, X, real=cls.parts):
+            scored.append(len(X))
+            return real(self, X)
+        monkeypatch.setattr(cls, "parts", parts)
+    [result] = cost_sweep(ds, (approach,), costs, (1.0,), (seed,),
+                          team=team, train_cfg=cfg)
+    assert scored == [len(te)]  # the lone variant, on the test split only
+    assert result.cells[0].error is None
+    assert result.cells[0].rows == expected
 
 
 def inline_pool(monkeypatch) -> list:

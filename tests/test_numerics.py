@@ -472,6 +472,10 @@ def test_sgd_returns_new_model():
     {"seed": -1},
     {"cost_weight": float("nan")},
     {"cost_weight": float("inf")},
+    {"hidden_dims": 8},
+    {"hidden_dims": (0,)},
+    {"hidden_dims": (4.5,)},
+    {"hidden_dims": ("8",)},
 ])
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
