@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
-from .numerics import stable_sigmoid, stable_softmax
+from .numerics import stable_sigmoid, stable_softmax, sum_last
 
 _P_EPS = 1e-12
 _TINY = np.finfo(np.float64).tiny
@@ -144,33 +144,36 @@ class PlattCalibrator:
         return cls(a, b, flags)
 
 
+def calibrated_head(logits: np.ndarray, cal: PlattCalibrator):
+    """(p, s, total, low): the calibrated distributions p = s / total, the
+    per-class sigmoids s, their (..., 1) sum over the last axis, and the
+    mask of rows normalised in log space (None if none).
+
+    A row whose total is below the smallest normal float has every sigmoid
+    underflowed, and s / total would be 0/0 or a ratio of subnormals. Such
+    rows take the same ratio in log space, softmax(log sigmoid(z)), and
+    their total reads 1. Every other row keeps the plain division.
+    """
+    z = logits * cal.a + cal.b
+    s = stable_sigmoid(z)
+    total = sum_last(s)[..., None]
+    low = total[..., 0] < _TINY
+    if not low.any():
+        return s / total, s, total, None
+    total = np.where(low[..., None], 1.0, total)
+    p = s / total
+    zl = z[low]
+    p[low] = stable_softmax(np.minimum(zl, 0.0) - np.log1p(np.exp(-abs(zl))))
+    return p, s, total, low
+
+
 def calibrate_batch(logits: np.ndarray, cal: PlattCalibrator) -> np.ndarray:
     """Per-class sigmoids of the logits, renormalized to distributions."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.shape[-1] != cal.num_classes:
         raise ShapeError(f"logits last dim {logits.shape[-1]} !="
                          f" K={cal.num_classes}")
-    z = logits * cal.a + cal.b
-    s = stable_sigmoid(z)
-    return sigmoid_shares(z, s, s.sum(axis=-1, keepdims=True))[0]
-
-
-def sigmoid_shares(z: np.ndarray, s: np.ndarray, total: np.ndarray):
-    """s / total for s = sigmoid(z) and total its (..., 1) sum over the last
-    axis; also the mask of rows normalised in log space (None if none).
-
-    A row whose total is below the smallest normal float has every sigmoid
-    underflowed, and s / total would be 0/0 or a ratio of subnormals. Such
-    rows take the same ratio in log space, softmax(log sigmoid(z)). Every
-    other row keeps the plain division, bit for bit.
-    """
-    low = total[..., 0] < _TINY
-    if not low.any():
-        return s / total, None
-    p = s / np.where(low[..., None], 1.0, total)
-    zl = z[low]
-    p[low] = stable_softmax(np.minimum(zl, 0.0) - np.log1p(np.exp(-abs(zl))))
-    return p, low
+    return calibrated_head(logits, cal)[0]
 
 
 def expected_calibration_error(predictions, labels, bins: int = 10) -> float:

@@ -138,6 +138,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if "csv" in ds:
         kwargs["csv_path"] = ds["csv"]
         kwargs["csv_num_classes"] = ds.get("num_classes")
+    elif "num_classes" in ds:
+        raise ConfigError("dataset.num_classes applies only to a csv source;"
+                          " set dataset.synthetic.num_classes instead")
     kwargs.update(_typed(kwargs.pop("team", {}),
                          {"utility": ((0.0,),), "query_cost": 0.0}, "team"))
     if "utility" in kwargs:
@@ -262,16 +265,12 @@ def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
     worst = max(worst, finite_diff_check(
         {"m": m, "q": q}, (X, y, hit, w[y], None, None),
         joint_disc_loss_fn(team, (cost_weight,))))
-    a_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-    b_m = init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)
-    g_m = init_mlp((d + K, hid, K), SOFTMAX_HEAD, rng, 0.0)
-    cal = PlattCalibrator.identity(K)
-    system = VoiSystem(CalibratedModel(a_m, cal), CalibratedModel(b_m, cal),
-                       CalibratedModel(g_m, cal), team, cfg)
-    models = {"alpha": stack_models([a_m]), "beta": stack_models([b_m]),
-              "gamma": stack_models([g_m])}
+    models = {name: stack_models([init_mlp(dims, SOFTMAX_HEAD, rng, 0.0)])
+              for name, dims in (("alpha", (d, hid, K)), ("beta", (d, hid, K)),
+                                 ("gamma", (d + K, hid, K)))}
+    cals = (PlattCalibrator.identity(K),) * 3
     return max(worst, finite_diff_check(
-        models, joint_voi_batch(system, X, h, y, team),
+        models, joint_voi_batch(X, h, y, w, cals),
         joint_voi_loss_fn(team, cfg, (cost_weight,))))
 
 

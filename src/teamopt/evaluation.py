@@ -270,7 +270,8 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     `jobs` workers, and no more workers than units; a unit whose worker
     dies fails its cells and the other units keep theirs. Negative or
     non-finite costs or λ values, a seed that is not a non-negative
-    integer, and `jobs` < 1 raise ConfigError before any cell starts.
+    integer, a repeated seed, and `jobs` < 1 raise ConfigError before any
+    cell starts.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in APPROACHES]
@@ -286,6 +287,8 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
         raise ConfigError(f"seeds must be non-negative integers: {seeds}")
     seeds = [int(s) for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must not repeat: {seeds}")
     if not (names and costs and lam_grid and seeds):
         raise ConfigError("approaches, costs, lambda grid and seeds must be"
                           " nonempty")
@@ -488,9 +491,9 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def render_loss_svg(results: list[SweepResult], width: int = 640,
-                    height: int = 420) -> str:
-    """Hand-rolled line plot of mean total loss vs query cost."""
+def render_loss_svg(results: list[SweepResult]) -> str:
+    """Hand-rolled 640 x 420 line plot of mean total loss vs query cost."""
+    width, height = 640, 420
     ml, mr, mt, mb = 62, 20, 34, 48
     series = [(r.approach, [(rec["c"], rec["total_loss"])
                             for rec in r.records])

@@ -197,14 +197,9 @@ def _check_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 
 def logits_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Pre-head activations for a batch, without dropout."""
-    h = _check_input(model, X)
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h
+    """Pre-head activations for a batch, without dropout: the training
+    forward pass of the model as a one-replica stack."""
+    return mlp_forward(stack_models([model]), _check_input(model, X))[0][0]
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -361,15 +356,14 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
     return models
 
 
-def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn,
-                      step: float = 1e-5) -> float:
+def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Relative error is |analytic - numeric| / max(1, |analytic|), maximized
-    over every unfrozen parameter of every model.
+    over every unfrozen parameter of every model, with differences taken
+    at a step of 1e-5.
     """
-    if step <= 0:
-        raise ConfigError("step must be positive")
+    step = 1e-5
     _, grads = loss_and_grad(models, batch, loss_fn)
     worst = 0.0
     for name, model in models.items():

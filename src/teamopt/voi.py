@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import PlattCalibrator, calibrate_batch, sigmoid_shares
-from .discriminative import (DecisionParts, TeamConfig, derive_rng,
-                             mixture_loss, train_solo_model,
+from .calibration import PlattCalibrator, calibrate_batch, calibrated_head
+from .discriminative import (DecisionParts, TeamConfig, _batch_indices,
+                             derive_rng, mixture_loss, train_solo_model,
                              utility_loss_weights)
 from .errors import InputError, StateError
 from .numerics import (MlpModel, TrainConfig, fit, logits_batch,
@@ -136,21 +136,16 @@ class _JointBatch:
     cal_a: PlattCalibrator    # a replica stack uses (R, 1, K) parameters,
     cal_b: PlattCalibrator    # see _stack_calibrators
     cal_g: PlattCalibrator
-    masks_a: list | None = None
-    masks_b: list | None = None
-    masks_g: list | None = None
+    masks_a: list | None
+    masks_b: list | None
+    masks_g: list | None
 
 
 def _calibrated(logits: np.ndarray, cal: PlattCalibrator):
-    """`calibrate_batch`'s s / sum(s) on training logits, with the backward
-    map from dL/dp to dL/d(logits). The calibrator parameters are
+    """`calibrated_head`'s distributions on training logits, with the
+    backward map from dL/dp to dL/d(logits). The calibrator parameters are
     constants: frozen during backprop."""
-    z = logits * cal.a + cal.b
-    s = stable_sigmoid(z)
-    total = sum_last(s)[..., None]
-    p, low = sigmoid_shares(z, s, total)
-    if low is not None:
-        total = np.where(low[..., None], 1.0, total)  # rows replaced below
+    p, s, total, low = calibrated_head(logits, cal)
 
     def backward(dp):
         dot = sum_last(dp * p)[..., None]
@@ -184,18 +179,14 @@ def _stack_calibrators(cals) -> PlattCalibrator:
                            np.stack([c.degenerate for c in cals])[:, None, :])
 
 
-def joint_voi_batch(system: VoiSystem, X: np.ndarray, h: np.ndarray,
-                    y: np.ndarray, team: TeamConfig,
-                    masks: tuple | None = None) -> _JointBatch:
-    """Assemble the constant side of one training batch."""
-    K = system.num_classes
-    w = utility_loss_weights(team)
-    masks_a, masks_b, masks_g = masks if masks is not None else (None,) * 3
-    return _JointBatch(np.asarray(X, dtype=np.float64),
-                       gamma_all_input(X, K), np.asarray(h), np.asarray(y),
-                       w[y], system.p_alpha.calibrator,
-                       system.p_beta.calibrator, system.p_gamma.calibrator,
-                       masks_a, masks_b, masks_g)
+def joint_voi_batch(X: np.ndarray, h: np.ndarray, y: np.ndarray,
+                    w: np.ndarray, cals, masks=(None,) * 3,
+                    onehots: np.ndarray | None = None) -> _JointBatch:
+    """The constant side of one training batch: its rows, the per-class
+    loss weights `w` (`utility_loss_weights`), the (alpha, beta, gamma)
+    calibrators and masks, and the gamma one-hots of `gamma_all_input`."""
+    return _JointBatch(X, gamma_all_input(X, len(w), onehots), h, y, w[y],
+                       *cals, *masks)
 
 
 def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
@@ -328,13 +319,12 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
     onehots = np.tile(np.eye(K), (B, 1))  # every batch's gamma one-hots
 
     def make_batch(it):
-        idx = rng_batch.choice(n, size=B, replace=False)
-        Xb, hb, yb = X[idx], h[idx], y[idx]
-        return _JointBatch(Xb, gamma_all_input(Xb, K, onehots), hb, yb, w[yb],
-                           *stacked_cals,
-                           sample_dropout_masks(parts[0].model, B, rng_da),
-                           sample_dropout_masks(parts[1].model, B, rng_db),
-                           sample_dropout_masks(parts[2].model, B * K, rng_dg))
+        idx = _batch_indices(rng_batch, n, B)
+        masks = (sample_dropout_masks(parts[0].model, B, rng_da),
+                 sample_dropout_masks(parts[1].model, B, rng_db),
+                 sample_dropout_masks(parts[2].model, B * K, rng_dg))
+        return joint_voi_batch(X[idx], h[idx], y[idx], w, stacked_cals,
+                               masks, onehots)
 
     def refit(models):
         # each replica refits its own (cal_a, cal_b, cal_g) on its networks

@@ -100,6 +100,7 @@ MALFORMED = [
     {"team": {"utility": [[1, 0], [0]]}},
     {"team": {"utility": []}},
     {"approaches": "human-only"},
+    {"dataset": {"num_classes": 7}},  # not the synthetic task's K
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -402,6 +403,17 @@ def test_sweep_negative_seed_exits_two_before_training(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(out))
     assert main(["sweep", "--config", path, "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"seeds": [0, 0, 1]},
+    {"dataset": {"num_classes": 7}},
+], ids=["duplicate-seeds", "num-classes-without-csv"])
+def test_sweep_config_that_would_mislead_exits_two(tmp_path, override):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out, **override))
+    assert main(["sweep", "--config", path]) == 2
     assert not out.exists()
 
 

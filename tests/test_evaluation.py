@@ -271,6 +271,9 @@ def test_cost_sweep_input_validation():
     for jobs in (0, -3):
         with pytest.raises(ConfigError, match="jobs"):
             cost_sweep(ds, ("human-only",), (0.0,), (1.0,), (0,), jobs=jobs)
+    with pytest.raises(ConfigError, match="repeat"):
+        # seed 0 would run twice and count double in every average
+        cost_sweep(ds, ("human-only",), (0.1,), (1.0,), (0, 0, 1))
 
 
 @pytest.mark.parametrize("seeds", [(-1,), (1.5,), (0, -2), ("1",)])

@@ -38,6 +38,22 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
+def test_no_module_defines_a_top_level_name_twice():
+    # a second `def` of a name silently replaces the first, so a test
+    # defined twice runs once and its first copy never does
+    repeated = []
+    for path in sorted([*(ROOT / "src" / "teamopt").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        seen = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name in seen:
+                    repeated.append(f"{path.name}:{node.lineno} {node.name}")
+                seen.add(node.name)
+    assert repeated == []
+
+
 def fresh_python(code: str, *args: str) -> str:
     """Standard output of `code` run in a fresh interpreter on this
     checkout's package."""

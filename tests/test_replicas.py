@@ -23,9 +23,8 @@ from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
                               finite_diff_check, init_mlp, loss_and_grad,
                               sample_dropout_masks, stable_softmax,
                               stack_models, unstack_models)
-from teamopt.voi import (CalibratedModel, VoiSystem, _stack_calibrators,
-                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
-                         train_joint_voi)
+from teamopt.voi import (_stack_calibrators, joint_voi_batch,
+                         joint_voi_loss_fn, train_fixed_voi, train_joint_voi)
 
 LAMBDAS = (0.5, 2.0, 8.0)
 
@@ -183,9 +182,8 @@ def test_joint_voi_replicas_match_finite_differences():
             PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
                             np.zeros(K, dtype=bool)) for _ in range(R)])
 
-    system = VoiSystem(*(CalibratedModel(models[n], calibrators())
-                         for n in ("alpha", "beta", "gamma")), team, cfg)
-    batch = joint_voi_batch(system, X, h, y, team)
+    cals = [calibrators() for _ in range(3)]  # alpha, beta, gamma
+    batch = joint_voi_batch(X, h, y, utility_loss_weights(team), cals)
     loss_fn = joint_voi_loss_fn(team, cfg, lams)
     assert finite_diff_check(models, batch, loss_fn) < 1e-4
     check_replica_independence(models, batch, loss_fn)
@@ -287,12 +285,11 @@ def test_joint_voi_loss_matches_tape_oracle():
             PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
                             np.zeros(K, dtype=bool)) for _ in range(3)])
 
-    system = VoiSystem(*(CalibratedModel(models[n], calibrators())
-                         for n in ("alpha", "beta", "gamma")), team, cfg)
+    cals = [calibrators() for _ in range(3)]  # alpha, beta, gamma
     masks = (sample_dropout_masks(models["alpha"], B, rng),
              sample_dropout_masks(models["beta"], B, rng),
              sample_dropout_masks(models["gamma"], B * K, rng))
-    batch = joint_voi_batch(system, X, h, y, team, masks)
+    batch = joint_voi_batch(X, h, y, utility_loss_weights(team), cals, masks)
     assert_matches_oracle(models, batch, joint_voi_loss_fn(team, cfg, lams),
                           oracles.joint_voi_tape(team, cfg, lams))
 

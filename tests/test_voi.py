@@ -14,16 +14,15 @@ from teamopt.calibration import PlattCalibrator
 from teamopt.cli import dist_system, voi_rule_deviation
 from teamopt.data import Dataset
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
-                                    team_predict)
+                                    team_predict, utility_loss_weights)
 from teamopt.errors import (InputError, NumericError, QueryError, StateError,
                             TrainingError)
 from teamopt.numerics import (SIGMOID_HEAD, MlpModel, TrainConfig,
                               finite_diff_check, init_mlp, loss_value,
                               stack_models)
-from teamopt.voi import (CalibratedModel, VoiSystem, _calibration_split,
-                         gamma_all_input, gamma_input, joint_voi_batch,
-                         joint_voi_loss_fn, train_fixed_voi, train_joint_voi,
-                         voi_decision_parts)
+from teamopt.voi import (_calibration_split, gamma_all_input, gamma_input,
+                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
+                         train_joint_voi, voi_decision_parts)
 
 # frozen: 0.9*sigmoid(0.8) + 0.1*(1 - sigmoid(0.8))
 SOFT_U_NQ_EXAMPLE = 0.6519795849020901
@@ -378,8 +377,10 @@ def test_joint_loss_matches_numpy_reference():
     cfg = TrainConfig(iterations=30, hidden_dims=(6,), seed=9)
     system = train_fixed_voi(ds, team, cfg)
     x, y, h = ds.X[7], int(ds.y[7]), int(ds.h[7])
-    batch = joint_voi_batch(system, x[None, :], np.array([h]), np.array([y]),
-                            team)
+    cals = (system.p_alpha.calibrator, system.p_beta.calibrator,
+            system.p_gamma.calibrator)
+    batch = joint_voi_batch(x[None, :], np.array([h]), np.array([y]),
+                            utility_loss_weights(team), cals)
     models = {"alpha": stack_models([system.p_alpha.model]),
               "beta": stack_models([system.p_beta.model]),
               "gamma": stack_models([system.p_gamma.model])}
@@ -426,12 +427,9 @@ def test_joint_pipeline_gradients_match_finite_differences():
         "beta": init_mlp((4, 4, 3), "softmax", np.random.default_rng(2), 0.0),
         "gamma": init_mlp((7, 4, 3), "softmax", np.random.default_rng(3), 0.0),
     }
-    ident = PlattCalibrator.identity(3)
-    system = VoiSystem(CalibratedModel(models["alpha"], ident),
-                       CalibratedModel(models["beta"], ident),
-                       CalibratedModel(models["gamma"], ident), team, cfg)
     ds = toy_dataset(n=3)
-    batch = joint_voi_batch(system, ds.X, ds.h, ds.y, team)
+    batch = joint_voi_batch(ds.X, ds.h, ds.y, utility_loss_weights(team),
+                            (PlattCalibrator.identity(3),) * 3)
     stacks = {name: stack_models([m]) for name, m in models.items()}
     assert finite_diff_check(stacks, batch, joint_voi_loss_fn(
         team, cfg, (cfg.cost_weight,))) < 1e-4
