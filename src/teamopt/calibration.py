@@ -36,16 +36,19 @@ def _nll(scores, targets, a, b):
     return float(nll), p
 
 
-def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
+def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
+              start: tuple[float, float] | None = None) -> PlattFit:
     """Fit sigma(a*s + b) to 0/1 labels with Platt-smoothed targets.
 
-    Damped Newton: steps that do not decrease the objective are retried
-    with more damping, so the objective decreases monotonically. Stops at
+    Damped Newton from `start` = (a, b), or from (0, log-odds of the
+    smoothed base rate) when it is None: steps that do not decrease the
+    objective are retried with more damping, so the objective decreases
+    monotonically. Stops at
     gradient norm < 1e-8, after 200 iterations, or as soon as the
     iterations can only cycle without moving (a, b) (see below), which
     returns what running on to the cap would. Single-class labels yield a
-    degenerate flat calibrator at the smoothed base rate. Empty or
-    non-finite scores raise InputError.
+    degenerate flat calibrator at the smoothed base rate, whatever the
+    start. Empty or non-finite scores raise InputError.
     """
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(binary_labels)
@@ -66,7 +69,10 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
     targets = np.where(pos, t_hi, t_lo)
     ss = s * s
 
-    a, b = 0.0, float(np.log((n_pos + 1.0) / (n_neg + 1.0)))
+    if start is None:
+        a, b = 0.0, float(np.log((n_pos + 1.0) / (n_neg + 1.0)))
+    else:
+        a, b = float(start[0]) + 0.0, float(start[1]) + 0.0  # no -0.0
     obj, p = _nll(s, targets, a, b)  # p is always sigma(a*s + b)
     damping = 1e-6
     # An iteration is a function of (a, b, damping) alone. Under rounding
@@ -96,8 +102,9 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray) -> PlattFit:
             new_a, new_b = a - float(step[0]), b - float(step[1])
             new_obj, new_p = _nll(s, targets, new_a, new_b)
             if new_obj <= obj:
-                # a and b start at +0.0 or nonzero and x - x is +0.0, so
-                # they never hold -0.0 and == compares their bits.
+                # a and b start at +0.0 or nonzero (+ 0.0 turns a -0.0
+                # start into +0.0) and x - x is +0.0, so they never hold
+                # -0.0 and == compares their bits.
                 if new_a != a or new_b != b:
                     seen.clear()
                 a, b, obj, p = new_a, new_b, new_obj, new_p
@@ -120,7 +127,8 @@ class PlattCalibrator:
 
     @property
     def num_classes(self) -> int:
-        return len(self.a)
+        # a replica stack (voi._stack_calibrators) holds (R, 1, K) arrays
+        return self.a.shape[-1]
 
     @classmethod
     def identity(cls, num_classes: int) -> "PlattCalibrator":
@@ -128,9 +136,13 @@ class PlattCalibrator:
                    np.zeros(num_classes, dtype=bool))
 
     @classmethod
-    def fit(cls, logits: np.ndarray, labels: np.ndarray,
-            num_classes: int) -> "PlattCalibrator":
-        """One-vs-rest Platt fit of per-class logit scores."""
+    def fit(cls, logits: np.ndarray, labels: np.ndarray, num_classes: int,
+            start: "PlattCalibrator | None" = None) -> "PlattCalibrator":
+        """One-vs-rest Platt fit of per-class logit scores.
+
+        With a `start` calibrator, class k's Newton iterations start from
+        its (a_k, b_k) unless that class was degenerate there.
+        """
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 2 or logits.shape[1] != num_classes:
             raise ShapeError(f"logits shape {logits.shape} does not match"
@@ -139,7 +151,11 @@ class PlattCalibrator:
         b = np.empty(num_classes)
         flags = np.zeros(num_classes, dtype=bool)
         for k in range(num_classes):
-            fit = fit_platt(logits[:, k], (labels == k).astype(np.int64))
+            warm = None
+            if start is not None and not start.degenerate[k]:
+                warm = (start.a[k], start.b[k])
+            fit = fit_platt(logits[:, k], (labels == k).astype(np.int64),
+                            warm)
             a[k], b[k], flags[k] = fit.a, fit.b, fit.degenerate
         return cls(a, b, flags)
 

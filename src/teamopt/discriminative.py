@@ -33,6 +33,8 @@ STREAM_BATCH = 2
 STREAM_DROP_M = 3
 STREAM_DROP_Q = 4
 STREAM_BATCH_Q = 5
+# (init, batch, dropout) streams of m trained alone
+SOLO_STREAMS = (STREAM_INIT_M, STREAM_BATCH, STREAM_DROP_M)
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -198,54 +200,66 @@ def _batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 def solo_ce_loss(models, batch):
     """Per-instance weighted CE of the replica stack "m" and its backward
     (the `loss_and_grad` contract), on batches (X, targets, w[targets],
-    dropout masks)."""
+    dropout masks): an (n, d) input with (n,) targets and (n, dim) masks
+    shared by every replica, or one minibatch per replica as (R, n, d),
+    (R, n) and (R, n, dim)."""
     X, t, w_t, masks = batch
     z, cache = mlp_forward(models["m"], X, masks)
     p = stable_softmax(z)
-    rows = np.arange(len(t))
-    p_t = p[:, rows, t]
+    at = (np.arange(len(p))[:, None], np.arange(p.shape[1]), t)
+    p_t = p[at]
     per = w_t * -np.log(np.maximum(p_t, PROB_CLAMP))
 
     def backward(g):
         # d(-log softmax(z)[t])/dz = p - onehot(t); nothing past the clamp
         coef = g * w_t * (p_t > PROB_CLAMP)
         d = p * coef[..., None]
-        d[:, rows, t] -= coef
+        d[at] -= coef
         return {"m": mlp_backward(cache, d)}
 
     return per, backward
 
 
 def train_solo_model(dataset, team: TeamConfig, cfg: TrainConfig,
-                     targets: np.ndarray | None = None,
-                     streams: tuple[int, int, int] = (STREAM_INIT_M,
-                                                      STREAM_BATCH,
-                                                      STREAM_DROP_M),
-                     input_matrix: np.ndarray | None = None) -> MlpModel:
-    """Weighted-CE training of one softmax MLP in isolation.
+                     replicas=((None, SOLO_STREAMS),),
+                     input_matrix: np.ndarray | None = None
+                     ) -> list[MlpModel]:
+    """Weighted-CE training of softmax MLPs in isolation, one per
+    `(targets, streams)` pair of `replicas`, as one replica stack.
 
-    `targets` defaults to the labels y; passing dataset.h (or anything
+    `targets` None means the labels y; passing dataset.h (or anything
     else in class range) retargets the same loop, which is how the VOI
-    module trains its component models.
+    module trains its component models. `streams` holds the (init, batch,
+    dropout) rng stream ids. Every replica draws its own batch indices and
+    dropout masks from its own streams, so each model equals what
+    training it alone gives.
     """
     X = dataset.X if input_matrix is None else input_matrix
-    t = dataset.y if targets is None else targets
     K = dataset.num_classes
     w = utility_loss_weights(team)
     dims = (X.shape[1], *cfg.hidden_dims, K)
-    rng_init = derive_rng(cfg.seed, streams[0])
-    rng_batch = derive_rng(cfg.seed, streams[1])
-    rng_drop = derive_rng(cfg.seed, streams[2])
-    model = init_mlp(dims, SOFTMAX_HEAD, rng_init, cfg.dropout_rate)
+    targets = np.stack([dataset.y if t is None else t for t, _ in replicas])
+    models = [init_mlp(dims, SOFTMAX_HEAD, derive_rng(cfg.seed, init),
+                       cfg.dropout_rate) for _, (init, _, _) in replicas]
+    rngs = [(derive_rng(cfg.seed, batch), derive_rng(cfg.seed, drop))
+            for _, (_, batch, drop) in replicas]
+    reps = np.arange(len(replicas))[:, None]
 
     def make_batch(it):
-        idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
-        masks = sample_dropout_masks(model, len(idx), rng_drop)
-        return (X[idx], t[idx], w[t[idx]], masks)
+        # np.array rather than np.stack: the same arrays, several times
+        # faster on a few small parts
+        idx = np.array([_batch_indices(rng_batch, len(X), cfg.batch_size)
+                        for rng_batch, _ in rngs])
+        drawn = [sample_dropout_masks(model, idx.shape[1], rng_drop)
+                 for model, (_, rng_drop) in zip(models, rngs)]
+        masks = None if drawn[0] is None else [np.array(layer)
+                                              for layer in zip(*drawn)]
+        t = targets[reps, idx]
+        return (X[idx], t, w[t], masks)
 
-    fitted = fit({"m": stack_models([model])}, solo_ce_loss, make_batch, cfg,
+    fitted = fit({"m": stack_models(models)}, solo_ce_loss, make_batch, cfg,
                  "solo training")
-    return unstack_models(fitted["m"])[0]
+    return unstack_models(fitted["m"])
 
 
 def mixture_loss(q, p_human, p_machine, w_y, cost_term):
@@ -337,7 +351,7 @@ def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig, costs
 
     The system for cost c shares m and carries `team.with_cost(c)`.
     """
-    m = train_solo_model(dataset, team, cfg)
+    [m] = train_solo_model(dataset, team, cfg)
     policies = train_query_policy(m, dataset, team, cfg, costs)
     return [DiscriminativeSystem(m, q, team.with_cost(c), cfg)
             for c, q in zip(costs, policies)]

@@ -69,25 +69,57 @@ def human_only_baseline(dataset: Dataset, team: TeamConfig) -> dict:
 
 @dataclass
 class SweepCell:
-    """One (approach, seed) unit of work; rows are per-cost test metrics."""
+    """One (approach, seed) unit of work; rows are per-cost test metrics.
+
+    A failed cell has no rows, `error` reads "ErrorType: message", and
+    `iteration` is the failing training step when the error names one.
+    """
 
     approach: str
     seed: int
     rows: list  # (cost, total_loss, classification_error, query_rate, lam)
     error: str | None = None
+    iteration: int | None = None
+
+    @classmethod
+    def failed(cls, approach: str, seed: int, e: Exception) -> "SweepCell":
+        return cls(approach, seed, [], f"{type(e).__name__}: {e}",
+                   getattr(e, "iteration", None))
+
+    def failure(self) -> dict:
+        """The failed cell's `sweep.json` entry."""
+        error_type, _, message = self.error.partition(": ")
+        entry = {"approach": self.approach, "seed": self.seed,
+                 "error": error_type, "message": message}
+        if self.iteration is not None:
+            entry["iteration"] = self.iteration
+        return entry
 
 
 @dataclass
 class SweepResult:
+    """One approach's seed-averaged records. `failures` holds one entry
+    per failed cell (`SweepCell.failure`), derived from `cells` unless
+    given, and `sweep.json` carries it only when something failed."""
+
     approach: str
     records: list  # per-cost dicts, seed-averaged
     seeds: list  # the seeds of the cells `records` averages
     dataset: str
     cells: list = field(default_factory=list)
+    failures: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.failures:
+            self.failures = [c.failure() for c in self.cells
+                             if c.error is not None]
 
     def as_json_dict(self) -> dict:
-        return {"approach": self.approach, "records": self.records,
-                "seeds": list(self.seeds), "dataset": self.dataset}
+        out = {"approach": self.approach, "records": self.records,
+               "seeds": list(self.seeds), "dataset": self.dataset}
+        if self.failures:
+            out["failures"] = self.failures
+        return out
 
 
 def _row(c: float, metrics: dict, lam: float | None) -> tuple:
@@ -215,8 +247,7 @@ def _run_cell(args) -> list[SweepCell]:
             cells.append(SweepCell(approach, seed, rows))
             del te, pairs  # freed before the unit's next approach trains
         except Exception as e:  # failures recorded per cell, sweep continues
-            cells.append(SweepCell(approach, seed, [],
-                                   f"{type(e).__name__}: {e}"))
+            cells.append(SweepCell.failed(approach, seed, e))
     return cells
 
 
@@ -237,8 +268,7 @@ def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
             try:
                 units.append(future.result())
             except BrokenProcessPool as e:
-                error = f"{type(e).__name__}: {e}"
-                units.append([SweepCell(a, seed, [], error)
+                units.append([SweepCell.failed(a, seed, e)
                               for a in approaches])
     return units
 
@@ -264,8 +294,9 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     whole cell. When both VOI approaches run, each seed's fixed-voi and
     joint-voi cells are one work unit: one fixed-VOI training is scored
     as fixed-voi and warm-starts joint-voi. A failing approach fails only
-    its own cell; failed cells are logged and skipped in the averages,
-    and each result's `seeds` lists the seeds its averages cover.
+    its own cell; failed cells are logged, skipped in the averages and
+    listed in each result's `failures`, and each result's `seeds` lists
+    the seeds its averages cover.
     With `jobs` > 1 the work units run in a process pool of at most
     `jobs` workers, and no more workers than units; a unit whose worker
     dies fails its cells and the other units keep theirs. Negative or
@@ -601,7 +632,8 @@ def emit_report(results: list[SweepResult], out_dir,
                 formats=("json", "csv", "svg")) -> list[str]:
     """Write sweep.json / sweep.csv / loss_vs_cost.svg; returns paths.
 
-    JSON holds the seed-averaged records: results rebuilt from it with
+    JSON holds the seed-averaged records and, for an approach with failed
+    cells, their `failures`: results rebuilt from it with
     `SweepResult(**d)` re-emit it byte-identically. The CSV carries the
     per-seed rows of `cells`, which the JSON leaves out.
     """

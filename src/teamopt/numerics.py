@@ -3,10 +3,11 @@
 Models are plain dataclasses of float64 arrays and are treated as immutable
 values: `sgd_step` returns a new model. Every trainer runs through `fit`,
 the one SGD loop, which steps a stack of R same-shaped replicas
-(`stack_models`) on shared minibatches; a single training is the R=1
-stack. Training losses are closed-form: each returns its per-instance
-values and a backward function (see `loss_and_grad`) written by hand on
-top of the one `mlp_forward`/`mlp_backward` pair. The contract for every
+(`stack_models`) on shared or per-replica minibatches; a single
+training is the R=1 stack. Training losses are closed-form: each
+returns its per-instance values and a backward function (see
+`loss_and_grad`) written by hand on top of the one
+`mlp_forward`/`mlp_backward` pair. The contract for every
 loss in this package is agreement with central finite differences (see
 `finite_diff_check`).
 """
@@ -215,9 +216,10 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
 def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
     """Training forward pass of a replica stack: (logits, cache).
 
-    The (n, d) input and the (n, dim) dropout masks (None for eval
-    behaviour) are shared by every replica; the logits are (R, n, K).
-    `cache` holds what `mlp_backward` needs.
+    An (n, d) input and (n, dim) dropout masks (None for eval behaviour)
+    are shared by every replica; an (R, n, d) input and (R, n, dim) masks
+    give each replica its own rows. The logits are (R, n, K). `cache`
+    holds what `mlp_backward` needs.
     """
     if model.weights[0].ndim != 3:
         raise ShapeError("training losses take replica stacks"
@@ -239,7 +241,8 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
 
 
 def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
-    """Parameter gradients of a replica stack given dL/d(logits)."""
+    """Parameter gradients of a replica stack given dL/d(logits), for a
+    shared or a per-replica input alike."""
     weights, inputs, gates = cache
     n = len(weights)
     gw, gb = [None] * n, [None] * n
@@ -306,7 +309,8 @@ def stack_models(models) -> MlpModel:
     """R models of one architecture as a single replica stack.
 
     Weights become (R, fan_in, fan_out) and biases (R, 1, fan_out), so one
-    (n, d) batch flows through every replica as one batched matmul.
+    (n, d) batch, or an (R, n, d) batch of one minibatch per replica,
+    flows through every replica as one batched matmul.
     """
     first = models[0]
     for m in models[1:]:
@@ -330,11 +334,12 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
     """The package's SGD loop: `cfg.iterations` plain steps on replica stacks.
 
     `models` maps names to stacks from `stack_models`; all stacks hold the
-    same number R of replicas. `make_batch(it)` draws everything a step
-    shares across replicas once (batch indices, dropout masks, constant
-    arrays) and `loss_fn(models, batch)` follows the `loss_and_grad`
-    contract with (R, n) per-instance losses, so each replica trains
-    exactly as it would alone.
+    same number R of replicas. `make_batch(it)` draws a step's batch
+    indices, dropout masks and constant arrays, either once for all
+    replicas or once per replica from each replica's own streams, and
+    `loss_fn(models, batch)` follows the `loss_and_grad` contract with
+    (R, n) per-instance losses, so each replica trains exactly as it
+    would alone.
     `on_step(it, models)` runs after every update. A non-finite loss
     raises TrainingError carrying the iteration and, when
     `replica_labels` is given, naming the replica that failed first.

@@ -256,13 +256,16 @@ def _calibration_split(dataset, seed: int):
 
 
 def _refit_calibrators(a_m: MlpModel, b_m: MlpModel, g_m: MlpModel,
-                       calib_ds) -> tuple[PlattCalibrator, ...]:
+                       calib_ds, start=(None,) * 3
+                       ) -> tuple[PlattCalibrator, ...]:
+    """(cal_a, cal_b, cal_g) fitted on the held-out slice, each fit started
+    from the matching `start` calibrator when one is given."""
     K = calib_ds.num_classes
     Xc, yc, hc = calib_ds.X, calib_ds.y, calib_ds.h
-    cal_a = PlattCalibrator.fit(logits_batch(a_m, Xc), yc, K)
-    cal_b = PlattCalibrator.fit(logits_batch(b_m, Xc), hc, K)
+    cal_a = PlattCalibrator.fit(logits_batch(a_m, Xc), yc, K, start[0])
+    cal_b = PlattCalibrator.fit(logits_batch(b_m, Xc), hc, K, start[1])
     cal_g = PlattCalibrator.fit(logits_batch(g_m, gamma_input(Xc, hc, K)),
-                                yc, K)
+                                yc, K, start[2])
     return cal_a, cal_b, cal_g
 
 
@@ -274,11 +277,11 @@ def train_fixed_voi(dataset, team: TeamConfig, cfg: TrainConfig) -> VoiSystem:
     """
     fit_ds, calib_ds = _calibration_split(dataset, cfg.seed)
     K = dataset.num_classes
-    a_m = train_solo_model(fit_ds, team, cfg, streams=STREAM_ALPHA)
-    b_m = train_solo_model(fit_ds, team, cfg, targets=fit_ds.h,
-                           streams=STREAM_BETA)
-    g_m = train_solo_model(fit_ds, team, cfg, streams=STREAM_GAMMA,
-                           input_matrix=gamma_input(fit_ds.X, fit_ds.h, K))
+    # alpha and beta share their inputs and shape: one two-replica stack
+    a_m, b_m = train_solo_model(fit_ds, team, cfg, [(None, STREAM_ALPHA),
+                                                    (fit_ds.h, STREAM_BETA)])
+    [g_m] = train_solo_model(fit_ds, team, cfg, [(None, STREAM_GAMMA)],
+                             gamma_input(fit_ds.X, fit_ds.h, K))
     cal_a, cal_b, cal_g = _refit_calibrators(a_m, b_m, g_m, calib_ds)
     return VoiSystem(CalibratedModel(a_m, cal_a), CalibratedModel(b_m, cal_b),
                      CalibratedModel(g_m, cal_g), team, cfg)
@@ -295,10 +298,11 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
     dataset and config, which is left unchanged, and runs T SGD
     iterations on the soft joint loss with calibrators frozen. Each
     variant refits its own calibrators on the held-out slice every
-    `calibration_interval` iterations and once at the end. The variants
-    step in lockstep on shared minibatches and dropout masks; each system
-    equals what a one-value grid gives, and its `train_cfg` carries its
-    `cost_weight`.
+    `calibration_interval` iterations and once at the end; each refit's
+    Newton iterations start from that variant's previous calibrators (the
+    first from `start`'s). The variants step in lockstep on shared
+    minibatches and dropout masks; each system equals what a one-value
+    grid gives, and its `train_cfg` carries its `cost_weight`.
     """
     fit_ds, calib_ds = _calibration_split(dataset, cfg.seed)
     start.require_calibrated()
@@ -306,7 +310,8 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
     R = len(cost_weights)
     models = {name: stack_models([p.model] * R)
               for name, p in zip(_PARTS, parts)}
-    stacked_cals = [_stack_calibrators([p.calibrator] * R) for p in parts]
+    cals = [tuple(p.calibrator for p in parts)] * R  # per replica
+    stacked_cals = [_stack_calibrators(c) for c in zip(*cals)]
     X, y, h = fit_ds.X, fit_ds.y, fit_ds.h
     n = len(fit_ds)
     rng_batch = derive_rng(cfg.seed, STREAM_JOINT_BATCH)
@@ -328,12 +333,13 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
 
     def refit(models):
         # each replica refits its own (cal_a, cal_b, cal_g) on its networks
-        nonlocal stacked_cals
+        nonlocal stacked_cals, cals
         replicas = list(zip(*(unstack_models(models[name])
                               for name in _PARTS)))
-        cals = [_refit_calibrators(*r, calib_ds) for r in replicas]
+        cals = [_refit_calibrators(*r, calib_ds, prev)
+                for r, prev in zip(replicas, cals)]
         stacked_cals = [_stack_calibrators(c) for c in zip(*cals)]
-        return replicas, cals
+        return replicas
 
     def on_step(it, models):
         if (it + 1) % cfg.calibration_interval == 0 and it + 1 < cfg.iterations:
@@ -342,7 +348,7 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
     fitted = fit(models, joint_voi_loss_fn(team, cfg, cost_weights),
                  make_batch, cfg, "joint training",
                  [f"cost_weight={lam!r}" for lam in cost_weights], on_step)
-    replicas, cals = refit(fitted)
+    replicas = refit(fitted)
     return [VoiSystem(*(CalibratedModel(m, c) for m, c in zip(r, cal)), team,
                       replace(cfg, cost_weight=lam))
             for r, cal, lam in zip(replicas, cals, cost_weights)]

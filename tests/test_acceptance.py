@@ -63,7 +63,8 @@ def bench(bench_dataset):
     team = TeamConfig.accuracy(5)
     t0 = time.monotonic()
     results = cost_sweep(bench_dataset, APPROACHES, BENCH_COSTS, LAMBDA_GRID,
-                         BENCH_SEEDS, team=team, train_cfg=BENCH_CFG)
+                         BENCH_SEEDS, team=team, train_cfg=BENCH_CFG,
+                         jobs=2)
     elapsed = time.monotonic() - t0
     return {"by": {r.approach: r for r in results},
             "elapsed": elapsed, "team": team}
@@ -217,7 +218,7 @@ def test_criterion_08_team_beats_machine_alone_and_human_only(bench,
     solo_errs = []
     for seed in BENCH_SEEDS:
         tr, _, te = split(bench_dataset, SPLIT_FRACTIONS, seed)
-        solo = train_solo_model(tr, team, replace(BENCH_CFG, seed=seed))
+        [solo] = train_solo_model(tr, team, replace(BENCH_CFG, seed=seed))
         pred = forward_batch(solo, te.X).argmax(axis=1)
         solo_errs.append(weighted_error(pred, te.y, team.utility))
     machine = float(np.mean(solo_errs))
@@ -233,7 +234,7 @@ def test_criterion_09_joint_gain_grows_as_capacity_shrinks(bench_dataset):
         cfg = replace(BENCH_CFG, hidden_dims=hidden)
         res = cost_sweep(bench_dataset, ("fixed-disc", "joint-disc"),
                          BENCH_COSTS, LAMBDA_GRID, BENCH_SEEDS,
-                         team=team, train_cfg=cfg)
+                         team=team, train_cfg=cfg, jobs=2)
         by = {r.approach: r for r in res}
         return float((_totals(by["fixed-disc"])
                       - _totals(by["joint-disc"])).mean())
@@ -253,7 +254,7 @@ def test_criterion_10_asymmetric_utility_widens_joint_gain():
     def pooled_gain(team):
         res = cost_sweep(ds, ("fixed-voi", "joint-voi"), BENCH_COSTS,
                          LAMBDA_GRID, BENCH_SEEDS, team=team,
-                         train_cfg=BENCH_CFG)
+                         train_cfg=BENCH_CFG, jobs=2)
         by = {r.approach: r for r in res}
         return float((_totals(by["fixed-voi"])
                       - _totals(by["joint-voi"])).mean())

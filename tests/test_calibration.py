@@ -194,6 +194,68 @@ def test_fit_equals_capped_loop_on_random_problems(monkeypatch):
     assert stopped_early >= 3  # the early stop runs, not only the cap
 
 
+def test_warm_start_at_the_optimum_stays_there_with_fewer_evaluations(
+        monkeypatch):
+    nll = counting(calibration._nll)
+    monkeypatch.setattr(calibration, "_nll", nll)
+    rng = np.random.default_rng(44)
+    for n in (60, 500, 2000):
+        s = 1.5 * rng.standard_normal(n)
+        labels = (rng.random(n) < stable_sigmoid(1.2 * s + 0.4)).astype(int)
+        nll.calls = 0
+        cold = fit_platt(s, labels)
+        cold_calls = nll.calls
+        nll.calls = 0
+        warm = fit_platt(s, labels, (cold.a, cold.b))
+        assert abs(warm.a - cold.a) < 1e-10 and abs(warm.b - cold.b) < 1e-10
+        assert not warm.degenerate and nll.calls < cold_calls
+        for start in ((-3.0, 4.0), (8.0, -2.0), (0.0, 0.0)):
+            far = fit_platt(s, labels, start)
+            assert abs(far.a - cold.a) < 1e-6 and abs(far.b - cold.b) < 1e-6
+        # a -0.0 start runs as +0.0 does: a and b never hold -0.0
+        assert fit_platt(s, labels, (-0.0, -0.0)) == \
+            fit_platt(s, labels, (0.0, 0.0))
+
+
+def test_single_class_labels_ignore_the_start():
+    s = np.linspace(-1, 1, 10)
+    for labels in (np.ones(10, dtype=int), np.zeros(10, dtype=int)):
+        assert fit_platt(s, labels, (2.5, -7.0)) == fit_platt(s, labels)
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(40, 3))
+    labels = rng.integers(0, 2, 40)  # class 2 never appears
+    start = PlattCalibrator(np.array([1.5, 0.5, 3.0]),
+                            np.array([0.2, -0.1, 9.0]), np.zeros(3, bool))
+    cold = PlattCalibrator.fit(logits, labels, 3)
+    warm = PlattCalibrator.fit(logits, labels, 3, start)
+    assert warm.degenerate.tolist() == [False, False, True]
+    assert (warm.a[2], warm.b[2]) == (cold.a[2], cold.b[2])
+    assert np.abs(warm.a - cold.a).max() < 1e-6
+    assert np.abs(warm.b - cold.b).max() < 1e-6
+
+
+def test_calibrator_fit_skips_the_start_of_a_degenerate_class(monkeypatch):
+    starts = []
+    real = calibration.fit_platt
+
+    def recording(scores, labels, start=None):
+        starts.append(start)
+        return real(scores, labels, start)
+
+    monkeypatch.setattr(calibration, "fit_platt", recording)
+    rng = np.random.default_rng(8)
+    logits = rng.normal(size=(50, 3))
+    labels = rng.integers(0, 3, 50)
+    start = PlattCalibrator(np.array([1.5, 0.0, 2.0]),
+                            np.array([0.2, -1.0, 0.5]),
+                            np.array([False, True, False]))
+    PlattCalibrator.fit(logits, labels, 3, start)
+    assert starts == [(1.5, 0.2), None, (2.0, 0.5)]
+    starts.clear()
+    PlattCalibrator.fit(logits, labels, 3)
+    assert starts == [None] * 3
+
+
 def test_fit_input_validation():
     with pytest.raises(ShapeError):
         fit_platt(np.zeros(3), np.zeros(4))

@@ -7,9 +7,9 @@ import pytest
 
 from oracles import runtime_query_decision
 from teamopt.data import Dataset
-from teamopt.discriminative import (TeamConfig, decide, derive_rng,
-                                    joint_disc_loss_fn, team_predict,
-                                    train_fixed, train_joint,
+from teamopt.discriminative import (SOLO_STREAMS, TeamConfig, decide,
+                                    derive_rng, joint_disc_loss_fn,
+                                    team_predict, train_fixed, train_joint,
                                     train_solo_model, utility_loss_weights)
 from teamopt.errors import InputError, QueryError, TrainingError
 from teamopt.numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD,
@@ -241,7 +241,8 @@ def test_training_is_seed_deterministic():
 def test_retargeted_solo_training_learns_the_targets():
     ds = separable_dataset()  # h = (y + 1) % 3, features encode y
     cfg = TrainConfig(iterations=300, hidden_dims=(8,), seed=1)
-    model = train_solo_model(ds, TeamConfig.accuracy(3), cfg, targets=ds.h)
+    [model] = train_solo_model(ds, TeamConfig.accuracy(3), cfg,
+                               [(ds.h, SOLO_STREAMS)])
     pred = forward_batch(model, ds.X).argmax(axis=1)
     assert (pred == ds.h).mean() > 0.95
     assert (pred == ds.y).mean() < 0.05

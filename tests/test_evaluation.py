@@ -255,6 +255,46 @@ def test_sweep_json_lists_only_the_seeds_it_averaged(monkeypatch, tmp_path):
     assert payload[0]["seeds"] == [3, 0, 2]
 
 
+def test_sweep_json_lists_each_failed_cell(monkeypatch, tmp_path):
+    real = evaluation.split
+
+    def split(dataset, fractions, seed):
+        if seed == 1:
+            raise RuntimeError("cell failed")
+        return real(dataset, fractions, seed)
+
+    monkeypatch.setattr(evaluation, "split", split)
+    args = ((10.0,), (1.0, 1e308), (0, 1))  # λ·c overflows in joint-voi
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        results = cost_sweep(toy_dataset(), ("fixed-voi", "joint-voi"),
+                             *args, train_cfg=small_cfg())
+    emit_report(results, tmp_path, ("json",))
+    text = (tmp_path / "sweep.json").read_text()
+    fixed, joint = json.loads(text)
+    broken = {"error": "RuntimeError", "message": "cell failed"}
+    assert fixed["failures"] == [{"approach": "fixed-voi", "seed": 1,
+                                  **broken}]
+    diverged, second = joint["failures"]
+    assert second == {"approach": "joint-voi", "seed": 1, **broken}
+    cell = results[1].cells[0]
+    assert cell.iteration is not None
+    assert diverged == {"approach": "joint-voi", "seed": 0,
+                        "error": "TrainingError",
+                        "message": cell.error.split(": ", 1)[1],
+                        "iteration": cell.iteration}
+    assert "1e+308" in diverged["message"]
+    # rebuilt results re-emit the same bytes, failures included
+    emit_report([SweepResult(**d) for d in json.loads(text)], tmp_path,
+                ("json",))
+    assert (tmp_path / "sweep.json").read_text() == text
+    # a sweep without failures writes no key
+    monkeypatch.setattr(evaluation, "split", real)
+    [clean] = cost_sweep(toy_dataset(), ("human-only",), (0.0,), (1.0,),
+                         (0,))
+    assert "failures" not in clean.as_json_dict()
+
+
 def test_cost_sweep_input_validation():
     ds = toy_dataset()
     with pytest.raises(ConfigError):

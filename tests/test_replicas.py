@@ -13,7 +13,8 @@ import pytest
 import oracles
 from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset
-from teamopt.discriminative import (TeamConfig, joint_disc_loss_fn,
+from teamopt.discriminative import (SOLO_STREAMS, TeamConfig,
+                                    joint_disc_loss_fn,
                                     query_policy_loss_fn, solo_ce_loss,
                                     train_joint, train_query_policy,
                                     train_solo_model, utility_loss_weights)
@@ -23,8 +24,9 @@ from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
                               finite_diff_check, init_mlp, loss_and_grad,
                               sample_dropout_masks, stable_softmax,
                               stack_models, unstack_models)
-from teamopt.voi import (_stack_calibrators, joint_voi_batch,
-                         joint_voi_loss_fn, train_fixed_voi, train_joint_voi)
+from teamopt.voi import (STREAM_ALPHA, STREAM_BETA, _stack_calibrators,
+                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
+                         train_joint_voi)
 
 LAMBDAS = (0.5, 2.0, 8.0)
 
@@ -114,11 +116,27 @@ def test_joint_disc_grid_equals_single_runs():
     assert not np.array_equal(grid[0].q.weights[0], grid[-1].q.weights[0])
 
 
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+def test_solo_replicas_equal_single_runs(dropout_rate):
+    # each replica draws its own batches and masks from its own streams
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3)
+    cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4,
+                      dropout_rate=dropout_rate)
+    pairs = [(None, STREAM_ALPHA), (ds.h, STREAM_BETA), (None, SOLO_STREAMS)]
+    stacked = train_solo_model(ds, team, cfg, pairs)
+    assert len(stacked) == len(pairs)
+    for pair, model in zip(pairs, stacked):
+        [alone] = train_solo_model(ds, team, cfg, [pair])
+        assert_models_identical(model, alone)
+    assert not np.array_equal(stacked[0].weights[0], stacked[1].weights[0])
+
+
 def test_query_policy_grid_equals_single_runs():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3)
     cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4)
-    m = train_solo_model(ds, team, cfg)
+    [m] = train_solo_model(ds, team, cfg)
     costs = (0.0, 0.1, 0.3)
     grid = train_query_policy(m, ds, team, cfg, costs)
     for c, stacked in zip(costs, grid):
@@ -329,7 +347,7 @@ def test_query_policy_grid_divergence_names_cost():
     team = TeamConfig.accuracy(3)
     cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0,
                       cost_weight=1e308)
-    m = train_solo_model(ds, team, cfg)
+    [m] = train_solo_model(ds, team, cfg)
     with warnings.catch_warnings(), quiet():
         with pytest.raises(TrainingError) as stacked:
             train_query_policy(m, ds, team, cfg, (0.0, 10.0))

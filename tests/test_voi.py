@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import teamopt.voi as voi_mod
 from oracles import soft_expected_utilities, soft_team_quantities
-from teamopt.calibration import PlattCalibrator
+from teamopt import calibration
+from teamopt.calibration import PlattCalibrator, calibrate_batch
 from teamopt.cli import dist_system, voi_rule_deviation
 from teamopt.data import Dataset
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
@@ -20,9 +21,10 @@ from teamopt.errors import (InputError, NumericError, QueryError, StateError,
 from teamopt.numerics import (SIGMOID_HEAD, MlpModel, TrainConfig,
                               finite_diff_check, init_mlp, loss_value,
                               stack_models)
-from teamopt.voi import (_calibration_split, gamma_all_input, gamma_input,
-                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
-                         train_joint_voi, voi_decision_parts)
+from teamopt.voi import (_calibration_split, _stack_calibrators,
+                         gamma_all_input, gamma_input, joint_voi_batch,
+                         joint_voi_loss_fn, train_fixed_voi, train_joint_voi,
+                         voi_decision_parts)
 
 # frozen: 0.9*sigmoid(0.8) + 0.1*(1 - sigmoid(0.8))
 SOFT_U_NQ_EXAMPLE = 0.6519795849020901
@@ -505,6 +507,55 @@ def test_recalibration_schedule(monkeypatch):
     assert run(4, 2) == 2   # one mid-run refresh, one final
     assert run(2, 5) == 1   # interval past the horizon: final only
     assert run(6, 2) == 3   # refreshes at 2 and 4; iteration 6 is the final
+
+
+def test_each_joint_refit_starts_from_the_previous_calibrators(monkeypatch):
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3, 0.05)
+    cfg = TrainConfig(iterations=6, hidden_dims=(6,), seed=9,
+                      calibration_interval=2)
+    calls = []  # (start, fitted) per PlattCalibrator.fit
+    real = PlattCalibrator.fit.__func__
+
+    def recording(cls, logits, labels, num_classes, start=None):
+        fitted = real(cls, logits, labels, num_classes, start)
+        calls.append((start, fitted))
+        return fitted
+
+    monkeypatch.setattr(calibration.PlattCalibrator, "fit",
+                        classmethod(recording))
+    fixed = train_fixed_voi(ds, team, cfg)
+    assert [start for start, _ in calls] == [None] * 3  # a cold fit
+    calls.clear()
+    lams = (0.5, 2.0)
+    systems = train_joint_voi(ds, team, cfg, lams, fixed)
+    # refits at iterations 2 and 4 and the final one; per refit, each
+    # replica fits (alpha, beta, gamma)
+    per_round = 3 * len(lams)
+    assert len(calls) == 3 * per_round
+    previous = [p.calibrator for p in
+                (fixed.p_alpha, fixed.p_beta, fixed.p_gamma)] * len(lams)
+    for i in range(0, len(calls), per_round):
+        refit = calls[i:i + per_round]
+        assert all(start is prev
+                   for (start, _), prev in zip(refit, previous))
+        previous = [fitted for _, fitted in refit]
+    final = [getattr(s, p).calibrator for s in systems
+             for p in ("p_alpha", "p_beta", "p_gamma")]
+    assert all(a is b for a, b in zip(final, previous))
+
+
+def test_stacked_calibrator_reports_k_and_calibrates_each_replica():
+    rng = np.random.default_rng(12)
+    cals = [PlattCalibrator(rng.uniform(0.5, 2.0, 3), rng.normal(size=3),
+                            np.zeros(3, dtype=bool)),
+            PlattCalibrator.identity(3)]
+    stacked = _stack_calibrators(cals)
+    assert stacked.num_classes == 3
+    logits = rng.normal(size=(2, 4, 3))
+    got = calibrate_batch(logits, stacked)
+    for r, cal in enumerate(cals):
+        assert np.array_equal(got[r], calibrate_batch(logits[r], cal))
 
 
 def test_calibration_split_shapes_and_determinism():
