@@ -127,7 +127,8 @@ class PlattCalibrator:
 
     @property
     def num_classes(self) -> int:
-        # a replica stack (voi._stack_calibrators) holds (R, 1, K) arrays
+        # stacked forms (voi._stack_calibrators, voi.joint_calibrator) hold
+        # (R, 1, K) or (R, rows, K) arrays
         return self.a.shape[-1]
 
     @classmethod

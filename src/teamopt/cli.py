@@ -33,8 +33,8 @@ from .evaluation import (APPROACHES, _dump_json, _write, approach_parts,
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
                        finite_diff_check, init_mlp, stable_sigmoid,
                        stack_models)
-from .voi import (CalibratedModel, VoiSystem, joint_voi_batch,
-                  joint_voi_loss_fn)
+from .voi import (CalibratedModel, VoiSystem, joint_calibrator,
+                  joint_voi_batch, joint_voi_loss_fn)
 
 logger = logging.getLogger("teamopt")
 
@@ -268,9 +268,9 @@ def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
     models = {name: stack_models([init_mlp(dims, SOFTMAX_HEAD, rng, 0.0)])
               for name, dims in (("alpha", (d, hid, K)), ("beta", (d, hid, K)),
                                  ("gamma", (d + K, hid, K)))}
-    cals = (PlattCalibrator.identity(K),) * 3
+    cal = joint_calibrator((PlattCalibrator.identity(K),) * 3, batch_size)
     return max(worst, finite_diff_check(
-        models, joint_voi_batch(X, h, y, w, cals),
+        models, joint_voi_batch(X, h, y, w, cal),
         joint_voi_loss_fn(team, cfg, (cost_weight,))))
 
 

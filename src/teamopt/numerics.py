@@ -182,8 +182,8 @@ def sample_dropout_masks(model: MlpModel, n: int,
     p = model.dropout_rate
     if p == 0.0:
         return None
-    keep = 1.0 - p
-    return [(rng.random((n, dim)) >= p) / keep
+    scale = 1.0 / (1.0 - p)  # True * scale has the bits of True / keep
+    return [(rng.random((n, dim)) >= p) * scale
             for dim in model.layer_dims[1:-1]]
 
 
@@ -229,13 +229,14 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(h)
-        h = h @ w + b
+        h = h @ w  # a fresh array, so the rest of the layer runs in place
+        h += b
         if i < last:
             # ReLU and inverted dropout as one multiplier per activation
             gate = h > 0.0
             if masks is not None:
                 gate = gate * masks[i]
-            h = h * gate
+            h *= gate
             gates.append(gate)
     return h, (model.weights, inputs, gates)
 

@@ -133,9 +133,7 @@ class _JointBatch:
     h: np.ndarray             # (B,) int, the observed responses
     y: np.ndarray             # (B,) int
     w_y: np.ndarray           # (B,)
-    cal_a: PlattCalibrator    # a replica stack uses (R, 1, K) parameters,
-    cal_b: PlattCalibrator    # see _stack_calibrators
-    cal_g: PlattCalibrator
+    cal: PlattCalibrator      # one (a, b) per logit row, see joint_calibrator
     masks_a: list | None
     masks_b: list | None
     masks_g: list | None
@@ -172,21 +170,51 @@ def _soft_max(eu: np.ndarray, tau: float):
 
 
 def _stack_calibrators(cals) -> PlattCalibrator:
-    """One calibrator per replica as (R, 1, K) parameters that broadcast
-    over the (R, n, K) logits of a replica stack."""
+    """One calibrator per replica, stacked on a leading replica axis:
+    (R, 1, K) parameters, which `calibrate_batch` broadcasts over a
+    replica stack's (R, n, K) logits and `joint_calibrator` tiles per
+    row."""
     return PlattCalibrator(np.stack([c.a for c in cals])[:, None, :],
                            np.stack([c.b for c in cals])[:, None, :],
                            np.stack([c.degenerate for c in cals])[:, None, :])
 
 
+def joint_calibrator(cals, B: int) -> PlattCalibrator:
+    """The (alpha, beta, gamma) calibrators as one calibrator with a row
+    of parameters per logit row of a B-instance joint batch, laid out
+    [alpha (B) | gamma (B*K) | beta (B)] as `joint_voi_loss_fn` stacks
+    the heads' logits.
+
+    Each of `cals` holds (K,) parameters shared by every replica or
+    (R, 1, K) ones from `_stack_calibrators`; the result is (rows, K) or
+    (R, rows, K). Calibrating against parameters already at the logits'
+    shape gives the bits that broadcasting gives, without numpy's short
+    inner loops over K; a trainer builds it once per refit.
+    """
+    cal_a, cal_b, cal_g = cals
+    K = cal_a.num_classes
+    heads = ((cal_a, B), (cal_g, B * K), (cal_b, B))
+    lead = np.broadcast_shapes(*(c.a.shape[:-2] for c, _ in heads))
+
+    def tiled(field):
+        # C order: concatenating broadcast views picks a strided layout,
+        # which every elementwise result of the head would inherit
+        return np.ascontiguousarray(np.concatenate(
+            [np.broadcast_to(getattr(c, field), lead + (n, K))
+             for c, n in heads], axis=-2))
+
+    return PlattCalibrator(tiled("a"), tiled("b"), tiled("degenerate"))
+
+
 def joint_voi_batch(X: np.ndarray, h: np.ndarray, y: np.ndarray,
-                    w: np.ndarray, cals, masks=(None,) * 3,
+                    w: np.ndarray, cal: PlattCalibrator, masks=(None,) * 3,
                     onehots: np.ndarray | None = None) -> _JointBatch:
     """The constant side of one training batch: its rows, the per-class
-    loss weights `w` (`utility_loss_weights`), the (alpha, beta, gamma)
-    calibrators and masks, and the gamma one-hots of `gamma_all_input`."""
+    loss weights `w` (`utility_loss_weights`), the `joint_calibrator`
+    of the batch size, the (alpha, beta, gamma) masks, and the gamma
+    one-hots of `gamma_all_input`."""
     return _JointBatch(X, gamma_all_input(X, len(w), onehots), h, y, w[y],
-                       *cals, *masks)
+                       cal, *masks)
 
 
 def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
@@ -197,8 +225,10 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
     calibrated distributions, softened maxima, the two-way soft query
     probability, cross-entropy of the q-mixture of p_gamma(.|x,h) and
     p_alpha(.|x), plus cost_weight * q * c. `cost_weights` holds one
-    lambda per replica; the batch's calibrators broadcast over the
-    replicas, one per replica when stacked by `_stack_calibrators`.
+    lambda per replica. The three heads' logits run as one
+    [alpha | gamma | beta] stack of rows through a single calibrated
+    head, and the alpha and gamma rows through a single softened
+    maximum over actions.
     """
     tau = cfg.softmax_temperature
     lam_c = (np.asarray(cost_weights, dtype=np.float64)[:, None]
@@ -208,37 +238,41 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
 
     def loss_fn(models, batch: _JointBatch):
         B, K = len(batch.y), Ut.shape[0]
+        G = B + B * K  # the alpha and gamma rows, which take soft maxima
         rows = np.arange(B)
-        h_rows = rows * K + batch.h  # p_gamma rows at the observed responses
+        h_rows = B + rows * K + batch.h  # gamma rows, observed responses
         za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a)
-        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b)
         zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
                                   batch.masks_g)
-        pa, back_a = _calibrated(za, batch.cal_a)  # (R, B, K)
-        pb, back_b = _calibrated(zb, batch.cal_b)
-        pg, back_g = _calibrated(zg, batch.cal_g)  # (R, B*K, K), h-major
-        u_nq, back_nq = _soft_max(pa @ Ut, tau)  # over actions
-        inner, back_inner = _soft_max(pg @ Ut, tau)  # (R, B*K)
-        inner = inner.reshape(inner.shape[:-1] + (B, K))
+        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b)
+        p, back_p = _calibrated(np.concatenate([za, zg, zb], axis=-2),
+                                batch.cal)
+        u, back_u = _soft_max(p[:, :G] @ Ut, tau)  # over actions
+        u_nq = u[:, :B]
+        inner = u[:, B:].reshape(u.shape[:-1] + (B, K))  # [i, h]
+        pb = p[:, G:]
         u_q = sum_last(pb * inner)
         q = stable_sigmoid((u_q - u_nq) * (1.0 / tau))
-        per, mix_backward = mixture_loss(q, pg[:, h_rows, batch.y],
-                                         pa[:, rows, batch.y], batch.w_y,
+        per, mix_backward = mixture_loss(q, p[:, h_rows, batch.y],
+                                         p[:, rows, batch.y], batch.w_y,
                                          lam_c)
 
         def backward(g):
             dq, d_pg_hy, d_pa_y = mix_backward(g)
             d_gap = dq * q * (1.0 - q) * (1.0 / tau)  # d(u_q - u_nq)
-            d_pa = back_nq(-d_gap) @ U
-            d_pa[:, rows, batch.y] += d_pa_y
             d_inner = d_gap[..., None] * pb
-            d_pg = back_inner(d_inner.reshape(d_inner.shape[:-2] + (B * K,))
-                              ) @ U
-            d_pg[:, h_rows, batch.y] += d_pg_hy
-            return {"alpha": mlp_backward(cache_a, back_a(d_pa)),
-                    "beta": mlp_backward(cache_b,
-                                         back_b(d_gap[..., None] * inner)),
-                    "gamma": mlp_backward(cache_g, back_g(d_pg))}
+            du = np.concatenate(
+                [-d_gap, d_inner.reshape(d_inner.shape[:-2] + (B * K,))],
+                axis=-1)
+            dp = np.empty_like(p)
+            dp[:, :G] = back_u(du) @ U
+            dp[:, rows, batch.y] += d_pa_y
+            dp[:, h_rows, batch.y] += d_pg_hy
+            dp[:, G:] = d_gap[..., None] * inner
+            dz = back_p(dp)
+            return {"alpha": mlp_backward(cache_a, dz[:, :B]),
+                    "beta": mlp_backward(cache_b, dz[:, G:]),
+                    "gamma": mlp_backward(cache_g, dz[:, B:G])}
 
         return per, backward
 
@@ -256,16 +290,16 @@ def _calibration_split(dataset, seed: int):
 
 
 def _refit_calibrators(a_m: MlpModel, b_m: MlpModel, g_m: MlpModel,
-                       calib_ds, start=(None,) * 3
+                       calib_ds, X_gamma: np.ndarray, start=(None,) * 3
                        ) -> tuple[PlattCalibrator, ...]:
     """(cal_a, cal_b, cal_g) fitted on the held-out slice, each fit started
-    from the matching `start` calibrator when one is given."""
+    from the matching `start` calibrator when one is given. `X_gamma` is
+    the slice's `gamma_input`, which a training builds once."""
     K = calib_ds.num_classes
     Xc, yc, hc = calib_ds.X, calib_ds.y, calib_ds.h
     cal_a = PlattCalibrator.fit(logits_batch(a_m, Xc), yc, K, start[0])
     cal_b = PlattCalibrator.fit(logits_batch(b_m, Xc), hc, K, start[1])
-    cal_g = PlattCalibrator.fit(logits_batch(g_m, gamma_input(Xc, hc, K)),
-                                yc, K, start[2])
+    cal_g = PlattCalibrator.fit(logits_batch(g_m, X_gamma), yc, K, start[2])
     return cal_a, cal_b, cal_g
 
 
@@ -282,7 +316,8 @@ def train_fixed_voi(dataset, team: TeamConfig, cfg: TrainConfig) -> VoiSystem:
                                                     (fit_ds.h, STREAM_BETA)])
     [g_m] = train_solo_model(fit_ds, team, cfg, [(None, STREAM_GAMMA)],
                              gamma_input(fit_ds.X, fit_ds.h, K))
-    cal_a, cal_b, cal_g = _refit_calibrators(a_m, b_m, g_m, calib_ds)
+    cal_a, cal_b, cal_g = _refit_calibrators(
+        a_m, b_m, g_m, calib_ds, gamma_input(calib_ds.X, calib_ds.h, K))
     return VoiSystem(CalibratedModel(a_m, cal_a), CalibratedModel(b_m, cal_b),
                      CalibratedModel(g_m, cal_g), team, cfg)
 
@@ -310,8 +345,6 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
     R = len(cost_weights)
     models = {name: stack_models([p.model] * R)
               for name, p in zip(_PARTS, parts)}
-    cals = [tuple(p.calibrator for p in parts)] * R  # per replica
-    stacked_cals = [_stack_calibrators(c) for c in zip(*cals)]
     X, y, h = fit_ds.X, fit_ds.y, fit_ds.h
     n = len(fit_ds)
     rng_batch = derive_rng(cfg.seed, STREAM_JOINT_BATCH)
@@ -322,23 +355,31 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
     w = utility_loss_weights(team)
     B = min(cfg.batch_size, n)
     onehots = np.tile(np.eye(K), (B, 1))  # every batch's gamma one-hots
+    X_gamma_calib = gamma_input(calib_ds.X, calib_ds.h, K)
+
+    def batch_calibrator(cals):
+        return joint_calibrator([_stack_calibrators(c) for c in zip(*cals)],
+                                B)
+
+    cals = [tuple(p.calibrator for p in parts)] * R  # per replica
+    cal = batch_calibrator(cals)
 
     def make_batch(it):
         idx = _batch_indices(rng_batch, n, B)
         masks = (sample_dropout_masks(parts[0].model, B, rng_da),
                  sample_dropout_masks(parts[1].model, B, rng_db),
                  sample_dropout_masks(parts[2].model, B * K, rng_dg))
-        return joint_voi_batch(X[idx], h[idx], y[idx], w, stacked_cals,
-                               masks, onehots)
+        return joint_voi_batch(X[idx], h[idx], y[idx], w, cal, masks,
+                               onehots)
 
     def refit(models):
         # each replica refits its own (cal_a, cal_b, cal_g) on its networks
-        nonlocal stacked_cals, cals
+        nonlocal cal, cals
         replicas = list(zip(*(unstack_models(models[name])
                               for name in _PARTS)))
-        cals = [_refit_calibrators(*r, calib_ds, prev)
+        cals = [_refit_calibrators(*r, calib_ds, X_gamma_calib, prev)
                 for r, prev in zip(replicas, cals)]
-        stacked_cals = [_stack_calibrators(c) for c in zip(*cals)]
+        cal = batch_calibrator(cals)
         return replicas
 
     def on_step(it, models):

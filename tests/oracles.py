@@ -8,9 +8,11 @@ training loss on the reverse-mode tape so its closed-form gradient can be.
 import numpy as np
 
 from teamopt import tape
-from teamopt.numerics import (PROB_CLAMP, GradientSet, stable_sigmoid,
-                              stable_softmax)
-from teamopt.voi import gamma_all_input
+from teamopt.discriminative import mixture_loss
+from teamopt.numerics import (PROB_CLAMP, GradientSet, mlp_backward,
+                              mlp_forward, stable_sigmoid, stable_softmax,
+                              sum_last)
+from teamopt.voi import _calibrated, _soft_max, gamma_all_input
 
 
 def runtime_query_decision(q_val: float, m_dist: np.ndarray) -> bool:
@@ -169,8 +171,10 @@ def joint_disc_tape(team, cost_weights, h):
     return loss_fn
 
 
-def joint_voi_tape(team, cfg, cost_weights):
-    """Tape form of `joint_voi_loss_fn` on a `joint_voi_batch`."""
+def joint_voi_tape(team, cfg, cost_weights, cals):
+    """Tape form of `joint_voi_loss_fn` on a `joint_voi_batch`, with the
+    heads calibrated by the (alpha, beta, gamma) calibrators `cals` that
+    the batch's `joint_calibrator` was built from."""
     tau = cfg.softmax_temperature
     lam_c = np.asarray(cost_weights, dtype=np.float64)[:, None] \
         * team.query_cost
@@ -179,12 +183,13 @@ def joint_voi_tape(team, cfg, cost_weights):
 
     def loss_fn(params, batch):
         B, K = len(batch.y), Ut.shape[0]
+        cal_a, cal_b, cal_g = cals
         pa = calibrated_node(apply_mlp(params["alpha"], batch.X,
-                                       batch.masks_a), batch.cal_a)
+                                       batch.masks_a), cal_a)
         pb = calibrated_node(apply_mlp(params["beta"], batch.X,
-                                       batch.masks_b), batch.cal_b)
+                                       batch.masks_b), cal_b)
         pg = calibrated_node(apply_mlp(params["gamma"], batch.X_gamma_all,
-                                       batch.masks_g), batch.cal_g)
+                                       batch.masks_g), cal_g)
         eu_nq = tape.matmul(pa, tape.constant(Ut))  # (..., B, K) actions
         u_nq = tape.sum_(eu_nq * tape.softmax(eu_nq, tau=tau), axis=-1)
         eu_q = tape.matmul(pg, tape.constant(Ut))  # (..., B*K, K)
@@ -201,5 +206,58 @@ def joint_voi_tape(team, cfg, cost_weights):
         ce = tape.constant(batch.w_y) * -tape.log(
             tape.clamp_min(p_true, PROB_CLAMP))
         return ce + lam_c * q
+
+    return loss_fn
+
+
+# --- the joint-VOI loss one head at a time -------------------------------
+
+def joint_voi_three_pass(team, cfg, cost_weights, cals):
+    """`joint_voi_loss_fn` as three separate head passes: each head's
+    logits calibrated on their own by its calibrator in `cals` (broadcast,
+    not tiled per row), and a softened maximum each for alpha and gamma.
+    The package's one-pass form must match it bit for bit."""
+    tau = cfg.softmax_temperature
+    lam_c = (np.asarray(cost_weights, dtype=np.float64)[:, None]
+             * team.query_cost)
+    U = team.utility
+    Ut = U.T.copy()
+    cal_a, cal_b, cal_g = cals
+
+    def loss_fn(models, batch):
+        B, K = len(batch.y), Ut.shape[0]
+        rows = np.arange(B)
+        h_rows = rows * K + batch.h  # p_gamma rows at the observed responses
+        za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a)
+        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b)
+        zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
+                                  batch.masks_g)
+        pa, back_a = _calibrated(za, cal_a)  # (R, B, K)
+        pb, back_b = _calibrated(zb, cal_b)
+        pg, back_g = _calibrated(zg, cal_g)  # (R, B*K, K), h-major
+        u_nq, back_nq = _soft_max(pa @ Ut, tau)  # over actions
+        inner, back_inner = _soft_max(pg @ Ut, tau)  # (R, B*K)
+        inner = inner.reshape(inner.shape[:-1] + (B, K))
+        u_q = sum_last(pb * inner)
+        q = stable_sigmoid((u_q - u_nq) * (1.0 / tau))
+        per, mix_backward = mixture_loss(q, pg[:, h_rows, batch.y],
+                                         pa[:, rows, batch.y], batch.w_y,
+                                         lam_c)
+
+        def backward(g):
+            dq, d_pg_hy, d_pa_y = mix_backward(g)
+            d_gap = dq * q * (1.0 - q) * (1.0 / tau)  # d(u_q - u_nq)
+            d_pa = back_nq(-d_gap) @ U
+            d_pa[:, rows, batch.y] += d_pa_y
+            d_inner = d_gap[..., None] * pb
+            d_pg = back_inner(d_inner.reshape(d_inner.shape[:-2] + (B * K,))
+                              ) @ U
+            d_pg[:, h_rows, batch.y] += d_pg_hy
+            return {"alpha": mlp_backward(cache_a, back_a(d_pa)),
+                    "beta": mlp_backward(cache_b,
+                                         back_b(d_gap[..., None] * inner)),
+                    "gamma": mlp_backward(cache_g, back_g(d_pg))}
+
+        return per, backward
 
     return loss_fn

@@ -439,3 +439,16 @@ def test_dropout_masks_scale_and_seed():
     none_model = init_mlp((3, 10, 2), SOFTMAX_HEAD, np.random.default_rng(0),
                           dropout_rate=0.0)
     assert sample_dropout_masks(none_model, 5, np.random.default_rng(4)) is None
+
+
+def test_dropout_masks_equal_the_division_form_bit_for_bit():
+    # the masks scale by 1/keep; dividing by keep gives the same bits
+    rates = [0.05, 0.1, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99]
+    rates += np.random.default_rng(9).uniform(0.0, 1.0, 20).tolist()
+    for p in rates:
+        m = init_mlp((3, 16, 7, 2), SOFTMAX_HEAD, np.random.default_rng(0),
+                     dropout_rate=p)
+        got = sample_dropout_masks(m, 64, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want = [(rng.random((64, dim)) >= p) / (1.0 - p) for dim in (16, 7)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

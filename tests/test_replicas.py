@@ -25,8 +25,8 @@ from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
                               sample_dropout_masks, stable_softmax,
                               stack_models, unstack_models)
 from teamopt.voi import (STREAM_ALPHA, STREAM_BETA, _stack_calibrators,
-                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
-                         train_joint_voi)
+                         joint_calibrator, joint_voi_batch, joint_voi_loss_fn,
+                         train_fixed_voi, train_joint_voi)
 
 LAMBDAS = (0.5, 2.0, 8.0)
 
@@ -201,7 +201,8 @@ def test_joint_voi_replicas_match_finite_differences():
                             np.zeros(K, dtype=bool)) for _ in range(R)])
 
     cals = [calibrators() for _ in range(3)]  # alpha, beta, gamma
-    batch = joint_voi_batch(X, h, y, utility_loss_weights(team), cals)
+    batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
+                            joint_calibrator(cals, len(y)))
     loss_fn = joint_voi_loss_fn(team, cfg, lams)
     assert finite_diff_check(models, batch, loss_fn) < 1e-4
     check_replica_independence(models, batch, loss_fn)
@@ -307,9 +308,10 @@ def test_joint_voi_loss_matches_tape_oracle():
     masks = (sample_dropout_masks(models["alpha"], B, rng),
              sample_dropout_masks(models["beta"], B, rng),
              sample_dropout_masks(models["gamma"], B * K, rng))
-    batch = joint_voi_batch(X, h, y, utility_loss_weights(team), cals, masks)
+    batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
+                            joint_calibrator(cals, B), masks)
     assert_matches_oracle(models, batch, joint_voi_loss_fn(team, cfg, lams),
-                          oracles.joint_voi_tape(team, cfg, lams))
+                          oracles.joint_voi_tape(team, cfg, lams, cals))
 
 
 # --- divergence in a stacked run ----------------------------------------------

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import teamopt.voi as voi_mod
 from oracles import soft_expected_utilities, soft_team_quantities
 from teamopt import calibration
-from teamopt.calibration import PlattCalibrator, calibrate_batch
+from teamopt.calibration import (PlattCalibrator, calibrate_batch,
+                                 calibrated_head)
 from teamopt.cli import dist_system, voi_rule_deviation
 from teamopt.data import Dataset
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
@@ -20,11 +22,11 @@ from teamopt.errors import (InputError, NumericError, QueryError, StateError,
                             TrainingError)
 from teamopt.numerics import (SIGMOID_HEAD, MlpModel, TrainConfig,
                               finite_diff_check, init_mlp, loss_value,
-                              stack_models)
+                              mlp_forward, sample_dropout_masks, stack_models)
 from teamopt.voi import (_calibration_split, _stack_calibrators,
-                         gamma_all_input, gamma_input, joint_voi_batch,
-                         joint_voi_loss_fn, train_fixed_voi, train_joint_voi,
-                         voi_decision_parts)
+                         gamma_all_input, gamma_input, joint_calibrator,
+                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
+                         train_joint_voi, voi_decision_parts)
 
 # frozen: 0.9*sigmoid(0.8) + 0.1*(1 - sigmoid(0.8))
 SOFT_U_NQ_EXAMPLE = 0.6519795849020901
@@ -382,7 +384,8 @@ def test_joint_loss_matches_numpy_reference():
     cals = (system.p_alpha.calibrator, system.p_beta.calibrator,
             system.p_gamma.calibrator)
     batch = joint_voi_batch(x[None, :], np.array([h]), np.array([y]),
-                            utility_loss_weights(team), cals)
+                            utility_loss_weights(team),
+                            joint_calibrator(cals, 1))
     models = {"alpha": stack_models([system.p_alpha.model]),
               "beta": stack_models([system.p_beta.model]),
               "gamma": stack_models([system.p_gamma.model])}
@@ -431,10 +434,103 @@ def test_joint_pipeline_gradients_match_finite_differences():
     }
     ds = toy_dataset(n=3)
     batch = joint_voi_batch(ds.X, ds.h, ds.y, utility_loss_weights(team),
-                            (PlattCalibrator.identity(3),) * 3)
+                            joint_calibrator((PlattCalibrator.identity(3),) * 3,
+                                             len(ds)))
     stacks = {name: stack_models([m]) for name, m in models.items()}
     assert finite_diff_check(stacks, batch, joint_voi_loss_fn(
         team, cfg, (cfg.cost_weight,))) < 1e-4
+
+
+def joint_bit_case(R, masked, stacked, underflow):
+    """An R-replica joint-VOI case: networks with dropout masks or none,
+    (K,) calibrators shared by the replicas or one per replica, and, with
+    `underflow`, instance 0's alpha logits so negative that every
+    calibrated sigmoid of its row underflows in the replicas where one of
+    its hidden units is active."""
+    rng = np.random.default_rng(17 + R)
+    K, d, hid, B = 3, 4, 8, 7
+    team = TeamConfig(np.eye(K) + 0.3 * rng.random((K, K)), 0.2)
+    cfg = TrainConfig(softmax_temperature=0.6)
+    X = rng.standard_normal((B, d))
+    y, h = rng.integers(0, K, B), rng.integers(0, K, B)
+    rate = 0.3 if masked else 0.0
+    models = {name: stack_models([init_mlp(dims, "softmax", rng, rate)
+                                  for _ in range(R)])
+              for name, dims in (("alpha", (d, hid, K)), ("beta", (d, hid, K)),
+                                 ("gamma", (d + K, hid, K)))}
+    if underflow:
+        # alpha's logits fall with every hidden activation; row 0's are huge
+        models["alpha"].weights[-1] *= -np.sign(models["alpha"].weights[-1])
+        X[0] *= 1e4
+
+    def calibrator():
+        return PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
+                               np.zeros(K, dtype=bool))
+
+    if stacked:
+        cals = tuple(_stack_calibrators([calibrator() for _ in range(R)])
+                     for _ in range(3))
+    else:
+        cals = tuple(calibrator() for _ in range(3))
+    masks = (None,) * 3
+    if masked:
+        masks = (sample_dropout_masks(models["alpha"], B, rng),
+                 sample_dropout_masks(models["beta"], B, rng),
+                 sample_dropout_masks(models["gamma"], B * K, rng))
+    batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
+                            joint_calibrator(cals, B), masks)
+    lams = tuple(rng.uniform(0.5, 4.0, R))
+    g = rng.uniform(0.0, 1.0, (R, B))
+    return team, cfg, lams, cals, models, batch, g
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("underflow", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("R", [1, 5])
+def test_one_pass_joint_loss_equals_three_passes_bit_for_bit(R, masked,
+                                                             stacked,
+                                                             underflow):
+    team, cfg, lams, cals, models, batch, g = joint_bit_case(
+        R, masked, stacked, underflow)
+    low = calibrated_head(mlp_forward(models["alpha"], batch.X,
+                                      batch.masks_a)[0], cals[0])[3]
+    if underflow:
+        assert low is not None and low[:, 0].any() and not low[:, 1:].any()
+    else:
+        assert low is None
+    per, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch)
+    per_ref, backward_ref = oracles.joint_voi_three_pass(
+        team, cfg, lams, cals)(models, batch)
+    assert np.isfinite(per).all()
+    assert np.array_equal(bits(per), bits(per_ref))
+    grads, grads_ref = backward(g), backward_ref(g)
+    for name in ("alpha", "beta", "gamma"):
+        got = grads[name].weights + grads[name].biases
+        want = grads_ref[name].weights + grads_ref[name].biases
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(bits(a), bits(b))
+
+
+def test_joint_loss_calibrates_and_softens_once_per_evaluation(monkeypatch):
+    team, cfg, lams, cals, models, batch, g = joint_bit_case(5, True, True,
+                                                             False)
+    counts = {"_calibrated": 0, "_soft_max": 0}
+    for name in counts:
+        def counting(*args, _real=getattr(voi_mod, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(voi_mod, name, counting)
+    _, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch)
+    backward(g)
+    assert counts == {"_calibrated": 1, "_soft_max": 1}
 
 
 def test_fixed_voi_trains_calibrated_system():
@@ -556,6 +652,30 @@ def test_stacked_calibrator_reports_k_and_calibrates_each_replica():
     got = calibrate_batch(logits, stacked)
     for r, cal in enumerate(cals):
         assert np.array_equal(got[r], calibrate_batch(logits[r], cal))
+
+
+def test_joint_calibrator_tiles_each_head_per_row():
+    rng = np.random.default_rng(13)
+    K, B, R = 3, 4, 2
+
+    def calibrator():
+        return PlattCalibrator(rng.uniform(0.5, 2.0, K), rng.normal(size=K),
+                               rng.random(K) < 0.5)
+
+    shared = tuple(calibrator() for _ in range(3))  # alpha, beta, gamma
+    per_replica = [tuple(calibrator() for _ in range(3)) for _ in range(R)]
+    stacked = tuple(_stack_calibrators(c) for c in zip(*per_replica))
+    spans = (slice(0, B), slice(B + B * K, None), slice(B, B + B * K))
+    for cals, lead in ((shared, ()), (stacked, (R,))):
+        joint = joint_calibrator(cals, B)
+        for field in ("a", "b", "degenerate"):
+            arr = getattr(joint, field)
+            assert arr.shape == lead + (B + B * K + B, K)
+            assert arr.flags.c_contiguous  # elementwise results inherit it
+            for cal, rows in zip(cals, spans):
+                head = arr[..., rows, :]
+                assert np.array_equal(
+                    head, np.broadcast_to(getattr(cal, field), head.shape))
 
 
 def test_calibration_split_shapes_and_determinism():
