@@ -229,9 +229,10 @@ def cmd_analyze(config: RunConfig) -> int:
     parts, shared = {}, {}
     for approach in trainable:
         logger.info("training %s for analysis", approach)
-        te, [(parts[approach], _)] = approach_parts(
-            approach, dataset, config.seeds[0], (team.query_cost,),
+        [(_, parts_of)] = approach_parts(
+            approach, dataset, config.seeds[:1], (team.query_cost,),
             (config.train.cost_weight,), team, config.train, shared)
+        te, [(parts[approach], _)] = parts_of()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     table = per_class_analysis(parts, te, team.query_cost)

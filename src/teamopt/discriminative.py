@@ -18,12 +18,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, NumericError, QueryError
+from .errors import (ConfigError, InputError, NumericError, QueryError,
+                     ShapeError)
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
                        TrainConfig, fit, forward_batch, init_mlp,
-                       mlp_backward, mlp_forward, sample_dropout_masks,
-                       stable_sigmoid, stable_softmax, stack_models,
-                       unstack_models)
+                       label_index, mlp_backward, mlp_forward,
+                       sample_dropout_masks, stable_sigmoid, stable_softmax,
+                       stack_models, unstack_models)
 
 # Deterministic rng stream ids; stage-1/solo training of m must share the
 # m streams with joint training so the q-frozen trajectories coincide.
@@ -192,21 +193,76 @@ class DiscriminativeSystem:
 
 
 # --- training ----------------------------------------------------------
+#
+# Every trainer takes runs: one per seed, each a (dataset, cfg) pair (for
+# the q-policy, (dataset, cfg, m)), and trains all of them, with every
+# variant of its grid, as one replica stack (see `numerics.fit`). Each run
+# draws its minibatches and dropout masks from its own streams, seeded by
+# its config, and its variants share them; so each run's results are
+# bit-identical to training it alone, and a one-seed call is the S=1 case.
 
 def _batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return rng.choice(n, size=min(size, n), replace=False)
+
+
+def _batch_size(runs) -> int:
+    """The minibatch size of runs trained as one stack, which must share
+    their config apart from the seed, and their minibatch size."""
+    cfg = runs[0][1]
+    if any(replace(c, seed=cfg.seed) != cfg for _, c, *_ in runs):
+        raise ConfigError("runs trained together must share their config"
+                          " apart from the seed")
+    sizes = {min(cfg.batch_size, len(ds)) for ds, *_ in runs}
+    if len(sizes) > 1:
+        raise ShapeError("runs trained together must share their"
+                         " minibatch size")
+    return sizes.pop()
+
+
+def _streams(runs, *streams) -> list[list[np.random.Generator]]:
+    """Per stream id, one generator per run, seeded by the run's config."""
+    return [[derive_rng(c.seed, stream) for _, c, *_ in runs]
+            for stream in streams]
+
+
+def _init_nets(runs, dims, head: str, stream: int) -> list[MlpModel]:
+    """One freshly initialised network per run, from the run's stream."""
+    return [init_mlp(dims, head, derive_rng(c.seed, stream), c.dropout_rate)
+            for _, c, *_ in runs]
+
+
+def _stacked(parts, lead: tuple) -> np.ndarray:
+    """Same-shaped arrays, one per run or per replica, stacked on the
+    leading axes `lead`: (S, 1) for one per run, which broadcasts over
+    the run's variants, or a stack's own (S, G) for one per replica (see
+    `mlp_forward`)."""
+    # np.array rather than np.stack: the same array, several times faster
+    # on a few small parts; a lone part needs no copy
+    a = np.array(parts) if len(parts) > 1 else parts[0][None]
+    return a.reshape(lead + a.shape[1:])
+
+
+def _rows(arrays, idx, lead: tuple) -> np.ndarray:
+    """Rows idx[k] of arrays[k] for each k, stacked on `lead`."""
+    return _stacked([a[i] for a, i in zip(arrays, idx)], lead)
+
+
+def _by_run(items: list, G: int) -> list[list]:
+    """A run-major list of per-replica items, split into each run's G."""
+    return [items[i:i + G] for i in range(0, len(items), G)]
 
 
 def solo_ce_loss(models, batch):
     """Per-instance weighted CE of the replica stack "m" and its backward
     (the `loss_and_grad` contract), on batches (X, targets, w[targets],
     dropout masks): an (n, d) input with (n,) targets and (n, dim) masks
-    shared by every replica, or one minibatch per replica as (R, n, d),
-    (R, n) and (R, n, dim)."""
+    shared by every replica, or rows per run or per replica on leading
+    axes, such as (S, G, n, d), (S, G, n) and (S, G, n, dim) (see
+    `mlp_forward`)."""
     X, t, w_t, masks = batch
     z, cache = mlp_forward(models["m"], X, masks)
     p = stable_softmax(z)
-    at = (np.arange(len(p))[:, None], np.arange(p.shape[1]), t)
+    at = label_index(p.shape, np.arange(p.shape[-2]), t)
     p_t = p[at]
     per = w_t * -np.log(np.maximum(p_t, PROB_CLAMP))
 
@@ -220,46 +276,46 @@ def solo_ce_loss(models, batch):
     return per, backward
 
 
-def train_solo_model(dataset, team: TeamConfig, cfg: TrainConfig,
-                     replicas=((None, SOLO_STREAMS),),
-                     input_matrix: np.ndarray | None = None
-                     ) -> list[MlpModel]:
-    """Weighted-CE training of softmax MLPs in isolation, one per
-    `(targets, streams)` pair of `replicas`, as one replica stack.
+def train_solo_model(runs, team: TeamConfig,
+                     replicas=(("y", SOLO_STREAMS),)) -> list[list[MlpModel]]:
+    """Weighted-CE training of softmax MLPs in isolation: for each run, a
+    (dataset, cfg) pair, one model per `(targets, streams)` pair of
+    `replicas`, all trained as one replica stack. Returns each run's
+    models, in `replicas` order.
 
-    `targets` None means the labels y; passing dataset.h (or anything
-    else in class range) retargets the same loop, which is how the VOI
-    module trains its component models. `streams` holds the (init, batch,
-    dropout) rng stream ids. Every replica draws its own batch indices and
-    dropout masks from its own streams, so each model equals what
-    training it alone gives.
+    `targets` names the dataset field a model learns: "y", the labels, or
+    "h", the human responses, which is how the VOI module trains its
+    component models on a dataset of any inputs (see `voi.gamma_input`).
+    `streams` holds the (init, batch, dropout) rng stream ids, seeded by
+    the run's config. Every replica draws its own batch indices and
+    dropout masks from its own streams, so each model equals what training
+    it alone gives.
     """
-    X = dataset.X if input_matrix is None else input_matrix
-    K = dataset.num_classes
+    B = _batch_size(runs)
+    ds0, cfg = runs[0]
     w = utility_loss_weights(team)
-    dims = (X.shape[1], *cfg.hidden_dims, K)
-    targets = np.stack([dataset.y if t is None else t for t, _ in replicas])
-    models = [init_mlp(dims, SOFTMAX_HEAD, derive_rng(cfg.seed, init),
-                       cfg.dropout_rate) for _, (init, _, _) in replicas]
-    rngs = [(derive_rng(cfg.seed, batch), derive_rng(cfg.seed, drop))
-            for _, (_, batch, drop) in replicas]
-    reps = np.arange(len(replicas))[:, None]
+    dims = (ds0.X.shape[1], *cfg.hidden_dims, ds0.num_classes)
+    # replica s * len(replicas) + j trains pair j of run s
+    pairs = [(ds, c, target, streams)
+             for ds, c in runs for target, streams in replicas]
+    models = [init_mlp(dims, SOFTMAX_HEAD, derive_rng(c.seed, init),
+                       c.dropout_rate) for _, c, _, (init, _, _) in pairs]
+    rngs = [(derive_rng(c.seed, batch), derive_rng(c.seed, drop))
+            for _, c, _, (_, batch, drop) in pairs]
+    X = [ds.X for ds, *_ in pairs]
+    T = [getattr(ds, target) for ds, _, target, _ in pairs]
+    lead = (len(runs), len(replicas))
 
     def make_batch(it):
-        # np.array rather than np.stack: the same arrays, several times
-        # faster on a few small parts
-        idx = np.array([_batch_indices(rng_batch, len(X), cfg.batch_size)
-                        for rng_batch, _ in rngs])
-        drawn = [sample_dropout_masks(model, idx.shape[1], rng_drop)
-                 for model, (_, rng_drop) in zip(models, rngs)]
-        masks = None if drawn[0] is None else [np.array(layer)
-                                              for layer in zip(*drawn)]
-        t = targets[reps, idx]
-        return (X[idx], t, w[t], masks)
+        idx = [_batch_indices(rng_batch, len(x), B)
+               for x, (rng_batch, _) in zip(X, rngs)]
+        t = _rows(T, idx, lead)
+        return (_rows(X, idx, lead), t, w[t], sample_dropout_masks(
+            models[0], B, *(rng_drop for _, rng_drop in rngs), lead=lead))
 
-    fitted = fit({"m": stack_models(models)}, solo_ce_loss, make_batch, cfg,
-                 "solo training")
-    return unstack_models(fitted["m"])
+    fitted = fit({"m": stack_models(models, len(runs))}, solo_ce_loss,
+                 make_batch, cfg, "solo training")
+    return _by_run(unstack_models(fitted["m"]), len(replicas))
 
 
 def mixture_loss(q, p_human, p_machine, w_y, cost_term):
@@ -270,7 +326,7 @@ def mixture_loss(q, p_human, p_machine, w_y, cost_term):
     p_machine are the probabilities the human and the machine branch give
     the true label ([h == y] and m(x)[y] here, p_gamma(y|x,h) and
     p_alpha(y|x) for the VOI family). `cost_term` is lambda * c, a float
-    or an (R, 1) column with one value per replica. The backward maps
+    or a (G, 1) column with one value per variant. The backward maps
     dL/d(loss) to (dL/dq, dL/dp_human, dL/dp_machine).
     """
     p_true = q * p_human + (1.0 - q) * p_machine
@@ -286,8 +342,8 @@ def mixture_loss(q, p_human, p_machine, w_y, cost_term):
 
 
 def _query_forward(q_model: MlpModel, X: np.ndarray, masks):
-    """Soft query probabilities (R, n) of a sigmoid-head stack, and the
-    map from dL/dq to its GradientSet."""
+    """Soft query probabilities of a sigmoid-head stack, (R, n) or
+    (S, G, n), and the map from dL/dq to its GradientSet."""
     z, cache = mlp_forward(q_model, X, masks)
     q = stable_sigmoid(z[..., 0])
 
@@ -299,7 +355,7 @@ def _query_forward(q_model: MlpModel, X: np.ndarray, masks):
 
 def query_policy_loss_fn(cfg: TrainConfig, costs):
     """Per-instance mixture loss of the q stack against a frozen predictor
-    (the `loss_and_grad` contract): one query cost per replica, cost term
+    (the `loss_and_grad` contract): one query cost per variant, cost term
     cfg.cost_weight * c. Batches are (X, m(x)[y], [h == y], w[y], masks).
     """
     cost_term = cfg.cost_weight * np.asarray(costs, dtype=np.float64)[:, None]
@@ -313,48 +369,56 @@ def query_policy_loss_fn(cfg: TrainConfig, costs):
     return loss_fn
 
 
-def train_query_policy(m: MlpModel, dataset, team: TeamConfig,
-                       cfg: TrainConfig, costs) -> list[MlpModel]:
-    """Stage 2 of the fixed approach: one q-policy per query cost.
+def train_query_policy(runs, team: TeamConfig, costs
+                       ) -> list[list[MlpModel]]:
+    """Stage 2 of the fixed approach: per run, one q-policy per query cost.
 
-    Each policy is fit against the frozen predictor m; `team` supplies
-    the utility and `costs` replace its query cost. The policies step in
-    lockstep on shared minibatches and dropout masks, and each equals
-    what a one-cost grid gives.
+    A run is (dataset, cfg, m): each of its policies is fit against its
+    frozen predictor m; `team` supplies the utility and `costs` replace
+    its query cost. A run's policies step in lockstep on its minibatches
+    and dropout masks, and each equals what a one-cost grid gives.
     """
-    X, y, h = dataset.X, dataset.y, dataset.h
+    B = _batch_size(runs)
+    cfg = runs[0][1]
     w = utility_loss_weights(team)
+    X = [ds.X for ds, _, _ in runs]
     # frozen, no dropout: plain constants
-    m_y_all = forward_batch(m, X)[np.arange(len(y)), y]
-    hit_all = (h == y).astype(np.float64)
-    rng_init = derive_rng(cfg.seed, STREAM_INIT_Q)
-    rng_batch = derive_rng(cfg.seed, STREAM_BATCH_Q)
-    rng_drop = derive_rng(cfg.seed, STREAM_DROP_Q)
-    q = init_mlp((X.shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD, rng_init,
-                 cfg.dropout_rate)
+    m_y = [forward_batch(m, ds.X)[np.arange(len(ds)), ds.y]
+           for ds, _, m in runs]
+    hit = [(ds.h == ds.y).astype(np.float64) for ds, _, _ in runs]
+    w_y = [w[ds.y] for ds, _, _ in runs]
+    rngs_batch, rngs_drop = _streams(runs, STREAM_BATCH_Q, STREAM_DROP_Q)
+    qs = _init_nets(runs, (X[0].shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD,
+                    STREAM_INIT_Q)
+    lead = (len(runs), 1)
 
     def make_batch(it):
-        idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
-        masks = sample_dropout_masks(q, len(idx), rng_drop)
-        return (X[idx], m_y_all[idx], hit_all[idx], w[y[idx]], masks)
+        idx = [_batch_indices(rng, len(x), B)
+               for x, rng in zip(X, rngs_batch)]
+        return (*(_rows(a, idx, lead) for a in (X, m_y, hit, w_y)),
+                sample_dropout_masks(qs[0], B, *rngs_drop, lead=lead))
 
-    fitted = fit({"q": stack_models([q] * len(costs))},
+    fitted = fit({"q": stack_models([q for q in qs for _ in costs],
+                                    len(runs))},
                  query_policy_loss_fn(cfg, costs), make_batch,
                  cfg, "query-policy training",
                  [f"query_cost={c!r}" for c in costs])
-    return unstack_models(fitted["q"])
+    return _by_run(unstack_models(fitted["q"]), len(costs))
 
 
-def train_fixed(dataset, team: TeamConfig, cfg: TrainConfig, costs
-                ) -> list[DiscriminativeSystem]:
-    """Train m in isolation, then one query policy per cost with m frozen.
+def train_fixed(runs, team: TeamConfig, costs
+                ) -> list[list[DiscriminativeSystem]]:
+    """Per run, a (dataset, cfg) pair: train m in isolation, then one
+    query policy per cost with m frozen.
 
     The system for cost c shares m and carries `team.with_cost(c)`.
     """
-    [m] = train_solo_model(dataset, team, cfg)
-    policies = train_query_policy(m, dataset, team, cfg, costs)
-    return [DiscriminativeSystem(m, q, team.with_cost(c), cfg)
-            for c, q in zip(costs, policies)]
+    ms = [m for [m] in train_solo_model(runs, team)]
+    policies = train_query_policy(
+        [(ds, cfg, m) for (ds, cfg), m in zip(runs, ms)], team, costs)
+    return [[DiscriminativeSystem(m, q, team.with_cost(c), cfg)
+             for c, q in zip(costs, qs)]
+            for (_, cfg), m, qs in zip(runs, ms, policies)]
 
 
 def joint_disc_loss_fn(team: TeamConfig, cost_weights):
@@ -362,7 +426,7 @@ def joint_disc_loss_fn(team: TeamConfig, cost_weights):
 
     Follows the `loss_and_grad` contract on replica stacks {"m", "q"} and
     batches (X, y, [h == y], w[y], masks_m, masks_q). `cost_weights` holds
-    one lambda per replica; the cost term is lambda * c.
+    one lambda per variant; the cost term is lambda * c.
     """
     cost_term = (np.asarray(cost_weights, dtype=np.float64)[:, None]
                  * team.query_cost)
@@ -371,8 +435,8 @@ def joint_disc_loss_fn(team: TeamConfig, cost_weights):
         Xb, y, hit, w_y, masks_m, masks_q = batch
         z, cache_m = mlp_forward(models["m"], Xb, masks_m)
         m = stable_softmax(z)
-        rows = np.arange(len(y))
-        m_y = m[:, rows, y]
+        at = label_index(m.shape, np.arange(m.shape[-2]), y)
+        m_y = m[at]
         q, query_backward = _query_forward(models["q"], Xb, masks_q)
         per, mix_backward = mixture_loss(q, hit, m_y, w_y, cost_term)
 
@@ -381,7 +445,7 @@ def joint_disc_loss_fn(team: TeamConfig, cost_weights):
             # d softmax(z)[y]/dz = m_y * (onehot(y) - m)
             c = dm_y * m_y
             d = m * -c[..., None]
-            d[:, rows, y] += c
+            d[at] += c
             return {"m": mlp_backward(cache_m, d), "q": query_backward(dq)}
 
         return per, backward
@@ -389,38 +453,48 @@ def joint_disc_loss_fn(team: TeamConfig, cost_weights):
     return loss_fn
 
 
-def train_joint(dataset, team: TeamConfig, cfg: TrainConfig, cost_weights
-                ) -> list[DiscriminativeSystem]:
-    """End-to-end SGD of m and q on the mixture loss, once per cost weight.
+def train_joint(runs, team: TeamConfig, cost_weights
+                ) -> list[list[DiscriminativeSystem]]:
+    """End-to-end SGD of m and q on the mixture loss: per run, a
+    (dataset, cfg) pair, one system per cost weight.
 
-    The variants step in lockstep on shared minibatches and dropout
+    A run's variants step in lockstep on its minibatches and dropout
     masks; each system equals what a one-value grid gives, and its
     `train_cfg` carries its `cost_weight`.
     """
-    X, y, h = dataset.X, dataset.y, dataset.h
-    K = dataset.num_classes
+    B = _batch_size(runs)
+    ds0, cfg = runs[0]
+    K = ds0.num_classes
     w = utility_loss_weights(team)
-    hit_all = (h == y).astype(np.float64)
-    rng_batch = derive_rng(cfg.seed, STREAM_BATCH)
-    rng_drop_m = derive_rng(cfg.seed, STREAM_DROP_M)
-    rng_drop_q = derive_rng(cfg.seed, STREAM_DROP_Q)
-    m = init_mlp((X.shape[1], *cfg.hidden_dims, K), SOFTMAX_HEAD,
-                 derive_rng(cfg.seed, STREAM_INIT_M), cfg.dropout_rate)
-    q = init_mlp((X.shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD,
-                 derive_rng(cfg.seed, STREAM_INIT_Q), cfg.dropout_rate)
-    R = len(cost_weights)
-    models = {"m": stack_models([m] * R), "q": stack_models([q] * R)}
+    X = [ds.X for ds, _ in runs]
+    y = [ds.y for ds, _ in runs]
+    hit = [(ds.h == ds.y).astype(np.float64) for ds, _ in runs]
+    w_y = [w[ds.y] for ds, _ in runs]
+    rngs_batch, rngs_drop_m, rngs_drop_q = _streams(
+        runs, STREAM_BATCH, STREAM_DROP_M, STREAM_DROP_Q)
+    d = ds0.X.shape[1]
+    ms = _init_nets(runs, (d, *cfg.hidden_dims, K), SOFTMAX_HEAD,
+                    STREAM_INIT_M)
+    qs = _init_nets(runs, (d, *cfg.hidden_dims, 1), SIGMOID_HEAD,
+                    STREAM_INIT_Q)
+    models = {name: stack_models([m for m in nets for _ in cost_weights],
+                                 len(runs))
+              for name, nets in (("m", ms), ("q", qs))}
+    lead = (len(runs), 1)
 
     def make_batch(it):
-        idx = _batch_indices(rng_batch, len(X), cfg.batch_size)
-        masks_m = sample_dropout_masks(m, len(idx), rng_drop_m)
-        masks_q = sample_dropout_masks(q, len(idx), rng_drop_q)
-        return (X[idx], y[idx], hit_all[idx], w[y[idx]], masks_m, masks_q)
+        idx = [_batch_indices(rng, len(x), B)
+               for x, rng in zip(X, rngs_batch)]
+        return (*(_rows(a, idx, lead) for a in (X, y, hit, w_y)),
+                sample_dropout_masks(ms[0], B, *rngs_drop_m, lead=lead),
+                sample_dropout_masks(qs[0], B, *rngs_drop_q, lead=lead))
 
     fitted = fit(models, joint_disc_loss_fn(team, cost_weights),
                  make_batch, cfg, "joint training",
                  [f"cost_weight={lam!r}" for lam in cost_weights])
-    return [DiscriminativeSystem(m_r, q_r, team, replace(cfg, cost_weight=lam))
-            for m_r, q_r, lam in zip(unstack_models(fitted["m"]),
-                                     unstack_models(fitted["q"]),
-                                     cost_weights)]
+    G = len(cost_weights)
+    return [[DiscriminativeSystem(m, q, team, replace(c, cost_weight=lam))
+             for m, q, lam in zip(run_m, run_q, cost_weights)]
+            for (_, c), run_m, run_q in zip(
+                runs, _by_run(unstack_models(fitted["m"]), G),
+                _by_run(unstack_models(fitted["q"]), G))]

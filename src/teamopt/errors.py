@@ -48,8 +48,11 @@ class QueryError(TeamoptError):
 
 
 class TrainingError(TeamoptError):
-    """Training diverged. ``iteration`` is the failing step when known."""
+    """Training diverged. ``iteration`` is the failing step when known, and
+    ``run`` the failing run's position among the runs trained together."""
 
-    def __init__(self, message: str, iteration: int | None = None):
+    def __init__(self, message: str, iteration: int | None = None,
+                 run: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+        self.run = run

@@ -16,6 +16,7 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -133,63 +134,125 @@ def _score(parts, ds: Dataset, team: TeamConfig, c: float) -> dict:
     return team_metrics_arrays(labels, queried, ds.y, team.with_cost(c))
 
 
-def _select_lambda(systems, lam_grid, va: Dataset, te: Dataset, costs,
-                   team: TeamConfig) -> list:
+@dataclass
+class _Run:
+    """One seed of a work unit: its seeded config and its splits."""
+
+    cfg: TrainConfig
+    tr: Dataset
+    va: Dataset
+    te: Dataset
+
+
+def _fits(runs) -> list:
+    """The trainers' (dataset, cfg) runs of `runs`, failures kept."""
+    return [r if isinstance(r, Exception) else (r.tr, r.cfg) for r in runs]
+
+
+def _trained(train, runs) -> list:
+    """`train(runs)` with the runs trained as one stack: per run, its
+    result, or the exception that training it alone raises. An exception
+    in `runs` is a run that failed earlier and stays as it is.
+
+    A divergence names its run (`TrainingError.run`): that run fails with
+    it, and the others train again without it. Any other failure of a
+    stack of several runs trains each of them alone.
+    """
+    live = [i for i, r in enumerate(runs) if not isinstance(r, Exception)]
+    out = list(runs)
+    if not live:
+        return out
+    try:
+        results = train([runs[i] for i in live])
+    except Exception as e:  # failures recorded per run, the rest go on
+        failed = getattr(e, "run", None)
+        if len(live) == 1:
+            out[live[0]] = e
+        elif failed is None:
+            for i in live:
+                out[i] = _trained(train, [runs[i]])[0]
+        else:
+            out[live[failed]] = e
+            out = _trained(train, out)
+        return out
+    for i, result in zip(live, results):
+        out[i] = result
+    return out
+
+
+def _select_lambda(costs, lam_grid, team: TeamConfig, run: _Run,
+                   systems) -> list:
     """Per cost, the test parts and λ of the variant with the lowest
     validation total loss (ties: smaller λ); one variant skips validation."""
     if len(systems) == 1:
-        return [(systems[0].parts(te.X), lam_grid[0])] * len(costs)
-    variants = [(lam, s.parts(va.X), s.parts(te.X))
+        return [(systems[0].parts(run.te.X), lam_grid[0])] * len(costs)
+    variants = [(lam, s.parts(run.va.X), s.parts(run.te.X))
                 for lam, s in zip(lam_grid, systems)]
     pairs = []
     for c in costs:
-        lam, _, te_parts = min(
-            variants, key=lambda v: _score(v[1], va, team, c)["total_loss"])
+        lam, _, te_parts = min(variants, key=lambda v: _score(
+            v[1], run.va, team, c)["total_loss"])
         pairs.append((te_parts, lam))
     return pairs
 
 
-def _shared_fixed_voi(tr: Dataset, team: TeamConfig, cfg: TrainConfig,
-                      shared: dict):
-    """The fixed-VOI system on `tr`, trained once per `shared` dict.
+def _shared_fixed_voi(runs, team: TeamConfig, shared: dict) -> list:
+    """Per run, the fixed-VOI system on its training split (see
+    `_trained`), trained once per `shared` dict.
 
-    fixed-voi scores this system and joint-voi warm-starts from it, so
+    fixed-voi scores these systems and joint-voi warm-starts from them, so
     when one work unit runs both they share one training. A dict lives
-    for one work unit: one seed, one split, one team and config.
+    for one work unit: one group of seeds, their splits, one team and
+    config.
     """
     if "fixed-voi" not in shared:
-        shared["fixed-voi"] = train_fixed_voi(tr, team, cfg)
+        shared["fixed-voi"] = _trained(
+            lambda fits: train_fixed_voi(fits, team), _fits(runs))
     return shared["fixed-voi"]
 
 
-def _fixed_disc(tr, va, te, costs, lam_grid, team, cfg, shared):
-    return [(s.parts(te.X), cfg.cost_weight)
-            for s in train_fixed(tr, team, cfg, costs)]
+def _fixed_disc(runs, costs, lam_grid, team, shared):
+    def pairs(run, systems):
+        return [(s.parts(run.te.X), run.cfg.cost_weight) for s in systems]
+
+    results = _trained(lambda fits: train_fixed(fits, team, costs),
+                       _fits(runs))
+    return results, pairs
 
 
-def _joint_disc(tr, va, te, costs, lam_grid, team, cfg, shared):
-    c_ref = float(np.median(costs))
-    systems = train_joint(tr, team.with_cost(c_ref), cfg, lam_grid)
-    return _select_lambda(systems, lam_grid, va, te, costs, team)
+def _joint_disc(runs, costs, lam_grid, team, shared):
+    c_ref = team.with_cost(float(np.median(costs)))
+    results = _trained(lambda fits: train_joint(fits, c_ref, lam_grid),
+                       _fits(runs))
+    return results, partial(_select_lambda, costs, lam_grid, team)
 
 
-def _fixed_voi(tr, va, te, costs, lam_grid, team, cfg, shared):
-    parts = _shared_fixed_voi(tr, team, cfg, shared).parts(te.X)
-    return [(parts, None)] * len(costs)
+def _fixed_voi(runs, costs, lam_grid, team, shared):
+    def pairs(run, system):
+        return [(system.parts(run.te.X), None)] * len(costs)
+
+    return _shared_fixed_voi(runs, team, shared), pairs
 
 
-def _joint_voi(tr, va, te, costs, lam_grid, team, cfg, shared):
-    c_ref = float(np.median(costs))
-    systems = train_joint_voi(tr, team.with_cost(c_ref), cfg, lam_grid,
-                              _shared_fixed_voi(tr, team, cfg, shared))
-    return _select_lambda(systems, lam_grid, va, te, costs, team)
+def _joint_voi(runs, costs, lam_grid, team, shared):
+    c_ref = team.with_cost(float(np.median(costs)))
+    # a run whose fixed-VOI training failed fails here the same way
+    starts = _shared_fixed_voi(runs, team, shared)
+    fits = [s if isinstance(s, Exception) else (run.tr, run.cfg, s)
+            for run, s in zip(runs, starts)]
+    results = _trained(lambda fits: train_joint_voi(fits, c_ref, lam_grid),
+                       fits)
+    return results, partial(_select_lambda, costs, lam_grid, team)
 
 
-# The approach registry: `fn(tr, va, te, costs, lam_grid, team, cfg,
-# shared)` trains on `tr` and returns, per cost, the `DecisionParts` on
-# `te` and the λ used; human-only trains nothing. `shared` lives for one
-# work unit (`_shared_fixed_voi`). Trainers are looked up when called, so
-# wrappers put on the module-level functions (e.g. tracing spans) see them.
+# The approach registry: `fn(runs, costs, lam_grid, team, shared)` trains
+# a work unit's runs (`_Run`, or the exception a seed's split raised) as
+# one stack and returns `(results, pairs)`: per run, its trained systems
+# or its failure (see `_trained`), and `pairs(run, systems)`, which gives
+# that run's `DecisionParts` on its test split and the λ used, per cost.
+# human-only trains nothing. `shared` lives for one work unit
+# (`_shared_fixed_voi`). Trainers are looked up when called, so wrappers
+# put on the module-level functions (e.g. tracing spans) see them.
 APPROACHES = {
     "fixed-disc": _fixed_disc,
     "joint-disc": _joint_disc,
@@ -199,26 +262,49 @@ APPROACHES = {
 }
 
 
-def approach_parts(approach: str, dataset: Dataset, seed: int, costs,
-                   lam_grid, team: TeamConfig, cfg: TrainConfig,
-                   shared: dict) -> tuple[Dataset, list | None]:
-    """The test split of `dataset` at `seed`, and what `approach`'s registry
-    function returns on that split with `cfg` seeded to `seed` (or None)."""
-    cfg = replace(cfg, seed=seed)  # rejects a bad seed before the split
-    tr, va, te = split(dataset, SPLIT_FRACTIONS, seed)
+def _scored(run, result, pairs):
+    for outcome in (run, result):
+        if isinstance(outcome, Exception):
+            raise outcome
+    return run.te, pairs(run, result)
+
+
+def approach_parts(approach: str, dataset: Dataset, seeds, costs, lam_grid,
+                   team: TeamConfig, cfg: TrainConfig, shared: dict
+                   ) -> list:
+    """`approach` trained on `dataset` at each of `seeds`, all seeds as one
+    replica stack: per seed, `(seed, parts_of)`.
+
+    `parts_of()` gives that seed's test split and what its registry
+    function gives on it with `cfg` seeded to that seed (or None for
+    human-only), or raises what the seed's split or training raised
+    alone. The decision parts are computed only when it is called, so a
+    caller that scores one seed at a time holds one seed's parts at once.
+    """
+    runs = []
+    for seed in seeds:
+        try:
+            # replace rejects a bad seed before the split
+            runs.append(_Run(replace(cfg, seed=seed),
+                             *split(dataset, SPLIT_FRACTIONS, seed)))
+        except Exception as e:  # the seed's cell fails, the rest go on
+            runs.append(e)
     fn = APPROACHES[approach]
     if fn is None:
-        return te, None
-    return te, fn(tr, va, te, costs, lam_grid, team, cfg, shared)
+        results, pairs = runs, lambda run, _: None
+    else:
+        results, pairs = fn(runs, costs, lam_grid, team, shared)
+    return [(seed, partial(_scored, run, result, pairs))
+            for seed, run, result in zip(seeds, runs, results)]
 
 
-# Approaches that run as one work unit per seed when both are requested,
-# so that one fixed-VOI training serves both cells.
+# Approaches that run as one work unit when both are requested, so that
+# one fixed-VOI training serves both cells of each seed.
 _SHARED_UNIT = ("fixed-voi", "joint-voi")
 
 
 def _work_units(names) -> list[tuple[str, ...]]:
-    """The sweep's per-seed work units for sorted approach names:
+    """The sweep's work units for sorted approach names:
     `_SHARED_UNIT` when all of its approaches are requested, and every
     other approach on its own."""
     if not set(_SHARED_UNIT) <= set(names):
@@ -226,18 +312,22 @@ def _work_units(names) -> list[tuple[str, ...]]:
     return [_SHARED_UNIT] + [(a,) for a in names if a not in _SHARED_UNIT]
 
 
-def _run_cell(args) -> list[SweepCell]:
-    """Run one work unit's approaches for one seed; one cell each.
+def _seed_groups(seeds: list, jobs: int) -> list[list]:
+    """`seeds` in config order, cut into min(jobs, len(seeds)) contiguous
+    groups of near-equal size: the seeds of one work unit each."""
+    k = min(jobs, len(seeds))
+    q, r = divmod(len(seeds), k)
+    return [seeds[i * q + min(i, r):(i + 1) * q + min(i + 1, r)]
+            for i in range(k)]
 
-    A failing approach fails only its own cell, also within a unit.
-    """
-    dataset, approaches, seed, costs, lam_grid, team, cfg = args
-    shared = {}
+
+def _approach_cells(approach, dataset, seeds, costs, lam_grid, team, cfg,
+                    shared) -> list[SweepCell]:
     cells = []
-    for approach in approaches:
+    for seed, parts_of in approach_parts(approach, dataset, seeds, costs,
+                                         lam_grid, team, cfg, shared):
         try:
-            te, pairs = approach_parts(approach, dataset, seed, costs,
-                                       lam_grid, team, cfg, shared)
+            te, pairs = parts_of()
             if pairs is None:
                 rows = [_row(c, human_only_baseline(te, team.with_cost(c)),
                              None) for c in costs]
@@ -245,17 +335,33 @@ def _run_cell(args) -> list[SweepCell]:
                 rows = [_row(c, _score(parts, te, team, c), lam)
                         for c, (parts, lam) in zip(costs, pairs)]
             cells.append(SweepCell(approach, seed, rows))
-            del te, pairs  # freed before the unit's next approach trains
+            del te, pairs  # freed before the next seed is scored
         except Exception as e:  # failures recorded per cell, sweep continues
             cells.append(SweepCell.failed(approach, seed, e))
     return cells
 
 
+def _run_cell(args) -> list[SweepCell]:
+    """Run one work unit: each of its approaches over its group of seeds,
+    the seeds trained as one replica stack and scored one at a time; one
+    cell per approach and seed.
+
+    A failing approach or seed fails only its own cell, also within a
+    unit, with the error its one-seed run gives; the unit's other cells
+    keep the results they get alone.
+    """
+    dataset, approaches, seeds, costs, lam_grid, team, cfg = args
+    shared = {}
+    return [cell for approach in approaches
+            for cell in _approach_cells(approach, dataset, seeds, costs,
+                                        lam_grid, team, cfg, shared)]
+
+
 def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
     """`_run_cell` over `work` in a pool of `workers` processes.
 
-    A unit whose worker died fails one cell per approach in the unit;
-    units that completed keep their rows.
+    A unit whose worker died fails one cell per approach and seed of the
+    unit; units that completed keep their rows.
     """
     # Imported here: the pool's modules cost a serial run ~20 ms start-up.
     from concurrent.futures import ProcessPoolExecutor
@@ -264,12 +370,12 @@ def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
     units = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_cell, item) for item in work]
-        for (_, approaches, seed, *_), future in zip(work, futures):
+        for (_, approaches, seeds, *_), future in zip(work, futures):
             try:
                 units.append(future.result())
             except BrokenProcessPool as e:
                 units.append([SweepCell.failed(a, seed, e)
-                              for a in approaches])
+                              for a in approaches for seed in seeds])
     return units
 
 
@@ -287,22 +393,26 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     Fixed approaches rebuild their query mechanism per cost; joint
     approaches train once per cost weight in `lambda_grid` at the median
     cost and each cost point keeps the variant with the lowest validation
-    total loss. The λ variants of a joint approach, and fixed-disc's
-    per-cost query policies, train in lockstep as one replica stack on
-    shared minibatches and dropout masks; each result is identical to
-    training that variant on its own. A variant that diverges fails its
-    whole cell. When both VOI approaches run, each seed's fixed-voi and
-    joint-voi cells are one work unit: one fixed-VOI training is scored
-    as fixed-voi and warm-starts joint-voi. A failing approach fails only
-    its own cell; failed cells are logged, skipped in the averages and
-    listed in each result's `failures`, and each result's `seeds` lists
-    the seeds its averages cover.
-    With `jobs` > 1 the work units run in a process pool of at most
-    `jobs` workers, and no more workers than units; a unit whose worker
-    dies fails its cells and the other units keep theirs. Negative or
-    non-finite costs or λ values, a seed that is not a non-negative
-    integer, a repeated seed, and `jobs` < 1 raise ConfigError before any
-    cell starts.
+    total loss. Each work unit trains its seeds, with every variant of
+    their grids (the λ values of a joint approach, fixed-disc's per-cost
+    query policies), in lockstep as one replica stack; each seed draws its
+    own minibatches and dropout masks, which its variants share, so every
+    result is identical to training that seed and variant on its own. A
+    variant that diverges fails its seed's whole cell. When both VOI
+    approaches run, they are one work unit: one fixed-VOI training per
+    seed is scored as fixed-voi and warm-starts joint-voi. A failing
+    approach or seed fails only its own cell, with the error its one-seed
+    run gives; failed cells are logged, skipped in the averages and listed
+    in each result's `failures`, and each result's `seeds` lists the seeds
+    its averages cover, in config order.
+    A serial sweep runs each approach, or the VOI pair, as one work unit
+    over all seeds. With `jobs` > 1 each approach's seeds are cut into
+    min(jobs, len(seeds)) contiguous groups, one work unit each, which run
+    in a process pool of at most `jobs` workers, and no more workers than
+    units; a unit whose worker dies fails its cells and the other units
+    keep theirs. Negative or non-finite costs or λ values, a seed that is
+    not a non-negative integer, a repeated seed, and `jobs` < 1 raise
+    ConfigError before any cell starts.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in APPROACHES]
@@ -327,8 +437,9 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     team = team or TeamConfig.accuracy(dataset.num_classes)
     cfg = train_cfg or TrainConfig()
-    work = [(dataset, unit, s, costs, lam_grid, team, cfg)
-            for unit in _work_units(names) for s in seeds]
+    work = [(dataset, unit, group, costs, lam_grid, team, cfg)
+            for unit in _work_units(names)
+            for group in _seed_groups(seeds, jobs)]
     if jobs > 1:
         units = _run_pool(work, min(jobs, len(work)))
     else:

@@ -3,8 +3,9 @@
 Models are plain dataclasses of float64 arrays and are treated as immutable
 values: `sgd_step` returns a new model. Every trainer runs through `fit`,
 the one SGD loop, which steps a stack of R same-shaped replicas
-(`stack_models`) on shared or per-replica minibatches; a single
-training is the R=1 stack. Training losses are closed-form: each
+(`stack_models`): the variants of one or more independent runs, each run
+on its own minibatches, which its variants share; a single training is
+the R=1 stack. Training losses are closed-form: each
 returns its per-instance values and a backward function (see
 `loss_and_grad`) written by hand on top of the one
 `mlp_forward`/`mlp_backward` pair. The contract for every
@@ -176,15 +177,23 @@ def stable_sigmoid(x) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def sample_dropout_masks(model: MlpModel, n: int,
-                         rng: np.random.Generator) -> list[np.ndarray] | None:
-    """Inverted-dropout masks for each hidden layer of a batch of n rows."""
+def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
+                         lead: tuple = ()) -> list[np.ndarray] | None:
+    """Inverted-dropout masks for each hidden layer of a batch of n rows:
+    (n, dim) from one generator, or one batch per generator of `rngs`,
+    stacked on the leading axes `lead` (see `mlp_forward`). Each generator
+    draws what it would draw alone."""
     p = model.dropout_rate
     if p == 0.0:
         return None
     scale = 1.0 / (1.0 - p)  # True * scale has the bits of True / keep
-    return [(rng.random((n, dim)) >= p) * scale
-            for dim in model.layer_dims[1:-1]]
+    masks = []
+    for dim in model.layer_dims[1:-1]:
+        u = np.empty((len(rngs), n, dim))
+        for rng, out in zip(rngs, u):
+            rng.random(out=out)
+        masks.append(((u >= p) * scale).reshape(lead + (n, dim)))
+    return masks
 
 
 def _check_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -216,12 +225,16 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
 def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
     """Training forward pass of a replica stack: (logits, cache).
 
-    An (n, d) input and (n, dim) dropout masks (None for eval behaviour)
-    are shared by every replica; an (R, n, d) input and (R, n, dim) masks
-    give each replica its own rows. The logits are (R, n, K). `cache`
-    holds what `mlp_backward` needs.
+    The input's leading axes broadcast against the stack's replica axes
+    (see `stack_models`): an (n, d) input is shared by every replica; an
+    (S, 1, n, d) input feeds group s of its rows to the G variants of run
+    s of an (S, G) stack; an (S, G, n, d) input gives each replica its own
+    rows. Dropout masks (None for eval behaviour) broadcast the same way,
+    so the variants of a run share its rows and masks without a copy.
+    The logits are (*replica axes, n, K). `cache` holds what
+    `mlp_backward` needs.
     """
-    if model.weights[0].ndim != 3:
+    if model.weights[0].ndim < 3:
         raise ShapeError("training losses take replica stacks"
                          " (see stack_models)")
     h = X
@@ -243,7 +256,7 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
 
 def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
     """Parameter gradients of a replica stack given dL/d(logits), for a
-    shared or a per-replica input alike."""
+    shared, per-run or per-replica input alike."""
     weights, inputs, gates = cache
     n = len(weights)
     gw, gb = [None] * n, [None] * n
@@ -256,6 +269,14 @@ def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
     return GradientSet(gw, gb)
 
 
+def label_index(shape, rows, labels) -> tuple:
+    """Index tuple that picks a[..., rows[i], labels[..., i]] from an
+    array of `shape` (..., n, K) at every leading position; `labels`
+    broadcasts against the leading shape and len(rows)."""
+    lead = [a[..., None] for a in np.indices(shape[:-2], sparse=True)]
+    return (*lead, rows, labels)
+
+
 def _objective(per_instance: np.ndarray) -> float:
     # each replica's minibatch mean, summed over the replicas
     return float(per_instance.sum() * (1.0 / per_instance.shape[-1]))
@@ -266,20 +287,23 @@ def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn
     """Minibatch-mean loss and its exact gradients.
 
     `loss_fn(models, batch)` receives {name: replica stack} and returns
-    `(per_instance, backward)`: the (R, n) per-instance losses and a
-    function mapping dL/d(per_instance) to {name: GradientSet}. Each
-    replica's loss is its own mean over the n instances (scaled by 1/n,
-    not 1/(R*n)), so its gradient is the one it would get alone; the
+    `(per_instance, backward)`: the per-instance losses, (R, n) or
+    (S, G, n) as `mlp_forward` lays out the replicas, and a function
+    mapping dL/d(per_instance) to {name: GradientSet}. Each replica's
+    loss is its own mean over the n instances (scaled by 1/n, not
+    1/(R*n)), so its gradient is the one it would get alone; the
     returned loss is the sum of those means. Models absent from `models`
     (e.g. frozen calibrators, which enter the loss as constants) receive
     no gradient. A non-finite per-instance loss raises NumericError
-    naming the first failing replica and instance.
+    naming the first failing replica, counted in stack order, and
+    instance.
     """
     per_instance, backward = loss_fn(models, batch)
     if not np.isfinite(per_instance).all():
-        r, i = (int(v) for v in np.argwhere(~np.isfinite(per_instance))[0])
+        *lead, i = np.argwhere(~np.isfinite(per_instance))[0]
+        r = np.ravel_multi_index(lead, per_instance.shape[:-1])
         raise NumericError(f"non-finite loss at replica {r}, instance {i}",
-                           index=i, replica=r)
+                           index=int(i), replica=int(r))
     n = per_instance.shape[-1]
     return _objective(per_instance), backward(
         np.full(per_instance.shape, 1.0 / n))
@@ -306,55 +330,66 @@ def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float) -> MlpMo
     return replace(model, weights=new_w, biases=new_b)
 
 
-def stack_models(models) -> MlpModel:
+def stack_models(models, runs: int | None = None) -> MlpModel:
     """R models of one architecture as a single replica stack.
 
     Weights become (R, fan_in, fan_out) and biases (R, 1, fan_out), so one
-    (n, d) batch, or an (R, n, d) batch of one minibatch per replica,
-    flows through every replica as one batched matmul.
+    (n, d) batch flows through every replica as one batched matmul. With
+    `runs` S, the models are the G = R / S variants of each of S runs,
+    run-major, and stack on two replica axes: weights (S, G, fan_in,
+    fan_out) and biases (S, G, 1, fan_out), so that each run's rows reach
+    its own variants (see `mlp_forward`).
     """
     first = models[0]
     for m in models[1:]:
         if (m.layer_dims, m.output_head, m.dropout_rate) != \
                 (first.layer_dims, first.output_head, first.dropout_rate):
             raise ShapeError("stacked models must share one architecture")
-    weights = [np.stack(ws) for ws in zip(*(m.weights for m in models))]
-    biases = [np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in models))]
+    lead = (len(models),) if runs is None else (runs, len(models) // runs)
+    weights = [np.stack(ws).reshape(lead + ws[0].shape)
+               for ws in zip(*(m.weights for m in models))]
+    biases = [np.stack(bs).reshape(lead + (1,) + bs[0].shape)
+              for bs in zip(*(m.biases for m in models))]
     return replace(first, weights=weights, biases=biases)
 
 
 def unstack_models(stacked: MlpModel) -> list[MlpModel]:
-    """The per-replica models of a stack, as independent copies."""
+    """The per-replica models of a stack, run-major, as independent
+    copies."""
+    lead = stacked.weights[0].shape[:-2]
     return [replace(stacked, weights=[w[r].copy() for w in stacked.weights],
-                    biases=[b[r, 0].copy() for b in stacked.biases])
-            for r in range(len(stacked.weights[0]))]
+                    biases=[b[r][0].copy() for b in stacked.biases])
+            for r in np.ndindex(lead)]
 
 
 def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
-        what: str, replica_labels=None, on_step=None) -> dict[str, MlpModel]:
+        what: str, variant_labels=None, on_step=None) -> dict[str, MlpModel]:
     """The package's SGD loop: `cfg.iterations` plain steps on replica stacks.
 
-    `models` maps names to stacks from `stack_models`; all stacks hold the
-    same number R of replicas. `make_batch(it)` draws a step's batch
-    indices, dropout masks and constant arrays, either once for all
-    replicas or once per replica from each replica's own streams, and
-    `loss_fn(models, batch)` follows the `loss_and_grad` contract with
-    (R, n) per-instance losses, so each replica trains exactly as it
-    would alone.
+    `models` maps names to stacks from `stack_models`, all with the same
+    replica axes: (G,) variants of one run, or (S, G) for G variants of
+    each of S independent runs (one per seed, say). `make_batch(it)`
+    draws a step's batch indices, dropout masks and constant arrays from
+    each run's own streams (or each replica's, see `mlp_forward`), and
+    `loss_fn(models, batch)` follows the `loss_and_grad` contract, so each
+    replica trains exactly as it would alone.
     `on_step(it, models)` runs after every update. A non-finite loss
-    raises TrainingError carrying the iteration and, when
-    `replica_labels` is given, naming the replica that failed first.
+    raises TrainingError carrying the iteration and the index of the run
+    that failed first and, when the G `variant_labels` are given, naming
+    that run's first failing variant: the error its run raises alone.
     """
     for it in range(cfg.iterations):
         batch = make_batch(it)
         try:
             _, grads = loss_and_grad(models, batch, loss_fn)
         except NumericError as e:
+            G = next(iter(models.values())).weights[0].shape[-3]
+            run, variant = divmod(e.replica, G)
             where = ""
-            if replica_labels is not None and e.replica is not None:
-                where = f" ({replica_labels[e.replica]})"
+            if variant_labels is not None:
+                where = f" ({variant_labels[variant]})"
             raise TrainingError(f"{what} diverged at iteration {it}{where}",
-                                iteration=it) from e
+                                iteration=it, run=run) from e
         models = {name: sgd_step(m, grads[name], cfg.learning_rate)
                   for name, m in models.items()}
         if on_step is not None:

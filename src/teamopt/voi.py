@@ -18,14 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import PlattCalibrator, calibrate_batch, calibrated_head
+from .data import Dataset
 from .discriminative import (DecisionParts, TeamConfig, _batch_indices,
+                             _batch_size, _by_run, _rows, _streams,
                              derive_rng, mixture_loss, train_solo_model,
                              utility_loss_weights)
 from .errors import InputError, StateError
-from .numerics import (MlpModel, TrainConfig, fit, logits_batch,
-                       mlp_backward, mlp_forward, sample_dropout_masks,
-                       stable_sigmoid, stable_softmax, stack_models,
-                       sum_last, unstack_models)
+from .numerics import (MlpModel, TrainConfig, fit, label_index,
+                       logits_batch, mlp_backward, mlp_forward,
+                       sample_dropout_masks, stable_sigmoid, stable_softmax,
+                       stack_models, sum_last, unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -85,15 +87,20 @@ def gamma_input(X: np.ndarray, h: np.ndarray, num_classes: int) -> np.ndarray:
 
 def gamma_all_input(X: np.ndarray, num_classes: int,
                     onehots: np.ndarray | None = None) -> np.ndarray:
-    """Every (x, onehot(h)) pair, h-major within each instance: (n*K, d+K).
+    """Every (x, onehot(h)) pair, h-major within each instance: (n*K, d+K),
+    or (..., n*K, d+K) for (..., n, d) groups of rows.
 
     `onehots` is the (n*K, K) right-hand block, which depends on n alone;
     a caller with a fixed n builds it once and passes it in.
     """
+    *lead, n, d = X.shape
+    K = num_classes
     if onehots is None:
-        onehots = np.tile(np.eye(num_classes), (X.shape[0], 1))
-    return np.concatenate([np.repeat(X, num_classes, axis=0), onehots],
-                          axis=1)
+        onehots = np.tile(np.eye(K), (n, 1))
+    out = np.empty((*lead, n * K, d + K))
+    out[..., d:] = onehots
+    out.reshape(*lead, n, K, d + K)[..., :d] = X[..., None, :]
+    return out
 
 
 # --- exact decision-time quantities -------------------------------------
@@ -128,11 +135,11 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
 
 @dataclass
 class _JointBatch:
-    X: np.ndarray
-    X_gamma_all: np.ndarray   # (B*K, d+K)
-    h: np.ndarray             # (B,) int, the observed responses
-    y: np.ndarray             # (B,) int
-    w_y: np.ndarray           # (B,)
+    X: np.ndarray             # (B, d), or (S, 1, B, d) groups of rows
+    X_gamma_all: np.ndarray   # (B*K, d+K), or (S, 1, B*K, d+K)
+    h: np.ndarray             # (B,) or (S, 1, B) int, observed responses
+    y: np.ndarray             # (B,) or (S, 1, B) int
+    w_y: np.ndarray           # (B,) or (S, 1, B)
     cal: PlattCalibrator      # one (a, b) per logit row, see joint_calibrator
     masks_a: list | None
     masks_b: list | None
@@ -209,10 +216,11 @@ def joint_calibrator(cals, B: int) -> PlattCalibrator:
 def joint_voi_batch(X: np.ndarray, h: np.ndarray, y: np.ndarray,
                     w: np.ndarray, cal: PlattCalibrator, masks=(None,) * 3,
                     onehots: np.ndarray | None = None) -> _JointBatch:
-    """The constant side of one training batch: its rows, the per-class
-    loss weights `w` (`utility_loss_weights`), the `joint_calibrator`
-    of the batch size, the (alpha, beta, gamma) masks, and the gamma
-    one-hots of `gamma_all_input`."""
+    """The constant side of one training batch: its rows, shared by every
+    replica or in groups (see `mlp_forward`), the per-class loss weights
+    `w` (`utility_loss_weights`), the `joint_calibrator` of the batch
+    size, the (alpha, beta, gamma) masks, and the gamma one-hots of
+    `gamma_all_input`."""
     return _JointBatch(X, gamma_all_input(X, len(w), onehots), h, y, w[y],
                        cal, *masks)
 
@@ -225,7 +233,7 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
     calibrated distributions, softened maxima, the two-way soft query
     probability, cross-entropy of the q-mixture of p_gamma(.|x,h) and
     p_alpha(.|x), plus cost_weight * q * c. `cost_weights` holds one
-    lambda per replica. The three heads' logits run as one
+    lambda per variant. The three heads' logits run as one
     [alpha | gamma | beta] stack of rows through a single calibrated
     head, and the alpha and gamma rows through a single softened
     maximum over actions.
@@ -237,24 +245,25 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
     Ut = U.T.copy()
 
     def loss_fn(models, batch: _JointBatch):
-        B, K = len(batch.y), Ut.shape[0]
+        B, K = batch.y.shape[-1], Ut.shape[0]
         G = B + B * K  # the alpha and gamma rows, which take soft maxima
         rows = np.arange(B)
-        h_rows = B + rows * K + batch.h  # gamma rows, observed responses
         za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a)
         zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
                                   batch.masks_g)
         zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b)
         p, back_p = _calibrated(np.concatenate([za, zg, zb], axis=-2),
                                 batch.cal)
-        u, back_u = _soft_max(p[:, :G] @ Ut, tau)  # over actions
-        u_nq = u[:, :B]
-        inner = u[:, B:].reshape(u.shape[:-1] + (B, K))  # [i, h]
-        pb = p[:, G:]
+        at_a = label_index(p.shape, rows, batch.y)
+        # gamma rows of the observed responses
+        at_g = label_index(p.shape, B + rows * K + batch.h, batch.y)
+        u, back_u = _soft_max(p[..., :G, :] @ Ut, tau)  # over actions
+        u_nq = u[..., :B]
+        inner = u[..., B:].reshape(u.shape[:-1] + (B, K))  # [i, h]
+        pb = p[..., G:, :]
         u_q = sum_last(pb * inner)
         q = stable_sigmoid((u_q - u_nq) * (1.0 / tau))
-        per, mix_backward = mixture_loss(q, p[:, h_rows, batch.y],
-                                         p[:, rows, batch.y], batch.w_y,
+        per, mix_backward = mixture_loss(q, p[at_g], p[at_a], batch.w_y,
                                          lam_c)
 
         def backward(g):
@@ -265,14 +274,14 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
                 [-d_gap, d_inner.reshape(d_inner.shape[:-2] + (B * K,))],
                 axis=-1)
             dp = np.empty_like(p)
-            dp[:, :G] = back_u(du) @ U
-            dp[:, rows, batch.y] += d_pa_y
-            dp[:, h_rows, batch.y] += d_pg_hy
-            dp[:, G:] = d_gap[..., None] * inner
+            dp[..., :G, :] = back_u(du) @ U
+            dp[at_a] += d_pa_y
+            dp[at_g] += d_pg_hy
+            dp[..., G:, :] = d_gap[..., None] * inner
             dz = back_p(dp)
-            return {"alpha": mlp_backward(cache_a, dz[:, :B]),
-                    "beta": mlp_backward(cache_b, dz[:, G:]),
-                    "gamma": mlp_backward(cache_g, dz[:, B:G])}
+            return {"alpha": mlp_backward(cache_a, dz[..., :B, :]),
+                    "beta": mlp_backward(cache_b, dz[..., G:, :]),
+                    "gamma": mlp_backward(cache_g, dz[..., B:G, :])}
 
         return per, backward
 
@@ -303,82 +312,107 @@ def _refit_calibrators(a_m: MlpModel, b_m: MlpModel, g_m: MlpModel,
     return cal_a, cal_b, cal_g
 
 
-def train_fixed_voi(dataset, team: TeamConfig, cfg: TrainConfig) -> VoiSystem:
-    """Train alpha, beta, gamma in isolation; Platt-calibrate each.
+def train_fixed_voi(runs, team: TeamConfig) -> list[VoiSystem]:
+    """Per run, a (dataset, cfg) pair: alpha, beta and gamma trained in
+    isolation and Platt-calibrated.
 
-    Networks fit on 80% of the dataset; the held-out 20% slice feeds the
-    calibrators (and every later recalibration of a joint run).
+    Networks fit on 80% of the run's dataset; the held-out 20% slice feeds
+    the calibrators (and every later recalibration of a joint run). The
+    runs train as two stacks: alpha and beta of every run, which share
+    their inputs and shape, and gamma of every run.
     """
-    fit_ds, calib_ds = _calibration_split(dataset, cfg.seed)
-    K = dataset.num_classes
-    # alpha and beta share their inputs and shape: one two-replica stack
-    a_m, b_m = train_solo_model(fit_ds, team, cfg, [(None, STREAM_ALPHA),
-                                                    (fit_ds.h, STREAM_BETA)])
-    [g_m] = train_solo_model(fit_ds, team, cfg, [(None, STREAM_GAMMA)],
-                             gamma_input(fit_ds.X, fit_ds.h, K))
-    cal_a, cal_b, cal_g = _refit_calibrators(
-        a_m, b_m, g_m, calib_ds, gamma_input(calib_ds.X, calib_ds.h, K))
-    return VoiSystem(CalibratedModel(a_m, cal_a), CalibratedModel(b_m, cal_b),
-                     CalibratedModel(g_m, cal_g), team, cfg)
+    splits = [_calibration_split(ds, cfg.seed) for ds, cfg in runs]
+    K = runs[0][0].num_classes
+    ab = train_solo_model([(fit_ds, cfg) for (fit_ds, _), (_, cfg)
+                           in zip(splits, runs)], team,
+                          (("y", STREAM_ALPHA), ("h", STREAM_BETA)))
+    g = train_solo_model(
+        [(Dataset(gamma_input(fit_ds.X, fit_ds.h, K), fit_ds.y, fit_ds.h, K,
+                  fit_ds.name), cfg)
+         for (fit_ds, _), (_, cfg) in zip(splits, runs)],
+        team, (("y", STREAM_GAMMA),))
+    systems = []
+    for (a_m, b_m), [g_m], (_, calib_ds), (_, cfg) in zip(ab, g, splits,
+                                                           runs):
+        cals = _refit_calibrators(a_m, b_m, g_m, calib_ds, gamma_input(
+            calib_ds.X, calib_ds.h, K))
+        systems.append(VoiSystem(*(CalibratedModel(m, c) for m, c in zip(
+            (a_m, b_m, g_m), cals)), team, cfg))
+    return systems
 
 
 _PARTS = ("alpha", "beta", "gamma")
 
 
-def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
-                    cost_weights, start: VoiSystem) -> list[VoiSystem]:
-    """Fine-tune all three networks end-to-end, once per cost weight.
+def train_joint_voi(runs, team: TeamConfig, cost_weights
+                    ) -> list[list[VoiSystem]]:
+    """Fine-tune all three networks end-to-end: per run, one system per
+    cost weight.
 
-    Starts every variant from `start`, the fixed-VOI system of the same
-    dataset and config, which is left unchanged, and runs T SGD
-    iterations on the soft joint loss with calibrators frozen. Each
-    variant refits its own calibrators on the held-out slice every
-    `calibration_interval` iterations and once at the end; each refit's
-    Newton iterations start from that variant's previous calibrators (the
-    first from `start`'s). The variants step in lockstep on shared
-    minibatches and dropout masks; each system equals what a one-value
-    grid gives, and its `train_cfg` carries its `cost_weight`.
+    A run is (dataset, cfg, start): every variant of the run starts from
+    `start`, the fixed-VOI system of the same dataset and config, which is
+    left unchanged, and runs T SGD iterations on the soft joint loss with
+    calibrators frozen. Each variant refits its own calibrators on its
+    run's held-out slice every `calibration_interval` iterations and once
+    at the end; each refit's Newton iterations start from that variant's
+    previous calibrators (the first from `start`'s). A run's variants step
+    in lockstep on its minibatches and dropout masks; each system equals
+    what a one-value grid gives, and its `train_cfg` carries its
+    `cost_weight`.
     """
-    fit_ds, calib_ds = _calibration_split(dataset, cfg.seed)
-    start.require_calibrated()
-    parts = (start.p_alpha, start.p_beta, start.p_gamma)
-    R = len(cost_weights)
-    models = {name: stack_models([p.model] * R)
-              for name, p in zip(_PARTS, parts)}
-    X, y, h = fit_ds.X, fit_ds.y, fit_ds.h
-    n = len(fit_ds)
-    rng_batch = derive_rng(cfg.seed, STREAM_JOINT_BATCH)
-    rng_da = derive_rng(cfg.seed, STREAM_JOINT_DROP_A)
-    rng_db = derive_rng(cfg.seed, STREAM_JOINT_DROP_B)
-    rng_dg = derive_rng(cfg.seed, STREAM_JOINT_DROP_G)
-    K = dataset.num_classes
+    splits = [_calibration_split(ds, c.seed) for ds, c, _ in runs]
+    B = _batch_size([(fit_ds, c) for (fit_ds, _), (_, c, _) in zip(splits,
+                                                                   runs)])
+    cfg = runs[0][1]
+    for _, _, start in runs:
+        start.require_calibrated()
+    S, G = len(runs), len(cost_weights)
+    starts = [(s.p_alpha, s.p_beta, s.p_gamma) for _, _, s in runs]
+    models = {name: stack_models([parts[i].model for parts in starts
+                                  for _ in cost_weights], S)
+              for i, name in enumerate(_PARTS)}
+    X = [fit_ds.X for fit_ds, _ in splits]
+    y = [fit_ds.y for fit_ds, _ in splits]
+    h = [fit_ds.h for fit_ds, _ in splits]
+    rngs_batch, *rngs_drop = _streams(
+        runs, STREAM_JOINT_BATCH, STREAM_JOINT_DROP_A, STREAM_JOINT_DROP_B,
+        STREAM_JOINT_DROP_G)
+    K = runs[0][0].num_classes
     w = utility_loss_weights(team)
-    B = min(cfg.batch_size, n)
     onehots = np.tile(np.eye(K), (B, 1))  # every batch's gamma one-hots
-    X_gamma_calib = gamma_input(calib_ds.X, calib_ds.h, K)
+    lead = (S, 1)  # one group of rows per run
+    calib = [(calib_ds, gamma_input(calib_ds.X, calib_ds.h, K))
+             for _, calib_ds in splits]
 
     def batch_calibrator(cals):
-        return joint_calibrator([_stack_calibrators(c) for c in zip(*cals)],
-                                B)
+        joint = joint_calibrator([_stack_calibrators(c) for c in zip(*cals)],
+                                 B)
+        # (R, rows, K) viewed as the (S, G, rows, K) of the logits
+        return PlattCalibrator(*(a.reshape(S, G, *a.shape[1:]) for a in (
+            joint.a, joint.b, joint.degenerate)))
 
-    cals = [tuple(p.calibrator for p in parts)] * R  # per replica
+    # per replica, run-major
+    cals = [tuple(p.calibrator for p in parts)
+            for parts in starts for _ in cost_weights]
     cal = batch_calibrator(cals)
 
     def make_batch(it):
-        idx = _batch_indices(rng_batch, n, B)
-        masks = (sample_dropout_masks(parts[0].model, B, rng_da),
-                 sample_dropout_masks(parts[1].model, B, rng_db),
-                 sample_dropout_masks(parts[2].model, B * K, rng_dg))
-        return joint_voi_batch(X[idx], h[idx], y[idx], w, cal, masks,
-                               onehots)
+        idx = [_batch_indices(rng, len(x), B)
+               for x, rng in zip(X, rngs_batch)]
+        masks = [sample_dropout_masks(part.model, n, *rngs, lead=lead)
+                 for part, n, rngs in zip(starts[0], (B, B, B * K),
+                                          rngs_drop)]
+        Xb, hb, yb = (_rows(a, idx, lead) for a in (X, h, y))
+        return joint_voi_batch(Xb, hb, yb, w, cal, masks, onehots)
 
     def refit(models):
-        # each replica refits its own (cal_a, cal_b, cal_g) on its networks
+        # each replica refits its own (cal_a, cal_b, cal_g) on its
+        # networks and its run's held-out slice
         nonlocal cal, cals
         replicas = list(zip(*(unstack_models(models[name])
                               for name in _PARTS)))
-        cals = [_refit_calibrators(*r, calib_ds, X_gamma_calib, prev)
-                for r, prev in zip(replicas, cals)]
+        cals = [_refit_calibrators(*r, *calib[i // G], prev)
+                for i, (r, prev) in enumerate(zip(replicas, cals))]
         cal = batch_calibrator(cals)
         return replicas
 
@@ -389,7 +423,9 @@ def train_joint_voi(dataset, team: TeamConfig, cfg: TrainConfig,
     fitted = fit(models, joint_voi_loss_fn(team, cfg, cost_weights),
                  make_batch, cfg, "joint training",
                  [f"cost_weight={lam!r}" for lam in cost_weights], on_step)
-    replicas = refit(fitted)
-    return [VoiSystem(*(CalibratedModel(m, c) for m, c in zip(r, cal)), team,
-                      replace(cfg, cost_weight=lam))
-            for r, cal, lam in zip(replicas, cals, cost_weights)]
+    replicas = _by_run(refit(fitted), G)  # the final refit sets cals
+    return [[VoiSystem(*(CalibratedModel(m, c) for m, c in zip(r, triple)),
+                       team, replace(run_cfg, cost_weight=lam))
+             for r, triple, lam in zip(run_replicas, run_cals, cost_weights)]
+            for (_, run_cfg, _), run_replicas, run_cals in zip(
+                runs, replicas, _by_run(cals, G))]

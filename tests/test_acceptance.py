@@ -170,9 +170,9 @@ def test_criterion_05_query_rate_never_rises_with_cost():
     ds = generate_synthetic(SynthConfig(num_classes=3, feature_dim=6, n=1800,
                                         class_priors=(0.5, 0.3, 0.2), seed=11))
     tr, _, te = split(ds, SPLIT_FRACTIONS, 0)
-    system = train_fixed_voi(tr, TeamConfig.accuracy(3),
-                             TrainConfig(iterations=300, hidden_dims=(8,),
-                                         seed=0))
+    [system] = train_fixed_voi(
+        [(tr, TrainConfig(iterations=300, hidden_dims=(8,), seed=0))],
+        TeamConfig.accuracy(3))
     parts = system.parts(te.X)
     rates = []
     for c in np.linspace(0.0, 0.5, 26):
@@ -218,7 +218,8 @@ def test_criterion_08_team_beats_machine_alone_and_human_only(bench,
     solo_errs = []
     for seed in BENCH_SEEDS:
         tr, _, te = split(bench_dataset, SPLIT_FRACTIONS, seed)
-        [solo] = train_solo_model(tr, team, replace(BENCH_CFG, seed=seed))
+        [[solo]] = train_solo_model([(tr, replace(BENCH_CFG, seed=seed))],
+                                    team)
         pred = forward_batch(solo, te.X).argmax(axis=1)
         solo_errs.append(weighted_error(pred, te.y, team.utility))
     machine = float(np.mean(solo_errs))

@@ -157,7 +157,7 @@ def test_runtime_rule_examples():
 def build_system(ds, team=None, iterations=50, **kw):
     team = team or TeamConfig.accuracy(ds.num_classes)
     cfg = TrainConfig(iterations=iterations, hidden_dims=(8,), seed=7, **kw)
-    return train_joint(ds, team, cfg, (cfg.cost_weight,))[0]
+    return train_joint([(ds, cfg)], team, (cfg.cost_weight,))[0][0]
 
 
 def test_decide_batch_matches_single_predictions():
@@ -210,8 +210,9 @@ def test_team_predict_wraps_provider_failure():
 def test_joint_query_rate_responds_to_cost():
     ds = noise_dataset()
     cfg = TrainConfig(iterations=400, hidden_dims=(8,), seed=3)
-    [free] = train_joint(ds, TeamConfig.accuracy(3, 0.0), cfg, (1.0,))
-    [costly] = train_joint(ds, TeamConfig.accuracy(3, 2.0), cfg, (4.0,))
+    [[free]] = train_joint([(ds, cfg)], TeamConfig.accuracy(3, 0.0), (1.0,))
+    [[costly]] = train_joint([(ds, cfg)], TeamConfig.accuracy(3, 2.0),
+                             (4.0,))
     _, q_free = decide(free.parts(ds.X), ds.h, 0.0)
     _, q_costly = decide(costly.parts(ds.X), ds.h, 2.0)
     assert q_free.mean() > 0.9
@@ -221,28 +222,28 @@ def test_joint_query_rate_responds_to_cost():
 def test_cost_weight_and_query_cost_enter_as_product():
     ds = noise_dataset()
     cfg = TrainConfig(iterations=60, hidden_dims=(8,), seed=7)
-    [a] = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg, (2.0,))
-    [b] = train_joint(ds, TeamConfig.accuracy(3, 0.2), cfg, (1.0,))
+    [[a]] = train_joint([(ds, cfg)], TeamConfig.accuracy(3, 0.1), (2.0,))
+    [[b]] = train_joint([(ds, cfg)], TeamConfig.accuracy(3, 0.2), (1.0,))
     assert models_equal(a.m, b.m) and models_equal(a.q, b.q)
 
 
 def test_training_is_seed_deterministic():
     ds = noise_dataset()
     cfg = TrainConfig(iterations=40, hidden_dims=(8,), seed=5)
-    [a] = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg, (1.0,))
-    [b] = train_joint(ds, TeamConfig.accuracy(3, 0.1), cfg, (1.0,))
+    [[a]] = train_joint([(ds, cfg)], TeamConfig.accuracy(3, 0.1), (1.0,))
+    [[b]] = train_joint([(ds, cfg)], TeamConfig.accuracy(3, 0.1), (1.0,))
     assert models_equal(a.m, b.m) and models_equal(a.q, b.q)
-    [c] = train_joint(ds, TeamConfig.accuracy(3, 0.1),
-                      TrainConfig(iterations=40, hidden_dims=(8,), seed=6),
-                      (1.0,))
+    [[c]] = train_joint(
+        [(ds, TrainConfig(iterations=40, hidden_dims=(8,), seed=6))],
+        TeamConfig.accuracy(3, 0.1), (1.0,))
     assert not models_equal(a.m, c.m)
 
 
 def test_retargeted_solo_training_learns_the_targets():
     ds = separable_dataset()  # h = (y + 1) % 3, features encode y
     cfg = TrainConfig(iterations=300, hidden_dims=(8,), seed=1)
-    [model] = train_solo_model(ds, TeamConfig.accuracy(3), cfg,
-                               [(ds.h, SOLO_STREAMS)])
+    [[model]] = train_solo_model([(ds, cfg)], TeamConfig.accuracy(3),
+                                 [("h", SOLO_STREAMS)])
     pred = forward_batch(model, ds.X).argmax(axis=1)
     assert (pred == ds.h).mean() > 0.95
     assert (pred == ds.y).mean() < 0.05
@@ -259,7 +260,7 @@ def test_fixed_policy_learns_to_query_hard_region():
     ds = Dataset(X, y, y.copy(), 3, "regional")
     cfg = TrainConfig(iterations=1500, learning_rate=0.3, hidden_dims=(8,),
                       seed=2)
-    [system] = train_fixed(ds, TeamConfig.accuracy(3), cfg, (0.2,))
+    [[system]] = train_fixed([(ds, cfg)], TeamConfig.accuracy(3), (0.2,))
     _, queried = decide(system.parts(ds.X), ds.h, 0.2)
     assert queried[hard].mean() > 0.9
     assert queried[~hard].mean() < 0.1
@@ -273,7 +274,7 @@ def test_divergence_raises_training_error_with_iteration():
         warnings.simplefilter("ignore")
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError) as exc:
-                train_solo_model(ds, TeamConfig.accuracy(3), cfg)
+                train_solo_model([(ds, cfg)], TeamConfig.accuracy(3))
     assert exc.value.iteration is not None
     assert 0 <= exc.value.iteration < 20
 

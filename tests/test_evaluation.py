@@ -20,8 +20,8 @@ from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     train_joint)
 from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
 from teamopt.evaluation import (SPLIT_FRACTIONS, SweepCell, SweepResult,
-                                _best_split, _lambda_mode, cost_sweep,
-                                emit_report, human_error_tree,
+                                _best_split, _lambda_mode, _seed_groups,
+                                cost_sweep, emit_report, human_error_tree,
                                 human_only_baseline, per_class_analysis,
                                 render_loss_svg, sweep_csv_text,
                                 team_metrics_arrays, weighted_error)
@@ -92,8 +92,8 @@ def test_human_only_baseline_always_queries():
 def test_system_decisions_both_kinds_and_rejection():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3, 0.05)
-    [disc] = train_joint(ds, team, small_cfg(), (1.0,))
-    voi = train_fixed_voi(ds, team, small_cfg())
+    [[disc]] = train_joint([(ds, small_cfg())], team, (1.0,))
+    [voi] = train_fixed_voi([(ds, small_cfg())], team)
     for system in (disc, voi):
         parts = system.parts(ds.X)
         labels, queried = decide(parts, ds.h, team.query_cost)
@@ -160,7 +160,7 @@ def test_fixed_voi_cell_scores_decide_on_the_test_split():
     cell = cost_sweep(ds, ("fixed-voi",), costs, (1.0,), (4,), team=team,
                       train_cfg=cfg)[0].cells[0]
     tr, _, te = split(ds, SPLIT_FRACTIONS, 4)
-    system = train_fixed_voi(tr, team, replace(cfg, seed=4))
+    [system] = train_fixed_voi([(tr, replace(cfg, seed=4))], team)
     expected = []
     for c in costs:
         labels, queried = decide(system.parts(te.X), te.h, c)
@@ -171,14 +171,15 @@ def test_fixed_voi_cell_scores_decide_on_the_test_split():
 
 
 def count_fixed_voi_trainings(monkeypatch, log_path):
-    """Log the seed of every `evaluation.train_fixed_voi` call to a file,
-    so that calls made in forked pool workers are counted too."""
+    """Log the seed of every run an `evaluation.train_fixed_voi` call
+    trains to a file, so that calls made in forked pool workers are
+    counted too."""
     real = evaluation.train_fixed_voi
 
-    def counted(tr, team, cfg):
+    def counted(runs, team):
         with open(log_path, "a") as fh:
-            fh.write(f"{cfg.seed}\n")
-        return real(tr, team, cfg)
+            fh.writelines(f"{cfg.seed}\n" for _, cfg in runs)
+        return real(runs, team)
 
     monkeypatch.setattr(evaluation, "train_fixed_voi", counted)
     return lambda: sorted(int(s) for s in log_path.read_text().split())
@@ -341,10 +342,10 @@ def test_one_value_lambda_grid_scores_only_the_test_split(monkeypatch,
     cfg_s = replace(cfg, seed=seed)
     c_ref = team.with_cost(0.05)  # the median cost
     if approach == "joint-disc":
-        system = train_joint(tr, c_ref, cfg_s, (1.0,))[0]
+        [[system]] = train_joint([(tr, cfg_s)], c_ref, (1.0,))
     else:
-        system = train_joint_voi(tr, c_ref, cfg_s, (1.0,),
-                                 train_fixed_voi(tr, team, cfg_s))[0]
+        [start] = train_fixed_voi([(tr, cfg_s)], team)
+        [[system]] = train_joint_voi([(tr, cfg_s, start)], c_ref, (1.0,))
     expected = []
     for c in costs:
         labels, queried = decide(system.parts(te.X), te.h, c)
@@ -364,10 +365,11 @@ def test_one_value_lambda_grid_scores_only_the_test_split(monkeypatch,
     assert result.cells[0].rows == expected
 
 
-def inline_pool(monkeypatch) -> list:
+def inline_pool(monkeypatch) -> tuple[list, list]:
     """Swap the process pool for one that runs each unit in this process;
-    returns the list of `max_workers` it is opened with. No worker starts."""
-    widths = []
+    returns the list of `max_workers` it is opened with and the list of
+    (approaches, seeds) of the units submitted. No worker starts."""
+    widths, units = [], []
 
     class InlinePool:
         def __init__(self, max_workers=None, **kwargs):
@@ -380,6 +382,7 @@ def inline_pool(monkeypatch) -> list:
             return False
 
         def submit(self, fn, *args):
+            units.append(tuple(args[0][1:3]))
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
@@ -390,7 +393,7 @@ def inline_pool(monkeypatch) -> list:
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool,
                         raising=False)
-    return widths
+    return widths, units
 
 
 @pytest.mark.parametrize("jobs,workers", [(3, 3), (64, 4)])
@@ -400,9 +403,12 @@ def test_pool_opens_at_most_one_worker_per_work_unit(monkeypatch, jobs,
     ds = toy_dataset()
     args = (ds, ("fixed-disc", "human-only"), (0.0, 0.1), (1.0,), (0, 1))
     serial = cost_sweep(*args, train_cfg=small_cfg())
-    widths = inline_pool(monkeypatch)
+    widths, units = inline_pool(monkeypatch)
     pooled = cost_sweep(*args, train_cfg=small_cfg(), jobs=jobs)
-    assert widths == [workers]  # 2 approaches x 2 seeds = 4 work units
+    # 2 approaches x min(jobs, 2 seeds) groups of seeds = 4 work units
+    assert units == [(("fixed-disc",), [0]), (("fixed-disc",), [1]),
+                     (("human-only",), [0]), (("human-only",), [1])]
+    assert widths == [workers]
     assert [r.cells for r in pooled] == [r.cells for r in serial]
 
 
@@ -415,8 +421,10 @@ def test_dead_worker_fails_its_cells_and_the_rest_complete(
     result = cost_sweep(*args, jobs=2)[0]
     cells = {c.seed: c for c in result.cells}
     assert sorted(cells) == [0, 1, 2, 3]
-    assert cells[1].rows == []
-    assert cells[1].error.startswith("BrokenProcessPool: ")
+    # seeds 0 and 1 are one work unit, so the worker took both down
+    for seed in (0, 1):
+        assert cells[seed].rows == []
+        assert cells[seed].error.startswith("BrokenProcessPool: ")
     for seed, cell in cells.items():
         assert cell == serial[seed] or (
             cell.rows == [] and cell.error.startswith("BrokenProcessPool"))
@@ -426,6 +434,115 @@ def test_dead_worker_fails_its_cells_and_the_rest_complete(
         assert result.records[0]["total_loss"] == expected
     else:
         assert result.records == []
+
+
+@given(st.sampled_from([1, 2, 3, 64]),
+       st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+def test_seed_groups_are_contiguous_and_keep_config_order(jobs, seeds):
+    groups = _seed_groups(seeds, jobs)
+    assert 1 <= len(groups) <= jobs
+    assert len(groups) == min(jobs, len(seeds))
+    assert all(groups)
+    assert [s for g in groups for s in g] == seeds  # contiguous, in order
+    assert max(map(len, groups)) - min(map(len, groups)) <= 1
+
+
+ALL_APPROACHES = ("human-only", "fixed-disc", "joint-disc", "fixed-voi",
+                  "joint-voi")
+
+
+def cells_by_seed(results) -> dict:
+    return {(c.approach, c.seed): c for r in results for c in r.cells}
+
+
+@pytest.mark.parametrize("seeds", [(0, 1, 2), (3, 1, 0, 2)],
+                         ids=["sorted", "shuffled"])
+def test_stacked_seeds_give_each_seed_its_own_cells(seeds):
+    ds = toy_dataset()
+    args = (ds, ALL_APPROACHES, (0.0, 0.1), (0.5, 2.0))
+    alone = {}
+    for seed in seeds:
+        alone.update(cells_by_seed(cost_sweep(*args, (seed,),
+                                              train_cfg=small_cfg())))
+    serial = cost_sweep(*args, seeds, train_cfg=small_cfg())
+    pooled = cost_sweep(*args, seeds, train_cfg=small_cfg(), jobs=2)
+    for results in (serial, pooled):
+        assert cells_by_seed(results) == alone
+        for r in results:  # cells and averages keep the config order
+            assert r.seeds == list(seeds)
+            assert [c.seed for c in r.cells] == list(seeds)
+    assert [r.records for r in serial] == [r.records for r in pooled]
+    assert all(c.error is None for c in alone.values())
+
+
+def diverge_seeds(monkeypatch, seeds):
+    """Make the training split of each of `seeds` overflow every network's
+    forward pass, so that its trainings diverge at their first step."""
+    real = evaluation.split
+
+    def split(dataset, fractions, seed):
+        tr, va, te = real(dataset, fractions, seed)
+        if seed in seeds:
+            tr = replace(tr, X=np.sign(tr.X) * 1e308)
+        return tr, va, te
+
+    monkeypatch.setattr(evaluation, "split", split)
+
+
+@pytest.mark.parametrize("seeds,diverging", [
+    ((0, 1, 2), {0}), ((0, 1, 2), {2}), ((3, 1, 0, 2), {1, 0}),
+], ids=["first-in-stack", "last-in-stack", "two-at-one-iteration"])
+def test_a_diverging_seed_fails_only_its_own_cells(monkeypatch, seeds,
+                                                   diverging):
+    ds = toy_dataset()
+    args = (ds, ALL_APPROACHES, (0.0, 0.1), (0.5, 2.0))
+    clean = {}
+    for seed in seeds:
+        if seed not in diverging:
+            clean.update(cells_by_seed(cost_sweep(*args, (seed,),
+                                                  train_cfg=small_cfg())))
+    diverge_seeds(monkeypatch, diverging)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        failed = {}
+        for seed in diverging:
+            failed.update(cells_by_seed(cost_sweep(*args, (seed,),
+                                                   train_cfg=small_cfg())))
+        stacked = cells_by_seed(cost_sweep(*args, seeds,
+                                           train_cfg=small_cfg()))
+    for (approach, seed), cell in stacked.items():
+        if seed not in diverging:
+            assert cell == clean[approach, seed]
+        elif approach == "human-only":  # uses no features
+            assert cell.error is None
+        else:
+            assert cell == failed[approach, seed]
+            assert cell.error.startswith("TrainingError: ")
+            assert cell.iteration == 0
+
+
+def test_a_failure_naming_no_run_trains_each_seed_alone(monkeypatch):
+    ds = toy_dataset()
+    args = (ds, ("joint-disc",), (0.0, 0.1), (0.5, 2.0))
+    alone = {}
+    for seed in (0, 2):
+        alone.update(cells_by_seed(cost_sweep(*args, (seed,),
+                                              train_cfg=small_cfg())))
+    real, stacks = evaluation.train_joint, []
+
+    def train_joint(runs, team, cost_weights):
+        stacks.append([cfg.seed for _, cfg in runs])
+        if any(cfg.seed == 1 for _, cfg in runs):
+            raise RuntimeError("seed 1 cannot train")
+        return real(runs, team, cost_weights)
+
+    monkeypatch.setattr(evaluation, "train_joint", train_joint)
+    cells = cells_by_seed(cost_sweep(*args, (0, 1, 2),
+                                     train_cfg=small_cfg()))
+    assert stacks == [[0, 1, 2], [0], [1], [2]]
+    assert cells["joint-disc", 1].error == "RuntimeError: seed 1 cannot train"
+    assert cells["joint-disc", 0] == alone["joint-disc", 0]
+    assert cells["joint-disc", 2] == alone["joint-disc", 2]
 
 
 def test_lambda_mode_prefers_count_then_smallest():
@@ -440,7 +557,7 @@ def test_lambda_mode_prefers_count_then_smallest():
 def test_per_class_analysis_counts_and_absent_class():
     ds = toy_dataset(k=4)  # labels only ever reach 2: class 3 stays empty
     team = TeamConfig.accuracy(4, 0.05)
-    [disc] = train_joint(ds, team, small_cfg(), (1.0,))
+    [[disc]] = train_joint([(ds, small_cfg())], team, (1.0,))
     parts = disc.parts(ds.X)
     rows = per_class_analysis({"disc": parts}, ds, team.query_cost)
     assert [row["class"] for row in rows] == [0, 1, 2, 3]
@@ -492,7 +609,7 @@ def test_error_tree_routing_matches_leaf_stats():
 def test_error_tree_attaches_system_error_rates():
     ds, _ = planted_error_dataset()
     team = TeamConfig.accuracy(2, 0.05)
-    [disc] = train_joint(ds, team, small_cfg(), (1.0,))
+    [[disc]] = train_joint([(ds, small_cfg())], team, (1.0,))
     parts = disc.parts(ds.X)
     tree = human_error_tree(ds, {"disc": parts}, max_depth=1)
     machine = parts.machine

@@ -6,20 +6,23 @@ failing replica would alone.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
 from teamopt.calibration import PlattCalibrator
-from teamopt.data import Dataset
+from teamopt.data import Dataset, split
 from teamopt.discriminative import (SOLO_STREAMS, TeamConfig,
                                     joint_disc_loss_fn,
                                     query_policy_loss_fn, solo_ce_loss,
-                                    train_joint, train_query_policy,
-                                    train_solo_model, utility_loss_weights)
-from teamopt.errors import NumericError, ShapeError, TrainingError
-from teamopt.evaluation import cost_sweep
+                                    train_fixed, train_joint,
+                                    train_query_policy, train_solo_model,
+                                    utility_loss_weights)
+from teamopt.errors import (ConfigError, NumericError, ShapeError,
+                            TrainingError)
+from teamopt.evaluation import SPLIT_FRACTIONS, cost_sweep
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
                               finite_diff_check, init_mlp, loss_and_grad,
                               sample_dropout_masks, stable_softmax,
@@ -82,67 +85,121 @@ def test_nonfinite_stacked_loss_names_replica_and_instance():
 
 # --- stacked training equals one-at-a-time training --------------------------
 
-def test_joint_voi_grid_equals_single_runs():
-    ds = toy_dataset()
+SEEDS = (0, 1, 2)
+
+
+def seed_runs(cfg, n=200):
+    """One (dataset, cfg) run per seed of SEEDS, as a sweep stacks them:
+    the seed's training split of a toy dataset, `cfg` seeded to it."""
+    ds = toy_dataset(n)
+    return [(split(ds, SPLIT_FRACTIONS, s)[0], replace(cfg, seed=s))
+            for s in SEEDS]
+
+
+def assert_voi_identical(a, b):
+    assert a.train_cfg == b.train_cfg
+    for part in ("p_alpha", "p_beta", "p_gamma"):
+        assert_models_identical(getattr(a, part).model,
+                                getattr(b, part).model)
+        assert_calibrators_identical(getattr(a, part).calibrator,
+                                     getattr(b, part).calibrator)
+
+
+def test_fixed_voi_seeds_equal_single_runs():
+    runs = seed_runs(TrainConfig(iterations=25, hidden_dims=(6,)))
     team = TeamConfig.accuracy(3, 0.2)
-    cfg = TrainConfig(iterations=25, hidden_dims=(6,), seed=9,
-                      calibration_interval=10)  # refits at 10 and 20
-    warm = train_fixed_voi(ds, team, cfg)
-    grid = train_joint_voi(ds, team, cfg, LAMBDAS, warm)
-    assert len(grid) == len(LAMBDAS)
-    for lam, stacked in zip(LAMBDAS, grid):
-        [alone] = train_joint_voi(ds, team, cfg, (lam,), warm)
-        assert stacked.train_cfg == alone.train_cfg
-        for part in ("p_alpha", "p_beta", "p_gamma"):
-            assert_models_identical(getattr(stacked, part).model,
-                                    getattr(alone, part).model)
-            assert_calibrators_identical(getattr(stacked, part).calibrator,
-                                         getattr(alone, part).calibrator)
+    stacked = train_fixed_voi(runs, team)
+    assert len(stacked) == len(runs)
+    for run, system in zip(runs, stacked):
+        assert_voi_identical(system, train_fixed_voi([run], team)[0])
+    assert not np.array_equal(stacked[0].p_alpha.model.weights[0],
+                              stacked[1].p_alpha.model.weights[0])
+
+
+def test_joint_voi_grid_equals_single_runs():
+    runs = seed_runs(TrainConfig(iterations=25, hidden_dims=(6,),
+                                 calibration_interval=10))  # refits at 10, 20
+    team = TeamConfig.accuracy(3, 0.2)
+    starts = [(*run, start)
+              for run, start in zip(runs, train_fixed_voi(runs, team))]
+    grid = train_joint_voi(starts, team, LAMBDAS)
+    assert [len(systems) for systems in grid] == [len(LAMBDAS)] * len(runs)
+    for run, systems in zip(starts, grid):
+        for lam, stacked in zip(LAMBDAS, systems):
+            [[alone]] = train_joint_voi([run], team, (lam,))
+            assert_voi_identical(stacked, alone)
     # the cost weight mattered, so the replicas did not train alike
-    assert not np.array_equal(grid[0].p_alpha.model.weights[0],
-                              grid[-1].p_alpha.model.weights[0])
+    assert not np.array_equal(grid[0][0].p_alpha.model.weights[0],
+                              grid[0][-1].p_alpha.model.weights[0])
 
 
 def test_joint_disc_grid_equals_single_runs():
-    ds = toy_dataset()
+    runs = seed_runs(TrainConfig(iterations=40, hidden_dims=(6,)))
     team = TeamConfig.accuracy(3, 0.2)
-    cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4)
-    grid = train_joint(ds, team, cfg, LAMBDAS)
-    for lam, stacked in zip(LAMBDAS, grid):
-        [alone] = train_joint(ds, team, cfg, (lam,))
-        assert stacked.train_cfg == alone.train_cfg
-        assert_models_identical(stacked.m, alone.m)
-        assert_models_identical(stacked.q, alone.q)
-    assert not np.array_equal(grid[0].q.weights[0], grid[-1].q.weights[0])
+    grid = train_joint(runs, team, LAMBDAS)
+    for run, systems in zip(runs, grid):
+        for lam, stacked in zip(LAMBDAS, systems):
+            [[alone]] = train_joint([run], team, (lam,))
+            assert stacked.train_cfg == alone.train_cfg
+            assert_models_identical(stacked.m, alone.m)
+            assert_models_identical(stacked.q, alone.q)
+    assert not np.array_equal(grid[0][0].q.weights[0],
+                              grid[0][-1].q.weights[0])
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
 def test_solo_replicas_equal_single_runs(dropout_rate):
     # each replica draws its own batches and masks from its own streams
-    ds = toy_dataset()
+    runs = seed_runs(TrainConfig(iterations=40, hidden_dims=(6,),
+                                 dropout_rate=dropout_rate))
     team = TeamConfig.accuracy(3)
-    cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4,
-                      dropout_rate=dropout_rate)
-    pairs = [(None, STREAM_ALPHA), (ds.h, STREAM_BETA), (None, SOLO_STREAMS)]
-    stacked = train_solo_model(ds, team, cfg, pairs)
-    assert len(stacked) == len(pairs)
-    for pair, model in zip(pairs, stacked):
-        [alone] = train_solo_model(ds, team, cfg, [pair])
-        assert_models_identical(model, alone)
-    assert not np.array_equal(stacked[0].weights[0], stacked[1].weights[0])
+    pairs = [("y", STREAM_ALPHA), ("h", STREAM_BETA), ("y", SOLO_STREAMS)]
+    stacked = train_solo_model(runs, team, pairs)
+    assert [len(models) for models in stacked] == [len(pairs)] * len(runs)
+    for run, models in zip(runs, stacked):
+        for pair, model in zip(pairs, models):
+            [[alone]] = train_solo_model([run], team, [pair])
+            assert_models_identical(model, alone)
+    assert not np.array_equal(stacked[0][0].weights[0],
+                              stacked[0][1].weights[0])
 
 
 def test_query_policy_grid_equals_single_runs():
-    ds = toy_dataset()
+    runs = seed_runs(TrainConfig(iterations=40, hidden_dims=(6,)))
     team = TeamConfig.accuracy(3)
-    cfg = TrainConfig(iterations=40, hidden_dims=(6,), seed=4)
-    [m] = train_solo_model(ds, team, cfg)
+    runs = [(*run, m) for run, [m] in zip(runs, train_solo_model(runs, team))]
     costs = (0.0, 0.1, 0.3)
-    grid = train_query_policy(m, ds, team, cfg, costs)
-    for c, stacked in zip(costs, grid):
-        assert_models_identical(
-            stacked, train_query_policy(m, ds, team, cfg, (c,))[0])
-    assert not np.array_equal(grid[0].weights[0], grid[-1].weights[0])
+    grid = train_query_policy(runs, team, costs)
+    for run, policies in zip(runs, grid):
+        for c, stacked in zip(costs, policies):
+            assert_models_identical(
+                stacked, train_query_policy([run], team, (c,))[0][0])
+    assert not np.array_equal(grid[0][0].weights[0], grid[0][-1].weights[0])
+
+
+def test_fixed_disc_seeds_equal_single_runs():
+    runs = seed_runs(TrainConfig(iterations=40, hidden_dims=(6,)))
+    team = TeamConfig.accuracy(3)
+    costs = (0.0, 0.3)
+    for run, systems in zip(runs, train_fixed(runs, team, costs)):
+        for stacked, alone in zip(systems, train_fixed([run], team, costs)[0]):
+            assert stacked.train_cfg == alone.train_cfg
+            assert stacked.team == alone.team
+            assert_models_identical(stacked.m, alone.m)
+            assert_models_identical(stacked.q, alone.q)
+
+
+def test_runs_must_share_their_config_apart_from_the_seed():
+    [run0, run1, _] = seed_runs(TrainConfig(iterations=5, hidden_dims=(6,)))
+    team = TeamConfig.accuracy(3)
+    with pytest.raises(ConfigError, match="seed"):
+        train_joint([run0, (run1[0], replace(run1[1], learning_rate=0.5))],
+                    team, LAMBDAS)
+    with pytest.raises(ShapeError, match="minibatch"):
+        small = replace(run0[1], batch_size=1000)
+        train_joint([(run0[0], small),
+                     (run1[0].subset(np.arange(50)), replace(small, seed=1))],
+                    team, LAMBDAS)
 
 
 # --- the finite-difference contract holds per replica -----------------------
@@ -322,24 +379,24 @@ def test_joint_disc_grid_divergence_names_lambda_and_solo_iteration():
     cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0)
     with warnings.catch_warnings(), quiet():
         with pytest.raises(TrainingError) as stacked:
-            train_joint(ds, team, cfg, (1.0, 1e308))
+            train_joint([(ds, cfg)], team, (1.0, 1e308))
         with pytest.raises(TrainingError) as alone:
-            train_joint(ds, team, cfg, (1e308,))
+            train_joint([(ds, cfg)], team, (1e308,))
     assert "cost_weight=1e+308" in str(stacked.value)
     assert stacked.value.iteration == alone.value.iteration == 0
-    train_joint(ds, team, cfg, (1.0,))  # fine on its own
+    train_joint([(ds, cfg)], team, (1.0,))  # fine on its own
 
 
 def test_joint_voi_grid_divergence_names_lambda_and_solo_iteration():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3, 10.0)
     cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0)
-    warm = train_fixed_voi(ds, team, cfg)
+    [warm] = train_fixed_voi([(ds, cfg)], team)
     with warnings.catch_warnings(), quiet():
         with pytest.raises(TrainingError) as stacked:
-            train_joint_voi(ds, team, cfg, (1.0, 1e308), warm)
+            train_joint_voi([(ds, cfg, warm)], team, (1.0, 1e308))
         with pytest.raises(TrainingError) as alone:
-            train_joint_voi(ds, team, cfg, (1e308,), warm)
+            train_joint_voi([(ds, cfg, warm)], team, (1e308,))
     assert "cost_weight=1e+308" in str(stacked.value)
     assert stacked.value.iteration == alone.value.iteration == 0
 
@@ -349,12 +406,30 @@ def test_query_policy_grid_divergence_names_cost():
     team = TeamConfig.accuracy(3)
     cfg = TrainConfig(iterations=5, hidden_dims=(6,), seed=0,
                       cost_weight=1e308)
-    [m] = train_solo_model(ds, team, cfg)
+    [[m]] = train_solo_model([(ds, cfg)], team)
     with warnings.catch_warnings(), quiet():
         with pytest.raises(TrainingError) as stacked:
-            train_query_policy(m, ds, team, cfg, (0.0, 10.0))
+            train_query_policy([(ds, cfg, m)], team, (0.0, 10.0))
     assert "query_cost=10.0" in str(stacked.value)
     assert stacked.value.iteration == 0
+
+
+@pytest.mark.parametrize("diverging", [0, 2])
+def test_diverging_run_is_named_with_its_solo_error(diverging):
+    # features of +-1e308 overflow one run's forward pass; the stack names
+    # that run and raises the error its one-run training raises
+    runs = seed_runs(TrainConfig(iterations=5, hidden_dims=(6,)))
+    ds, cfg = runs[diverging]
+    runs[diverging] = (replace(ds, X=np.sign(ds.X) * 1e308), cfg)
+    team = TeamConfig.accuracy(3, 0.2)
+    with warnings.catch_warnings(), quiet():
+        with pytest.raises(TrainingError) as stacked:
+            train_joint(runs, team, LAMBDAS)
+        with pytest.raises(TrainingError) as alone:
+            train_joint([runs[diverging]], team, LAMBDAS)
+    assert stacked.value.run == diverging and alone.value.run == 0
+    assert str(stacked.value) == str(alone.value)
+    assert stacked.value.iteration == alone.value.iteration
 
 
 def test_diverging_lambda_fails_the_whole_sweep_cell():

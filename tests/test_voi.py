@@ -379,7 +379,7 @@ def test_joint_loss_matches_numpy_reference():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3, 0.05)
     cfg = TrainConfig(iterations=30, hidden_dims=(6,), seed=9)
-    system = train_fixed_voi(ds, team, cfg)
+    [system] = train_fixed_voi([(ds, cfg)], team)
     x, y, h = ds.X[7], int(ds.y[7]), int(ds.h[7])
     cals = (system.p_alpha.calibrator, system.p_beta.calibrator,
             system.p_gamma.calibrator)
@@ -537,7 +537,7 @@ def test_fixed_voi_trains_calibrated_system():
     ds = toy_dataset()
     team = TeamConfig.accuracy(3, 0.05)
     cfg = TrainConfig(iterations=30, hidden_dims=(6,), seed=9)
-    system = train_fixed_voi(ds, team, cfg)
+    [system] = train_fixed_voi([(ds, cfg)], team)
     system.require_calibrated()
     assert system.num_classes == 3
     parts = system.parts(ds.X)
@@ -552,7 +552,7 @@ def test_fixed_voi_trains_calibrated_system():
 def test_fixed_voi_gamma_beats_alpha_given_informative_response():
     ds = toy_dataset(n=400)
     cfg = TrainConfig(iterations=400, hidden_dims=(8,), seed=3)
-    system = train_fixed_voi(ds, TeamConfig.accuracy(3, 0.0), cfg)
+    [system] = train_fixed_voi([(ds, cfg)], TeamConfig.accuracy(3, 0.0))
     pa = system.p_alpha.predict_batch(ds.X)
     pg = system.p_gamma.predict_batch(gamma_input(ds.X, ds.h, 3))
     acc_alpha = (pa.argmax(axis=1) == ds.y).mean()
@@ -565,12 +565,12 @@ def test_joint_voi_warm_start_is_equivalent_and_fresh():
     team = TeamConfig.accuracy(3, 0.05)
     cfg = TrainConfig(iterations=30, hidden_dims=(6,), seed=9,
                       calibration_interval=10)
-    fixed = train_fixed_voi(ds, team, cfg)
+    [fixed] = train_fixed_voi([(ds, cfg)], team)
     cal_before = fixed.p_alpha.calibrator.a.copy()
     # a used start gives what a freshly trained one does
-    [j1] = train_joint_voi(ds, team, cfg, (cfg.cost_weight,), fixed)
-    [j2] = train_joint_voi(ds, team, cfg, (cfg.cost_weight,),
-                           train_fixed_voi(ds, team, cfg))
+    [[j1]] = train_joint_voi([(ds, cfg, fixed)], team, (cfg.cost_weight,))
+    [fresh] = train_fixed_voi([(ds, cfg)], team)
+    [[j2]] = train_joint_voi([(ds, cfg, fresh)], team, (cfg.cost_weight,))
     for part in ("p_alpha", "p_beta", "p_gamma"):
         assert models_equal(getattr(j1, part).model, getattr(j2, part).model)
         assert np.array_equal(getattr(j1, part).calibrator.a,
@@ -594,9 +594,9 @@ def test_recalibration_schedule(monkeypatch):
         counts.clear()
         cfg = TrainConfig(iterations=iterations, hidden_dims=(6,), seed=9,
                           calibration_interval=interval)
-        warm = train_fixed_voi(ds, team, cfg)
+        [warm] = train_fixed_voi([(ds, cfg)], team)
         monkeypatch.setattr(voi_mod, "_refit_calibrators", counting)
-        train_joint_voi(ds, team, cfg, (cfg.cost_weight,), warm)
+        train_joint_voi([(ds, cfg, warm)], team, (cfg.cost_weight,))
         monkeypatch.setattr(voi_mod, "_refit_calibrators", real)
         return len(counts)
 
@@ -620,11 +620,11 @@ def test_each_joint_refit_starts_from_the_previous_calibrators(monkeypatch):
 
     monkeypatch.setattr(calibration.PlattCalibrator, "fit",
                         classmethod(recording))
-    fixed = train_fixed_voi(ds, team, cfg)
+    [fixed] = train_fixed_voi([(ds, cfg)], team)
     assert [start for start, _ in calls] == [None] * 3  # a cold fit
     calls.clear()
     lams = (0.5, 2.0)
-    systems = train_joint_voi(ds, team, cfg, lams, fixed)
+    [systems] = train_joint_voi([(ds, cfg, fixed)], team, lams)
     # refits at iterations 2 and 4 and the final one; per refit, each
     # replica fits (alpha, beta, gamma)
     per_round = 3 * len(lams)
@@ -697,12 +697,13 @@ def test_joint_voi_divergence_reports_iteration():
     team = TeamConfig.accuracy(3, 0.05)
     cfg = TrainConfig(iterations=6, hidden_dims=(6,), seed=0,
                       calibration_interval=100)
-    start = train_fixed_voi(ds, team, cfg)
+    [start] = train_fixed_voi([(ds, cfg)], team)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError) as exc:
-                train_joint_voi(ds, team, replace(cfg, learning_rate=1e200),
-                                (cfg.cost_weight,), start)
+                train_joint_voi(
+                    [(ds, replace(cfg, learning_rate=1e200), start)], team,
+                    (cfg.cost_weight,))
     assert "joint training" in str(exc.value)
     assert exc.value.iteration is not None
