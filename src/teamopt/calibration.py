@@ -28,11 +28,15 @@ class PlattFit(NamedTuple):
     degenerate: bool  # single-class labels; (a, b) is the smoothed base rate
 
 
-def _nll(scores, targets, a, b):
-    """Platt objective at (a, b), and the unclipped sigmoid behind it."""
+_EYE2 = np.eye(2)
+
+
+def _nll(scores, targets, rest, a, b):
+    """Platt objective at (a, b), and the unclipped sigmoid behind it;
+    `rest` is 1 - targets."""
     p = stable_sigmoid(a * scores + b)
     q = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-    nll = -(targets * np.log(q) + (1.0 - targets) * np.log(1.0 - q)).sum()
+    nll = -(targets * np.log(q) + rest * np.log(1.0 - q)).sum()
     return float(nll), p
 
 
@@ -67,13 +71,14 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
     t_hi = (n_pos + 1.0) / (n_pos + 2.0)
     t_lo = 1.0 / (n_neg + 2.0)
     targets = np.where(pos, t_hi, t_lo)
+    rest = 1.0 - targets
     ss = s * s
 
     if start is None:
         a, b = 0.0, float(np.log((n_pos + 1.0) / (n_neg + 1.0)))
     else:
         a, b = float(start[0]) + 0.0, float(start[1]) + 0.0  # no -0.0
-    obj, p = _nll(s, targets, a, b)  # p is always sigma(a*s + b)
+    obj, p = _nll(s, targets, rest, a, b)  # p is always sigma(a*s + b)
     damping = 1e-6
     # An iteration is a function of (a, b, damping) alone. Under rounding
     # noise, accepted steps can leave (a, b) bit-unchanged while damping
@@ -85,22 +90,23 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
             break
         seen.add(damping)
         diff = p - targets
-        grad = np.array([float(diff @ s), float(diff.sum())])
-        if np.hypot(*grad) < _GRAD_TOL:
+        g0, g1 = float(diff @ s), float(diff.sum())
+        if np.hypot(g0, g1) < _GRAD_TOL:
             break
         w = p * (1.0 - p)
         ws = float(w @ s)
+        grad = np.array([g0, g1])
         hess = np.array([[float(w @ ss), ws], [ws, float(w.sum())]])
         # Retry with stronger damping until the step actually improves.
         accepted = False
         while damping < 1e12:
             try:
-                step = np.linalg.solve(hess + damping * np.eye(2), grad)
+                step = np.linalg.solve(hess + damping * _EYE2, grad)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
             new_a, new_b = a - float(step[0]), b - float(step[1])
-            new_obj, new_p = _nll(s, targets, new_a, new_b)
+            new_obj, new_p = _nll(s, targets, rest, new_a, new_b)
             if new_obj <= obj:
                 # a and b start at +0.0 or nonzero (+ 0.0 turns a -0.0
                 # start into +0.0) and x - x is +0.0, so they never hold

@@ -198,8 +198,15 @@ class DiscriminativeSystem:
 # the q-policy, (dataset, cfg, m)), and trains all of them, with every
 # variant of its grid, as one replica stack (see `numerics.fit`). Each run
 # draws its minibatches and dropout masks from its own streams, seeded by
-# its config, and its variants share them; so each run's results are
-# bit-identical to training it alone, and a one-seed call is the S=1 case.
+# its config, BLOCK_STEPS steps at a time, and its variants share them;
+# so each run's results are bit-identical to training it alone, and a
+# one-seed call is the S=1 case.
+
+# Training steps whose minibatch rows and dropout masks are drawn at once.
+# Each step sees the values it would draw alone; a longer block saves
+# little more and holds more memory.
+BLOCK_STEPS = 8
+
 
 def _batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return rng.choice(n, size=min(size, n), replace=False)
@@ -231,20 +238,42 @@ def _init_nets(runs, dims, head: str, stream: int) -> list[MlpModel]:
             for _, c, *_ in runs]
 
 
-def _stacked(parts, lead: tuple) -> np.ndarray:
-    """Same-shaped arrays, one per run or per replica, stacked on the
-    leading axes `lead`: (S, 1) for one per run, which broadcasts over
-    the run's variants, or a stack's own (S, G) for one per replica (see
-    `mlp_forward`)."""
-    # np.array rather than np.stack: the same array, several times faster
-    # on a few small parts; a lone part needs no copy
-    a = np.array(parts) if len(parts) > 1 else parts[0][None]
-    return a.reshape(lead + a.shape[1:])
+def _block_rows(fields, rngs, B: int, lead: tuple, steps: int) -> list:
+    """The minibatch rows of `steps` consecutive steps, one array per field.
+
+    Row source j (a run, or a replica of a solo stack) holds fields[k][j]
+    for each field k and draws its steps' index sets in step order from
+    rngs[j], as `_batch_indices` per step would. Each field is gathered
+    once per source into a (steps, *lead, B, ...) array, so step t's rows
+    are its C-contiguous view [t], laid out on `lead` as a step's batch
+    is: (S, 1) for one group of rows per run, which broadcasts over the
+    run's variants, or a stack's own (S, G) for rows per replica (see
+    `mlp_forward`).
+    """
+    idx = [np.array([_batch_indices(rng, len(a), B) for _ in range(steps)])
+           for rng, a in zip(rngs, fields[0])]
+    blocks = []
+    for arrays in fields:
+        block = np.empty((steps, len(arrays), B) + arrays[0].shape[1:],
+                         arrays[0].dtype)
+        for j, (a, i) in enumerate(zip(arrays, idx)):
+            block[:, j] = a[i]
+        blocks.append(block.reshape((steps,) + lead + block.shape[2:]))
+    return blocks
 
 
-def _rows(arrays, idx, lead: tuple) -> np.ndarray:
-    """Rows idx[k] of arrays[k] for each k, stacked on `lead`."""
-    return _stacked([a[i] for a, i in zip(arrays, idx)], lead)
+def _blockwise(draw, iterations: int):
+    """`fit`'s make_batch for batches drawn BLOCK_STEPS steps at a time:
+    draw(steps) returns the next `steps` steps' batches, in step order."""
+    block = []
+
+    def make_batch(it):
+        if it % BLOCK_STEPS == 0:
+            block.clear()  # free the last block before drawing the next
+            block.extend(draw(min(BLOCK_STEPS, iterations - it)))
+        return block[it % BLOCK_STEPS]
+
+    return make_batch
 
 
 def _by_run(items: list, G: int) -> list[list]:
@@ -300,21 +329,20 @@ def train_solo_model(runs, team: TeamConfig,
              for ds, c in runs for target, streams in replicas]
     models = [init_mlp(dims, SOFTMAX_HEAD, derive_rng(c.seed, init),
                        c.dropout_rate) for _, c, _, (init, _, _) in pairs]
-    rngs = [(derive_rng(c.seed, batch), derive_rng(c.seed, drop))
-            for _, c, _, (_, batch, drop) in pairs]
+    rngs_batch = [derive_rng(c.seed, batch)
+                  for _, c, _, (_, batch, _) in pairs]
+    rngs_drop = [derive_rng(c.seed, drop) for _, c, _, (_, _, drop) in pairs]
     X = [ds.X for ds, *_ in pairs]
     T = [getattr(ds, target) for ds, _, target, _ in pairs]
     lead = (len(runs), len(replicas))
 
-    def make_batch(it):
-        idx = [_batch_indices(rng_batch, len(x), B)
-               for x, (rng_batch, _) in zip(X, rngs)]
-        t = _rows(T, idx, lead)
-        return (_rows(X, idx, lead), t, w[t], sample_dropout_masks(
-            models[0], B, *(rng_drop for _, rng_drop in rngs), lead=lead))
+    def draw(steps):
+        Xb, t = _block_rows((X, T), rngs_batch, B, lead, steps)
+        return list(zip(Xb, t, w[t], sample_dropout_masks(
+            models[0], B, *rngs_drop, lead=lead, steps=steps)))
 
     fitted = fit({"m": stack_models(models, len(runs))}, solo_ce_loss,
-                 make_batch, cfg, "solo training")
+                 _blockwise(draw, cfg.iterations), cfg, "solo training")
     return _by_run(unstack_models(fitted["m"]), len(replicas))
 
 
@@ -392,16 +420,17 @@ def train_query_policy(runs, team: TeamConfig, costs
                     STREAM_INIT_Q)
     lead = (len(runs), 1)
 
-    def make_batch(it):
-        idx = [_batch_indices(rng, len(x), B)
-               for x, rng in zip(X, rngs_batch)]
-        return (*(_rows(a, idx, lead) for a in (X, m_y, hit, w_y)),
-                sample_dropout_masks(qs[0], B, *rngs_drop, lead=lead))
+    def draw(steps):
+        return list(zip(
+            *_block_rows((X, m_y, hit, w_y), rngs_batch, B, lead, steps),
+            sample_dropout_masks(qs[0], B, *rngs_drop, lead=lead,
+                                 steps=steps)))
 
     fitted = fit({"q": stack_models([q for q in qs for _ in costs],
                                     len(runs))},
-                 query_policy_loss_fn(cfg, costs), make_batch,
-                 cfg, "query-policy training",
+                 query_policy_loss_fn(cfg, costs),
+                 _blockwise(draw, cfg.iterations), cfg,
+                 "query-policy training",
                  [f"query_cost={c!r}" for c in costs])
     return _by_run(unstack_models(fitted["q"]), len(costs))
 
@@ -482,15 +511,15 @@ def train_joint(runs, team: TeamConfig, cost_weights
               for name, nets in (("m", ms), ("q", qs))}
     lead = (len(runs), 1)
 
-    def make_batch(it):
-        idx = [_batch_indices(rng, len(x), B)
-               for x, rng in zip(X, rngs_batch)]
-        return (*(_rows(a, idx, lead) for a in (X, y, hit, w_y)),
-                sample_dropout_masks(ms[0], B, *rngs_drop_m, lead=lead),
-                sample_dropout_masks(qs[0], B, *rngs_drop_q, lead=lead))
+    def draw(steps):
+        return list(zip(
+            *_block_rows((X, y, hit, w_y), rngs_batch, B, lead, steps),
+            *(sample_dropout_masks(net, B, *drops, lead=lead, steps=steps)
+              for net, drops in ((ms[0], rngs_drop_m),
+                                 (qs[0], rngs_drop_q)))))
 
     fitted = fit(models, joint_disc_loss_fn(team, cost_weights),
-                 make_batch, cfg, "joint training",
+                 _blockwise(draw, cfg.iterations), cfg, "joint training",
                  [f"cost_weight={lam!r}" for lam in cost_weights])
     G = len(cost_weights)
     return [[DiscriminativeSystem(m, q, team, replace(c, cost_weight=lam))

@@ -1,11 +1,12 @@
 """Differentiable MLP core: forward passes, loss gradients, SGD, checks.
 
-Models are plain dataclasses of float64 arrays and are treated as immutable
-values: `sgd_step` returns a new model. Every trainer runs through `fit`,
-the one SGD loop, which steps a stack of R same-shaped replicas
+Models are plain dataclasses of float64 arrays. Every trainer runs through
+`fit`, the one SGD loop, which steps a stack of R same-shaped replicas
 (`stack_models`): the variants of one or more independent runs, each run
 on its own minibatches, which its variants share; a single training is
-the R=1 stack. Training losses are closed-form: each
+the R=1 stack. `fit` copies the stacks it is given once and `sgd_step`
+updates that copy in place, so the caller's models are left as they were.
+Training losses are closed-form: each
 returns its per-instance values and a backward function (see
 `loss_and_grad`) written by hand on top of the one
 `mlp_forward`/`mlp_backward` pair. The contract for every
@@ -178,22 +179,40 @@ def stable_sigmoid(x) -> np.ndarray:
 
 
 def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
-                         lead: tuple = ()) -> list[np.ndarray] | None:
+                         lead: tuple = (), steps: int | None = None
+                         ) -> list | None:
     """Inverted-dropout masks for each hidden layer of a batch of n rows:
     (n, dim) from one generator, or one batch per generator of `rngs`,
     stacked on the leading axes `lead` (see `mlp_forward`). Each generator
-    draws what it would draw alone."""
+    draws what it would draw alone.
+
+    With `steps`, the masks of that many consecutive training steps: a
+    list of one step's masks each, holding the values that `steps` calls
+    without it would draw in turn. Each generator fills all of its steps
+    with one draw, and each step's masks are C-contiguous views.
+    """
     p = model.dropout_rate
     if p == 0.0:
-        return None
+        return None if steps is None else [None] * steps
     scale = 1.0 / (1.0 - p)  # True * scale has the bits of True / keep
-    masks = []
-    for dim in model.layer_dims[1:-1]:
-        u = np.empty((len(rngs), n, dim))
-        for rng, out in zip(rngs, u):
-            rng.random(out=out)
-        masks.append(((u >= p) * scale).reshape(lead + (n, dim)))
-    return masks
+    dims = model.layer_dims[1:-1]
+    T = 1 if steps is None else steps
+    # a step takes its layers in order from each generator's stream
+    u = np.empty((len(rngs), T, n * sum(dims)))
+    for rng, out in zip(rngs, u):
+        rng.random(out=out)
+    keep = u >= p
+    del u
+    masks, at = [], 0
+    for dim in dims:
+        # step-major, so that each step's (generators, n, dim) is contiguous
+        m = np.empty((T, len(rngs), n * dim))
+        np.multiply(keep[:, :, at:at + n * dim].swapaxes(0, 1), scale, out=m)
+        masks.append(m.reshape((T,) + lead + (n, dim)))
+        at += n * dim
+    if steps is None:
+        return [m[0] for m in masks]
+    return [list(step) for step in zip(*masks)]
 
 
 def _check_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -318,16 +337,24 @@ def loss_value(models: dict[str, MlpModel], batch, loss_fn) -> float:
     return _objective(loss_fn(models, batch)[0])
 
 
-def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float) -> MlpModel:
-    """One plain SGD update; returns a new model, inputs untouched."""
-    if len(grads.weights) != len(model.weights):
+def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float
+             ) -> MlpModel:
+    """One plain SGD update, in place; returns the model.
+
+    `w -= lr * g` gives the bits of `w - lr * g`.
+    """
+    params = model.weights + model.biases
+    deltas = grads.weights + grads.biases
+    if len(grads.weights) != len(model.weights) or \
+            len(deltas) != len(params):
         raise ShapeError("gradient set does not match model")
-    for gw, w in zip(grads.weights, model.weights):
-        if gw.shape != w.shape:
-            raise ShapeError(f"gradient shape {gw.shape} != weight {w.shape}")
-    new_w = [w - learning_rate * g for w, g in zip(model.weights, grads.weights)]
-    new_b = [b - learning_rate * g for b, g in zip(model.biases, grads.biases)]
-    return replace(model, weights=new_w, biases=new_b)
+    for g, p in zip(deltas, params):
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter"
+                             f" {p.shape}")
+    for p, g in zip(params, deltas):
+        p -= learning_rate * g
+    return model
 
 
 def stack_models(models, runs: int | None = None) -> MlpModel:
@@ -369,15 +396,21 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
     `models` maps names to stacks from `stack_models`, all with the same
     replica axes: (G,) variants of one run, or (S, G) for G variants of
     each of S independent runs (one per seed, say). `make_batch(it)`
-    draws a step's batch indices, dropout masks and constant arrays from
-    each run's own streams (or each replica's, see `mlp_forward`), and
+    returns step it's batch: its rows, dropout masks and constant arrays,
+    drawn from each run's own streams (or each replica's, see
+    `mlp_forward`); it is called once per step, in step order.
     `loss_fn(models, batch)` follows the `loss_and_grad` contract, so each
     replica trains exactly as it would alone.
-    `on_step(it, models)` runs after every update. A non-finite loss
+    The stacks are copied once and updated in place, so `models` is left
+    as it was; `on_step(it, models)` runs after every update and must not
+    keep the arrays it is handed. A non-finite loss
     raises TrainingError carrying the iteration and the index of the run
     that failed first and, when the G `variant_labels` are given, naming
     that run's first failing variant: the error its run raises alone.
     """
+    models = {name: replace(m, weights=[w.copy() for w in m.weights],
+                            biases=[b.copy() for b in m.biases])
+              for name, m in models.items()}
     for it in range(cfg.iterations):
         batch = make_batch(it)
         try:
@@ -390,8 +423,8 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
                 where = f" ({variant_labels[variant]})"
             raise TrainingError(f"{what} diverged at iteration {it}{where}",
                                 iteration=it, run=run) from e
-        models = {name: sgd_step(m, grads[name], cfg.learning_rate)
-                  for name, m in models.items()}
+        for name, m in models.items():
+            sgd_step(m, grads[name], cfg.learning_rate)
         if on_step is not None:
             on_step(it, models)
     return models

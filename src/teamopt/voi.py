@@ -19,8 +19,8 @@ import numpy as np
 
 from .calibration import PlattCalibrator, calibrate_batch, calibrated_head
 from .data import Dataset
-from .discriminative import (DecisionParts, TeamConfig, _batch_indices,
-                             _batch_size, _by_run, _rows, _streams,
+from .discriminative import (DecisionParts, TeamConfig, _batch_size,
+                             _block_rows, _blockwise, _by_run, _streams,
                              derive_rng, mixture_loss, train_solo_model,
                              utility_loss_weights)
 from .errors import InputError, StateError
@@ -396,13 +396,19 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
             for parts in starts for _ in cost_weights]
     cal = batch_calibrator(cals)
 
+    def draw(steps):
+        return list(zip(
+            *_block_rows((X, h, y), rngs_batch, B, lead, steps),
+            *(sample_dropout_masks(part.model, n, *rngs, lead=lead,
+                                   steps=steps)
+              for part, n, rngs in zip(starts[0], (B, B, B * K),
+                                       rngs_drop))))
+
+    step_rows = _blockwise(draw, cfg.iterations)
+
     def make_batch(it):
-        idx = [_batch_indices(rng, len(x), B)
-               for x, rng in zip(X, rngs_batch)]
-        masks = [sample_dropout_masks(part.model, n, *rngs, lead=lead)
-                 for part, n, rngs in zip(starts[0], (B, B, B * K),
-                                          rngs_drop)]
-        Xb, hb, yb = (_rows(a, idx, lead) for a in (X, h, y))
+        # the calibrators are the latest refit's, so not drawn ahead
+        Xb, hb, yb, *masks = step_rows(it)
         return joint_voi_batch(Xb, hb, yb, w, cal, masks, onehots)
 
     def refit(models):

@@ -11,9 +11,10 @@ import pytest
 from teamopt import tape
 from teamopt.discriminative import solo_ce_loss
 from teamopt.errors import ConfigError, InputError, NumericError, ShapeError
-from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                              TrainConfig, finite_diff_check, forward_batch,
-                              init_mlp, loss_and_grad, loss_value,
+from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, GradientSet,
+                              MlpModel, TrainConfig, finite_diff_check,
+                              forward_batch, init_mlp, loss_and_grad,
+                              loss_value,
                               max_last, mlp_backward, mlp_forward,
                               sample_dropout_masks, sgd_step, stable_sigmoid,
                               stable_softmax, stack_models, sum_last)
@@ -386,12 +387,19 @@ def test_sgd_shape_mismatch_rejected():
         sgd_step(m, bad, 0.1)
 
 
-def test_sgd_returns_new_model():
-    m = one_weight_model(1.0)
-    grads = loss_and_grad({"m": m}, None,
-                          linear_loss(1.0, np.ones((1, 1))))[1]["m"]
-    sgd_step(m, grads, 0.1)
-    assert m.weights[0][0, 0, 0] == 1.0  # input untouched
+def test_sgd_updates_the_model_in_place():
+    # the bits of w - lr * g, written into the arrays of the stack passed in
+    rng = np.random.default_rng(8)
+    m = stack_models([init_mlp((3, 5, 4, 2), SOFTMAX_HEAD, rng)
+                      for _ in range(2)])
+    grads = GradientSet([rng.standard_normal(w.shape) for w in m.weights],
+                        [rng.standard_normal(b.shape) for b in m.biases])
+    arrays = m.weights + m.biases
+    want = [p - 0.37 * g for p, g in zip(arrays,
+                                         grads.weights + grads.biases)]
+    assert sgd_step(m, grads, 0.37) is m
+    assert all(p is q for p, q in zip(m.weights + m.biases, arrays))
+    assert [p.tobytes() for p in arrays] == [w.tobytes() for w in want]
 
 
 # --- TrainConfig / MlpModel validation -------------------------------------

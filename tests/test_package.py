@@ -65,8 +65,9 @@ def fresh_python(code: str, *args: str) -> str:
 
 def test_tracer_spans_every_trainer_a_sweep_runs(tmp_path):
     # the tracer wraps functions by name, and it patches modules for good,
-    # hence the fresh interpreter; a trainer the sweep reaches under
-    # another name would read 0 in the benchmark's per-layer metrics
+    # hence the fresh interpreter; a trainer or step layer the sweep
+    # reaches under another name would read 0 in the benchmark's per-layer
+    # metrics (numerics.dropout_us and numerics.sgd_step_us among them)
     config = {
         "dataset": {"synthetic": {"num_classes": 3, "feature_dim": 4,
                                   "n": 300, "class_priors": [0.5, 0.3, 0.2],
@@ -88,11 +89,12 @@ def test_tracer_spans_every_trainer_a_sweep_runs(tmp_path):
             "print(json.dumps(collections.Counter(s[0] for s in spans)))\n")
     counts = json.loads(fresh_python(code, str(TRACER.parent),
                                      str(tmp_path), str(path)))
-    trainers = ["discriminative.train_fixed",
-                "discriminative.train_query_policy",
-                "discriminative.train_joint", "voi.train_fixed_voi",
-                "voi.train_joint_voi"]
-    assert [t for t in trainers if not counts.get(t)] == []
+    reached = ["discriminative.train_fixed",
+               "discriminative.train_query_policy",
+               "discriminative.train_joint", "voi.train_fixed_voi",
+               "voi.train_joint_voi", "numerics.sample_dropout_masks",
+               "numerics.sgd_step"]
+    assert [t for t in reached if not counts.get(t)] == []
 
 
 def modules_loaded_by_run_path() -> set[str]:

@@ -10,11 +10,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from teamopt import voi
 from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset, split
 from teamopt.discriminative import (SOLO_STREAMS, TeamConfig,
+                                    _batch_indices, _block_rows, _blockwise,
                                     joint_disc_loss_fn,
                                     query_policy_loss_fn, solo_ce_loss,
                                     train_fixed, train_joint,
@@ -23,7 +27,7 @@ from teamopt.discriminative import (SOLO_STREAMS, TeamConfig,
 from teamopt.errors import (ConfigError, NumericError, ShapeError,
                             TrainingError)
 from teamopt.evaluation import SPLIT_FRACTIONS, cost_sweep
-from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
+from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig, fit,
                               finite_diff_check, init_mlp, loss_and_grad,
                               sample_dropout_masks, stable_softmax,
                               stack_models, unstack_models)
@@ -441,3 +445,179 @@ def test_diverging_lambda_fails_the_whole_sweep_cell():
     cell = results[0].cells[0]
     assert cell.rows == [] and results[0].records == []
     assert "TrainingError" in cell.error and "1e+308" in cell.error
+
+
+# --- step inputs drawn a block of steps at a time -----------------------------
+
+def rngs_of(seed, S):
+    return [np.random.default_rng([seed, j]) for j in range(S)]
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous  # a strided step would change BLAS paths
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 3), hidden=st.sampled_from([(5,), (4, 3)]),
+       rate=st.sampled_from([0.0, 0.3]), n=st.integers(1, 6),
+       iterations=st.integers(1, 20), block=st.integers(1, 9),
+       per_run=st.booleans(), seed=st.integers(0, 2**16))
+def test_block_masks_equal_per_step_draws(S, hidden, rate, n, iterations,
+                                          block, per_run, seed):
+    # blocks of `block` steps, the last one short when block does not
+    # divide iterations, give each step the masks of a per-step draw
+    m = init_mlp((2, *hidden, 3), SOFTMAX_HEAD, np.random.default_rng(0),
+                 rate)
+    lead = (S, 1) if per_run else (S,)
+    ref, blk = rngs_of(seed, S), rngs_of(seed, S)
+    got = []
+    for start in range(0, iterations, block):
+        got += sample_dropout_masks(m, n, *blk, lead=lead,
+                                    steps=min(block, iterations - start))
+    assert len(got) == iterations
+    for step in got:
+        want = sample_dropout_masks(m, n, *ref, lead=lead)
+        if rate == 0.0:
+            assert step is None and want is None
+            continue
+        assert len(step) == len(want) == len(hidden)
+        for g, w in zip(step, want):
+            assert g.shape == lead + w.shape[-2:]
+            assert_same_array(g, w)
+
+
+@st.composite
+def row_sources(draw):
+    """(lead, B, fields): the row sources of an (S, G) stack, one per run
+    (lead (S, 1)) or one per replica (lead (S, G)), of unequal lengths."""
+    S, G = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lead = (S, G) if draw(st.booleans()) else (S, 1)
+    B = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(B, B + 12), min_size=lead[0] * lead[1],
+                          max_size=lead[0] * lead[1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = [rng.standard_normal((k, 3)) for k in sizes]
+    y = [rng.integers(0, 4, k) for k in sizes]
+    return lead, B, (X, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=row_sources(), iterations=st.integers(1, 20),
+       seed=st.integers(0, 2**16))
+def test_block_rows_equal_per_step_gathers(case, iterations, seed):
+    lead, B, fields = case
+    m = init_mlp((3, 4, 2), SOFTMAX_HEAD, np.random.default_rng(0), 0.5)
+    sources = len(fields[0])
+    ref_rows, ref_drop = rngs_of(seed, sources), rngs_of(seed + 1, sources)
+    blk_rows, blk_drop = rngs_of(seed, sources), rngs_of(seed + 1, sources)
+
+    def draw(steps):
+        return list(zip(*_block_rows(fields, blk_rows, B, lead, steps),
+                        sample_dropout_masks(m, B, *blk_drop, lead=lead,
+                                             steps=steps)))
+
+    make_batch = _blockwise(draw, iterations)
+    for it in range(iterations):
+        *rows, masks = make_batch(it)
+        idx = [_batch_indices(rng, len(a), B)
+               for rng, a in zip(ref_rows, fields[0])]
+        for got, arrays in zip(rows, fields):
+            want = np.array([a[i] for a, i in zip(arrays, idx)])
+            assert_same_array(got, want.reshape(lead + want.shape[1:]))
+        [want_mask] = sample_dropout_masks(m, B, *ref_drop, lead=lead)
+        assert_same_array(masks[0], want_mask)
+
+
+def nan_at(iteration, run):
+    """A make_batch whose per-instance weights are NaN at one step of one
+    run: the loss of every variant of that run is non-finite there."""
+    B = 4
+    X = np.linspace(-1.0, 1.0, 3 * B).reshape(3, B, 1)[:, None]  # (S, 1)
+    drawn = 0
+
+    def draw(steps):
+        nonlocal drawn
+        w = np.ones((steps, 3, 1, B))
+        if drawn <= iteration < drawn + steps:
+            w[iteration - drawn, run] = np.nan
+        drawn += steps
+        return [(X, np.zeros((3, 1, B), int), w_t, None) for w_t in w]
+
+    return draw
+
+
+@settings(max_examples=30, deadline=None)
+@given(iterations=st.integers(1, 20), data=st.data())
+def test_fit_reports_a_divergence_inside_a_block(iterations, data):
+    iteration = data.draw(st.integers(0, iterations - 1))
+    run = data.draw(st.integers(0, 2))
+    G = 2
+    m = stack_models([init_mlp((1, 2), SOFTMAX_HEAD,
+                               np.random.default_rng(r)) for r in range(6)],
+                     3)
+    before = [a.copy() for a in m.weights + m.biases]
+    cfg = TrainConfig(iterations=iterations, dropout_rate=0.0)
+    with pytest.raises(TrainingError) as info:
+        fit({"m": m}, solo_ce_loss, _blockwise(nan_at(iteration, run),
+                                               iterations), cfg, "toy",
+            [f"v{g}" for g in range(G)])
+    assert (info.value.iteration, info.value.run) == (iteration, run)
+    assert str(info.value) == f"toy diverged at iteration {iteration} (v0)"
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(m.weights + m.biases, before))
+
+
+def test_fit_leaves_the_callers_stacks_untouched():
+    runs = seed_runs(TrainConfig(iterations=11, hidden_dims=(6,)))
+    models = [init_mlp((4, 6, 3), SOFTMAX_HEAD, np.random.default_rng(s))
+              for s in range(len(runs))]
+    stack = stack_models(models, len(runs))
+    before = [a.copy() for a in stack.weights + stack.biases]
+    X = [ds.X for ds, _ in runs]
+    y = [ds.y for ds, _ in runs]
+    rngs, drops = rngs_of(3, len(runs)), rngs_of(4, len(runs))
+    lead = (len(runs), 1)
+
+    def draw(steps):
+        Xb, yb = _block_rows((X, y), rngs, 64, lead, steps)
+        return list(zip(Xb, yb, np.ones(yb.shape), sample_dropout_masks(
+            models[0], 64, *drops, lead=lead, steps=steps)))
+
+    fitted = fit({"m": stack}, solo_ce_loss, _blockwise(draw, 11),
+                 runs[0][1], "toy")["m"]
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(stack.weights + stack.biases, before))
+    assert not any(np.array_equal(a, b)
+                   for a, b in zip(fitted.weights, stack.weights))
+
+
+def test_joint_voi_steps_use_the_latest_refit(monkeypatch):
+    # batches are drawn ahead a block at a time, but each step's
+    # calibrators are those of the refit before it, here at a refit
+    # interval that does not divide the block
+    made, used = [], []
+
+    def joint_calibrator(cals, B):
+        made.append(real_calibrator(cals, B))
+        return made[-1]
+
+    def joint_voi_batch(X, h, y, w, cal, *rest):
+        used.append(cal)
+        return real_batch(X, h, y, w, cal, *rest)
+
+    real_calibrator, real_batch = voi.joint_calibrator, voi.joint_voi_batch
+    monkeypatch.setattr(voi, "joint_calibrator", joint_calibrator)
+    monkeypatch.setattr(voi, "joint_voi_batch", joint_voi_batch)
+    runs = seed_runs(TrainConfig(iterations=12, hidden_dims=(6,),
+                                 calibration_interval=5))[:2]
+    team = TeamConfig.accuracy(3, 0.2)
+    starts = [(*run, start)
+              for run, start in zip(runs, train_fixed_voi(runs, team))]
+    train_joint_voi(starts, team, LAMBDAS)
+    # refits after steps 4 and 9, then the final one
+    assert len(made) == 4 and len(used) == 12
+    want = [0] * 5 + [1] * 5 + [2] * 2
+    assert [next(k for k, c in enumerate(made)
+                 if np.shares_memory(c.a, cal.a)) for cal in used] == want
