@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the cost sweep and emit reports")
     _add_common(p)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per work unit"
+                   help="worker processes, at most one per work unit;"
+                        " seeds split into more units only to fill them"
                         " (default 1, fully serial)")
     p = sub.add_parser("analyze", help="per-class table and human-error tree")
     _add_common(p)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -312,13 +313,36 @@ def _work_units(names) -> list[tuple[str, ...]]:
     return [_SHARED_UNIT] + [(a,) for a in names if a not in _SHARED_UNIT]
 
 
-def _seed_groups(seeds: list, jobs: int) -> list[list]:
-    """`seeds` in config order, cut into min(jobs, len(seeds)) contiguous
+def _seed_groups(seeds: list, k: int) -> list[list]:
+    """`seeds` in config order, cut into min(k, len(seeds)) contiguous
     groups of near-equal size: the seeds of one work unit each."""
-    k = min(jobs, len(seeds))
+    k = min(k, len(seeds))
     q, r = divmod(len(seeds), k)
     return [seeds[i * q + min(i, r):(i + 1) * q + min(i + 1, r)]
             for i in range(k)]
+
+
+# The most seeds one work unit trains as a stack. Past a few seeds a
+# stack saves little more time per seed, while its memory keeps growing.
+MAX_STACK_SEEDS = 4
+
+
+def _work_plan(names, seeds: list, jobs: int) -> list[tuple]:
+    """The sweep's work units as (approaches, seeds) pairs, in
+    `_work_units` order.
+
+    Every unit's seeds are cut into the same k contiguous groups
+    (`_seed_groups`): as few as keep each group within MAX_STACK_SEEDS,
+    and, when fewer units train than the pool has `jobs` workers, enough
+    that each worker can get one. A unit of human-only, which trains
+    nothing, does not count.
+    """
+    units = _work_units(names)
+    trained = sum(any(APPROACHES[a] for a in unit) for unit in units) or 1
+    S = len(seeds)
+    k = min(S, max(-(-S // MAX_STACK_SEEDS), -(-jobs // trained)))
+    return [(unit, group) for unit in units
+            for group in _seed_groups(seeds, k)]
 
 
 def _approach_cells(approach, dataset, seeds, costs, lam_grid, team, cfg,
@@ -341,24 +365,40 @@ def _approach_cells(approach, dataset, seeds, costs, lam_grid, team, cfg,
     return cells
 
 
-def _run_cell(args) -> list[SweepCell]:
+def _run_cell(args) -> tuple[list[SweepCell], float]:
     """Run one work unit: each of its approaches over its group of seeds,
     the seeds trained as one replica stack and scored one at a time; one
-    cell per approach and seed.
+    cell per approach and seed, and the unit's wall seconds.
 
     A failing approach or seed fails only its own cell, also within a
     unit, with the error its one-seed run gives; the unit's other cells
     keep the results they get alone.
     """
+    start = time.perf_counter()
     dataset, approaches, seeds, costs, lam_grid, team, cfg = args
     shared = {}
-    return [cell for approach in approaches
-            for cell in _approach_cells(approach, dataset, seeds, costs,
-                                        lam_grid, team, cfg, shared)]
+    cells = [cell for approach in approaches
+             for cell in _approach_cells(approach, dataset, seeds, costs,
+                                         lam_grid, team, cfg, shared)]
+    return cells, time.perf_counter() - start
+
+
+def _finished(item, cells: list[SweepCell], seconds: float | None
+              ) -> list[SweepCell]:
+    """Log work unit `item`'s line and return its cells; `seconds` is
+    None when its worker died."""
+    _, approaches, seeds, *_ = item
+    logger.info("work unit finished: approaches=%s seeds=%s seconds=%s"
+                " failed=%d", ",".join(approaches),
+                ",".join(map(str, seeds)),
+                "-" if seconds is None else f"{seconds:.3f}",
+                sum(c.error is not None for c in cells))
+    return cells
 
 
 def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
-    """`_run_cell` over `work` in a pool of `workers` processes.
+    """`_run_cell` over `work` in a pool of `workers` processes, each unit
+    logged as it is collected (`_finished`).
 
     A unit whose worker died fails one cell per approach and seed of the
     unit; units that completed keep their rows.
@@ -370,12 +410,14 @@ def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
     units = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_cell, item) for item in work]
-        for (_, approaches, seeds, *_), future in zip(work, futures):
+        for item, future in zip(work, futures):
             try:
-                units.append(future.result())
+                units.append(_finished(item, *future.result()))
             except BrokenProcessPool as e:
-                units.append([SweepCell.failed(a, seed, e)
-                              for a in approaches for seed in seeds])
+                _, approaches, seeds, *_ = item
+                units.append(_finished(item, [
+                    SweepCell.failed(a, seed, e)
+                    for a in approaches for seed in seeds], None))
     return units
 
 
@@ -405,14 +447,17 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     run gives; failed cells are logged, skipped in the averages and listed
     in each result's `failures`, and each result's `seeds` lists the seeds
     its averages cover, in config order.
-    A serial sweep runs each approach, or the VOI pair, as one work unit
-    over all seeds. With `jobs` > 1 each approach's seeds are cut into
-    min(jobs, len(seeds)) contiguous groups, one work unit each, which run
-    in a process pool of at most `jobs` workers, and no more workers than
-    units; a unit whose worker dies fails its cells and the other units
-    keep theirs. Negative or non-finite costs or λ values, a seed that is
-    not a non-negative integer, a repeated seed, and `jobs` < 1 raise
-    ConfigError before any cell starts.
+    A work unit is an approach, or the VOI pair, over one contiguous
+    group of seeds (`_work_plan`): every approach's seeds are cut into as
+    few groups as keep each within MAX_STACK_SEEDS, serial or not, and
+    into more only when fewer units train than `jobs`, so that each
+    worker can get one. With `jobs` > 1 the units run in a process pool
+    of at most `jobs` workers, and no more workers than units; a unit
+    whose worker dies fails its cells and the other units keep theirs.
+    Each finished unit logs one line with its approaches, seeds, wall
+    seconds and failed-cell count. Negative or non-finite costs or λ
+    values, a seed that is not a non-negative integer, a repeated seed,
+    and `jobs` < 1 raise ConfigError before any cell starts.
     """
     names = sorted(set(approaches))
     unknown = [a for a in names if a not in APPROACHES]
@@ -438,12 +483,11 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     team = team or TeamConfig.accuracy(dataset.num_classes)
     cfg = train_cfg or TrainConfig()
     work = [(dataset, unit, group, costs, lam_grid, team, cfg)
-            for unit in _work_units(names)
-            for group in _seed_groups(seeds, jobs)]
+            for unit, group in _work_plan(names, seeds, jobs)]
     if jobs > 1:
         units = _run_pool(work, min(jobs, len(work)))
     else:
-        units = [_run_cell(item) for item in work]
+        units = [_finished(item, *_run_cell(item)) for item in work]
     cells = [cell for unit in units for cell in unit]
 
     results = []

@@ -407,27 +407,63 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
     raises TrainingError carrying the iteration and the index of the run
     that failed first and, when the G `variant_labels` are given, naming
     that run's first failing variant: the error its run raises alone.
+    A replica with a network whose input weights never moved, as when
+    saturated inputs or zero loss weights zero their every gradient,
+    raises the same way after the last step, without an iteration
+    (`_untrained`).
     """
+    start = models
     models = {name: replace(m, weights=[w.copy() for w in m.weights],
                             biases=[b.copy() for b in m.biases])
               for name, m in models.items()}
+    G = next(iter(models.values())).weights[0].shape[-3]
+
+    def labelled(variant):
+        return "" if variant_labels is None else \
+            f" ({variant_labels[variant]})"
+
     for it in range(cfg.iterations):
         batch = make_batch(it)
         try:
             _, grads = loss_and_grad(models, batch, loss_fn)
         except NumericError as e:
-            G = next(iter(models.values())).weights[0].shape[-3]
             run, variant = divmod(e.replica, G)
-            where = ""
-            if variant_labels is not None:
-                where = f" ({variant_labels[variant]})"
-            raise TrainingError(f"{what} diverged at iteration {it}{where}",
+            raise TrainingError(f"{what} diverged at iteration"
+                                f" {it}{labelled(variant)}",
                                 iteration=it, run=run) from e
         for name, m in models.items():
             sgd_step(m, grads[name], cfg.learning_rate)
         if on_step is not None:
             on_step(it, models)
+    stuck = _untrained(start, models, G)
+    if stuck is not None:
+        run, name, variant = stuck
+        raise TrainingError(f"{what} did not train: the input weights of"
+                            f" {name!r} never moved{labelled(variant)}",
+                            run=run)
     return models
+
+
+def _untrained(start: dict[str, MlpModel], fitted: dict[str, MlpModel],
+               G: int) -> tuple | None:
+    """(run, network, variant) of the first replica, in run, then network,
+    then variant order, with a network whose first-layer weights in
+    `fitted` are bit-identical to those in `start`; None if there is none.
+    The stacks have G variants per run.
+
+    Only the first layer is compared: on saturated inputs the rows whose
+    first hidden layer is all off still pass a gradient to the layers
+    above, so those move, while the network learns nothing of its inputs.
+    """
+    unchanged = np.stack([
+        np.reshape((m.weights[0] == start[name].weights[0]).all(
+            axis=(-2, -1)), (-1, G))
+        for name, m in fitted.items()])  # (networks, runs, variants)
+    if not unchanged.any():
+        return None
+    run = int(np.argmax(unchanged.any(axis=(0, 2))))
+    net, variant = np.argwhere(unchanged[:, run])[0]
+    return run, list(fitted)[net], int(variant)
 
 
 def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn) -> float:

@@ -215,14 +215,15 @@ def joint_calibrator(cals, B: int) -> PlattCalibrator:
 
 def joint_voi_batch(X: np.ndarray, h: np.ndarray, y: np.ndarray,
                     w: np.ndarray, cal: PlattCalibrator, masks=(None,) * 3,
-                    onehots: np.ndarray | None = None) -> _JointBatch:
+                    X_gamma_all: np.ndarray | None = None) -> _JointBatch:
     """The constant side of one training batch: its rows, shared by every
     replica or in groups (see `mlp_forward`), the per-class loss weights
     `w` (`utility_loss_weights`), the `joint_calibrator` of the batch
-    size, the (alpha, beta, gamma) masks, and the gamma one-hots of
-    `gamma_all_input`."""
-    return _JointBatch(X, gamma_all_input(X, len(w), onehots), h, y, w[y],
-                       cal, *masks)
+    size, the (alpha, beta, gamma) masks, and X's `gamma_all_input`,
+    built here unless given."""
+    if X_gamma_all is None:
+        X_gamma_all = gamma_all_input(X, len(w))
+    return _JointBatch(X, X_gamma_all, h, y, w[y], cal, *masks)
 
 
 def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
@@ -397,8 +398,9 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
     cal = batch_calibrator(cals)
 
     def draw(steps):
+        Xb, hb, yb = _block_rows((X, h, y), rngs_batch, B, lead, steps)
         return list(zip(
-            *_block_rows((X, h, y), rngs_batch, B, lead, steps),
+            Xb, hb, yb, gamma_all_input(Xb, K, onehots),
             *(sample_dropout_masks(part.model, n, *rngs, lead=lead,
                                    steps=steps)
               for part, n, rngs in zip(starts[0], (B, B, B * K),
@@ -408,8 +410,8 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
 
     def make_batch(it):
         # the calibrators are the latest refit's, so not drawn ahead
-        Xb, hb, yb, *masks = step_rows(it)
-        return joint_voi_batch(Xb, hb, yb, w, cal, masks, onehots)
+        Xb, hb, yb, Xg, *masks = step_rows(it)
+        return joint_voi_batch(Xb, hb, yb, w, cal, masks, Xg)
 
     def refit(models):
         # each replica refits its own (cal_a, cal_b, cal_g) on its

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import logging
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -19,8 +20,9 @@ from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     train_joint)
 from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
-from teamopt.evaluation import (SPLIT_FRACTIONS, SweepCell, SweepResult,
-                                _best_split, _lambda_mode, _seed_groups,
+from teamopt.evaluation import (MAX_STACK_SEEDS, SPLIT_FRACTIONS, SweepCell,
+                                SweepResult, _best_split, _lambda_mode,
+                                _seed_groups, _work_plan,
                                 cost_sweep, emit_report, human_error_tree,
                                 human_only_baseline, per_class_analysis,
                                 render_loss_svg, sweep_csv_text,
@@ -236,6 +238,32 @@ def test_cost_sweep_records_cell_failures(caplog):
     assert any("sweep cell failed" in rec.message for rec in caplog.records)
 
 
+def test_each_finished_work_unit_logs_one_line(monkeypatch, caplog):
+    ds = toy_dataset()
+    args = (ds, ("fixed-disc", "human-only"), (0.0, 0.1), (1.0,), (0, 1, 2))
+    diverge_seeds(monkeypatch, {2})  # forked workers inherit the patch
+    line = re.compile(r"work unit finished: approaches=(\S+) seeds=(\S+)"
+                      r" seconds=(\d+\.\d{3}) failed=(\d+)$")
+    logged = {}
+    for jobs in (1, 2):
+        caplog.clear()
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with caplog.at_level(logging.INFO, logger="teamopt.evaluation"):
+                cost_sweep(*args, train_cfg=small_cfg(), jobs=jobs)
+        found = [line.match(r.message) for r in caplog.records
+                 if r.message.startswith("work unit")]
+        assert all(found) and all(r.levelno == logging.INFO
+                                  for r in caplog.records
+                                  if r.message.startswith("work unit"))
+        logged[jobs] = [(m[1], m[2], int(m[4])) for m in found]
+    assert logged[1] == [("fixed-disc", "0,1,2", 1),
+                         ("human-only", "0,1,2", 0)]
+    # one unit trains, so the pool of 2 splits the seeds
+    assert logged[2] == [("fixed-disc", "0,1", 0), ("fixed-disc", "2", 1),
+                         ("human-only", "0,1", 0), ("human-only", "2", 0)]
+
+
 def test_sweep_json_lists_only_the_seeds_it_averaged(monkeypatch, tmp_path):
     real = evaluation.split
 
@@ -405,7 +433,8 @@ def test_pool_opens_at_most_one_worker_per_work_unit(monkeypatch, jobs,
     serial = cost_sweep(*args, train_cfg=small_cfg())
     widths, units = inline_pool(monkeypatch)
     pooled = cost_sweep(*args, train_cfg=small_cfg(), jobs=jobs)
-    # 2 approaches x min(jobs, 2 seeds) groups of seeds = 4 work units
+    # one approach trains, so its 2 seeds split to fill the pool: 2
+    # approaches x 2 groups of seeds = 4 work units
     assert units == [(("fixed-disc",), [0]), (("fixed-disc",), [1]),
                      (("human-only",), [0]), (("human-only",), [1])]
     assert widths == [workers]
@@ -451,12 +480,52 @@ ALL_APPROACHES = ("human-only", "fixed-disc", "joint-disc", "fixed-voi",
                   "joint-voi")
 
 
+@given(st.lists(st.sampled_from(ALL_APPROACHES), min_size=1, unique=True),
+       st.integers(1, 13), st.integers(1, 9))
+def test_work_plan_caps_stacks_and_fills_the_pool(names, S, jobs):
+    names, seeds = sorted(names), list(range(100, 100 + S))
+    plan = _work_plan(names, seeds, jobs)
+    units = evaluation._work_units(names)
+    trained = sum(unit != ("human-only",) for unit in units) or 1
+    groups = [group for unit, group in plan if unit == units[0]]
+    # every unit gets the same contiguous groups, in _work_units order
+    assert plan == [(unit, group) for unit in units for group in groups]
+    assert [s for g in groups for s in g] == seeds
+    assert max(map(len, groups)) <= MAX_STACK_SEEDS
+    assert len(groups) >= min(S, -(-jobs // trained))
+
+
+@given(st.lists(st.sampled_from(ALL_APPROACHES), min_size=1, unique=True),
+       st.integers(1, 13))
+def test_serial_plan_does_not_depend_on_jobs(names, S):
+    # the pool takes whole approaches first: up to one worker per unit
+    # that trains, the plan is the serial one
+    names, seeds = sorted(names), list(range(S))
+    serial = _work_plan(names, seeds, 1)
+    assert len({len(g) for _, g in serial}) <= 2
+    assert len(serial) == len(evaluation._work_units(names)) * -(
+        -S // MAX_STACK_SEEDS)
+    trained = sum(unit != ("human-only",)
+                  for unit in evaluation._work_units(names))
+    for jobs in range(1, trained + 1):
+        assert _work_plan(names, seeds, jobs) == serial
+
+
+def test_two_workers_get_whole_approaches():
+    # two units train, so two workers need no seed split
+    plan = _work_plan(["fixed-disc", "human-only", "joint-disc"],
+                      [0, 1, 2, 3], 2)
+    assert plan == [(("fixed-disc",), [0, 1, 2, 3]),
+                    (("human-only",), [0, 1, 2, 3]),
+                    (("joint-disc",), [0, 1, 2, 3])]
+
+
 def cells_by_seed(results) -> dict:
     return {(c.approach, c.seed): c for r in results for c in r.cells}
 
 
-@pytest.mark.parametrize("seeds", [(0, 1, 2), (3, 1, 0, 2)],
-                         ids=["sorted", "shuffled"])
+@pytest.mark.parametrize("seeds", [(0, 1, 2), (3, 1, 0, 2), (4, 0, 3, 1, 2)],
+                         ids=["sorted", "shuffled", "past-the-cap"])
 def test_stacked_seeds_give_each_seed_its_own_cells(seeds):
     ds = toy_dataset()
     args = (ds, ALL_APPROACHES, (0.0, 0.1), (0.5, 2.0))

@@ -436,6 +436,57 @@ def test_diverging_run_is_named_with_its_solo_error(diverging):
     assert stacked.value.iteration == alone.value.iteration
 
 
+def trainer_calls(runs, team, ms, warm):
+    """Per trainer, a call that trains `runs` with it: the q-policy from
+    the predictors `ms` and joint-VOI from the fixed-VOI systems `warm`,
+    one per run."""
+    return {
+        "solo": lambda: train_solo_model(runs, team),
+        "query-policy": lambda: train_query_policy(
+            [(*run, m) for run, m in zip(runs, ms)], team, (0.0, 0.2)),
+        "joint-disc": lambda: train_joint(runs, team, LAMBDAS),
+        "fixed-voi": lambda: train_fixed_voi(runs, team),
+        "joint-voi": lambda: train_joint_voi(
+            [(*run, w) for run, w in zip(runs, warm)], team, LAMBDAS),
+    }
+
+
+@pytest.mark.parametrize("trainer", ["solo", "query-policy", "joint-disc",
+                                     "fixed-voi", "joint-voi"])
+def test_a_run_that_does_not_train_is_named_with_its_solo_error(trainer):
+    # features of 1e200 saturate every head, so no gradient reaches the
+    # input weights, yet the loss stays finite
+    runs = seed_runs(TrainConfig(iterations=25, hidden_dims=(16,),
+                                 calibration_interval=10))
+    team = TeamConfig.accuracy(3, 0.2)
+    ms = [m for [m] in train_solo_model(runs, team)]
+    warm = train_fixed_voi(runs, team)
+    trainer_calls(runs, team, ms, warm)[trainer]()  # fine at scale 1
+    stuck = 1
+    ds, cfg = runs[stuck]
+    runs[stuck] = (replace(ds, X=ds.X * 1e200), cfg)
+    one = slice(stuck, stuck + 1)
+    with warnings.catch_warnings(), quiet():
+        with pytest.raises(TrainingError) as stacked:
+            trainer_calls(runs, team, ms, warm)[trainer]()
+        with pytest.raises(TrainingError) as alone:
+            trainer_calls(runs[one], team, ms[one], warm[one])[trainer]()
+    assert stacked.value.run == stuck and alone.value.run == 0
+    assert str(stacked.value) == str(alone.value)
+    assert "did not train" in str(stacked.value)
+    assert stacked.value.iteration is None
+
+
+def test_zero_loss_weights_do_not_train():
+    # a utility with no spread weighs every class 0, so m never moves
+    ds, cfg = seed_runs(TrainConfig(iterations=5, hidden_dims=(6,)))[0]
+    team = TeamConfig(np.ones((3, 3)))
+    with warnings.catch_warnings(), pytest.raises(TrainingError,
+                                                  match="did not train"):
+        warnings.simplefilter("ignore")
+        train_solo_model([(ds, cfg)], team)
+
+
 def test_diverging_lambda_fails_the_whole_sweep_cell():
     ds = toy_dataset(n=300)
     cfg = TrainConfig(iterations=5, hidden_dims=(6,))
@@ -621,3 +672,28 @@ def test_joint_voi_steps_use_the_latest_refit(monkeypatch):
     want = [0] * 5 + [1] * 5 + [2] * 2
     assert [next(k for k, c in enumerate(made)
                  if np.shares_memory(c.a, cal.a)) for cal in used] == want
+
+
+def test_joint_voi_gamma_rows_drawn_per_block_equal_per_step_rows(
+        monkeypatch):
+    # each block's gamma rows are built at once; every step must see the
+    # rows that building them from its own batch gives
+    runs = seed_runs(TrainConfig(iterations=12, hidden_dims=(6,),
+                                 calibration_interval=5))[:2]
+    team = TeamConfig.accuracy(3, 0.2)
+    starts = [(*run, start)
+              for run, start in zip(runs, train_fixed_voi(runs, team))]
+    blockwise = train_joint_voi(starts, team, LAMBDAS)
+    real, equal = voi.joint_voi_batch, []
+
+    def joint_voi_batch(X, h, y, w, cal, masks, X_gamma_all):
+        equal.append(np.array_equal(
+            X_gamma_all, voi.gamma_all_input(X, len(w))))
+        return real(X, h, y, w, cal, masks)  # rows built per step
+
+    monkeypatch.setattr(voi, "joint_voi_batch", joint_voi_batch)
+    per_step = train_joint_voi(starts, team, LAMBDAS)
+    assert equal == [True] * 12
+    for a, b in zip(blockwise, per_step):
+        for x, y in zip(a, b):
+            assert_voi_identical(x, y)
