@@ -27,9 +27,9 @@ from .data import Dataset, SynthConfig, generate_synthetic, load_csv, save_csv
 from .discriminative import (TeamConfig, decide, joint_disc_loss_fn,
                              solo_ce_loss, utility_loss_weights)
 from .errors import ConfigError, TeamoptError
-from .evaluation import (APPROACHES, _dump_json, _write, approach_parts,
-                         cost_sweep, emit_report, human_error_tree,
-                         per_class_analysis, tree_to_dict)
+from .evaluation import (APPROACHES, approach_parts, cost_sweep, dump_json,
+                         emit_report, human_error_tree, per_class_analysis,
+                         tree_to_dict, write_file)
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
                        finite_diff_check, init_mlp, stable_sigmoid,
                        stack_models)
@@ -195,9 +195,8 @@ def cmd_generate(config: RunConfig) -> int:
     if config.csv_path is not None:
         raise ConfigError("generate needs a synthetic dataset source")
     dataset = build_dataset(config)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "dataset.csv"
+    path = Path(config.out) / "dataset.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, path)
     logger.info("wrote %s: n=%d classes=%d features=%d human_error=%.4f",
                 path, len(dataset), dataset.num_classes, dataset.feature_dim,
@@ -237,8 +236,8 @@ def cmd_analyze(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table = per_class_analysis(parts, te, team.query_cost)
     tree = human_error_tree(te, parts)
-    _write(out / "per_class.json", _dump_json(table))
-    _write(out / "error_tree.json", _dump_json(tree_to_dict(tree)))
+    write_file(out / "per_class.json", dump_json(table))
+    write_file(out / "error_tree.json", dump_json(tree_to_dict(tree)))
     logger.info("wrote %s and %s", out / "per_class.json",
                 out / "error_tree.json")
     return 0
@@ -413,6 +412,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify()
         config = apply_overrides(load_config(args.config), args)
+        out = Path(config.out).absolute()  # a bad --out fails early
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(f"cannot create directory {out}")
         if args.command == "generate":
             return cmd_generate(config)
         if args.command == "sweep":

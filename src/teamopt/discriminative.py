@@ -18,13 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ConfigError, InputError, NumericError, QueryError,
-                     ShapeError)
+from .errors import InputError, NumericError, QueryError
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                       TrainConfig, fit, forward_batch, init_mlp,
-                       label_index, mlp_backward, mlp_forward,
-                       sample_dropout_masks, stable_sigmoid, stable_softmax,
-                       stack_models, unstack_models)
+                       TrainConfig, by_run, fit_stack, forward_batch,
+                       init_mlp, label_index, mlp_backward, mlp_forward,
+                       shared_batch_size, stable_sigmoid, stable_softmax)
 
 # Deterministic rng stream ids; stage-1/solo training of m must share the
 # m streams with joint training so the q-frozen trajectories coincide.
@@ -193,92 +191,17 @@ class DiscriminativeSystem:
 
 
 # --- training ----------------------------------------------------------
-#
-# Every trainer takes runs: one per seed, each a (dataset, cfg) pair (for
-# the q-policy, (dataset, cfg, m)), and trains all of them, with every
-# variant of its grid, as one replica stack (see `numerics.fit`). Each run
-# draws its minibatches and dropout masks from its own streams, seeded by
-# its config, BLOCK_STEPS steps at a time, and its variants share them;
-# so each run's results are bit-identical to training it alone, and a
-# one-seed call is the S=1 case.
-
-# Training steps whose minibatch rows and dropout masks are drawn at once.
-# Each step sees the values it would draw alone; a longer block saves
-# little more and holds more memory.
-BLOCK_STEPS = 8
+# Each trainer gives `numerics.fit_stack` its networks, row fields, loss
+# and grid; the "runs" block there tells how its runs are stacked.
 
 
-def _batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    return rng.choice(n, size=min(size, n), replace=False)
-
-
-def _batch_size(runs) -> int:
-    """The minibatch size of runs trained as one stack, which must share
-    their config apart from the seed, and their minibatch size."""
-    cfg = runs[0][1]
-    if any(replace(c, seed=cfg.seed) != cfg for _, c, *_ in runs):
-        raise ConfigError("runs trained together must share their config"
-                          " apart from the seed")
-    sizes = {min(cfg.batch_size, len(ds)) for ds, *_ in runs}
-    if len(sizes) > 1:
-        raise ShapeError("runs trained together must share their"
-                         " minibatch size")
-    return sizes.pop()
-
-
-def _streams(runs, *streams) -> list[list[np.random.Generator]]:
-    """Per stream id, one generator per run, seeded by the run's config."""
-    return [[derive_rng(c.seed, stream) for _, c, *_ in runs]
-            for stream in streams]
-
-
-def _init_nets(runs, dims, head: str, stream: int) -> list[MlpModel]:
-    """One freshly initialised network per run, from the run's stream."""
-    return [init_mlp(dims, head, derive_rng(c.seed, stream), c.dropout_rate)
-            for _, c, *_ in runs]
-
-
-def _block_rows(fields, rngs, B: int, lead: tuple, steps: int) -> list:
-    """The minibatch rows of `steps` consecutive steps, one array per field.
-
-    Row source j (a run, or a replica of a solo stack) holds fields[k][j]
-    for each field k and draws its steps' index sets in step order from
-    rngs[j], as `_batch_indices` per step would. Each field is gathered
-    once per source into a (steps, *lead, B, ...) array, so step t's rows
-    are its C-contiguous view [t], laid out on `lead` as a step's batch
-    is: (S, 1) for one group of rows per run, which broadcasts over the
-    run's variants, or a stack's own (S, G) for rows per replica (see
-    `mlp_forward`).
-    """
-    idx = [np.array([_batch_indices(rng, len(a), B) for _ in range(steps)])
-           for rng, a in zip(rngs, fields[0])]
-    blocks = []
-    for arrays in fields:
-        block = np.empty((steps, len(arrays), B) + arrays[0].shape[1:],
-                         arrays[0].dtype)
-        for j, (a, i) in enumerate(zip(arrays, idx)):
-            block[:, j] = a[i]
-        blocks.append(block.reshape((steps,) + lead + block.shape[2:]))
-    return blocks
-
-
-def _blockwise(draw, iterations: int):
-    """`fit`'s make_batch for batches drawn BLOCK_STEPS steps at a time:
-    draw(steps) returns the next `steps` steps' batches, in step order."""
-    block = []
-
-    def make_batch(it):
-        if it % BLOCK_STEPS == 0:
-            block.clear()  # free the last block before drawing the next
-            block.extend(draw(min(BLOCK_STEPS, iterations - it)))
-        return block[it % BLOCK_STEPS]
-
-    return make_batch
-
-
-def _by_run(items: list, G: int) -> list[list]:
-    """A run-major list of per-replica items, split into each run's G."""
-    return [items[i:i + G] for i in range(0, len(items), G)]
+def _fresh_net(runs, G: int, dims, head: str, init: int, drop: int, rows):
+    """`fit_stack`'s entry for a network trained from scratch: per run, a
+    model initialised from the run's `init` stream, shared by its G
+    variants, and a dropout generator from its `drop` stream."""
+    return ([[init_mlp(dims, head, derive_rng(c.seed, init),
+                       c.dropout_rate)] * G for _, c, *_ in runs],
+            [derive_rng(c.seed, drop) for _, c, *_ in runs], rows)
 
 
 def solo_ce_loss(models, batch):
@@ -320,30 +243,20 @@ def train_solo_model(runs, team: TeamConfig,
     dropout masks from its own streams, so each model equals what training
     it alone gives.
     """
-    B = _batch_size(runs)
+    B = shared_batch_size(runs)
     ds0, cfg = runs[0]
     w = utility_loss_weights(team)
     dims = (ds0.X.shape[1], *cfg.hidden_dims, ds0.num_classes)
-    # replica s * len(replicas) + j trains pair j of run s
-    pairs = [(ds, c, target, streams)
-             for ds, c in runs for target, streams in replicas]
-    models = [init_mlp(dims, SOFTMAX_HEAD, derive_rng(c.seed, init),
-                       c.dropout_rate) for _, c, _, (init, _, _) in pairs]
-    rngs_batch = [derive_rng(c.seed, batch)
-                  for _, c, _, (_, batch, _) in pairs]
-    rngs_drop = [derive_rng(c.seed, drop) for _, c, _, (_, _, drop) in pairs]
-    X = [ds.X for ds, *_ in pairs]
-    T = [getattr(ds, target) for ds, _, target, _ in pairs]
-    lead = (len(runs), len(replicas))
-
-    def draw(steps):
-        Xb, t = _block_rows((X, T), rngs_batch, B, lead, steps)
-        return list(zip(Xb, t, w[t], sample_dropout_masks(
-            models[0], B, *rngs_drop, lead=lead, steps=steps)))
-
-    fitted = fit({"m": stack_models(models, len(runs))}, solo_ce_loss,
-                 _blockwise(draw, cfg.iterations), cfg, "solo training")
-    return _by_run(unstack_models(fitted["m"]), len(replicas))
+    # row source s * len(replicas) + j feeds pair j of run s
+    X, T, inits, batches, drops = zip(*(
+        (ds.X, getattr(ds, target), *(derive_rng(c.seed, s) for s in streams))
+        for ds, c in runs for target, streams in replicas))
+    models = by_run([init_mlp(dims, SOFTMAX_HEAD, rng, cfg.dropout_rate)
+                     for rng in inits], len(replicas))
+    return fit_stack({"m": (models, drops, B)}, (X, T), batches, B,
+                     solo_ce_loss, cfg, "solo training",
+                     batch=lambda rows: (rows[0], rows[1], w[rows[1]],
+                                         rows[2]))["m"]
 
 
 def mixture_loss(q, p_human, p_machine, w_y, cost_term):
@@ -406,7 +319,7 @@ def train_query_policy(runs, team: TeamConfig, costs
     its query cost. A run's policies step in lockstep on its minibatches
     and dropout masks, and each equals what a one-cost grid gives.
     """
-    B = _batch_size(runs)
+    B = shared_batch_size(runs)
     cfg = runs[0][1]
     w = utility_loss_weights(team)
     X = [ds.X for ds, _, _ in runs]
@@ -415,24 +328,13 @@ def train_query_policy(runs, team: TeamConfig, costs
            for ds, _, m in runs]
     hit = [(ds.h == ds.y).astype(np.float64) for ds, _, _ in runs]
     w_y = [w[ds.y] for ds, _, _ in runs]
-    rngs_batch, rngs_drop = _streams(runs, STREAM_BATCH_Q, STREAM_DROP_Q)
-    qs = _init_nets(runs, (X[0].shape[1], *cfg.hidden_dims, 1), SIGMOID_HEAD,
-                    STREAM_INIT_Q)
-    lead = (len(runs), 1)
-
-    def draw(steps):
-        return list(zip(
-            *_block_rows((X, m_y, hit, w_y), rngs_batch, B, lead, steps),
-            sample_dropout_masks(qs[0], B, *rngs_drop, lead=lead,
-                                 steps=steps)))
-
-    fitted = fit({"q": stack_models([q for q in qs for _ in costs],
-                                    len(runs))},
-                 query_policy_loss_fn(cfg, costs),
-                 _blockwise(draw, cfg.iterations), cfg,
-                 "query-policy training",
-                 [f"query_cost={c!r}" for c in costs])
-    return _by_run(unstack_models(fitted["q"]), len(costs))
+    q = _fresh_net(runs, len(costs), (X[0].shape[1], *cfg.hidden_dims, 1),
+                   SIGMOID_HEAD, STREAM_INIT_Q, STREAM_DROP_Q, B)
+    return fit_stack({"q": q}, (X, m_y, hit, w_y),
+                     [derive_rng(c.seed, STREAM_BATCH_Q) for _, c, _ in runs],
+                     B, query_policy_loss_fn(cfg, costs), cfg,
+                     "query-policy training",
+                     [f"query_cost={c!r}" for c in costs])["q"]
 
 
 def train_fixed(runs, team: TeamConfig, costs
@@ -491,39 +393,20 @@ def train_joint(runs, team: TeamConfig, cost_weights
     masks; each system equals what a one-value grid gives, and its
     `train_cfg` carries its `cost_weight`.
     """
-    B = _batch_size(runs)
+    B = shared_batch_size(runs)
     ds0, cfg = runs[0]
-    K = ds0.num_classes
     w = utility_loss_weights(team)
-    X = [ds.X for ds, _ in runs]
-    y = [ds.y for ds, _ in runs]
-    hit = [(ds.h == ds.y).astype(np.float64) for ds, _ in runs]
-    w_y = [w[ds.y] for ds, _ in runs]
-    rngs_batch, rngs_drop_m, rngs_drop_q = _streams(
-        runs, STREAM_BATCH, STREAM_DROP_M, STREAM_DROP_Q)
-    d = ds0.X.shape[1]
-    ms = _init_nets(runs, (d, *cfg.hidden_dims, K), SOFTMAX_HEAD,
-                    STREAM_INIT_M)
-    qs = _init_nets(runs, (d, *cfg.hidden_dims, 1), SIGMOID_HEAD,
-                    STREAM_INIT_Q)
-    models = {name: stack_models([m for m in nets for _ in cost_weights],
-                                 len(runs))
-              for name, nets in (("m", ms), ("q", qs))}
-    lead = (len(runs), 1)
-
-    def draw(steps):
-        return list(zip(
-            *_block_rows((X, y, hit, w_y), rngs_batch, B, lead, steps),
-            *(sample_dropout_masks(net, B, *drops, lead=lead, steps=steps)
-              for net, drops in ((ms[0], rngs_drop_m),
-                                 (qs[0], rngs_drop_q)))))
-
-    fitted = fit(models, joint_disc_loss_fn(team, cost_weights),
-                 _blockwise(draw, cfg.iterations), cfg, "joint training",
-                 [f"cost_weight={lam!r}" for lam in cost_weights])
-    G = len(cost_weights)
+    G, d = len(cost_weights), ds0.X.shape[1]
+    nets = {"m": _fresh_net(runs, G, (d, *cfg.hidden_dims, ds0.num_classes),
+                            SOFTMAX_HEAD, STREAM_INIT_M, STREAM_DROP_M, B),
+            "q": _fresh_net(runs, G, (d, *cfg.hidden_dims, 1), SIGMOID_HEAD,
+                            STREAM_INIT_Q, STREAM_DROP_Q, B)}
+    fields = list(zip(*((ds.X, ds.y, (ds.h == ds.y).astype(np.float64),
+                         w[ds.y]) for ds, _ in runs)))
+    fitted = fit_stack(
+        nets, fields, [derive_rng(c.seed, STREAM_BATCH) for _, c in runs], B,
+        joint_disc_loss_fn(team, cost_weights), cfg, "joint training",
+        [f"cost_weight={lam!r}" for lam in cost_weights])
     return [[DiscriminativeSystem(m, q, team, replace(c, cost_weight=lam))
              for m, q, lam in zip(run_m, run_q, cost_weights)]
-            for (_, c), run_m, run_q in zip(
-                runs, _by_run(unstack_models(fitted["m"]), G),
-                _by_run(unstack_models(fitted["q"]), G))]
+            for (_, c), run_m, run_q in zip(runs, fitted["m"], fitted["q"])]

@@ -746,11 +746,11 @@ def render_loss_svg(results: list[SweepResult]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _dump_json(payload) -> str:
+def dump_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(path: Path, text: str) -> str:
+def write_file(path: Path, text: str) -> str:
     """Replace `path` with `text` atomically: the text goes to a temporary
     file in the same directory, which `os.replace` then moves over the
     target. A failed write leaves the previous file intact and removes
@@ -800,10 +800,10 @@ def emit_report(results: list[SweepResult], out_dir,
     written = []
     if "json" in formats:
         payload = [r.as_json_dict() for r in results]
-        written.append(_write(out / "sweep.json", _dump_json(payload)))
+        written.append(write_file(out / "sweep.json", dump_json(payload)))
     if "csv" in formats:
-        written.append(_write(out / "sweep.csv", sweep_csv_text(results)))
+        written.append(write_file(out / "sweep.csv", sweep_csv_text(results)))
     if "svg" in formats:
-        written.append(_write(out / "loss_vs_cost.svg",
-                              render_loss_svg(results)))
+        written.append(write_file(out / "loss_vs_cost.svg",
+                                  render_loss_svg(results)))
     return written

@@ -6,12 +6,13 @@ Models are plain dataclasses of float64 arrays. Every trainer runs through
 on its own minibatches, which its variants share; a single training is
 the R=1 stack. `fit` copies the stacks it is given once and `sgd_step`
 updates that copy in place, so the caller's models are left as they were.
-Training losses are closed-form: each
+`fit_stack` is the trainers' one recipe around it: it stacks their
+networks, draws each run's rows and masks a block of steps at a time, and
+returns the fitted models per run. Training losses are closed-form: each
 returns its per-instance values and a backward function (see
-`loss_and_grad`) written by hand on top of the one
-`mlp_forward`/`mlp_backward` pair. The contract for every
-loss in this package is agreement with central finite differences (see
-`finite_diff_check`).
+`loss_and_grad`) written by hand on top of the one `mlp_forward` /
+`mlp_backward` pair. The contract for every loss in this package is
+agreement with central finite differences (see `finite_diff_check`).
 """
 
 from __future__ import annotations
@@ -464,6 +465,117 @@ def _untrained(start: dict[str, MlpModel], fitted: dict[str, MlpModel],
     run = int(np.argmax(unchanged.any(axis=(0, 2))))
     net, variant = np.argwhere(unchanged[:, run])[0]
     return run, list(fitted)[net], int(variant)
+
+
+# --- runs ----------------------------------------------------------------
+#
+# Every trainer takes runs: one per seed, each a (dataset, cfg, ...)
+# tuple, and trains all of them, with every variant of its grid, as one
+# replica stack through `fit_stack`. Each run draws its minibatches and
+# dropout masks from its own streams, seeded by its config, BLOCK_STEPS
+# steps at a time, and its variants share them; so each run's results are
+# bit-identical to training it alone, and a one-seed call is the S=1 case.
+
+# Training steps whose minibatch rows and dropout masks are drawn at once.
+# Each step sees the values it would draw alone; a longer block saves
+# little more and holds more memory.
+BLOCK_STEPS = 8
+
+
+def batch_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    return rng.choice(n, size=min(size, n), replace=False)
+
+
+def shared_batch_size(runs) -> int:
+    """The minibatch size of runs trained as one stack, which must share
+    their config apart from the seed, and their minibatch size."""
+    cfg = runs[0][1]
+    if any(replace(c, seed=cfg.seed) != cfg for _, c, *_ in runs):
+        raise ConfigError("runs trained together must share their config"
+                          " apart from the seed")
+    sizes = {min(cfg.batch_size, len(ds)) for ds, *_ in runs}
+    if len(sizes) > 1:
+        raise ShapeError("runs trained together must share their"
+                         " minibatch size")
+    return sizes.pop()
+
+
+def block_rows(fields, rngs, B: int, lead: tuple, steps: int) -> list:
+    """The minibatch rows of `steps` consecutive steps, one array per field.
+
+    Row source j holds fields[k][j] for each field k and draws its steps'
+    index sets in step order from rngs[j], as `batch_indices` per step
+    would. Each field is gathered once per source into a (steps, *lead,
+    B, ...) array, so step t's rows are its C-contiguous view [t], laid
+    out on `lead` as `fit_stack` lays out a step's batch.
+    """
+    idx = [np.array([batch_indices(rng, len(a), B) for _ in range(steps)])
+           for rng, a in zip(rngs, fields[0])]
+    blocks = []
+    for arrays in fields:
+        block = np.empty((steps, len(arrays), B) + arrays[0].shape[1:],
+                         arrays[0].dtype)
+        for j, (a, i) in enumerate(zip(arrays, idx)):
+            block[:, j] = a[i]
+        blocks.append(block.reshape((steps,) + lead + block.shape[2:]))
+    return blocks
+
+
+def blockwise(draw, iterations: int):
+    """`fit`'s make_batch for batches drawn BLOCK_STEPS steps at a time:
+    draw(steps) returns the next `steps` steps' batches, in step order."""
+    block = []
+
+    def make_batch(it):
+        if it % BLOCK_STEPS == 0:
+            block.clear()  # free the last block before drawing the next
+            block.extend(draw(min(BLOCK_STEPS, iterations - it)))
+        return block[it % BLOCK_STEPS]
+
+    return make_batch
+
+
+def by_run(items: list, G: int) -> list[list]:
+    """A run-major list of per-replica items, split into each run's G."""
+    return [items[i:i + G] for i in range(0, len(items), G)]
+
+
+def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
+              what: str, variant_labels=None, batch=None, on_step=None
+              ) -> dict[str, list[list[MlpModel]]]:
+    """Train S runs of G variants each as one replica stack through `fit`.
+
+    `nets` maps each network's name to (models, dropout generators, mask
+    rows), models[s][g] starting variant g of run s. `fields` holds the
+    row fields, each a list of arrays, one per row source, and `rngs` the
+    sources' batch generators. A source, like a dropout generator, serves
+    a run, laid out as (S, 1) so that its rows broadcast over its
+    variants, or a replica, run-major, laid out as (S, G) (see
+    `mlp_forward`). A step's rows, B per source (`block_rows`), and then
+    each network's masks come as one tuple, which `batch`, if given,
+    makes into the step's batch. Returns each network's models, nested
+    as given.
+    """
+    first = next(iter(nets.values()))[0]
+    S, G = len(first), len(first[0])
+
+    def lead(sources):
+        return (S, 1) if len(sources) == S else (S, G)
+
+    def draw(steps):
+        return list(zip(
+            *block_rows(fields, rngs, B, lead(rngs), steps),
+            *(sample_dropout_masks(models[0][0], n, *drops,
+                                   lead=lead(drops), steps=steps)
+              for models, drops, n in nets.values())))
+
+    step_rows = blockwise(draw, cfg.iterations)
+    stacks = {name: stack_models([m for run in models for m in run], S)
+              for name, (models, _, _) in nets.items()}
+    fitted = fit(stacks, loss_fn, step_rows if batch is None
+                 else lambda it: batch(step_rows(it)),
+                 cfg, what, variant_labels, on_step)
+    return {name: by_run(unstack_models(m), G) for name, m in fitted.items()}
 
 
 def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn) -> float:

@@ -19,15 +19,14 @@ import numpy as np
 
 from .calibration import PlattCalibrator, calibrate_batch, calibrated_head
 from .data import Dataset
-from .discriminative import (DecisionParts, TeamConfig, _batch_size,
-                             _block_rows, _blockwise, _by_run, _streams,
-                             derive_rng, mixture_loss, train_solo_model,
+from .discriminative import (DecisionParts, TeamConfig, derive_rng,
+                             mixture_loss, train_solo_model,
                              utility_loss_weights)
 from .errors import InputError, StateError
-from .numerics import (MlpModel, TrainConfig, fit, label_index,
+from .numerics import (MlpModel, TrainConfig, by_run, fit_stack, label_index,
                        logits_batch, mlp_backward, mlp_forward,
-                       sample_dropout_masks, stable_sigmoid, stable_softmax,
-                       stack_models, sum_last, unstack_models)
+                       shared_batch_size, stable_sigmoid, stable_softmax,
+                       sum_last, unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -35,9 +34,7 @@ STREAM_BETA = (13, 14, 15)
 STREAM_GAMMA = (16, 17, 18)
 STREAM_CALIB_SPLIT = 19
 STREAM_JOINT_BATCH = 20
-STREAM_JOINT_DROP_A = 21
-STREAM_JOINT_DROP_B = 22
-STREAM_JOINT_DROP_G = 23
+STREAM_JOINT_DROP = (21, 22, 23)  # alpha, beta, gamma dropout
 
 
 @dataclass
@@ -85,20 +82,13 @@ def gamma_input(X: np.ndarray, h: np.ndarray, num_classes: int) -> np.ndarray:
     return np.concatenate([X, np.eye(num_classes)[h]], axis=1)
 
 
-def gamma_all_input(X: np.ndarray, num_classes: int,
-                    onehots: np.ndarray | None = None) -> np.ndarray:
+def gamma_all_input(X: np.ndarray, num_classes: int) -> np.ndarray:
     """Every (x, onehot(h)) pair, h-major within each instance: (n*K, d+K),
-    or (..., n*K, d+K) for (..., n, d) groups of rows.
-
-    `onehots` is the (n*K, K) right-hand block, which depends on n alone;
-    a caller with a fixed n builds it once and passes it in.
-    """
+    or (..., n*K, d+K) for (..., n, d) groups of rows."""
     *lead, n, d = X.shape
     K = num_classes
-    if onehots is None:
-        onehots = np.tile(np.eye(K), (n, 1))
     out = np.empty((*lead, n * K, d + K))
-    out[..., d:] = onehots
+    out[..., d:] = np.tile(np.eye(K), (n, 1))
     out.reshape(*lead, n, K, d + K)[..., :d] = X[..., None, :]
     return out
 
@@ -214,16 +204,14 @@ def joint_calibrator(cals, B: int) -> PlattCalibrator:
 
 
 def joint_voi_batch(X: np.ndarray, h: np.ndarray, y: np.ndarray,
-                    w: np.ndarray, cal: PlattCalibrator, masks=(None,) * 3,
-                    X_gamma_all: np.ndarray | None = None) -> _JointBatch:
+                    w: np.ndarray, cal: PlattCalibrator, masks=(None,) * 3
+                    ) -> _JointBatch:
     """The constant side of one training batch: its rows, shared by every
     replica or in groups (see `mlp_forward`), the per-class loss weights
     `w` (`utility_loss_weights`), the `joint_calibrator` of the batch
-    size, the (alpha, beta, gamma) masks, and X's `gamma_all_input`,
-    built here unless given."""
-    if X_gamma_all is None:
-        X_gamma_all = gamma_all_input(X, len(w))
-    return _JointBatch(X, X_gamma_all, h, y, w[y], cal, *masks)
+    size and the (alpha, beta, gamma) masks."""
+    return _JointBatch(X, gamma_all_input(X, len(w)), h, y, w[y], cal,
+                       *masks)
 
 
 def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
@@ -362,26 +350,18 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
     `cost_weight`.
     """
     splits = [_calibration_split(ds, c.seed) for ds, c, _ in runs]
-    B = _batch_size([(fit_ds, c) for (fit_ds, _), (_, c, _) in zip(splits,
-                                                                   runs)])
+    B = shared_batch_size([(fit_ds, c) for (fit_ds, _), (_, c, _)
+                           in zip(splits, runs)])
     cfg = runs[0][1]
     for _, _, start in runs:
         start.require_calibrated()
-    S, G = len(runs), len(cost_weights)
-    starts = [(s.p_alpha, s.p_beta, s.p_gamma) for _, _, s in runs]
-    models = {name: stack_models([parts[i].model for parts in starts
-                                  for _ in cost_weights], S)
-              for i, name in enumerate(_PARTS)}
-    X = [fit_ds.X for fit_ds, _ in splits]
-    y = [fit_ds.y for fit_ds, _ in splits]
-    h = [fit_ds.h for fit_ds, _ in splits]
-    rngs_batch, *rngs_drop = _streams(
-        runs, STREAM_JOINT_BATCH, STREAM_JOINT_DROP_A, STREAM_JOINT_DROP_B,
-        STREAM_JOINT_DROP_G)
-    K = runs[0][0].num_classes
+    S, G, K = len(runs), len(cost_weights), runs[0][0].num_classes
     w = utility_loss_weights(team)
-    onehots = np.tile(np.eye(K), (B, 1))  # every batch's gamma one-hots
-    lead = (S, 1)  # one group of rows per run
+    starts = [(s.p_alpha, s.p_beta, s.p_gamma) for _, _, s in runs]
+    nets = {name: ([[parts[i].model] * G for parts in starts],
+                   [derive_rng(c.seed, drop) for _, c, _ in runs], rows)
+            for i, (name, drop, rows) in enumerate(
+                zip(_PARTS, STREAM_JOINT_DROP, (B, B, B * K)))}
     calib = [(calib_ds, gamma_input(calib_ds.X, calib_ds.h, K))
              for _, calib_ds in splits]
 
@@ -397,43 +377,31 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
             for parts in starts for _ in cost_weights]
     cal = batch_calibrator(cals)
 
-    def draw(steps):
-        Xb, hb, yb = _block_rows((X, h, y), rngs_batch, B, lead, steps)
-        return list(zip(
-            Xb, hb, yb, gamma_all_input(Xb, K, onehots),
-            *(sample_dropout_masks(part.model, n, *rngs, lead=lead,
-                                   steps=steps)
-              for part, n, rngs in zip(starts[0], (B, B, B * K),
-                                       rngs_drop))))
-
-    step_rows = _blockwise(draw, cfg.iterations)
-
-    def make_batch(it):
-        # the calibrators are the latest refit's, so not drawn ahead
-        Xb, hb, yb, Xg, *masks = step_rows(it)
-        return joint_voi_batch(Xb, hb, yb, w, cal, masks, Xg)
-
-    def refit(models):
+    def refit(replicas):
         # each replica refits its own (cal_a, cal_b, cal_g) on its
         # networks and its run's held-out slice
         nonlocal cal, cals
-        replicas = list(zip(*(unstack_models(models[name])
-                              for name in _PARTS)))
         cals = [_refit_calibrators(*r, *calib[i // G], prev)
                 for i, (r, prev) in enumerate(zip(replicas, cals))]
         cal = batch_calibrator(cals)
-        return replicas
 
     def on_step(it, models):
         if (it + 1) % cfg.calibration_interval == 0 and it + 1 < cfg.iterations:
-            refit(models)
+            refit(list(zip(*(unstack_models(models[name])
+                             for name in _PARTS))))
 
-    fitted = fit(models, joint_voi_loss_fn(team, cfg, cost_weights),
-                 make_batch, cfg, "joint training",
-                 [f"cost_weight={lam!r}" for lam in cost_weights], on_step)
-    replicas = _by_run(refit(fitted), G)  # the final refit sets cals
-    return [[VoiSystem(*(CalibratedModel(m, c) for m, c in zip(r, triple)),
-                       team, replace(run_cfg, cost_weight=lam))
+    # each step's batch takes the latest refit's calibrators
+    fitted = fit_stack(
+        nets, [[getattr(ds, f) for ds, _ in splits] for f in "Xhy"],
+        [derive_rng(c.seed, STREAM_JOINT_BATCH) for _, c, _ in runs], B,
+        joint_voi_loss_fn(team, cfg, cost_weights), cfg, "joint training",
+        [f"cost_weight={lam!r}" for lam in cost_weights],
+        lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:]), on_step)
+    replicas = list(zip(*([m for run in fitted[name] for m in run]
+                          for name in _PARTS)))
+    refit(replicas)  # the final refit sets cals
+    return [[VoiSystem(*map(CalibratedModel, r, triple), team,
+                       replace(run_cfg, cost_weight=lam))
              for r, triple, lam in zip(run_replicas, run_cals, cost_weights)]
             for (_, run_cfg, _), run_replicas, run_cals in zip(
-                runs, replicas, _by_run(cals, G))]
+                runs, by_run(replicas, G), by_run(cals, G))]

@@ -367,6 +367,21 @@ def test_sweep_logs_each_failed_cell_once(tmp_path, caplog):
     assert all("fixed-disc" in r.getMessage() for r in errors)
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep", "analyze"])
+def test_unusable_out_dir_fails_before_any_training(tmp_path, caplog,
+                                                    command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tiny_config(blocker / "out", approaches=["human-only",
+                                                   "fixed-disc"])
+    path = write_config(tmp_path, cfg)
+    with caplog.at_level(logging.INFO, logger="teamopt"):
+        assert main([command, "--config", path]) == 2
+    assert f"cannot create directory {blocker / 'out'}" in caplog.text
+    assert "work unit" not in caplog.text
+    assert "for analysis" not in caplog.text
+
+
 def test_sweep_with_a_dead_pool_worker_exits_three(tmp_path,
                                                   kill_worker_on_seed):
     out = tmp_path / "out"

@@ -54,6 +54,20 @@ def test_no_module_defines_a_top_level_name_twice():
     assert repeated == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a `_` name belongs to its own module; one that another module needs
+    # gets a public name
+    private = []
+    for path in sorted((ROOT / "src" / "teamopt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0]
+                    == "teamopt"):
+                private += [f"{path.name}:{node.lineno} {a.name}"
+                            for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 def fresh_python(code: str, *args: str) -> str:
     """Standard output of `code` run in a fresh interpreter on this
     checkout's package."""

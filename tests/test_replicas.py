@@ -18,7 +18,6 @@ from teamopt import voi
 from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset, split
 from teamopt.discriminative import (SOLO_STREAMS, TeamConfig,
-                                    _batch_indices, _block_rows, _blockwise,
                                     joint_disc_loss_fn,
                                     query_policy_loss_fn, solo_ce_loss,
                                     train_fixed, train_joint,
@@ -27,10 +26,11 @@ from teamopt.discriminative import (SOLO_STREAMS, TeamConfig,
 from teamopt.errors import (ConfigError, NumericError, ShapeError,
                             TrainingError)
 from teamopt.evaluation import SPLIT_FRACTIONS, cost_sweep
-from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig, fit,
-                              finite_diff_check, init_mlp, loss_and_grad,
-                              sample_dropout_masks, stable_softmax,
-                              stack_models, unstack_models)
+from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
+                              batch_indices, block_rows, blockwise, fit,
+                              finite_diff_check, fit_stack, init_mlp,
+                              loss_and_grad, sample_dropout_masks,
+                              stable_softmax, stack_models, unstack_models)
 from teamopt.voi import (STREAM_ALPHA, STREAM_BETA, _stack_calibrators,
                          joint_calibrator, joint_voi_batch, joint_voi_loss_fn,
                          train_fixed_voi, train_joint_voi)
@@ -565,14 +565,14 @@ def test_block_rows_equal_per_step_gathers(case, iterations, seed):
     blk_rows, blk_drop = rngs_of(seed, sources), rngs_of(seed + 1, sources)
 
     def draw(steps):
-        return list(zip(*_block_rows(fields, blk_rows, B, lead, steps),
+        return list(zip(*block_rows(fields, blk_rows, B, lead, steps),
                         sample_dropout_masks(m, B, *blk_drop, lead=lead,
                                              steps=steps)))
 
-    make_batch = _blockwise(draw, iterations)
+    make_batch = blockwise(draw, iterations)
     for it in range(iterations):
         *rows, masks = make_batch(it)
-        idx = [_batch_indices(rng, len(a), B)
+        idx = [batch_indices(rng, len(a), B)
                for rng, a in zip(ref_rows, fields[0])]
         for got, arrays in zip(rows, fields):
             want = np.array([a[i] for a, i in zip(arrays, idx)])
@@ -611,8 +611,8 @@ def test_fit_reports_a_divergence_inside_a_block(iterations, data):
     before = [a.copy() for a in m.weights + m.biases]
     cfg = TrainConfig(iterations=iterations, dropout_rate=0.0)
     with pytest.raises(TrainingError) as info:
-        fit({"m": m}, solo_ce_loss, _blockwise(nan_at(iteration, run),
-                                               iterations), cfg, "toy",
+        fit({"m": m}, solo_ce_loss, blockwise(nan_at(iteration, run),
+                                              iterations), cfg, "toy",
             [f"v{g}" for g in range(G)])
     assert (info.value.iteration, info.value.run) == (iteration, run)
     assert str(info.value) == f"toy diverged at iteration {iteration} (v0)"
@@ -621,27 +621,41 @@ def test_fit_reports_a_divergence_inside_a_block(iterations, data):
 
 
 def test_fit_leaves_the_callers_stacks_untouched():
+    # fit_stack with rows per run, laid out (S, 1), and per replica,
+    # (S, G), each replica's generators seeded as its run's: both layouts
+    # train the same models, returned per run, and leave the caller's be
     runs = seed_runs(TrainConfig(iterations=11, hidden_dims=(6,)))
-    models = [init_mlp((4, 6, 3), SOFTMAX_HEAD, np.random.default_rng(s))
-              for s in range(len(runs))]
-    stack = stack_models(models, len(runs))
-    before = [a.copy() for a in stack.weights + stack.biases]
-    X = [ds.X for ds, _ in runs]
-    y = [ds.y for ds, _ in runs]
-    rngs, drops = rngs_of(3, len(runs)), rngs_of(4, len(runs))
-    lead = (len(runs), 1)
+    S, G = len(runs), 2
+    models = [[init_mlp((4, 6, 3), SOFTMAX_HEAD,
+                        np.random.default_rng([s, g])) for g in range(G)]
+              for s in range(S)]
 
-    def draw(steps):
-        Xb, yb = _block_rows((X, y), rngs, 64, lead, steps)
-        return list(zip(Xb, yb, np.ones(yb.shape), sample_dropout_masks(
-            models[0], 64, *drops, lead=lead, steps=steps)))
+    def params():
+        return [a for run in models for m in run for a in m.weights + m.biases]
 
-    fitted = fit({"m": stack}, solo_ce_loss, _blockwise(draw, 11),
-                 runs[0][1], "toy")["m"]
-    assert all(a.tobytes() == b.tobytes()
-               for a, b in zip(stack.weights + stack.biases, before))
-    assert not any(np.array_equal(a, b)
-                   for a, b in zip(fitted.weights, stack.weights))
+    before = [a.copy() for a in params()]
+
+    def train(copies):
+        # one row source per run (copies=1) or per replica (copies=G)
+        def gens(seed):
+            return [np.random.default_rng([seed, s])
+                    for s in range(S) for _ in range(copies)]
+
+        fields = [[getattr(ds, f) for ds, _ in runs for _ in range(copies)]
+                  for f in ("X", "y")]
+        return fit_stack({"m": (models, gens(4), 64)}, fields, gens(3), 64,
+                         solo_ce_loss, runs[0][1], "toy",
+                         batch=lambda rows: (rows[0], rows[1],
+                                             np.ones(rows[1].shape),
+                                             rows[2]))["m"]
+
+    per_run, per_replica = train(1), train(G)
+    assert [len(run) for run in per_run] == [G] * S
+    for got, want, start in zip(per_run, per_replica, models):
+        for a, b, m in zip(got, want, start):
+            assert_models_identical(a, b)
+            assert not np.array_equal(a.weights[0], m.weights[0])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(params(), before))
 
 
 def test_joint_voi_steps_use_the_latest_refit(monkeypatch):
@@ -672,28 +686,3 @@ def test_joint_voi_steps_use_the_latest_refit(monkeypatch):
     want = [0] * 5 + [1] * 5 + [2] * 2
     assert [next(k for k, c in enumerate(made)
                  if np.shares_memory(c.a, cal.a)) for cal in used] == want
-
-
-def test_joint_voi_gamma_rows_drawn_per_block_equal_per_step_rows(
-        monkeypatch):
-    # each block's gamma rows are built at once; every step must see the
-    # rows that building them from its own batch gives
-    runs = seed_runs(TrainConfig(iterations=12, hidden_dims=(6,),
-                                 calibration_interval=5))[:2]
-    team = TeamConfig.accuracy(3, 0.2)
-    starts = [(*run, start)
-              for run, start in zip(runs, train_fixed_voi(runs, team))]
-    blockwise = train_joint_voi(starts, team, LAMBDAS)
-    real, equal = voi.joint_voi_batch, []
-
-    def joint_voi_batch(X, h, y, w, cal, masks, X_gamma_all):
-        equal.append(np.array_equal(
-            X_gamma_all, voi.gamma_all_input(X, len(w))))
-        return real(X, h, y, w, cal, masks)  # rows built per step
-
-    monkeypatch.setattr(voi, "joint_voi_batch", joint_voi_batch)
-    per_step = train_joint_voi(starts, team, LAMBDAS)
-    assert equal == [True] * 12
-    for a, b in zip(blockwise, per_step):
-        for x, y in zip(a, b):
-            assert_voi_identical(x, y)
