@@ -117,6 +117,23 @@ def class_means(num_classes: int, feature_dim: int) -> np.ndarray:
     return means
 
 
+def confusable_class(X: np.ndarray, y: np.ndarray,
+                     means: np.ndarray) -> np.ndarray:
+    """Each row's nearest class mean other than its own class y: the
+    class a human-hard response flips to.
+
+    The squared distances are built one class at a time, each row sum
+    over one contiguous (n, d) block, so no (n, K, d) temporary is held;
+    numpy sums each row the same way as over the last axis of that
+    broadcast, so the distances keep its bits.
+    """
+    dists = np.empty((len(X), len(means)))
+    for k, mean in enumerate(means):
+        dists[:, k] = ((X - mean) ** 2).sum(axis=1)
+    dists[np.arange(len(X)), y] = np.inf
+    return dists.argmin(axis=1)
+
+
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Sample a dataset with planted human-hard and machine-hard regions.
 
@@ -145,11 +162,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     human_hard = x0 > hard_hi
     machine_hard = x0 < hard_lo
 
-    # Confusable flip target: nearest class mean other than the true class.
-    dists = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    dists[np.arange(n), y] = np.inf
-    confusable = dists.argmin(axis=1)
-
+    confusable = confusable_class(X, y, means)
     err_prob = np.where(human_hard, cfg.human_hard_error, cfg.human_easy_error)
     flips = rng.random(n) < err_prob
     h = np.where(flips, confusable, y)

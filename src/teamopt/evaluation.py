@@ -365,17 +365,33 @@ def _approach_cells(approach, dataset, seeds, costs, lam_grid, team, cfg,
     return cells
 
 
-def _run_cell(args) -> tuple[list[SweepCell], float]:
-    """Run one work unit: each of its approaches over its group of seeds,
-    the seeds trained as one replica stack and scored one at a time; one
-    cell per approach and seed, and the unit's wall seconds.
+# The sweep whose work units this process runs: (dataset, costs, λ grid,
+# team, train config). It is set once per process, in this one for a
+# serial sweep and in each pool worker by the pool's initializer, so a
+# work unit carries only its approaches and seeds and a forked worker
+# shares the dataset it inherits instead of unpickling one per unit.
+_sweep: tuple | None = None
+
+
+def _enter_sweep(sweep: tuple | None) -> None:
+    """Make `sweep` the one `_run_cell` runs units of; None clears it."""
+    global _sweep
+    _sweep = sweep
+
+
+def _run_cell(item) -> tuple[list[SweepCell], float]:
+    """Run one work unit, (approaches, seeds), of the entered sweep:
+    each of its approaches over its group of seeds, the seeds trained as
+    one replica stack and scored one at a time; one cell per approach
+    and seed, and the unit's wall seconds.
 
     A failing approach or seed fails only its own cell, also within a
     unit, with the error its one-seed run gives; the unit's other cells
     keep the results they get alone.
     """
     start = time.perf_counter()
-    dataset, approaches, seeds, costs, lam_grid, team, cfg = args
+    approaches, seeds = item
+    dataset, costs, lam_grid, team, cfg = _sweep
     shared = {}
     cells = [cell for approach in approaches
              for cell in _approach_cells(approach, dataset, seeds, costs,
@@ -387,7 +403,7 @@ def _finished(item, cells: list[SweepCell], seconds: float | None
               ) -> list[SweepCell]:
     """Log work unit `item`'s line and return its cells; `seconds` is
     None when its worker died."""
-    _, approaches, seeds, *_ = item
+    approaches, seeds = item
     logger.info("work unit finished: approaches=%s seeds=%s seconds=%s"
                 " failed=%d", ",".join(approaches),
                 ",".join(map(str, seeds)),
@@ -396,9 +412,11 @@ def _finished(item, cells: list[SweepCell], seconds: float | None
     return cells
 
 
-def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
-    """`_run_cell` over `work` in a pool of `workers` processes, each unit
-    logged as it is collected (`_finished`).
+def _run_pool(work: list, workers: int, sweep: tuple
+              ) -> list[list[SweepCell]]:
+    """`_run_cell` over `work` in a pool of `workers` processes, each of
+    which enters `sweep` once as it starts, each unit logged as it is
+    collected (`_finished`).
 
     A unit whose worker died fails one cell per approach and seed of the
     unit; units that completed keep their rows.
@@ -408,13 +426,14 @@ def _run_pool(work: list, workers: int) -> list[list[SweepCell]]:
     from concurrent.futures.process import BrokenProcessPool
 
     units = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_enter_sweep,
+                             initargs=(sweep,)) as pool:
         futures = [pool.submit(_run_cell, item) for item in work]
         for item, future in zip(work, futures):
             try:
                 units.append(_finished(item, *future.result()))
             except BrokenProcessPool as e:
-                _, approaches, seeds, *_ = item
+                approaches, seeds = item
                 units.append(_finished(item, [
                     SweepCell.failed(a, seed, e)
                     for a in approaches for seed in seeds], None))
@@ -452,8 +471,10 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     few groups as keep each within MAX_STACK_SEEDS, serial or not, and
     into more only when fewer units train than `jobs`, so that each
     worker can get one. With `jobs` > 1 the units run in a process pool
-    of at most `jobs` workers, and no more workers than units; a unit
-    whose worker dies fails its cells and the other units keep theirs.
+    of at most `jobs` workers, and no more workers than units; each
+    worker gets the dataset once, as it starts, and each unit only its
+    approaches and seeds. A unit whose worker dies fails its cells and
+    the other units keep theirs.
     Each finished unit logs one line with its approaches, seeds, wall
     seconds and failed-cell count. Negative or non-finite costs or λ
     values, a seed that is not a non-negative integer, a repeated seed,
@@ -482,12 +503,16 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     team = team or TeamConfig.accuracy(dataset.num_classes)
     cfg = train_cfg or TrainConfig()
-    work = [(dataset, unit, group, costs, lam_grid, team, cfg)
-            for unit, group in _work_plan(names, seeds, jobs)]
-    if jobs > 1:
-        units = _run_pool(work, min(jobs, len(work)))
-    else:
-        units = [_finished(item, *_run_cell(item)) for item in work]
+    sweep = (dataset, costs, lam_grid, team, cfg)
+    work = _work_plan(names, seeds, jobs)
+    try:
+        if jobs > 1:
+            units = _run_pool(work, min(jobs, len(work)), sweep)
+        else:
+            _enter_sweep(sweep)
+            units = [_finished(item, *_run_cell(item)) for item in work]
+    finally:
+        _enter_sweep(None)
     cells = [cell for unit in units for cell in unit]
 
     results = []

@@ -21,6 +21,14 @@ def runtime_query_decision(q_val: float, m_dist: np.ndarray) -> bool:
     return (1.0 - q_val) * float(np.max(m_dist)) < q_val
 
 
+def confusable_class_broadcast(X, y, means):
+    """`data.confusable_class` as one (n, K, d) broadcast: every row's
+    squared distance to every class mean, its own class masked out."""
+    dists = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    dists[np.arange(len(X)), y] = np.inf
+    return dists.argmin(axis=1)
+
+
 def soft_expected_utilities(pa, pb, pg_rows, utility, tau):
     """Soft u_nq, u_q and query probability from explicit distributions.
 

@@ -138,6 +138,13 @@ def test_criterion_04_query_rule_fires_only_when_response_wins():
     aligned = True
     total = 0
     fired_total = 0
+    # the scalar rule on hand examples; an exact tie never queries
+    for q_val, m_row, want in ((0.5, [0.6, 0.4], True),
+                               (0.2, [0.6, 0.4], False),
+                               (0.5, [1.0, 0.0], False),
+                               (0.0, [0.5, 0.5], False),
+                               (1.0, [1.0, 0.0], True)):
+        assert runtime_query_decision(q_val, np.array(m_row)) == want
     for K in (2, 3, 4, 6):
         n = 25000
         q = rng.random(n)

@@ -1,12 +1,16 @@
 """Dataset tests: synthetic generator, splits, CSV round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from teamopt.data import (Dataset, SynthConfig, generate_synthetic, load_csv,
+from oracles import confusable_class_broadcast
+from teamopt.data import (Dataset, SynthConfig, class_means,
+                          confusable_class, generate_synthetic, load_csv,
                           save_csv, split)
 from teamopt.errors import ConfigError, InputError, ParseError
 
@@ -48,6 +52,45 @@ def test_generator_is_deterministic():
     assert a.name == b.name
     c = generate_synthetic(small_cfg(seed=6))
     assert a.X.tobytes() != c.X.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 700), K=st.integers(2, 12), d=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1),
+       weights=st.lists(st.integers(0, 9), min_size=12, max_size=12))
+@example(n=500, K=5, d=8, seed=3, weights=[14, 1, 1, 1, 1] + [0] * 7)
+@example(n=300, K=12, d=3, seed=0, weights=[1] * 12)
+@example(n=300, K=4, d=1, seed=7, weights=[1] * 12)
+def test_generator_matches_the_broadcast_reference(n, K, d, seed, weights):
+    # the per-class distances keep the bits of the (n, K, d) broadcast,
+    # so every generated array does too, K > d - 1 and d = 1 included
+    w = np.array(weights[:K], dtype=np.float64)
+    w = w / w.sum() if w.any() else np.full(K, 1.0 / K)
+    cfg = SynthConfig(num_classes=K, feature_dim=d, n=n,
+                      class_priors=tuple(w), seed=seed)
+    got = generate_synthetic(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("teamopt.data.confusable_class",
+                   confusable_class_broadcast)
+        want = generate_synthetic(cfg)
+    for field in ("X", "y", "h"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    means = class_means(K, d)
+    assert np.array_equal(confusable_class(got.X, got.y, means),
+                          confusable_class_broadcast(got.X, got.y, means))
+
+
+def test_generator_peak_memory_is_bounded():
+    # no (n, K, d) temporary: the peak stays within 3x the arrays returned
+    generate_synthetic(SynthConfig(n=100))  # modules numpy loads lazily
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        ds = generate_synthetic(SynthConfig(n=50_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (ds.X.nbytes + ds.y.nbytes + ds.h.nbytes)
 
 
 def test_class_priors_are_respected():

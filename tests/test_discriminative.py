@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import runtime_query_decision
 from teamopt.data import Dataset
 from teamopt.discriminative import (SOLO_STREAMS, TeamConfig, decide,
                                     derive_rng, joint_disc_loss_fn,
@@ -141,15 +140,6 @@ def test_joint_loss_query_cost_scales_with_q():
     # q=1 routes to the (correct) human: CE term vanishes, cost term is lam*c
     assert abs(full - 0.8) < 1e-12
     assert abs(base - -np.log(0.5)) < 1e-15
-
-
-def test_runtime_rule_examples():
-    assert runtime_query_decision(0.5, np.array([0.6, 0.4]))
-    assert not runtime_query_decision(0.2, np.array([0.6, 0.4]))
-    # exact tie resolves to no query
-    assert not runtime_query_decision(0.5, np.array([1.0, 0.0]))
-    assert not runtime_query_decision(0.0, np.array([0.5, 0.5]))
-    assert runtime_query_decision(1.0, np.array([1.0, 0.0]))
 
 
 # --- prediction paths ---------------------------------------------------------

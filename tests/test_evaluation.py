@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import logging
+import pickle
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -394,14 +395,18 @@ def test_one_value_lambda_grid_scores_only_the_test_split(monkeypatch,
 
 
 def inline_pool(monkeypatch) -> tuple[list, list]:
-    """Swap the process pool for one that runs each unit in this process;
-    returns the list of `max_workers` it is opened with and the list of
-    (approaches, seeds) of the units submitted. No worker starts."""
+    """Swap the process pool for one that runs its initializer and then
+    each unit in this process; returns the list of `max_workers` it is
+    opened with and the list of (approaches, seeds) of the units
+    submitted. No worker starts."""
     widths, units = [], []
 
     class InlinePool:
-        def __init__(self, max_workers=None, **kwargs):
+        def __init__(self, max_workers=None, initializer=None, initargs=(),
+                     **kwargs):
             widths.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -410,7 +415,7 @@ def inline_pool(monkeypatch) -> tuple[list, list]:
             return False
 
         def submit(self, fn, *args):
-            units.append(tuple(args[0][1:3]))
+            units.append(args[0])
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
@@ -438,6 +443,28 @@ def test_pool_opens_at_most_one_worker_per_work_unit(monkeypatch, jobs,
     assert units == [(("fixed-disc",), [0]), (("fixed-disc",), [1]),
                      (("human-only",), [0]), (("human-only",), [1])]
     assert widths == [workers]
+    assert [r.cells for r in pooled] == [r.cells for r in serial]
+
+
+def test_pool_work_items_carry_no_dataset(monkeypatch):
+    # each worker gets the dataset once, from the pool's initializer; a
+    # submitted unit pickles to its approaches and seeds only
+    ds = toy_dataset(n=2000)
+    args = (ds, ("fixed-disc", "human-only"), (0.0, 0.1), (1.0,), (0, 1))
+    serial = cost_sweep(*args, train_cfg=small_cfg())
+    assert evaluation._sweep is None  # a finished sweep holds no dataset
+    real = concurrent.futures.ProcessPoolExecutor.submit
+    sizes = []
+
+    def submit(self, fn, /, *items):
+        sizes.append(len(pickle.dumps((fn, items))))
+        return real(self, fn, *items)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit",
+                        submit)
+    pooled = cost_sweep(*args, train_cfg=small_cfg(), jobs=2)
+    assert len(sizes) == 4
+    assert max(sizes) * 50 < len(pickle.dumps(ds))
     assert [r.cells for r in pooled] == [r.cells for r in serial]
 
 

@@ -112,6 +112,9 @@ def test_forward_hand_built_logits():
                  SOFTMAX_HEAD, 0.0)
     out = forward(m, np.array([1.0]))
     assert is_distribution(out)
+    # the helper itself rejects what is not a distribution
+    assert not is_distribution(np.array([0.5, 0.6]))
+    assert not is_distribution(np.array([-0.1, 1.1]))
     assert abs(out[0] - SIGMA_1) < 1e-12
     assert abs(out[1] - (1.0 - SIGMA_1)) < 1e-12
 
@@ -137,12 +140,6 @@ def test_init_mlp_bounds_and_zero_biases():
     assert all(not b.any() for b in m.biases)
     again = init_mlp((5, 8, 3), SOFTMAX_HEAD, np.random.default_rng(0))
     assert all(np.array_equal(a, b) for a, b in zip(m.weights, again.weights))
-
-
-def test_is_distribution():
-    assert is_distribution(np.array([0.25, 0.75]))
-    assert not is_distribution(np.array([0.5, 0.6]))
-    assert not is_distribution(np.array([-0.1, 1.1]))
 
 
 def masked_sigmoid(x):

@@ -359,18 +359,14 @@ def test_soft_quantities_approach_exact_at_low_temperature():
         parts = voi_decision_parts(system, x[None, :])
         assert abs(u_nq_s - parts.alone_score[0]) < 1e-6
         assert abs(u_q_s - parts.query_score[0]) < 1e-6
-
-
-def test_soft_team_quantities_wires_system_distributions():
-    system = dist_system([0.6, 0.4], [0.7, 0.3], [[0.8, 0.2], [0.4, 0.6]],
-                         TeamConfig.accuracy(2, 0.1))
-    x = np.array([1.0, -1.0])
-    got = soft_team_quantities(system, x)
+    # by default the oracle reads the system's three networks, utility and
+    # temperature
     pa = system.p_alpha.predict_batch(x[None, :])[0]
     pb = system.p_beta.predict_batch(x[None, :])[0]
-    pg = system.p_gamma.predict_batch(gamma_all_input(x[None, :], 2))
-    want = soft_expected_utilities(pa, pb, pg, np.eye(2), 1.0)
-    assert np.allclose(got, want, atol=1e-12)
+    pg = system.p_gamma.predict_batch(gamma_all_input(x[None, :], K))
+    want = soft_expected_utilities(pa, pb, pg, U,
+                                   system.train_cfg.softmax_temperature)
+    assert np.allclose(soft_team_quantities(system, x), want, atol=1e-12)
 
 
 # --- joint training ---------------------------------------------------------------
