@@ -11,7 +11,7 @@ accurate.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,15 @@ SIMPLEX_SCALE = 2.0  # distance of class means from the origin, in sigmas
 
 @dataclass
 class Dataset:
-    """Feature matrix plus aligned label and human-response vectors."""
+    """Feature matrix plus aligned label and human-response vectors.
+
+    A dataset that `subset` took from another (a split, a calibration
+    slice) holds no rows of its own, only `rows`, their indices into the
+    arrays of its `source`. Reading its X, y or h gathers those rows into
+    a fresh array, so nothing written there reaches the source; code that
+    consumes rows a batch at a time gathers them from the source itself
+    (see `numerics.block_rows`).
+    """
 
     X: np.ndarray  # (n, d) float64
     y: np.ndarray  # (n,) int labels in [0, K)
@@ -31,6 +39,9 @@ class Dataset:
     name: str = "dataset"
     # planted (hard_hi, hard_lo) x[0] thresholds of a synthetic dataset
     planted: tuple[float, float] | None = None
+    # set by `subset`: the dataset owning the arrays, and this one's rows
+    _owner: "Dataset | None" = field(default=None, init=False, repr=False)
+    rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -48,16 +59,44 @@ class Dataset:
             if arr.min() < 0 or arr.max() >= self.num_classes:
                 raise InputError(f"{what} out of range [0, {self.num_classes})")
 
+    def __getattr__(self, attr):
+        # reached only for what the instance lacks: a subset's X, y and h
+        if self._owner is None or attr not in ("X", "y", "h"):
+            raise AttributeError(attr)
+        return getattr(self._owner, attr)[self.rows]
+
+    @property
+    def source(self) -> "Dataset":
+        """The dataset whose arrays hold this one's rows: itself unless
+        `subset` took it from another."""
+        return self if self._owner is None else self._owner
+
     def __len__(self) -> int:
-        return len(self.X)
+        return len(self.X if self.rows is None else self.rows)
 
     @property
     def feature_dim(self) -> int:
-        return self.X.shape[1]
+        return self.source.X.shape[1]
 
     def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
-        return Dataset(self.X[idx], self.y[idx], self.h[idx],
-                       self.num_classes, name or self.name, self.planted)
+        """The rows `idx` of this dataset, held as indices into its
+        source's arrays: no row is copied."""
+        rows = (np.arange(len(self)) if self.rows is None else self.rows)[idx]
+        if len(rows) == 0:
+            raise InputError("dataset must be a nonempty (n, d) matrix")
+        view = object.__new__(Dataset)  # no arrays of its own to validate
+        view.num_classes, view.planted = self.num_classes, self.planted
+        view.name = name or self.name
+        view._owner, view.rows = self.source, rows
+        return view
+
+    def gathered(self) -> "Dataset":
+        """This dataset with arrays of its own: a copy of its rows if
+        `subset` took it, itself otherwise."""
+        if self._owner is None:
+            return self
+        return Dataset(self.X, self.y, self.h, self.num_classes, self.name,
+                       self.planted)
 
     def human_error_rate(self) -> float:
         return float((self.h != self.y).mean())
@@ -122,16 +161,20 @@ def confusable_class(X: np.ndarray, y: np.ndarray,
     """Each row's nearest class mean other than its own class y: the
     class a human-hard response flips to.
 
-    The squared distances are built one class at a time, each row sum
-    over one contiguous (n, d) block, so no (n, K, d) temporary is held;
-    numpy sums each row the same way as over the last axis of that
-    broadcast, so the distances keep its bits.
+    A running minimum over the classes, in class order, each row's squared
+    distance summed over one contiguous (n, d) block, so that only (n,)
+    arrays are held; numpy sums each row as over the last axis of the
+    (n, K, d) broadcast, so the distances keep its bits, and moving only
+    to a strictly smaller distance keeps `argmin`'s first minimum.
     """
-    dists = np.empty((len(X), len(means)))
+    best = np.full(len(X), np.inf)
+    nearest = np.zeros(len(X), dtype=np.int64)
     for k, mean in enumerate(means):
-        dists[:, k] = ((X - mean) ** 2).sum(axis=1)
-    dists[np.arange(len(X)), y] = np.inf
-    return dists.argmin(axis=1)
+        dist = ((X - mean) ** 2).sum(axis=1)
+        closer = (dist < best) & (y != k)
+        np.copyto(best, dist, where=closer)
+        np.copyto(nearest, k, where=closer)
+    return nearest
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:

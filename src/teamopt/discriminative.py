@@ -246,17 +246,18 @@ def train_solo_model(runs, team: TeamConfig,
     B = shared_batch_size(runs)
     ds0, cfg = runs[0]
     w = utility_loss_weights(team)
-    dims = (ds0.X.shape[1], *cfg.hidden_dims, ds0.num_classes)
+    dims = (ds0.feature_dim, *cfg.hidden_dims, ds0.num_classes)
     # row source s * len(replicas) + j feeds pair j of run s
-    X, T, inits, batches, drops = zip(*(
-        (ds.X, getattr(ds, target), *(derive_rng(c.seed, s) for s in streams))
+    X, T, rows, inits, batches, drops = zip(*(
+        (ds.source.X, getattr(ds.source, target), ds.rows,
+         *(derive_rng(c.seed, s) for s in streams))
         for ds, c in runs for target, streams in replicas))
     models = by_run([init_mlp(dims, SOFTMAX_HEAD, rng, cfg.dropout_rate)
                      for rng in inits], len(replicas))
     return fit_stack({"m": (models, drops, B)}, (X, T), batches, B,
                      solo_ce_loss, cfg, "solo training",
-                     batch=lambda rows: (rows[0], rows[1], w[rows[1]],
-                                         rows[2]))["m"]
+                     batch=lambda r: (r[0], r[1], w[r[1]], r[2]),
+                     rows=rows)["m"]
 
 
 def mixture_loss(q, p_human, p_machine, w_y, cost_term):
@@ -310,6 +311,16 @@ def query_policy_loss_fn(cfg: TrainConfig, costs):
     return loss_fn
 
 
+def _at_rows(ds, values: np.ndarray) -> np.ndarray:
+    """`values`, one per row of `ds`, as a row field of its source: put
+    at ds's rows there, the only ones a batch of ds draws."""
+    if ds.rows is None:
+        return values
+    field = np.zeros(len(ds.source))
+    field[ds.rows] = values
+    return field
+
+
 def train_query_policy(runs, team: TeamConfig, costs
                        ) -> list[list[MlpModel]]:
     """Stage 2 of the fixed approach: per run, one q-policy per query cost.
@@ -322,19 +333,23 @@ def train_query_policy(runs, team: TeamConfig, costs
     B = shared_batch_size(runs)
     cfg = runs[0][1]
     w = utility_loss_weights(team)
-    X = [ds.X for ds, _, _ in runs]
+    src = [ds.source for ds, _, _ in runs]
     # frozen, no dropout: plain constants
-    m_y = [forward_batch(m, ds.X)[np.arange(len(ds)), ds.y]
+    m_y = [_at_rows(ds, forward_batch(m, ds.X)[np.arange(len(ds)), ds.y])
            for ds, _, m in runs]
-    hit = [(ds.h == ds.y).astype(np.float64) for ds, _, _ in runs]
-    w_y = [w[ds.y] for ds, _, _ in runs]
-    q = _fresh_net(runs, len(costs), (X[0].shape[1], *cfg.hidden_dims, 1),
-                   SIGMOID_HEAD, STREAM_INIT_Q, STREAM_DROP_Q, B)
-    return fit_stack({"q": q}, (X, m_y, hit, w_y),
+    q = _fresh_net(runs, len(costs),
+                   (src[0].feature_dim, *cfg.hidden_dims, 1), SIGMOID_HEAD,
+                   STREAM_INIT_Q, STREAM_DROP_Q, B)
+    fields = [[s.X for s in src], m_y, [s.y for s in src], [s.h for s in src]]
+    return fit_stack({"q": q}, fields,
                      [derive_rng(c.seed, STREAM_BATCH_Q) for _, c, _ in runs],
                      B, query_policy_loss_fn(cfg, costs), cfg,
                      "query-policy training",
-                     [f"query_cost={c!r}" for c in costs])["q"]
+                     [f"query_cost={c!r}" for c in costs],
+                     batch=lambda r: (r[0], r[1],
+                                      (r[3] == r[2]).astype(np.float64),
+                                      w[r[2]], r[4]),
+                     rows=[ds.rows for ds, _, _ in runs])["q"]
 
 
 def train_fixed(runs, team: TeamConfig, costs
@@ -396,17 +411,19 @@ def train_joint(runs, team: TeamConfig, cost_weights
     B = shared_batch_size(runs)
     ds0, cfg = runs[0]
     w = utility_loss_weights(team)
-    G, d = len(cost_weights), ds0.X.shape[1]
+    G, d = len(cost_weights), ds0.feature_dim
     nets = {"m": _fresh_net(runs, G, (d, *cfg.hidden_dims, ds0.num_classes),
                             SOFTMAX_HEAD, STREAM_INIT_M, STREAM_DROP_M, B),
             "q": _fresh_net(runs, G, (d, *cfg.hidden_dims, 1), SIGMOID_HEAD,
                             STREAM_INIT_Q, STREAM_DROP_Q, B)}
-    fields = list(zip(*((ds.X, ds.y, (ds.h == ds.y).astype(np.float64),
-                         w[ds.y]) for ds, _ in runs)))
+    fields = [[getattr(ds.source, f) for ds, _ in runs] for f in "Xyh"]
     fitted = fit_stack(
         nets, fields, [derive_rng(c.seed, STREAM_BATCH) for _, c in runs], B,
         joint_disc_loss_fn(team, cost_weights), cfg, "joint training",
-        [f"cost_weight={lam!r}" for lam in cost_weights])
+        [f"cost_weight={lam!r}" for lam in cost_weights],
+        batch=lambda r: (r[0], r[1], (r[2] == r[1]).astype(np.float64),
+                         w[r[1]], *r[3:]),
+        rows=[ds.rows for ds, _ in runs])
     return [[DiscriminativeSystem(m, q, team, replace(c, cost_weight=lam))
              for m, q, lam in zip(run_m, run_q, cost_weights)]
             for (_, c), run_m, run_q in zip(runs, fitted["m"], fitted["q"])]

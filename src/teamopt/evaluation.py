@@ -137,7 +137,8 @@ def _score(parts, ds: Dataset, team: TeamConfig, c: float) -> dict:
 
 @dataclass
 class _Run:
-    """One seed of a work unit: its seeded config and its splits."""
+    """One seed of a work unit: its seeded config and its splits, row
+    indices into the work unit's dataset until the seed is scored."""
 
     cfg: TrainConfig
     tr: Dataset
@@ -267,6 +268,8 @@ def _scored(run, result, pairs):
     for outcome in (run, result):
         if isinstance(outcome, Exception):
             raise outcome
+    # the seed's validation and test rows, gathered while it is scored
+    run = replace(run, va=run.va.gathered(), te=run.te.gathered())
     return run.te, pairs(run, result)
 
 

@@ -285,7 +285,8 @@ def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
         gw[i] = np.swapaxes(inputs[i], -1, -2) @ g
         gb[i] = g.sum(axis=-2, keepdims=True)
         if i:
-            g = (g @ np.swapaxes(weights[i], -1, -2)) * gates[i - 1]
+            g = g @ np.swapaxes(weights[i], -1, -2)  # a fresh array
+            g *= gates[i - 1]
     return GradientSet(gw, gb)
 
 
@@ -475,6 +476,9 @@ def _untrained(start: dict[str, MlpModel], fitted: dict[str, MlpModel],
 # dropout masks from its own streams, seeded by its config, BLOCK_STEPS
 # steps at a time, and its variants share them; so each run's results are
 # bit-identical to training it alone, and a one-seed call is the S=1 case.
+# A run's dataset may be a split (`data.Dataset.subset`): its batches are
+# then gathered through its row indices from the dataset it was taken
+# from, so no run holds a copy of its rows.
 
 # Training steps whose minibatch rows and dropout masks are drawn at once.
 # Each step sees the values it would draw alone; a longer block saves
@@ -500,17 +504,24 @@ def shared_batch_size(runs) -> int:
     return sizes.pop()
 
 
-def block_rows(fields, rngs, B: int, lead: tuple, steps: int) -> list:
+def block_rows(fields, rngs, B: int, lead: tuple, steps: int,
+               rows=None) -> list:
     """The minibatch rows of `steps` consecutive steps, one array per field.
 
     Row source j holds fields[k][j] for each field k and draws its steps'
     index sets in step order from rngs[j], as `batch_indices` per step
-    would. Each field is gathered once per source into a (steps, *lead,
+    would. With `rows`, source j's rows are rows[j], indices into its
+    field arrays (None: all of them), and each drawn index picks one of
+    them. Each field is gathered once per source into a (steps, *lead,
     B, ...) array, so step t's rows are its C-contiguous view [t], laid
     out on `lead` as `fit_stack` lays out a step's batch.
     """
-    idx = [np.array([batch_indices(rng, len(a), B) for _ in range(steps)])
-           for rng, a in zip(rngs, fields[0])]
+    rows = rows or [None] * len(rngs)
+    idx = []
+    for rng, a, r in zip(rngs, fields[0], rows):
+        i = np.array([batch_indices(rng, len(a if r is None else r), B)
+                      for _ in range(steps)])
+        idx.append(i if r is None else r[i])
     blocks = []
     for arrays in fields:
         block = np.empty((steps, len(arrays), B) + arrays[0].shape[1:],
@@ -541,17 +552,18 @@ def by_run(items: list, G: int) -> list[list]:
 
 
 def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
-              what: str, variant_labels=None, batch=None, on_step=None
-              ) -> dict[str, list[list[MlpModel]]]:
+              what: str, variant_labels=None, batch=None, on_step=None,
+              rows=None) -> dict[str, list[list[MlpModel]]]:
     """Train S runs of G variants each as one replica stack through `fit`.
 
     `nets` maps each network's name to (models, dropout generators, mask
     rows), models[s][g] starting variant g of run s. `fields` holds the
-    row fields, each a list of arrays, one per row source, and `rngs` the
-    sources' batch generators. A source, like a dropout generator, serves
-    a run, laid out as (S, 1) so that its rows broadcast over its
-    variants, or a replica, run-major, laid out as (S, G) (see
-    `mlp_forward`). A step's rows, B per source (`block_rows`), and then
+    row fields, each a list of arrays, one per row source, `rngs` the
+    sources' batch generators and `rows`, if given, each source's row
+    indices into its arrays (see `block_rows`). A source, like a dropout
+    generator, serves a run, laid out as (S, 1) so that its rows
+    broadcast over its variants, or a replica, run-major, laid out as
+    (S, G) (see `mlp_forward`). A step's rows, B per source, and then
     each network's masks come as one tuple, which `batch`, if given,
     makes into the step's batch. Returns each network's models, nested
     as given.
@@ -564,7 +576,7 @@ def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
 
     def draw(steps):
         return list(zip(
-            *block_rows(fields, rngs, B, lead(rngs), steps),
+            *block_rows(fields, rngs, B, lead(rngs), steps, rows),
             *(sample_dropout_masks(models[0][0], n, *drops,
                                    lead=lead(drops), steps=steps)
               for models, drops, n in nets.values())))

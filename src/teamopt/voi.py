@@ -278,6 +278,8 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
 
 
 def _calibration_split(dataset, seed: int):
+    """(fit, calib): the rows a VOI training fits its networks on and the
+    held-out slice its calibrators fit on, both taken by `subset`."""
     n = len(dataset)
     n_cal = max(1, n // 5)
     if n - n_cal < 1:
@@ -288,16 +290,17 @@ def _calibration_split(dataset, seed: int):
 
 
 def _refit_calibrators(a_m: MlpModel, b_m: MlpModel, g_m: MlpModel,
-                       calib_ds, X_gamma: np.ndarray, start=(None,) * 3
+                       calib_ds, start=(None,) * 3
                        ) -> tuple[PlattCalibrator, ...]:
     """(cal_a, cal_b, cal_g) fitted on the held-out slice, each fit started
-    from the matching `start` calibrator when one is given. `X_gamma` is
-    the slice's `gamma_input`, which a training builds once."""
+    from the matching `start` calibrator when one is given. The slice's
+    rows are gathered for this refit alone."""
     K = calib_ds.num_classes
     Xc, yc, hc = calib_ds.X, calib_ds.y, calib_ds.h
     cal_a = PlattCalibrator.fit(logits_batch(a_m, Xc), yc, K, start[0])
     cal_b = PlattCalibrator.fit(logits_batch(b_m, Xc), hc, K, start[1])
-    cal_g = PlattCalibrator.fit(logits_batch(g_m, X_gamma), yc, K, start[2])
+    cal_g = PlattCalibrator.fit(logits_batch(g_m, gamma_input(Xc, hc, K)),
+                                yc, K, start[2])
     return cal_a, cal_b, cal_g
 
 
@@ -323,8 +326,7 @@ def train_fixed_voi(runs, team: TeamConfig) -> list[VoiSystem]:
     systems = []
     for (a_m, b_m), [g_m], (_, calib_ds), (_, cfg) in zip(ab, g, splits,
                                                            runs):
-        cals = _refit_calibrators(a_m, b_m, g_m, calib_ds, gamma_input(
-            calib_ds.X, calib_ds.h, K))
+        cals = _refit_calibrators(a_m, b_m, g_m, calib_ds)
         systems.append(VoiSystem(*(CalibratedModel(m, c) for m, c in zip(
             (a_m, b_m, g_m), cals)), team, cfg))
     return systems
@@ -362,8 +364,6 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
                    [derive_rng(c.seed, drop) for _, c, _ in runs], rows)
             for i, (name, drop, rows) in enumerate(
                 zip(_PARTS, STREAM_JOINT_DROP, (B, B, B * K)))}
-    calib = [(calib_ds, gamma_input(calib_ds.X, calib_ds.h, K))
-             for _, calib_ds in splits]
 
     def batch_calibrator(cals):
         joint = joint_calibrator([_stack_calibrators(c) for c in zip(*cals)],
@@ -381,7 +381,7 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
         # each replica refits its own (cal_a, cal_b, cal_g) on its
         # networks and its run's held-out slice
         nonlocal cal, cals
-        cals = [_refit_calibrators(*r, *calib[i // G], prev)
+        cals = [_refit_calibrators(*r, splits[i // G][1], prev)
                 for i, (r, prev) in enumerate(zip(replicas, cals))]
         cal = batch_calibrator(cals)
 
@@ -392,11 +392,12 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
 
     # each step's batch takes the latest refit's calibrators
     fitted = fit_stack(
-        nets, [[getattr(ds, f) for ds, _ in splits] for f in "Xhy"],
+        nets, [[getattr(ds.source, f) for ds, _ in splits] for f in "Xhy"],
         [derive_rng(c.seed, STREAM_JOINT_BATCH) for _, c, _ in runs], B,
         joint_voi_loss_fn(team, cfg, cost_weights), cfg, "joint training",
         [f"cost_weight={lam!r}" for lam in cost_weights],
-        lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:]), on_step)
+        lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:]), on_step,
+        [ds.rows for ds, _ in splits])
     replicas = list(zip(*([m for run in fitted[name] for m in run]
                           for name in _PARTS)))
     refit(replicas)  # the final refit sets cals

@@ -8,6 +8,7 @@ training loss on the reverse-mode tape so its closed-form gradient can be.
 import numpy as np
 
 from teamopt import tape
+from teamopt.data import Dataset
 from teamopt.discriminative import mixture_loss
 from teamopt.numerics import (PROB_CLAMP, GradientSet, mlp_backward,
                               mlp_forward, stable_sigmoid, stable_softmax,
@@ -19,6 +20,13 @@ def runtime_query_decision(q_val: float, m_dist: np.ndarray) -> bool:
     """Discriminative run-time rule: query iff (1 - q) * max(m) < q; ties
     resolve to no query."""
     return (1.0 - q_val) * float(np.max(m_dist)) < q_val
+
+
+def subset(dataset, idx, name=None):
+    """`Dataset.subset` as a copy: the rows `idx` gathered into a dataset
+    that owns them."""
+    return Dataset(dataset.X[idx], dataset.y[idx], dataset.h[idx],
+                   dataset.num_classes, name or dataset.name, dataset.planted)
 
 
 def confusable_class_broadcast(X, y, means):

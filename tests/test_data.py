@@ -8,11 +8,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from oracles import confusable_class_broadcast
 from teamopt.data import (Dataset, SynthConfig, class_means,
                           confusable_class, generate_synthetic, load_csv,
                           save_csv, split)
 from teamopt.errors import ConfigError, InputError, ParseError
+from teamopt.voi import _calibration_split
 
 
 def small_cfg(**kwargs):
@@ -81,16 +83,20 @@ def test_generator_matches_the_broadcast_reference(n, K, d, seed, weights):
 
 
 def test_generator_peak_memory_is_bounded():
-    # no (n, K, d) temporary: the peak stays within 3x the arrays returned
+    # no (n, K, d) temporary and no (n, K) distances: the peak stays within
+    # 3x the arrays returned, also with more classes than features
     generate_synthetic(SynthConfig(n=100))  # modules numpy loads lazily
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        ds = generate_synthetic(SynthConfig(n=50_000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * (ds.X.nbytes + ds.y.nbytes + ds.h.nbytes)
+    for K, d in ((5, 8), (12, 3), (12, 1)):
+        priors = (0.7, *[0.3 / (K - 1)] * (K - 1))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            ds = generate_synthetic(SynthConfig(
+                num_classes=K, feature_dim=d, n=50_000, class_priors=priors))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (ds.X.nbytes + ds.y.nbytes + ds.h.nbytes), (K, d)
 
 
 def test_class_priors_are_respected():
@@ -182,6 +188,45 @@ def test_split_deterministic_and_seed_sensitive():
     assert all(x.X.tobytes() == y.X.tobytes() for x, y in zip(a, b))
     c = split(ds, (0.7, 0.15, 0.15), seed=10)
     assert a[0].X.tobytes() != c[0].X.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 300),
+       weights=st.lists(st.integers(1, 20), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3, weights=[1, 1, 1], seed=0)  # a one-row training split
+@example(n=3, weights=[1, 1, 2], seed=0)  # an empty validation split
+def test_splits_hold_the_rows_that_copies_hold(n, weights, seed):
+    # splits and calibration slices are row indices into the dataset:
+    # the same rows, names and lengths as the copies they used to be,
+    # and the same errors
+    ds = generate_synthetic(small_cfg(n=n, seed=seed % 7))
+    fractions = tuple(np.array(weights) / sum(weights))
+
+    def parts():
+        tr, va, te = split(ds, fractions, seed)
+        return (tr, va, te, *_calibration_split(tr, seed))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Dataset, "subset", oracles.subset)
+        try:
+            want = parts()
+        except InputError:
+            want = None
+    if want is None:
+        with pytest.raises(InputError):
+            parts()
+        return
+    X = ds.X.copy()
+    for g, w in zip(parts(), want, strict=True):
+        assert g.source is ds and len(g) == len(w) == len(g.rows)
+        assert (g.name, g.planted, g.num_classes) == \
+            (w.name, w.planted, w.num_classes)
+        for field in ("X", "y", "h"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+        assert g.gathered().X.tobytes() == w.X.tobytes()
+        g.X[:] = 0.0  # a fresh gather: the dataset is left as it was
+    assert ds.X.tobytes() == X.tobytes()
 
 
 def test_split_names_tag_the_parts():

@@ -5,6 +5,7 @@ import json
 import logging
 import pickle
 import re
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import teamopt.voi as voi_mod
 from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
@@ -466,6 +468,31 @@ def test_pool_work_items_carry_no_dataset(monkeypatch):
     assert len(sizes) == 4
     assert max(sizes) * 50 < len(pickle.dumps(ds))
     assert [r.cells for r in pooled] == [r.cells for r in serial]
+
+
+def test_voi_work_unit_holds_no_per_seed_copy_of_its_rows(monkeypatch):
+    # a work unit's splits and calibration slices are row indices into
+    # the dataset: at every joint-VOI step, what the two-seed fixed-voi +
+    # joint-voi unit holds stays below one seed's copy of its rows
+    ds = generate_synthetic(SynthConfig(n=20_000, seed=2))  # 80 B a row
+    live = []
+
+    def joint_voi_batch(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    real = voi_mod.joint_voi_batch
+    monkeypatch.setattr(voi_mod, "joint_voi_batch", joint_voi_batch)
+    tracemalloc.start()
+    try:
+        [fixed, joint] = cost_sweep(
+            ds, ("fixed-voi", "joint-voi"), (0.0, 0.1), (1.0,), (0, 1),
+            train_cfg=TrainConfig(iterations=4, batch_size=16,
+                                  hidden_dims=(2,), calibration_interval=2))
+    finally:
+        tracemalloc.stop()
+    assert fixed.seeds == joint.seeds == [0, 1] and len(live) == 4
+    assert max(live) < ds.X.nbytes + ds.y.nbytes + ds.h.nbytes
 
 
 def test_dead_worker_fails_its_cells_and_the_rest_complete(
