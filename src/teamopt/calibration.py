@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
-from .numerics import stable_sigmoid, stable_softmax, sum_last
+from .numerics import (Workspace, stable_sigmoid, stable_softmax, sum_last,
+                       ws_out, ws_scope)
 
 _P_EPS = 1e-12
 _TINY = np.finfo(np.float64).tiny
@@ -167,22 +168,26 @@ class PlattCalibrator:
         return cls(a, b, flags)
 
 
-def calibrated_head(logits: np.ndarray, cal: PlattCalibrator):
+def calibrated_head(logits: np.ndarray, cal: PlattCalibrator,
+                    ws: Workspace | None = None):
     """(p, s, total, low): the calibrated distributions p = s / total, the
     per-class sigmoids s, their (..., 1) sum over the last axis, and the
-    mask of rows normalised in log space (None if none).
+    mask of rows normalised in log space (None if none). p, s and the
+    scratch of the sigmoid come from `ws`, if given.
 
     A row whose total is below the smallest normal float has every sigmoid
     underflowed, and s / total would be 0/0 or a ratio of subnormals. Such
     rows take the same ratio in log space, softmax(log sigmoid(z)), and
     their total reads 1. Every other row keeps the plain division.
     """
-    z = logits * cal.a + cal.b
-    s = stable_sigmoid(z)
+    z = np.multiply(logits, cal.a, out=ws_out(ws, "z", logits.shape))
+    z += cal.b
+    s = stable_sigmoid(z, ws_scope(ws, "s"))
     total = sum_last(s)[..., None]
     low = total[..., 0] < _TINY
     if not low.any():
-        return s / total, s, total, None
+        p = np.divide(s, total, out=ws_out(ws, "p", s.shape))
+        return p, s, total, None
     total = np.where(low[..., None], 1.0, total)
     p = s / total
     zl = z[low]

@@ -11,6 +11,8 @@ accurate.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,36 +253,67 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in xi] + [int(yi), int(hi)])
 
 
-def load_csv(path, num_classes: int) -> Dataset:
-    """Parse the package CSV format; errors carry the 1-based line number."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError(f"{path}: empty file", line=1)
-    header = rows[0]
-    if len(header) < 3 or header[-2:] != ["y", "h"]:
-        raise ParseError(f"{path}: header must end with y,h columns", line=1)
-    d = len(header) - 2
-    if header[:d] != [f"f{i}" for i in range(d)]:
-        raise ParseError(f"{path}: feature columns must be f0..f{d - 1}", line=1)
+def _undecodable(row: list[str]) -> bool:
+    """Whether a row read with errors="surrogateescape" held bytes that
+    are not UTF-8."""
+    return any("\udc80" <= c <= "\udcff" for v in row for c in v)
 
-    X = np.empty((len(rows) - 1, d))
-    y = np.empty(len(rows) - 1, dtype=np.int64)
-    h = np.empty(len(rows) - 1, dtype=np.int64)
-    for i, row in enumerate(rows[1:]):
-        lineno = i + 2
-        if len(row) != d + 2:
-            raise ParseError(f"{path}:{lineno}: expected {d + 2} columns,"
-                             f" got {len(row)}", line=lineno)
-        try:
-            X[i] = [float(v) for v in row[:d]]
-            y[i], h[i] = int(row[d]), int(row[d + 1])
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}", line=lineno) from e
-        if not np.isfinite(X[i]).all():
-            raise ParseError(f"{path}:{lineno}: non-finite feature", line=lineno)
-        for col, val in (("y", y[i]), ("h", h[i])):
-            if not 0 <= val < num_classes:
-                raise ParseError(f"{path}:{lineno}: {col}={val} outside"
-                                 f" [0, {num_classes})", line=lineno)
-    return Dataset(X, y, h, num_classes, name=str(path))
+
+def _records(path, reader):
+    """The rows of a csv reader; one that csv cannot split (a field past
+    its size limit, say) raises ParseError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ParseError(f"{path}:{reader.line_num}: {e}",
+                         line=reader.line_num) from e
+
+
+def load_csv(path, num_classes: int) -> Dataset:
+    """Parse the package CSV format; errors carry the 1-based line number.
+
+    The file is read one row at a time, and only the parsed values are
+    kept, so parsing holds little beyond the arrays it returns. A row's
+    checks run in order: its column count, its values (bytes that are not
+    UTF-8 included), finite features, then labels and responses in
+    [0, num_classes).
+    """
+    with open(path, "r", newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        rows = _records(path, csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file", line=1)
+        if _undecodable(header):
+            raise ParseError(f"{path}:1: invalid UTF-8", line=1)
+        if len(header) < 3 or header[-2:] != ["y", "h"]:
+            raise ParseError(f"{path}: header must end with y,h columns",
+                             line=1)
+        d = len(header) - 2
+        if header[:d] != [f"f{i}" for i in range(d)]:
+            raise ParseError(f"{path}: feature columns must be"
+                             f" f0..f{d - 1}", line=1)
+        X, y, h = array("d"), array("q"), array("q")
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != d + 2:
+                raise ParseError(f"{path}:{lineno}: expected {d + 2}"
+                                 f" columns, got {len(row)}", line=lineno)
+            try:
+                x = [float(v) for v in row[:d]]
+                label, response = int(row[d]), int(row[d + 1])
+            except ValueError as e:
+                why = "invalid UTF-8" if _undecodable(row) else e
+                raise ParseError(f"{path}:{lineno}: {why}",
+                                 line=lineno) from e
+            if not all(map(math.isfinite, x)):
+                raise ParseError(f"{path}:{lineno}: non-finite feature",
+                                 line=lineno)
+            for col, val in (("y", label), ("h", response)):
+                if not 0 <= val < num_classes:
+                    raise ParseError(f"{path}:{lineno}: {col}={val} outside"
+                                     f" [0, {num_classes})", line=lineno)
+            X.extend(x)
+            y.append(label)
+            h.append(response)
+    return Dataset(np.frombuffer(X).reshape(-1, d), np.frombuffer(y, np.int64),
+                   np.frombuffer(h, np.int64), num_classes, name=str(path))

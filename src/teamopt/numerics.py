@@ -11,8 +11,10 @@ networks, draws each run's rows and masks a block of steps at a time, and
 returns the fitted models per run. Training losses are closed-form: each
 returns its per-instance values and a backward function (see
 `loss_and_grad`) written by hand on top of the one `mlp_forward` /
-`mlp_backward` pair. The contract for every loss in this package is
-agreement with central finite differences (see `finite_diff_check`).
+`mlp_backward` pair. A loss may take its (replicas, rows, ...) arrays
+from a `Workspace`, so that its steps after the first allocate no large
+array. The contract for every loss in this package is agreement with
+central finite differences (see `finite_diff_check`).
 """
 
 from __future__ import annotations
@@ -111,6 +113,53 @@ class MlpModel:
                 raise NumericError(f"non-finite parameters in layer {i}")
 
 
+class Workspace:
+    """Arrays that a training loss reuses from one step to the next.
+
+    `get` returns the array last handed out under a key while its shape
+    and dtype still match, and a new one otherwise, so a loss whose
+    (replicas, rows, ...) arrays come from one workspace through `out=`
+    allocates them on its first step only, and its later steps do not
+    depend on what the allocator did with memory freed earlier in the
+    process. `scope` gives the workspace of a name within this one,
+    whose keys are kept apart from every other scope's. Functions that
+    take `ws=None` compute into fresh arrays without one (see `ws_out`).
+    """
+
+    def __init__(self):
+        self._arrays = {}
+        self._scopes = {}
+
+    def scope(self, name: str) -> "Workspace":
+        ws = self._scopes.get(name)
+        if ws is None:
+            ws = self._scopes[name] = Workspace()
+        return ws
+
+    def get(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(key)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[key] = np.empty(shape, dtype)
+        return a
+
+
+def ws_out(ws: Workspace | None, key: str, shape: tuple,
+           dtype=np.float64) -> np.ndarray | None:
+    """`out=` for a result of `shape`: `ws`'s array for `key`, or None
+    without a workspace, so that numpy allocates the result."""
+    return None if ws is None else ws.get(key, shape, dtype)
+
+
+def _fresh(key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """`Workspace.get` for a call made without a workspace."""
+    return np.empty(shape, dtype)
+
+
+def ws_scope(ws: Workspace | None, name: str) -> Workspace | None:
+    """`ws`'s scope `name`, or None without a workspace."""
+    return None if ws is None else ws.scope(name)
+
+
 @dataclass
 class GradientSet:
     """Per-parameter gradients mirroring an MlpModel's shapes."""
@@ -157,26 +206,36 @@ def sum_last(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def stable_softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """softmax(logits / tau) with max-subtraction; safe for huge logits."""
+def stable_softmax(logits: np.ndarray, tau: float = 1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """softmax(logits / tau) with max-subtraction; safe for huge logits.
+    Computed in place in `out`, if given, or in a fresh array."""
     if tau <= 0:
         raise ConfigError("softmax temperature must be positive")
-    z = np.asarray(logits, dtype=np.float64) / tau
-    z = z - max_last(z)[..., None]
-    e = np.exp(z)
-    return e / sum_last(e)[..., None]
+    z = np.divide(np.asarray(logits, dtype=np.float64), tau, out=out)
+    z -= max_last(z)[..., None]
+    np.exp(z, out=z)
+    z /= sum_last(z)[..., None]
+    return z
 
 
-def stable_sigmoid(x) -> np.ndarray:
+def stable_sigmoid(x, ws: Workspace | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) on float64 values, stable in both tails; the
-    package's one sigmoid."""
+    package's one sigmoid. Its result and scratch come from `ws`, if
+    given, and are fresh arrays otherwise."""
     x = np.asarray(x, dtype=np.float64)
+    get = _fresh if ws is None else ws.get
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
     # branch sees the bits a per-sign masked evaluation would. minimum
     # rather than -abs: it passes a NaN through with its sign unchanged.
-    e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    e = np.negative(x, out=get("out", x.shape))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e, out=get("d", x.shape))
+    # the numerator: 1 where x >= 0, exp(-|x|) elsewhere
+    np.copyto(e, 1.0, where=np.greater_equal(x, 0, out=get("pos", x.shape,
+                                                              bool)))
+    return np.divide(e, d, out=e)
 
 
 def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
@@ -200,10 +259,10 @@ def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
     T = 1 if steps is None else steps
     # a step takes its layers in order from each generator's stream
     u = np.empty((len(rngs), T, n * sum(dims)))
-    for rng, out in zip(rngs, u):
-        rng.random(out=out)
+    for j, rng in enumerate(rngs):
+        rng.random(out=u[j])
     keep = u >= p
-    del u
+    del u  # no view of it is left, so this frees it
     masks, at = [], 0
     for dim in dims:
         # step-major, so that each step's (generators, n, dim) is contiguous
@@ -242,7 +301,8 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 # --- training-path forward and backward ----------------------------------
 
-def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
+def mlp_forward(model: MlpModel, X: np.ndarray, masks=None,
+                ws: Workspace | None = None, out: np.ndarray | None = None):
     """Training forward pass of a replica stack: (logits, cache).
 
     The input's leading axes broadcast against the stack's replica axes
@@ -251,8 +311,9 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
     s of an (S, G) stack; an (S, G, n, d) input gives each replica its own
     rows. Dropout masks (None for eval behaviour) broadcast the same way,
     so the variants of a run share its rows and masks without a copy.
-    The logits are (*replica axes, n, K). `cache` holds what
-    `mlp_backward` needs.
+    The logits are (*replica axes, n, K), computed into `out` if given.
+    `cache` holds what `mlp_backward` needs; its activations and gates
+    come from `ws`, if given.
     """
     if model.weights[0].ndim < 3:
         raise ShapeError("training losses take replica stacks"
@@ -262,13 +323,17 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(h)
-        h = h @ w  # a fresh array, so the rest of the layer runs in place
+        shape = w.shape[:-2] + (X.shape[-2], w.shape[-1])
+        # an array of the layer's own, so the rest of it runs in place
+        h = np.matmul(h, w, out=out if i == last
+                      else ws_out(ws, f"h{i}", shape))
         h += b
         if i < last:
             # ReLU and inverted dropout as one multiplier per activation
-            gate = h > 0.0
+            gate = np.greater(h, 0.0, out=ws_out(ws, f"on{i}", shape, bool))
             if masks is not None:
-                gate = gate * masks[i]
+                gate = np.multiply(gate, masks[i],
+                                   out=ws_out(ws, f"gate{i}", shape))
             h *= gate
             gates.append(gate)
     return h, (model.weights, inputs, gates)
@@ -276,7 +341,9 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None):
 
 def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
     """Parameter gradients of a replica stack given dL/d(logits), for a
-    shared, per-run or per-replica input alike."""
+    shared, per-run or per-replica input alike. The gradients are fresh
+    arrays; the cache is spent, since each hidden layer's gradient is
+    computed into the array of its activations."""
     weights, inputs, gates = cache
     n = len(weights)
     gw, gb = [None] * n, [None] * n
@@ -285,7 +352,8 @@ def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
         gw[i] = np.swapaxes(inputs[i], -1, -2) @ g
         gb[i] = g.sum(axis=-2, keepdims=True)
         if i:
-            g = g @ np.swapaxes(weights[i], -1, -2)  # a fresh array
+            # layer i - 1's activations are spent once gw[i] is formed
+            g = np.matmul(g, np.swapaxes(weights[i], -1, -2), out=inputs[i])
             g *= gates[i - 1]
     return GradientSet(gw, gb)
 
@@ -433,6 +501,8 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
             raise TrainingError(f"{what} diverged at iteration"
                                 f" {it}{labelled(variant)}",
                                 iteration=it, run=run) from e
+        # so that a block of batches is drawn after the last one is freed
+        del batch
         for name, m in models.items():
             sgd_step(m, grads[name], cfg.learning_rate)
         if on_step is not None:

@@ -23,10 +23,10 @@ from .discriminative import (DecisionParts, TeamConfig, derive_rng,
                              mixture_loss, train_solo_model,
                              utility_loss_weights)
 from .errors import InputError, StateError
-from .numerics import (MlpModel, TrainConfig, by_run, fit_stack, label_index,
-                       logits_batch, mlp_backward, mlp_forward,
+from .numerics import (MlpModel, TrainConfig, Workspace, by_run, fit_stack,
+                       label_index, logits_batch, mlp_backward, mlp_forward,
                        shared_batch_size, stable_sigmoid, stable_softmax,
-                       sum_last, unstack_models)
+                       sum_last, unstack_models, ws_out, ws_scope)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -35,6 +35,12 @@ STREAM_GAMMA = (16, 17, 18)
 STREAM_CALIB_SPLIT = 19
 STREAM_JOINT_BATCH = 20
 STREAM_JOINT_DROP = (21, 22, 23)  # alpha, beta, gamma dropout
+_PARTS = ("alpha", "beta", "gamma")
+
+# Rows that `voi_decision_parts` scores at once: its gamma rows and
+# activations for a block take about 0.7 MiB, against 4 MiB for the
+# 2,100 rows of a split.
+SCORE_BLOCK = 256
 
 
 @dataclass
@@ -102,23 +108,36 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
     before the cost, which `decide` subtracts. Either way the team takes
     the utility-best action under the calibrated label model it has:
     p_alpha alone, or p_gamma given the response.
+
+    The rows are scored in near-equal blocks of at most SCORE_BLOCK rows,
+    so the n*K gamma rows behind u_q are never held at once. Every row is
+    scored on its own, so blocks change no bit, as long as no block is a
+    single row: numpy's vector path for a one-row matmul rounds otherwise.
+    No block is, unless X is.
     """
     system.require_calibrated()
     X = np.asarray(X, dtype=np.float64)
     n, K = X.shape[0], system.num_classes
     U = system.team.utility
-    pa = system.p_alpha.predict_batch(X)
-    pb = system.p_beta.predict_batch(X)
-    pg = system.p_gamma.predict_batch(gamma_all_input(X, K))  # (n*K, K)
-    eu_nq = pa @ U.T  # (n, K) expected utility per action
-    best_no_query = eu_nq.argmax(axis=1)
-    u_nq = eu_nq[np.arange(n), best_no_query]
-    eu_q = (pg @ U.T).reshape(n, K, K)  # [i, h, action]
-    best_by_h = eu_q.argmax(axis=2)
-    inner = eu_q.max(axis=2)  # (n, K)
-    u_q_base = (pb * inner).sum(axis=1)
-    return DecisionParts(best_no_query.astype(np.int64),
-                         best_by_h.astype(np.int64), u_q_base, u_nq, True, pa)
+    best_no_query = np.empty(n, dtype=np.int64)
+    best_by_h = np.empty((n, K), dtype=np.int64)
+    u_q_base, u_nq, pa = np.empty(n), np.empty(n), np.empty((n, K))
+    blocks = max(1, -(-n // SCORE_BLOCK))
+    for j in range(blocks):
+        i = slice(j * n // blocks, (j + 1) * n // blocks)
+        Xb = X[i]
+        b = len(Xb)
+        pa[i] = system.p_alpha.predict_batch(Xb)
+        pb = system.p_beta.predict_batch(Xb)
+        pg = system.p_gamma.predict_batch(gamma_all_input(Xb, K))  # (b*K, K)
+        eu_nq = pa[i] @ U.T  # (b, K) expected utility per action
+        best_no_query[i] = eu_nq.argmax(axis=1)
+        u_nq[i] = eu_nq[np.arange(b), best_no_query[i]]
+        eu_q = (pg @ U.T).reshape(b, K, K)  # [i, h, action]
+        best_by_h[i] = eu_q.argmax(axis=2)
+        inner = eu_q.max(axis=2)  # (b, K)
+        u_q_base[i] = (pb * inner).sum(axis=1)
+    return DecisionParts(best_no_query, best_by_h, u_q_base, u_nq, True, pa)
 
 
 # --- joint training ------------------------------------------------------
@@ -136,15 +155,23 @@ class _JointBatch:
     masks_g: list | None
 
 
-def _calibrated(logits: np.ndarray, cal: PlattCalibrator):
+def _calibrated(logits: np.ndarray, cal: PlattCalibrator,
+                ws: Workspace | None = None):
     """`calibrated_head`'s distributions on training logits, with the
     backward map from dL/dp to dL/d(logits). The calibrator parameters are
-    constants: frozen during backprop."""
-    p, s, total, low = calibrated_head(logits, cal)
+    constants: frozen during backprop. With `ws`, the backward computes
+    in the head's scratch arrays, which are spent by then."""
+    p, s, total, low = calibrated_head(logits, cal, ws)
 
     def backward(dp):
-        dot = sum_last(dp * p)[..., None]
-        d = (dp - dot) / total * (s * (1.0 - s) * cal.a)
+        t = np.multiply(dp, p, out=ws_out(ws, "z", p.shape))
+        dot = sum_last(t)[..., None]
+        np.subtract(dp, dot, out=t)
+        t /= total
+        d = np.subtract(1.0, s, out=ws_out(ws_scope(ws, "s"), "d", p.shape))
+        np.multiply(s, d, out=d)
+        d *= cal.a
+        d *= t  # (dp - dot) / total * (s * (1 - s) * a)
         if low is not None:
             # s / total is p, which stays finite where the total underflowed
             d[low] = ((dp - dot) * p * ((1.0 - s) * cal.a))[low]
@@ -153,15 +180,22 @@ def _calibrated(logits: np.ndarray, cal: PlattCalibrator):
     return p, backward
 
 
-def _soft_max(eu: np.ndarray, tau: float):
+def _soft_max(eu: np.ndarray, tau: float, ws: Workspace | None = None):
     """The softened maximum sum_a eu[a] * softmax_tau(eu)[a] over the last
-    axis, with the backward map from its gradient to dL/d(eu)."""
-    sm = stable_softmax(eu, tau)
-    u = sum_last(eu * sm)
+    axis, with the backward map from its gradient to dL/d(eu), which runs
+    once: it computes in the softmax's array."""
+    sm = stable_softmax(eu, tau, ws_out(ws, "sm", eu.shape))
+    t = np.multiply(eu, sm, out=ws_out(ws, "t", eu.shape))
+    u = sum_last(t)
 
     def backward(du):
         # d u / d eu[k] = sm[k] * (1 + (eu[k] - u) / tau)
-        return du[..., None] * sm * (1.0 + (eu - u[..., None]) / tau)
+        b = np.subtract(eu, u[..., None], out=t)
+        b /= tau
+        np.add(1.0, b, out=b)
+        d = np.multiply(du[..., None], sm, out=sm)
+        d *= b
+        return d
 
     return u, backward
 
@@ -226,27 +260,41 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
     [alpha | gamma | beta] stack of rows through a single calibrated
     head, and the alpha and gamma rows through a single softened
     maximum over actions.
+
+    The (replicas, rows, ...) arrays of a step live in one `Workspace` of
+    this loss, so the steps after the first allocate none of them; an
+    array whose use is over takes a later one, and each backward runs
+    once, on the arrays of the forward before it.
     """
     tau = cfg.softmax_temperature
     lam_c = (np.asarray(cost_weights, dtype=np.float64)[:, None]
              * team.query_cost)
     U = team.utility
     Ut = U.T.copy()
+    ws = Workspace()
+    nets, head, soft = ({name: ws.scope(name) for name in _PARTS},
+                        ws.scope("head"), ws.scope("soft"))
 
     def loss_fn(models, batch: _JointBatch):
         B, K = batch.y.shape[-1], Ut.shape[0]
         G = B + B * K  # the alpha and gamma rows, which take soft maxima
         rows = np.arange(B)
-        za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a)
-        zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
-                                  batch.masks_g)
-        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b)
-        p, back_p = _calibrated(np.concatenate([za, zg, zb], axis=-2),
-                                batch.cal)
+        lead = models["alpha"].weights[0].shape[:-2]
+        # the [alpha | gamma | beta] logits, and dL/dp once they are spent
+        z = ws.get("logits", lead + (G + B, K))
+        _, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a,
+                                 nets["alpha"], z[..., :B, :])
+        _, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
+                                 batch.masks_g, nets["gamma"],
+                                 z[..., B:G, :])
+        _, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b,
+                                 nets["beta"], z[..., G:, :])
+        p, back_p = _calibrated(z, batch.cal, head)
         at_a = label_index(p.shape, rows, batch.y)
         # gamma rows of the observed responses
         at_g = label_index(p.shape, B + rows * K + batch.h, batch.y)
-        u, back_u = _soft_max(p[..., :G, :] @ Ut, tau)  # over actions
+        eu = np.matmul(p[..., :G, :], Ut, out=ws.get("eu", lead + (G, K)))
+        u, back_u = _soft_max(eu, tau, soft)  # over actions
         u_nq = u[..., :B]
         inner = u[..., B:].reshape(u.shape[:-1] + (B, K))  # [i, h]
         pb = p[..., G:, :]
@@ -262,11 +310,11 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
             du = np.concatenate(
                 [-d_gap, d_inner.reshape(d_inner.shape[:-2] + (B * K,))],
                 axis=-1)
-            dp = np.empty_like(p)
-            dp[..., :G, :] = back_u(du) @ U
+            dp = z
+            np.matmul(back_u(du), U, out=dp[..., :G, :])
             dp[at_a] += d_pa_y
             dp[at_g] += d_pg_hy
-            dp[..., G:, :] = d_gap[..., None] * inner
+            np.multiply(d_gap[..., None], inner, out=dp[..., G:, :])
             dz = back_p(dp)
             return {"alpha": mlp_backward(cache_a, dz[..., :B, :]),
                     "beta": mlp_backward(cache_b, dz[..., G:, :]),
@@ -330,9 +378,6 @@ def train_fixed_voi(runs, team: TeamConfig) -> list[VoiSystem]:
         systems.append(VoiSystem(*(CalibratedModel(m, c) for m, c in zip(
             (a_m, b_m, g_m), cals)), team, cfg))
     return systems
-
-
-_PARTS = ("alpha", "beta", "gamma")
 
 
 def train_joint_voi(runs, team: TeamConfig, cost_weights

@@ -1,5 +1,5 @@
-"""Shared test fixtures, and the acceptance verdict lines replayed after
-the run.
+"""Shared test fixtures, a tracemalloc helper, and the acceptance verdict
+lines replayed after the run.
 
 Output capture would otherwise swallow the per-criterion PASS/FAIL
 lines on success; the terminal-summary hook prints them where they
@@ -8,6 +8,8 @@ always survive.
 
 import os
 import signal
+import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
@@ -25,6 +27,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _VERDICTS:
             terminalreporter.write_line(line)
+
+
+class MemoryTrace:
+    """Bytes that tracemalloc traces: `live()` now, and `peak_above()`
+    the peak since the last `peak_above()` (or the start) less what was
+    live then."""
+
+    def __init__(self):
+        self._base = self.live()
+
+    def live(self):
+        return tracemalloc.get_traced_memory()[0]
+
+    def peak_above(self):
+        live, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        above, self._base = peak - self._base, live
+        return above
+
+
+@contextmanager
+def traced_memory():
+    """A MemoryTrace of the allocations made inside the block."""
+    tracemalloc.start()
+    try:
+        yield MemoryTrace()
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

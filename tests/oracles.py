@@ -9,7 +9,7 @@ import numpy as np
 
 from teamopt import tape
 from teamopt.data import Dataset
-from teamopt.discriminative import mixture_loss
+from teamopt.discriminative import DecisionParts, mixture_loss
 from teamopt.numerics import (PROB_CLAMP, GradientSet, mlp_backward,
                               mlp_forward, stable_sigmoid, stable_softmax,
                               sum_last)
@@ -27,6 +27,26 @@ def subset(dataset, idx, name=None):
     that owns them."""
     return Dataset(dataset.X[idx], dataset.y[idx], dataset.h[idx],
                    dataset.num_classes, name or dataset.name, dataset.planted)
+
+
+def voi_decision_parts_whole(system, X):
+    """`voi.voi_decision_parts` on the whole batch at once: every
+    instance's n*K gamma rows in one array."""
+    X = np.asarray(X, dtype=np.float64)
+    n, K = X.shape[0], system.num_classes
+    U = system.team.utility
+    pa = system.p_alpha.predict_batch(X)
+    pb = system.p_beta.predict_batch(X)
+    pg = system.p_gamma.predict_batch(gamma_all_input(X, K))  # (n*K, K)
+    eu_nq = pa @ U.T  # (n, K) expected utility per action
+    best_no_query = eu_nq.argmax(axis=1)
+    u_nq = eu_nq[np.arange(n), best_no_query]
+    eu_q = (pg @ U.T).reshape(n, K, K)  # [i, h, action]
+    best_by_h = eu_q.argmax(axis=2)
+    inner = eu_q.max(axis=2)  # (n, K)
+    u_q_base = (pb * inner).sum(axis=1)
+    return DecisionParts(best_no_query.astype(np.int64),
+                         best_by_h.astype(np.int64), u_q_base, u_nq, True, pa)
 
 
 def confusable_class_broadcast(X, y, means):

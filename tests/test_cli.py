@@ -511,6 +511,19 @@ def test_analyze_trains_fixed_voi_once_and_scores_each_system_once(
             [leaf["machine_error"][a] for leaf in leaves_a]
 
 
+@pytest.mark.parametrize("data", [
+    b"f0,y,h\n0.1,0,0\n0.2,99999999999999999999,1\n",  # beyond int64
+    b"f0,y,h\n0.1,0,0\n0.\xff2,1,1\n",                # not UTF-8
+], ids=["label-beyond-int64", "invalid-utf8"])
+def test_analyze_unparsable_csv_exits_two(tmp_path, caplog, data):
+    (tmp_path / "bad.csv").write_bytes(data)
+    cfg = tiny_config(tmp_path / "an3")
+    cfg["dataset"] = {"csv": str(tmp_path / "bad.csv"), "num_classes": 3}
+    with caplog.at_level(logging.ERROR, logger="teamopt"):
+        assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "bad.csv:3:" in caplog.text
+
+
 def test_analyze_needs_trainable_approach(tmp_path):
     cfg = tiny_config(tmp_path / "an2", approaches=["human-only"])
     assert main(["analyze", "--config", write_config(tmp_path, cfg)]) == 2

@@ -1,7 +1,5 @@
 """Dataset tests: synthetic generator, splits, CSV round trips."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -9,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from conftest import traced_memory
 from oracles import confusable_class_broadcast
 from teamopt.data import (Dataset, SynthConfig, class_means,
                           confusable_class, generate_synthetic, load_csv,
@@ -88,14 +87,10 @@ def test_generator_peak_memory_is_bounded():
     generate_synthetic(SynthConfig(n=100))  # modules numpy loads lazily
     for K, d in ((5, 8), (12, 3), (12, 1)):
         priors = (0.7, *[0.3 / (K - 1)] * (K - 1))
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
+        with traced_memory() as trace:
             ds = generate_synthetic(SynthConfig(
                 num_classes=K, feature_dim=d, n=50_000, class_priors=priors))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            peak = trace.peak_above()
         assert peak <= 3 * (ds.X.nbytes + ds.y.nbytes + ds.h.nbytes), (K, d)
 
 
@@ -291,6 +286,49 @@ def test_load_csv_parse_errors_carry_line_numbers(tmp_path, text, line):
     with pytest.raises(ParseError) as info:
         load_csv(path, 3)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("row", ["0.1,99999999999999999999,0",
+                                 "0.1,0,-99999999999999999999"])
+def test_load_csv_label_beyond_int64_names_line(tmp_path, row):
+    path = tmp_path / "big.csv"
+    path.write_text(f"f0,y,h\n0.1,0,0\n{row}\n")
+    with pytest.raises(ParseError, match="outside") as info:
+        load_csv(path, 3)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"f0,y,h\n0.1,0,0\n0.\xff2,1,0\n0.3,1,1\n", 3),
+    (b"f0,y,h\n0.1,0,0\n0.2,1,\xc3\n", 3),     # truncated sequence
+    (b"f\xe90,y,h\n0.1,0,0\n", 1),              # Latin-1 header
+])
+def test_load_csv_invalid_utf8_names_line(tmp_path, data, line):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="invalid UTF-8") as info:
+        load_csv(path, 3)
+    assert info.value.line == line
+
+
+def test_load_csv_field_past_csv_limit_names_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("f0,y,h\n0.1,0,0\n" + "1" * 200_000 + ",0,0\n")
+    with pytest.raises(ParseError, match="field larger") as info:
+        load_csv(path, 3)
+    assert info.value.line == 3
+
+
+def test_load_csv_holds_little_beyond_its_arrays(tmp_path):
+    # rows are parsed one at a time: no list of every row's strings
+    ds = generate_synthetic(small_cfg(n=20_000))
+    path = tmp_path / "ds.csv"
+    save_csv(ds, path)
+    load_csv(path, ds.num_classes)  # modules loaded lazily
+    with traced_memory() as trace:
+        back = load_csv(path, ds.num_classes)
+        peak = trace.peak_above()
+    assert peak <= 3 * (back.X.nbytes + back.y.nbytes + back.h.nbytes)
 
 
 @st.composite

@@ -5,7 +5,6 @@ import json
 import logging
 import pickle
 import re
-import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -18,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import teamopt.voi as voi_mod
+from conftest import traced_memory
 from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
@@ -478,19 +478,16 @@ def test_voi_work_unit_holds_no_per_seed_copy_of_its_rows(monkeypatch):
     live = []
 
     def joint_voi_batch(*args):
-        live.append(tracemalloc.get_traced_memory()[0])
+        live.append(trace.live())
         return real(*args)
 
     real = voi_mod.joint_voi_batch
     monkeypatch.setattr(voi_mod, "joint_voi_batch", joint_voi_batch)
-    tracemalloc.start()
-    try:
+    with traced_memory() as trace:
         [fixed, joint] = cost_sweep(
             ds, ("fixed-voi", "joint-voi"), (0.0, 0.1), (1.0,), (0, 1),
             train_cfg=TrainConfig(iterations=4, batch_size=16,
                                   hidden_dims=(2,), calibration_interval=2))
-    finally:
-        tracemalloc.stop()
     assert fixed.seeds == joint.seeds == [0, 1] and len(live) == 4
     assert max(live) < ds.X.nbytes + ds.y.nbytes + ds.h.nbytes
 

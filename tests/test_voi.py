@@ -10,20 +10,22 @@ from hypothesis import strategies as st
 
 import oracles
 import teamopt.voi as voi_mod
+from conftest import traced_memory
 from oracles import soft_expected_utilities, soft_team_quantities
-from teamopt import calibration
+from teamopt import calibration, numerics
 from teamopt.calibration import (PlattCalibrator, calibrate_batch,
                                  calibrated_head)
 from teamopt.cli import dist_system, voi_rule_deviation
-from teamopt.data import Dataset
+from teamopt.data import Dataset, SynthConfig, generate_synthetic, split
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     team_predict, utility_loss_weights)
 from teamopt.errors import (InputError, NumericError, QueryError, StateError,
                             TrainingError)
-from teamopt.numerics import (SIGMOID_HEAD, MlpModel, TrainConfig,
-                              finite_diff_check, init_mlp, loss_value,
-                              mlp_forward, sample_dropout_masks, stack_models)
-from teamopt.voi import (_calibration_split, _stack_calibrators,
+from teamopt.numerics import (BLOCK_STEPS, SIGMOID_HEAD, MlpModel,
+                              TrainConfig, finite_diff_check, init_mlp,
+                              loss_and_grad, loss_value, mlp_forward,
+                              sample_dropout_masks, stack_models)
+from teamopt.voi import (SCORE_BLOCK, _calibration_split, _stack_calibrators,
                          gamma_all_input, gamma_input, joint_calibrator,
                          joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
                          train_joint_voi, voi_decision_parts)
@@ -514,6 +516,58 @@ def test_one_pass_joint_loss_equals_three_passes_bit_for_bit(R, masked,
             assert np.array_equal(bits(a), bits(b))
 
 
+def test_joint_voi_gradients_outlive_the_next_evaluation():
+    # the loss's workspace holds a step's arrays, never the gradients it
+    # returns, which finite_diff_check reads after later evaluations
+    team, cfg, lams, cals, models, batch, g = joint_bit_case(5, True, True,
+                                                             False)
+    loss_fn = joint_voi_loss_fn(team, cfg, lams)
+    _, first = loss_and_grad(models, batch, loss_fn)
+    kept = {name: [a.copy() for a in gs.weights + gs.biases]
+            for name, gs in first.items()}
+    moved = {name: replace(m, weights=[w + 0.1 for w in m.weights])
+             for name, m in models.items()}
+    _, second = loss_and_grad(moved, batch, loss_fn)
+    for name, gs in first.items():
+        for a, b, c in zip(gs.weights + gs.biases, kept[name],
+                           second[name].weights + second[name].biases):
+            assert np.array_equal(bits(a), bits(b))
+            assert not np.shares_memory(a, c)
+    assert not np.array_equal(first["gamma"].weights[0],
+                              second["gamma"].weights[0])
+
+
+def test_joint_voi_step_allocates_less_than_one_gamma_activation(
+        monkeypatch):
+    # sweep-voi's shapes: 2 seeds x 5 cost weights, minibatches of 64,
+    # K=5, one hidden layer of 16. After the first block of steps, a step
+    # allocates less than one (R, B*K, hidden) array above what it keeps:
+    # its activations, gates and heads live in the loss's workspace
+    ds = generate_synthetic(SynthConfig(n=1000, seed=3))
+    cfg = TrainConfig(iterations=3 * BLOCK_STEPS, calibration_interval=1000)
+    runs = [(ds, replace(cfg, seed=seed)) for seed in (0, 1)]
+    team = TeamConfig.accuracy(5, 0.1)
+    starts = train_fixed_voi(runs, team)
+    above = []
+    real = numerics.fit
+
+    def fit(models, loss_fn, make_batch, cfg, what, labels=None,
+            on_step=None):
+        def step(it, models):
+            on_step(it, models)
+            above.append(trace.peak_above())
+
+        return real(models, loss_fn, make_batch, cfg, what, labels, step)
+
+    monkeypatch.setattr(numerics, "fit", fit)
+    with traced_memory() as trace:
+        train_joint_voi([(d, c, s) for (d, c), s in zip(runs, starts)], team,
+                        (0.25, 0.5, 1.0, 2.0, 4.0))
+    R, B, K, hidden = 10, 64, 5, 16
+    assert len(above) == cfg.iterations
+    assert max(above[BLOCK_STEPS:]) < R * B * K * hidden * 8
+
+
 def test_joint_loss_calibrates_and_softens_once_per_evaluation(monkeypatch):
     team, cfg, lams, cals, models, batch, g = joint_bit_case(5, True, True,
                                                              False)
@@ -527,6 +581,46 @@ def test_joint_loss_calibrates_and_softens_once_per_evaluation(monkeypatch):
     _, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch)
     backward(g)
     assert counts == {"_calibrated": 1, "_soft_max": 1}
+
+
+@pytest.fixture(scope="module")
+def scored_split():
+    """A fixed-VOI system trained on sweep-sized data, and its 2,100-row
+    validation split's features."""
+    ds = generate_synthetic(SynthConfig(n=14000, seed=3))
+    train, val, _ = split(ds, (0.7, 0.15, 0.15), 0)
+    [system] = train_fixed_voi(
+        [(train, TrainConfig(iterations=100, calibration_interval=50))],
+        TeamConfig.accuracy(5, 0.1))
+    return system, val.X
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, SCORE_BLOCK - 1, SCORE_BLOCK,
+                               SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 1, 2100])
+def test_blocked_scoring_equals_the_whole_batch_bit_for_bit(scored_split,
+                                                             monkeypatch, n):
+    system, X = scored_split
+    assert len(X) == 2100
+    want = oracles.voi_decision_parts_whole(system, X[:n])
+    blocks = []
+
+    def gamma_all_input(Xb, K):
+        blocks.append(len(Xb))
+        return real(Xb, K)
+
+    real = voi_mod.gamma_all_input
+    monkeypatch.setattr(voi_mod, "gamma_all_input", gamma_all_input)
+    got = voi_decision_parts(system, X[:n])
+    assert sum(blocks) == n and max(blocks) <= SCORE_BLOCK
+    assert len(blocks) == max(1, -(-n // SCORE_BLOCK))
+    if n > 1:
+        assert min(blocks) > 1  # a one-row matmul rounds differently
+    for field in ("machine", "by_response", "query_score", "alone_score",
+                  "machine_dist"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert (got.cost_applies, got.q_soft) == (want.cost_applies, want.q_soft)
 
 
 def test_fixed_voi_trains_calibrated_system():
