@@ -14,8 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
-from .numerics import (Workspace, stable_sigmoid, stable_softmax, sum_last,
-                       ws_out, ws_scope)
+from .numerics import Workspace, stable_sigmoid, stable_softmax, sum_last
 
 _P_EPS = 1e-12
 _TINY = np.finfo(np.float64).tiny
@@ -33,9 +32,9 @@ _EYE2 = np.eye(2)
 
 
 def _nll(scores, targets, rest, a, b):
-    """Platt objective at (a, b), and the unclipped sigmoid behind it;
-    `rest` is 1 - targets."""
-    p = stable_sigmoid(a * scores + b)
+    """Platt objective at (a, b), and the unclipped sigmoid behind it, an
+    array of its own; `rest` is 1 - targets."""
+    p = stable_sigmoid(a * scores + b, Workspace())
     q = np.clip(p, _P_EPS, 1.0 - _P_EPS)
     nll = -(targets * np.log(q) + rest * np.log(1.0 - q)).sum()
     return float(nll), p
@@ -169,24 +168,24 @@ class PlattCalibrator:
 
 
 def calibrated_head(logits: np.ndarray, cal: PlattCalibrator,
-                    ws: Workspace | None = None):
+                    ws: Workspace):
     """(p, s, total, low): the calibrated distributions p = s / total, the
     per-class sigmoids s, their (..., 1) sum over the last axis, and the
     mask of rows normalised in log space (None if none). p, s and the
-    scratch of the sigmoid come from `ws`, if given.
+    scratch of the sigmoid come from `ws`.
 
     A row whose total is below the smallest normal float has every sigmoid
     underflowed, and s / total would be 0/0 or a ratio of subnormals. Such
     rows take the same ratio in log space, softmax(log sigmoid(z)), and
     their total reads 1. Every other row keeps the plain division.
     """
-    z = np.multiply(logits, cal.a, out=ws_out(ws, "z", logits.shape))
+    z = np.multiply(logits, cal.a, out=ws.get("z", logits.shape))
     z += cal.b
-    s = stable_sigmoid(z, ws_scope(ws, "s"))
+    s = stable_sigmoid(z, ws.scope("s"))
     total = sum_last(s)[..., None]
     low = total[..., 0] < _TINY
     if not low.any():
-        p = np.divide(s, total, out=ws_out(ws, "p", s.shape))
+        p = np.divide(s, total, out=ws.get("p", s.shape))
         return p, s, total, None
     total = np.where(low[..., None], 1.0, total)
     p = s / total
@@ -201,7 +200,7 @@ def calibrate_batch(logits: np.ndarray, cal: PlattCalibrator) -> np.ndarray:
     if logits.shape[-1] != cal.num_classes:
         raise ShapeError(f"logits last dim {logits.shape[-1]} !="
                          f" K={cal.num_classes}")
-    return calibrated_head(logits, cal)[0]
+    return calibrated_head(logits, cal, Workspace())[0]
 
 
 def expected_calibration_error(predictions, labels, bins: int = 10) -> float:

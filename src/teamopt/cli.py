@@ -31,8 +31,8 @@ from .evaluation import (APPROACHES, approach_parts, cost_sweep, dump_json,
                          emit_report, human_error_tree, per_class_analysis,
                          tree_to_dict, write_file)
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
-                       finite_diff_check, init_mlp, stable_sigmoid,
-                       stack_models)
+                       Workspace, finite_diff_check, init_mlp,
+                       stable_sigmoid, stack_models)
 from .voi import (CalibratedModel, VoiSystem, joint_calibrator,
                   joint_voi_batch, joint_voi_loss_fn)
 
@@ -347,7 +347,8 @@ def platt_ece(rng: np.random.Generator) -> float:
     """
     n = 2000
     z = rng.normal(0.0, 2.0, n)
-    labels = (rng.random(n) < stable_sigmoid(0.7 * z - 0.4)).astype(np.int64)
+    labels = (rng.random(n) < stable_sigmoid(0.7 * z - 0.4, Workspace())
+              ).astype(np.int64)
     scores = np.column_stack([-z, z])
     cal = PlattCalibrator.fit(scores, labels, 2)
     return expected_calibration_error(calibrate_batch(scores, cal), labels,

@@ -164,30 +164,45 @@ def confusable_class(X: np.ndarray, y: np.ndarray,
     class a human-hard response flips to.
 
     A running minimum over the classes, in class order, each row's squared
-    distance summed over one contiguous (n, d) block, so that only (n,)
-    arrays are held; numpy sums each row as over the last axis of the
+    distance formed in one reused (n, d) scratch and summed over its
+    contiguous row; numpy sums each row as over the last axis of the
     (n, K, d) broadcast, so the distances keep its bits, and moving only
     to a strictly smaller distance keeps `argmin`'s first minimum.
     """
     best = np.full(len(X), np.inf)
     nearest = np.zeros(len(X), dtype=np.int64)
+    sq, dist = np.empty_like(X), np.empty(len(X))
     for k, mean in enumerate(means):
-        dist = ((X - mean) ** 2).sum(axis=1)
+        np.subtract(X, mean, out=sq)
+        np.square(sq, out=sq)
+        sq.sum(axis=1, out=dist)
         closer = (dist < best) & (y != k)
         np.copyto(best, dist, where=closer)
         np.copyto(nearest, k, where=closer)
     return nearest
 
 
+def gaussian_features(rng: np.random.Generator, means: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """means[y] + N(0, I): the noise is drawn first and shifted in place a
+    column at a time, with no (n, d) array of means; a sum is the same
+    either way round, so the bits are the broadcast's."""
+    X = rng.standard_normal((len(y), means.shape[1]))
+    for j, column in enumerate(means.T):
+        X[:, j] += column[y]
+    return X
+
+
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Sample a dataset with planted human-hard and machine-hard regions.
 
     Labels follow `class_priors`; features are unit-variance Gaussians
-    around the class means. Instances whose x[0] lies above the
-    (1 - hard_region_fraction) quantile form the human-hard region: there
-    the response flips to the most confusable wrong class (the nearest
-    other class mean) with probability `human_hard_error`; elsewhere it
-    flips with probability `human_easy_error`. Instances below the
+    around the class means (`gaussian_features`). Instances whose x[0]
+    lies above the (1 - hard_region_fraction) quantile form the
+    human-hard region: there the response flips to the most confusable
+    wrong class (the nearest other class mean) with probability
+    `human_hard_error`; elsewhere it flips with probability
+    `human_easy_error`. Instances below the
     `hard_region_fraction` quantile form the machine-hard region, where
     features 1..ceil(d/2) are corrupted with Gaussian noise of scale
     `machine_noise_scale`. The planted x[0] boundaries are the dataset's
@@ -199,7 +214,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
 
     y = rng.choice(K, size=n, p=np.asarray(cfg.class_priors))
     means = class_means(K, d)
-    X = means[y] + rng.standard_normal((n, d))
+    X = gaussian_features(rng, means, y)
 
     x0 = X[:, 0]
     hard_hi = float(np.quantile(x0, 1.0 - cfg.hard_region_fraction))

@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import InputError, NumericError, QueryError
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                       TrainConfig, by_run, fit_stack, forward_batch,
-                       init_mlp, label_index, mlp_backward, mlp_forward,
-                       shared_batch_size, stable_sigmoid, stable_softmax)
+                       TrainConfig, Workspace, by_run, fit_stack,
+                       forward_batch, init_mlp, label_index, mlp_backward,
+                       mlp_forward, shared_batch_size, stable_sigmoid,
+                       stable_softmax)
 
 # Deterministic rng stream ids; stage-1/solo training of m must share the
 # m streams with joint training so the q-frozen trajectories coincide.
@@ -204,7 +205,26 @@ def _fresh_net(runs, G: int, dims, head: str, init: int, drop: int, rows):
             [derive_rng(c.seed, drop) for _, c, *_ in runs], rows)
 
 
-def solo_ce_loss(models, batch):
+def _weighted_nll(w, p, out):
+    """w * -log(max(p, PROB_CLAMP)), computed in `out`."""
+    np.maximum(p, PROB_CLAMP, out=out)
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    return np.multiply(w, out, out=out)
+
+
+def _softmax_at_labels(models, name, X, masks, labels, ws: Workspace):
+    """Softmax head of the stack `name` in place of its logits, the
+    index of each row's label there, the probabilities at those labels
+    and the forward cache."""
+    z, cache = mlp_forward(models[name], X, masks, ws.scope(name))
+    p = stable_softmax(z, out=z)
+    at = label_index(p.shape, ws.constant("rows", np.arange, p.shape[-2]),
+                     labels, ws)
+    return p, at, p[at], cache
+
+
+def solo_ce_loss(models, batch, ws: Workspace):
     """Per-instance weighted CE of the replica stack "m" and its backward
     (the `loss_and_grad` contract), on batches (X, targets, w[targets],
     dropout masks): an (n, d) input with (n,) targets and (n, dim) masks
@@ -212,16 +232,15 @@ def solo_ce_loss(models, batch):
     axes, such as (S, G, n, d), (S, G, n) and (S, G, n, dim) (see
     `mlp_forward`)."""
     X, t, w_t, masks = batch
-    z, cache = mlp_forward(models["m"], X, masks)
-    p = stable_softmax(z)
-    at = label_index(p.shape, np.arange(p.shape[-2]), t)
-    p_t = p[at]
-    per = w_t * -np.log(np.maximum(p_t, PROB_CLAMP))
+    p, at, p_t, cache = _softmax_at_labels(models, "m", X, masks, t, ws)
+    per = _weighted_nll(w_t, p_t, ws.get("per", p_t.shape))
 
     def backward(g):
         # d(-log softmax(z)[t])/dz = p - onehot(t); nothing past the clamp
-        coef = g * w_t * (p_t > PROB_CLAMP)
-        d = p * coef[..., None]
+        coef = np.multiply(g, w_t, out=ws.get("coef", g.shape))
+        coef *= np.greater(p_t, PROB_CLAMP, out=ws.get("live", g.shape,
+                                                        bool))
+        d = np.multiply(p, coef[..., None], out=p)
         d[at] -= coef
         return {"m": mlp_backward(cache, d)}
 
@@ -260,37 +279,53 @@ def train_solo_model(runs, team: TeamConfig,
                      rows=rows)["m"]
 
 
-def mixture_loss(q, p_human, p_machine, w_y, cost_term):
-    """Per-instance mixture loss and its backward.
+def mixture_loss(q, p_human, p_machine, w_y, cost_term, ws: Workspace):
+    """Per-instance mixture loss and its backward, computed in `ws`.
 
     The loss is w[y] * -log(q * p_human + (1 - q) * p_machine) + cost_term
     * q, the mixture probability floored at PROB_CLAMP; p_human and
     p_machine are the probabilities the human and the machine branch give
     the true label ([h == y] and m(x)[y] here, p_gamma(y|x,h) and
-    p_alpha(y|x) for the VOI family). `cost_term` is lambda * c, a float
-    or a (G, 1) column with one value per variant. The backward maps
-    dL/d(loss) to (dL/dq, dL/dp_human, dL/dp_machine).
+    p_alpha(y|x) for the VOI family). q holds one value per replica and
+    row, and the other operands broadcast against it. `cost_term` is
+    lambda * c, a float or a (G, 1) column with one value per variant.
+    The backward, which runs once, maps dL/d(loss) to (dL/dq,
+    dL/dp_human, dL/dp_machine).
     """
-    p_true = q * p_human + (1.0 - q) * p_machine
-    per = w_y * -np.log(np.maximum(p_true, PROB_CLAMP)) + cost_term * q
+    shape = q.shape
+    t = ws.get("t", shape)  # scratch for one term at a time
+    p_true = np.multiply(q, p_human, out=ws.get("p_true", shape))
+    rest = np.subtract(1.0, q, out=ws.get("rest", shape))
+    p_true += np.multiply(rest, p_machine, out=t)
+    per = _weighted_nll(w_y, p_true, ws.get("per", shape))
+    per += np.multiply(cost_term, q, out=t)
 
     def backward(g):
         # nothing flows past the clamp
-        dp = -g * w_y / np.maximum(p_true, PROB_CLAMP) * (p_true > PROB_CLAMP)
-        return dp * (p_human - p_machine) + g * cost_term, dp * q, \
-            dp * (1.0 - q)
+        dp = np.negative(g, out=ws.get("dp", shape))
+        dp *= w_y
+        dp /= np.maximum(p_true, PROB_CLAMP, out=t)
+        dp *= np.greater(p_true, PROB_CLAMP, out=ws.get("live", shape, bool))
+        dq = np.subtract(p_human, p_machine, out=ws.get("dq", shape))
+        np.multiply(dp, dq, out=dq)
+        dq += np.multiply(g, cost_term, out=t)
+        return dq, np.multiply(dp, q, out=ws.get("dp_human", shape)), \
+            np.multiply(dp, rest, out=rest)
 
     return per, backward
 
 
-def _query_forward(q_model: MlpModel, X: np.ndarray, masks):
-    """Soft query probabilities of a sigmoid-head stack, (R, n) or
+def _query_forward(models, X: np.ndarray, masks, ws: Workspace):
+    """Soft query probabilities of the sigmoid-head stack "q", (R, n) or
     (S, G, n), and the map from dL/dq to its GradientSet."""
-    z, cache = mlp_forward(q_model, X, masks)
-    q = stable_sigmoid(z[..., 0])
+    ws = ws.scope("q")
+    z, cache = mlp_forward(models["q"], X, masks, ws)
+    q = stable_sigmoid(z[..., 0], ws.scope("sigmoid"))
 
     def backward(dq):
-        return mlp_backward(cache, (dq * q * (1.0 - q))[..., None])
+        dz = np.multiply(dq, q, out=ws.get("dz", q.shape))
+        dz *= np.subtract(1.0, q, out=ws.get("rest", q.shape))
+        return mlp_backward(cache, dz[..., None])
 
     return q, backward
 
@@ -302,10 +337,11 @@ def query_policy_loss_fn(cfg: TrainConfig, costs):
     """
     cost_term = cfg.cost_weight * np.asarray(costs, dtype=np.float64)[:, None]
 
-    def loss_fn(models, batch):
+    def loss_fn(models, batch, ws):
         Xb, m_y, hit, w_y, masks = batch
-        q, query_backward = _query_forward(models["q"], Xb, masks)
-        per, mix_backward = mixture_loss(q, hit, m_y, w_y, cost_term)
+        q, query_backward = _query_forward(models, Xb, masks, ws)
+        per, mix_backward = mixture_loss(q, hit, m_y, w_y, cost_term,
+                                         ws.scope("mix"))
         return per, lambda g: {"q": query_backward(mix_backward(g)[0])}
 
     return loss_fn
@@ -377,20 +413,20 @@ def joint_disc_loss_fn(team: TeamConfig, cost_weights):
     cost_term = (np.asarray(cost_weights, dtype=np.float64)[:, None]
                  * team.query_cost)
 
-    def loss_fn(models, batch):
+    def loss_fn(models, batch, ws):
         Xb, y, hit, w_y, masks_m, masks_q = batch
-        z, cache_m = mlp_forward(models["m"], Xb, masks_m)
-        m = stable_softmax(z)
-        at = label_index(m.shape, np.arange(m.shape[-2]), y)
-        m_y = m[at]
-        q, query_backward = _query_forward(models["q"], Xb, masks_q)
-        per, mix_backward = mixture_loss(q, hit, m_y, w_y, cost_term)
+        m, at, m_y, cache_m = _softmax_at_labels(models, "m", Xb, masks_m, y,
+                                                 ws)
+        q, query_backward = _query_forward(models, Xb, masks_q, ws)
+        per, mix_backward = mixture_loss(q, hit, m_y, w_y, cost_term,
+                                         ws.scope("mix"))
 
         def backward(g):
             dq, _, dm_y = mix_backward(g)
             # d softmax(z)[y]/dz = m_y * (onehot(y) - m)
-            c = dm_y * m_y
-            d = m * -c[..., None]
+            c = np.multiply(dm_y, m_y, out=m_y)
+            d = np.multiply(m, np.negative(c, out=ws.get("-c", c.shape))
+                            [..., None], out=m)
             d[at] += c
             return {"m": mlp_backward(cache_m, d), "q": query_backward(dq)}
 

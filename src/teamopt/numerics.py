@@ -11,10 +11,11 @@ networks, draws each run's rows and masks a block of steps at a time, and
 returns the fitted models per run. Training losses are closed-form: each
 returns its per-instance values and a backward function (see
 `loss_and_grad`) written by hand on top of the one `mlp_forward` /
-`mlp_backward` pair. A loss may take its (replicas, rows, ...) arrays
-from a `Workspace`, so that its steps after the first allocate no large
-array. The contract for every loss in this package is agreement with
-central finite differences (see `finite_diff_check`).
+`mlp_backward` pair. Each fit has one `Workspace`: the loss computes its
+(replicas, rows, ...) arrays into it and each block of step inputs is
+drawn into it, so a fit's steps after its first allocate no large array.
+The contract for every loss in this package is agreement with central
+finite differences (see `finite_diff_check`).
 """
 
 from __future__ import annotations
@@ -114,21 +115,23 @@ class MlpModel:
 
 
 class Workspace:
-    """Arrays that a training loss reuses from one step to the next.
+    """The arrays that the steps of one fit reuse from step to step.
 
     `get` returns the array last handed out under a key while its shape
-    and dtype still match, and a new one otherwise, so a loss whose
-    (replicas, rows, ...) arrays come from one workspace through `out=`
-    allocates them on its first step only, and its later steps do not
-    depend on what the allocator did with memory freed earlier in the
-    process. `scope` gives the workspace of a name within this one,
-    whose keys are kept apart from every other scope's. Functions that
-    take `ws=None` compute into fresh arrays without one (see `ws_out`).
+    and dtype still match, and a new one otherwise, so a step computes
+    into the arrays of the step before it, and no step after the first
+    depends on what the allocator did with memory freed earlier in the
+    process. `scope` gives the workspace of a name within this one, whose
+    keys are kept apart from every other scope's. `constant` holds what
+    the steps only read. Every function that computes into a workspace
+    returns arrays that the next call on it overwrites, so a caller
+    outside training, such as scoring or a refit, passes one of its own.
     """
 
     def __init__(self):
         self._arrays = {}
         self._scopes = {}
+        self._constants = {}
 
     def scope(self, name: str) -> "Workspace":
         ws = self._scopes.get(name)
@@ -142,22 +145,14 @@ class Workspace:
             a = self._arrays[key] = np.empty(shape, dtype)
         return a
 
-
-def ws_out(ws: Workspace | None, key: str, shape: tuple,
-           dtype=np.float64) -> np.ndarray | None:
-    """`out=` for a result of `shape`: `ws`'s array for `key`, or None
-    without a workspace, so that numpy allocates the result."""
-    return None if ws is None else ws.get(key, shape, dtype)
-
-
-def _fresh(key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """`Workspace.get` for a call made without a workspace."""
-    return np.empty(shape, dtype)
-
-
-def ws_scope(ws: Workspace | None, name: str) -> Workspace | None:
-    """`ws`'s scope `name`, or None without a workspace."""
-    return None if ws is None else ws.scope(name)
+    def constant(self, key: str, make, *args):
+        """make(*args), built the first time it is asked for with these
+        args; its users only read it."""
+        k = (key, *args)
+        value = self._constants.get(k)
+        if value is None:
+            value = self._constants[k] = make(*args)
+        return value
 
 
 @dataclass
@@ -219,32 +214,30 @@ def stable_softmax(logits: np.ndarray, tau: float = 1.0,
     return z
 
 
-def stable_sigmoid(x, ws: Workspace | None = None) -> np.ndarray:
+def stable_sigmoid(x, ws: Workspace) -> np.ndarray:
     """1 / (1 + exp(-x)) on float64 values, stable in both tails; the
-    package's one sigmoid. Its result and scratch come from `ws`, if
-    given, and are fresh arrays otherwise."""
+    package's one sigmoid. Its result and scratch come from `ws`."""
     x = np.asarray(x, dtype=np.float64)
-    get = _fresh if ws is None else ws.get
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
     # branch sees the bits a per-sign masked evaluation would. minimum
     # rather than -abs: it passes a NaN through with its sign unchanged.
-    e = np.negative(x, out=get("out", x.shape))
+    e = np.negative(x, out=ws.get("out", x.shape))
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    d = np.add(1.0, e, out=get("d", x.shape))
+    d = np.add(1.0, e, out=ws.get("d", x.shape))
     # the numerator: 1 where x >= 0, exp(-|x|) elsewhere
-    np.copyto(e, 1.0, where=np.greater_equal(x, 0, out=get("pos", x.shape,
-                                                              bool)))
+    np.copyto(e, 1.0, where=np.greater_equal(x, 0, out=ws.get(
+        "pos", x.shape, bool)))
     return np.divide(e, d, out=e)
 
 
 def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
-                         lead: tuple = (), steps: int | None = None
-                         ) -> list | None:
+                         ws: Workspace, lead: tuple = (),
+                         steps: int | None = None) -> list | None:
     """Inverted-dropout masks for each hidden layer of a batch of n rows:
     (n, dim) from one generator, or one batch per generator of `rngs`,
     stacked on the leading axes `lead` (see `mlp_forward`). Each generator
-    draws what it would draw alone.
+    draws what it would draw alone. The masks are views of `ws`'s arrays.
 
     With `steps`, the masks of that many consecutive training steps: a
     list of one step's masks each, holding the values that `steps` calls
@@ -258,16 +251,19 @@ def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
     dims = model.layer_dims[1:-1]
     T = 1 if steps is None else steps
     # a step takes its layers in order from each generator's stream
-    u = np.empty((len(rngs), T, n * sum(dims)))
+    u = ws.get("masks", (len(rngs), T, n * sum(dims)))
     for j, rng in enumerate(rngs):
         rng.random(out=u[j])
-    keep = u >= p
-    del u  # no view of it is left, so this frees it
-    masks, at = [], 0
+    keep = np.greater_equal(u, p, out=ws.get("keep", u.shape, bool))
+    # the uniforms are spent: the masks of every layer take their place
+    free, masks, at = u.reshape(-1), [], 0
     for dim in dims:
         # step-major, so that each step's (generators, n, dim) is contiguous
-        m = np.empty((T, len(rngs), n * dim))
-        np.multiply(keep[:, :, at:at + n * dim].swapaxes(0, 1), scale, out=m)
+        m = free[:T * len(rngs) * n * dim].reshape(T, len(rngs), n * dim)
+        free = free[m.size:]
+        # copied, then scaled: numpy casts a bool factor through a buffer
+        np.copyto(m, keep[:, :, at:at + n * dim].swapaxes(0, 1))
+        m *= scale
         masks.append(m.reshape((T,) + lead + (n, dim)))
         at += n * dim
     if steps is None:
@@ -288,7 +284,8 @@ def _check_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
 def logits_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Pre-head activations for a batch, without dropout: the training
     forward pass of the model as a one-replica stack."""
-    return mlp_forward(stack_models([model]), _check_input(model, X))[0][0]
+    return mlp_forward(stack_models([model]), _check_input(model, X), None,
+                       Workspace())[0][0]
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -296,13 +293,13 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     z = logits_batch(model, X)
     if model.output_head == SOFTMAX_HEAD:
         return stable_softmax(z)
-    return stable_sigmoid(z[:, 0])
+    return stable_sigmoid(z[:, 0], Workspace())
 
 
 # --- training-path forward and backward ----------------------------------
 
-def mlp_forward(model: MlpModel, X: np.ndarray, masks=None,
-                ws: Workspace | None = None, out: np.ndarray | None = None):
+def mlp_forward(model: MlpModel, X: np.ndarray, masks, ws: Workspace,
+                out: np.ndarray | None = None):
     """Training forward pass of a replica stack: (logits, cache).
 
     The input's leading axes broadcast against the stack's replica axes
@@ -311,9 +308,9 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None,
     s of an (S, G) stack; an (S, G, n, d) input gives each replica its own
     rows. Dropout masks (None for eval behaviour) broadcast the same way,
     so the variants of a run share its rows and masks without a copy.
-    The logits are (*replica axes, n, K), computed into `out` if given.
-    `cache` holds what `mlp_backward` needs; its activations and gates
-    come from `ws`, if given.
+    The logits are (*replica axes, n, K), computed into `out` if given
+    and into `ws` otherwise. `cache` holds what `mlp_backward` needs; its
+    activations and gates come from `ws`.
     """
     if model.weights[0].ndim < 3:
         raise ShapeError("training losses take replica stacks"
@@ -325,17 +322,27 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks=None,
         inputs.append(h)
         shape = w.shape[:-2] + (X.shape[-2], w.shape[-1])
         # an array of the layer's own, so the rest of it runs in place
-        h = np.matmul(h, w, out=out if i == last
-                      else ws_out(ws, f"h{i}", shape))
-        h += b
-        if i < last:
-            # ReLU and inverted dropout as one multiplier per activation
-            gate = np.greater(h, 0.0, out=ws_out(ws, f"on{i}", shape, bool))
-            if masks is not None:
-                gate = np.multiply(gate, masks[i],
-                                   out=ws_out(ws, f"gate{i}", shape))
-            h *= gate
-            gates.append(gate)
+        h = np.matmul(h, w, out=ws.get(f"h{i}", shape) if i < last or
+                      out is None else out)
+        if i == last:
+            h += b
+            break
+        if masks is None:
+            h += b
+            gate = np.greater(h, 0.0, out=ws.get(f"on{i}", shape, bool))
+        else:
+            # numpy broadcasts a smaller operand, and casts a bool one,
+            # through a buffer of its own: the gate's array holds the bias
+            # at the layer's shape until the gate is formed in it
+            gate = ws.get(f"gate{i}", shape)
+            np.copyto(gate, b)
+            h += gate
+            np.copyto(gate, np.greater(h, 0.0, out=ws.get(f"on{i}", shape,
+                                                          bool)))
+            gate *= masks[i]
+        # ReLU and inverted dropout as one multiplier per activation
+        h *= gate
+        gates.append(gate)
     return h, (model.weights, inputs, gates)
 
 
@@ -358,12 +365,16 @@ def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
     return GradientSet(gw, gb)
 
 
-def label_index(shape, rows, labels) -> tuple:
+def _lead_indices(shape: tuple) -> tuple:
+    return tuple(a[..., None] for a in np.indices(shape, sparse=True))
+
+
+def label_index(shape, rows, labels, ws: Workspace) -> tuple:
     """Index tuple that picks a[..., rows[i], labels[..., i]] from an
     array of `shape` (..., n, K) at every leading position; `labels`
-    broadcasts against the leading shape and len(rows)."""
-    lead = [a[..., None] for a in np.indices(shape[:-2], sparse=True)]
-    return (*lead, rows, labels)
+    broadcasts against the leading shape and len(rows). The indices of
+    the leading positions are `ws`'s constants."""
+    return (*ws.constant("lead", _lead_indices, shape[:-2]), rows, labels)
 
 
 def _objective(per_instance: np.ndarray) -> float:
@@ -371,14 +382,16 @@ def _objective(per_instance: np.ndarray) -> float:
     return float(per_instance.sum() * (1.0 / per_instance.shape[-1]))
 
 
-def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn
-                  ) -> tuple[float, dict[str, GradientSet]]:
+def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn,
+                  ws: Workspace) -> tuple[float, dict[str, GradientSet]]:
     """Minibatch-mean loss and its exact gradients.
 
-    `loss_fn(models, batch)` receives {name: replica stack} and returns
+    `loss_fn(models, batch, ws)` receives {name: replica stack} and a
+    workspace for its arrays, and returns
     `(per_instance, backward)`: the per-instance losses, (R, n) or
     (S, G, n) as `mlp_forward` lays out the replicas, and a function
-    mapping dL/d(per_instance) to {name: GradientSet}. Each replica's
+    mapping dL/d(per_instance), which it only reads, to {name:
+    GradientSet} of fresh arrays. Each replica's
     loss is its own mean over the n instances (scaled by 1/n, not
     1/(R*n)), so its gradient is the one it would get alone; the
     returned loss is the sum of those means. Models absent from `models`
@@ -387,7 +400,7 @@ def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn
     naming the first failing replica, counted in stack order, and
     instance.
     """
-    per_instance, backward = loss_fn(models, batch)
+    per_instance, backward = loss_fn(models, batch, ws)
     if not np.isfinite(per_instance).all():
         *lead, i = np.argwhere(~np.isfinite(per_instance))[0]
         r = np.ravel_multi_index(lead, per_instance.shape[:-1])
@@ -395,16 +408,17 @@ def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn
                            index=int(i), replica=int(r))
     n = per_instance.shape[-1]
     return _objective(per_instance), backward(
-        np.full(per_instance.shape, 1.0 / n))
+        ws.constant("seed", np.full, per_instance.shape, 1.0 / n))
 
 
-def loss_value(models: dict[str, MlpModel], batch, loss_fn) -> float:
+def loss_value(models: dict[str, MlpModel], batch, loss_fn,
+               ws: Workspace) -> float:
     """Loss only, no gradients (used by the finite-difference oracle).
 
     The same objective as `loss_and_grad`: the minibatch mean, summed over
     replicas.
     """
-    return _objective(loss_fn(models, batch)[0])
+    return _objective(loss_fn(models, batch, ws)[0])
 
 
 def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float
@@ -460,7 +474,8 @@ def unstack_models(stacked: MlpModel) -> list[MlpModel]:
 
 
 def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
-        what: str, variant_labels=None, on_step=None) -> dict[str, MlpModel]:
+        what: str, ws: Workspace, variant_labels=None, on_step=None
+        ) -> dict[str, MlpModel]:
     """The package's SGD loop: `cfg.iterations` plain steps on replica stacks.
 
     `models` maps names to stacks from `stack_models`, all with the same
@@ -469,8 +484,9 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
     returns step it's batch: its rows, dropout masks and constant arrays,
     drawn from each run's own streams (or each replica's, see
     `mlp_forward`); it is called once per step, in step order.
-    `loss_fn(models, batch)` follows the `loss_and_grad` contract, so each
-    replica trains exactly as it would alone.
+    `loss_fn(models, batch, ws)` follows the `loss_and_grad` contract, so
+    each replica trains exactly as it would alone; every step passes it
+    the fit's workspace `ws`.
     The stacks are copied once and updated in place, so `models` is left
     as it was; `on_step(it, models)` runs after every update and must not
     keep the arrays it is handed. A non-finite loss
@@ -493,16 +509,13 @@ def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
             f" ({variant_labels[variant]})"
 
     for it in range(cfg.iterations):
-        batch = make_batch(it)
         try:
-            _, grads = loss_and_grad(models, batch, loss_fn)
+            _, grads = loss_and_grad(models, make_batch(it), loss_fn, ws)
         except NumericError as e:
             run, variant = divmod(e.replica, G)
             raise TrainingError(f"{what} diverged at iteration"
                                 f" {it}{labelled(variant)}",
                                 iteration=it, run=run) from e
-        # so that a block of batches is drawn after the last one is freed
-        del batch
         for name, m in models.items():
             sgd_step(m, grads[name], cfg.learning_rate)
         if on_step is not None:
@@ -575,7 +588,7 @@ def shared_batch_size(runs) -> int:
 
 
 def block_rows(fields, rngs, B: int, lead: tuple, steps: int,
-               rows=None) -> list:
+               ws: Workspace, rows=None) -> list:
     """The minibatch rows of `steps` consecutive steps, one array per field.
 
     Row source j holds fields[k][j] for each field k and draws its steps'
@@ -583,21 +596,30 @@ def block_rows(fields, rngs, B: int, lead: tuple, steps: int,
     would. With `rows`, source j's rows are rows[j], indices into its
     field arrays (None: all of them), and each drawn index picks one of
     them. Each field is gathered once per source into a (steps, *lead,
-    B, ...) array, so step t's rows are its C-contiguous view [t], laid
-    out on `lead` as `fit_stack` lays out a step's batch.
+    B, ...) array of `ws`, so step t's rows are its C-contiguous view [t],
+    laid out on `lead` as `fit_stack` lays out a step's batch.
     """
     rows = rows or [None] * len(rngs)
     idx = []
-    for rng, a, r in zip(rngs, fields[0], rows):
-        i = np.array([batch_indices(rng, len(a if r is None else r), B)
-                      for _ in range(steps)])
-        idx.append(i if r is None else r[i])
+    for j, (rng, a, r) in enumerate(zip(rngs, fields[0], rows)):
+        i = ws.get(f"drawn{j}", (steps, B), np.int64)
+        for t in range(steps):
+            i[t] = batch_indices(rng, len(a if r is None else r), B)
+        if r is not None:
+            # mode="clip" takes without a buffer; no index is out of range
+            i = np.take(r, i, out=ws.get(f"rows{j}", i.shape, r.dtype),
+                        mode="clip")
+        idx.append(i)
     blocks = []
-    for arrays in fields:
-        block = np.empty((steps, len(arrays), B) + arrays[0].shape[1:],
-                         arrays[0].dtype)
+    for k, arrays in enumerate(fields):
+        a0 = arrays[0]
+        block = ws.get(f"field{k}", (steps, len(arrays), B) + a0.shape[1:],
+                       a0.dtype)
+        # taken into contiguous scratch: a[i], or a take into the strided
+        # block, makes a temporary of its own
+        gathered = ws.get(f"gather{k}", (steps, B) + a0.shape[1:], a0.dtype)
         for j, (a, i) in enumerate(zip(arrays, idx)):
-            block[:, j] = a[i]
+            block[:, j] = np.take(a, i, axis=0, out=gathered, mode="clip")
         blocks.append(block.reshape((steps,) + lead + block.shape[2:]))
     return blocks
 
@@ -609,7 +631,7 @@ def blockwise(draw, iterations: int):
 
     def make_batch(it):
         if it % BLOCK_STEPS == 0:
-            block.clear()  # free the last block before drawing the next
+            block.clear()  # the next block is drawn over the last one
             block.extend(draw(min(BLOCK_STEPS, iterations - it)))
         return block[it % BLOCK_STEPS]
 
@@ -635,28 +657,32 @@ def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
     broadcast over its variants, or a replica, run-major, laid out as
     (S, G) (see `mlp_forward`). A step's rows, B per source, and then
     each network's masks come as one tuple, which `batch`, if given,
-    makes into the step's batch. Returns each network's models, nested
-    as given.
+    makes into the step's batch. The fit has one `Workspace`, which the
+    loss gets at every step and each block of rows and masks is drawn
+    into. Returns each network's models, nested as given.
     """
     first = next(iter(nets.values()))[0]
     S, G = len(first), len(first[0])
+    ws = Workspace()  # the fit's, for its loss and its step inputs
 
     def lead(sources):
         return (S, 1) if len(sources) == S else (S, G)
 
     def draw(steps):
         return list(zip(
-            *block_rows(fields, rngs, B, lead(rngs), steps, rows),
+            *block_rows(fields, rngs, B, lead(rngs), steps,
+                        ws.scope("rows"), rows),
             *(sample_dropout_masks(models[0][0], n, *drops,
+                                   ws=ws.scope(f"masks {name}"),
                                    lead=lead(drops), steps=steps)
-              for models, drops, n in nets.values())))
+              for name, (models, drops, n) in nets.items())))
 
     step_rows = blockwise(draw, cfg.iterations)
     stacks = {name: stack_models([m for run in models for m in run], S)
               for name, (models, _, _) in nets.items()}
     fitted = fit(stacks, loss_fn, step_rows if batch is None
                  else lambda it: batch(step_rows(it)),
-                 cfg, what, variant_labels, on_step)
+                 cfg, what, ws, variant_labels, on_step)
     return {name: by_run(unstack_models(m), G) for name, m in fitted.items()}
 
 
@@ -665,10 +691,12 @@ def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn) -> float:
 
     Relative error is |analytic - numeric| / max(1, |analytic|), maximized
     over every unfrozen parameter of every model, with differences taken
-    at a step of 1e-5.
+    at a step of 1e-5. The gradients, fresh arrays, are read after later
+    evaluations on the check's one workspace.
     """
     step = 1e-5
-    _, grads = loss_and_grad(models, batch, loss_fn)
+    ws = Workspace()
+    _, grads = loss_and_grad(models, batch, loss_fn, ws)
     worst = 0.0
     for name, model in models.items():
         gset = grads[name]
@@ -680,9 +708,9 @@ def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn) -> float:
                 for j in range(flat.size):
                     orig = flat[j]
                     flat[j] = orig + step
-                    hi = loss_value(models, batch, loss_fn)
+                    hi = loss_value(models, batch, loss_fn, ws)
                     flat[j] = orig - step
-                    lo = loss_value(models, batch, loss_fn)
+                    lo = loss_value(models, batch, loss_fn, ws)
                     flat[j] = orig
                     numeric = (hi - lo) / (2.0 * step)
                     err = abs(gflat[j] - numeric) / max(1.0, abs(gflat[j]))

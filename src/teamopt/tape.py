@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import stable_sigmoid
+from .numerics import Workspace, stable_sigmoid
 
 
 class Node:
@@ -135,7 +135,7 @@ def relu(a: Node) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
-    out = stable_sigmoid(a.data)
+    out = stable_sigmoid(a.data, Workspace())
     return _unary(a, out, lambda g: g * out * (1.0 - out))
 
 

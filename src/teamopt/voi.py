@@ -26,7 +26,7 @@ from .errors import InputError, StateError
 from .numerics import (MlpModel, TrainConfig, Workspace, by_run, fit_stack,
                        label_index, logits_batch, mlp_backward, mlp_forward,
                        shared_batch_size, stable_sigmoid, stable_softmax,
-                       sum_last, unstack_models, ws_out, ws_scope)
+                       sum_last, unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -155,20 +155,19 @@ class _JointBatch:
     masks_g: list | None
 
 
-def _calibrated(logits: np.ndarray, cal: PlattCalibrator,
-                ws: Workspace | None = None):
-    """`calibrated_head`'s distributions on training logits, with the
-    backward map from dL/dp to dL/d(logits). The calibrator parameters are
-    constants: frozen during backprop. With `ws`, the backward computes
-    in the head's scratch arrays, which are spent by then."""
+def _calibrated(logits: np.ndarray, cal: PlattCalibrator, ws: Workspace):
+    """`calibrated_head`'s distributions on training logits, computed in
+    `ws`, with the backward map from dL/dp to dL/d(logits), which computes
+    in the head's scratch arrays, spent by then. The calibrator parameters
+    are constants: frozen during backprop."""
     p, s, total, low = calibrated_head(logits, cal, ws)
 
     def backward(dp):
-        t = np.multiply(dp, p, out=ws_out(ws, "z", p.shape))
+        t = np.multiply(dp, p, out=ws.get("z", p.shape))
         dot = sum_last(t)[..., None]
         np.subtract(dp, dot, out=t)
         t /= total
-        d = np.subtract(1.0, s, out=ws_out(ws_scope(ws, "s"), "d", p.shape))
+        d = np.subtract(1.0, s, out=ws.scope("s").get("d", p.shape))
         np.multiply(s, d, out=d)
         d *= cal.a
         d *= t  # (dp - dot) / total * (s * (1 - s) * a)
@@ -180,12 +179,12 @@ def _calibrated(logits: np.ndarray, cal: PlattCalibrator,
     return p, backward
 
 
-def _soft_max(eu: np.ndarray, tau: float, ws: Workspace | None = None):
+def _soft_max(eu: np.ndarray, tau: float, ws: Workspace):
     """The softened maximum sum_a eu[a] * softmax_tau(eu)[a] over the last
-    axis, with the backward map from its gradient to dL/d(eu), which runs
-    once: it computes in the softmax's array."""
-    sm = stable_softmax(eu, tau, ws_out(ws, "sm", eu.shape))
-    t = np.multiply(eu, sm, out=ws_out(ws, "t", eu.shape))
+    axis, computed in `ws`, with the backward map from its gradient to
+    dL/d(eu), which runs once: it computes in the softmax's array."""
+    sm = stable_softmax(eu, tau, ws.get("sm", eu.shape))
+    t = np.multiply(eu, sm, out=ws.get("t", eu.shape))
     u = sum_last(t)
 
     def backward(du):
@@ -261,8 +260,8 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
     head, and the alpha and gamma rows through a single softened
     maximum over actions.
 
-    The (replicas, rows, ...) arrays of a step live in one `Workspace` of
-    this loss, so the steps after the first allocate none of them; an
+    The (replicas, rows, ...) arrays of a step live in the fit's
+    workspace, so the steps after the first allocate none of them; an
     array whose use is over takes a later one, and each backward runs
     once, on the arrays of the forward before it.
     """
@@ -271,37 +270,34 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
              * team.query_cost)
     U = team.utility
     Ut = U.T.copy()
-    ws = Workspace()
-    nets, head, soft = ({name: ws.scope(name) for name in _PARTS},
-                        ws.scope("head"), ws.scope("soft"))
 
-    def loss_fn(models, batch: _JointBatch):
+    def loss_fn(models, batch: _JointBatch, ws):
         B, K = batch.y.shape[-1], Ut.shape[0]
         G = B + B * K  # the alpha and gamma rows, which take soft maxima
-        rows = np.arange(B)
+        rows = ws.constant("rows", np.arange, B)
         lead = models["alpha"].weights[0].shape[:-2]
         # the [alpha | gamma | beta] logits, and dL/dp once they are spent
         z = ws.get("logits", lead + (G + B, K))
         _, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a,
-                                 nets["alpha"], z[..., :B, :])
+                                 ws.scope("alpha"), z[..., :B, :])
         _, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
-                                 batch.masks_g, nets["gamma"],
+                                 batch.masks_g, ws.scope("gamma"),
                                  z[..., B:G, :])
         _, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b,
-                                 nets["beta"], z[..., G:, :])
-        p, back_p = _calibrated(z, batch.cal, head)
-        at_a = label_index(p.shape, rows, batch.y)
+                                 ws.scope("beta"), z[..., G:, :])
+        p, back_p = _calibrated(z, batch.cal, ws.scope("head"))
+        at_a = label_index(p.shape, rows, batch.y, ws)
         # gamma rows of the observed responses
-        at_g = label_index(p.shape, B + rows * K + batch.h, batch.y)
+        at_g = label_index(p.shape, B + rows * K + batch.h, batch.y, ws)
         eu = np.matmul(p[..., :G, :], Ut, out=ws.get("eu", lead + (G, K)))
-        u, back_u = _soft_max(eu, tau, soft)  # over actions
+        u, back_u = _soft_max(eu, tau, ws.scope("soft"))  # over actions
         u_nq = u[..., :B]
         inner = u[..., B:].reshape(u.shape[:-1] + (B, K))  # [i, h]
         pb = p[..., G:, :]
         u_q = sum_last(pb * inner)
-        q = stable_sigmoid((u_q - u_nq) * (1.0 / tau))
+        q = stable_sigmoid((u_q - u_nq) * (1.0 / tau), ws.scope("q"))
         per, mix_backward = mixture_loss(q, p[at_g], p[at_a], batch.w_y,
-                                         lam_c)
+                                         lam_c, ws.scope("mix"))
 
         def backward(g):
             dq, d_pg_hy, d_pa_y = mix_backward(g)

@@ -10,9 +10,9 @@ import numpy as np
 from teamopt import tape
 from teamopt.data import Dataset
 from teamopt.discriminative import DecisionParts, mixture_loss
-from teamopt.numerics import (PROB_CLAMP, GradientSet, mlp_backward,
-                              mlp_forward, stable_sigmoid, stable_softmax,
-                              sum_last)
+from teamopt.numerics import (PROB_CLAMP, GradientSet, Workspace,
+                              mlp_backward, mlp_forward, stable_sigmoid,
+                              stable_softmax, sum_last)
 from teamopt.voi import _calibrated, _soft_max, gamma_all_input
 
 
@@ -57,6 +57,12 @@ def confusable_class_broadcast(X, y, means):
     return dists.argmin(axis=1)
 
 
+def gaussian_features_broadcast(rng, means, y):
+    """`data.gaussian_features` as one (n, d) array of each row's class
+    mean plus the draw of N(0, I)."""
+    return means[y] + rng.standard_normal((len(y), means.shape[1]))
+
+
 def soft_expected_utilities(pa, pb, pg_rows, utility, tau):
     """Soft u_nq, u_q and query probability from explicit distributions.
 
@@ -71,7 +77,7 @@ def soft_expected_utilities(pa, pb, pg_rows, utility, tau):
     eu_q = np.asarray(pg_rows) @ U.T  # (K, K): [h, action]
     inner = (eu_q * stable_softmax(eu_q, tau)).sum(axis=1)
     u_q = float(np.asarray(pb) @ inner)
-    q = float(stable_sigmoid((u_q - u_nq) / tau))
+    q = float(stable_sigmoid((u_q - u_nq) / tau, Workspace()))
     return u_nq, u_q, q
 
 
@@ -264,21 +270,24 @@ def joint_voi_three_pass(team, cfg, cost_weights, cals):
         B, K = len(batch.y), Ut.shape[0]
         rows = np.arange(B)
         h_rows = rows * K + batch.h  # p_gamma rows at the observed responses
-        za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a)
-        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b)
+        ws = Workspace()
+        za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a,
+                                  ws.scope("alpha"))
+        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b,
+                                  ws.scope("beta"))
         zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
-                                  batch.masks_g)
-        pa, back_a = _calibrated(za, cal_a)  # (R, B, K)
-        pb, back_b = _calibrated(zb, cal_b)
-        pg, back_g = _calibrated(zg, cal_g)  # (R, B*K, K), h-major
-        u_nq, back_nq = _soft_max(pa @ Ut, tau)  # over actions
-        inner, back_inner = _soft_max(pg @ Ut, tau)  # (R, B*K)
-        inner = inner.reshape(inner.shape[:-1] + (B, K))
+                                  batch.masks_g, ws.scope("gamma"))
+        pa, back_a = _calibrated(za, cal_a, ws.scope("pa"))  # (R, B, K)
+        pb, back_b = _calibrated(zb, cal_b, ws.scope("pb"))
+        pg, back_g = _calibrated(zg, cal_g, ws.scope("pg"))  # (R, B*K, K)
+        u_nq, back_nq = _soft_max(pa @ Ut, tau, ws.scope("u_nq"))  # actions
+        inner, back_inner = _soft_max(pg @ Ut, tau, ws.scope("inner"))
+        inner = inner.reshape(inner.shape[:-1] + (B, K))  # (R, B, K)
         u_q = sum_last(pb * inner)
-        q = stable_sigmoid((u_q - u_nq) * (1.0 / tau))
+        q = stable_sigmoid((u_q - u_nq) * (1.0 / tau), ws.scope("q"))
         per, mix_backward = mixture_loss(q, pg[:, h_rows, batch.y],
                                          pa[:, rows, batch.y], batch.w_y,
-                                         lam_c)
+                                         lam_c, ws.scope("mix"))
 
         def backward(g):
             dq, d_pg_hy, d_pa_y = mix_backward(g)

@@ -10,7 +10,7 @@ from teamopt import calibration
 from teamopt.calibration import (PlattCalibrator, calibrate_batch,
                                  expected_calibration_error, fit_platt)
 from teamopt.errors import ConfigError, InputError, ShapeError
-from teamopt.numerics import stable_sigmoid
+from teamopt.numerics import Workspace, stable_sigmoid
 
 # frozen: sigmoid(2) / (sigmoid(2) + sigmoid(0)) and its complement
 CAL_20_HI = 0.6378903113466692
@@ -111,7 +111,7 @@ def capped_newton_fit(scores, binary_labels, objective):
     obj = objective(s, targets, a, b)
     damping = 1e-6
     for _ in range(200):
-        p = stable_sigmoid(a * s + b)
+        p = stable_sigmoid(a * s + b, Workspace())
         diff = p - targets
         grad = np.array([float(diff @ s), float(diff.sum())])
         if np.hypot(*grad) < 1e-8:
@@ -140,7 +140,7 @@ def capped_newton_fit(scores, binary_labels, objective):
 
 
 def platt_objective(s, targets, a, b):
-    p = np.clip(stable_sigmoid(a * s + b), 1e-12, 1.0 - 1e-12)
+    p = np.clip(stable_sigmoid(a * s + b, Workspace()), 1e-12, 1.0 - 1e-12)
     nll = -(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
     return float(nll.sum())
 
@@ -158,7 +158,7 @@ def test_fit_stops_at_a_stall_with_the_capped_loop_result(monkeypatch):
     # while the damping cycles; the capped loop spends 200 iterations.
     rng = np.random.default_rng(0)
     s = 2.0 * rng.standard_normal(2000)
-    labels = (rng.random(2000) < stable_sigmoid(1.5 * s - 0.3))
+    labels = (rng.random(2000) < stable_sigmoid(1.5 * s - 0.3, Workspace()))
     labels = labels.astype(np.int64)
     oracle_objective = counting(platt_objective)
     want = capped_newton_fit(s, labels, oracle_objective)
@@ -181,7 +181,8 @@ def test_fit_equals_capped_loop_on_random_problems(monkeypatch):
         if trial % 5 == 0:
             scores = np.round(scores)  # ties and exact zeros
         logits = rng.uniform(0.2, 3.0) * scores + rng.normal()
-        labels = (rng.random(n) < stable_sigmoid(logits)).astype(int)
+        labels = (rng.random(n) < stable_sigmoid(logits, Workspace())
+                  ).astype(int)
         nll.calls = 0
         fit = fit_platt(scores, labels)
         if labels.min() == labels.max():
@@ -201,7 +202,8 @@ def test_warm_start_at_the_optimum_stays_there_with_fewer_evaluations(
     rng = np.random.default_rng(44)
     for n in (60, 500, 2000):
         s = 1.5 * rng.standard_normal(n)
-        labels = (rng.random(n) < stable_sigmoid(1.2 * s + 0.4)).astype(int)
+        labels = (rng.random(n) < stable_sigmoid(1.2 * s + 0.4, Workspace())
+                  ).astype(int)
         nll.calls = 0
         cold = fit_platt(s, labels)
         cold_calls = nll.calls

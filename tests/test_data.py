@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import traced_memory
-from oracles import confusable_class_broadcast
+from oracles import confusable_class_broadcast, gaussian_features_broadcast
 from teamopt.data import (Dataset, SynthConfig, class_means,
-                          confusable_class, generate_synthetic, load_csv,
-                          save_csv, split)
+                          confusable_class, gaussian_features,
+                          generate_synthetic, load_csv, save_csv, split)
 from teamopt.errors import ConfigError, InputError, ParseError
 from teamopt.voi import _calibration_split
 
@@ -63,8 +63,9 @@ def test_generator_is_deterministic():
 @example(n=300, K=12, d=3, seed=0, weights=[1] * 12)
 @example(n=300, K=4, d=1, seed=7, weights=[1] * 12)
 def test_generator_matches_the_broadcast_reference(n, K, d, seed, weights):
-    # the per-class distances keep the bits of the (n, K, d) broadcast,
-    # so every generated array does too, K > d - 1 and d = 1 included
+    # the features shifted in place and the per-class distances keep the
+    # bits of the (n, d) means[y] and (n, K, d) broadcasts, so every
+    # generated array does too, K > d - 1 and d = 1 included
     w = np.array(weights[:K], dtype=np.float64)
     w = w / w.sum() if w.any() else np.full(K, 1.0 / K)
     cfg = SynthConfig(num_classes=K, feature_dim=d, n=n,
@@ -73,12 +74,17 @@ def test_generator_matches_the_broadcast_reference(n, K, d, seed, weights):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("teamopt.data.confusable_class",
                    confusable_class_broadcast)
+        mp.setattr("teamopt.data.gaussian_features",
+                   gaussian_features_broadcast)
         want = generate_synthetic(cfg)
     for field in ("X", "y", "h"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     means = class_means(K, d)
     assert np.array_equal(confusable_class(got.X, got.y, means),
                           confusable_class_broadcast(got.X, got.y, means))
+    a, b = (np.random.default_rng(seed) for _ in range(2))
+    assert gaussian_features(a, means, got.y).tobytes() == \
+        gaussian_features_broadcast(b, means, got.y).tobytes()
 
 
 def test_generator_peak_memory_is_bounded():

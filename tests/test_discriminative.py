@@ -1,19 +1,23 @@
 """Discriminative team training: loss geometry, decisions, and trainers."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from teamopt.data import Dataset
+from conftest import traced_memory
+from teamopt import numerics
+from teamopt.data import Dataset, SynthConfig, generate_synthetic
 from teamopt.discriminative import (SOLO_STREAMS, TeamConfig, decide,
                                     derive_rng, joint_disc_loss_fn,
                                     team_predict, train_fixed, train_joint,
-                                    train_solo_model, utility_loss_weights)
+                                    train_query_policy, train_solo_model,
+                                    utility_loss_weights)
 from teamopt.errors import InputError, QueryError, TrainingError
-from teamopt.numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD,
-                              MlpModel, TrainConfig, forward_batch,
-                              loss_value, stack_models)
+from teamopt.numerics import (BLOCK_STEPS, PROB_CLAMP, SIGMOID_HEAD,
+                              SOFTMAX_HEAD, MlpModel, TrainConfig, Workspace,
+                              forward_batch, loss_value, stack_models)
 
 # frozen: -ln(0.75) + 1.0 * 0.1 * 0.5
 JOINT_LOSS_MIX = 0.3376820724517809
@@ -36,7 +40,8 @@ def joint_loss(m_dist, q_val, h, y, team, cost_weight):
     batch = (np.ones((1, 1)), np.array([y]), np.array([float(h == y)]),
              w[[y]], None, None)
     return loss_value({"m": stack_models([m]), "q": stack_models([q])},
-                      batch, joint_disc_loss_fn(team, (cost_weight,)))
+                      batch, joint_disc_loss_fn(team, (cost_weight,)),
+                      Workspace())
 
 
 def noise_dataset(n=300, k=3, d=4, seed=11):
@@ -267,6 +272,47 @@ def test_divergence_raises_training_error_with_iteration():
                 train_solo_model([(ds, cfg)], TeamConfig.accuracy(3))
     assert exc.value.iteration is not None
     assert 0 <= exc.value.iteration < 20
+
+
+@pytest.mark.parametrize("trainer", ["solo", "query-policy", "joint-disc"])
+def test_disc_steps_allocate_less_than_one_hidden_activation(monkeypatch,
+                                                              trainer):
+    # sweep-disc's shapes: 2 seeds, m alone (R=2) or 5 query costs or cost
+    # weights each (R=10), minibatches of 64, K=5, one hidden layer of 16.
+    # After the first block of steps, a step allocates less than one
+    # (R, B, hidden) array above what it keeps: its activations, gates,
+    # loss terms and step inputs live in the fit's workspace
+    ds = generate_synthetic(SynthConfig(n=1000, seed=3))
+    cfg = TrainConfig(iterations=3 * BLOCK_STEPS)
+    runs = [(ds, replace(cfg, seed=seed)) for seed in (0, 1)]
+    team = TeamConfig.accuracy(5, 0.1)
+    ms = [m for [m] in train_solo_model(runs, team)]
+    train, R = {
+        "solo": (lambda: train_solo_model(runs, team), 2),
+        "query-policy": (lambda: train_query_policy(
+            [(*run, m) for run, m in zip(runs, ms)], team,
+            (0.0, 0.05, 0.1, 0.15, 0.2)), 10),
+        "joint-disc": (lambda: train_joint(runs, team,
+                                           (0.25, 0.5, 1.0, 2.0, 4.0)), 10),
+    }[trainer]
+    above = []
+    real = numerics.fit
+
+    def fit(models, loss_fn, make_batch, cfg, what, ws, labels=None,
+            on_step=None):
+        def step(it, models):
+            if on_step is not None:
+                on_step(it, models)
+            above.append(trace.peak_above())
+
+        return real(models, loss_fn, make_batch, cfg, what, ws, labels, step)
+
+    monkeypatch.setattr(numerics, "fit", fit)
+    with traced_memory() as trace:
+        train()
+    B, hidden = 64, 16
+    assert len(above) == cfg.iterations
+    assert max(above[BLOCK_STEPS:]) < R * B * hidden * 8
 
 
 def test_rng_streams_are_independent():

@@ -12,12 +12,12 @@ from teamopt import tape
 from teamopt.discriminative import solo_ce_loss
 from teamopt.errors import ConfigError, InputError, NumericError, ShapeError
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, GradientSet,
-                              MlpModel, TrainConfig, finite_diff_check,
-                              forward_batch, init_mlp, loss_and_grad,
-                              loss_value,
-                              max_last, mlp_backward, mlp_forward,
-                              sample_dropout_masks, sgd_step, stable_sigmoid,
-                              stable_softmax, stack_models, sum_last)
+                              MlpModel, TrainConfig, Workspace,
+                              finite_diff_check, forward_batch, init_mlp,
+                              loss_and_grad, loss_value, max_last,
+                              mlp_backward, mlp_forward, sample_dropout_masks,
+                              sgd_step, stable_sigmoid, stable_softmax,
+                              stack_models, sum_last)
 
 # sigma(0.3) and sigma(1); frozen from 1/(1+exp(-z))
 SIGMA_03 = 0.574442516811659
@@ -41,8 +41,8 @@ def zero_model(d, k, head=SOFTMAX_HEAD, p=0.0):
 
 def linear_loss(scale, X):
     """Per-instance scale * (sum of the logits) on inputs X, closed form."""
-    def loss_fn(models, batch):
-        z, cache = mlp_forward(models["m"], X)
+    def loss_fn(models, batch, ws):
+        z, cache = mlp_forward(models["m"], X, None, ws)
         return scale * sum_last(z), lambda g: {"m": mlp_backward(
             cache, np.broadcast_to((g * scale)[..., None], z.shape))}
     return loss_fn
@@ -50,8 +50,8 @@ def linear_loss(scale, X):
 
 def constant_loss(values, X):
     """A loss whose per-instance values ignore the parameters."""
-    def loss_fn(models, batch):
-        z, cache = mlp_forward(models["m"], X)
+    def loss_fn(models, batch, ws):
+        z, cache = mlp_forward(models["m"], X, None, ws)
         return np.asarray(values, dtype=np.float64)[None, :], \
             lambda g: {"m": mlp_backward(cache, np.zeros_like(z))}
     return loss_fn
@@ -162,10 +162,10 @@ def test_stable_sigmoid_matches_masked_form_bit_for_bit():
              rng.uniform(-800.0, 800.0, 10_000),
              np.asfortranarray(rng.standard_normal((7, 9)) * 5.0).T]
     for x in cases:
-        got, want = stable_sigmoid(x), masked_sigmoid(x)
+        got, want = stable_sigmoid(x, Workspace()), masked_sigmoid(x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # NaN sign bits included
-    assert stable_sigmoid(0.5).shape == ()
+    assert stable_sigmoid(0.5, Workspace()).shape == ()
     assert tape.stable_sigmoid is stable_sigmoid  # the tape reuses it
 
 
@@ -194,7 +194,7 @@ def test_ce_of_exact_onehot_is_zero_with_zero_grads():
                                                   [-1000.0, 0.0]])],
                                [np.zeros(2)], SOFTMAX_HEAD, 0.0)])
     batch = (np.eye(2), np.array([0, 1]), np.ones(2), None)
-    loss, grads = loss_and_grad({"m": m}, batch, solo_ce_loss)
+    loss, grads = loss_and_grad({"m": m}, batch, solo_ce_loss, Workspace())
     assert loss == 0.0
     assert not any(g.any() for g in grads["m"].weights + grads["m"].biases)
 
@@ -203,7 +203,8 @@ def test_constant_loss_has_zero_gradient():
     m = stack_models([init_mlp((3, 4, 2), SOFTMAX_HEAD,
                                np.random.default_rng(5))])
     loss, grads = loss_and_grad({"m": m}, None,
-                                constant_loss([1.0, 2.0, 3.0], np.ones((3, 3))))
+                                constant_loss([1.0, 2.0, 3.0], np.ones((3, 3))),
+                                Workspace())
     assert loss == 2.0  # minibatch mean
     assert not any(g.any() for g in grads["m"].weights + grads["m"].biases)
 
@@ -214,7 +215,8 @@ def test_nonfinite_loss_reports_instance_index():
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError) as info:
             loss_and_grad({"m": m}, None,
-                          constant_loss(np.log(vec), np.ones((4, 2))))
+                          constant_loss(np.log(vec), np.ones((4, 2))),
+                          Workspace())
     assert info.value.index == 2 and info.value.replica == 0
 
 
@@ -231,8 +233,8 @@ def test_fd_check_linear_squared_error_near_machine_precision():
     X = rng.standard_normal((4, 3))
     T = rng.standard_normal((4, 2))
 
-    def sq_loss(models, batch):
-        z, cache = mlp_forward(models["m"], X)
+    def sq_loss(models, batch, ws):
+        z, cache = mlp_forward(models["m"], X, None, ws)
         diff = z - T
         return sum_last(diff * diff), lambda g: {"m": mlp_backward(
             cache, 2.0 * diff * g[..., None])}
@@ -250,10 +252,10 @@ def test_mlp_backward_matches_finite_differences_with_dropout():
         b += rng.uniform(0.1, 0.5, b.shape)
     X = rng.standard_normal((7, 3))
     C = rng.standard_normal((2, 7, 2))
-    masks = sample_dropout_masks(m, 7, rng)
+    masks = sample_dropout_masks(m, 7, rng, ws=Workspace())
 
-    def read_out(models, batch):
-        z, cache = mlp_forward(models["m"], X, masks)
+    def read_out(models, batch, ws):
+        z, cache = mlp_forward(models["m"], X, masks, ws)
         return sum_last(z * C), lambda g: {"m": mlp_backward(
             cache, C * g[..., None])}
 
@@ -265,18 +267,19 @@ def test_training_losses_take_replica_stacks_only():
     with pytest.raises(ShapeError, match="stack"):
         loss_and_grad({"m": init_mlp((4, 8, 3), SOFTMAX_HEAD,
                                      np.random.default_rng(3))},
-                      batch, solo_ce_loss)
+                      batch, solo_ce_loss, Workspace())
 
 
 def test_loss_value_matches_loss_and_grad():
     m, batch = ce_case(np.random.default_rng(10), 6, hidden=(6,))
-    loss, _ = loss_and_grad({"m": m}, batch, solo_ce_loss)
-    assert abs(loss - loss_value({"m": m}, batch, solo_ce_loss)) < 1e-15
+    loss, _ = loss_and_grad({"m": m}, batch, solo_ce_loss, Workspace())
+    value = loss_value({"m": m}, batch, solo_ce_loss, Workspace())
+    assert abs(loss - value) < 1e-15
 
 
 def test_frozen_models_receive_no_gradient_entry():
     m, batch = ce_case(np.random.default_rng(13), 5, hidden=(6,))
-    _, grads = loss_and_grad({"m": m}, batch, solo_ce_loss)
+    _, grads = loss_and_grad({"m": m}, batch, solo_ce_loss, Workspace())
     assert set(grads) == {"m"}
 
 
@@ -351,7 +354,8 @@ def test_sgd_zero_gradient_is_identity():
     m = stack_models([init_mlp((3, 4, 2), SOFTMAX_HEAD,
                                np.random.default_rng(1))])
     _, grads = loss_and_grad({"m": m}, None,
-                             constant_loss([0.0, 0.0], np.ones((2, 3))))
+                             constant_loss([0.0, 0.0], np.ones((2, 3))),
+                             Workspace())
     out = sgd_step(m, grads["m"], 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(out.weights, m.weights))
 
@@ -364,14 +368,16 @@ def one_weight_model(value, K=1):
 def test_sgd_single_weight_arithmetic():
     m = one_weight_model(1.0)
     grads = loss_and_grad({"m": m}, None,
-                          linear_loss(0.5, np.ones((1, 1))))[1]["m"]
+                          linear_loss(0.5, np.ones((1, 1))),
+                          Workspace())[1]["m"]
     assert sgd_step(m, grads, 0.1).weights[0][0, 0, 0] == 0.95
 
 
 def test_sgd_two_steps_accumulate_linearly():
     m = one_weight_model(3.0, K=2)
     grads = loss_and_grad({"m": m}, None,
-                          linear_loss(2.0, np.ones((1, 1))))[1]["m"]
+                          linear_loss(2.0, np.ones((1, 1))),
+                          Workspace())[1]["m"]
     stepped = sgd_step(sgd_step(m, grads, 0.1), grads, 0.1)
     assert np.allclose(stepped.weights[0], 3.0 - 2 * 0.1 * 2.0)
 
@@ -379,7 +385,7 @@ def test_sgd_two_steps_accumulate_linearly():
 def test_sgd_shape_mismatch_rejected():
     m = stack_models([zero_model(2, 2)])
     bad = loss_and_grad({"m": stack_models([zero_model(3, 2)])}, None,
-                        linear_loss(1.0, np.ones((1, 3))))[1]["m"]
+                        linear_loss(1.0, np.ones((1, 3))), Workspace())[1]["m"]
     with pytest.raises(ShapeError):
         sgd_step(m, bad, 0.1)
 
@@ -435,15 +441,18 @@ def test_model_validation_catches_mismatches():
 def test_dropout_masks_scale_and_seed():
     m = init_mlp((3, 10, 2), SOFTMAX_HEAD, np.random.default_rng(0),
                  dropout_rate=0.2)
-    masks = sample_dropout_masks(m, 50, np.random.default_rng(4))
+    def draw(model, n):
+        return sample_dropout_masks(model, n, np.random.default_rng(4),
+                                    ws=Workspace())
+
+    masks = draw(m, 50)
     assert len(masks) == 1 and masks[0].shape == (50, 10)
     vals = np.unique(masks[0])
     assert set(vals.tolist()) <= {0.0, 1.25}  # inverted dropout: 1/(1-p)
-    assert sample_dropout_masks(m, 5, np.random.default_rng(4))[0].tobytes() \
-        == sample_dropout_masks(m, 5, np.random.default_rng(4))[0].tobytes()
+    assert draw(m, 5)[0].tobytes() == draw(m, 5)[0].tobytes()
     none_model = init_mlp((3, 10, 2), SOFTMAX_HEAD, np.random.default_rng(0),
                           dropout_rate=0.0)
-    assert sample_dropout_masks(none_model, 5, np.random.default_rng(4)) is None
+    assert draw(none_model, 5) is None
 
 
 def test_dropout_masks_equal_the_division_form_bit_for_bit():
@@ -453,7 +462,8 @@ def test_dropout_masks_equal_the_division_form_bit_for_bit():
     for p in rates:
         m = init_mlp((3, 16, 7, 2), SOFTMAX_HEAD, np.random.default_rng(0),
                      dropout_rate=p)
-        got = sample_dropout_masks(m, 64, np.random.default_rng(5))
+        got = sample_dropout_masks(m, 64, np.random.default_rng(5),
+                                   ws=Workspace())
         rng = np.random.default_rng(5)
         want = [(rng.random((64, dim)) >= p) / (1.0 - p) for dim in (16, 7)]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

@@ -27,8 +27,8 @@ from teamopt.errors import (ConfigError, NumericError, ShapeError,
                             TrainingError)
 from teamopt.evaluation import SPLIT_FRACTIONS, cost_sweep
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
-                              batch_indices, block_rows, blockwise, fit,
-                              finite_diff_check, fit_stack, init_mlp,
+                              Workspace, batch_indices, block_rows, blockwise,
+                              fit, finite_diff_check, fit_stack, init_mlp,
                               loss_and_grad, sample_dropout_masks,
                               stable_softmax, stack_models, unstack_models)
 from teamopt.voi import (STREAM_ALPHA, STREAM_BETA, _stack_calibrators,
@@ -83,7 +83,8 @@ def test_nonfinite_stacked_loss_names_replica_and_instance():
                                np.random.default_rng(1))] * 2)
     vec = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]])
     with pytest.raises(NumericError) as info:
-        loss_and_grad({"m": m}, None, lambda models, b: (vec, None))
+        loss_and_grad({"m": m}, None, lambda models, b, ws: (vec, None),
+                      Workspace())
     assert (info.value.replica, info.value.index) == (1, 2)
 
 
@@ -224,11 +225,11 @@ def stacked_mlps(rng, dims, head, R):
 
 
 def check_replica_independence(models, batch, loss_fn):
-    _, before = loss_and_grad(models, batch, loss_fn)
+    _, before = loss_and_grad(models, batch, loss_fn, Workspace())
     for m in models.values():
         for arr in m.weights + m.biases:
             arr[0] += 0.25
-    _, after = loss_and_grad(models, batch, loss_fn)
+    _, after = loss_and_grad(models, batch, loss_fn, Workspace())
     moved = False
     for name in models:
         for g0, g1 in zip(before[name].weights + before[name].biases,
@@ -280,6 +281,39 @@ def test_query_policy_replicas_match_finite_differences():
     check_replica_independence(models, batch, loss_fn)
 
 
+@pytest.mark.parametrize("loss", ["solo", "query-policy", "joint-disc"])
+def test_disc_gradients_outlive_the_next_evaluation(loss):
+    # the workspace holds a step's arrays, never the gradients a loss
+    # returns, which finite_diff_check reads after later evaluations
+    rng, team, X, y, h, lams, (K, d, hid, R) = replica_case(34)
+    w = utility_loss_weights(team)
+    hit = (h == y).astype(float)
+    m_y = rng.dirichlet(np.ones(K), size=len(y))[np.arange(len(y)), y]
+    m = stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R)
+    q = stacked_mlps(rng, (d, hid, 1), SIGMOID_HEAD, R)
+    masks = [(rng.random((len(y), hid)) >= 0.3) / 0.7]
+    models, batch, loss_fn = {
+        "solo": ({"m": m}, (X, y, w[y], masks), solo_ce_loss),
+        "query-policy": ({"q": q}, (X, m_y, hit, w[y], masks),
+                         query_policy_loss_fn(TrainConfig(), lams)),
+        "joint-disc": ({"m": m, "q": q}, (X, y, hit, w[y], masks, masks),
+                       joint_disc_loss_fn(team, lams)),
+    }[loss]
+    ws = Workspace()
+    _, first = loss_and_grad(models, batch, loss_fn, ws)
+    kept = {name: [a.tobytes() for a in gs.weights + gs.biases]
+            for name, gs in first.items()}
+    moved = {name: replace(net, weights=[a + 0.1 for a in net.weights])
+             for name, net in models.items()}
+    _, second = loss_and_grad(moved, batch, loss_fn, ws)
+    for name, gs in first.items():
+        for a, b, c in zip(gs.weights + gs.biases, kept[name],
+                           second[name].weights + second[name].biases):
+            assert a.tobytes() == b
+            assert not np.shares_memory(a, c)
+        assert not np.array_equal(gs.weights[0], second[name].weights[0])
+
+
 # --- the closed forms agree with the reference tape --------------------------
 
 ORACLE_RTOL = 1e-12
@@ -306,7 +340,7 @@ def oracle_case(seed, dropout=0.3):
 
 
 def assert_matches_oracle(models, batch, loss_fn, tape_fn):
-    per, backward = loss_fn(models, batch)
+    per, backward = loss_fn(models, batch, Workspace())
     per_ref, grads_ref = oracles.tape_loss_and_grad(models, batch, tape_fn)
     assert per.shape == per_ref.shape
     assert np.abs(per - per_ref).max() <= ORACLE_RTOL * np.abs(per_ref).max()
@@ -325,7 +359,8 @@ def test_solo_ce_matches_tape_oracle():
     rng, team, X, y, h, _, stack, (K, d, hid, B) = oracle_case(41)
     models = {"m": stack((d, hid, hid, K), SOFTMAX_HEAD)}
     w = utility_loss_weights(team)
-    batch = (X, y, w[y], sample_dropout_masks(models["m"], B, rng))
+    batch = (X, y, w[y], sample_dropout_masks(models["m"], B, rng,
+                                              ws=Workspace()))
     assert_matches_oracle(models, batch, solo_ce_loss, oracles.solo_ce_tape(K))
 
 
@@ -335,7 +370,7 @@ def test_query_policy_loss_matches_tape_oracle():
     m_probs = stable_softmax(rng.standard_normal((B, K)))
     w = utility_loss_weights(team)
     batch = (X, m_probs[np.arange(B), y], (h == y).astype(float), w[y],
-             sample_dropout_masks(models["q"], B, rng))
+             sample_dropout_masks(models["q"], B, rng, ws=Workspace()))
     cfg = TrainConfig(cost_weight=0.8)
     assert_matches_oracle(models, batch, query_policy_loss_fn(cfg, costs),
                           oracles.query_policy_tape(cfg, costs, m_probs, h, y))
@@ -347,8 +382,8 @@ def test_joint_disc_loss_matches_tape_oracle():
               "q": stack((d, hid, 1), SIGMOID_HEAD)}
     w = utility_loss_weights(team)
     batch = (X, y, (h == y).astype(float), w[y],
-             sample_dropout_masks(models["m"], B, rng),
-             sample_dropout_masks(models["q"], B, rng))
+             sample_dropout_masks(models["m"], B, rng, ws=Workspace()),
+             sample_dropout_masks(models["q"], B, rng, ws=Workspace()))
     assert_matches_oracle(models, batch, joint_disc_loss_fn(team, lams),
                           oracles.joint_disc_tape(team, lams, h))
 
@@ -366,9 +401,8 @@ def test_joint_voi_loss_matches_tape_oracle():
                             np.zeros(K, dtype=bool)) for _ in range(3)])
 
     cals = [calibrators() for _ in range(3)]  # alpha, beta, gamma
-    masks = (sample_dropout_masks(models["alpha"], B, rng),
-             sample_dropout_masks(models["beta"], B, rng),
-             sample_dropout_masks(models["gamma"], B * K, rng))
+    masks = tuple(sample_dropout_masks(models[name], n, rng, ws=Workspace())
+                  for name, n in (("alpha", B), ("beta", B), ("gamma", B * K)))
     batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
                             joint_calibrator(cals, B), masks)
     assert_matches_oracle(models, batch, joint_voi_loss_fn(team, cfg, lams),
@@ -526,10 +560,11 @@ def test_block_masks_equal_per_step_draws(S, hidden, rate, n, iterations,
     got = []
     for start in range(0, iterations, block):
         got += sample_dropout_masks(m, n, *blk, lead=lead,
-                                    steps=min(block, iterations - start))
+                                    steps=min(block, iterations - start),
+                                    ws=Workspace())
     assert len(got) == iterations
     for step in got:
-        want = sample_dropout_masks(m, n, *ref, lead=lead)
+        want = sample_dropout_masks(m, n, *ref, lead=lead, ws=Workspace())
         if rate == 0.0:
             assert step is None and want is None
             continue
@@ -563,11 +598,14 @@ def test_block_rows_equal_per_step_gathers(case, iterations, seed):
     sources = len(fields[0])
     ref_rows, ref_drop = rngs_of(seed, sources), rngs_of(seed + 1, sources)
     blk_rows, blk_drop = rngs_of(seed, sources), rngs_of(seed + 1, sources)
+    ws = Workspace()  # every block is drawn into the arrays of the last
 
     def draw(steps):
-        return list(zip(*block_rows(fields, blk_rows, B, lead, steps),
+        return list(zip(*block_rows(fields, blk_rows, B, lead, steps,
+                                    ws.scope("rows")),
                         sample_dropout_masks(m, B, *blk_drop, lead=lead,
-                                             steps=steps)))
+                                             steps=steps,
+                                             ws=ws.scope("masks"))))
 
     make_batch = blockwise(draw, iterations)
     for it in range(iterations):
@@ -577,7 +615,8 @@ def test_block_rows_equal_per_step_gathers(case, iterations, seed):
         for got, arrays in zip(rows, fields):
             want = np.array([a[i] for a, i in zip(arrays, idx)])
             assert_same_array(got, want.reshape(lead + want.shape[1:]))
-        [want_mask] = sample_dropout_masks(m, B, *ref_drop, lead=lead)
+        [want_mask] = sample_dropout_masks(m, B, *ref_drop, lead=lead,
+                                           ws=Workspace())
         assert_same_array(masks[0], want_mask)
 
 
@@ -613,7 +652,7 @@ def test_fit_reports_a_divergence_inside_a_block(iterations, data):
     with pytest.raises(TrainingError) as info:
         fit({"m": m}, solo_ce_loss, blockwise(nan_at(iteration, run),
                                               iterations), cfg, "toy",
-            [f"v{g}" for g in range(G)])
+            Workspace(), [f"v{g}" for g in range(G)])
     assert (info.value.iteration, info.value.run) == (iteration, run)
     assert str(info.value) == f"toy diverged at iteration {iteration} (v0)"
     assert all(a.tobytes() == b.tobytes()

@@ -22,9 +22,9 @@ from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
 from teamopt.errors import (InputError, NumericError, QueryError, StateError,
                             TrainingError)
 from teamopt.numerics import (BLOCK_STEPS, SIGMOID_HEAD, MlpModel,
-                              TrainConfig, finite_diff_check, init_mlp,
-                              loss_and_grad, loss_value, mlp_forward,
-                              sample_dropout_masks, stack_models)
+                              TrainConfig, Workspace, finite_diff_check,
+                              init_mlp, loss_and_grad, loss_value,
+                              mlp_forward, sample_dropout_masks, stack_models)
 from teamopt.voi import (SCORE_BLOCK, _calibration_split, _stack_calibrators,
                          gamma_all_input, gamma_input, joint_calibrator,
                          joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
@@ -388,7 +388,8 @@ def test_joint_loss_matches_numpy_reference():
               "beta": stack_models([system.p_beta.model]),
               "gamma": stack_models([system.p_gamma.model])}
     loss = loss_value(models, batch,
-                      joint_voi_loss_fn(team, cfg, (cfg.cost_weight,)))
+                      joint_voi_loss_fn(team, cfg, (cfg.cost_weight,)),
+                      Workspace())
     _, _, q = soft_team_quantities(system, x)
     pa = system.p_alpha.predict_batch(x[None, :])[0]
     pg_h = system.p_gamma.predict_batch(
@@ -404,12 +405,12 @@ def test_calibrated_head_is_finite_where_every_sigmoid_underflows():
     normal = np.array([0.3, -0.2, 0.1])
     logits = np.array([[-800.0, -1500.0, -420.0], normal])
     dp = np.random.default_rng(4).normal(size=logits.shape)
-    p, backward = voi_mod._calibrated(logits, cal)
+    p, backward = voi_mod._calibrated(logits, cal, Workspace())
     grad = backward(dp)
     assert np.isfinite(p).all() and np.isfinite(grad).all()
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     # the ordinary row keeps the bits it has alone
-    p1, back1 = voi_mod._calibrated(normal[None, :], cal)
+    p1, back1 = voi_mod._calibrated(normal[None, :], cal, Workspace())
     assert np.array_equal(p[1:], p1)
     assert np.array_equal(grad[1:], back1(dp[1:]))
     eps = 1e-5
@@ -417,8 +418,9 @@ def test_calibrated_head_is_finite_where_every_sigmoid_underflows():
         hi, lo = logits.copy(), logits.copy()
         hi[0, k] += eps
         lo[0, k] -= eps
-        fd = ((dp * voi_mod._calibrated(hi, cal)[0]).sum()
-              - (dp * voi_mod._calibrated(lo, cal)[0]).sum()) / (2 * eps)
+        fd = ((dp * voi_mod._calibrated(hi, cal, Workspace())[0]).sum()
+              - (dp * voi_mod._calibrated(lo, cal, Workspace())[0]).sum()
+              ) / (2 * eps)
         assert abs(grad[0, k] - fd) < 1e-8
 
 
@@ -472,9 +474,10 @@ def joint_bit_case(R, masked, stacked, underflow):
         cals = tuple(calibrator() for _ in range(3))
     masks = (None,) * 3
     if masked:
-        masks = (sample_dropout_masks(models["alpha"], B, rng),
-                 sample_dropout_masks(models["beta"], B, rng),
-                 sample_dropout_masks(models["gamma"], B * K, rng))
+        masks = tuple(sample_dropout_masks(models[name], n, rng,
+                                           ws=Workspace())
+                      for name, n in (("alpha", B), ("beta", B),
+                                      ("gamma", B * K)))
     batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
                             joint_calibrator(cals, B), masks)
     lams = tuple(rng.uniform(0.5, 4.0, R))
@@ -496,12 +499,14 @@ def test_one_pass_joint_loss_equals_three_passes_bit_for_bit(R, masked,
     team, cfg, lams, cals, models, batch, g = joint_bit_case(
         R, masked, stacked, underflow)
     low = calibrated_head(mlp_forward(models["alpha"], batch.X,
-                                      batch.masks_a)[0], cals[0])[3]
+                                      batch.masks_a, Workspace())[0],
+                          cals[0], Workspace())[3]
     if underflow:
         assert low is not None and low[:, 0].any() and not low[:, 1:].any()
     else:
         assert low is None
-    per, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch)
+    per, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch,
+                                                       Workspace())
     per_ref, backward_ref = oracles.joint_voi_three_pass(
         team, cfg, lams, cals)(models, batch)
     assert np.isfinite(per).all()
@@ -517,17 +522,18 @@ def test_one_pass_joint_loss_equals_three_passes_bit_for_bit(R, masked,
 
 
 def test_joint_voi_gradients_outlive_the_next_evaluation():
-    # the loss's workspace holds a step's arrays, never the gradients it
+    # the workspace holds a step's arrays, never the gradients the loss
     # returns, which finite_diff_check reads after later evaluations
     team, cfg, lams, cals, models, batch, g = joint_bit_case(5, True, True,
                                                              False)
     loss_fn = joint_voi_loss_fn(team, cfg, lams)
-    _, first = loss_and_grad(models, batch, loss_fn)
+    ws = Workspace()
+    _, first = loss_and_grad(models, batch, loss_fn, ws)
     kept = {name: [a.copy() for a in gs.weights + gs.biases]
             for name, gs in first.items()}
     moved = {name: replace(m, weights=[w + 0.1 for w in m.weights])
              for name, m in models.items()}
-    _, second = loss_and_grad(moved, batch, loss_fn)
+    _, second = loss_and_grad(moved, batch, loss_fn, ws)
     for name, gs in first.items():
         for a, b, c in zip(gs.weights + gs.biases, kept[name],
                            second[name].weights + second[name].biases):
@@ -542,7 +548,7 @@ def test_joint_voi_step_allocates_less_than_one_gamma_activation(
     # sweep-voi's shapes: 2 seeds x 5 cost weights, minibatches of 64,
     # K=5, one hidden layer of 16. After the first block of steps, a step
     # allocates less than one (R, B*K, hidden) array above what it keeps:
-    # its activations, gates and heads live in the loss's workspace
+    # its activations, gates and heads live in the fit's workspace
     ds = generate_synthetic(SynthConfig(n=1000, seed=3))
     cfg = TrainConfig(iterations=3 * BLOCK_STEPS, calibration_interval=1000)
     runs = [(ds, replace(cfg, seed=seed)) for seed in (0, 1)]
@@ -551,13 +557,13 @@ def test_joint_voi_step_allocates_less_than_one_gamma_activation(
     above = []
     real = numerics.fit
 
-    def fit(models, loss_fn, make_batch, cfg, what, labels=None,
+    def fit(models, loss_fn, make_batch, cfg, what, ws, labels=None,
             on_step=None):
         def step(it, models):
             on_step(it, models)
             above.append(trace.peak_above())
 
-        return real(models, loss_fn, make_batch, cfg, what, labels, step)
+        return real(models, loss_fn, make_batch, cfg, what, ws, labels, step)
 
     monkeypatch.setattr(numerics, "fit", fit)
     with traced_memory() as trace:
@@ -578,7 +584,8 @@ def test_joint_loss_calibrates_and_softens_once_per_evaluation(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(voi_mod, name, counting)
-    _, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch)
+    _, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch,
+                                                     Workspace())
     backward(g)
     assert counts == {"_calibrated": 1, "_soft_max": 1}
 
