@@ -31,13 +31,23 @@ class PlattFit(NamedTuple):
 _EYE2 = np.eye(2)
 
 
-def _nll(scores, targets, rest, a, b):
-    """Platt objective at (a, b), and the unclipped sigmoid behind it, an
-    array of its own; `rest` is 1 - targets."""
-    p = stable_sigmoid(a * scores + b, Workspace())
-    q = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-    nll = -(targets * np.log(q) + rest * np.log(1.0 - q)).sum()
-    return float(nll), p
+def _nll(scores, targets, rest, a, b, ws: Workspace):
+    """Platt objective at (a, b), and the unclipped sigmoid behind it;
+    `rest` is 1 - targets. Both depend on (a, b) alone. The sigmoid and
+    the scratch come from `ws`, so the next call on `ws` overwrites the
+    sigmoid."""
+    z = np.multiply(scores, a, out=ws.get("z", scores.shape))
+    z += b
+    p = stable_sigmoid(z, ws.scope("sigmoid"))
+    # targets * log(q) + rest * log(1 - q), q the clipped sigmoid
+    q = np.clip(p, _P_EPS, 1.0 - _P_EPS, out=z)
+    t = np.log(q, out=ws.get("t", q.shape))
+    t *= targets
+    np.subtract(1.0, q, out=q)
+    np.log(q, out=q)
+    q *= rest
+    t += q
+    return float(-t.sum()), p
 
 
 def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
@@ -52,7 +62,9 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
     iterations can only cycle without moving (a, b) (see below), which
     returns what running on to the cap would. Single-class labels yield a
     degenerate flat calibrator at the smoothed base rate, whatever the
-    start. Empty or non-finite scores raise InputError.
+    start. Empty or non-finite scores raise InputError. The objective
+    (`_nll`) computes into two workspaces, and is not evaluated again at a
+    point whose result one of them still holds.
     """
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(binary_labels)
@@ -78,7 +90,12 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
         a, b = 0.0, float(np.log((n_pos + 1.0) / (n_neg + 1.0)))
     else:
         a, b = float(start[0]) + 0.0, float(start[1]) + 0.0  # no -0.0
-    obj, p = _nll(s, targets, rest, a, b)  # p is always sigma(a*s + b)
+    # `here` holds the current point's sigmoid, and `there` that of
+    # `other`: the candidate last evaluated, or the point before the
+    # last accepted step
+    here, there = Workspace(), Workspace()
+    obj, p = _nll(s, targets, rest, a, b, here)  # p is sigma(a*s + b)
+    other = None  # (a, b, obj, p) of the point in `there`
     damping = 1e-6
     # An iteration is a function of (a, b, damping) alone. Under rounding
     # noise, accepted steps can leave (a, b) bit-unchanged while damping
@@ -106,13 +123,22 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
                 damping *= 10.0
                 continue
             new_a, new_b = a - float(step[0]), b - float(step[1])
-            new_obj, new_p = _nll(s, targets, rest, new_a, new_b)
+            # a and b start at +0.0 or nonzero (+ 0.0 turns a -0.0 start
+            # into +0.0) and x - x is +0.0, so they never hold -0.0 and
+            # == compares their bits.
+            moved = new_a != a or new_b != b
+            if not moved:
+                new_obj, new_p = obj, p
+            elif other is not None and other[:2] == (new_a, new_b):
+                new_obj, new_p = other[2:]
+            else:
+                new_obj, new_p = _nll(s, targets, rest, new_a, new_b, there)
+                other = (new_a, new_b, new_obj, new_p)
             if new_obj <= obj:
-                # a and b start at +0.0 or nonzero (+ 0.0 turns a -0.0
-                # start into +0.0) and x - x is +0.0, so they never hold
-                # -0.0 and == compares their bits.
-                if new_a != a or new_b != b:
+                if moved:
                     seen.clear()
+                    here, there = there, here
+                    other = (a, b, obj, p)
                 a, b, obj, p = new_a, new_b, new_obj, new_p
                 damping = max(damping * 0.1, 1e-12)
                 accepted = True

@@ -226,10 +226,12 @@ def cmd_analyze(config: RunConfig) -> int:
     dataset = build_dataset(config)
     team = build_team(config, dataset.num_classes)
     parts, shared = {}, {}
+    seed = config.seeds[0]  # analyze trains at the first seed alone
     for approach in trainable:
-        logger.info("training %s for analysis", approach)
+        logger.info("training %s for analysis at seed %d, the first of %d"
+                    " configured seeds", approach, seed, len(config.seeds))
         [(_, parts_of)] = approach_parts(
-            approach, dataset, config.seeds[:1], (team.query_cost,),
+            approach, dataset, (seed,), (team.query_cost,),
             (config.train.cost_weight,), team, config.train, shared)
         te, [(parts[approach], _)] = parts_of()
     out = Path(config.out)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, QueryError
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                       TrainConfig, Workspace, by_run, fit_stack,
+                       TrainConfig, Workspace, by_run, fit_stack, flat_view,
                        forward_batch, init_mlp, label_index, mlp_backward,
                        mlp_forward, shared_batch_size, stable_sigmoid,
                        stable_softmax)
@@ -214,14 +214,14 @@ def _weighted_nll(w, p, out):
 
 
 def _softmax_at_labels(models, name, X, masks, labels, ws: Workspace):
-    """Softmax head of the stack `name` in place of its logits, the
-    index of each row's label there, the probabilities at those labels
-    and the forward cache."""
+    """Softmax head of the stack `name` in place of its logits, the flat
+    position of each row's label there (`label_index`), the probabilities
+    at those labels and the forward cache."""
     z, cache = mlp_forward(models[name], X, masks, ws.scope(name))
     p = stable_softmax(z, out=z)
     at = label_index(p.shape, ws.constant("rows", np.arange, p.shape[-2]),
                      labels, ws)
-    return p, at, p[at], cache
+    return p, at, flat_view(p)[at], cache
 
 
 def solo_ce_loss(models, batch, ws: Workspace):
@@ -241,7 +241,7 @@ def solo_ce_loss(models, batch, ws: Workspace):
         coef *= np.greater(p_t, PROB_CLAMP, out=ws.get("live", g.shape,
                                                         bool))
         d = np.multiply(p, coef[..., None], out=p)
-        d[at] -= coef
+        flat_view(d)[at] -= coef
         return {"m": mlp_backward(cache, d)}
 
     return per, backward
@@ -427,7 +427,7 @@ def joint_disc_loss_fn(team: TeamConfig, cost_weights):
             c = np.multiply(dm_y, m_y, out=m_y)
             d = np.multiply(m, np.negative(c, out=ws.get("-c", c.shape))
                             [..., None], out=m)
-            d[at] += c
+            flat_view(d)[at] += c
             return {"m": mlp_backward(cache_m, d), "q": query_backward(dq)}
 
         return per, backward

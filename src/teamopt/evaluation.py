@@ -185,16 +185,20 @@ def _trained(train, runs) -> list:
 def _select_lambda(costs, lam_grid, team: TeamConfig, run: _Run,
                    systems) -> list:
     """Per cost, the test parts and λ of the variant with the lowest
-    validation total loss (ties: smaller λ); one variant skips validation."""
+    validation total loss (ties: smaller λ); one variant skips validation.
+    A variant's test parts are computed once, and only if some cost
+    selects it."""
     if len(systems) == 1:
         return [(systems[0].parts(run.te.X), lam_grid[0])] * len(costs)
-    variants = [(lam, s.parts(run.va.X), s.parts(run.te.X))
-                for lam, s in zip(lam_grid, systems)]
+    va_parts = [s.parts(run.va.X) for s in systems]
+    te_parts = {}
     pairs = []
     for c in costs:
-        lam, _, te_parts = min(variants, key=lambda v: _score(
-            v[1], run.va, team, c)["total_loss"])
-        pairs.append((te_parts, lam))
+        i = min(range(len(systems)), key=lambda i: _score(
+            va_parts[i], run.va, team, c)["total_loss"])
+        if i not in te_parts:
+            te_parts[i] = systems[i].parts(run.te.X)
+        pairs.append((te_parts[i], lam_grid[i]))
     return pairs
 
 
@@ -310,10 +314,12 @@ _SHARED_UNIT = ("fixed-voi", "joint-voi")
 def _work_units(names) -> list[tuple[str, ...]]:
     """The sweep's work units for sorted approach names:
     `_SHARED_UNIT` when all of its approaches are requested, and every
-    other approach on its own."""
-    if not set(_SHARED_UNIT) <= set(names):
-        return [(a,) for a in names]
-    return [_SHARED_UNIT] + [(a,) for a in names if a not in _SHARED_UNIT]
+    other approach on its own; the shared unit, the heaviest, first, and
+    human-only, which trains nothing, last."""
+    units = [(a,) for a in names]
+    if set(_SHARED_UNIT) <= set(names):
+        units = [_SHARED_UNIT] + [u for u in units if u[0] not in _SHARED_UNIT]
+    return sorted(units, key=lambda unit: APPROACHES[unit[0]] is None)
 
 
 def _seed_groups(seeds: list, k: int) -> list[list]:
@@ -332,7 +338,8 @@ MAX_STACK_SEEDS = 4
 
 def _work_plan(names, seeds: list, jobs: int) -> list[tuple]:
     """The sweep's work units as (approaches, seeds) pairs, in
-    `_work_units` order.
+    `_work_units` order, so that the units that train are submitted
+    before those that do not.
 
     Every unit's seeds are cut into the same k contiguous groups
     (`_seed_groups`): as few as keep each group within MAX_STACK_SEEDS,

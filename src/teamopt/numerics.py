@@ -221,13 +221,13 @@ def stable_sigmoid(x, ws: Workspace) -> np.ndarray:
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each
     # branch sees the bits a per-sign masked evaluation would. minimum
     # rather than -abs: it passes a NaN through with its sign unchanged.
-    e = np.negative(x, out=ws.get("out", x.shape))
-    np.minimum(x, e, out=e)
+    d = np.negative(x, out=ws.get("d", x.shape))
+    np.minimum(x, d, out=d)
+    np.exp(d, out=d)
+    np.add(1.0, d, out=d)
+    # the numerator: exp(0) = 1 where x >= 0, exp(-|x|) elsewhere
+    e = np.minimum(x, 0.0, out=ws.get("out", x.shape))
     np.exp(e, out=e)
-    d = np.add(1.0, e, out=ws.get("d", x.shape))
-    # the numerator: 1 where x >= 0, exp(-|x|) elsewhere
-    np.copyto(e, 1.0, where=np.greater_equal(x, 0, out=ws.get(
-        "pos", x.shape, bool)))
     return np.divide(e, d, out=e)
 
 
@@ -365,16 +365,32 @@ def mlp_backward(cache, d_logits: np.ndarray) -> GradientSet:
     return GradientSet(gw, gb)
 
 
-def _lead_indices(shape: tuple) -> tuple:
-    return tuple(a[..., None] for a in np.indices(shape, sparse=True))
+def flat_view(a: np.ndarray) -> np.ndarray:
+    """`a` as a 1-D view, for gathers and scatters at `label_index`
+    positions. Raises ShapeError when `a` is not C-contiguous, where
+    reshape(-1) would return a copy and a scatter into it would be lost."""
+    if not a.flags.c_contiguous:
+        raise ShapeError(f"no flat view of a non-contiguous {a.shape} array")
+    return a.reshape(-1)
 
 
-def label_index(shape, rows, labels, ws: Workspace) -> tuple:
-    """Index tuple that picks a[..., rows[i], labels[..., i]] from an
-    array of `shape` (..., n, K) at every leading position; `labels`
-    broadcasts against the leading shape and len(rows). The indices of
-    the leading positions are `ws`'s constants."""
-    return (*ws.constant("lead", _lead_indices, shape[:-2]), rows, labels)
+def _lead_offsets(shape: tuple) -> np.ndarray:
+    # where each leading position's (n, K) block starts, on lead + (1,)
+    lead = shape[:-2]
+    return (np.arange(int(np.prod(lead)), dtype=np.int64)
+            * (shape[-2] * shape[-1])).reshape(lead + (1,))
+
+
+def label_index(shape, rows, labels, ws: Workspace) -> np.ndarray:
+    """Flat positions in a C-contiguous array of `shape` (..., n, K) of
+    a[..., rows[i], labels[..., i]] at every leading position, so that
+    `flat_view(a)[at]` gathers them and `flat_view(a)[at] += v` adds to
+    them; `rows` and `labels` broadcast against the leading shape and
+    len(rows). The offsets of the leading positions are `ws`'s
+    constants."""
+    at = rows * shape[-1] + ws.constant("lead", _lead_offsets, tuple(shape))
+    at += labels
+    return at
 
 
 def _objective(per_instance: np.ndarray) -> float:

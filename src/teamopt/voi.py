@@ -24,9 +24,9 @@ from .discriminative import (DecisionParts, TeamConfig, derive_rng,
                              utility_loss_weights)
 from .errors import InputError, StateError
 from .numerics import (MlpModel, TrainConfig, Workspace, by_run, fit_stack,
-                       label_index, logits_batch, mlp_backward, mlp_forward,
-                       shared_batch_size, stable_sigmoid, stable_softmax,
-                       sum_last, unstack_models)
+                       flat_view, label_index, logits_batch, mlp_backward,
+                       mlp_forward, shared_batch_size, stable_sigmoid,
+                       stable_softmax, sum_last, unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -88,13 +88,17 @@ def gamma_input(X: np.ndarray, h: np.ndarray, num_classes: int) -> np.ndarray:
     return np.concatenate([X, np.eye(num_classes)[h]], axis=1)
 
 
-def gamma_all_input(X: np.ndarray, num_classes: int) -> np.ndarray:
+def gamma_all_input(X: np.ndarray, num_classes: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Every (x, onehot(h)) pair, h-major within each instance: (n*K, d+K),
-    or (..., n*K, d+K) for (..., n, d) groups of rows."""
+    or (..., n*K, d+K) for (..., n, d) groups of rows. `out`, if given, is
+    an earlier result at this shape: only its x columns are written, and
+    its one-hot columns are kept."""
     *lead, n, d = X.shape
     K = num_classes
-    out = np.empty((*lead, n * K, d + K))
-    out[..., d:] = np.tile(np.eye(K), (n, 1))
+    if out is None:
+        out = np.empty((*lead, n * K, d + K))
+        out[..., d:] = np.tile(np.eye(K), (n, 1))
     out.reshape(*lead, n, K, d + K)[..., :d] = X[..., None, :]
     return out
 
@@ -237,14 +241,17 @@ def joint_calibrator(cals, B: int) -> PlattCalibrator:
 
 
 def joint_voi_batch(X: np.ndarray, h: np.ndarray, y: np.ndarray,
-                    w: np.ndarray, cal: PlattCalibrator, masks=(None,) * 3
-                    ) -> _JointBatch:
+                    w: np.ndarray, cal: PlattCalibrator, masks=(None,) * 3,
+                    gamma_rows: np.ndarray | None = None) -> _JointBatch:
     """The constant side of one training batch: its rows, shared by every
     replica or in groups (see `mlp_forward`), the per-class loss weights
     `w` (`utility_loss_weights`), the `joint_calibrator` of the batch
-    size and the (alpha, beta, gamma) masks."""
-    return _JointBatch(X, gamma_all_input(X, len(w)), h, y, w[y], cal,
-                       *masks)
+    size and the (alpha, beta, gamma) masks. Its gamma rows are written
+    into `gamma_rows`, if given, an earlier batch's at this shape, whose
+    one-hot columns stay (see `gamma_all_input`); a trainer passes the
+    same array at every step, so the batch it returned last is spent."""
+    return _JointBatch(X, gamma_all_input(X, len(w), gamma_rows), h, y,
+                       w[y], cal, *masks)
 
 
 def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
@@ -289,6 +296,7 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
         at_a = label_index(p.shape, rows, batch.y, ws)
         # gamma rows of the observed responses
         at_g = label_index(p.shape, B + rows * K + batch.h, batch.y, ws)
+        flat_p = flat_view(p)
         eu = np.matmul(p[..., :G, :], Ut, out=ws.get("eu", lead + (G, K)))
         u, back_u = _soft_max(eu, tau, ws.scope("soft"))  # over actions
         u_nq = u[..., :B]
@@ -296,20 +304,26 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
         pb = p[..., G:, :]
         u_q = sum_last(pb * inner)
         q = stable_sigmoid((u_q - u_nq) * (1.0 / tau), ws.scope("q"))
-        per, mix_backward = mixture_loss(q, p[at_g], p[at_a], batch.w_y,
-                                         lam_c, ws.scope("mix"))
+        per, mix_backward = mixture_loss(q, flat_p[at_g], flat_p[at_a],
+                                         batch.w_y, lam_c, ws.scope("mix"))
 
         def backward(g):
             dq, d_pg_hy, d_pa_y = mix_backward(g)
-            d_gap = dq * q * (1.0 - q) * (1.0 / tau)  # d(u_q - u_nq)
-            d_inner = d_gap[..., None] * pb
-            du = np.concatenate(
-                [-d_gap, d_inner.reshape(d_inner.shape[:-2] + (B * K,))],
-                axis=-1)
+            # d(u_q - u_nq) = dq * q * (1 - q) / tau
+            d_gap = np.multiply(dq, q, out=ws.get("d_gap", q.shape))
+            d_gap *= np.subtract(1.0, q, out=ws.get("1-q", q.shape))
+            d_gap *= 1.0 / tau
+            # du is [-d_gap | d_gap * pb], laid out as u is; splitting
+            # its last axis into (B, K) is a view, never a copy
+            du = ws.get("du", u.shape)
+            np.negative(d_gap, out=du[..., :B])
+            np.multiply(d_gap[..., None], pb,
+                        out=du[..., B:].reshape(pb.shape))
             dp = z
             np.matmul(back_u(du), U, out=dp[..., :G, :])
-            dp[at_a] += d_pa_y
-            dp[at_g] += d_pg_hy
+            flat_dp = flat_view(dp)
+            flat_dp[at_a] += d_pa_y
+            flat_dp[at_g] += d_pg_hy
             np.multiply(d_gap[..., None], inner, out=dp[..., G:, :])
             dz = back_p(dp)
             return {"alpha": mlp_backward(cache_a, dz[..., :B, :]),
@@ -431,14 +445,18 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
             refit(list(zip(*(unstack_models(models[name])
                              for name in _PARTS))))
 
-    # each step's batch takes the latest refit's calibrators
+    # each step's batch takes the latest refit's calibrators, and writes
+    # its x columns into gamma rows whose one-hot block is written once
+    gamma_rows = gamma_all_input(
+        np.zeros((S, 1, B, runs[0][0].feature_dim)), K)
     fitted = fit_stack(
         nets, [[getattr(ds.source, f) for ds, _ in splits] for f in "Xhy"],
         [derive_rng(c.seed, STREAM_JOINT_BATCH) for _, c, _ in runs], B,
         joint_voi_loss_fn(team, cfg, cost_weights), cfg, "joint training",
         [f"cost_weight={lam!r}" for lam in cost_weights],
-        lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:]), on_step,
-        [ds.rows for ds, _ in splits])
+        lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:],
+                                     gamma_rows),
+        on_step, [ds.rows for ds, _ in splits])
     replicas = list(zip(*([m for run in fitted[name] for m in run]
                           for name in _PARTS)))
     refit(replicas)  # the final refit sets cals

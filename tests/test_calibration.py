@@ -153,13 +153,18 @@ def counting(fn):
     return counted
 
 
-def test_fit_stops_at_a_stall_with_the_capped_loop_result(monkeypatch):
-    # Accepted steps leave (a, b) bit-unchanged from about iteration 15
-    # while the damping cycles; the capped loop spends 200 iterations.
+def stall_problem():
+    """Scores and labels on which accepted steps leave (a, b)
+    bit-unchanged from about iteration 15 while the damping cycles."""
     rng = np.random.default_rng(0)
     s = 2.0 * rng.standard_normal(2000)
     labels = (rng.random(2000) < stable_sigmoid(1.5 * s - 0.3, Workspace()))
-    labels = labels.astype(np.int64)
+    return s, labels.astype(np.int64)
+
+
+def test_fit_stops_at_a_stall_with_the_capped_loop_result(monkeypatch):
+    # the capped loop spends 200 iterations on the stall
+    s, labels = stall_problem()
     oracle_objective = counting(platt_objective)
     want = capped_newton_fit(s, labels, oracle_objective)
     assert oracle_objective.calls > 400  # the reference does run to its cap
@@ -168,6 +173,23 @@ def test_fit_stops_at_a_stall_with_the_capped_loop_result(monkeypatch):
     fit = fit_platt(s, labels)
     assert (fit.a, fit.b) == want and not fit.degenerate
     assert nll.calls <= 50
+
+
+def test_fit_evaluates_each_point_once(monkeypatch):
+    # the objective depends on (a, b) alone, and on the stall the steps
+    # keep landing on the current point or on the candidate just rejected
+    points = []
+
+    def recording(*args):
+        points.append(args[3:5])
+        return real(*args)
+
+    real = calibration._nll
+    monkeypatch.setattr(calibration, "_nll", recording)
+    s, labels = stall_problem()
+    fit = fit_platt(s, labels)
+    assert len(points) == len(set(points))
+    assert (fit.a, fit.b) == capped_newton_fit(s, labels, platt_objective)
 
 
 def test_fit_equals_capped_loop_on_random_problems(monkeypatch):

@@ -20,12 +20,13 @@ import teamopt.voi as voi_mod
 from conftest import traced_memory
 from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
-from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
-                                    train_joint)
+from teamopt.discriminative import (DecisionParts, DiscriminativeSystem,
+                                    TeamConfig, decide, train_joint)
 from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
 from teamopt.evaluation import (MAX_STACK_SEEDS, SPLIT_FRACTIONS, SweepCell,
                                 SweepResult, _best_split, _lambda_mode,
-                                _seed_groups, _work_plan,
+                                _score, _seed_groups, _select_lambda,
+                                _work_plan,
                                 cost_sweep, emit_report, human_error_tree,
                                 human_only_baseline, per_class_analysis,
                                 render_loss_svg, sweep_csv_text,
@@ -155,6 +156,45 @@ def test_cost_sweep_selects_lambda_per_cost():
                          train_cfg=small_cfg())
     for rec in results[0].records:
         assert rec["selected_lambda"] in (0.5, 2.0)
+
+
+class CountingSystem:
+    """A stub two-class system that decides one way on every row: always
+    query (a perfect human then answers), or never query with the
+    machine wrong on a `wrong` fraction of the rows. Counts the rows of
+    each batch it is asked for parts of."""
+
+    def __init__(self, query: bool, wrong: float = 0.0):
+        self.query, self.wrong, self.scored = query, wrong, []
+
+    def parts(self, X):
+        self.scored.append(len(X))
+        n = len(X)
+        machine = (np.arange(n) < self.wrong * n).astype(np.int64)
+        score = np.full(n, 1.0 if self.query else 0.0)
+        return DecisionParts(machine, np.tile(np.arange(2), (n, 1)), score,
+                             1.0 - score, True, np.full((n, 2), 0.5))
+
+
+def test_select_lambda_scores_the_test_split_once_per_selected_variant():
+    # every label and response is 0
+    va, te = (Dataset(np.zeros((n, 1)), np.zeros(n, int), np.zeros(n, int),
+                      2, name) for n, name in ((20, "va"), (30, "te")))
+    run = evaluation._Run(small_cfg(), None, va, te)
+    # the querying variant costs c, the others their error, 0.2 and 0.25
+    systems = [CountingSystem(True), CountingSystem(False, 0.2),
+               CountingSystem(False, 0.25)]
+    costs, lam_grid = (0.0, 0.05, 0.1, 0.3, 0.4), (0.25, 0.5, 1.0)
+    pairs = _select_lambda(costs, lam_grid, TeamConfig.accuracy(2), run,
+                           systems)
+    assert [lam for _, lam in pairs] == [0.25, 0.25, 0.25, 0.5, 0.5]
+    # every variant scores the validation split; only the two selected
+    # ones score the test split, each once, its parts shared by its costs
+    assert [s.scored for s in systems] == [[20, 30], [20, 30], [20]]
+    assert pairs[0][0] is pairs[2][0] and pairs[3][0] is pairs[4][0]
+    assert [_score(parts, te, TeamConfig.accuracy(2), c)["total_loss"]
+            for c, (parts, _) in zip(costs, pairs)] == [0.0, 0.05, 0.1, 0.2,
+                                                        0.2]
 
 
 def test_fixed_voi_cell_scores_decide_on_the_test_split():
@@ -541,6 +581,7 @@ def test_work_plan_caps_stacks_and_fills_the_pool(names, S, jobs):
     groups = [group for unit, group in plan if unit == units[0]]
     # every unit gets the same contiguous groups, in _work_units order
     assert plan == [(unit, group) for unit in units for group in groups]
+    assert ("human-only",) not in units[:-1]  # the units that train first
     assert [s for g in groups for s in g] == seeds
     assert max(map(len, groups)) <= MAX_STACK_SEEDS
     assert len(groups) >= min(S, -(-jobs // trained))
@@ -563,12 +604,13 @@ def test_serial_plan_does_not_depend_on_jobs(names, S):
 
 
 def test_two_workers_get_whole_approaches():
-    # two units train, so two workers need no seed split
+    # two units train, so two workers need no seed split; human-only,
+    # which trains nothing, is submitted last
     plan = _work_plan(["fixed-disc", "human-only", "joint-disc"],
                       [0, 1, 2, 3], 2)
     assert plan == [(("fixed-disc",), [0, 1, 2, 3]),
-                    (("human-only",), [0, 1, 2, 3]),
-                    (("joint-disc",), [0, 1, 2, 3])]
+                    (("joint-disc",), [0, 1, 2, 3]),
+                    (("human-only",), [0, 1, 2, 3])]
 
 
 def cells_by_seed(results) -> dict:

@@ -13,11 +13,12 @@ from teamopt.discriminative import solo_ce_loss
 from teamopt.errors import ConfigError, InputError, NumericError, ShapeError
 from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, GradientSet,
                               MlpModel, TrainConfig, Workspace,
-                              finite_diff_check, forward_batch, init_mlp,
-                              loss_and_grad, loss_value, max_last,
-                              mlp_backward, mlp_forward, sample_dropout_masks,
-                              sgd_step, stable_sigmoid, stable_softmax,
-                              stack_models, sum_last)
+                              finite_diff_check, flat_view, forward_batch,
+                              init_mlp, label_index, loss_and_grad,
+                              loss_value, max_last, mlp_backward,
+                              mlp_forward, sample_dropout_masks, sgd_step,
+                              stable_sigmoid, stable_softmax, stack_models,
+                              sum_last)
 
 # sigma(0.3) and sigma(1); frozen from 1/(1+exp(-z))
 SIGMA_03 = 0.574442516811659
@@ -156,17 +157,84 @@ def masked_sigmoid(x):
 def test_stable_sigmoid_matches_masked_form_bit_for_bit():
     rng = np.random.default_rng(11)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
-                        -745.0, 800.0, -800.0, 5e-324, -5e-324, 36.7, -36.7])
-    cases = [special, rng.standard_normal(10_000),
+                        -745.0, 800.0, -800.0, 5e-324, -5e-324, 36.7, -36.7,
+                        2.2250738585072014e-308, -2.2250738585072014e-308,
+                        1e-310, -1e-310, 709.8, -709.8, 744.5, -744.5,
+                        746.0, -746.0, 1e-20, -1e-20])
+    # NaNs with payloads, of both signs, and a signalling one
+    payloads = np.array([0x7FF8000000000001, 0xFFF8000000000123,
+                         0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    cases = [special, payloads, rng.standard_normal(10_000),
              rng.standard_normal((5, 320, 5)) * 40.0,
              rng.uniform(-800.0, 800.0, 10_000),
-             np.asfortranarray(rng.standard_normal((7, 9)) * 5.0).T]
+             np.asfortranarray(rng.standard_normal((7, 9)) * 5.0).T,
+             rng.standard_normal((2, 5, 64, 10))[..., ::2] * 30.0,
+             *(rng.standard_normal(n) * 20.0 for n in range(1, 41))]
     for x in cases:
         got, want = stable_sigmoid(x, Workspace()), masked_sigmoid(x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # NaN sign bits included
     assert stable_sigmoid(0.5, Workspace()).shape == ()
     assert tape.stable_sigmoid is stable_sigmoid  # the tape reuses it
+
+
+def picked(a, rows, labels):
+    """Reference: a[..., rows[i], labels[..., i]] at every leading
+    position, one element at a time."""
+    lead, n = a.shape[:-2], np.broadcast_shapes(np.shape(rows),
+                                                np.shape(labels))[-1]
+    rows = np.broadcast_to(rows, lead + (n,))
+    labels = np.broadcast_to(labels, lead + (n,))
+    return [(pos + (rows[pos + (i,)], labels[pos + (i,)]), pos + (i,))
+            for pos in np.ndindex(lead) for i in range(n)]
+
+
+def label_cases():
+    rng = np.random.default_rng(22)
+    B, K = 64, 5
+    h = rng.integers(0, K, (2, 1, B))
+    # (shape, rows, labels) as each loss indexes its head
+    return {
+        "solo-shared-rows": ((3, B, K), np.arange(B), rng.integers(0, K, B)),
+        "solo-per-replica": ((2, 3, B, K), np.arange(B),
+                             rng.integers(0, K, (2, 3, B))),
+        "joint-disc": ((2, 5, B, K), np.arange(B),
+                       rng.integers(0, K, (2, 1, B))),
+        "joint-voi-alpha": ((2, 5, B + B * K + B, K), np.arange(B),
+                            rng.integers(0, K, (2, 1, B))),
+        "joint-voi-gamma": ((2, 5, B + B * K + B, K),
+                            B + np.arange(B) * K + h,
+                            rng.integers(0, K, (2, 1, B))),
+    }
+
+
+@pytest.mark.parametrize("case", list(label_cases()))
+def test_label_index_picks_each_label_at_every_leading_position(case):
+    shape, rows, labels = label_cases()[case]
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal(shape)
+    at = label_index(shape, rows, labels, Workspace())
+    want = picked(a, rows, labels)
+    assert at.shape == shape[:-2] + (64,)
+    got = flat_view(a)[at]
+    assert all(got[out] == a[src] for src, out in want)
+    # a scatter-add reaches exactly those elements, each once
+    v = rng.standard_normal(at.shape)
+    d = np.zeros(shape)
+    flat_view(d)[at] += v
+    expected = np.zeros(shape)
+    for src, out in want:
+        expected[src] += v[out]
+    assert d.tobytes() == expected.tobytes()
+
+
+def test_flat_view_refuses_a_non_contiguous_array():
+    a = np.zeros((4, 6))
+    view = flat_view(a)
+    assert view.shape == (24,) and np.shares_memory(view, a)
+    for strided in (a[:, ::2], a.T, a[:, 1:]):
+        with pytest.raises(ShapeError, match="non-contiguous"):
+            flat_view(strided)
 
 
 def test_last_axis_reductions_match_numpy_bit_for_bit():
