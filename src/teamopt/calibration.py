@@ -102,15 +102,17 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
     # wanders; once an iteration starts at a damping already seen since
     # (a, b) last moved, the rest is a cycle that never moves (a, b).
     seen = set()
+    diff, w = np.empty_like(s), np.empty_like(s)  # written every iteration
     for _ in range(_MAX_NEWTON):
         if damping in seen:
             break
         seen.add(damping)
-        diff = p - targets
+        np.subtract(p, targets, out=diff)
         g0, g1 = float(diff @ s), float(diff.sum())
         if np.hypot(g0, g1) < _GRAD_TOL:
             break
-        w = p * (1.0 - p)
+        np.subtract(1.0, p, out=w)
+        w *= p  # p * (1 - p), the product commutes bit for bit
         ws = float(w @ s)
         grad = np.array([g0, g1])
         hess = np.array([[float(w @ ss), ws], [ws, float(w.sum())]])

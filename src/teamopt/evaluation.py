@@ -226,8 +226,20 @@ def _fixed_disc(runs, costs, lam_grid, team, shared):
     return results, pairs
 
 
+def _reference_team(team: TeamConfig, costs) -> TeamConfig:
+    """`team` at the median of `costs`, the cost a joint approach trains
+    at: the middle value, or (a + b) / 2 of the middle two, which are
+    np.median's bits. np.median itself loads numpy.ma, and
+    statistics.median decimal and fractions, for the rest of the process.
+    """
+    grid = sorted(costs)
+    mid = len(grid) // 2
+    c = grid[mid] if len(grid) % 2 else (grid[mid - 1] + grid[mid]) / 2
+    return team.with_cost(float(c))
+
+
 def _joint_disc(runs, costs, lam_grid, team, shared):
-    c_ref = team.with_cost(float(np.median(costs)))
+    c_ref = _reference_team(team, costs)
     results = _trained(lambda fits: train_joint(fits, c_ref, lam_grid),
                        _fits(runs))
     return results, partial(_select_lambda, costs, lam_grid, team)
@@ -241,7 +253,7 @@ def _fixed_voi(runs, costs, lam_grid, team, shared):
 
 
 def _joint_voi(runs, costs, lam_grid, team, shared):
-    c_ref = team.with_cost(float(np.median(costs)))
+    c_ref = _reference_team(team, costs)
     # a run whose fixed-VOI training failed fails here the same way
     starts = _shared_fixed_voi(runs, team, shared)
     fits = [s if isinstance(s, Exception) else (run.tr, run.cfg, s)

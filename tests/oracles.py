@@ -29,6 +29,12 @@ def subset(dataset, idx, name=None):
                    dataset.num_classes, name or dataset.name, dataset.planted)
 
 
+def numpy_quantile(values, q):
+    """`data.sorted_quantile` as np.quantile computes it: the default
+    linear rule, on the values in any order."""
+    return float(np.quantile(np.asarray(values), q))
+
+
 def voi_decision_parts_whole(system, X):
     """`voi.voi_decision_parts` on the whole batch at once: every
     instance's n*K gamma rows in one array."""

@@ -8,10 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import traced_memory
-from oracles import confusable_class_broadcast, gaussian_features_broadcast
+from oracles import (confusable_class_broadcast, gaussian_features_broadcast,
+                     numpy_quantile)
 from teamopt.data import (Dataset, SynthConfig, class_means,
                           confusable_class, gaussian_features,
-                          generate_synthetic, load_csv, save_csv, split)
+                          generate_synthetic, load_csv, save_csv,
+                          sorted_quantile, split)
 from teamopt.errors import ConfigError, InputError, ParseError
 from teamopt.voi import _calibration_split
 
@@ -132,6 +134,53 @@ def test_planted_boundaries_recoverable():
     assert ds.subset(np.arange(5), "head").planted == (hi, lo)
     assert Dataset(np.zeros((2, 1)), [0, 1], [0, 1], 2, "plain").planted \
         is None
+
+
+@pytest.mark.parametrize("seed, planted", [
+    (3, (1.2858299522643086, -1.2737281323004697)),
+    (7, (1.2581869286224547, -1.2876933823987675)),
+    (11, (1.278111136960874, -1.2994369381778592)),
+])
+def test_planted_boundaries_are_pinned(seed, planted):
+    # the benchmark datasets' boundaries, as np.quantile drew them
+    ds = generate_synthetic(SynthConfig(n=14000, seed=seed))
+    assert ds.planted == planted
+    hi, lo = planted
+    assert ds.name.endswith(f"hard_hi={hi!r},hard_lo={lo!r}]")
+
+
+# Ties of -0.0 and +0.0 sort in no fixed order, and np.quantile takes its
+# order statistics from np.partition, so the sign of a zero result can
+# differ; zeros enter as +0.0 (x + 0.0) and every other bit is compared.
+finite_samples = st.one_of(
+    arrays(np.float64, st.integers(1, 60),
+           elements=st.floats(allow_nan=False, allow_infinity=False)),
+    arrays(np.float64, st.integers(1, 300),
+           elements=st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0])),
+    arrays(np.float64, st.integers(1, 3000),
+           elements=st.floats(-4.0, 4.0, width=16)),
+).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=600, deadline=None)
+@given(x=finite_samples, f=st.floats(0.0, 1.0), data=st.data())
+@example(x=np.array([7.0]), f=0.3, data=None)
+@example(x=np.array([1.0, 1.0, 2.0, 2.0, 2.0]), f=0.1, data=None)
+# t = 0.5 exactly, where the lerp from below has other bits
+@example(x=np.array([0.33043707618338714, -1.303157231604361]), f=0.5,
+         data=None)
+def test_sorted_quantile_matches_numpy_bit_for_bit(x, f, data):
+    qs = [0.0, 1.0, f, 1.0 - f]
+    if data is not None:
+        # any q, and a q at a whole or half virtual index
+        halves = 2 * max(len(x) - 1, 1)
+        qs += [data.draw(st.floats(0.0, 1.0)),
+               data.draw(st.integers(0, halves)) / halves]
+    ascending = np.sort(x)
+    for q in qs:
+        got, want = sorted_quantile(ascending, q), numpy_quantile(x, q)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), q
 
 
 @pytest.mark.parametrize("kwargs", [

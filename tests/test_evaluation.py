@@ -25,8 +25,8 @@ from teamopt.discriminative import (DecisionParts, DiscriminativeSystem,
 from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
 from teamopt.evaluation import (MAX_STACK_SEEDS, SPLIT_FRACTIONS, SweepCell,
                                 SweepResult, _best_split, _lambda_mode,
-                                _score, _seed_groups, _select_lambda,
-                                _work_plan,
+                                _reference_team, _score, _seed_groups,
+                                _select_lambda, _work_plan,
                                 cost_sweep, emit_report, human_error_tree,
                                 human_only_baseline, per_class_analysis,
                                 render_loss_svg, sweep_csv_text,
@@ -952,3 +952,20 @@ def test_svg_escape_matches_saxutils(text):
     # the legend's escape stands in for xml.sax.saxutils.escape, byte for
     # byte, without its import chain on every command's start-up
     assert evaluation._escape(text) == sax_escape(text)
+
+
+def test_reference_cost_is_the_median_bit_for_bit():
+    # the joint approaches train at np.median of the cost grid
+    rng = np.random.default_rng(23)
+    team = TeamConfig(np.eye(3), 0.1)
+    grids = [[0.0], [0.1, 0.2], [0.0, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2],
+             [0.1, 0.7], [5e-324, 1e-300], [5e307, 1e308]]
+    grids += [sorted(rng.random(n) * 10.0 ** rng.integers(-5, 5))
+              for n in range(1, 41) for _ in range(5)]
+    grids += [sorted(rng.integers(0, 4, n) / 8) for n in range(1, 41)]
+    for grid in grids:
+        ref = _reference_team(team, [float(c) for c in grid])
+        want = float(np.median(grid))
+        assert np.float64(ref.query_cost).tobytes() == \
+            np.float64(want).tobytes(), grid
+        assert ref.utility is team.utility

@@ -242,8 +242,18 @@ def test_last_axis_reductions_match_numpy_bit_for_bit():
     for K in range(1, 8):  # numpy adds pairwise from 8 columns on
         a = rng.standard_normal((5, 64, K)) * 30.0
         a[0, 0, 0] = np.nan
-        assert max_last(a).tobytes() == a.max(axis=-1).tobytes()
-        assert sum_last(a).tobytes() == a.sum(axis=-1).tobytes()
+        a[1, 2, K - 1] = np.nan
+        a[2, :, K // 2] = np.nan
+        before = a.copy()
+        for got, want in ((max_last(a), a.max(axis=-1)),
+                          (sum_last(a), a.sum(axis=-1))):
+            assert got.tobytes() == want.tobytes(), K
+            # a fresh array: the input is left unwritten and unshared
+            assert not np.shares_memory(got, a)
+        assert a.tobytes() == before.tobytes()
+        v = a[3, 5]  # a vector reduces to 0-d, as numpy's does
+        assert np.ndim(max_last(v)) == np.ndim(sum_last(v)) == 0
+        assert max_last(v) == v.max() and sum_last(v) == v.sum()
 
 
 # --- closed-form MLP backward, loss_and_grad, finite_diff_check ----------

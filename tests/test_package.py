@@ -77,11 +77,9 @@ def fresh_python(code: str, *args: str) -> str:
                           check=True, capture_output=True, text=True).stdout
 
 
-def test_tracer_spans_every_trainer_a_sweep_runs(tmp_path):
-    # the tracer wraps functions by name, and it patches modules for good,
-    # hence the fresh interpreter; a trainer or step layer the sweep
-    # reaches under another name would read 0 in the benchmark's per-layer
-    # metrics (numerics.dropout_us and numerics.sgd_step_us among them)
+def tiny_config(tmp_path) -> Path:
+    """A config file that runs every approach on a tiny dataset in about a
+    second, writing under `tmp_path`."""
     config = {
         "dataset": {"synthetic": {"num_classes": 3, "feature_dim": 4,
                                   "n": 300, "class_priors": [0.5, 0.3, 0.2],
@@ -94,6 +92,15 @@ def test_tracer_spans_every_trainer_a_sweep_runs(tmp_path):
         "out": str(tmp_path / "out")}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
+    return path
+
+
+def test_tracer_spans_every_trainer_a_sweep_runs(tmp_path):
+    # the tracer wraps functions by name, and it patches modules for good,
+    # hence the fresh interpreter; a trainer or step layer the sweep
+    # reaches under another name would read 0 in the benchmark's per-layer
+    # metrics (numerics.dropout_us and numerics.sgd_step_us among them)
+    path = tiny_config(tmp_path)
     code = ("import collections, json, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import tracer\n"
@@ -136,3 +143,21 @@ def test_run_path_imports_no_network_or_process_modules():
               "socket", "multiprocessing", "concurrent", "subprocess",
               "hashlib"]
     assert loaded_under(modules_loaded_by_run_path(), unused) == []
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy.ma costs about 10 ms and 1 MB for the rest of the process;
+    # np.quantile (through np.unique) and np.median load it, and no
+    # command needs a masked array
+    path = tiny_config(tmp_path)
+    code = ("import sys\n"
+            "from teamopt import cli\n"
+            "for argv in (['generate'], ['sweep'], ['sweep', '--jobs', '2'],\n"
+            "             ['analyze']):\n"
+            "    assert cli.main([*argv, '--config', sys.argv[1]]) == 0\n"
+            "    print(' '.join(argv), 'numpy.ma' in sys.modules)\n"
+            "assert cli.main(['verify']) == 0\n"
+            "print('verify', 'numpy.ma' in sys.modules)\n")
+    loaded = [line for line in fresh_python(code, str(path)).splitlines()
+              if line.endswith("True")]
+    assert loaded == []
