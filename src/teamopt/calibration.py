@@ -241,6 +241,8 @@ def expected_calibration_error(predictions, labels, bins: int = 10) -> float:
         raise InputError("predictions must be a nonempty (n, K) array")
     if len(labels) != len(probs):
         raise InputError("predictions and labels lengths differ")
+    if not np.isfinite(probs).all():
+        raise InputError("non-finite predictions")
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
     idx = np.minimum((conf * bins).astype(np.int64), bins - 1)

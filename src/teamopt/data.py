@@ -264,7 +264,8 @@ def split(dataset: Dataset, fractions: tuple[float, float, float],
           seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded shuffle into (train, val, test); remainder goes to train."""
     fracs = np.asarray(fractions, dtype=np.float64)
-    if len(fracs) != 3 or (fracs <= 0).any() or abs(fracs.sum() - 1.0) > 1e-9:
+    if len(fracs) != 3 or not np.isfinite(fracs).all() or \
+            (fracs <= 0).any() or abs(fracs.sum() - 1.0) > 1e-9:
         raise ConfigError("fractions must be three positives summing to 1")
     n = len(dataset)
     if n < 3:
@@ -352,5 +353,7 @@ def load_csv(path, num_classes: int) -> Dataset:
             X.extend(x)
             y.append(label)
             h.append(response)
+    if not y:
+        raise ParseError(f"{path}:2: no data rows", line=2)
     return Dataset(np.frombuffer(X).reshape(-1, d), np.frombuffer(y, np.int64),
                    np.frombuffer(h, np.int64), num_classes, name=str(path))

@@ -51,8 +51,8 @@ class TeamConfig:
 
     def __post_init__(self):
         self.utility = np.asarray(self.utility, dtype=np.float64)
-        K = self.utility.shape[0]
-        if self.utility.ndim != 2 or self.utility.shape != (K, K):
+        if self.utility.ndim != 2 or \
+                self.utility.shape[0] != self.utility.shape[1]:
             raise InputError("utility must be a square matrix")
         if not np.isfinite(self.utility).all():
             raise InputError("utility must be finite")
@@ -404,7 +404,7 @@ def train_fixed(runs, team: TeamConfig, costs
 
 
 def joint_disc_loss_fn(team: TeamConfig, cost_weights):
-    """Per-instance mixture loss of m and q for fit / finite_diff_check.
+    """Per-instance mixture loss of m and q for fit_stack / finite_diff_check.
 
     Follows the `loss_and_grad` contract on replica stacks {"m", "q"} and
     batches (X, y, [h == y], w[y], masks_m, masks_q). `cost_weights` holds

@@ -1,21 +1,20 @@
 """Differentiable MLP core: forward passes, loss gradients, SGD, checks.
 
 Models are plain dataclasses of float64 arrays. Every trainer runs through
-`fit`, the one SGD loop, which steps a stack of R same-shaped replicas
-(`stack_models`): the variants of one or more independent runs, each run
-on its own minibatches, which its variants share; a single training is
-the R=1 stack. `fit` copies the stacks it is given once and `sgd_step`
-updates that copy in place, so the caller's models are left as they were.
-`fit_stack` is the trainers' one recipe around it: it stacks their
-networks, draws each run's rows and masks a block of steps at a time, and
-returns the fitted models per run. Training losses are closed-form: each
-returns its per-instance values and a backward function (see
-`loss_and_grad`) written by hand on top of the one `mlp_forward` /
-`mlp_backward` pair. Each fit has one `Workspace`: the loss computes its
-(replicas, rows, ...) arrays into it and each block of step inputs is
-drawn into it, so a fit's steps after its first allocate no large array.
-The contract for every loss in this package is agreement with central
-finite differences (see `finite_diff_check`).
+`fit_stack`, the package's one SGD function. It steps a stack of R
+same-shaped replicas (`stack_models`): the variants of one or more
+independent runs, each run on its own minibatches, which its variants
+share; a single training is the R=1 stack. `fit_stack` stacks the
+trainer's networks, draws each run's rows and masks a block of steps at a
+time, updates the stacks in place with `sgd_step`, so the caller's models
+are left as they were, and returns the fitted models per run. Training
+losses are closed-form: each returns its per-instance values and a
+backward function (see `loss_and_grad`) written by hand on top of the one
+`mlp_forward` / `mlp_backward` pair. Each fit has one `Workspace`: the
+loss computes its (replicas, rows, ...) arrays into it and each block of
+step inputs is drawn into it, so a fit's steps after its first allocate
+no large array. The contract for every loss in this package is agreement
+with central finite differences (see `finite_diff_check`).
 """
 
 from __future__ import annotations
@@ -238,26 +237,23 @@ def stable_sigmoid(x, ws: Workspace) -> np.ndarray:
 
 
 def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
-                         ws: Workspace, lead: tuple = (),
-                         steps: int | None = None) -> list | None:
-    """Inverted-dropout masks for each hidden layer of a batch of n rows:
-    (n, dim) from one generator, or one batch per generator of `rngs`,
-    stacked on the leading axes `lead` (see `mlp_forward`). Each generator
-    draws what it would draw alone. The masks are views of `ws`'s arrays.
-
-    With `steps`, the masks of that many consecutive training steps: a
-    list of one step's masks each, holding the values that `steps` calls
-    without it would draw in turn. Each generator fills all of its steps
-    with one draw, and each step's masks are C-contiguous views.
+                         ws: Workspace, lead: tuple = (), steps: int) -> list:
+    """Inverted-dropout masks for each hidden layer of a batch of n rows
+    at each of `steps` consecutive training steps: a list of one step's
+    masks each (None for a model without dropout or hidden layers),
+    holding in turn the values that one-step draws would give. A step's
+    masks are (n, dim) from one generator, or one batch per generator of
+    `rngs`, stacked on the leading axes `lead` (see `mlp_forward`). Each
+    generator draws what it would draw alone, filling all of its steps
+    with one draw. The masks are C-contiguous views of `ws`'s arrays.
     """
     p = model.dropout_rate
-    if p == 0.0:
-        return None if steps is None else [None] * steps
-    scale = 1.0 / (1.0 - p)  # True * scale has the bits of True / keep
     dims = model.layer_dims[1:-1]
-    T = 1 if steps is None else steps
+    if p == 0.0 or not dims:  # no unit to drop
+        return [None] * steps
+    scale = 1.0 / (1.0 - p)  # True * scale has the bits of True / keep
     # a step takes its layers in order from each generator's stream
-    u = ws.get("masks", (len(rngs), T, n * sum(dims)))
+    u = ws.get("masks", (len(rngs), steps, n * sum(dims)))
     for j, rng in enumerate(rngs):
         rng.random(out=u[j])
     keep = np.greater_equal(u, p, out=ws.get("keep", u.shape, bool))
@@ -265,15 +261,14 @@ def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
     free, masks, at = u.reshape(-1), [], 0
     for dim in dims:
         # step-major, so that each step's (generators, n, dim) is contiguous
-        m = free[:T * len(rngs) * n * dim].reshape(T, len(rngs), n * dim)
+        m = free[:steps * len(rngs) * n * dim].reshape(steps, len(rngs),
+                                                       n * dim)
         free = free[m.size:]
         # copied, then scaled: numpy casts a bool factor through a buffer
         np.copyto(m, keep[:, :, at:at + n * dim].swapaxes(0, 1))
         m *= scale
-        masks.append(m.reshape((T,) + lead + (n, dim)))
+        masks.append(m.reshape((steps,) + lead + (n, dim)))
         at += n * dim
-    if steps is None:
-        return [m[0] for m in masks]
     return [list(step) for step in zip(*masks)]
 
 
@@ -495,67 +490,11 @@ def unstack_models(stacked: MlpModel) -> list[MlpModel]:
             for r in np.ndindex(lead)]
 
 
-def fit(models: dict[str, MlpModel], loss_fn, make_batch, cfg: TrainConfig,
-        what: str, ws: Workspace, variant_labels=None, on_step=None
-        ) -> dict[str, MlpModel]:
-    """The package's SGD loop: `cfg.iterations` plain steps on replica stacks.
-
-    `models` maps names to stacks from `stack_models`, all with the same
-    replica axes: (G,) variants of one run, or (S, G) for G variants of
-    each of S independent runs (one per seed, say). `make_batch(it)`
-    returns step it's batch: its rows, dropout masks and constant arrays,
-    drawn from each run's own streams (or each replica's, see
-    `mlp_forward`); it is called once per step, in step order.
-    `loss_fn(models, batch, ws)` follows the `loss_and_grad` contract, so
-    each replica trains exactly as it would alone; every step passes it
-    the fit's workspace `ws`.
-    The stacks are copied once and updated in place, so `models` is left
-    as it was; `on_step(it, models)` runs after every update and must not
-    keep the arrays it is handed. A non-finite loss
-    raises TrainingError carrying the iteration and the index of the run
-    that failed first and, when the G `variant_labels` are given, naming
-    that run's first failing variant: the error its run raises alone.
-    A replica with a network whose input weights never moved, as when
-    saturated inputs or zero loss weights zero their every gradient,
-    raises the same way after the last step, without an iteration
-    (`_untrained`).
-    """
-    start = models
-    models = {name: replace(m, weights=[w.copy() for w in m.weights],
-                            biases=[b.copy() for b in m.biases])
-              for name, m in models.items()}
-    G = next(iter(models.values())).weights[0].shape[-3]
-
-    def labelled(variant):
-        return "" if variant_labels is None else \
-            f" ({variant_labels[variant]})"
-
-    for it in range(cfg.iterations):
-        try:
-            _, grads = loss_and_grad(models, make_batch(it), loss_fn, ws)
-        except NumericError as e:
-            run, variant = divmod(e.replica, G)
-            raise TrainingError(f"{what} diverged at iteration"
-                                f" {it}{labelled(variant)}",
-                                iteration=it, run=run) from e
-        for name, m in models.items():
-            sgd_step(m, grads[name], cfg.learning_rate)
-        if on_step is not None:
-            on_step(it, models)
-    stuck = _untrained(start, models, G)
-    if stuck is not None:
-        run, name, variant = stuck
-        raise TrainingError(f"{what} did not train: the input weights of"
-                            f" {name!r} never moved{labelled(variant)}",
-                            run=run)
-    return models
-
-
-def _untrained(start: dict[str, MlpModel], fitted: dict[str, MlpModel],
+def _untrained(start: dict[str, np.ndarray], fitted: dict[str, MlpModel],
                G: int) -> tuple | None:
     """(run, network, variant) of the first replica, in run, then network,
     then variant order, with a network whose first-layer weights in
-    `fitted` are bit-identical to those in `start`; None if there is none.
+    `fitted` are bit-identical to their `start`; None if there is none.
     The stacks have G variants per run.
 
     Only the first layer is compared: on saturated inputs the rows whose
@@ -563,8 +502,7 @@ def _untrained(start: dict[str, MlpModel], fitted: dict[str, MlpModel],
     above, so those move, while the network learns nothing of its inputs.
     """
     unchanged = np.stack([
-        np.reshape((m.weights[0] == start[name].weights[0]).all(
-            axis=(-2, -1)), (-1, G))
+        np.reshape((m.weights[0] == start[name]).all(axis=(-2, -1)), (-1, G))
         for name, m in fitted.items()])  # (networks, runs, variants)
     if not unchanged.any():
         return None
@@ -610,18 +548,17 @@ def shared_batch_size(runs) -> int:
 
 
 def block_rows(fields, rngs, B: int, lead: tuple, steps: int,
-               ws: Workspace, rows=None) -> list:
+               ws: Workspace, rows) -> list:
     """The minibatch rows of `steps` consecutive steps, one array per field.
 
     Row source j holds fields[k][j] for each field k and draws its steps'
     index sets in step order from rngs[j], as `batch_indices` per step
-    would. With `rows`, source j's rows are rows[j], indices into its
-    field arrays (None: all of them), and each drawn index picks one of
-    them. Each field is gathered once per source into a (steps, *lead,
-    B, ...) array of `ws`, so step t's rows are its C-contiguous view [t],
-    laid out on `lead` as `fit_stack` lays out a step's batch.
+    would. Source j's rows are rows[j], indices into its field arrays
+    (None: all of them), and each drawn index picks one of them. Each
+    field is gathered once per source into a (steps, *lead, B, ...) array
+    of `ws`, so step t's rows are its C-contiguous view [t], laid out on
+    `lead` as `fit_stack` lays out a step's batch.
     """
-    rows = rows or [None] * len(rngs)
     idx = []
     for j, (rng, a, r) in enumerate(zip(rngs, fields[0], rows)):
         i = ws.get(f"drawn{j}", (steps, B), np.int64)
@@ -646,42 +583,42 @@ def block_rows(fields, rngs, B: int, lead: tuple, steps: int,
     return blocks
 
 
-def blockwise(draw, iterations: int):
-    """`fit`'s make_batch for batches drawn BLOCK_STEPS steps at a time:
-    draw(steps) returns the next `steps` steps' batches, in step order."""
-    block = []
-
-    def make_batch(it):
-        if it % BLOCK_STEPS == 0:
-            block.clear()  # the next block is drawn over the last one
-            block.extend(draw(min(BLOCK_STEPS, iterations - it)))
-        return block[it % BLOCK_STEPS]
-
-    return make_batch
-
-
 def by_run(items: list, G: int) -> list[list]:
     """A run-major list of per-replica items, split into each run's G."""
     return [items[i:i + G] for i in range(0, len(items), G)]
 
 
 def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
-              what: str, variant_labels=None, batch=None, on_step=None,
-              rows=None) -> dict[str, list[list[MlpModel]]]:
-    """Train S runs of G variants each as one replica stack through `fit`.
+              what: str, variant_labels=None, *, batch, on_step=None,
+              rows) -> dict[str, list[list[MlpModel]]]:
+    """The package's SGD: `cfg.iterations` plain steps of S runs of G
+    variants each, trained as one replica stack.
 
     `nets` maps each network's name to (models, dropout generators, mask
     rows), models[s][g] starting variant g of run s. `fields` holds the
     row fields, each a list of arrays, one per row source, `rngs` the
-    sources' batch generators and `rows`, if given, each source's row
-    indices into its arrays (see `block_rows`). A source, like a dropout
-    generator, serves a run, laid out as (S, 1) so that its rows
-    broadcast over its variants, or a replica, run-major, laid out as
-    (S, G) (see `mlp_forward`). A step's rows, B per source, and then
-    each network's masks come as one tuple, which `batch`, if given,
-    makes into the step's batch. The fit has one `Workspace`, which the
-    loss gets at every step and each block of rows and masks is drawn
-    into. Returns each network's models, nested as given.
+    sources' batch generators and `rows` each source's row indices into
+    its arrays (see `block_rows`). A source, like a dropout generator,
+    serves a run, laid out as (S, 1) so that its rows broadcast over its
+    variants, or a replica, run-major, laid out as (S, G) (see
+    `mlp_forward`). Every BLOCK_STEPS steps the next block of rows and
+    masks is drawn into the fit's one `Workspace`. A step's rows, B per
+    source, and then each network's masks come as one tuple, which
+    `batch` makes into the step's batch when the step comes.
+    `loss_fn(models, batch, ws)` follows the `loss_and_grad` contract on
+    the stacks, so each replica trains exactly as it would alone; every
+    step passes it the fit's workspace.
+
+    The networks are stacked once and updated in place, so the caller's
+    models are left as they were; `on_step(it, stacks)` runs after every
+    update and must not keep the arrays it is handed. A non-finite loss
+    raises TrainingError carrying the iteration and the index of the run
+    that failed first and, when the G `variant_labels` are given, naming
+    that run's first failing variant: the error its run raises alone. A
+    replica with a network whose input weights never moved, as when
+    saturated inputs or zero loss weights zero their every gradient,
+    raises the same way after the last step, without an iteration
+    (`_untrained`). Returns each network's models, nested as given.
     """
     first = next(iter(nets.values()))[0]
     S, G = len(first), len(first[0])
@@ -690,22 +627,42 @@ def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
     def lead(sources):
         return (S, 1) if len(sources) == S else (S, G)
 
-    def draw(steps):
-        return list(zip(
-            *block_rows(fields, rngs, B, lead(rngs), steps,
-                        ws.scope("rows"), rows),
-            *(sample_dropout_masks(models[0][0], n, *drops,
-                                   ws=ws.scope(f"masks {name}"),
-                                   lead=lead(drops), steps=steps)
-              for name, (models, drops, n) in nets.items())))
+    def labelled(variant):
+        return "" if variant_labels is None else \
+            f" ({variant_labels[variant]})"
 
-    step_rows = blockwise(draw, cfg.iterations)
-    stacks = {name: stack_models([m for run in models for m in run], S)
-              for name, (models, _, _) in nets.items()}
-    fitted = fit(stacks, loss_fn, step_rows if batch is None
-                 else lambda it: batch(step_rows(it)),
-                 cfg, what, ws, variant_labels, on_step)
-    return {name: by_run(unstack_models(m), G) for name, m in fitted.items()}
+    models = {name: stack_models([m for run in ms for m in run], S)
+              for name, (ms, _, _) in nets.items()}
+    start = {name: m.weights[0].copy() for name, m in models.items()}
+    for it in range(cfg.iterations):
+        t = it % BLOCK_STEPS
+        if t == 0:
+            steps = min(BLOCK_STEPS, cfg.iterations - it)
+            block = list(zip(
+                *block_rows(fields, rngs, B, lead(rngs), steps,
+                            ws.scope("rows"), rows),
+                *(sample_dropout_masks(ms[0][0], n, *drops,
+                                       ws=ws.scope(f"masks {name}"),
+                                       lead=lead(drops), steps=steps)
+                  for name, (ms, drops, n) in nets.items())))
+        try:
+            _, grads = loss_and_grad(models, batch(block[t]), loss_fn, ws)
+        except NumericError as e:
+            run, variant = divmod(e.replica, G)
+            raise TrainingError(f"{what} diverged at iteration"
+                                f" {it}{labelled(variant)}",
+                                iteration=it, run=run) from e
+        for name, m in models.items():
+            sgd_step(m, grads[name], cfg.learning_rate)
+        if on_step is not None:
+            on_step(it, models)
+    stuck = _untrained(start, models, G)
+    if stuck is not None:
+        run, name, variant = stuck
+        raise TrainingError(f"{what} did not train: the input weights of"
+                            f" {name!r} never moved{labelled(variant)}",
+                            run=run)
+    return {name: by_run(unstack_models(m), G) for name, m in models.items()}
 
 
 def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn) -> float:

@@ -454,9 +454,9 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
         [derive_rng(c.seed, STREAM_JOINT_BATCH) for _, c, _ in runs], B,
         joint_voi_loss_fn(team, cfg, cost_weights), cfg, "joint training",
         [f"cost_weight={lam!r}" for lam in cost_weights],
-        lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:],
-                                     gamma_rows),
-        on_step, [ds.rows for ds, _ in splits])
+        batch=lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:],
+                                           gamma_rows),
+        on_step=on_step, rows=[ds.rows for ds, _ in splits])
     replicas = list(zip(*([m for run in fitted[name] for m in run]
                           for name in _PARTS)))
     refit(replicas)  # the final refit sets cals

@@ -415,6 +415,10 @@ def test_ece_bounds_and_validation():
         expected_calibration_error(np.ones((2, 2)) / 2, np.zeros(2), bins=0)
     with pytest.raises(InputError):
         expected_calibration_error(np.ones((2, 2)) / 2, np.zeros(3))
+    for bad in (np.nan, np.inf):  # no bin may silently drop a row
+        with pytest.raises(InputError, match="non-finite"):
+            expected_calibration_error(np.array([[bad, bad], [0.9, 0.1]]),
+                                       np.array([0, 0]))
     rng = np.random.default_rng(7)
     preds = rng.dirichlet(np.ones(3), size=50)
     val = expected_calibration_error(preds, rng.integers(0, 3, 50), bins=5)

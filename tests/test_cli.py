@@ -329,6 +329,17 @@ def test_sweep_runs_from_csv_dataset(tmp_path):
     assert (tmp_path / "out2" / "sweep.json").exists()
 
 
+def test_sweep_from_csv_without_rows_exits_two(tmp_path, caplog):
+    csv_path = tmp_path / "header.csv"
+    csv_path.write_text("f0,y,h\n")
+    cfg = tiny_config(tmp_path / "out", approaches=["human-only"])
+    cfg["dataset"] = {"csv": str(csv_path), "num_classes": 3}
+    path = write_config(tmp_path, cfg)
+    with caplog.at_level(logging.ERROR, logger="teamopt"):
+        assert main(["sweep", "--config", path]) == 2
+    assert f"{csv_path}:2: no data rows" in caplog.text
+
+
 def test_sweep_partial_failure_exits_three(tmp_path):
     cfg = tiny_config(tmp_path / "bad", approaches=["fixed-disc",
                                                     "human-only"])

@@ -291,6 +291,10 @@ def test_split_input_validation():
         split(identifiable_dataset(10), (0.5, 0.5, 0.5), seed=0)
     with pytest.raises(ConfigError):
         split(identifiable_dataset(10), (1.0, 0.0, 0.0), seed=0)
+    for fractions in ((0.5, np.nan, 0.5), (np.nan, 0.5, 0.5),
+                      (0.5, 0.5, np.nan), (np.inf, 0.5, 0.5)):
+        with pytest.raises(ConfigError):
+            split(identifiable_dataset(10), fractions, seed=0)
 
 
 # --- CSV -------------------------------------------------------------------
@@ -334,6 +338,7 @@ def test_load_csv_range_error_names_line(tmp_path):
     ("f0,y,h\n0.1,0,0\n0.2,x,0\n", 3),        # non-integer label
     ("f0,y,h\ninf,0,0\n", 2),                 # non-finite feature
     ("", 1),                                  # empty file
+    ("f0,y,h\n", 2),                          # header without rows
 ])
 def test_load_csv_parse_errors_carry_line_numbers(tmp_path, text, line):
     path = tmp_path / "bad.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_memory
-from teamopt import numerics
+from teamopt import discriminative
 from teamopt.data import Dataset, SynthConfig, generate_synthetic
 from teamopt.discriminative import (SOLO_STREAMS, TeamConfig, decide,
                                     derive_rng, joint_disc_loss_fn,
@@ -68,8 +68,9 @@ def models_equal(a, b):
 # --- config and weights ------------------------------------------------------
 
 def test_team_config_validation():
-    with pytest.raises(InputError):
-        TeamConfig(np.zeros((2, 3)))
+    for utility in (np.zeros((2, 3)), 5.0, np.ones(3)):
+        with pytest.raises(InputError, match="square"):
+            TeamConfig(utility)
     with pytest.raises(InputError):
         TeamConfig(np.array([[1.0, np.inf], [0.0, 1.0]]))
     with pytest.raises(InputError):
@@ -261,6 +262,20 @@ def test_fixed_policy_learns_to_query_hard_region():
     assert queried[~hard].mean() < 0.1
 
 
+def test_networks_without_hidden_layers_train():
+    # hidden_dims=() gives linear heads: with dropout on, there is no unit
+    # to drop, and each trainer steps them like any other network
+    ds = separable_dataset()
+    cfg = TrainConfig(iterations=300, hidden_dims=(), dropout_rate=0.2,
+                      seed=1)
+    [[model]] = train_solo_model([(ds, cfg)], TeamConfig.accuracy(3))
+    assert model.layer_dims == (4, 3)
+    assert (forward_batch(model, ds.X).argmax(axis=1) == ds.y).mean() > 0.95
+    [[system]] = train_joint([(ds, cfg)], TeamConfig.accuracy(3, 0.1),
+                             (1.0,))
+    assert system.q.layer_dims == (4, 1)
+
+
 def test_divergence_raises_training_error_with_iteration():
     ds = noise_dataset(n=100)
     cfg = TrainConfig(iterations=20, hidden_dims=(8,), learning_rate=1e200,
@@ -296,18 +311,17 @@ def test_disc_steps_allocate_less_than_one_hidden_activation(monkeypatch,
                                            (0.25, 0.5, 1.0, 2.0, 4.0)), 10),
     }[trainer]
     above = []
-    real = numerics.fit
+    real = discriminative.fit_stack
 
-    def fit(models, loss_fn, make_batch, cfg, what, ws, labels=None,
-            on_step=None):
+    def fit_stack(*args, on_step=None, **kwargs):
         def step(it, models):
             if on_step is not None:
                 on_step(it, models)
             above.append(trace.peak_above())
 
-        return real(models, loss_fn, make_batch, cfg, what, ws, labels, step)
+        return real(*args, on_step=step, **kwargs)
 
-    monkeypatch.setattr(numerics, "fit", fit)
+    monkeypatch.setattr(discriminative, "fit_stack", fit_stack)
     with traced_memory() as trace:
         train()
     B, hidden = 64, 16

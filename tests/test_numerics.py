@@ -330,7 +330,7 @@ def test_mlp_backward_matches_finite_differences_with_dropout():
         b += rng.uniform(0.1, 0.5, b.shape)
     X = rng.standard_normal((7, 3))
     C = rng.standard_normal((2, 7, 2))
-    masks = sample_dropout_masks(m, 7, rng, ws=Workspace())
+    [masks] = sample_dropout_masks(m, 7, rng, ws=Workspace(), steps=1)
 
     def read_out(models, batch, ws):
         z, cache = mlp_forward(models["m"], X, masks, ws)
@@ -521,7 +521,7 @@ def test_dropout_masks_scale_and_seed():
                  dropout_rate=0.2)
     def draw(model, n):
         return sample_dropout_masks(model, n, np.random.default_rng(4),
-                                    ws=Workspace())
+                                    ws=Workspace(), steps=1)[0]
 
     masks = draw(m, 50)
     assert len(masks) == 1 and masks[0].shape == (50, 10)
@@ -540,8 +540,8 @@ def test_dropout_masks_equal_the_division_form_bit_for_bit():
     for p in rates:
         m = init_mlp((3, 16, 7, 2), SOFTMAX_HEAD, np.random.default_rng(0),
                      dropout_rate=p)
-        got = sample_dropout_masks(m, 64, np.random.default_rng(5),
-                                   ws=Workspace())
+        [got] = sample_dropout_masks(m, 64, np.random.default_rng(5),
+                                     ws=Workspace(), steps=1)
         rng = np.random.default_rng(5)
         want = [(rng.random((64, dim)) >= p) / (1.0 - p) for dim in (16, 7)]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

@@ -138,7 +138,10 @@ def test_run_path_imports_no_scipy():
 def test_run_path_imports_no_network_or_process_modules():
     # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email
     # (~35 ms), and concurrent.futures.process pulls in multiprocessing,
-    # socket and subprocess (~20 ms); a serial sweep calls none of them
+    # socket and subprocess (~20 ms); importing the CLI loads none of them.
+    # This checks the import alone, not a run: a run's first generator
+    # imports numpy.random, whose bit_generator imports secrets, and with
+    # it hashlib
     unused = ["xml", "ssl", "_ssl", "http", "email", "urllib.request",
               "socket", "multiprocessing", "concurrent", "subprocess",
               "hashlib"]

@@ -1,4 +1,5 @@
-"""Replica stacks: several trainings of one shape stepped together by `fit`.
+"""Replica stacks: several trainings of one shape stepped together by
+`fit_stack`.
 
 A stack must reproduce one-at-a-time training bit for bit, keep the
 finite-difference contract per replica, and report divergence as the
@@ -26,10 +27,10 @@ from teamopt.discriminative import (SOLO_STREAMS, TeamConfig,
 from teamopt.errors import (ConfigError, NumericError, ShapeError,
                             TrainingError)
 from teamopt.evaluation import SPLIT_FRACTIONS, cost_sweep
-from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, TrainConfig,
-                              Workspace, batch_indices, block_rows, blockwise,
-                              fit, finite_diff_check, fit_stack, init_mlp,
-                              loss_and_grad, sample_dropout_masks,
+from teamopt.numerics import (BLOCK_STEPS, SIGMOID_HEAD, SOFTMAX_HEAD,
+                              TrainConfig, Workspace, batch_indices,
+                              block_rows, finite_diff_check, fit_stack,
+                              init_mlp, loss_and_grad, sample_dropout_masks,
                               stable_softmax, stack_models, unstack_models)
 from teamopt.voi import (STREAM_ALPHA, STREAM_BETA, _stack_calibrators,
                          joint_calibrator, joint_voi_batch, joint_voi_loss_fn,
@@ -339,6 +340,12 @@ def oracle_case(seed, dropout=0.3):
     return rng, team, X, y, h, (0.5, 1.5, 4.0), stack, (K, d, hid, B)
 
 
+def step_masks(model, n, rng):
+    """The dropout masks of one training step."""
+    [masks] = sample_dropout_masks(model, n, rng, ws=Workspace(), steps=1)
+    return masks
+
+
 def assert_matches_oracle(models, batch, loss_fn, tape_fn):
     per, backward = loss_fn(models, batch, Workspace())
     per_ref, grads_ref = oracles.tape_loss_and_grad(models, batch, tape_fn)
@@ -359,8 +366,7 @@ def test_solo_ce_matches_tape_oracle():
     rng, team, X, y, h, _, stack, (K, d, hid, B) = oracle_case(41)
     models = {"m": stack((d, hid, hid, K), SOFTMAX_HEAD)}
     w = utility_loss_weights(team)
-    batch = (X, y, w[y], sample_dropout_masks(models["m"], B, rng,
-                                              ws=Workspace()))
+    batch = (X, y, w[y], step_masks(models["m"], B, rng))
     assert_matches_oracle(models, batch, solo_ce_loss, oracles.solo_ce_tape(K))
 
 
@@ -370,7 +376,7 @@ def test_query_policy_loss_matches_tape_oracle():
     m_probs = stable_softmax(rng.standard_normal((B, K)))
     w = utility_loss_weights(team)
     batch = (X, m_probs[np.arange(B), y], (h == y).astype(float), w[y],
-             sample_dropout_masks(models["q"], B, rng, ws=Workspace()))
+             step_masks(models["q"], B, rng))
     cfg = TrainConfig(cost_weight=0.8)
     assert_matches_oracle(models, batch, query_policy_loss_fn(cfg, costs),
                           oracles.query_policy_tape(cfg, costs, m_probs, h, y))
@@ -382,8 +388,7 @@ def test_joint_disc_loss_matches_tape_oracle():
               "q": stack((d, hid, 1), SIGMOID_HEAD)}
     w = utility_loss_weights(team)
     batch = (X, y, (h == y).astype(float), w[y],
-             sample_dropout_masks(models["m"], B, rng, ws=Workspace()),
-             sample_dropout_masks(models["q"], B, rng, ws=Workspace()))
+             step_masks(models["m"], B, rng), step_masks(models["q"], B, rng))
     assert_matches_oracle(models, batch, joint_disc_loss_fn(team, lams),
                           oracles.joint_disc_tape(team, lams, h))
 
@@ -401,7 +406,7 @@ def test_joint_voi_loss_matches_tape_oracle():
                             np.zeros(K, dtype=bool)) for _ in range(3)])
 
     cals = [calibrators() for _ in range(3)]  # alpha, beta, gamma
-    masks = tuple(sample_dropout_masks(models[name], n, rng, ws=Workspace())
+    masks = tuple(step_masks(models[name], n, rng)
                   for name, n in (("alpha", B), ("beta", B), ("gamma", B * K)))
     batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
                             joint_calibrator(cals, B), masks)
@@ -564,7 +569,8 @@ def test_block_masks_equal_per_step_draws(S, hidden, rate, n, iterations,
                                     ws=Workspace())
     assert len(got) == iterations
     for step in got:
-        want = sample_dropout_masks(m, n, *ref, lead=lead, ws=Workspace())
+        [want] = sample_dropout_masks(m, n, *ref, lead=lead, ws=Workspace(),
+                                      steps=1)
         if rate == 0.0:
             assert step is None and want is None
             continue
@@ -576,8 +582,9 @@ def test_block_masks_equal_per_step_draws(S, hidden, rate, n, iterations,
 
 @st.composite
 def row_sources(draw):
-    """(lead, B, fields): the row sources of an (S, G) stack, one per run
-    (lead (S, 1)) or one per replica (lead (S, G)), of unequal lengths."""
+    """(lead, B, fields, rows): the row sources of an (S, G) stack, one per
+    run (lead (S, 1)) or one per replica (lead (S, G)), of unequal
+    lengths, each taking all of its rows (None) or a subset of them."""
     S, G = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     lead = (S, G) if draw(st.booleans()) else (S, 1)
     B = draw(st.integers(1, 6))
@@ -586,77 +593,76 @@ def row_sources(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     X = [rng.standard_normal((k, 3)) for k in sizes]
     y = [rng.integers(0, 4, k) for k in sizes]
-    return lead, B, (X, y)
+    rows = [rng.choice(k, rng.integers(B, k + 1), replace=False)
+            if draw(st.booleans()) else None for k in sizes]
+    return lead, B, (X, y), rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=row_sources(), iterations=st.integers(1, 20),
        seed=st.integers(0, 2**16))
 def test_block_rows_equal_per_step_gathers(case, iterations, seed):
-    lead, B, fields = case
+    lead, B, fields, rows = case
     m = init_mlp((3, 4, 2), SOFTMAX_HEAD, np.random.default_rng(0), 0.5)
     sources = len(fields[0])
     ref_rows, ref_drop = rngs_of(seed, sources), rngs_of(seed + 1, sources)
     blk_rows, blk_drop = rngs_of(seed, sources), rngs_of(seed + 1, sources)
     ws = Workspace()  # every block is drawn into the arrays of the last
-
-    def draw(steps):
-        return list(zip(*block_rows(fields, blk_rows, B, lead, steps,
-                                    ws.scope("rows")),
-                        sample_dropout_masks(m, B, *blk_drop, lead=lead,
-                                             steps=steps,
-                                             ws=ws.scope("masks"))))
-
-    make_batch = blockwise(draw, iterations)
-    for it in range(iterations):
-        *rows, masks = make_batch(it)
-        idx = [batch_indices(rng, len(a), B)
-               for rng, a in zip(ref_rows, fields[0])]
-        for got, arrays in zip(rows, fields):
-            want = np.array([a[i] for a, i in zip(arrays, idx)])
-            assert_same_array(got, want.reshape(lead + want.shape[1:]))
-        [want_mask] = sample_dropout_masks(m, B, *ref_drop, lead=lead,
-                                           ws=Workspace())
-        assert_same_array(masks[0], want_mask)
-
-
-def nan_at(iteration, run):
-    """A make_batch whose per-instance weights are NaN at one step of one
-    run: the loss of every variant of that run is non-finite there."""
-    B = 4
-    X = np.linspace(-1.0, 1.0, 3 * B).reshape(3, B, 1)[:, None]  # (S, 1)
     drawn = 0
-
-    def draw(steps):
-        nonlocal drawn
-        w = np.ones((steps, 3, 1, B))
-        if drawn <= iteration < drawn + steps:
-            w[iteration - drawn, run] = np.nan
-        drawn += steps
-        return [(X, np.zeros((3, 1, B), int), w_t, None) for w_t in w]
-
-    return draw
+    for start in range(0, iterations, BLOCK_STEPS):
+        steps = min(BLOCK_STEPS, iterations - start)
+        block = zip(*block_rows(fields, blk_rows, B, lead, steps,
+                                ws.scope("rows"), rows),
+                    sample_dropout_masks(m, B, *blk_drop, lead=lead,
+                                         steps=steps, ws=ws.scope("masks")))
+        for *got_rows, masks in block:
+            drawn += 1
+            idx = [batch_indices(rng, len(a if r is None else r), B)
+                   for rng, a, r in zip(ref_rows, fields[0], rows)]
+            idx = [i if r is None else r[i] for i, r in zip(idx, rows)]
+            for got, arrays in zip(got_rows, fields):
+                want = np.array([a[i] for a, i in zip(arrays, idx)])
+                assert_same_array(got, want.reshape(lead + want.shape[1:]))
+            [[want_mask]] = sample_dropout_masks(m, B, *ref_drop, lead=lead,
+                                                 steps=1, ws=Workspace())
+            assert_same_array(masks[0], want_mask)
+    assert drawn == iterations
 
 
 @settings(max_examples=30, deadline=None)
 @given(iterations=st.integers(1, 20), data=st.data())
 def test_fit_reports_a_divergence_inside_a_block(iterations, data):
+    # the batch hook makes the per-instance weights of one run NaN at one
+    # step, so the loss of every variant of that run is non-finite there
     iteration = data.draw(st.integers(0, iterations - 1))
     run = data.draw(st.integers(0, 2))
-    G = 2
-    m = stack_models([init_mlp((1, 2), SOFTMAX_HEAD,
-                               np.random.default_rng(r)) for r in range(6)],
-                     3)
-    before = [a.copy() for a in m.weights + m.biases]
-    cfg = TrainConfig(iterations=iterations, dropout_rate=0.0)
+    S, G, B = 3, 2, 4
+    models = [[init_mlp((1, 3, 2), SOFTMAX_HEAD,
+                        np.random.default_rng([s, g]), 0.0)
+               for g in range(G)] for s in range(S)]
+    params = [a for ms in models for m in ms for a in m.weights + m.biases]
+    before = [a.copy() for a in params]
+    fields = [[np.linspace(-1.0, 1.0, B)[:, None] + s for s in range(S)],
+              [np.zeros(B, int)] * S]
+    stepped = 0
+
+    def batch(r):
+        nonlocal stepped
+        w_t = np.ones(r[1].shape)  # (S, 1, B)
+        if stepped == iteration:
+            w_t[run] = np.nan
+        stepped += 1
+        return r[0], r[1], w_t, r[2]
+
+    cfg = TrainConfig(iterations=iterations)
     with pytest.raises(TrainingError) as info:
-        fit({"m": m}, solo_ce_loss, blockwise(nan_at(iteration, run),
-                                              iterations), cfg, "toy",
-            Workspace(), [f"v{g}" for g in range(G)])
+        fit_stack({"m": (models, rngs_of(1, S), B)}, fields, rngs_of(0, S),
+                  B, solo_ce_loss, cfg, "toy", [f"v{g}" for g in range(G)],
+                  batch=batch, rows=[None] * S)
     assert (info.value.iteration, info.value.run) == (iteration, run)
     assert str(info.value) == f"toy diverged at iteration {iteration} (v0)"
-    assert all(a.tobytes() == b.tobytes()
-               for a, b in zip(m.weights + m.biases, before))
+    assert stepped == iteration + 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(params, before))
 
 
 def test_fit_leaves_the_callers_stacks_untouched():
@@ -686,7 +692,8 @@ def test_fit_leaves_the_callers_stacks_untouched():
                          solo_ce_loss, runs[0][1], "toy",
                          batch=lambda rows: (rows[0], rows[1],
                                              np.ones(rows[1].shape),
-                                             rows[2]))["m"]
+                                             rows[2]),
+                         rows=[None] * S * copies)["m"]
 
     per_run, per_replica = train(1), train(G)
     assert [len(run) for run in per_run] == [G] * S

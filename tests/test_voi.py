@@ -12,7 +12,7 @@ import oracles
 import teamopt.voi as voi_mod
 from conftest import traced_memory
 from oracles import soft_expected_utilities, soft_team_quantities
-from teamopt import calibration, numerics
+from teamopt import calibration
 from teamopt.calibration import (PlattCalibrator, calibrate_batch,
                                  calibrated_head)
 from teamopt.cli import dist_system, voi_rule_deviation
@@ -475,7 +475,7 @@ def joint_bit_case(R, masked, stacked, underflow):
     masks = (None,) * 3
     if masked:
         masks = tuple(sample_dropout_masks(models[name], n, rng,
-                                           ws=Workspace())
+                                           ws=Workspace(), steps=1)[0]
                       for name, n in (("alpha", B), ("beta", B),
                                       ("gamma", B * K)))
     batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
@@ -555,17 +555,16 @@ def test_joint_voi_step_allocates_less_than_one_gamma_activation(
     team = TeamConfig.accuracy(5, 0.1)
     starts = train_fixed_voi(runs, team)
     above = []
-    real = numerics.fit
+    real = voi_mod.fit_stack
 
-    def fit(models, loss_fn, make_batch, cfg, what, ws, labels=None,
-            on_step=None):
+    def fit_stack(*args, on_step, **kwargs):
         def step(it, models):
             on_step(it, models)
             above.append(trace.peak_above())
 
-        return real(models, loss_fn, make_batch, cfg, what, ws, labels, step)
+        return real(*args, on_step=step, **kwargs)
 
-    monkeypatch.setattr(numerics, "fit", fit)
+    monkeypatch.setattr(voi_mod, "fit_stack", fit_stack)
     with traced_memory() as trace:
         train_joint_voi([(d, c, s) for (d, c), s in zip(runs, starts)], team,
                         (0.25, 0.5, 1.0, 2.0, 4.0))
