@@ -161,8 +161,7 @@ class PlattCalibrator:
 
     @property
     def num_classes(self) -> int:
-        # stacked forms (voi._stack_calibrators, voi.joint_calibrator) hold
-        # (R, 1, K) or (R, rows, K) arrays
+        # voi.joint_calibrator's parameters are (S, G, rows, K)
         return self.a.shape[-1]
 
     @classmethod
@@ -239,8 +238,10 @@ def expected_calibration_error(predictions, labels, bins: int = 10) -> float:
     labels = np.asarray(labels)
     if probs.ndim != 2 or len(probs) == 0:
         raise InputError("predictions must be a nonempty (n, K) array")
-    if len(labels) != len(probs):
-        raise InputError("predictions and labels lengths differ")
+    if labels.shape != (len(probs),) or \
+            not np.issubdtype(labels.dtype, np.integer):
+        raise InputError("labels must be a 1-d integer array, one per"
+                         " prediction")
     if not np.isfinite(probs).all():
         raise InputError("non-finite predictions")
     conf = probs.max(axis=1)

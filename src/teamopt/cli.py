@@ -16,7 +16,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .discriminative import (TeamConfig, decide, joint_disc_loss_fn,
 from .errors import ConfigError, TeamoptError
 from .evaluation import (APPROACHES, approach_parts, cost_sweep, dump_json,
                          emit_report, human_error_tree, per_class_analysis,
-                         tree_to_dict, write_file)
+                         write_file)
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
                        Workspace, finite_diff_check, init_mlp,
                        stable_sigmoid, stack_models)
@@ -138,6 +138,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if "csv" in ds:
         kwargs["csv_path"] = ds["csv"]
         kwargs["csv_num_classes"] = ds.get("num_classes")
+        if ds.get("num_classes", 2) < 2:
+            raise ConfigError("dataset.num_classes must be at least 2, got"
+                              f" {ds['num_classes']}")
     elif "num_classes" in ds:
         raise ConfigError("dataset.num_classes applies only to a csv source;"
                           " set dataset.synthetic.num_classes instead")
@@ -239,7 +242,7 @@ def cmd_analyze(config: RunConfig) -> int:
     table = per_class_analysis(parts, te, team.query_cost)
     tree = human_error_tree(te, parts)
     write_file(out / "per_class.json", dump_json(table))
-    write_file(out / "error_tree.json", dump_json(tree_to_dict(tree)))
+    write_file(out / "error_tree.json", dump_json(asdict(tree)))
     logger.info("wrote %s and %s", out / "per_class.json",
                 out / "error_tree.json")
     return 0
@@ -252,25 +255,25 @@ def gradcheck_losses(rng: np.random.Generator, team: TeamConfig,
                      ) -> float:
     """Max FD relative error of the three training losses at one random
     point: solo CE, the joint-disc mixture and the joint-VOI loss, each
-    built by the function its trainer uses and run on R=1 stacks.
-    Networks are d=4, 5 hidden."""
+    built by the function its trainer uses and run on one-run,
+    one-variant stacks. Networks are d=4, 5 hidden."""
     K, d, hid = team.num_classes, 4, 5
     w = utility_loss_weights(team)
     X = rng.standard_normal((batch_size, d))
     y = rng.integers(0, K, batch_size)
     h = rng.integers(0, K, batch_size)
-    m = stack_models([init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)])
-    q = stack_models([init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)])
+    m = stack_models([[init_mlp((d, hid, K), SOFTMAX_HEAD, rng, 0.0)]])
+    q = stack_models([[init_mlp((d, hid, 1), SIGMOID_HEAD, rng, 0.0)]])
     cfg = TrainConfig(softmax_temperature=tau, dropout_rate=0.0)
     worst = finite_diff_check({"m": m}, (X, y, w[y], None), solo_ce_loss)
     hit = (h == y).astype(np.float64)
     worst = max(worst, finite_diff_check(
         {"m": m, "q": q}, (X, y, hit, w[y], None, None),
         joint_disc_loss_fn(team, (cost_weight,))))
-    models = {name: stack_models([init_mlp(dims, SOFTMAX_HEAD, rng, 0.0)])
+    models = {name: stack_models([[init_mlp(dims, SOFTMAX_HEAD, rng, 0.0)]])
               for name, dims in (("alpha", (d, hid, K)), ("beta", (d, hid, K)),
                                  ("gamma", (d + K, hid, K)))}
-    cal = joint_calibrator((PlattCalibrator.identity(K),) * 3, batch_size)
+    cal = joint_calibrator([[(PlattCalibrator.identity(K),) * 3]], batch_size)
     return max(worst, finite_diff_check(
         models, joint_voi_batch(X, h, y, w, cal),
         joint_voi_loss_fn(team, cfg, (cost_weight,))))

@@ -314,8 +314,11 @@ def load_csv(path, num_classes: int) -> Dataset:
     kept, so parsing holds little beyond the arrays it returns. A row's
     checks run in order: its column count, its values (bytes that are not
     UTF-8 included), finite features, then labels and responses in
-    [0, num_classes).
+    [0, num_classes). A num_classes below 2 raises ConfigError before the
+    file is opened.
     """
+    if num_classes < 2:
+        raise ConfigError(f"num_classes must be at least 2, got {num_classes}")
     with open(path, "r", newline="", encoding="utf-8",
               errors="surrogateescape") as fh:
         rows = _records(path, csv.reader(fh))

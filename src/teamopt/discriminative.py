@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, QueryError
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                       TrainConfig, Workspace, by_run, fit_stack, flat_view,
+                       TrainConfig, Workspace, fit_stack, flat_view,
                        forward_batch, init_mlp, label_index, mlp_backward,
                        mlp_forward, shared_batch_size, stable_sigmoid,
                        stable_softmax)
@@ -54,6 +54,9 @@ class TeamConfig:
         if self.utility.ndim != 2 or \
                 self.utility.shape[0] != self.utility.shape[1]:
             raise InputError("utility must be a square matrix")
+        if self.utility.shape[0] < 2:
+            raise InputError("utility must be at least 2x2: a team needs"
+                             " two classes")
         if not np.isfinite(self.utility).all():
             raise InputError("utility must be finite")
         if not (np.isfinite(self.query_cost) and self.query_cost >= 0):
@@ -266,13 +269,14 @@ def train_solo_model(runs, team: TeamConfig,
     ds0, cfg = runs[0]
     w = utility_loss_weights(team)
     dims = (ds0.feature_dim, *cfg.hidden_dims, ds0.num_classes)
+    models = [[init_mlp(dims, SOFTMAX_HEAD, derive_rng(c.seed, init),
+                        cfg.dropout_rate) for _, (init, _, _) in replicas]
+              for _, c in runs]
     # row source s * len(replicas) + j feeds pair j of run s
-    X, T, rows, inits, batches, drops = zip(*(
+    X, T, rows, batches, drops = zip(*(
         (ds.source.X, getattr(ds.source, target), ds.rows,
-         *(derive_rng(c.seed, s) for s in streams))
-        for ds, c in runs for target, streams in replicas))
-    models = by_run([init_mlp(dims, SOFTMAX_HEAD, rng, cfg.dropout_rate)
-                     for rng in inits], len(replicas))
+         derive_rng(c.seed, batch), derive_rng(c.seed, drop))
+        for ds, c in runs for target, (_, batch, drop) in replicas))
     return fit_stack({"m": (models, drops, B)}, (X, T), batches, B,
                      solo_ce_loss, cfg, "solo training",
                      batch=lambda r: (r[0], r[1], w[r[1]], r[2]),
@@ -316,8 +320,8 @@ def mixture_loss(q, p_human, p_machine, w_y, cost_term, ws: Workspace):
 
 
 def _query_forward(models, X: np.ndarray, masks, ws: Workspace):
-    """Soft query probabilities of the sigmoid-head stack "q", (R, n) or
-    (S, G, n), and the map from dL/dq to its GradientSet."""
+    """Soft query probabilities of the sigmoid-head stack "q", (S, G, n),
+    and the map from dL/dq to its GradientSet."""
     ws = ws.scope("q")
     z, cache = mlp_forward(models["q"], X, masks, ws)
     q = stable_sigmoid(z[..., 0], ws.scope("sigmoid"))

@@ -471,34 +471,18 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
                team: TeamConfig | None = None,
                train_cfg: TrainConfig | None = None,
                jobs: int = 1) -> list[SweepResult]:
-    """Train and score every approach across seeds and query costs.
+    """Train and score every approach across seeds and query costs: one
+    SweepResult per approach, in name order.
 
     Fixed approaches rebuild their query mechanism per cost; joint
-    approaches train once per cost weight in `lambda_grid` at the median
-    cost and each cost point keeps the variant with the lowest validation
-    total loss. Each work unit trains its seeds, with every variant of
-    their grids (the λ values of a joint approach, fixed-disc's per-cost
-    query policies), in lockstep as one replica stack; each seed draws its
-    own minibatches and dropout masks, which its variants share, so every
-    result is identical to training that seed and variant on its own. A
-    variant that diverges fails its seed's whole cell. When both VOI
-    approaches run, they are one work unit: one fixed-VOI training per
-    seed is scored as fixed-voi and warm-starts joint-voi. A failing
-    approach or seed fails only its own cell, with the error its one-seed
-    run gives; failed cells are logged, skipped in the averages and listed
-    in each result's `failures`, and each result's `seeds` lists the seeds
-    its averages cover, in config order.
-    A work unit is an approach, or the VOI pair, over one contiguous
-    group of seeds (`_work_plan`): every approach's seeds are cut into as
-    few groups as keep each within MAX_STACK_SEEDS, serial or not, and
-    into more only when fewer units train than `jobs`, so that each
-    worker can get one. With `jobs` > 1 the units run in a process pool
-    of at most `jobs` workers, and no more workers than units; each
-    worker gets the dataset once, as it starts, and each unit only its
-    approaches and seeds. A unit whose worker dies fails its cells and
-    the other units keep theirs.
-    Each finished unit logs one line with its approaches, seeds, wall
-    seconds and failed-cell count. Negative or non-finite costs or λ
+    approaches train one variant per λ in `lambda_grid` at the median
+    cost, and each cost keeps the variant with the lowest validation
+    total loss. A failed cell (one approach at one seed) fails alone: it
+    is logged, left out of its result's averages and `seeds`, and listed
+    in its `failures`. With `jobs` > 1 the work units (`_work_plan`) run
+    in a pool of at most `jobs` processes; the reports do not depend on
+    it. README.md ("Command line") describes the work units, the seed
+    stacks, the pool and the failures. Negative or non-finite costs or λ
     values, a seed that is not a non-negative integer, a repeated seed,
     and `jobs` < 1 raise ConfigError before any cell starts.
     """
@@ -598,7 +582,9 @@ class ErrorRegionTree:
 
     Interior nodes route x[feature_index] <= threshold to `left`; leaves
     carry `leaf_stats`: instance fraction, human error rate, and each
-    named system's machine error rate on the leaf.
+    named system's machine error rate on the leaf. The fields are in the
+    key order of `error_tree.json`, which holds `dataclasses.asdict` of
+    the tree.
     """
 
     feature_index: int | None = None
@@ -697,15 +683,6 @@ def human_error_tree(dataset: Dataset, parts: dict | None = None,
                                grow(idx[~goes_left], depth + 1))
 
     return grow(np.arange(n), 0)
-
-
-def tree_to_dict(tree: ErrorRegionTree) -> dict:
-    if tree.is_leaf:
-        return {"feature_index": None, "threshold": None, "left": None,
-                "right": None, "leaf_stats": tree.leaf_stats}
-    return {"feature_index": tree.feature_index, "threshold": tree.threshold,
-            "left": tree_to_dict(tree.left), "right": tree_to_dict(tree.right),
-            "leaf_stats": None}
 
 
 # --- report emission -------------------------------------------------------

@@ -1,20 +1,23 @@
 """Differentiable MLP core: forward passes, loss gradients, SGD, checks.
 
 Models are plain dataclasses of float64 arrays. Every trainer runs through
-`fit_stack`, the package's one SGD function. It steps a stack of R
-same-shaped replicas (`stack_models`): the variants of one or more
-independent runs, each run on its own minibatches, which its variants
-share; a single training is the R=1 stack. `fit_stack` stacks the
-trainer's networks, draws each run's rows and masks a block of steps at a
-time, updates the stacks in place with `sgd_step`, so the caller's models
-are left as they were, and returns the fitted models per run. Training
-losses are closed-form: each returns its per-instance values and a
-backward function (see `loss_and_grad`) written by hand on top of the one
-`mlp_forward` / `mlp_backward` pair. Each fit has one `Workspace`: the
-loss computes its (replicas, rows, ...) arrays into it and each block of
-step inputs is drawn into it, so a fit's steps after its first allocate
-no large array. The contract for every loss in this package is agreement
-with central finite differences (see `finite_diff_check`).
+`fit_stack`, the package's one SGD function. It steps a stack of
+same-shaped replicas: S independent runs of G variants each, each run on
+its own minibatches, which its variants share. Replicas cross a module
+boundary in one layout only, `models[s][g]`, a list per run of its
+variants; `stack_models` builds the (S, G) stack from it and
+`unstack_models` returns it, and a single training is the one-run,
+one-variant case. `fit_stack` stacks the trainer's networks, draws each
+run's rows and masks a block of steps at a time, updates the stacks in
+place with `sgd_step`, so the caller's models are left as they were, and
+returns the fitted models per run. Training losses are closed-form: each
+returns its per-instance values and a backward function (see
+`loss_and_grad`) written by hand on top of the one `mlp_forward` /
+`mlp_backward` pair. Each fit has one `Workspace`: the loss computes its
+(replicas, rows, ...) arrays into it and each block of step inputs is
+drawn into it, so a fit's steps after its first allocate no large array.
+The contract for every loss in this package is agreement with central
+finite differences (see `finite_diff_check`).
 """
 
 from __future__ import annotations
@@ -284,9 +287,9 @@ def _check_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 def logits_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Pre-head activations for a batch, without dropout: the training
-    forward pass of the model as a one-replica stack."""
-    return mlp_forward(stack_models([model]), _check_input(model, X), None,
-                       Workspace())[0][0]
+    forward pass of the model as a one-run, one-variant stack."""
+    return mlp_forward(stack_models([[model]]), _check_input(model, X), None,
+                       Workspace())[0][0, 0]
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -405,12 +408,12 @@ def loss_and_grad(models: dict[str, MlpModel], batch, loss_fn,
 
     `loss_fn(models, batch, ws)` receives {name: replica stack} and a
     workspace for its arrays, and returns
-    `(per_instance, backward)`: the per-instance losses, (R, n) or
-    (S, G, n) as `mlp_forward` lays out the replicas, and a function
+    `(per_instance, backward)`: the per-instance losses, (S, G, n) as
+    `mlp_forward` lays out the replicas, and a function
     mapping dL/d(per_instance), which it only reads, to {name:
     GradientSet} of fresh arrays. Each replica's
     loss is its own mean over the n instances (scaled by 1/n, not
-    1/(R*n)), so its gradient is the one it would get alone; the
+    1/(S*G*n)), so its gradient is the one it would get alone; the
     returned loss is the sum of those means. Models absent from `models`
     (e.g. frozen calibrators, which enter the loss as constants) receive
     no gradient. A non-finite per-instance loss raises NumericError
@@ -458,52 +461,50 @@ def sgd_step(model: MlpModel, grads: GradientSet, learning_rate: float
     return model
 
 
-def stack_models(models, runs: int | None = None) -> MlpModel:
-    """R models of one architecture as a single replica stack.
-
-    Weights become (R, fan_in, fan_out) and biases (R, 1, fan_out), so one
-    (n, d) batch flows through every replica as one batched matmul. With
-    `runs` S, the models are the G = R / S variants of each of S runs,
-    run-major, and stack on two replica axes: weights (S, G, fan_in,
-    fan_out) and biases (S, G, 1, fan_out), so that each run's rows reach
-    its own variants (see `mlp_forward`).
+def stack_models(models) -> MlpModel:
+    """S runs of G variants of one architecture, `models[s][g]`, as one
+    replica stack: weights (S, G, fan_in, fan_out) and biases (S, G, 1,
+    fan_out), so that each run's rows reach its own variants (see
+    `mlp_forward`). Runs with unequal variant counts raise ShapeError.
     """
-    first = models[0]
-    for m in models[1:]:
+    first = models[0][0]
+    if any(len(run) != len(models[0]) for run in models):
+        raise ShapeError("stacked runs must have equal variant counts")
+    flat = [m for run in models for m in run]
+    for m in flat[1:]:
         if (m.layer_dims, m.output_head, m.dropout_rate) != \
                 (first.layer_dims, first.output_head, first.dropout_rate):
             raise ShapeError("stacked models must share one architecture")
-    lead = (len(models),) if runs is None else (runs, len(models) // runs)
+    lead = (len(models), len(models[0]))
     weights = [np.stack(ws).reshape(lead + ws[0].shape)
-               for ws in zip(*(m.weights for m in models))]
+               for ws in zip(*(m.weights for m in flat))]
     biases = [np.stack(bs).reshape(lead + (1,) + bs[0].shape)
-              for bs in zip(*(m.biases for m in models))]
+              for bs in zip(*(m.biases for m in flat))]
     return replace(first, weights=weights, biases=biases)
 
 
-def unstack_models(stacked: MlpModel) -> list[MlpModel]:
-    """The per-replica models of a stack, run-major, as independent
+def unstack_models(stacked: MlpModel) -> list[list[MlpModel]]:
+    """The models of an (S, G) stack, `models[s][g]`, as independent
     copies."""
-    lead = stacked.weights[0].shape[:-2]
-    return [replace(stacked, weights=[w[r].copy() for w in stacked.weights],
-                    biases=[b[r][0].copy() for b in stacked.biases])
-            for r in np.ndindex(lead)]
+    S, G = stacked.weights[0].shape[:2]
+    return [[replace(stacked,
+                     weights=[w[s, g].copy() for w in stacked.weights],
+                     biases=[b[s, g, 0].copy() for b in stacked.biases])
+             for g in range(G)] for s in range(S)]
 
 
-def _untrained(start: dict[str, np.ndarray], fitted: dict[str, MlpModel],
-               G: int) -> tuple | None:
+def _untrained(start: dict[str, np.ndarray], fitted: dict[str, MlpModel]
+               ) -> tuple | None:
     """(run, network, variant) of the first replica, in run, then network,
     then variant order, with a network whose first-layer weights in
     `fitted` are bit-identical to their `start`; None if there is none.
-    The stacks have G variants per run.
 
     Only the first layer is compared: on saturated inputs the rows whose
     first hidden layer is all off still pass a gradient to the layers
     above, so those move, while the network learns nothing of its inputs.
     """
-    unchanged = np.stack([
-        np.reshape((m.weights[0] == start[name]).all(axis=(-2, -1)), (-1, G))
-        for name, m in fitted.items()])  # (networks, runs, variants)
+    unchanged = np.stack([(m.weights[0] == start[name]).all(axis=(-2, -1))
+                          for name, m in fitted.items()])  # (nets, S, G)
     if not unchanged.any():
         return None
     run = int(np.argmax(unchanged.any(axis=(0, 2))))
@@ -583,11 +584,6 @@ def block_rows(fields, rngs, B: int, lead: tuple, steps: int,
     return blocks
 
 
-def by_run(items: list, G: int) -> list[list]:
-    """A run-major list of per-replica items, split into each run's G."""
-    return [items[i:i + G] for i in range(0, len(items), G)]
-
-
 def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
               what: str, variant_labels=None, *, batch, on_step=None,
               rows) -> dict[str, list[list[MlpModel]]]:
@@ -631,8 +627,7 @@ def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
         return "" if variant_labels is None else \
             f" ({variant_labels[variant]})"
 
-    models = {name: stack_models([m for run in ms for m in run], S)
-              for name, (ms, _, _) in nets.items()}
+    models = {name: stack_models(ms) for name, (ms, _, _) in nets.items()}
     start = {name: m.weights[0].copy() for name, m in models.items()}
     for it in range(cfg.iterations):
         t = it % BLOCK_STEPS
@@ -656,13 +651,13 @@ def fit_stack(nets: dict, fields, rngs, B: int, loss_fn, cfg: TrainConfig,
             sgd_step(m, grads[name], cfg.learning_rate)
         if on_step is not None:
             on_step(it, models)
-    stuck = _untrained(start, models, G)
+    stuck = _untrained(start, models)
     if stuck is not None:
         run, name, variant = stuck
         raise TrainingError(f"{what} did not train: the input weights of"
                             f" {name!r} never moved{labelled(variant)}",
                             run=run)
-    return {name: by_run(unstack_models(m), G) for name, m in models.items()}
+    return {name: unstack_models(m) for name, m in models.items()}
 
 
 def finite_diff_check(models: dict[str, MlpModel], batch, loss_fn) -> float:

@@ -9,6 +9,11 @@ all three networks end-to-end through softened maxima and a soft query
 probability, refreshing the frozen Platt calibrators every
 `calibration_interval` iterations. Decision time always uses the exact
 (hard) rule.
+
+Joint training holds its replicas as `numerics` does, nested per run:
+the networks as models[s][g] and the calibrators as cals[s][g], the
+(alpha, beta, gamma) triple of variant g of run s, which
+`joint_calibrator` tiles into the (S, G, rows, K) parameters of a step.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .discriminative import (DecisionParts, TeamConfig, derive_rng,
                              mixture_loss, train_solo_model,
                              utility_loss_weights)
 from .errors import InputError, StateError
-from .numerics import (MlpModel, TrainConfig, Workspace, by_run, fit_stack,
+from .numerics import (MlpModel, TrainConfig, Workspace, fit_stack,
                        flat_view, label_index, logits_batch, mlp_backward,
                        mlp_forward, shared_batch_size, stable_sigmoid,
                        stable_softmax, sum_last, unstack_models)
@@ -203,39 +208,23 @@ def _soft_max(eu: np.ndarray, tau: float, ws: Workspace):
     return u, backward
 
 
-def _stack_calibrators(cals) -> PlattCalibrator:
-    """One calibrator per replica, stacked on a leading replica axis:
-    (R, 1, K) parameters, which `calibrate_batch` broadcasts over a
-    replica stack's (R, n, K) logits and `joint_calibrator` tiles per
-    row."""
-    return PlattCalibrator(np.stack([c.a for c in cals])[:, None, :],
-                           np.stack([c.b for c in cals])[:, None, :],
-                           np.stack([c.degenerate for c in cals])[:, None, :])
-
-
 def joint_calibrator(cals, B: int) -> PlattCalibrator:
-    """The (alpha, beta, gamma) calibrators as one calibrator with a row
-    of parameters per logit row of a B-instance joint batch, laid out
-    [alpha (B) | gamma (B*K) | beta (B)] as `joint_voi_loss_fn` stacks
-    the heads' logits.
+    """The calibrators of an (S, G) replica stack, `cals[s][g]` the
+    (alpha, beta, gamma) triple of replica g of run s, as one calibrator
+    with (S, G, rows, K) parameters: a row of parameters per logit row of
+    a B-instance joint batch, laid out [alpha (B) | gamma (B*K) | beta
+    (B)] as `joint_voi_loss_fn` stacks the heads' logits.
 
-    Each of `cals` holds (K,) parameters shared by every replica or
-    (R, 1, K) ones from `_stack_calibrators`; the result is (rows, K) or
-    (R, rows, K). Calibrating against parameters already at the logits'
-    shape gives the bits that broadcasting gives, without numpy's short
-    inner loops over K; a trainer builds it once per refit.
+    Calibrating against parameters already at the logits' shape gives the
+    bits that broadcasting gives, without numpy's short inner loops over
+    K; a trainer builds it once per refit.
     """
-    cal_a, cal_b, cal_g = cals
-    K = cal_a.num_classes
-    heads = ((cal_a, B), (cal_g, B * K), (cal_b, B))
-    lead = np.broadcast_shapes(*(c.a.shape[:-2] for c, _ in heads))
-
     def tiled(field):
-        # C order: concatenating broadcast views picks a strided layout,
-        # which every elementwise result of the head would inherit
-        return np.ascontiguousarray(np.concatenate(
-            [np.broadcast_to(getattr(c, field), lead + (n, K))
-             for c, n in heads], axis=-2))
+        # a fresh C-ordered array, whose layout every elementwise result
+        # of the head inherits
+        heads = np.array([[[getattr(c, field) for c in (a, g, b)]
+                           for a, b, g in run] for run in cals])
+        return np.repeat(heads, (B, B * heads.shape[-1], B), axis=-2)
 
     return PlattCalibrator(tiled("a"), tiled("b"), tiled("degenerate"))
 
@@ -255,7 +244,7 @@ def joint_voi_batch(X: np.ndarray, h: np.ndarray, y: np.ndarray,
 
 
 def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
-    """Per-instance joint soft-VOI loss for fit / finite_diff_check.
+    """Per-instance joint soft-VOI loss for fit_stack / finite_diff_check.
 
     Follows the `loss_and_grad` contract on replica stacks {"alpha",
     "beta", "gamma"} and a _JointBatch, through the soft pipeline:
@@ -420,30 +409,28 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
             for i, (name, drop, rows) in enumerate(
                 zip(_PARTS, STREAM_JOINT_DROP, (B, B, B * K)))}
 
-    def batch_calibrator(cals):
-        joint = joint_calibrator([_stack_calibrators(c) for c in zip(*cals)],
-                                 B)
-        # (R, rows, K) viewed as the (S, G, rows, K) of the logits
-        return PlattCalibrator(*(a.reshape(S, G, *a.shape[1:]) for a in (
-            joint.a, joint.b, joint.degenerate)))
-
-    # per replica, run-major
-    cals = [tuple(p.calibrator for p in parts)
-            for parts in starts for _ in cost_weights]
-    cal = batch_calibrator(cals)
+    # per run, each variant's (cal_a, cal_b, cal_g)
+    cals = [[tuple(p.calibrator for p in parts)] * G for parts in starts]
+    cal = joint_calibrator(cals, B)
 
     def refit(replicas):
-        # each replica refits its own (cal_a, cal_b, cal_g) on its
-        # networks and its run's held-out slice
+        # each replica refits its own calibrators on its (alpha, beta,
+        # gamma) networks and its run's held-out slice
         nonlocal cal, cals
-        cals = [_refit_calibrators(*r, splits[i // G][1], prev)
-                for i, (r, prev) in enumerate(zip(replicas, cals))]
-        cal = batch_calibrator(cals)
+        cals = [[_refit_calibrators(*m, calib_ds, prev)
+                 for m, prev in zip(run, run_cals)]
+                for run, (_, calib_ds), run_cals in zip(replicas, splits,
+                                                        cals)]
+        cal = joint_calibrator(cals, B)
+
+    def per_replica(fitted):
+        # models[s][g] of each network as (alpha, beta, gamma) triples
+        return [list(zip(*run)) for run in zip(*(fitted[p] for p in _PARTS))]
 
     def on_step(it, models):
         if (it + 1) % cfg.calibration_interval == 0 and it + 1 < cfg.iterations:
-            refit(list(zip(*(unstack_models(models[name])
-                             for name in _PARTS))))
+            refit(per_replica({p: unstack_models(models[p])
+                               for p in _PARTS}))
 
     # each step's batch takes the latest refit's calibrators, and writes
     # its x columns into gamma rows whose one-hot block is written once
@@ -457,11 +444,9 @@ def train_joint_voi(runs, team: TeamConfig, cost_weights
         batch=lambda rows: joint_voi_batch(*rows[:3], w, cal, rows[3:],
                                            gamma_rows),
         on_step=on_step, rows=[ds.rows for ds, _ in splits])
-    replicas = list(zip(*([m for run in fitted[name] for m in run]
-                          for name in _PARTS)))
+    replicas = per_replica(fitted)
     refit(replicas)  # the final refit sets cals
-    return [[VoiSystem(*map(CalibratedModel, r, triple), team,
+    return [[VoiSystem(*map(CalibratedModel, m, triple), team,
                        replace(run_cfg, cost_weight=lam))
-             for r, triple, lam in zip(run_replicas, run_cals, cost_weights)]
-            for (_, run_cfg, _), run_replicas, run_cals in zip(
-                runs, by_run(replicas, G), by_run(cals, G))]
+             for m, triple, lam in zip(run, run_cals, cost_weights)]
+            for (_, run_cfg, _), run, run_cals in zip(runs, replicas, cals)]

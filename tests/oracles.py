@@ -8,6 +8,7 @@ training loss on the reverse-mode tape so its closed-form gradient can be.
 import numpy as np
 
 from teamopt import tape
+from teamopt.calibration import PlattCalibrator
 from teamopt.data import Dataset
 from teamopt.discriminative import DecisionParts, mixture_loss
 from teamopt.numerics import (PROB_CLAMP, GradientSet, Workspace,
@@ -118,7 +119,7 @@ def apply_mlp(nodes, X, masks=None):
     `nodes` are (W, b) pairs from `param_nodes`; `masks` are pre-sampled
     dropout masks (constants on the tape) or None for eval behaviour. The
     (n, d) input and the (n, dim) masks are shared by every replica of a
-    stack and the logits are (R, n, K).
+    stack and the logits are (S, G, n, K).
     """
     h = tape.constant(X)
     last = len(nodes) - 1
@@ -142,13 +143,23 @@ def grads_of(nodes):
 
 def tape_loss_and_grad(models, batch, loss_fn):
     """(per-instance losses, {name: GradientSet}) of a tape loss
-    `loss_fn(params, batch)` returning an (R, n) node."""
+    `loss_fn(params, batch)` returning an (S, G, n) node."""
     params = {name: param_nodes(m) for name, m in models.items()}
     per_instance = loss_fn(params, batch)
     loss = tape.sum_(per_instance) * (1.0 / per_instance.shape[-1])
     tape.backward(loss)
     return per_instance.data, {name: grads_of(nodes)
                                for name, nodes in params.items()}
+
+
+def stacked_calibrators(cals):
+    """The (alpha, beta, gamma) calibrators of `cals[s][g]` triples, as
+    three calibrators with (S, G, 1, K) parameters, which broadcast over
+    the heads' (S, G, rows, K) logits instead of being tiled per row as
+    `voi.joint_calibrator` tiles them."""
+    return tuple(PlattCalibrator(*(
+        np.array([[getattr(t[i], f) for t in run] for run in cals])[
+            :, :, None] for f in ("a", "b", "degenerate"))) for i in range(3))
 
 
 def calibrated_node(logits, cal):
@@ -158,8 +169,8 @@ def calibrated_node(logits, cal):
 
 
 def mixture_nodes(q_node, m_probs, onehot_h, onehot_y, w_y, cost_term):
-    """Per-instance mixture loss; `cost_term` is lambda * c, a float or an
-    (R, 1) column with one value per replica."""
+    """Per-instance mixture loss; `cost_term` is lambda * c, a float or a
+    (G, 1) column with one value per variant."""
     q_col = tape.reshape(q_node, q_node.shape + (1,))
     mix = q_col * tape.constant(onehot_h) + (1.0 - q_col) * m_probs
     p_true = tape.sum_(mix * tape.constant(onehot_y), axis=-1)
@@ -221,17 +232,18 @@ def joint_disc_tape(team, cost_weights, h):
 
 def joint_voi_tape(team, cfg, cost_weights, cals):
     """Tape form of `joint_voi_loss_fn` on a `joint_voi_batch`, with the
-    heads calibrated by the (alpha, beta, gamma) calibrators `cals` that
-    the batch's `joint_calibrator` was built from."""
+    heads calibrated by `cals[s][g]`, the (alpha, beta, gamma) triples
+    that the batch's `joint_calibrator` was built from."""
     tau = cfg.softmax_temperature
     lam_c = np.asarray(cost_weights, dtype=np.float64)[:, None] \
         * team.query_cost
     Ut = team.utility.T.copy()
     eye = np.eye(team.num_classes)
 
+    cal_a, cal_b, cal_g = stacked_calibrators(cals)
+
     def loss_fn(params, batch):
         B, K = len(batch.y), Ut.shape[0]
-        cal_a, cal_b, cal_g = cals
         pa = calibrated_node(apply_mlp(params["alpha"], batch.X,
                                        batch.masks_a), cal_a)
         pb = calibrated_node(apply_mlp(params["beta"], batch.X,
@@ -262,15 +274,15 @@ def joint_voi_tape(team, cfg, cost_weights, cals):
 
 def joint_voi_three_pass(team, cfg, cost_weights, cals):
     """`joint_voi_loss_fn` as three separate head passes: each head's
-    logits calibrated on their own by its calibrator in `cals` (broadcast,
-    not tiled per row), and a softened maximum each for alpha and gamma.
-    The package's one-pass form must match it bit for bit."""
+    logits calibrated on their own by its calibrators in `cals[s][g]`
+    (broadcast, not tiled per row), and a softened maximum each for alpha
+    and gamma. The package's one-pass form must match it bit for bit."""
     tau = cfg.softmax_temperature
     lam_c = (np.asarray(cost_weights, dtype=np.float64)[:, None]
              * team.query_cost)
     U = team.utility
     Ut = U.T.copy()
-    cal_a, cal_b, cal_g = cals
+    cal_a, cal_b, cal_g = stacked_calibrators(cals)
 
     def loss_fn(models, batch):
         B, K = len(batch.y), Ut.shape[0]
@@ -283,27 +295,27 @@ def joint_voi_three_pass(team, cfg, cost_weights, cals):
                                   ws.scope("beta"))
         zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
                                   batch.masks_g, ws.scope("gamma"))
-        pa, back_a = _calibrated(za, cal_a, ws.scope("pa"))  # (R, B, K)
+        pa, back_a = _calibrated(za, cal_a, ws.scope("pa"))  # (S, G, B, K)
         pb, back_b = _calibrated(zb, cal_b, ws.scope("pb"))
-        pg, back_g = _calibrated(zg, cal_g, ws.scope("pg"))  # (R, B*K, K)
+        pg, back_g = _calibrated(zg, cal_g, ws.scope("pg"))  # (.., B*K, K)
         u_nq, back_nq = _soft_max(pa @ Ut, tau, ws.scope("u_nq"))  # actions
         inner, back_inner = _soft_max(pg @ Ut, tau, ws.scope("inner"))
-        inner = inner.reshape(inner.shape[:-1] + (B, K))  # (R, B, K)
+        inner = inner.reshape(inner.shape[:-1] + (B, K))  # (S, G, B, K)
         u_q = sum_last(pb * inner)
         q = stable_sigmoid((u_q - u_nq) * (1.0 / tau), ws.scope("q"))
-        per, mix_backward = mixture_loss(q, pg[:, h_rows, batch.y],
-                                         pa[:, rows, batch.y], batch.w_y,
+        per, mix_backward = mixture_loss(q, pg[..., h_rows, batch.y],
+                                         pa[..., rows, batch.y], batch.w_y,
                                          lam_c, ws.scope("mix"))
 
         def backward(g):
             dq, d_pg_hy, d_pa_y = mix_backward(g)
             d_gap = dq * q * (1.0 - q) * (1.0 / tau)  # d(u_q - u_nq)
             d_pa = back_nq(-d_gap) @ U
-            d_pa[:, rows, batch.y] += d_pa_y
+            d_pa[..., rows, batch.y] += d_pa_y
             d_inner = d_gap[..., None] * pb
             d_pg = back_inner(d_inner.reshape(d_inner.shape[:-2] + (B * K,))
                               ) @ U
-            d_pg[:, h_rows, batch.y] += d_pg_hy
+            d_pg[..., h_rows, batch.y] += d_pg_hy
             return {"alpha": mlp_backward(cache_a, back_a(d_pa)),
                     "beta": mlp_backward(cache_b,
                                          back_b(d_gap[..., None] * inner)),

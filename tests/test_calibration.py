@@ -414,7 +414,12 @@ def test_ece_bounds_and_validation():
     with pytest.raises(ConfigError):
         expected_calibration_error(np.ones((2, 2)) / 2, np.zeros(2), bins=0)
     with pytest.raises(InputError):
-        expected_calibration_error(np.ones((2, 2)) / 2, np.zeros(3))
+        expected_calibration_error(np.ones((2, 2)) / 2, np.zeros(3, int))
+    preds = np.array([[0.9, 0.1], [0.2, 0.8]])
+    for labels in (np.array([[0, 1], [1, 0]]),  # one label per row only
+                   np.array([0.5, 1.0])):  # class indices, not weights
+        with pytest.raises(InputError, match="labels"):
+            expected_calibration_error(preds, labels)
     for bad in (np.nan, np.inf):  # no bin may silently drop a row
         with pytest.raises(InputError, match="non-finite"):
             expected_calibration_error(np.array([[bad, bad], [0.9, 0.1]]),

@@ -74,6 +74,7 @@ MALFORMED = [
     {"dataset": {"synthetic": {"n": "x"}}},
     {"train": {"hidden_dims": 8}},
     {"dataset": []},
+    {"dataset": {"csv": "tiny.csv", "num_classes": 1}},  # no team of one
 ]
 
 

@@ -321,6 +321,14 @@ def test_load_csv_small_hand_file(tmp_path):
     assert np.allclose(ds.X[2], [0.5, 0.6])
 
 
+@pytest.mark.parametrize("num_classes", [0, 1, -3])
+def test_load_csv_rejects_fewer_than_two_classes_before_reading(tmp_path,
+                                                                num_classes):
+    # the count is at fault, not the file, which is not even opened
+    with pytest.raises(ConfigError, match="num_classes"):
+        load_csv(tmp_path / "absent.csv", num_classes)
+
+
 def test_load_csv_range_error_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,y,h\n0.1,0,0\n0.2,1,5\n")

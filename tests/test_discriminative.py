@@ -39,7 +39,7 @@ def joint_loss(m_dist, q_val, h, y, team, cost_weight):
     w = utility_loss_weights(team)
     batch = (np.ones((1, 1)), np.array([y]), np.array([float(h == y)]),
              w[[y]], None, None)
-    return loss_value({"m": stack_models([m]), "q": stack_models([q])},
+    return loss_value({"m": stack_models([[m]]), "q": stack_models([[q]])},
                       batch, joint_disc_loss_fn(team, (cost_weight,)),
                       Workspace())
 
@@ -70,6 +70,9 @@ def models_equal(a, b):
 def test_team_config_validation():
     for utility in (np.zeros((2, 3)), 5.0, np.ones(3)):
         with pytest.raises(InputError, match="square"):
+            TeamConfig(utility)
+    for utility in (np.zeros((0, 0)), np.ones((1, 1))):  # no team of one
+        with pytest.raises(InputError, match="2x2"):
             TeamConfig(utility)
     with pytest.raises(InputError):
         TeamConfig(np.array([[1.0, np.inf], [0.0, 1.0]]))

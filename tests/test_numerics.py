@@ -53,7 +53,7 @@ def constant_loss(values, X):
     """A loss whose per-instance values ignore the parameters."""
     def loss_fn(models, batch, ws):
         z, cache = mlp_forward(models["m"], X, None, ws)
-        return np.asarray(values, dtype=np.float64)[None, :], \
+        return np.asarray(values, dtype=np.float64)[None, None, :], \
             lambda g: {"m": mlp_backward(cache, np.zeros_like(z))}
     return loss_fn
 
@@ -259,8 +259,8 @@ def test_last_axis_reductions_match_numpy_bit_for_bit():
 # --- closed-form MLP backward, loss_and_grad, finite_diff_check ----------
 
 def ce_case(rng, n, K=3, d=4, hidden=(8,)):
-    m = stack_models([init_mlp((d, *hidden, K), SOFTMAX_HEAD, rng,
-                               dropout_rate=0.0)])
+    m = stack_models([[init_mlp((d, *hidden, K), SOFTMAX_HEAD, rng,
+                                dropout_rate=0.0)]])
     X = rng.standard_normal((n, d))
     return m, (X, rng.integers(0, K, n), np.ones(n), None)
 
@@ -268,9 +268,9 @@ def ce_case(rng, n, K=3, d=4, hidden=(8,)):
 def test_ce_of_exact_onehot_is_zero_with_zero_grads():
     # logits (0, -1000) on target 0 and (-1000, 0) on target 1: softmax
     # puts exactly 1 on each target, so CE and its gradient vanish
-    m = stack_models([MlpModel((2, 2), [np.array([[0.0, -1000.0],
-                                                  [-1000.0, 0.0]])],
-                               [np.zeros(2)], SOFTMAX_HEAD, 0.0)])
+    m = stack_models([[MlpModel((2, 2), [np.array([[0.0, -1000.0],
+                                                   [-1000.0, 0.0]])],
+                                [np.zeros(2)], SOFTMAX_HEAD, 0.0)]])
     batch = (np.eye(2), np.array([0, 1]), np.ones(2), None)
     loss, grads = loss_and_grad({"m": m}, batch, solo_ce_loss, Workspace())
     assert loss == 0.0
@@ -278,8 +278,8 @@ def test_ce_of_exact_onehot_is_zero_with_zero_grads():
 
 
 def test_constant_loss_has_zero_gradient():
-    m = stack_models([init_mlp((3, 4, 2), SOFTMAX_HEAD,
-                               np.random.default_rng(5))])
+    m = stack_models([[init_mlp((3, 4, 2), SOFTMAX_HEAD,
+                                np.random.default_rng(5))]])
     loss, grads = loss_and_grad({"m": m}, None,
                                 constant_loss([1.0, 2.0, 3.0], np.ones((3, 3))),
                                 Workspace())
@@ -288,7 +288,7 @@ def test_constant_loss_has_zero_gradient():
 
 
 def test_nonfinite_loss_reports_instance_index():
-    m = stack_models([zero_model(2, 2)])
+    m = stack_models([[zero_model(2, 2)]])
     vec = np.array([1.0, 1.0, 0.0, 1.0])
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError) as info:
@@ -307,7 +307,7 @@ def test_ce_gradient_matches_finite_differences():
 
 def test_fd_check_linear_squared_error_near_machine_precision():
     rng = np.random.default_rng(9)
-    m = stack_models([init_mlp((3, 2), SOFTMAX_HEAD, rng)])  # one layer
+    m = stack_models([[init_mlp((3, 2), SOFTMAX_HEAD, rng)]])  # one layer
     X = rng.standard_normal((4, 3))
     T = rng.standard_normal((4, 2))
 
@@ -321,15 +321,15 @@ def test_fd_check_linear_squared_error_near_machine_precision():
 
 
 def test_mlp_backward_matches_finite_differences_with_dropout():
-    # two hidden layers, dropout masks and R=2 replicas with distinct
+    # two hidden layers, dropout masks and two variants with distinct
     # parameters: a linear read-out of the logits checks the whole stack
     rng = np.random.default_rng(15)
-    m = stack_models([init_mlp((3, 6, 5, 2), SOFTMAX_HEAD, rng, 0.3)
-                      for _ in range(2)])
+    m = stack_models([[init_mlp((3, 6, 5, 2), SOFTMAX_HEAD, rng, 0.3)
+                       for _ in range(2)]])
     for b in m.biases:  # keep every unit off the ReLU kink at 0
         b += rng.uniform(0.1, 0.5, b.shape)
     X = rng.standard_normal((7, 3))
-    C = rng.standard_normal((2, 7, 2))
+    C = rng.standard_normal((1, 2, 7, 2))
     [masks] = sample_dropout_masks(m, 7, rng, ws=Workspace(), steps=1)
 
     def read_out(models, batch, ws):
@@ -429,8 +429,8 @@ def test_tape_broadcast_bias_gradient():
 # --- sgd_step -------------------------------------------------------------
 
 def test_sgd_zero_gradient_is_identity():
-    m = stack_models([init_mlp((3, 4, 2), SOFTMAX_HEAD,
-                               np.random.default_rng(1))])
+    m = stack_models([[init_mlp((3, 4, 2), SOFTMAX_HEAD,
+                                np.random.default_rng(1))]])
     _, grads = loss_and_grad({"m": m}, None,
                              constant_loss([0.0, 0.0], np.ones((2, 3))),
                              Workspace())
@@ -439,8 +439,8 @@ def test_sgd_zero_gradient_is_identity():
 
 
 def one_weight_model(value, K=1):
-    return stack_models([MlpModel((1, K), [np.full((1, K), value)],
-                                  [np.zeros(K)], SOFTMAX_HEAD)])
+    return stack_models([[MlpModel((1, K), [np.full((1, K), value)],
+                                   [np.zeros(K)], SOFTMAX_HEAD)]])
 
 
 def test_sgd_single_weight_arithmetic():
@@ -448,7 +448,7 @@ def test_sgd_single_weight_arithmetic():
     grads = loss_and_grad({"m": m}, None,
                           linear_loss(0.5, np.ones((1, 1))),
                           Workspace())[1]["m"]
-    assert sgd_step(m, grads, 0.1).weights[0][0, 0, 0] == 0.95
+    assert sgd_step(m, grads, 0.1).weights[0][0, 0, 0, 0] == 0.95
 
 
 def test_sgd_two_steps_accumulate_linearly():
@@ -461,8 +461,8 @@ def test_sgd_two_steps_accumulate_linearly():
 
 
 def test_sgd_shape_mismatch_rejected():
-    m = stack_models([zero_model(2, 2)])
-    bad = loss_and_grad({"m": stack_models([zero_model(3, 2)])}, None,
+    m = stack_models([[zero_model(2, 2)]])
+    bad = loss_and_grad({"m": stack_models([[zero_model(3, 2)]])}, None,
                         linear_loss(1.0, np.ones((1, 3))), Workspace())[1]["m"]
     with pytest.raises(ShapeError):
         sgd_step(m, bad, 0.1)
@@ -471,8 +471,8 @@ def test_sgd_shape_mismatch_rejected():
 def test_sgd_updates_the_model_in_place():
     # the bits of w - lr * g, written into the arrays of the stack passed in
     rng = np.random.default_rng(8)
-    m = stack_models([init_mlp((3, 5, 4, 2), SOFTMAX_HEAD, rng)
-                      for _ in range(2)])
+    m = stack_models([[init_mlp((3, 5, 4, 2), SOFTMAX_HEAD, rng)
+                       for _ in range(2)]])
     grads = GradientSet([rng.standard_normal(w.shape) for w in m.weights],
                         [rng.standard_normal(b.shape) for b in m.biases])
     arrays = m.weights + m.biases

@@ -32,9 +32,9 @@ from teamopt.numerics import (BLOCK_STEPS, SIGMOID_HEAD, SOFTMAX_HEAD,
                               block_rows, finite_diff_check, fit_stack,
                               init_mlp, loss_and_grad, sample_dropout_masks,
                               stable_softmax, stack_models, unstack_models)
-from teamopt.voi import (STREAM_ALPHA, STREAM_BETA, _stack_calibrators,
-                         joint_calibrator, joint_voi_batch, joint_voi_loss_fn,
-                         train_fixed_voi, train_joint_voi)
+from teamopt.voi import (STREAM_ALPHA, STREAM_BETA, joint_calibrator,
+                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
+                         train_joint_voi)
 
 LAMBDAS = (0.5, 2.0, 8.0)
 
@@ -68,21 +68,28 @@ def quiet():
 # --- stacking ---------------------------------------------------------------
 
 def test_stack_round_trip_and_shapes():
+    # models[s][g] in, (S, G) stacks, and models[s][g] back out
     rng = np.random.default_rng(0)
-    models = [init_mlp((4, 6, 3), SOFTMAX_HEAD, rng) for _ in range(3)]
+    models = [[init_mlp((4, 6, 3), SOFTMAX_HEAD, rng) for _ in range(2)]
+              for _ in range(3)]
     stacked = stack_models(models)
-    assert stacked.weights[0].shape == (3, 4, 6)
-    assert stacked.biases[1].shape == (3, 1, 3)
-    for a, b in zip(models, unstack_models(stacked)):
-        assert_models_identical(a, b)
-    with pytest.raises(ShapeError):
-        stack_models([models[0], init_mlp((4, 5, 3), SOFTMAX_HEAD, rng)])
+    assert stacked.weights[0].shape == (3, 2, 4, 6)
+    assert stacked.biases[1].shape == (3, 2, 1, 3)
+    back = unstack_models(stacked)
+    assert [len(run) for run in back] == [2, 2, 2]
+    for run, run_back in zip(models, back):
+        for a, b in zip(run, run_back):
+            assert_models_identical(a, b)
+    with pytest.raises(ShapeError, match="architecture"):
+        stack_models([[models[0][0], init_mlp((4, 5, 3), SOFTMAX_HEAD, rng)]])
+    with pytest.raises(ShapeError, match="variant counts"):
+        stack_models([models[0], models[1][:1], models[2]])
 
 
 def test_nonfinite_stacked_loss_names_replica_and_instance():
-    m = stack_models([init_mlp((2, 2), SOFTMAX_HEAD,
-                               np.random.default_rng(1))] * 2)
-    vec = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]])
+    m = stack_models([[init_mlp((2, 2), SOFTMAX_HEAD,
+                                np.random.default_rng(1))] * 2])
+    vec = np.array([[[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]]])
     with pytest.raises(NumericError) as info:
         loss_and_grad({"m": m}, None, lambda models, b, ws: (vec, None),
                       Workspace())
@@ -210,6 +217,15 @@ def test_runs_must_share_their_config_apart_from_the_seed():
 
 # --- the finite-difference contract holds per replica -----------------------
 
+def random_calibrators(rng, K, G):
+    """cals[s][g] of one run of G variants: an (alpha, beta, gamma)
+    triple of random calibrators per variant, drawn head by head."""
+    heads = [[PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
+                              np.zeros(K, dtype=bool)) for _ in range(G)]
+             for _ in range(3)]
+    return [list(zip(*heads))]
+
+
 def replica_case(seed):
     rng = np.random.default_rng(seed)
     K, d, hid, B, R = 3, 4, 5, 6, 3
@@ -222,21 +238,22 @@ def replica_case(seed):
 
 
 def stacked_mlps(rng, dims, head, R):
-    return stack_models([init_mlp(dims, head, rng, 0.0) for _ in range(R)])
+    # one run of R variants
+    return stack_models([[init_mlp(dims, head, rng, 0.0) for _ in range(R)]])
 
 
 def check_replica_independence(models, batch, loss_fn):
     _, before = loss_and_grad(models, batch, loss_fn, Workspace())
     for m in models.values():
         for arr in m.weights + m.biases:
-            arr[0] += 0.25
+            arr[0, 0] += 0.25
     _, after = loss_and_grad(models, batch, loss_fn, Workspace())
     moved = False
     for name in models:
         for g0, g1 in zip(before[name].weights + before[name].biases,
                           after[name].weights + after[name].biases):
-            assert np.array_equal(g0[1:], g1[1:])
-            moved |= not np.array_equal(g0[0], g1[0])
+            assert np.array_equal(g0[0, 1:], g1[0, 1:])
+            moved |= not np.array_equal(g0[0, 0], g1[0, 0])
     assert moved
 
 
@@ -258,12 +275,7 @@ def test_joint_voi_replicas_match_finite_differences():
               "beta": stacked_mlps(rng, (d, hid, K), SOFTMAX_HEAD, R),
               "gamma": stacked_mlps(rng, (d + K, hid, K), SOFTMAX_HEAD, R)}
 
-    def calibrators():
-        return _stack_calibrators([
-            PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
-                            np.zeros(K, dtype=bool)) for _ in range(R)])
-
-    cals = [calibrators() for _ in range(3)]  # alpha, beta, gamma
+    cals = random_calibrators(rng, K, R)
     batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
                             joint_calibrator(cals, len(y)))
     loss_fn = joint_voi_loss_fn(team, cfg, lams)
@@ -331,11 +343,12 @@ def oracle_case(seed, dropout=0.3):
     h = rng.integers(0, K, B)
 
     def stack(dims, head):
+        # one run of R variants
         models = [init_mlp(dims, head, rng, dropout) for _ in range(R)]
         for m in models:
             for b in m.biases:
                 b += rng.normal(0.0, 0.3, b.shape)
-        return stack_models(models)
+        return stack_models([models])
 
     return rng, team, X, y, h, (0.5, 1.5, 4.0), stack, (K, d, hid, B)
 
@@ -400,12 +413,7 @@ def test_joint_voi_loss_matches_tape_oracle():
               "beta": stack((d, hid, K), SOFTMAX_HEAD),
               "gamma": stack((d + K, hid, K), SOFTMAX_HEAD)}
 
-    def calibrators():
-        return _stack_calibrators([
-            PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
-                            np.zeros(K, dtype=bool)) for _ in range(3)])
-
-    cals = [calibrators() for _ in range(3)]  # alpha, beta, gamma
+    cals = random_calibrators(rng, K, 3)
     masks = tuple(step_masks(models[name], n, rng)
                   for name, n in (("alpha", B), ("beta", B), ("gamma", B * K)))
     batch = joint_voi_batch(X, h, y, utility_loss_weights(team),

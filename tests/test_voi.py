@@ -25,10 +25,10 @@ from teamopt.numerics import (BLOCK_STEPS, SIGMOID_HEAD, MlpModel,
                               TrainConfig, Workspace, finite_diff_check,
                               init_mlp, loss_and_grad, loss_value,
                               mlp_forward, sample_dropout_masks, stack_models)
-from teamopt.voi import (SCORE_BLOCK, _calibration_split, _stack_calibrators,
-                         gamma_all_input, gamma_input, joint_calibrator,
-                         joint_voi_batch, joint_voi_loss_fn, train_fixed_voi,
-                         train_joint_voi, voi_decision_parts)
+from teamopt.voi import (SCORE_BLOCK, _calibration_split, gamma_all_input,
+                         gamma_input, joint_calibrator, joint_voi_batch,
+                         joint_voi_loss_fn, train_fixed_voi, train_joint_voi,
+                         voi_decision_parts)
 
 # frozen: 0.9*sigmoid(0.8) + 0.1*(1 - sigmoid(0.8))
 SOFT_U_NQ_EXAMPLE = 0.6519795849020901
@@ -383,10 +383,10 @@ def test_joint_loss_matches_numpy_reference():
             system.p_gamma.calibrator)
     batch = joint_voi_batch(x[None, :], np.array([h]), np.array([y]),
                             utility_loss_weights(team),
-                            joint_calibrator(cals, 1))
-    models = {"alpha": stack_models([system.p_alpha.model]),
-              "beta": stack_models([system.p_beta.model]),
-              "gamma": stack_models([system.p_gamma.model])}
+                            joint_calibrator([[cals]], 1))
+    models = {"alpha": stack_models([[system.p_alpha.model]]),
+              "beta": stack_models([[system.p_beta.model]]),
+              "gamma": stack_models([[system.p_gamma.model]])}
     loss = loss_value(models, batch,
                       joint_voi_loss_fn(team, cfg, (cfg.cost_weight,)),
                       Workspace())
@@ -434,19 +434,20 @@ def test_joint_pipeline_gradients_match_finite_differences():
     }
     ds = toy_dataset(n=3)
     batch = joint_voi_batch(ds.X, ds.h, ds.y, utility_loss_weights(team),
-                            joint_calibrator((PlattCalibrator.identity(3),) * 3,
-                                             len(ds)))
-    stacks = {name: stack_models([m]) for name, m in models.items()}
+                            joint_calibrator(
+                                [[(PlattCalibrator.identity(3),) * 3]],
+                                len(ds)))
+    stacks = {name: stack_models([[m]]) for name, m in models.items()}
     assert finite_diff_check(stacks, batch, joint_voi_loss_fn(
         team, cfg, (cfg.cost_weight,))) < 1e-4
 
 
 def joint_bit_case(R, masked, stacked, underflow):
-    """An R-replica joint-VOI case: networks with dropout masks or none,
-    (K,) calibrators shared by the replicas or one per replica, and, with
-    `underflow`, instance 0's alpha logits so negative that every
-    calibrated sigmoid of its row underflows in the replicas where one of
-    its hidden units is active."""
+    """A joint-VOI case of one run of R variants: networks with dropout
+    masks or none, calibrators shared by the variants or one triple per
+    variant (`stacked`), and, with `underflow`, instance 0's alpha logits
+    so negative that every calibrated sigmoid of its row underflows in
+    the replicas where one of its hidden units is active."""
     rng = np.random.default_rng(17 + R)
     K, d, hid, B = 3, 4, 8, 7
     team = TeamConfig(np.eye(K) + 0.3 * rng.random((K, K)), 0.2)
@@ -454,8 +455,8 @@ def joint_bit_case(R, masked, stacked, underflow):
     X = rng.standard_normal((B, d))
     y, h = rng.integers(0, K, B), rng.integers(0, K, B)
     rate = 0.3 if masked else 0.0
-    models = {name: stack_models([init_mlp(dims, "softmax", rng, rate)
-                                  for _ in range(R)])
+    models = {name: stack_models([[init_mlp(dims, "softmax", rng, rate)
+                                   for _ in range(R)]])
               for name, dims in (("alpha", (d, hid, K)), ("beta", (d, hid, K)),
                                  ("gamma", (d + K, hid, K)))}
     if underflow:
@@ -467,11 +468,11 @@ def joint_bit_case(R, masked, stacked, underflow):
         return PlattCalibrator(rng.uniform(0.5, 1.5, K), rng.normal(0, 0.3, K),
                                np.zeros(K, dtype=bool))
 
-    if stacked:
-        cals = tuple(_stack_calibrators([calibrator() for _ in range(R)])
-                     for _ in range(3))
+    if stacked:  # drawn head by head
+        cals = [list(zip(*([calibrator() for _ in range(R)]
+                           for _ in range(3))))]
     else:
-        cals = tuple(calibrator() for _ in range(3))
+        cals = [[tuple(calibrator() for _ in range(3))] * R]
     masks = (None,) * 3
     if masked:
         masks = tuple(sample_dropout_masks(models[name], n, rng,
@@ -481,7 +482,7 @@ def joint_bit_case(R, masked, stacked, underflow):
     batch = joint_voi_batch(X, h, y, utility_loss_weights(team),
                             joint_calibrator(cals, B), masks)
     lams = tuple(rng.uniform(0.5, 4.0, R))
-    g = rng.uniform(0.0, 1.0, (R, B))
+    g = rng.uniform(0.0, 1.0, (1, R, B))
     return team, cfg, lams, cals, models, batch, g
 
 
@@ -500,9 +501,11 @@ def test_one_pass_joint_loss_equals_three_passes_bit_for_bit(R, masked,
         R, masked, stacked, underflow)
     low = calibrated_head(mlp_forward(models["alpha"], batch.X,
                                       batch.masks_a, Workspace())[0],
-                          cals[0], Workspace())[3]
+                          oracles.stacked_calibrators(cals)[0],
+                          Workspace())[3]
     if underflow:
-        assert low is not None and low[:, 0].any() and not low[:, 1:].any()
+        assert low is not None and low[..., 0].any() and \
+            not low[..., 1:].any()
     else:
         assert low is None
     per, backward = joint_voi_loss_fn(team, cfg, lams)(models, batch,
@@ -738,38 +741,40 @@ def test_each_joint_refit_starts_from_the_previous_calibrators(monkeypatch):
 
 
 def test_stacked_calibrator_reports_k_and_calibrates_each_replica():
+    # the joint calibrator of an (S, G) = (2, 1) stack calibrates each
+    # replica's head rows as that replica's own calibrator does
     rng = np.random.default_rng(12)
-    cals = [PlattCalibrator(rng.uniform(0.5, 2.0, 3), rng.normal(size=3),
-                            np.zeros(3, dtype=bool)),
-            PlattCalibrator.identity(3)]
-    stacked = _stack_calibrators(cals)
-    assert stacked.num_classes == 3
-    logits = rng.normal(size=(2, 4, 3))
+    B, K = 4, 3
+    cals = [[(PlattCalibrator(rng.uniform(0.5, 2.0, K), rng.normal(size=K),
+                              np.zeros(K, dtype=bool)),) * 3],
+            [(PlattCalibrator.identity(K),) * 3]]
+    stacked = joint_calibrator(cals, B)
+    assert stacked.num_classes == K
+    logits = rng.normal(size=(2, 1, B + B * K + B, K))
     got = calibrate_batch(logits, stacked)
-    for r, cal in enumerate(cals):
-        assert np.array_equal(got[r], calibrate_batch(logits[r], cal))
+    for s, [(cal, _, _)] in enumerate(cals):
+        assert np.array_equal(got[s, 0], calibrate_batch(logits[s, 0], cal))
 
 
 def test_joint_calibrator_tiles_each_head_per_row():
     rng = np.random.default_rng(13)
-    K, B, R = 3, 4, 2
+    K, B, S, G = 3, 4, 2, 3
 
     def calibrator():
         return PlattCalibrator(rng.uniform(0.5, 2.0, K), rng.normal(size=K),
                                rng.random(K) < 0.5)
 
-    shared = tuple(calibrator() for _ in range(3))  # alpha, beta, gamma
-    per_replica = [tuple(calibrator() for _ in range(3)) for _ in range(R)]
-    stacked = tuple(_stack_calibrators(c) for c in zip(*per_replica))
+    cals = [[tuple(calibrator() for _ in range(3))  # alpha, beta, gamma
+             for _ in range(G)] for _ in range(S)]
     spans = (slice(0, B), slice(B + B * K, None), slice(B, B + B * K))
-    for cals, lead in ((shared, ()), (stacked, (R,))):
-        joint = joint_calibrator(cals, B)
-        for field in ("a", "b", "degenerate"):
-            arr = getattr(joint, field)
-            assert arr.shape == lead + (B + B * K + B, K)
-            assert arr.flags.c_contiguous  # elementwise results inherit it
-            for cal, rows in zip(cals, spans):
-                head = arr[..., rows, :]
+    joint = joint_calibrator(cals, B)
+    for field in ("a", "b", "degenerate"):
+        arr = getattr(joint, field)
+        assert arr.shape == (S, G, B + B * K + B, K)
+        assert arr.flags.c_contiguous  # elementwise results inherit it
+        for s, g in np.ndindex(S, G):
+            for cal, rows in zip(cals[s][g], spans):
+                head = arr[s, g, rows]
                 assert np.array_equal(
                     head, np.broadcast_to(getattr(cal, field), head.shape))
 
