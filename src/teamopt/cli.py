@@ -27,9 +27,9 @@ from .data import Dataset, SynthConfig, generate_synthetic, load_csv, save_csv
 from .discriminative import (TeamConfig, decide, joint_disc_loss_fn,
                              solo_ce_loss, utility_loss_weights)
 from .errors import ConfigError, TeamoptError
-from .evaluation import (APPROACHES, approach_parts, cost_sweep, dump_json,
-                         emit_report, human_error_tree, per_class_analysis,
-                         write_file)
+from .evaluation import (APPROACHES, TRAINED, analysis_parts, check_grid,
+                         cost_sweep, dump_json, emit_report,
+                         human_error_tree, per_class_analysis, write_file)
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
                        Workspace, finite_diff_check, init_mlp,
                        stable_sigmoid, stack_models)
@@ -53,7 +53,7 @@ class RunConfig:
     utility: np.ndarray | None = None  # None: identity (accuracy)
     query_cost: float = 0.1
     train: TrainConfig = None
-    approaches: tuple = tuple(APPROACHES)
+    approaches: tuple = APPROACHES
     costs: tuple = DEFAULT_COSTS
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     seeds: tuple = (0,)
@@ -63,14 +63,7 @@ class RunConfig:
     def __post_init__(self):
         if self.train is None:
             self.train = TrainConfig()
-        if not self.approaches:
-            raise ConfigError("approaches must be nonempty")
-        unknown = [a for a in self.approaches if a not in APPROACHES]
-        if unknown:
-            raise ConfigError(f"unknown approaches {unknown};"
-                              f" known: {list(APPROACHES)}")
-        if not self.costs or not self.lambda_grid or not self.seeds:
-            raise ConfigError("costs, lambda_grid and seeds must be nonempty")
+        check_grid(self.approaches, self.costs, self.lambda_grid, self.seeds)
         bad = [f for f in self.formats if f not in FORMATS]
         if bad:
             raise ConfigError(f"unknown formats {bad}")
@@ -152,8 +145,11 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError("team.utility must be a square matrix")
         kwargs["utility"] = np.array(U)
     if "train" in kwargs:
-        kwargs["train"] = TrainConfig(**_typed(
-            kwargs["train"], vars(TrainConfig()), "train"))
+        train = _typed(kwargs["train"], vars(TrainConfig()), "train")
+        if "seed" in train:
+            raise ConfigError("train.seed is not used: every run is seeded"
+                              " from seeds")
+        kwargs["train"] = TrainConfig(**train)
     return RunConfig(**kwargs)
 
 
@@ -223,20 +219,15 @@ def cmd_sweep(config: RunConfig, jobs: int = 1) -> int:
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    trainable = [a for a in config.approaches if APPROACHES[a] is not None]
-    if not trainable:
+    if not set(config.approaches) & set(TRAINED):
         raise ConfigError("analyze needs at least one trainable approach")
     dataset = build_dataset(config)
     team = build_team(config, dataset.num_classes)
-    parts, shared = {}, {}
     seed = config.seeds[0]  # analyze trains at the first seed alone
-    for approach in trainable:
-        logger.info("training %s for analysis at seed %d, the first of %d"
-                    " configured seeds", approach, seed, len(config.seeds))
-        [(_, parts_of)] = approach_parts(
-            approach, dataset, (seed,), (team.query_cost,),
-            (config.train.cost_weight,), team, config.train, shared)
-        te, [(parts[approach], _)] = parts_of()
+    logger.info("analyzing at seed %d, the first of %d configured seeds",
+                seed, len(config.seeds))
+    te, parts = analysis_parts(config.approaches, dataset, seed, team,
+                               config.train)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     table = per_class_analysis(parts, te, team.query_cost)

@@ -17,7 +17,6 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -146,11 +145,6 @@ class _Run:
     te: Dataset
 
 
-def _fits(runs) -> list:
-    """The trainers' (dataset, cfg) runs of `runs`, failures kept."""
-    return [r if isinstance(r, Exception) else (r.tr, r.cfg) for r in runs]
-
-
 def _trained(train, runs) -> list:
     """`train(runs)` with the runs trained as one stack: per run, its
     result, or the exception that training it alone raises. An exception
@@ -182,50 +176,6 @@ def _trained(train, runs) -> list:
     return out
 
 
-def _select_lambda(costs, lam_grid, team: TeamConfig, run: _Run,
-                   systems) -> list:
-    """Per cost, the test parts and λ of the variant with the lowest
-    validation total loss (ties: smaller λ); one variant skips validation.
-    A variant's test parts are computed once, and only if some cost
-    selects it."""
-    if len(systems) == 1:
-        return [(systems[0].parts(run.te.X), lam_grid[0])] * len(costs)
-    va_parts = [s.parts(run.va.X) for s in systems]
-    te_parts = {}
-    pairs = []
-    for c in costs:
-        i = min(range(len(systems)), key=lambda i: _score(
-            va_parts[i], run.va, team, c)["total_loss"])
-        if i not in te_parts:
-            te_parts[i] = systems[i].parts(run.te.X)
-        pairs.append((te_parts[i], lam_grid[i]))
-    return pairs
-
-
-def _shared_fixed_voi(runs, team: TeamConfig, shared: dict) -> list:
-    """Per run, the fixed-VOI system on its training split (see
-    `_trained`), trained once per `shared` dict.
-
-    fixed-voi scores these systems and joint-voi warm-starts from them, so
-    when one work unit runs both they share one training. A dict lives
-    for one work unit: one group of seeds, their splits, one team and
-    config.
-    """
-    if "fixed-voi" not in shared:
-        shared["fixed-voi"] = _trained(
-            lambda fits: train_fixed_voi(fits, team), _fits(runs))
-    return shared["fixed-voi"]
-
-
-def _fixed_disc(runs, costs, lam_grid, team, shared):
-    def pairs(run, systems):
-        return [(s.parts(run.te.X), run.cfg.cost_weight) for s in systems]
-
-    results = _trained(lambda fits: train_fixed(fits, team, costs),
-                       _fits(runs))
-    return results, pairs
-
-
 def _reference_team(team: TeamConfig, costs) -> TeamConfig:
     """`team` at the median of `costs`, the cost a joint approach trains
     at: the middle value, or (a + b) / 2 of the middle two, which are
@@ -238,69 +188,27 @@ def _reference_team(team: TeamConfig, costs) -> TeamConfig:
     return team.with_cost(float(c))
 
 
-def _joint_disc(runs, costs, lam_grid, team, shared):
-    c_ref = _reference_team(team, costs)
-    results = _trained(lambda fits: train_joint(fits, c_ref, lam_grid),
-                       _fits(runs))
-    return results, partial(_select_lambda, costs, lam_grid, team)
+# The approaches a sweep runs. human-only trains nothing: it always
+# queries and outputs the human response.
+TRAINED = ("fixed-disc", "joint-disc", "fixed-voi", "joint-voi")
+APPROACHES = TRAINED + ("human-only",)
 
 
-def _fixed_voi(runs, costs, lam_grid, team, shared):
-    def pairs(run, system):
-        return [(system.parts(run.te.X), None)] * len(costs)
-
-    return _shared_fixed_voi(runs, team, shared), pairs
-
-
-def _joint_voi(runs, costs, lam_grid, team, shared):
-    c_ref = _reference_team(team, costs)
-    # a run whose fixed-VOI training failed fails here the same way
-    starts = _shared_fixed_voi(runs, team, shared)
-    fits = [s if isinstance(s, Exception) else (run.tr, run.cfg, s)
-            for run, s in zip(runs, starts)]
-    results = _trained(lambda fits: train_joint_voi(fits, c_ref, lam_grid),
-                       fits)
-    return results, partial(_select_lambda, costs, lam_grid, team)
+def check_grid(approaches, costs, lambda_grid, seeds) -> None:
+    """ConfigError unless every approach is known and `approaches`,
+    `costs`, `lambda_grid` and `seeds` are all nonempty."""
+    unknown = [a for a in approaches if a not in APPROACHES]
+    if unknown:
+        raise ConfigError(f"unknown approaches {unknown};"
+                          f" known: {list(APPROACHES)}")
+    if not all(map(len, (approaches, costs, lambda_grid, seeds))):
+        raise ConfigError("approaches, costs, lambda_grid and seeds must be"
+                          " nonempty")
 
 
-# The approach registry: `fn(runs, costs, lam_grid, team, shared)` trains
-# a work unit's runs (`_Run`, or the exception a seed's split raised) as
-# one stack and returns `(results, pairs)`: per run, its trained systems
-# or its failure (see `_trained`), and `pairs(run, systems)`, which gives
-# that run's `DecisionParts` on its test split and the λ used, per cost.
-# human-only trains nothing. `shared` lives for one work unit
-# (`_shared_fixed_voi`). Trainers are looked up when called, so wrappers
-# put on the module-level functions (e.g. tracing spans) see them.
-APPROACHES = {
-    "fixed-disc": _fixed_disc,
-    "joint-disc": _joint_disc,
-    "fixed-voi": _fixed_voi,
-    "joint-voi": _joint_voi,
-    "human-only": None,
-}
-
-
-def _scored(run, result, pairs):
-    for outcome in (run, result):
-        if isinstance(outcome, Exception):
-            raise outcome
-    # the seed's validation and test rows, gathered while it is scored
-    run = replace(run, va=run.va.gathered(), te=run.te.gathered())
-    return run.te, pairs(run, result)
-
-
-def approach_parts(approach: str, dataset: Dataset, seeds, costs, lam_grid,
-                   team: TeamConfig, cfg: TrainConfig, shared: dict
-                   ) -> list:
-    """`approach` trained on `dataset` at each of `seeds`, all seeds as one
-    replica stack: per seed, `(seed, parts_of)`.
-
-    `parts_of()` gives that seed's test split and what its registry
-    function gives on it with `cfg` seeded to that seed (or None for
-    human-only), or raises what the seed's split or training raised
-    alone. The decision parts are computed only when it is called, so a
-    caller that scores one seed at a time holds one seed's parts at once.
-    """
+def _runs(dataset: Dataset, seeds, cfg: TrainConfig) -> list:
+    """Per seed, its `_Run` with `cfg` seeded to it, or the exception
+    that seeding or splitting raised."""
     runs = []
     for seed in seeds:
         try:
@@ -309,13 +217,59 @@ def approach_parts(approach: str, dataset: Dataset, seeds, costs, lam_grid,
                              *split(dataset, SPLIT_FRACTIONS, seed)))
         except Exception as e:  # the seed's cell fails, the rest go on
             runs.append(e)
-    fn = APPROACHES[approach]
-    if fn is None:
-        results, pairs = runs, lambda run, _: None
+    return runs
+
+
+def _systems(approach: str, runs, costs, lam_grid, team: TeamConfig,
+             shared: dict) -> list:
+    """The trained `approach` on each of `runs` (`_Run`s, or exceptions),
+    all runs as one stack: per run, its list of systems, or its failure
+    (see `_trained`). fixed-disc gives one system per cost, a joint
+    approach one per λ in `lam_grid`, trained at the median cost, and
+    fixed-voi one.
+
+    fixed-voi scores the fixed-VOI systems and joint-voi warm-starts from
+    them, so they are trained once per `shared` dict. A dict lives for
+    one work unit: one group of seeds, their splits, one team and config.
+    Trainers are looked up when called, so wrappers put on the
+    module-level functions (e.g. tracing spans) see them.
+    """
+    fits = [r if isinstance(r, Exception) else (r.tr, r.cfg) for r in runs]
+    if approach == "fixed-disc":
+        return _trained(lambda fits: train_fixed(fits, team, costs), fits)
+    c_ref = _reference_team(team, costs)
+    if approach == "joint-disc":
+        return _trained(lambda fits: train_joint(fits, c_ref, lam_grid), fits)
+    if "fixed-voi" not in shared:
+        shared["fixed-voi"] = _trained(
+            lambda fits: train_fixed_voi(fits, team), fits)
+    starts = shared["fixed-voi"]
+    if approach == "fixed-voi":
+        return [s if isinstance(s, Exception) else [s] for s in starts]
+    # a run whose fixed-VOI training failed fails here the same way
+    fits = [s if isinstance(s, Exception) else (*fit, s)
+            for fit, s in zip(fits, starts)]
+    return _trained(lambda fits: train_joint_voi(fits, c_ref, lam_grid), fits)
+
+
+def _decisions(approach: str, costs, team: TeamConfig, run: _Run,
+               systems) -> list:
+    """Per cost, the `DecisionParts` on `run`'s test split of the system
+    that decides at that cost, and the λ it reports: fixed-disc's policy
+    for the cost, the only system when there is one, or else the variant
+    with the lowest validation total loss (ties: smaller λ). Each chosen
+    system's test parts are computed once; fixed-voi reports λ None."""
+    if approach == "fixed-disc":
+        chosen = range(len(costs))
+    elif len(systems) == 1:
+        chosen = [0] * len(costs)
     else:
-        results, pairs = fn(runs, costs, lam_grid, team, shared)
-    return [(seed, partial(_scored, run, result, pairs))
-            for seed, run, result in zip(seeds, runs, results)]
+        va_parts = [s.parts(run.va.X) for s in systems]
+        chosen = [min(range(len(systems)), key=lambda i: _score(
+            va_parts[i], run.va, team, c)["total_loss"]) for c in costs]
+    te_parts = {i: systems[i].parts(run.te.X) for i in dict.fromkeys(chosen)}
+    return [(te_parts[i], None if approach == "fixed-voi"
+             else systems[i].train_cfg.cost_weight) for i in chosen]
 
 
 # Approaches that run as one work unit when both are requested, so that
@@ -327,11 +281,11 @@ def _work_units(names) -> list[tuple[str, ...]]:
     """The sweep's work units for sorted approach names:
     `_SHARED_UNIT` when all of its approaches are requested, and every
     other approach on its own; the shared unit, the heaviest, first, and
-    human-only, which trains nothing, last."""
+    the untrained one last."""
     units = [(a,) for a in names]
     if set(_SHARED_UNIT) <= set(names):
         units = [_SHARED_UNIT] + [u for u in units if u[0] not in _SHARED_UNIT]
-    return sorted(units, key=lambda unit: APPROACHES[unit[0]] is None)
+    return sorted(units, key=lambda unit: unit[0] not in TRAINED)
 
 
 def _seed_groups(seeds: list, k: int) -> list[list]:
@@ -356,11 +310,11 @@ def _work_plan(names, seeds: list, jobs: int) -> list[tuple]:
     Every unit's seeds are cut into the same k contiguous groups
     (`_seed_groups`): as few as keep each group within MAX_STACK_SEEDS,
     and, when fewer units train than the pool has `jobs` workers, enough
-    that each worker can get one. A unit of human-only, which trains
-    nothing, does not count.
+    that each worker can get one. A unit that trains nothing does not
+    count.
     """
     units = _work_units(names)
-    trained = sum(any(APPROACHES[a] for a in unit) for unit in units) or 1
+    trained = sum(unit[0] in TRAINED for unit in units) or 1
     S = len(seeds)
     k = min(S, max(-(-S // MAX_STACK_SEEDS), -(-jobs // trained)))
     return [(unit, group) for unit in units
@@ -369,22 +323,54 @@ def _work_plan(names, seeds: list, jobs: int) -> list[tuple]:
 
 def _approach_cells(approach, dataset, seeds, costs, lam_grid, team, cfg,
                     shared) -> list[SweepCell]:
+    """`approach` on `dataset` at each of `seeds`, the seeds trained as
+    one stack and scored one at a time: one cell per seed."""
+    runs = _runs(dataset, seeds, cfg)
+    trains = approach in TRAINED
+    trained = _systems(approach, runs, costs, lam_grid, team, shared) \
+        if trains else runs
     cells = []
-    for seed, parts_of in approach_parts(approach, dataset, seeds, costs,
-                                         lam_grid, team, cfg, shared):
+    for seed, run, systems in zip(seeds, runs, trained):
         try:
-            te, pairs = parts_of()
-            if pairs is None:
-                rows = [_row(c, human_only_baseline(te, team.with_cost(c)),
-                             None) for c in costs]
+            for outcome in (run, systems):
+                if isinstance(outcome, Exception):
+                    raise outcome
+            # the seed's validation and test rows, gathered while it is
+            # scored and freed before the next seed is
+            run = replace(run, va=run.va.gathered(), te=run.te.gathered())
+            if trains:
+                rows = [_row(c, _score(parts, run.te, team, c), lam)
+                        for c, (parts, lam) in zip(costs, _decisions(
+                            approach, costs, team, run, systems))]
             else:
-                rows = [_row(c, _score(parts, te, team, c), lam)
-                        for c, (parts, lam) in zip(costs, pairs)]
+                rows = [_row(c, human_only_baseline(
+                    run.te, team.with_cost(c)), None) for c in costs]
             cells.append(SweepCell(approach, seed, rows))
-            del te, pairs  # freed before the next seed is scored
         except Exception as e:  # failures recorded per cell, sweep continues
             cells.append(SweepCell.failed(approach, seed, e))
     return cells
+
+
+def analysis_parts(approaches, dataset: Dataset, seed: int,
+                   team: TeamConfig, cfg: TrainConfig
+                   ) -> tuple[Dataset, dict]:
+    """`dataset`'s test split at `seed`, and each trained approach of
+    `approaches` by name to its `DecisionParts` on it: trained at `seed`
+    alone, at `team`'s query cost and `cfg`'s cost weight, as a sweep
+    trains it. What the seed's split or training raised is raised."""
+    [run] = _runs(dataset, (seed,), cfg)
+    if isinstance(run, Exception):
+        raise run
+    te, parts, shared = run.te.gathered(), {}, {}
+    for approach in (a for a in approaches if a in TRAINED):
+        logger.info("training %s for analysis at seed %d", approach, seed)
+        [systems] = _systems(approach, [run], (team.query_cost,),
+                             (cfg.cost_weight,), team, shared)
+        if isinstance(systems, Exception):
+            raise systems
+        [system] = systems
+        parts[approach] = system.parts(te.X)
+    return te, parts
 
 
 # The sweep whose work units this process runs: (dataset, costs, λ grid,
@@ -482,14 +468,13 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     in its `failures`. With `jobs` > 1 the work units (`_work_plan`) run
     in a pool of at most `jobs` processes; the reports do not depend on
     it. README.md ("Command line") describes the work units, the seed
-    stacks, the pool and the failures. Negative or non-finite costs or λ
-    values, a seed that is not a non-negative integer, a repeated seed,
-    and `jobs` < 1 raise ConfigError before any cell starts.
+    stacks, the pool and the failures. What `check_grid` rejects,
+    negative or non-finite costs or λ values, a seed that is not a
+    non-negative integer, a repeated seed, and `jobs` < 1 raise
+    ConfigError before any cell starts.
     """
+    check_grid(approaches, costs, lambda_grid, seeds)
     names = sorted(set(approaches))
-    unknown = [a for a in names if a not in APPROACHES]
-    if unknown:
-        raise ConfigError(f"unknown approaches: {unknown}")
     costs = [float(c) for c in costs]
     lam_grid = [float(v) for v in lambda_grid]
     values = np.array(costs + lam_grid)
@@ -502,9 +487,6 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must not repeat: {seeds}")
-    if not (names and costs and lam_grid and seeds):
-        raise ConfigError("approaches, costs, lambda grid and seeds must be"
-                          " nonempty")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     team = team or TeamConfig.accuracy(dataset.num_classes)

@@ -16,7 +16,7 @@ from teamopt.cli import (DEFAULT_COSTS, DEFAULT_LAMBDA_GRID, RunConfig,
                          config_from_dict, load_config, main)
 from teamopt.data import load_csv
 from teamopt.errors import ConfigError
-from teamopt.evaluation import APPROACHES
+from teamopt.evaluation import APPROACHES, TRAINED
 from teamopt.numerics import GradientSet
 
 
@@ -102,10 +102,22 @@ MALFORMED = [
     {"team": {"utility": []}},
     {"approaches": "human-only"},
     {"dataset": {"num_classes": 7}},  # not the synthetic task's K
+    {"train": {"seed": 7}},  # runs are seeded from seeds
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_train_seed_is_rejected_before_anything_trains(tmp_path):
+    # every run is seeded from `seeds`, so a train.seed would be ignored
+    out = tmp_path / "out"
+    cfg = tiny_config(out)
+    cfg["train"]["seed"] = 7
+    with pytest.raises(ConfigError, match=r"\bseeds\b"):
+        config_from_dict(cfg)
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("raw", MALFORMED)
@@ -152,7 +164,6 @@ VALID_CONFIGS = st.fixed_dictionaries({}, optional={
         "calibration_interval": st.integers(1, 1000),
         "softmax_temperature": _unit(0.05, 10.0),
         "cost_weight": _unit(0.0, 10.0),
-        "seed": st.integers(0, 2**32),
         "dropout_rate": _unit(0.0, 0.9),
         "hidden_dims": st.lists(st.integers(1, 64), max_size=3)}),
     "approaches": st.lists(st.sampled_from(list(APPROACHES)), min_size=1,
@@ -466,7 +477,7 @@ def test_analyze_writes_tables_and_tree(tmp_path):
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path]) == 0
     trainable = {"fixed-disc", "joint-disc", "fixed-voi", "joint-voi"}
-    assert {a for a, fn in APPROACHES.items() if fn} == trainable
+    assert set(TRAINED) == trainable
     per_class = json.loads((out / "per_class.json").read_text())
     assert [row["class"] for row in per_class] == [0, 1, 2]
     assert set(per_class[0]["systems"]) == trainable

@@ -21,12 +21,13 @@ from conftest import traced_memory
 from teamopt import evaluation
 from teamopt.data import Dataset, generate_synthetic, split, SynthConfig
 from teamopt.discriminative import (DecisionParts, DiscriminativeSystem,
-                                    TeamConfig, decide, train_joint)
+                                    TeamConfig, decide, train_fixed,
+                                    train_joint)
 from teamopt.errors import ConfigError, InputError, QueryError, TeamoptError
 from teamopt.evaluation import (MAX_STACK_SEEDS, SPLIT_FRACTIONS, SweepCell,
-                                SweepResult, _best_split, _lambda_mode,
-                                _reference_team, _score, _seed_groups,
-                                _select_lambda, _work_plan,
+                                SweepResult, _best_split, _decisions,
+                                _lambda_mode, _reference_team, _score,
+                                _seed_groups, _work_plan,
                                 cost_sweep, emit_report, human_error_tree,
                                 human_only_baseline, per_class_analysis,
                                 render_loss_svg, sweep_csv_text,
@@ -161,11 +162,12 @@ def test_cost_sweep_selects_lambda_per_cost():
 class CountingSystem:
     """A stub two-class system that decides one way on every row: always
     query (a perfect human then answers), or never query with the
-    machine wrong on a `wrong` fraction of the rows. Counts the rows of
-    each batch it is asked for parts of."""
+    machine wrong on a `wrong` fraction of the rows, trained at cost
+    weight `lam`. Counts the rows of each batch it is asked for parts of."""
 
-    def __init__(self, query: bool, wrong: float = 0.0):
+    def __init__(self, query: bool, wrong: float = 0.0, lam: float = 1.0):
         self.query, self.wrong, self.scored = query, wrong, []
+        self.train_cfg = TrainConfig(cost_weight=lam)
 
     def parts(self, X):
         self.scored.append(len(X))
@@ -182,11 +184,11 @@ def test_select_lambda_scores_the_test_split_once_per_selected_variant():
                       2, name) for n, name in ((20, "va"), (30, "te")))
     run = evaluation._Run(small_cfg(), None, va, te)
     # the querying variant costs c, the others their error, 0.2 and 0.25
-    systems = [CountingSystem(True), CountingSystem(False, 0.2),
-               CountingSystem(False, 0.25)]
-    costs, lam_grid = (0.0, 0.05, 0.1, 0.3, 0.4), (0.25, 0.5, 1.0)
-    pairs = _select_lambda(costs, lam_grid, TeamConfig.accuracy(2), run,
-                           systems)
+    systems = [CountingSystem(True, lam=0.25), CountingSystem(False, 0.2, 0.5),
+               CountingSystem(False, 0.25, 1.0)]
+    costs = (0.0, 0.05, 0.1, 0.3, 0.4)
+    pairs = _decisions("joint-disc", costs, TeamConfig.accuracy(2), run,
+                       systems)
     assert [lam for _, lam in pairs] == [0.25, 0.25, 0.25, 0.5, 0.5]
     # every variant scores the validation split; only the two selected
     # ones score the test split, each once, its parts shared by its costs
@@ -213,6 +215,37 @@ def test_fixed_voi_cell_scores_decide_on_the_test_split():
         expected.append((c, m["total_loss"], m["classification_error"],
                          m["query_rate"], None))
     assert cell.error is None and cell.rows == expected
+
+
+def test_fixed_disc_cell_scores_each_cost_s_policy_on_the_test_split(
+        monkeypatch):
+    ds = toy_dataset()
+    team = TeamConfig.accuracy(3)
+    costs = (0.0, 0.05, 0.2)
+    cfg = small_cfg(cost_weight=0.7)
+    tr, _, te = split(ds, SPLIT_FRACTIONS, 4)
+    [systems] = train_fixed([(tr, replace(cfg, seed=4))], team, costs)
+    real = DiscriminativeSystem.parts
+    scored = []
+
+    def parts(system, X):
+        scored.append((system.team.query_cost, X))
+        return real(system, X)
+
+    monkeypatch.setattr(DiscriminativeSystem, "parts", parts)
+    cell = cost_sweep(ds, ("fixed-disc",), costs, (0.5, 2.0), (4,),
+                      team=team, train_cfg=cfg)[0].cells[0]
+    expected = []
+    for c, system in zip(costs, systems):
+        labels, queried = decide(real(system, te.X), te.h, c)
+        m = team_metrics_arrays(labels, queried, te.y, team.with_cost(c))
+        expected.append((c, m["total_loss"], m["classification_error"],
+                         m["query_rate"], 0.7))
+    assert cell.error is None and cell.rows == expected
+    # each cost's policy scores the test split once, the validation
+    # split never
+    assert [c for c, _ in scored] == list(costs)
+    assert all(np.array_equal(X, te.X) for _, X in scored)
 
 
 def count_fixed_voi_trainings(monkeypatch, log_path):

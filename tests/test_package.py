@@ -68,6 +68,30 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def test_every_import_of_a_module_is_used():
+    # a refactor that drops a name's last use leaves its import behind;
+    # __init__.py imports to re-export, and `from __future__` sets flags
+    unused = []
+    for path in sorted((ROOT / "src" / "teamopt").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}"
+                       for name in names if name not in used]
+    assert unused == []
+
+
 def fresh_python(code: str, *args: str) -> str:
     """Standard output of `code` run in a fresh interpreter on this
     checkout's package."""
