@@ -198,15 +198,16 @@ def calibrated_head(logits: np.ndarray, cal: PlattCalibrator,
                     ws: Workspace):
     """(p, s, total, low): the calibrated distributions p = s / total, the
     per-class sigmoids s, their (..., 1) sum over the last axis, and the
-    mask of rows normalised in log space (None if none). p, s and the
-    scratch of the sigmoid come from `ws`.
+    mask of rows normalised in log space (None if none). The calibrated
+    logits a * logits + b are computed in `logits`, whose values are then
+    spent; p, s and the scratch of the sigmoid come from `ws`.
 
     A row whose total is below the smallest normal float has every sigmoid
     underflowed, and s / total would be 0/0 or a ratio of subnormals. Such
     rows take the same ratio in log space, softmax(log sigmoid(z)), and
     their total reads 1. Every other row keeps the plain division.
     """
-    z = np.multiply(logits, cal.a, out=ws.get("z", logits.shape))
+    z = np.multiply(logits, cal.a, out=logits)
     z += cal.b
     s = stable_sigmoid(z, ws.scope("s"))
     total = sum_last(s)[..., None]
@@ -222,8 +223,9 @@ def calibrated_head(logits: np.ndarray, cal: PlattCalibrator,
 
 
 def calibrate_batch(logits: np.ndarray, cal: PlattCalibrator) -> np.ndarray:
-    """Per-class sigmoids of the logits, renormalized to distributions."""
-    logits = np.asarray(logits, dtype=np.float64)
+    """Per-class sigmoids of the logits, renormalized to distributions.
+    The logits are left as they were."""
+    logits = np.array(logits, dtype=np.float64, order="C")
     if logits.shape[-1] != cal.num_classes:
         raise ShapeError(f"logits last dim {logits.shape[-1]} !="
                          f" K={cal.num_classes}")

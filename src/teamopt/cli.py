@@ -28,7 +28,7 @@ from .discriminative import (TeamConfig, decide, joint_disc_loss_fn,
                              solo_ce_loss, utility_loss_weights)
 from .errors import ConfigError, TeamoptError
 from .evaluation import (APPROACHES, TRAINED, analysis_parts, check_grid,
-                         cost_sweep, dump_json, emit_report,
+                         check_sweep, cost_sweep, dump_json, emit_report,
                          human_error_tree, per_class_analysis, write_file)
 from .numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel, TrainConfig,
                        Workspace, finite_diff_check, init_mlp,
@@ -204,6 +204,9 @@ def cmd_generate(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, jobs: int = 1) -> int:
+    # the whole grid is checked before the dataset is built or read
+    check_sweep(config.approaches, config.costs, config.lambda_grid,
+                config.seeds, jobs)
     dataset = build_dataset(config)
     team = build_team(config, dataset.num_classes)
     results = cost_sweep(dataset, config.approaches, config.costs,

@@ -206,6 +206,30 @@ def check_grid(approaches, costs, lambda_grid, seeds) -> None:
                           " nonempty")
 
 
+def check_sweep(approaches, costs, lambda_grid, seeds, jobs: int) -> tuple:
+    """The grid a sweep runs: (approach names, costs, λ grid, seeds), the
+    first three deduplicated and sorted, the seeds as ints in config
+    order. What `check_grid` rejects, negative or non-finite costs or λ
+    values, a seed that is not a non-negative integer, a repeated seed,
+    and `jobs` < 1 raise ConfigError."""
+    check_grid(approaches, costs, lambda_grid, seeds)
+    costs = [float(c) for c in costs]
+    lam_grid = [float(v) for v in lambda_grid]
+    values = np.array(costs + lam_grid)
+    if not (np.isfinite(values) & (values >= 0)).all():
+        raise ConfigError("costs and lambda grid must be finite and"
+                          " non-negative")
+    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
+        raise ConfigError(f"seeds must be non-negative integers: {seeds}")
+    seeds = [int(s) for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must not repeat: {seeds}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    return (sorted(set(approaches)), sorted(set(costs)),
+            sorted(set(lam_grid)), seeds)
+
+
 def _runs(dataset: Dataset, seeds, cfg: TrainConfig) -> list:
     """Per seed, its `_Run` with `cfg` seeded to it, or the exception
     that seeding or splitting raised."""
@@ -355,14 +379,15 @@ def analysis_parts(approaches, dataset: Dataset, seed: int,
                    team: TeamConfig, cfg: TrainConfig
                    ) -> tuple[Dataset, dict]:
     """`dataset`'s test split at `seed`, and each trained approach of
-    `approaches` by name to its `DecisionParts` on it: trained at `seed`
-    alone, at `team`'s query cost and `cfg`'s cost weight, as a sweep
-    trains it. What the seed's split or training raised is raised."""
+    `approaches` by name to its `DecisionParts` on it: trained once,
+    however often it is named, at `seed` alone, at `team`'s query cost
+    and `cfg`'s cost weight, as a sweep trains it. What the seed's split
+    or training raised is raised."""
     [run] = _runs(dataset, (seed,), cfg)
     if isinstance(run, Exception):
         raise run
     te, parts, shared = run.te.gathered(), {}, {}
-    for approach in (a for a in approaches if a in TRAINED):
+    for approach in (a for a in dict.fromkeys(approaches) if a in TRAINED):
         logger.info("training %s for analysis at seed %d", approach, seed)
         [systems] = _systems(approach, [run], (team.query_cost,),
                              (cfg.cost_weight,), team, shared)
@@ -468,27 +493,11 @@ def cost_sweep(dataset: Dataset, approaches, costs, lambda_grid, seeds,
     in its `failures`. With `jobs` > 1 the work units (`_work_plan`) run
     in a pool of at most `jobs` processes; the reports do not depend on
     it. README.md ("Command line") describes the work units, the seed
-    stacks, the pool and the failures. What `check_grid` rejects,
-    negative or non-finite costs or λ values, a seed that is not a
-    non-negative integer, a repeated seed, and `jobs` < 1 raise
+    stacks, the pool and the failures. What `check_sweep` rejects raises
     ConfigError before any cell starts.
     """
-    check_grid(approaches, costs, lambda_grid, seeds)
-    names = sorted(set(approaches))
-    costs = [float(c) for c in costs]
-    lam_grid = [float(v) for v in lambda_grid]
-    values = np.array(costs + lam_grid)
-    if not (np.isfinite(values) & (values >= 0)).all():
-        raise ConfigError("costs and lambda grid must be finite and"
-                          " non-negative")
-    costs, lam_grid = sorted(set(costs)), sorted(set(lam_grid))
-    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
-        raise ConfigError(f"seeds must be non-negative integers: {seeds}")
-    seeds = [int(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds must not repeat: {seeds}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    names, costs, lam_grid, seeds = check_sweep(approaches, costs,
+                                                lambda_grid, seeds, jobs)
     team = team or TeamConfig.accuracy(dataset.num_classes)
     cfg = train_cfg or TrainConfig()
     sweep = (dataset, costs, lam_grid, team, cfg)

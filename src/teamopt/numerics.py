@@ -241,37 +241,36 @@ def stable_sigmoid(x, ws: Workspace) -> np.ndarray:
 
 def sample_dropout_masks(model: MlpModel, n: int, *rngs: np.random.Generator,
                          ws: Workspace, lead: tuple = (), steps: int) -> list:
-    """Inverted-dropout masks for each hidden layer of a batch of n rows
-    at each of `steps` consecutive training steps: a list of one step's
-    masks each (None for a model without dropout or hidden layers),
-    holding in turn the values that one-step draws would give. A step's
-    masks are (n, dim) from one generator, or one batch per generator of
-    `rngs`, stacked on the leading axes `lead` (see `mlp_forward`). Each
-    generator draws what it would draw alone, filling all of its steps
-    with one draw. The masks are C-contiguous views of `ws`'s arrays.
+    """Inverted-dropout keep masks for each hidden layer of a batch of n
+    rows at each of `steps` consecutive training steps: a list of one
+    step's masks each (None for a model without dropout or hidden layers),
+    holding in turn the values that one-step draws would give. A mask is
+    bool, True where a unit is kept; `mlp_forward` scales the kept units
+    by 1 / (1 - dropout_rate). A step's masks are (n, dim) from one
+    generator, or one batch per generator of `rngs`, stacked on the
+    leading axes `lead` (see `mlp_forward`). Each generator draws its
+    steps in order, one step's uniforms at a time into one scratch row,
+    which fills the values that one draw of all its steps would. The
+    masks are C-contiguous views of `ws`'s arrays.
     """
     p = model.dropout_rate
     dims = model.layer_dims[1:-1]
     if p == 0.0 or not dims:  # no unit to drop
         return [None] * steps
-    scale = 1.0 / (1.0 - p)  # True * scale has the bits of True / keep
     # a step takes its layers in order from each generator's stream
-    u = ws.get("masks", (len(rngs), steps, n * sum(dims)))
+    u = ws.get("uniforms", (n * sum(dims),))
+    # step-major, so that each step's (generators, n, dim) is contiguous
+    keep = [ws.get(f"keep{i}", (steps, len(rngs), n * dim), bool)
+            for i, dim in enumerate(dims)]
     for j, rng in enumerate(rngs):
-        rng.random(out=u[j])
-    keep = np.greater_equal(u, p, out=ws.get("keep", u.shape, bool))
-    # the uniforms are spent: the masks of every layer take their place
-    free, masks, at = u.reshape(-1), [], 0
-    for dim in dims:
-        # step-major, so that each step's (generators, n, dim) is contiguous
-        m = free[:steps * len(rngs) * n * dim].reshape(steps, len(rngs),
-                                                       n * dim)
-        free = free[m.size:]
-        # copied, then scaled: numpy casts a bool factor through a buffer
-        np.copyto(m, keep[:, :, at:at + n * dim].swapaxes(0, 1))
-        m *= scale
-        masks.append(m.reshape((steps,) + lead + (n, dim)))
-        at += n * dim
+        for t in range(steps):
+            rng.random(out=u)
+            at = 0
+            for k, dim in zip(keep, dims):
+                np.greater_equal(u[at:at + n * dim], p, out=k[t, j])
+                at += n * dim
+    masks = [k.reshape((steps,) + lead + (n, dim))
+             for k, dim in zip(keep, dims)]
     return [list(step) for step in zip(*masks)]
 
 
@@ -302,23 +301,24 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 # --- training-path forward and backward ----------------------------------
 
-def mlp_forward(model: MlpModel, X: np.ndarray, masks, ws: Workspace,
-                out: np.ndarray | None = None):
+def mlp_forward(model: MlpModel, X: np.ndarray, masks, ws: Workspace):
     """Training forward pass of a replica stack: (logits, cache).
 
     The input's leading axes broadcast against the stack's replica axes
     (see `stack_models`): an (n, d) input is shared by every replica; an
     (S, 1, n, d) input feeds group s of its rows to the G variants of run
     s of an (S, G) stack; an (S, G, n, d) input gives each replica its own
-    rows. Dropout masks (None for eval behaviour) broadcast the same way,
-    so the variants of a run share its rows and masks without a copy.
-    The logits are (*replica axes, n, K), computed into `out` if given
-    and into `ws` otherwise. `cache` holds what `mlp_backward` needs; its
+    rows. The keep masks of `sample_dropout_masks` (None for eval
+    behaviour) broadcast the same way, so the variants of a run share its
+    rows and masks without a copy. The logits are (*replica axes, n, K),
+    an array of `ws`. `cache` holds what `mlp_backward` needs; its
     activations and gates come from `ws`.
     """
     if model.weights[0].ndim < 3:
         raise ShapeError("training losses take replica stacks"
                          " (see stack_models)")
+    # a kept unit's factor: the bits of a kept flag divided by 1 - p
+    scale = 1.0 / (1.0 - model.dropout_rate)
     h = X
     inputs, gates = [], []
     last = len(model.weights) - 1
@@ -326,8 +326,7 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks, ws: Workspace,
         inputs.append(h)
         shape = w.shape[:-2] + (X.shape[-2], w.shape[-1])
         # an array of the layer's own, so the rest of it runs in place
-        h = np.matmul(h, w, out=ws.get(f"h{i}", shape) if i < last or
-                      out is None else out)
+        h = np.matmul(h, w, out=ws.get(f"h{i}", shape))
         if i == last:
             h += b
             break
@@ -341,9 +340,10 @@ def mlp_forward(model: MlpModel, X: np.ndarray, masks, ws: Workspace,
             gate = ws.get(f"gate{i}", shape)
             np.copyto(gate, b)
             h += gate
-            np.copyto(gate, np.greater(h, 0.0, out=ws.get(f"on{i}", shape,
-                                                          bool)))
-            gate *= masks[i]
+            on = np.greater(h, 0.0, out=ws.get(f"on{i}", shape, bool))
+            np.logical_and(on, masks[i], out=on)
+            np.copyto(gate, on)
+            gate *= scale
         # ReLU and inverted dropout as one multiplier per activation
         h *= gate
         gates.append(gate)

@@ -166,23 +166,27 @@ class _JointBatch:
 
 def _calibrated(logits: np.ndarray, cal: PlattCalibrator, ws: Workspace):
     """`calibrated_head`'s distributions on training logits, computed in
-    `ws`, with the backward map from dL/dp to dL/d(logits), which computes
-    in the head's scratch arrays, spent by then. The calibrator parameters
-    are constants: frozen during backprop."""
+    the logits' array and `ws`, with the backward map from dL/dp to
+    dL/d(logits). The backward runs once: it computes in the head's spent
+    arrays, the sigmoid's scratch and the logits' array, which holds its
+    result, and it reads dL/dp before it writes there, so dL/dp may lie
+    in the logits' array too. The calibrator parameters are constants:
+    frozen during backprop."""
     p, s, total, low = calibrated_head(logits, cal, ws)
 
     def backward(dp):
-        t = np.multiply(dp, p, out=ws.get("z", p.shape))
+        t = np.multiply(dp, p, out=ws.scope("s").get("d", p.shape))
         dot = sum_last(t)[..., None]
         np.subtract(dp, dot, out=t)
         t /= total
-        d = np.subtract(1.0, s, out=ws.scope("s").get("d", p.shape))
+        d = np.subtract(1.0, s, out=logits)
         np.multiply(s, d, out=d)
         d *= cal.a
         d *= t  # (dp - dot) / total * (s * (1 - s) * a)
         if low is not None:
-            # s / total is p, which stays finite where the total underflowed
-            d[low] = ((dp - dot) * p * ((1.0 - s) * cal.a))[low]
+            # s / total is p, which stays finite where the total
+            # underflowed; there the total is 1.0, so t is dp - dot
+            d[low] = (t * p * ((1.0 - s) * cal.a))[low]
         return d
 
     return p, backward
@@ -272,15 +276,16 @@ def joint_voi_loss_fn(team: TeamConfig, cfg: TrainConfig, cost_weights):
         G = B + B * K  # the alpha and gamma rows, which take soft maxima
         rows = ws.constant("rows", np.arange, B)
         lead = models["alpha"].weights[0].shape[:-2]
-        # the [alpha | gamma | beta] logits, and dL/dp once they are spent
-        z = ws.get("logits", lead + (G + B, K))
-        _, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a,
-                                 ws.scope("alpha"), z[..., :B, :])
-        _, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
-                                 batch.masks_g, ws.scope("gamma"),
-                                 z[..., B:G, :])
-        _, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b,
-                                 ws.scope("beta"), z[..., G:, :])
+        za, cache_a = mlp_forward(models["alpha"], batch.X, batch.masks_a,
+                                  ws.scope("alpha"))
+        zg, cache_g = mlp_forward(models["gamma"], batch.X_gamma_all,
+                                  batch.masks_g, ws.scope("gamma"))
+        zb, cache_b = mlp_forward(models["beta"], batch.X, batch.masks_b,
+                                  ws.scope("beta"))
+        # the heads' logits stacked [alpha | gamma | beta], calibrated in
+        # place, and dL/dp once they are spent
+        z = np.concatenate((za, zg, zb), axis=-2,
+                           out=ws.get("logits", lead + (G + B, K)))
         p, back_p = _calibrated(z, batch.cal, ws.scope("head"))
         at_a = label_index(p.shape, rows, batch.y, ws)
         # gamma rows of the observed responses

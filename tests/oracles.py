@@ -5,6 +5,8 @@ the package can be compared against it; the tape forms restate each
 training loss on the reverse-mode tape so its closed-form gradient can be.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from teamopt import tape
@@ -107,37 +109,47 @@ def soft_team_quantities(system, x, tau=None):
 # the package's `loss_and_grad` does: each replica's mean over its
 # instances.
 
+class TapeNet(NamedTuple):
+    """A model's parameters as gradient-tracked tape nodes, and the factor
+    its inverted dropout gives a kept unit."""
+
+    layers: list  # (W, b) node pairs
+    keep_scale: float
+
+
 def param_nodes(model):
     """Wrap a model's parameters as gradient-tracked tape nodes."""
-    return [(tape.param(w), tape.param(b))
-            for w, b in zip(model.weights, model.biases)]
+    return TapeNet([(tape.param(w), tape.param(b))
+                    for w, b in zip(model.weights, model.biases)],
+                   1.0 / (1.0 - model.dropout_rate))
 
 
-def apply_mlp(nodes, X, masks=None):
+def apply_mlp(net, X, masks=None):
     """Run an MLP on the tape; returns the logits node.
 
-    `nodes` are (W, b) pairs from `param_nodes`; `masks` are pre-sampled
-    dropout masks (constants on the tape) or None for eval behaviour. The
-    (n, d) input and the (n, dim) masks are shared by every replica of a
-    stack and the logits are (S, G, n, K).
+    `net` is a `TapeNet` from `param_nodes`; `masks` are pre-sampled
+    dropout keep masks or None for eval behaviour. A mask enters the tape
+    as the constant float factor keep * keep_scale. The (n, d) input and
+    the (n, dim) masks are shared by every replica of a stack and the
+    logits are (S, G, n, K).
     """
     h = tape.constant(X)
-    last = len(nodes) - 1
-    for i, (w, b) in enumerate(nodes):
+    last = len(net.layers) - 1
+    for i, (w, b) in enumerate(net.layers):
         h = tape.matmul(h, w) + b
         if i < last:
             h = tape.relu(h)
             if masks is not None:
-                h = h * tape.constant(masks[i])
+                h = h * tape.constant(masks[i] * net.keep_scale)
     return h
 
 
-def grads_of(nodes):
-    """Collect accumulated gradients from (W, b) node pairs."""
+def grads_of(net):
+    """Collect accumulated gradients from a `TapeNet`'s nodes."""
     weights = [w.grad if w.grad is not None else np.zeros_like(w.data)
-               for w, _ in nodes]
+               for w, _ in net.layers]
     biases = [b.grad if b.grad is not None else np.zeros_like(b.data)
-              for _, b in nodes]
+              for _, b in net.layers]
     return GradientSet(weights, biases)
 
 
@@ -148,8 +160,8 @@ def tape_loss_and_grad(models, batch, loss_fn):
     per_instance = loss_fn(params, batch)
     loss = tape.sum_(per_instance) * (1.0 / per_instance.shape[-1])
     tape.backward(loss)
-    return per_instance.data, {name: grads_of(nodes)
-                               for name, nodes in params.items()}
+    return per_instance.data, {name: grads_of(net)
+                               for name, net in params.items()}
 
 
 def stacked_calibrators(cals):

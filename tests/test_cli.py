@@ -455,6 +455,24 @@ def test_sweep_config_that_would_mislead_exits_two(tmp_path, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, args", [
+    ({"seeds": [0, 0]}, []),
+    ({"costs": [-0.1, 0.1]}, []),
+    ({}, ["--jobs", "0"]),
+], ids=["repeated-seed", "negative-cost", "jobs-zero"])
+def test_sweep_checks_its_grid_before_building_the_dataset(
+        tmp_path, monkeypatch, override, args):
+    built = []
+    real = cli.generate_synthetic
+    monkeypatch.setattr(cli, "generate_synthetic",
+                        lambda cfg: built.append(cfg) or real(cfg))
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out, **override))
+    assert main(["sweep", "--config", path, *args]) == 2
+    assert built == []
+    assert not out.exists()
+
+
 def test_analyze_negative_seed_exits_two(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(out))
@@ -532,6 +550,20 @@ def test_analyze_trains_fixed_voi_once_and_scores_each_system_once(
             [row["systems"][a] for row in table_a]
         assert [leaf["machine_error"][a] for leaf in leaves] == \
             [leaf["machine_error"][a] for leaf in leaves_a]
+
+
+def test_analyze_trains_an_approach_named_twice_once(tmp_path, monkeypatch,
+                                                   caplog):
+    once = analyze_outputs(tmp_path, ["fixed-disc"])
+    calls = []
+    real = evaluation.train_fixed
+    monkeypatch.setattr(evaluation, "train_fixed",
+                        lambda *a: calls.append(a) or real(*a))
+    with caplog.at_level(logging.INFO, logger="teamopt"):
+        twice = analyze_outputs(tmp_path, ["fixed-disc", "fixed-disc"])
+    assert len(calls) == 1
+    assert caplog.text.count("training fixed-disc") == 1
+    assert twice == once
 
 
 @pytest.mark.parametrize("data", [

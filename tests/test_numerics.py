@@ -525,7 +525,11 @@ def test_dropout_masks_scale_and_seed():
 
     masks = draw(m, 50)
     assert len(masks) == 1 and masks[0].shape == (50, 10)
-    vals = np.unique(masks[0])
+    assert masks[0].dtype == bool  # keep flags; the forward pass scales
+    X = np.random.default_rng(1).standard_normal((50, 3))
+    _, (_, _, [gate]) = mlp_forward(stack_models([[m]]), X, masks,
+                                    Workspace())
+    vals = np.unique(gate)
     assert set(vals.tolist()) <= {0.0, 1.25}  # inverted dropout: 1/(1-p)
     assert draw(m, 5)[0].tobytes() == draw(m, 5)[0].tobytes()
     none_model = init_mlp((3, 10, 2), SOFTMAX_HEAD, np.random.default_rng(0),
@@ -534,14 +538,25 @@ def test_dropout_masks_scale_and_seed():
 
 
 def test_dropout_masks_equal_the_division_form_bit_for_bit():
-    # the masks scale by 1/keep; dividing by keep gives the same bits
+    # a kept unit's gate scales by 1/keep; dividing by keep gives the
+    # same bits
     rates = [0.05, 0.1, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99]
     rates += np.random.default_rng(9).uniform(0.0, 1.0, 20).tolist()
+    X = np.random.default_rng(6).standard_normal((64, 3))
     for p in rates:
         m = init_mlp((3, 16, 7, 2), SOFTMAX_HEAD, np.random.default_rng(0),
                      dropout_rate=p)
-        [got] = sample_dropout_masks(m, 64, np.random.default_rng(5),
-                                     ws=Workspace(), steps=1)
+        for b in m.biases:  # units on both sides of the ReLU kink
+            b += np.random.default_rng(7).normal(0.0, 0.3, b.shape)
+        stack = stack_models([[m]])
+        [masks] = sample_dropout_masks(m, 64, np.random.default_rng(5),
+                                       ws=Workspace(), steps=1)
+        _, (weights, inputs, got) = mlp_forward(stack, X, masks, Workspace())
         rng = np.random.default_rng(5)
-        want = [(rng.random((64, dim)) >= p) / (1.0 - p) for dim in (16, 7)]
+        want = []
+        for i, dim in enumerate((16, 7)):
+            h = inputs[i] @ weights[i] + stack.biases[i]
+            want.append((h > 0) * ((rng.random((64, dim)) >= p) / (1.0 - p)))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+

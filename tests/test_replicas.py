@@ -584,7 +584,7 @@ def test_block_masks_equal_per_step_draws(S, hidden, rate, n, iterations,
             continue
         assert len(step) == len(want) == len(hidden)
         for g, w in zip(step, want):
-            assert g.shape == lead + w.shape[-2:]
+            assert g.shape == lead + w.shape[-2:] and g.dtype == bool
             assert_same_array(g, w)
 
 

@@ -12,7 +12,7 @@ import oracles
 import teamopt.voi as voi_mod
 from conftest import traced_memory
 from oracles import soft_expected_utilities, soft_team_quantities
-from teamopt import calibration
+from teamopt import calibration, numerics
 from teamopt.calibration import (PlattCalibrator, calibrate_batch,
                                  calibrated_head)
 from teamopt.cli import dist_system, voi_rule_deviation
@@ -21,6 +21,7 @@ from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     team_predict, utility_loss_weights)
 from teamopt.errors import (InputError, NumericError, QueryError, StateError,
                             TrainingError)
+from teamopt.evaluation import SPLIT_FRACTIONS
 from teamopt.numerics import (BLOCK_STEPS, SIGMOID_HEAD, MlpModel,
                               TrainConfig, Workspace, finite_diff_check,
                               init_mlp, loss_and_grad, loss_value,
@@ -405,7 +406,8 @@ def test_calibrated_head_is_finite_where_every_sigmoid_underflows():
     normal = np.array([0.3, -0.2, 0.1])
     logits = np.array([[-800.0, -1500.0, -420.0], normal])
     dp = np.random.default_rng(4).normal(size=logits.shape)
-    p, backward = voi_mod._calibrated(logits, cal, Workspace())
+    # the head computes in the logits it is handed, which are reused below
+    p, backward = voi_mod._calibrated(logits.copy(), cal, Workspace())
     grad = backward(dp)
     assert np.isfinite(p).all() and np.isfinite(grad).all()
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -574,6 +576,48 @@ def test_joint_voi_step_allocates_less_than_one_gamma_activation(
     R, B, K, hidden = 10, 64, 5, 16
     assert len(above) == cfg.iterations
     assert max(above[BLOCK_STEPS:]) < R * B * K * hidden * 8
+
+
+def test_joint_voi_step_keeps_less_than_four_mib(monkeypatch):
+    # sweep-voi's shapes and splits: 2 seeds x 5 cost weights, minibatches
+    # of 64, K=5, one hidden layer of 16. After the first block of steps,
+    # what the fit keeps from step to step stays below 4 MiB. Its dropout
+    # masks are bool keep flags, drawn through one float64 row of
+    # uniforms: no mask scope holds a float64 array any larger
+    ds = generate_synthetic(SynthConfig(n=14000, seed=3))
+    cfg = TrainConfig(iterations=2 * BLOCK_STEPS, calibration_interval=1000)
+    runs = [(split(ds, SPLIT_FRACTIONS, seed)[0], replace(cfg, seed=seed))
+            for seed in (0, 1)]
+    team = TeamConfig.accuracy(5, 0.1)
+    starts = train_fixed_voi(runs, team)
+    live, scopes = [], []
+    real_fit, real_masks = voi_mod.fit_stack, numerics.sample_dropout_masks
+
+    def fit_stack(*args, on_step, **kwargs):
+        def step(it, models):
+            on_step(it, models)
+            if it >= BLOCK_STEPS:
+                live.append(trace.live())
+
+        return real_fit(*args, on_step=step, **kwargs)
+
+    def sample_dropout_masks(model, n, *rngs, ws, **kwargs):
+        scopes.append((n * sum(model.layer_dims[1:-1]), ws))
+        return real_masks(model, n, *rngs, ws=ws, **kwargs)
+
+    monkeypatch.setattr(voi_mod, "fit_stack", fit_stack)
+    monkeypatch.setattr(numerics, "sample_dropout_masks",
+                        sample_dropout_masks)
+    with traced_memory() as trace:
+        train_joint_voi([(d, c, s) for (d, c), s in zip(runs, starts)], team,
+                        (0.25, 0.5, 1.0, 2.0, 4.0))
+    assert len(live) == BLOCK_STEPS
+    assert max(live) < 4.0 * 2**20
+    assert len(scopes) == 2 * 3  # two blocks of alpha, beta and gamma
+    for row, ws in scopes:
+        for a in ws._arrays.values():
+            assert a.dtype == bool or (a.dtype == np.float64
+                                       and a.size <= row)
 
 
 def test_joint_loss_calibrates_and_softens_once_per_evaluation(monkeypatch):
