@@ -62,7 +62,8 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
     iterations can only cycle without moving (a, b) (see below), which
     returns what running on to the cap would. Single-class labels yield a
     degenerate flat calibrator at the smoothed base rate, whatever the
-    start. Empty or non-finite scores raise InputError. The objective
+    start. Empty or non-finite scores, and labels other than 0 and 1
+    (True and False count as 1 and 0), raise InputError. The objective
     (`_nll`) computes into two workspaces, and is not evaluated again at a
     point whose result one of them still holds.
     """
@@ -75,6 +76,8 @@ def fit_platt(scores: np.ndarray, binary_labels: np.ndarray,
     if not np.isfinite(s).all():
         raise InputError("cannot fit calibrator on non-finite scores")
     pos = lab == 1
+    if not (pos | (lab == 0)).all():
+        raise InputError("binary labels must be 0 or 1")
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         base = (n_pos + 1.0) / (len(s) + 2.0)
@@ -175,12 +178,20 @@ class PlattCalibrator:
         """One-vs-rest Platt fit of per-class logit scores.
 
         With a `start` calibrator, class k's Newton iterations start from
-        its (a_k, b_k) unless that class was degenerate there.
+        its (a_k, b_k) unless that class was degenerate there. Labels
+        that are not a 1-d integer array, one per row, in [0, K) raise
+        InputError.
         """
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 2 or logits.shape[1] != num_classes:
             raise ShapeError(f"logits shape {logits.shape} does not match"
                              f" K={num_classes}")
+        labels = np.asarray(labels)
+        if labels.shape != (len(logits),) or \
+                not np.issubdtype(labels.dtype, np.integer) or \
+                ((labels < 0) | (labels >= num_classes)).any():
+            raise InputError(f"labels must be a 1-d integer array, one per"
+                             f" row, in [0, {num_classes})")
         a = np.empty(num_classes)
         b = np.empty(num_classes)
         flags = np.zeros(num_classes, dtype=bool)
@@ -188,8 +199,7 @@ class PlattCalibrator:
             warm = None
             if start is not None and not start.degenerate[k]:
                 warm = (start.a[k], start.b[k])
-            fit = fit_platt(logits[:, k], (labels == k).astype(np.int64),
-                            warm)
+            fit = fit_platt(logits[:, k], labels == k, warm)
             a[k], b[k], flags[k] = fit.a, fit.b, fit.degenerate
         return cls(a, b, flags)
 

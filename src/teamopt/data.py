@@ -92,6 +92,14 @@ class Dataset:
         view._owner, view.rows = self.source, rows
         return view
 
+    def take(self, field: str, i: slice) -> np.ndarray:
+        """The slice i of this dataset's rows of `field` ("X", "y" or
+        "h"), gathered from its source: what self.X[i] reads, without
+        gathering the other rows. A pass over a whole split reads its
+        rows a block at a time through it (`numerics.row_blocks`)."""
+        a = getattr(self.source, field)
+        return a[i] if self.rows is None else a[self.rows[i]]
+
     def gathered(self) -> "Dataset":
         """This dataset with arrays of its own: a copy of its rows if
         `subset` took it, itself otherwise."""

@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import InputError, NumericError, QueryError
 from .numerics import (PROB_CLAMP, SIGMOID_HEAD, SOFTMAX_HEAD, MlpModel,
-                       TrainConfig, Workspace, fit_stack, flat_view,
-                       forward_batch, init_mlp, label_index, mlp_backward,
-                       mlp_forward, shared_batch_size, stable_sigmoid,
-                       stable_softmax)
+                       TrainConfig, Workspace, eval_blocks, fit_stack,
+                       flat_view, forward_batch, init_mlp, label_index,
+                       mlp_backward, mlp_forward, shared_batch_size,
+                       stable_sigmoid, stable_softmax)
 
 # Deterministic rng stream ids; stage-1/solo training of m must share the
 # m streams with joint training so the q-frozen trajectories coincide.
@@ -184,7 +184,8 @@ class DiscriminativeSystem:
 
     def parts(self, X: np.ndarray) -> DecisionParts:
         """The run-time rule, query iff (1 - q) * max(m) < q, ignores the
-        query cost; a queried instance takes the human response."""
+        query cost; a queried instance takes the human response. m and q
+        score X a row block at a time (`numerics.forward_batch`)."""
         m_probs = forward_batch(self.m, X)
         q_vals = forward_batch(self.q, X)
         n, K = m_probs.shape
@@ -251,7 +252,8 @@ def solo_ce_loss(models, batch, ws: Workspace):
 
 
 def train_solo_model(runs, team: TeamConfig,
-                     replicas=(("y", SOLO_STREAMS),)) -> list[list[MlpModel]]:
+                     replicas=(("y", SOLO_STREAMS),), inputs=None
+                     ) -> list[list[MlpModel]]:
     """Weighted-CE training of softmax MLPs in isolation: for each run, a
     (dataset, cfg) pair, one model per `(targets, streams)` pair of
     `replicas`, all trained as one replica stack. Returns each run's
@@ -259,27 +261,36 @@ def train_solo_model(runs, team: TeamConfig,
 
     `targets` names the dataset field a model learns: "y", the labels, or
     "h", the human responses, which is how the VOI module trains its
-    component models on a dataset of any inputs (see `voi.gamma_input`).
-    `streams` holds the (init, batch, dropout) rng stream ids, seeded by
-    the run's config. Every replica draws its own batch indices and
-    dropout masks from its own streams, so each model equals what training
-    it alone gives.
+    component models. `streams` holds the (init, batch, dropout) rng
+    stream ids, seeded by the run's config. Every replica draws its own
+    batch indices and dropout masks from its own streams, so each model
+    equals what training it alone gives. The models take each row's
+    features, or, when `inputs` is given as (width, make), the `width`
+    values that make(X, h) builds from a step's feature rows and human
+    responses, as p_gamma's are (see `voi.gamma_input`); either way a
+    step's rows are gathered from the run's source, and no run holds its
+    inputs whole.
     """
     B = shared_batch_size(runs)
     ds0, cfg = runs[0]
     w = utility_loss_weights(team)
-    dims = (ds0.feature_dim, *cfg.hidden_dims, ds0.num_classes)
+    width = ds0.feature_dim if inputs is None else inputs[0]
+    dims = (width, *cfg.hidden_dims, ds0.num_classes)
     models = [[init_mlp(dims, SOFTMAX_HEAD, derive_rng(c.seed, init),
                         cfg.dropout_rate) for _, (init, _, _) in replicas]
               for _, c in runs]
     # row source s * len(replicas) + j feeds pair j of run s
-    X, T, rows, batches, drops = zip(*(
-        (ds.source.X, getattr(ds.source, target), ds.rows,
+    X, T, H, rows, batches, drops = zip(*(
+        (ds.source.X, getattr(ds.source, target), ds.source.h, ds.rows,
          derive_rng(c.seed, batch), derive_rng(c.seed, drop))
         for ds, c in runs for target, (_, batch, drop) in replicas))
-    return fit_stack({"m": (models, drops, B)}, (X, T), batches, B,
-                     solo_ce_loss, cfg, "solo training",
-                     batch=lambda r: (r[0], r[1], w[r[1]], r[2]),
+    if inputs is None:
+        fields, batch = (X, T), lambda r: (r[0], r[1], w[r[1]], r[2])
+    else:
+        fields = (X, T, H)
+        batch = lambda r: (inputs[1](r[0], r[2]), r[1], w[r[1]], r[3])
+    return fit_stack({"m": (models, drops, B)}, fields, batches, B,
+                     solo_ce_loss, cfg, "solo training", batch=batch,
                      rows=rows)["m"]
 
 
@@ -351,6 +362,17 @@ def query_policy_loss_fn(cfg: TrainConfig, costs):
     return loss_fn
 
 
+def _label_probs(m: MlpModel, ds) -> np.ndarray:
+    """m(x)[y] at each row of ds, frozen, without dropout: the softmax of
+    each row block's logits (`numerics.eval_blocks`), whose rows are
+    gathered from ds's source a block at a time."""
+    out = np.empty(len(ds))
+    for i, z in eval_blocks(m, len(ds), lambda i: ds.take("X", i)):
+        p = stable_softmax(z, out=z)
+        out[i] = p[np.arange(len(p)), ds.take("y", i)]
+    return out
+
+
 def _at_rows(ds, values: np.ndarray) -> np.ndarray:
     """`values`, one per row of `ds`, as a row field of its source: put
     at ds's rows there, the only ones a batch of ds draws."""
@@ -375,8 +397,7 @@ def train_query_policy(runs, team: TeamConfig, costs
     w = utility_loss_weights(team)
     src = [ds.source for ds, _, _ in runs]
     # frozen, no dropout: plain constants
-    m_y = [_at_rows(ds, forward_batch(m, ds.X)[np.arange(len(ds)), ds.y])
-           for ds, _, m in runs]
+    m_y = [_at_rows(ds, _label_probs(m, ds)) for ds, _, m in runs]
     q = _fresh_net(runs, len(costs),
                    (src[0].feature_dim, *cfg.hidden_dims, 1), SIGMOID_HEAD,
                    STREAM_INIT_Q, STREAM_DROP_Q, B)

@@ -23,15 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import PlattCalibrator, calibrate_batch, calibrated_head
-from .data import Dataset
 from .discriminative import (DecisionParts, TeamConfig, derive_rng,
                              mixture_loss, train_solo_model,
                              utility_loss_weights)
 from .errors import InputError, StateError
-from .numerics import (MlpModel, TrainConfig, Workspace, fit_stack,
-                       flat_view, label_index, logits_batch, mlp_backward,
-                       mlp_forward, shared_batch_size, stable_sigmoid,
-                       stable_softmax, sum_last, unstack_models)
+from .numerics import (MlpModel, TrainConfig, Workspace, eval_blocks,
+                       fit_stack, flat_view, label_index, logits_batch,
+                       mlp_backward, mlp_forward, row_blocks,
+                       shared_batch_size, stable_sigmoid, stable_softmax,
+                       sum_last, unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -41,11 +41,6 @@ STREAM_CALIB_SPLIT = 19
 STREAM_JOINT_BATCH = 20
 STREAM_JOINT_DROP = (21, 22, 23)  # alpha, beta, gamma dropout
 _PARTS = ("alpha", "beta", "gamma")
-
-# Rows that `voi_decision_parts` scores at once: its gamma rows and
-# activations for a block take about 0.7 MiB, against 4 MiB for the
-# 2,100 rows of a split.
-SCORE_BLOCK = 256
 
 
 @dataclass
@@ -89,8 +84,10 @@ class VoiSystem:
 
 
 def gamma_input(X: np.ndarray, h: np.ndarray, num_classes: int) -> np.ndarray:
-    """Inputs for the label-given-response model: x with onehot(h) appended."""
-    return np.concatenate([X, np.eye(num_classes)[h]], axis=1)
+    """Inputs for the label-given-response model: x with onehot(h)
+    appended, (n, d+K) for (n, d) rows, or (..., n, d+K) for groups of
+    rows and their (..., n) responses."""
+    return np.concatenate([X, np.eye(num_classes)[h]], axis=-1)
 
 
 def gamma_all_input(X: np.ndarray, num_classes: int,
@@ -118,11 +115,9 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
     the utility-best action under the calibrated label model it has:
     p_alpha alone, or p_gamma given the response.
 
-    The rows are scored in near-equal blocks of at most SCORE_BLOCK rows,
-    so the n*K gamma rows behind u_q are never held at once. Every row is
-    scored on its own, so blocks change no bit, as long as no block is a
-    single row: numpy's vector path for a one-row matmul rounds otherwise.
-    No block is, unless X is.
+    The rows are scored a `numerics.row_blocks` block at a time, so the
+    n*K gamma rows behind u_q are never held at once, and the parts keep
+    the bits of a whole-batch pass.
     """
     system.require_calibrated()
     X = np.asarray(X, dtype=np.float64)
@@ -131,9 +126,7 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
     best_no_query = np.empty(n, dtype=np.int64)
     best_by_h = np.empty((n, K), dtype=np.int64)
     u_q_base, u_nq, pa = np.empty(n), np.empty(n), np.empty((n, K))
-    blocks = max(1, -(-n // SCORE_BLOCK))
-    for j in range(blocks):
-        i = slice(j * n // blocks, (j + 1) * n // blocks)
+    for i in row_blocks(n):
         Xb = X[i]
         b = len(Xb)
         pa[i] = system.p_alpha.predict_batch(Xb)
@@ -345,15 +338,31 @@ def _refit_calibrators(a_m: MlpModel, b_m: MlpModel, g_m: MlpModel,
                        calib_ds, start=(None,) * 3
                        ) -> tuple[PlattCalibrator, ...]:
     """(cal_a, cal_b, cal_g) fitted on the held-out slice, each fit started
-    from the matching `start` calibrator when one is given. The slice's
-    rows are gathered for this refit alone."""
-    K = calib_ds.num_classes
-    Xc, yc, hc = calib_ds.X, calib_ds.y, calib_ds.h
-    cal_a = PlattCalibrator.fit(logits_batch(a_m, Xc), yc, K, start[0])
-    cal_b = PlattCalibrator.fit(logits_batch(b_m, Xc), hc, K, start[1])
-    cal_g = PlattCalibrator.fit(logits_batch(g_m, gamma_input(Xc, hc, K)),
-                                yc, K, start[2])
-    return cal_a, cal_b, cal_g
+    from the matching `start` calibrator when one is given.
+
+    Each head's logits are computed a row block at a time
+    (`numerics.eval_blocks`), from rows (and gamma's response columns)
+    gathered from the slice's source a block at a time, into one
+    C-ordered (n, K) array: `fit_platt`'s bits depend on that layout.
+    One head's logits are held at a time."""
+    K, n = calib_ds.num_classes, len(calib_ds)
+    yc, hc = calib_ds.y, calib_ds.h
+
+    def rows(i):
+        return calib_ds.take("X", i)
+
+    def gamma_rows(i):
+        return gamma_input(rows(i), hc[i], K)
+
+    cals = []
+    for m, inputs, labels, warm in ((a_m, rows, yc, start[0]),
+                                    (b_m, rows, hc, start[1]),
+                                    (g_m, gamma_rows, yc, start[2])):
+        logits = np.empty((n, K))
+        for i, z in eval_blocks(m, n, inputs):
+            logits[i] = z
+        cals.append(PlattCalibrator.fit(logits, labels, K, warm))
+    return tuple(cals)
 
 
 def train_fixed_voi(runs, team: TeamConfig) -> list[VoiSystem]:
@@ -363,7 +372,8 @@ def train_fixed_voi(runs, team: TeamConfig) -> list[VoiSystem]:
     Networks fit on 80% of the run's dataset; the held-out 20% slice feeds
     the calibrators (and every later recalibration of a joint run). The
     runs train as two stacks: alpha and beta of every run, which share
-    their inputs and shape, and gamma of every run.
+    their inputs and shape, and gamma of every run, whose inputs
+    (`gamma_input`) are built a step at a time from the rows it draws.
     """
     splits = [_calibration_split(ds, cfg.seed) for ds, cfg in runs]
     K = runs[0][0].num_classes
@@ -371,10 +381,9 @@ def train_fixed_voi(runs, team: TeamConfig) -> list[VoiSystem]:
                            in zip(splits, runs)], team,
                           (("y", STREAM_ALPHA), ("h", STREAM_BETA)))
     g = train_solo_model(
-        [(Dataset(gamma_input(fit_ds.X, fit_ds.h, K), fit_ds.y, fit_ds.h, K,
-                  fit_ds.name), cfg)
-         for (fit_ds, _), (_, cfg) in zip(splits, runs)],
-        team, (("y", STREAM_GAMMA),))
+        [(fit_ds, cfg) for (fit_ds, _), (_, cfg) in zip(splits, runs)], team,
+        (("y", STREAM_GAMMA),),
+        (runs[0][0].feature_dim + K, lambda X, h: gamma_input(X, h, K)))
     systems = []
     for (a_m, b_m), [g_m], (_, calib_ds), (_, cfg) in zip(ab, g, splits,
                                                            runs):

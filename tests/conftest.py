@@ -14,8 +14,14 @@ from contextlib import contextmanager
 import pytest
 
 from teamopt import evaluation
+from teamopt.numerics import SCORE_BLOCK
 
 _VERDICTS = []
+
+# batch sizes at and around the edges of the row blocks of a whole-split
+# pass, up to a 2,100-row sweep split
+BLOCK_SIZES = [0, 1, 2, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1,
+               2 * SCORE_BLOCK + 1, 2100]
 
 
 def record_verdict(line):

@@ -15,8 +15,8 @@ from teamopt.data import Dataset
 from teamopt.discriminative import DecisionParts, mixture_loss
 from teamopt.numerics import (PROB_CLAMP, GradientSet, Workspace,
                               mlp_backward, mlp_forward, stable_sigmoid,
-                              stable_softmax, sum_last)
-from teamopt.voi import _calibrated, _soft_max, gamma_all_input
+                              stable_softmax, stack_models, sum_last)
+from teamopt.voi import _calibrated, _soft_max, gamma_all_input, gamma_input
 
 
 def runtime_query_decision(q_val: float, m_dist: np.ndarray) -> bool:
@@ -56,6 +56,44 @@ def voi_decision_parts_whole(system, X):
     u_q_base = (pb * inner).sum(axis=1)
     return DecisionParts(best_no_query.astype(np.int64),
                          best_by_h.astype(np.int64), u_q_base, u_nq, True, pa)
+
+
+def logits_whole(model, X):
+    """`numerics.logits_batch` on the whole batch at once: one forward
+    pass, every row's activations in one array."""
+    return mlp_forward(stack_models([[model]]),
+                       np.asarray(X, dtype=np.float64), None,
+                       Workspace())[0][0, 0]
+
+
+def disc_parts_whole(system, X):
+    """`DiscriminativeSystem.parts` with m and q each run over the whole
+    batch at once."""
+    m_probs = stable_softmax(logits_whole(system.m, X))
+    q_vals = stable_sigmoid(logits_whole(system.q, X)[:, 0], Workspace())
+    n, K = m_probs.shape
+    return DecisionParts(m_probs.argmax(axis=1),
+                         np.broadcast_to(np.arange(K), (n, K)), q_vals,
+                         (1.0 - q_vals) * m_probs.max(axis=1), False,
+                         m_probs, q_vals)
+
+
+def label_probs_whole(m, ds):
+    """`discriminative._label_probs`: m(x)[y] at every row of ds, from
+    ds's rows gathered whole and run through m at once."""
+    probs = stable_softmax(logits_whole(m, ds.X))
+    return probs[np.arange(len(ds)), ds.y]
+
+
+def refit_calibrators_whole(a_m, b_m, g_m, calib_ds, start=(None,) * 3):
+    """`voi._refit_calibrators` on the whole slice at once: its rows and
+    gamma inputs gathered whole, and each head's logits from one pass."""
+    K = calib_ds.num_classes
+    Xc, yc, hc = calib_ds.X, calib_ds.y, calib_ds.h
+    return tuple(PlattCalibrator.fit(logits_whole(m, X), labels, K, warm)
+                 for m, X, labels, warm in (
+                     (a_m, Xc, yc, start[0]), (b_m, Xc, hc, start[1]),
+                     (g_m, gamma_input(Xc, hc, K), yc, start[2])))
 
 
 def confusable_class_broadcast(X, y, means):

@@ -291,6 +291,18 @@ def test_fit_input_validation():
         with pytest.raises(InputError, match="non-finite"):
             PlattCalibrator.fit(np.array([[0.0, bad], [1.0, 0.0]]),
                                 np.array([0, 1]), 2)
+    # labels that are not 0/1, or not a class index, name no class
+    scores = np.array([0.5, -1.0, 2.0, 0.0])
+    for labels in ([0, 1, 2, 1], [0.5, 1, 0, 1], [-1, 0, 1, 0],
+                   ["0", "1", "0", "1"]):
+        with pytest.raises(InputError, match="0 or 1"):
+            fit_platt(scores, np.array(labels))
+    logits = np.zeros((4, 3))
+    for labels in (np.array([0, 1, 7, 2]), np.full(4, -1), np.zeros(4),
+                   np.array(["0", "1", "2", "0"]), np.zeros(4, dtype=bool),
+                   np.zeros(3, dtype=np.int64), np.zeros((4, 1), np.int64)):
+        with pytest.raises(InputError, match="labels"):
+            PlattCalibrator.fit(logits, labels, 3)
 
 
 # --- calibrate -------------------------------------------------------------

@@ -6,18 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import traced_memory
+import oracles
+from conftest import BLOCK_SIZES, traced_memory
 from teamopt import discriminative
-from teamopt.data import Dataset, SynthConfig, generate_synthetic
-from teamopt.discriminative import (SOLO_STREAMS, TeamConfig, decide,
-                                    derive_rng, joint_disc_loss_fn,
-                                    team_predict, train_fixed, train_joint,
+from teamopt.data import Dataset, SynthConfig, generate_synthetic, split
+from teamopt.discriminative import (SOLO_STREAMS, DiscriminativeSystem,
+                                    TeamConfig, decide, derive_rng,
+                                    joint_disc_loss_fn, team_predict,
+                                    train_fixed, train_joint,
                                     train_query_policy, train_solo_model,
                                     utility_loss_weights)
-from teamopt.errors import InputError, QueryError, TrainingError
+from teamopt.errors import InputError, QueryError, ShapeError, TrainingError
+from teamopt.evaluation import SPLIT_FRACTIONS
 from teamopt.numerics import (BLOCK_STEPS, PROB_CLAMP, SIGMOID_HEAD,
                               SOFTMAX_HEAD, MlpModel, TrainConfig, Workspace,
-                              forward_batch, loss_value, stack_models)
+                              forward_batch, init_mlp, loss_value,
+                              stack_models)
 
 # frozen: -ln(0.75) + 1.0 * 0.1 * 0.5
 JOINT_LOSS_MIX = 0.3376820724517809
@@ -205,6 +209,55 @@ def test_team_predict_wraps_provider_failure():
 
 
 # --- training -----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def disc_split():
+    """An untrained system at sweep-disc's shapes (d=8, K=5, one hidden
+    layer of 16) and a 2,100-row validation split of sweep-sized data."""
+    ds = generate_synthetic(SynthConfig(n=14000, seed=3))
+    _, val, _ = split(ds, SPLIT_FRACTIONS, 0)
+    rng = np.random.default_rng(4)
+    system = DiscriminativeSystem(init_mlp((8, 16, 5), SOFTMAX_HEAD, rng),
+                                  init_mlp((8, 16, 1), SIGMOID_HEAD, rng),
+                                  TeamConfig.accuracy(5, 0.1), TrainConfig())
+    return system, val
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_disc_parts_equal_the_whole_batch_bit_for_bit(disc_split, n):
+    system, val = disc_split
+    got = system.parts(val.X[:n])
+    want = oracles.disc_parts_whole(system, val.X[:n])
+    for field in ("machine", "by_response", "query_score", "alone_score",
+                  "machine_dist", "q_soft"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert got.cost_applies == want.cost_applies
+
+
+def test_disc_scoring_takes_no_rows_and_refuses_misshapen_batches(
+        disc_split):
+    system, _ = disc_split
+    parts = system.parts(np.zeros((0, 8)))
+    assert parts.machine.shape == parts.query_score.shape == (0,)
+    assert parts.by_response.shape == parts.machine_dist.shape == (0, 5)
+    for X in (np.zeros(8), np.zeros((3, 7))):
+        with pytest.raises(ShapeError):
+            system.parts(X)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[1:])
+def test_blocked_label_probs_equal_the_whole_split_bit_for_bit(disc_split,
+                                                               n):
+    # the query policy's frozen m(x)[y], on rows held as indices into the
+    # dataset, as a split holds them, and on rows of its own
+    system, val = disc_split
+    for ds in (val.subset(np.arange(n)), val.subset(np.arange(n)).gathered()):
+        got = discriminative._label_probs(system.m, ds)
+        want = oracles.label_probs_whole(system.m, ds)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
 
 def test_joint_query_rate_responds_to_cost():
     ds = noise_dataset()

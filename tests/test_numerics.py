@@ -8,15 +8,17 @@ Derived constants below were frozen from independent hand computation
 import numpy as np
 import pytest
 
+from conftest import BLOCK_SIZES
 from teamopt import tape
 from teamopt.discriminative import solo_ce_loss
 from teamopt.errors import ConfigError, InputError, NumericError, ShapeError
-from teamopt.numerics import (SIGMOID_HEAD, SOFTMAX_HEAD, GradientSet,
-                              MlpModel, TrainConfig, Workspace,
-                              finite_diff_check, flat_view, forward_batch,
-                              init_mlp, label_index, loss_and_grad,
-                              loss_value, max_last, mlp_backward,
-                              mlp_forward, sample_dropout_masks, sgd_step,
+from teamopt.numerics import (ROW_GROUP, SCORE_BLOCK, SIGMOID_HEAD,
+                              SOFTMAX_HEAD, GradientSet, MlpModel,
+                              TrainConfig, Workspace, finite_diff_check,
+                              flat_view, forward_batch, init_mlp,
+                              label_index, loss_and_grad, loss_value,
+                              max_last, mlp_backward, mlp_forward,
+                              row_blocks, sample_dropout_masks, sgd_step,
                               stable_sigmoid, stable_softmax, stack_models,
                               sum_last)
 
@@ -132,6 +134,21 @@ def test_forward_input_validation():
         forward(m, np.zeros(4))
     with pytest.raises(InputError):
         forward(m, np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_row_blocks_are_near_equal_and_never_a_single_row(n):
+    blocks = row_blocks(n)
+    sizes = [i.stop - i.start for i in blocks]
+    assert [i.start for i in blocks] == [0] + [i.stop for i in blocks[:-1]]
+    assert blocks[-1].stop == n and all(i.step is None for i in blocks)
+    assert sum(sizes) == n and max(sizes) <= SCORE_BLOCK
+    assert len(blocks) == max(1, -(-n // SCORE_BLOCK))
+    if n != 1:
+        assert 1 not in sizes  # a one-row matmul rounds differently
+    # a one-output matmul rounds a row by its place in a group of four
+    assert all(i.start % ROW_GROUP == 0 for i in blocks)
+    assert ROW_GROUP % 4 == 0 and SCORE_BLOCK % ROW_GROUP == 0
 
 
 def test_init_mlp_bounds_and_zero_biases():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import teamopt.voi as voi_mod
-from conftest import traced_memory
+from conftest import BLOCK_SIZES, traced_memory
 from oracles import soft_expected_utilities, soft_team_quantities
 from teamopt import calibration, numerics
 from teamopt.calibration import (PlattCalibrator, calibrate_batch,
@@ -19,14 +19,15 @@ from teamopt.cli import dist_system, voi_rule_deviation
 from teamopt.data import Dataset, SynthConfig, generate_synthetic, split
 from teamopt.discriminative import (DiscriminativeSystem, TeamConfig, decide,
                                     team_predict, utility_loss_weights)
-from teamopt.errors import (InputError, NumericError, QueryError, StateError,
-                            TrainingError)
+from teamopt.errors import (InputError, NumericError, QueryError,
+                            ShapeError, StateError, TrainingError)
 from teamopt.evaluation import SPLIT_FRACTIONS
-from teamopt.numerics import (BLOCK_STEPS, SIGMOID_HEAD, MlpModel,
-                              TrainConfig, Workspace, finite_diff_check,
-                              init_mlp, loss_and_grad, loss_value,
-                              mlp_forward, sample_dropout_masks, stack_models)
-from teamopt.voi import (SCORE_BLOCK, _calibration_split, gamma_all_input,
+from teamopt.numerics import (BLOCK_STEPS, SCORE_BLOCK, SIGMOID_HEAD,
+                              MlpModel, TrainConfig, Workspace,
+                              finite_diff_check, init_mlp, loss_and_grad,
+                              loss_value, mlp_forward, sample_dropout_masks,
+                              stack_models)
+from teamopt.voi import (_calibration_split, gamma_all_input,
                          gamma_input, joint_calibrator, joint_voi_batch,
                          joint_voi_loss_fn, train_fixed_voi, train_joint_voi,
                          voi_decision_parts)
@@ -639,20 +640,20 @@ def test_joint_loss_calibrates_and_softens_once_per_evaluation(monkeypatch):
 @pytest.fixture(scope="module")
 def scored_split():
     """A fixed-VOI system trained on sweep-sized data, and its 2,100-row
-    validation split's features."""
+    validation split."""
     ds = generate_synthetic(SynthConfig(n=14000, seed=3))
     train, val, _ = split(ds, (0.7, 0.15, 0.15), 0)
     [system] = train_fixed_voi(
         [(train, TrainConfig(iterations=100, calibration_interval=50))],
         TeamConfig.accuracy(5, 0.1))
-    return system, val.X
+    return system, val
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, SCORE_BLOCK - 1, SCORE_BLOCK,
-                               SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 1, 2100])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_blocked_scoring_equals_the_whole_batch_bit_for_bit(scored_split,
                                                              monkeypatch, n):
-    system, X = scored_split
+    system, val = scored_split
+    X = val.X
     assert len(X) == 2100
     want = oracles.voi_decision_parts_whole(system, X[:n])
     blocks = []
@@ -674,6 +675,52 @@ def test_blocked_scoring_equals_the_whole_batch_bit_for_bit(scored_split,
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
     assert (got.cost_applies, got.q_soft) == (want.cost_applies, want.q_soft)
+
+
+def test_voi_scoring_takes_no_rows_and_refuses_misshapen_batches(
+        scored_split):
+    system, _ = scored_split
+    parts = system.parts(np.zeros((0, 8)))
+    assert parts.machine.shape == parts.query_score.shape == (0,)
+    assert parts.by_response.shape == parts.machine_dist.shape == (0, 5)
+    for X in (np.zeros(8), np.zeros((3, 7))):
+        with pytest.raises(ShapeError):
+            system.parts(X)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("n", BLOCK_SIZES[1:])
+def test_blocked_refit_equals_the_whole_slice_bit_for_bit(scored_split, n,
+                                                          warm):
+    # the first n rows of the split as a held-out slice, its rows held as
+    # indices into the dataset, as `_calibration_split` holds them
+    system, val = scored_split
+    calib = val.subset(np.arange(n))
+    models = [p.model for p in (system.p_alpha, system.p_beta,
+                                system.p_gamma)]
+    start = tuple(p.calibrator if warm else None
+                  for p in (system.p_alpha, system.p_beta, system.p_gamma))
+    got = voi_mod._refit_calibrators(*models, calib, start)
+    want = oracles.refit_calibrators_whole(*models, calib, start)
+    for g, w in zip(got, want):
+        for field in ("a", "b", "degenerate"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+
+
+def test_refit_keeps_under_half_a_mib_above_what_it_holds():
+    # sweep-voi's shapes: the 1,960-row held-out slice of a 9,800-row
+    # training split, d=8, K=5, one hidden layer of 16. Each head's
+    # logits are held whole, 77 KiB, and its rows a block at a time; the
+    # whole-slice refit read 777 KiB here
+    ds = generate_synthetic(SynthConfig(n=14000, seed=3))
+    _, calib = _calibration_split(split(ds, SPLIT_FRACTIONS, 0)[0], 0)
+    assert (len(calib), calib.feature_dim) == (1960, 8)
+    rng = np.random.default_rng(0)
+    models = [init_mlp((d, 16, 5), "softmax", rng) for d in (8, 8, 13)]
+    with traced_memory() as trace:
+        voi_mod._refit_calibrators(*models, calib)
+        above = trace.peak_above()
+    assert above < 512 * 2**10
 
 
 def test_fixed_voi_trains_calibrated_system():
