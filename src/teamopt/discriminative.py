@@ -363,23 +363,17 @@ def query_policy_loss_fn(cfg: TrainConfig, costs):
 
 
 def _label_probs(m: MlpModel, ds) -> np.ndarray:
-    """m(x)[y] at each row of ds, frozen, without dropout: the softmax of
-    each row block's logits (`numerics.eval_blocks`), whose rows are
-    gathered from ds's source a block at a time."""
-    out = np.empty(len(ds))
+    """m(x)[y] at each row of ds, frozen, without dropout, as a row field
+    of ds's source: (len(ds.source),), each value at its row there, the
+    only rows a batch of ds draws, and 0.0 at every other row. The softmax
+    of each row block's logits (`numerics.eval_blocks`), whose rows are
+    gathered from the source a block at a time, is written straight into
+    the field."""
+    field = np.zeros(len(ds.source))
     for i, z in eval_blocks(m, len(ds), lambda i: ds.take("X", i)):
         p = stable_softmax(z, out=z)
-        out[i] = p[np.arange(len(p)), ds.take("y", i)]
-    return out
-
-
-def _at_rows(ds, values: np.ndarray) -> np.ndarray:
-    """`values`, one per row of `ds`, as a row field of its source: put
-    at ds's rows there, the only ones a batch of ds draws."""
-    if ds.rows is None:
-        return values
-    field = np.zeros(len(ds.source))
-    field[ds.rows] = values
+        field[i if ds.rows is None else ds.rows[i]] = \
+            p[np.arange(len(p)), ds.take("y", i)]
     return field
 
 
@@ -397,7 +391,7 @@ def train_query_policy(runs, team: TeamConfig, costs
     w = utility_loss_weights(team)
     src = [ds.source for ds, _, _ in runs]
     # frozen, no dropout: plain constants
-    m_y = [_at_rows(ds, _label_probs(m, ds)) for ds, _, m in runs]
+    m_y = [_label_probs(m, ds) for ds, _, m in runs]
     q = _fresh_net(runs, len(costs),
                    (src[0].feature_dim, *cfg.hidden_dims, 1), SIGMOID_HEAD,
                    STREAM_INIT_Q, STREAM_DROP_Q, B)

@@ -195,8 +195,9 @@ APPROACHES = TRAINED + ("human-only",)
 
 
 def check_grid(approaches, costs, lambda_grid, seeds) -> None:
-    """ConfigError unless every approach is known and `approaches`,
-    `costs`, `lambda_grid` and `seeds` are all nonempty."""
+    """ConfigError unless every approach is known, `approaches`, `costs`,
+    `lambda_grid` and `seeds` are all nonempty, the costs and λ values are
+    finite and non-negative, and every seed is a non-negative integer."""
     unknown = [a for a in approaches if a not in APPROACHES]
     if unknown:
         raise ConfigError(f"unknown approaches {unknown};"
@@ -204,30 +205,27 @@ def check_grid(approaches, costs, lambda_grid, seeds) -> None:
     if not all(map(len, (approaches, costs, lambda_grid, seeds))):
         raise ConfigError("approaches, costs, lambda_grid and seeds must be"
                           " nonempty")
-
-
-def check_sweep(approaches, costs, lambda_grid, seeds, jobs: int) -> tuple:
-    """The grid a sweep runs: (approach names, costs, λ grid, seeds), the
-    first three deduplicated and sorted, the seeds as ints in config
-    order. What `check_grid` rejects, negative or non-finite costs or λ
-    values, a seed that is not a non-negative integer, a repeated seed,
-    and `jobs` < 1 raise ConfigError."""
-    check_grid(approaches, costs, lambda_grid, seeds)
-    costs = [float(c) for c in costs]
-    lam_grid = [float(v) for v in lambda_grid]
-    values = np.array(costs + lam_grid)
+    values = np.array([float(v) for v in (*costs, *lambda_grid)])
     if not (np.isfinite(values) & (values >= 0)).all():
         raise ConfigError("costs and lambda grid must be finite and"
                           " non-negative")
     if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
         raise ConfigError(f"seeds must be non-negative integers: {seeds}")
+
+
+def check_sweep(approaches, costs, lambda_grid, seeds, jobs: int) -> tuple:
+    """The grid a sweep runs: (approach names, costs, λ grid, seeds), the
+    first three deduplicated and sorted, the seeds as ints in config
+    order. What `check_grid` rejects, a repeated seed and `jobs` < 1
+    raise ConfigError."""
+    check_grid(approaches, costs, lambda_grid, seeds)
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must not repeat: {seeds}")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    return (sorted(set(approaches)), sorted(set(costs)),
-            sorted(set(lam_grid)), seeds)
+    return (sorted(set(approaches)), sorted({float(c) for c in costs}),
+            sorted({float(v) for v in lambda_grid}), seeds)
 
 
 def _runs(dataset: Dataset, seeds, cfg: TrainConfig) -> list:

@@ -318,10 +318,11 @@ def row_blocks(n: int) -> list[slice]:
 def eval_blocks(model: MlpModel, n: int, inputs):
     """The model's logits on n rows without dropout, a `row_blocks(n)`
     block at a time: yields (i, logits) for each slice i, where
-    `inputs(i)` returns the block's (len, d) input rows and the (len, K)
-    logits are an array that the next block overwrites. The model is
-    stacked, and the workspace made, once. The inputs are not checked:
-    the callers' rows come from a checked batch or dataset."""
+    `inputs(i)` returns the block's (rows, d) inputs, such as the K gamma
+    rows of each instance in VOI scoring, and the (rows, K) logits are
+    an array that the next block overwrites. The model is stacked, and
+    the workspace made, once. The inputs are not checked: the callers'
+    rows come from a checked batch or dataset."""
     stacked, ws = stack_models([[model]]), Workspace()
     for i in row_blocks(n):
         yield i, mlp_forward(stacked, inputs(i), None, ws)[0][0, 0]

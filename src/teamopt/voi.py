@@ -29,9 +29,9 @@ from .discriminative import (DecisionParts, TeamConfig, derive_rng,
 from .errors import InputError, StateError
 from .numerics import (MlpModel, TrainConfig, Workspace, eval_blocks,
                        fit_stack, flat_view, label_index, logits_batch,
-                       mlp_backward, mlp_forward, row_blocks,
-                       shared_batch_size, stable_sigmoid, stable_softmax,
-                       sum_last, unstack_models)
+                       mlp_backward, mlp_forward, shared_batch_size,
+                       stable_sigmoid, stable_softmax, sum_last,
+                       unstack_models)
 
 # rng stream ids, disjoint from the discriminative module's 0..5
 STREAM_ALPHA = (10, 11, 12)  # init, batch, dropout
@@ -115,30 +115,29 @@ def voi_decision_parts(system: VoiSystem, X: np.ndarray) -> DecisionParts:
     the utility-best action under the calibrated label model it has:
     p_alpha alone, or p_gamma given the response.
 
-    The rows are scored a `numerics.row_blocks` block at a time, so the
-    n*K gamma rows behind u_q are never held at once, and the parts keep
-    the bits of a whole-batch pass.
+    p_alpha and p_beta score the whole batch. p_gamma's n*K rows behind
+    u_q are built (`gamma_all_input`), run (`numerics.eval_blocks`) and
+    calibrated (`calibrated_head`, one workspace) a `numerics.row_blocks`
+    block of instances at a time, so they are never held at once. The
+    parts keep the bits of a whole-batch pass.
     """
     system.require_calibrated()
     X = np.asarray(X, dtype=np.float64)
-    n, K = X.shape[0], system.num_classes
+    pa = system.p_alpha.predict_batch(X)
+    pb = system.p_beta.predict_batch(X)
+    n, K = pa.shape
     U = system.team.utility
-    best_no_query = np.empty(n, dtype=np.int64)
-    best_by_h = np.empty((n, K), dtype=np.int64)
-    u_q_base, u_nq, pa = np.empty(n), np.empty(n), np.empty((n, K))
-    for i in row_blocks(n):
-        Xb = X[i]
-        b = len(Xb)
-        pa[i] = system.p_alpha.predict_batch(Xb)
-        pb = system.p_beta.predict_batch(Xb)
-        pg = system.p_gamma.predict_batch(gamma_all_input(Xb, K))  # (b*K, K)
-        eu_nq = pa[i] @ U.T  # (b, K) expected utility per action
-        best_no_query[i] = eu_nq.argmax(axis=1)
-        u_nq[i] = eu_nq[np.arange(b), best_no_query[i]]
-        eu_q = (pg @ U.T).reshape(b, K, K)  # [i, h, action]
+    eu_nq = pa @ U.T  # (n, K) expected utility per action
+    best_no_query = eu_nq.argmax(axis=1)
+    u_nq = eu_nq[np.arange(n), best_no_query]
+    best_by_h, u_q_base = np.empty((n, K), dtype=np.int64), np.empty(n)
+    ws = Workspace()
+    for i, z in eval_blocks(system.p_gamma.model, n,
+                            lambda i: gamma_all_input(X[i], K)):
+        pg = calibrated_head(z, system.p_gamma.calibrator, ws)[0]  # (b*K, K)
+        eu_q = (pg @ U.T).reshape(-1, K, K)  # [i, h, action]
         best_by_h[i] = eu_q.argmax(axis=2)
-        inner = eu_q.max(axis=2)  # (b, K)
-        u_q_base[i] = (pb * inner).sum(axis=1)
+        u_q_base[i] = (pb[i] * eu_q.max(axis=2)).sum(axis=1)
     return DecisionParts(best_no_query, best_by_h, u_q_base, u_nq, True, pa)
 
 

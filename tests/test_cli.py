@@ -480,6 +480,23 @@ def test_analyze_negative_seed_exits_two(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, args", [
+    ({}, ["--costs=-0.5"]),
+    ({}, ["--seed", "-1"]),
+    ({"costs": [-1, "nan"], "lambda_grid": [-2]}, []),
+], ids=["negative-cost-flag", "negative-seed-flag", "bad-config-grid"])
+@pytest.mark.parametrize("command", ["generate", "analyze"])
+def test_grid_values_exit_two_before_the_dataset_is_built(
+        tmp_path, monkeypatch, command, override, args):
+    built = []
+    monkeypatch.setattr(cli, "generate_synthetic", built.append)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out, **override))
+    assert main([command, "--config", path, *args]) == 2
+    assert built == []
+    assert not out.exists()
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(out))

@@ -251,12 +251,19 @@ def test_disc_scoring_takes_no_rows_and_refuses_misshapen_batches(
 def test_blocked_label_probs_equal_the_whole_split_bit_for_bit(disc_split,
                                                                n):
     # the query policy's frozen m(x)[y], on rows held as indices into the
-    # dataset, as a split holds them, and on rows of its own
+    # dataset, as a split holds them, where it fills a row field of the
+    # source, and on rows of its own
     system, val = disc_split
-    for ds in (val.subset(np.arange(n)), val.subset(np.arange(n)).gathered()):
-        got = discriminative._label_probs(system.m, ds)
-        want = oracles.label_probs_whole(system.m, ds)
-        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    ds = val.subset(np.arange(n))
+    got = discriminative._label_probs(system.m, ds)
+    want = oracles.label_probs_whole(system.m, ds)
+    assert got.shape == (len(ds.source),)
+    assert got[ds.rows].tobytes() == want.tobytes()
+    assert (np.delete(got, ds.rows) == 0.0).all()
+    ds = ds.gathered()
+    got = discriminative._label_probs(system.m, ds)
+    want = oracles.label_probs_whole(system.m, ds)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
 
 
 def test_joint_query_rate_responds_to_cost():

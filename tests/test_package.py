@@ -38,6 +38,16 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```\nsrc/teamopt/\n", 1)[1].split("```", 1)[0]
+    # an entry's first word is its module
+    named = {line.split()[0] for line in block.splitlines() if line.strip()}
+    modules = {p.name for p in (ROOT / "src" / "teamopt").glob("*.py")
+               if not p.name.startswith("__")}
+    assert modules - named == set()
+
+
 def test_no_module_defines_a_top_level_name_twice():
     # a second `def` of a name silently replaces the first, so a test
     # defined twice runs once and its first copy never does

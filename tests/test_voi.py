@@ -677,6 +677,28 @@ def test_blocked_scoring_equals_the_whole_batch_bit_for_bit(scored_split,
     assert (got.cost_applies, got.q_soft) == (want.cost_applies, want.q_soft)
 
 
+def test_voi_scoring_stacks_each_network_once(scored_split, monkeypatch):
+    # p_alpha and p_beta score the whole split, and p_gamma's blocks run
+    # one stack; no whole (n*K, d+K) array of gamma rows is built
+    system, val = scored_split
+    stacks, gamma_rows = [], []
+
+    def stack_models(models):
+        stacks.append(models)
+        return real_stack(models)
+
+    def gamma_all_input(Xb, K):
+        gamma_rows.append(len(Xb) * K)
+        return real_gamma(Xb, K)
+
+    real_stack, real_gamma = numerics.stack_models, voi_mod.gamma_all_input
+    monkeypatch.setattr(numerics, "stack_models", stack_models)
+    monkeypatch.setattr(voi_mod, "gamma_all_input", gamma_all_input)
+    voi_decision_parts(system, val.X)
+    assert len(val.X) == 2100 and len(stacks) == 3
+    assert max(gamma_rows) <= SCORE_BLOCK * system.num_classes
+
+
 def test_voi_scoring_takes_no_rows_and_refuses_misshapen_batches(
         scored_split):
     system, _ = scored_split
